@@ -15,7 +15,16 @@ access cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.plans.expressions import (
     EvaluationError,
@@ -110,6 +119,7 @@ class AccessCommand:
             distinct.setdefault(values, None)
         rows = set()
         fetched = 0
+        map_output = self._output_mapper()
         cache_hits_before = cache.hits if cache is not None else 0
         retries_before = resilience.retries if resilience is not None else 0
         faults_before = resilience.faults if resilience is not None else 0
@@ -134,7 +144,7 @@ class AccessCommand:
                 accessed_rows = answers[values]
                 fetched += len(accessed_rows)
                 for accessed in accessed_rows:
-                    out_row = self._map_output(accessed)
+                    out_row = map_output(accessed)
                     if out_row is not None:
                         rows.add(out_row)
         else:
@@ -155,7 +165,7 @@ class AccessCommand:
                     accessed_rows = source.access(self.method, values)
                 fetched += len(accessed_rows)
                 for accessed in accessed_rows:
-                    out_row = self._map_output(accessed)
+                    out_row = map_output(accessed)
                     if out_row is not None:
                         rows.add(out_row)
         if stats is not None:
@@ -176,6 +186,16 @@ class AccessCommand:
             stats.rows_out = len(table.rows)
         env[self.target] = table
         return table
+
+    def _output_mapper(
+        self,
+    ) -> Callable[[Tuple[Term, ...]], Optional[Tuple[Term, ...]]]:
+        """``b_out`` as a function of one accessed tuple (None: filtered)."""
+        if all(len(positions) == 1 for _attr, positions in self.output_map):
+            # No attribute is an equality filter: a plain index pick.
+            picks = [positions[0] for _attr, positions in self.output_map]
+            return lambda accessed: tuple([accessed[p] for p in picks])
+        return self._map_output
 
     def _map_output(
         self, accessed: Tuple[Term, ...]

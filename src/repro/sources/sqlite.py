@@ -14,15 +14,45 @@ rules would silently collapse ``1`` and ``1.0`` (and ``True`` and
 ``1``), breaking the byte-identical differential contract against the
 in-memory oracle.  JSON-encoding each cell keeps the round trip exact.
 
+The batch contract (:meth:`SQLiteSource.access_batch`) is
+set-at-a-time, as the paper's access command ``T <= mt <= E`` is
+defined over the *set* of tuples ``E`` produces:
+
+* A method of **any input arity >= 1** is answered by a keyed join: the
+  batch's keys (every JSON spelling of each, so ``1``/``1.0``/``True``
+  match as they do in the oracle) are bound as a ``VALUES`` relation
+  and joined to the table on the method's input columns, then the rows
+  are bucketed by key in one pass.  A free method has no key and is one
+  plain ``SELECT``.
+* Keys are bound a **fixed** ``_CHUNK_PARAMS`` parameters per
+  statement, so no batch size can reach a build's
+  ``SQLITE_LIMIT_VARIABLE_NUMBER``; each chunk is a single statement,
+  so a reconnect between or inside chunks cannot lose keys.
+* **Metering is per logical access**: one ``AccessRecord`` per input
+  tuple with that tuple's own result count -- statements are round
+  trips, never the books.
+* **Indexes are derived from the schema**: one composite index per
+  distinct ``(relation, input_positions)`` among the access methods,
+  rebuilt with the tables on every (re)load.
+* The **decode memo** maps a cell's text back to its ``Constant``.  It
+  is replaced whenever the tables are (reconnect or mutation), seeded
+  from the snapshot's own cells, so it outlives requests but never the
+  tables it was built with; decoding is a pure function of the text, so
+  a memo entry can be stale in lifetime only, never in value.
+
 Connection lifecycle is defensive by construction:
 
-* ``sqlite3.OperationalError`` (and a closed connection's
-  ``ProgrammingError``) triggers **reconnect with capped exponential
-  backoff**: the connection is rebuilt, tables are reloaded from the
-  retained ground-truth :class:`~repro.data.instance.Instance`, and
-  the statement is retried.  After ``max_reconnects`` consecutive
-  failures the access raises typed
+* A lost connection (``sqlite3.OperationalError``, or a closed
+  connection's ``ProgrammingError``) triggers **reconnect with capped
+  exponential backoff**: the connection is rebuilt, tables are reloaded
+  from the retained ground-truth
+  :class:`~repro.data.instance.Instance`, and the statement is retried.
+  After ``max_reconnects`` consecutive failures the access raises typed
   :class:`~repro.errors.SourceUnavailable` -- retryable upstream.
+* A **statement SQLite rejects** (too many variables, syntax, no such
+  table/column) would fail identically on a fresh connection: it raises
+  non-retryable :class:`~repro.errors.AccessError` at once, without
+  reconnecting.
 * **Read-snapshot epochs**: :meth:`epoch` is ``instance.version``; a
   backend mutation bumps it, the next access reloads the tables, and
   everything derived from older answers (the
@@ -39,10 +69,12 @@ flaky-server simulation the chaos matrix drives.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sqlite3
 import threading
 import time
+from functools import lru_cache
 from typing import (
     Callable,
     Dict,
@@ -55,13 +87,34 @@ from typing import (
 
 from repro.data.instance import Instance, _to_constant
 from repro.data.source import AccessRecord
-from repro.errors import AccessViolation, SourceUnavailable
+from repro.errors import AccessError, AccessViolation, SourceUnavailable
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema
 from repro.sources.base import MeteredSourceMixin
 
-#: Errors that mean "the connection is gone", not "the query is wrong".
+#: Errors that *may* mean "the connection is gone" (the reconnect loop's
+#: catch) -- unless the message is one of ``_STATEMENT_ERRORS``.
 _CONNECTION_ERRORS = (sqlite3.OperationalError, sqlite3.ProgrammingError)
+
+#: SQLite's messages for "the query is wrong": the same statement fails
+#: the same way on a fresh connection, so these propagate at once as a
+#: non-retryable :class:`~repro.errors.AccessError`.  Matched on text
+#: because ``sqlite3.Error.sqlite_errorcode`` needs Python >= 3.11.
+_STATEMENT_ERRORS = (
+    "too many SQL variables",
+    "syntax error",
+    "no such table",
+    "no such column",
+    "Incorrect number of bindings",
+)
+
+#: Bound parameters per keyed-join statement.  Fixed, and well below
+#: the smallest ``SQLITE_LIMIT_VARIABLE_NUMBER`` any build ships (999
+#: before SQLite 3.32), so a batch of any size runs on every build.
+#: Small on purpose: a prepared ``VALUES`` statement keeps ~330 bytes
+#: per keys row in the connection's statement cache and parsing it
+#: peaks at four times that, while a statement costs only ~10 us.
+_CHUNK_PARAMS = 250
 
 
 def _encode_cell(value) -> str:
@@ -72,6 +125,14 @@ def _encode_cell(value) -> str:
 def _decode_cell(text: str) -> Constant:
     """Inverse of :func:`_encode_cell`."""
     return _to_constant(json.loads(text))
+
+
+class _DecodeMemo(dict):
+    """Cell text -> ``Constant``; a text it has not seen is parsed once."""
+
+    def __missing__(self, text: str) -> Constant:
+        constant = self[text] = _decode_cell(text)
+        return constant
 
 
 def _key_encodings(value) -> List[str]:
@@ -93,6 +154,25 @@ def _key_encodings(value) -> List[str]:
             if twin == value:
                 encodings.add(_encode_cell(twin))
     return sorted(encodings)
+
+
+@lru_cache(maxsize=256)
+def _keyed_join_sql(
+    relation: str, positions: Tuple[int, ...], key_rows: int
+) -> str:
+    """The keyed join of ``key_rows`` bound keys rows to ``relation``.
+
+    ``CROSS JOIN`` pins the keys as the outer loop, so every keys row
+    is one probe of the ``(relation, positions)`` index.
+    """
+    names = ", ".join(f"k{i}" for i in range(len(positions)))
+    marks = ", ".join("?" * len(positions))
+    rows = ", ".join([f"({marks})"] * key_rows)
+    joined = " AND ".join(f"t.c{p} = k.k{i}" for i, p in enumerate(positions))
+    return (
+        f"WITH k({names}) AS (VALUES {rows}) "
+        f'SELECT t.* FROM k CROSS JOIN "{relation}" AS t ON {joined}'
+    )
 
 
 class SQLiteSource(MeteredSourceMixin):
@@ -130,6 +210,7 @@ class SQLiteSource(MeteredSourceMixin):
         self._statements = 0
         self._conn: Optional[sqlite3.Connection] = None
         self._loaded_version: Optional[int] = None
+        self._decoded = _DecodeMemo()
         # One lock for connection + log: sqlite3 connections are not
         # concurrency-safe, and the source sits under a multi-threaded
         # QueryService -- statements serialize, waits overlap upstream.
@@ -164,24 +245,46 @@ class SQLiteSource(MeteredSourceMixin):
             self._load_tables()
 
     def _load_tables(self) -> None:
-        """Materialize every relation into its table; caller holds lock."""
+        """Materialize every relation into its table; caller holds lock.
+
+        Each distinct ``(relation, input_positions)`` among the
+        schema's access methods gets one composite index -- the keyed
+        lookups are exactly the binding patterns the schema declares.
+        The decode memo is replaced with the tables and seeded from the
+        cells just encoded, so a fetched text maps back to the
+        snapshot's own ``Constant`` without parsing and the memo never
+        holds more than one snapshot's distinct cells.
+        """
         conn = self._conn
+        decoded = _DecodeMemo()
         for relation in self.schema.relations:
             arity = relation.arity
             columns = ", ".join(f"c{i} TEXT" for i in range(arity))
             conn.execute(f'DROP TABLE IF EXISTS "{relation.name}"')
             conn.execute(f'CREATE TABLE "{relation.name}" ({columns})')
-            rows = [
-                tuple(_encode_cell(cell.value) for cell in row)
-                for row in self.instance.tuples(relation.name)
-            ]
+            rows = []
+            for row in self.instance.tuples(relation.name):
+                texts = tuple(_encode_cell(cell.value) for cell in row)
+                decoded.update(zip(texts, row))
+                rows.append(texts)
             if rows:
                 marks = ", ".join("?" for _ in range(arity))
                 conn.executemany(
                     f'INSERT INTO "{relation.name}" VALUES ({marks})',
                     rows,
                 )
+        indexed = {
+            (method.relation, method.input_positions)
+            for method in self.schema.methods
+            if method.input_positions
+        }
+        for number, (relation_name, positions) in enumerate(sorted(indexed)):
+            columns = ", ".join(f"c{p}" for p in positions)
+            conn.execute(
+                f'CREATE INDEX ix{number} ON "{relation_name}" ({columns})'
+            )
         conn.commit()
+        self._decoded = decoded
         self._loaded_version = self.instance.version
 
     def sever_connection(self) -> None:
@@ -197,7 +300,10 @@ class SQLiteSource(MeteredSourceMixin):
         under the source lock.  A connection-level failure reconnects
         (reloading the retained snapshot) with capped exponential
         backoff; after ``max_reconnects`` consecutive failures the
-        access surfaces as typed :class:`SourceUnavailable`.
+        access surfaces as typed :class:`SourceUnavailable`.  A
+        statement SQLite rejects (``_STATEMENT_ERRORS``) is not a lost
+        connection: it raises :class:`AccessError` at once, with no
+        reconnect and nothing for the retry layer to retry.
         """
         with self._lock:
             if self.instance.version != self._loaded_version:
@@ -216,6 +322,10 @@ class SQLiteSource(MeteredSourceMixin):
                     cursor = self._conn.execute(sql, tuple(params))
                     return cursor.fetchall()
                 except _CONNECTION_ERRORS as error:
+                    if any(text in str(error) for text in _STATEMENT_ERRORS):
+                        raise AccessError(
+                            f"sqlite rejected the statement: {error}"
+                        ) from error
                     last_error = error
                     if attempt >= self.max_reconnects:
                         break
@@ -262,9 +372,9 @@ class SQLiteSource(MeteredSourceMixin):
         sql = f'SELECT * FROM "{method.relation}"'
         if clauses:
             sql += f" WHERE {' AND '.join(clauses)}"
+        decode = self._decoded.__getitem__
         return frozenset(
-            tuple(_decode_cell(cell) for cell in row)
-            for row in self._execute(sql, params)
+            tuple(map(decode, row)) for row in self._execute(sql, params)
         )
 
     def access(
@@ -287,43 +397,26 @@ class SQLiteSource(MeteredSourceMixin):
     def access_batch(
         self, method_name: str, inputs_list: Sequence[Sequence[object]]
     ) -> Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]:
-        """Answer several distinct input tuples in one round trip.
+        """Answer several input tuples set-at-a-time.
 
-        Single-input methods use one ``IN``-list SELECT; wider methods
-        fall back to per-key SELECTs inside one lock hold.  Metering is
+        A method of any input arity >= 1 is answered by one keyed join
+        per chunk of the batch (:meth:`_select_keyed`); a free method
+        has nothing to key on and keeps :meth:`_select`.  Metering is
         per *logical access* either way -- one record per input tuple,
         identical to the per-key loop -- so batching changes round
         trips, never the books.
         """
         method = self.schema.method(method_name)
         keyed = [self._check_method(method_name, v)[1] for v in inputs_list]
-        results: Dict[Tuple[Constant, ...], FrozenSet] = {}
         with self._lock:
             self.batched_calls += 1
-            if len(method.input_positions) == 1 and keyed:
-                position = method.input_positions[0]
-                params = [
-                    text
-                    for values in keyed
-                    for text in _key_encodings(values[0].value)
-                ]
-                marks = ", ".join("?" for _ in params)
-                rows = self._execute(
-                    f'SELECT * FROM "{method.relation}" '
-                    f"WHERE c{position} IN ({marks})",
-                    params,
-                )
-                decoded = [
-                    tuple(_decode_cell(cell) for cell in row)
-                    for row in rows
-                ]
-                for values in keyed:
-                    results[values] = frozenset(
-                        row for row in decoded if row[position] == values[0]
-                    )
+            if method.input_positions:
+                results = self._select_keyed(method, keyed)
             else:
-                for values in keyed:
-                    results[values] = self._select(method, values)
+                results = {
+                    values: self._select(method, values)
+                    for values in dict.fromkeys(keyed)
+                }
             for values in keyed:
                 self.log.append(
                     AccessRecord(
@@ -334,6 +427,44 @@ class SQLiteSource(MeteredSourceMixin):
                     )
                 )
         return results
+
+    def _select_keyed(
+        self, method: AccessMethod, keyed: Sequence[Tuple[Constant, ...]]
+    ) -> Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]:
+        """Join the batch's keys to the relation; bucket rows in one pass.
+
+        The keys relation is a ``VALUES`` CTE holding every JSON
+        spelling (:func:`_key_encodings`) of every key, each spelling
+        once, so a table row joins at most one keys row.  It is bound
+        ``_CHUNK_PARAMS`` parameters at a time.  A fetched row finds its
+        bucket through a dict from its input-column *texts*: no
+        ``Constant`` is compared, and Python-equal keys of different
+        types (``1``/``1.0``/``True``) share a bucket as they share a
+        ``results`` entry.
+        """
+        positions = method.input_positions
+        buckets: Dict[Tuple[Constant, ...], List[Tuple[Constant, ...]]] = {}
+        bucket_of: Dict[Tuple[str, ...], List[Tuple[Constant, ...]]] = {}
+        for values in keyed:
+            bucket = buckets.setdefault(values, [])
+            for spelling in itertools.product(
+                *(_key_encodings(constant.value) for constant in values)
+            ):
+                bucket_of[spelling] = bucket
+        spellings = list(bucket_of)
+        per_statement = _CHUNK_PARAMS // len(positions)
+        decode = self._decoded.__getitem__
+        for start in range(0, len(spellings), per_statement):
+            chunk = spellings[start : start + per_statement]
+            rows = self._execute(
+                _keyed_join_sql(method.relation, positions, len(chunk)),
+                [text for spelling in chunk for text in spelling],
+            )
+            for row in rows:
+                bucket_of[tuple([row[p] for p in positions])].append(
+                    tuple(map(decode, row))
+                )
+        return {values: frozenset(rows) for values, rows in buckets.items()}
 
     def __repr__(self) -> str:
         return (

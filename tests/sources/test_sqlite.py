@@ -1,15 +1,32 @@
 """SQLiteSource: typed cells, reconnect lifecycle, epochs, batching."""
 
+import sqlite3
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.errors import AccessViolation, SourceUnavailable
+from repro.errors import (
+    AccessError,
+    AccessViolation,
+    SourceUnavailable,
+    TransientAccessError,
+)
 from repro.scenarios import example1
 from repro.schema.core import SchemaBuilder
 from repro.sources import SQLiteSource
+from repro.sources.sqlite import _CHUNK_PARAMS
 
 _NO_SLEEP = lambda _seconds: None  # noqa: E731
+
+# Connection.setlimit is Python >= 3.11; the 3.10 CI leg skips the tests
+# that emulate an old SQLite build's variable limit with it.
+needs_setlimit = pytest.mark.skipif(
+    not hasattr(sqlite3.Connection, "setlimit"),
+    reason="sqlite3.Connection.setlimit needs Python >= 3.11",
+)
 
 
 def typed_schema():
@@ -28,6 +45,39 @@ def typed_instance():
     return Instance(
         {"T": [(1, "int"), (1.0, "float"), (True, "bool"), ("1", "str")]}
     )
+
+
+def wide_schema():
+    """One 4-column relation under methods of input arity 0 to 3."""
+    return (
+        SchemaBuilder("wide")
+        .relation("W", 4)
+        .access("w0", "W", inputs=[], cost=1.0)
+        .access("w1", "W", inputs=[0], cost=2.0)
+        .access("w2", "W", inputs=[2, 0], cost=3.0)
+        .access("w3", "W", inputs=[0, 1, 3], cost=5.0)
+        .build()
+    )
+
+
+def spelled(rows):
+    """Rows by their printed form: tells ``1`` from ``1.0`` from ``True``."""
+    return sorted(repr(row) for row in rows)
+
+
+def records(source):
+    """The access log as plain tuples, in order."""
+    return [
+        (rec.method, rec.relation, rec.inputs, rec.results)
+        for rec in source.log
+    ]
+
+
+def many_keys(count):
+    """An instance with ``count`` single-column keys, and those keys."""
+    rows = [(f"k{i}", i % 5) for i in range(count)]
+    keys = [(f"k{i}",) for i in range(count)]
+    return Instance({"T": rows}), keys
 
 
 class TestTypedRoundTrip:
@@ -94,6 +144,31 @@ class TestReconnectLifecycle:
         assert sql._statements == 6
         assert sql.reconnects == 3  # statements 2, 4, 6 hit a dead conn
 
+    @pytest.mark.parametrize(
+        "statement",
+        ['SELECT * FROM "Nope"', "SELEC 1", 'SELECT zz FROM "T"'],
+    )
+    def test_a_rejected_statement_is_not_a_lost_connection(self, statement):
+        sleeps = []
+        sql = SQLiteSource(
+            typed_schema(), typed_instance(), sleep=sleeps.append
+        )
+        with pytest.raises(AccessError) as raised:
+            sql._execute(statement, ())
+        assert not isinstance(raised.value, TransientAccessError)
+        assert sql.reconnects == 0 and sleeps == []
+        # The connection was never the problem: it still answers.
+        assert len(sql.access("mt_all")) == 4
+
+    @needs_setlimit
+    def test_too_many_variables_is_typed_and_not_retried(self):
+        sleeps = []
+        sql = SQLiteSource(wide_schema(), Instance({}), sleep=sleeps.append)
+        sql._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 2)
+        with pytest.raises(AccessError, match="too many SQL variables"):
+            sql.access("w3", ("a", "b", "c"))
+        assert sql.reconnects == 0 and sleeps == []
+
 
 class TestEpochs:
     def test_reconnect_keeps_the_epoch(self):
@@ -138,3 +213,135 @@ class TestBatching:
         before = sql._statements
         sql.access_batch("mt_T", [(1,), (True,), ("1",)])
         assert sql._statements == before + 1
+        wide = SQLiteSource(
+            wide_schema(), Instance({"W": [(1, "a", 2, "b")]}),
+            sleep=_NO_SLEEP,
+        )
+        answers = wide.access_batch("w2", [(2, 1), (2, "x"), ("y", 1.0)])
+        assert wide._statements == 1
+        assert [len(rows) for rows in answers.values()] == [1, 0, 0]
+
+    def test_an_empty_batch_runs_no_statement(self):
+        sql = SQLiteSource(typed_schema(), typed_instance(), sleep=_NO_SLEEP)
+        assert sql.access_batch("mt_T", []) == {}
+        assert sql._statements == 0 and sql.total_invocations == 0
+
+    def test_schema_access_patterns_are_indexed(self):
+        sql = SQLiteSource(wide_schema(), Instance({}), sleep=_NO_SLEEP)
+        indexes = sql._conn.execute(
+            "SELECT sql FROM sqlite_master WHERE type = 'index' ORDER BY sql"
+        ).fetchall()
+        assert [text.split(" ON ")[1] for (text,) in indexes] == [
+            '"W" (c0)', '"W" (c0, c1, c3)', '"W" (c2, c0)',
+        ]
+
+    @needs_setlimit
+    def test_batch_larger_than_the_variable_limit(self):
+        instance, keys = many_keys(1500)
+        sql = SQLiteSource(typed_schema(), instance, sleep=_NO_SLEEP)
+        # An old build (SQLite < 3.32) binds at most 999 variables.
+        sql._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+        mem = InMemorySource(typed_schema(), instance)
+        answers = sql.access_batch("mt_T", keys)
+        assert sql.reconnects == 0
+        assert sql._statements == -(-len(keys) // _CHUNK_PARAMS)
+        for key in keys:
+            assert answers[sql._check_method("mt_T", key)[1]] == (
+                mem.access("mt_T", key)
+            )
+
+    def test_connection_loss_inside_a_chunked_batch(self):
+        instance, keys = many_keys(3 * _CHUNK_PARAMS)
+        clean = SQLiteSource(typed_schema(), instance, sleep=_NO_SLEEP)
+        reference = clean.access_batch("mt_T", keys)
+        assert clean._statements == 3
+
+        dropping = SQLiteSource(
+            typed_schema(), instance, drop_every=2, sleep=_NO_SLEEP
+        )
+        dropped = dropping.access_batch("mt_T", keys)
+        assert dropping.reconnects == 1  # the second chunk's statement
+        assert {key: spelled(rows) for key, rows in dropped.items()} == {
+            key: spelled(rows) for key, rows in reference.items()
+        }
+
+        severed = SQLiteSource(typed_schema(), instance, sleep=_NO_SLEEP)
+        execute = severed._execute
+
+        def sever_before_the_second_chunk(sql, params):
+            if severed._statements == 1:
+                severed.sever_connection()
+            return execute(sql, params)
+
+        severed._execute = sever_before_the_second_chunk
+        answers = severed.access_batch("mt_T", keys)
+        assert severed.reconnects == 1
+        assert {key: spelled(rows) for key, rows in answers.items()} == {
+            key: spelled(rows) for key, rows in reference.items()
+        }
+        assert records(dropping) == records(severed) == records(clean)
+
+    def test_mutation_between_batches_reloads_tables_indexes_and_memo(self):
+        schema = wide_schema()
+        instance = Instance({"W": [(1, "a", 2, "b"), (3, "c", 4, "d")]})
+        sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
+        keys = [(2, 1), (4, 3), (9, 9)]
+        first = sql.access_batch("w2", keys)
+        assert [len(rows) for rows in first.values()] == [1, 1, 0]
+        # New rows under an old key and a new one, with cell texts
+        # ("fresh", 1.0 spelled as a float) no earlier answer decoded.
+        instance.add("W", (1.0, "fresh", 2, "b"))
+        instance.add("W", (9, "fresh", 9, 0.5))
+        second = sql.access_batch("w2", keys)
+        mem = InMemorySource(schema, instance)
+        for key in keys:
+            constants = sql._check_method("w2", key)[1]
+            assert spelled(second[constants]) == spelled(
+                mem.access("w2", key)
+            )
+        assert [len(rows) for rows in second.values()] == [2, 1, 1]
+        indexes = sql._conn.execute(
+            "SELECT count(*) FROM sqlite_master WHERE type = 'index'"
+        ).fetchone()
+        assert indexes == (3,)
+
+
+VALUES = st.sampled_from(
+    [1, 1.0, True, "1", 0, 0.0, False, "0", 2, 2.5, "a", ""]
+)
+ABSENT = st.sampled_from([7, 7.0, "zz", -1])
+
+
+class TestBatchDifferential:
+    """access_batch == per-key access == the in-memory oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(VALUES, VALUES, VALUES, VALUES), max_size=12),
+        method=st.sampled_from(["w0", "w1", "w2", "w3"]),
+        data=st.data(),
+    )
+    def test_answers_and_books_agree(self, rows, method, data):
+        schema = wide_schema()
+        arity = len(schema.method(method).input_positions)
+        keys = data.draw(
+            st.lists(
+                st.tuples(*[st.one_of(VALUES, ABSENT)] * arity), max_size=10
+            )
+        )
+        instance = Instance({"W": rows})
+        batched = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
+        per_key = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
+        mem = InMemorySource(schema, instance)
+
+        answers = batched.access_batch(method, keys)
+        for key in keys:
+            constants = batched._check_method(method, key)[1]
+            expected = mem.access(method, key)
+            assert spelled(per_key.access(method, key)) == spelled(expected)
+            assert spelled(answers[constants]) == spelled(expected)
+        # One record per input tuple -- repeats and Python-equal keys
+        # included -- with that tuple's own result count.
+        assert records(batched) == records(per_key) == records(mem)
+        assert batched.total_invocations == len(keys)
+        assert batched.charged_cost() == mem.charged_cost()
