@@ -286,8 +286,9 @@ def _fire_checked(
     if policy.max_depth is not None and depth > policy.max_depth:
         return "depth", ()
     binding = trigger.homomorphism
-    has_existentials = bool(tgd.existential_variables())
-    for variable in sorted(tgd.existential_variables(), key=lambda v: v.name):
+    existentials = tgd.existential_order()
+    has_existentials = bool(existentials)
+    for variable in existentials:
         binding = binding.extended(variable, nulls(hint=variable.name))
     candidate = tuple(atom.apply(binding) for atom in tgd.head)
     if (

@@ -198,9 +198,7 @@ def fire_trigger(
     """Fire a trigger in place, returning the facts that were added."""
     tgd = trigger.tgd
     binding = trigger.homomorphism
-    for variable in sorted(
-        tgd.existential_variables(), key=lambda v: v.name
-    ):
+    for variable in tgd.existential_order():
         binding = binding.extended(variable, nulls(hint=variable.name))
     trigger_facts = trigger.body_image()
     depth = 1 + max(

@@ -69,9 +69,7 @@ def repair_instance(
         for tgd in constraints:
             for violation in _violations(instance, tgd):
                 binding = violation
-                for variable in sorted(
-                    tgd.existential_variables(), key=lambda v: v.name
-                ):
+                for variable in tgd.existential_order():
                     binding = binding.extended(variable, counter.fresh())
                 for atom in tgd.head:
                     instance.add_fact(atom.apply(binding))

@@ -81,9 +81,7 @@ def tgd_to_formula(tgd: TGD) -> Formula:
     """A TGD as a closed FO sentence."""
     body = And(*(FOAtom(a) for a in tgd.body))
     head: Formula = And(*(FOAtom(a) for a in tgd.head))
-    existential = tuple(
-        sorted(tgd.existential_variables(), key=lambda v: v.name)
-    )
+    existential = tgd.existential_order()
     if existential:
         head = Exists(existential, head)
     universal = tuple(sorted(tgd.body_variables(), key=lambda v: v.name))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Term, Variable
@@ -45,6 +45,27 @@ class TGD:
             raise DependencyError("TGD head must be non-empty")
         if not self.name:
             object.__setattr__(self, "name", self._default_name())
+        # The variable sets are read per trigger by the chase; the atoms
+        # are frozen, so they are computed once.  They are plain
+        # attributes, not fields: equality, hash and repr do not see them.
+        body_variables = frozenset(
+            v for atom in self.body for v in atom.variables()
+        )
+        head_variables = frozenset(
+            v for atom in self.head for v in atom.variables()
+        )
+        existential = head_variables - body_variables
+        object.__setattr__(self, "_body_variables", body_variables)
+        object.__setattr__(self, "_head_variables", head_variables)
+        object.__setattr__(
+            self, "_frontier", body_variables & head_variables
+        )
+        object.__setattr__(self, "_existential_variables", existential)
+        object.__setattr__(
+            self,
+            "_existential_order",
+            tuple(sorted(existential, key=lambda v: v.name)),
+        )
 
     def _default_name(self) -> str:
         body = ",".join(a.relation for a in self.body)
@@ -53,25 +74,24 @@ class TGD:
 
     def body_variables(self) -> FrozenSet[Variable]:
         """All variables of the body."""
-        out: Set[Variable] = set()
-        for atom in self.body:
-            out.update(atom.variables())
-        return frozenset(out)
+        return self._body_variables
 
     def head_variables(self) -> FrozenSet[Variable]:
         """All variables of the head."""
-        out: Set[Variable] = set()
-        for atom in self.head:
-            out.update(atom.variables())
-        return frozenset(out)
+        return self._head_variables
 
     def frontier(self) -> FrozenSet[Variable]:
         """Variables shared between body and head (the exported ones)."""
-        return self.body_variables() & self.head_variables()
+        return self._frontier
 
     def existential_variables(self) -> FrozenSet[Variable]:
         """Head variables bound by the existential quantifier."""
-        return self.head_variables() - self.body_variables()
+        return self._existential_variables
+
+    def existential_order(self) -> Tuple[Variable, ...]:
+        """The existential variables sorted by name: the order in which a
+        firing mints their fresh nulls."""
+        return self._existential_order
 
     @property
     def is_full(self) -> bool:

@@ -14,17 +14,24 @@ exposes, besides the chosen fact, every other fact of the same relation
 that agrees with it on the method's input positions (the "facts induced
 by firing" -- they come back from the very same access, so incorporating
 them costs no extra access command).
+
+One firing comes in two halves.  :func:`expose_access` is the costed
+one: it extends the plan and adds the ``Accessed_`` facts with the heads
+of the rules whose whole body is such a fact.  :func:`saturate_exposed`
+chases the remaining free rules.  :func:`fire_access` is the two in
+sequence; Algorithm 1 calls them apart, so that it can discard a child
+on its exposure before paying for the chase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
-from repro.chase.engine import ChasePolicy, saturate
+from repro.chase.engine import ChasePolicy, ChaseResult, saturate
 from repro.chase.stats import ChaseStats
-from repro.logic.atoms import Atom, Substitution
+from repro.logic.atoms import Atom, Substitution, apply_to_atoms
 from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.queries import ConjunctiveQuery
 from repro.logic.terms import Null, NullFactory, Variable
@@ -107,13 +114,125 @@ def initial_configuration(
         config.add(fact)
     result = saturate(
         config,
-        list(acc_schema.free_rules),
+        acc_schema.free_rules,
         nulls,
         policy.for_saturation() if policy else None,
     )
     if log is not None:
         log.absorb(result)
     return config, frozen
+
+
+class Exposed(NamedTuple):
+    """What :func:`expose_access` did, for :func:`saturate_exposed`."""
+
+    state: PlanState
+    facts: Tuple[Atom, ...]
+    # Configuration generation before the first ``Accessed_`` fact went
+    # in: the delta the saturation has to join through starts here.
+    since_generation: int
+    # Exposure-rule heads withheld by ``ChasePolicy.max_depth``.
+    depth_truncated: int
+
+
+def expose_access(
+    config: ChaseConfiguration,
+    state: PlanState,
+    fact: Atom,
+    method: AccessMethod,
+    acc_schema: AccessibleSchema,
+    policy: Optional[ChasePolicy] = None,
+    expose_induced: bool = True,
+) -> Exposed:
+    """The costed half of an accessibility-axiom firing, in place.
+
+    Checks the method's inputs, extends the plan state, and adds
+    ``Accessed_R(t)`` for the chosen fact and (unless ``expose_induced``
+    is False -- an ablation switch) every fact induced by the same
+    access, followed by the heads of the schema's exposure rules
+    (``def[R]``, ``acc2inf[R]``, ``rev[R]``) for those facts.  The
+    commands, and so the depth and cost of the node, are final here;
+    the configuration still has to be saturated under
+    ``acc_schema.saturation_rules`` (:func:`saturate_exposed`).
+    """
+    _check_inputs_accessible(config, fact, method)
+    new_state = state
+    pre_generation = config.generation
+    to_expose = (
+        _induced_facts(config, fact, method)
+        if expose_induced
+        else (fact,)
+    )
+    relation = accessed_name(fact.relation)
+    exposed: List[Atom] = []
+    accessed_facts: List[Atom] = []
+    for induced in to_expose:
+        accessed = induced.rename_relation(relation)
+        if accessed in config:
+            continue
+        new_state = new_state.expose(induced, method)
+        config.add(
+            accessed,
+            Provenance(
+                rule=f"access[{method.name}]",
+                trigger_facts=(induced,),
+                depth=config.depth(induced) + 1,
+            ),
+        )
+        exposed.append(induced)
+        accessed_facts.append(accessed)
+    if not exposed:
+        raise PlanningError(
+            f"{fact!r} is already exposed; firing {method.name} is a no-op"
+        )
+    # Rule by rule over all the new facts: the order (and provenance) in
+    # which a chase round over the free rules would have added the heads.
+    max_depth = policy.max_depth if policy else None
+    depth_truncated = 0
+    for rule in acc_schema.exposure_rules(relation):
+        tgd = rule.tgd
+        variables = tgd.body[0].terms
+        for accessed in accessed_facts:
+            depth = config.depth(accessed) + 1
+            if max_depth is not None and depth > max_depth:
+                depth_truncated += 1
+                continue
+            binding = Substitution(dict(zip(variables, accessed.terms)))
+            provenance = Provenance(
+                rule=tgd.name, trigger_facts=(accessed,), depth=depth
+            )
+            config.add_all(apply_to_atoms(tgd.head, binding), provenance)
+    return Exposed(
+        new_state, tuple(exposed), pre_generation, depth_truncated
+    )
+
+
+def saturate_exposed(
+    config: ChaseConfiguration,
+    exposed: Exposed,
+    acc_schema: AccessibleSchema,
+    nulls: NullFactory,
+    policy: Optional[ChasePolicy] = None,
+    log: Optional["SaturationLog"] = None,
+) -> ChaseResult:
+    """The cost-free half: saturate what :func:`expose_access` left.
+
+    The configuration arrived saturated under the free rules (the
+    eager-proof invariant) and the exposure rules are already applied,
+    so the chase runs the remaining free rules and only joins through
+    the facts added since the exposure began.
+    """
+    result = saturate(
+        config,
+        acc_schema.saturation_rules,
+        nulls,
+        policy.for_saturation() if policy else None,
+        since_generation=exposed.since_generation,
+    )
+    result.depth_truncated += exposed.depth_truncated
+    if log is not None:
+        log.absorb(result)
+    return result
 
 
 def fire_access(
@@ -130,50 +249,15 @@ def fire_access(
     """Fire one accessibility axiom in place; returns (state, exposed).
 
     Mutates ``config``; callers who branch (the search tree) copy first.
-    Exposes the chosen fact and (unless ``expose_induced`` is False -- an
-    ablation switch) all facts induced by the same access, then saturates
-    the cost-free rules.
+    :func:`expose_access` followed by :func:`saturate_exposed`: exposes
+    the chosen fact and the facts induced by the same access, then
+    saturates the cost-free rules.
     """
-    _check_inputs_accessible(config, fact, method)
-    exposed: List[Atom] = []
-    new_state = state
-    # The configuration arrives saturated under the free rules (the
-    # eager-proof invariant), so the re-saturation below only needs to
-    # join through the accessed facts added here: record the watermark.
-    pre_generation = config.generation
-    to_expose = (
-        _induced_facts(config, fact, method)
-        if expose_induced
-        else (fact,)
+    exposed = expose_access(
+        config, state, fact, method, acc_schema, policy, expose_induced
     )
-    for induced in to_expose:
-        accessed = induced.rename_relation(accessed_name(induced.relation))
-        if accessed in config:
-            continue
-        new_state = new_state.expose(induced, method)
-        config.add(
-            accessed,
-            Provenance(
-                rule=f"access[{method.name}]",
-                trigger_facts=(induced,),
-                depth=config.depth(induced) + 1,
-            ),
-        )
-        exposed.append(induced)
-    if not exposed:
-        raise PlanningError(
-            f"{fact!r} is already exposed; firing {method.name} is a no-op"
-        )
-    result = saturate(
-        config,
-        list(acc_schema.free_rules),
-        nulls,
-        policy.for_saturation() if policy else None,
-        since_generation=pre_generation,
-    )
-    if log is not None:
-        log.absorb(result)
-    return new_state, tuple(exposed)
+    saturate_exposed(config, exposed, acc_schema, nulls, policy, log)
+    return exposed.state, exposed.facts
 
 
 def _check_inputs_accessible(
@@ -219,17 +303,29 @@ def _induced_facts(
     return (fact, *sorted(same_access, key=repr))
 
 
+def success_pattern(
+    query: ConjunctiveQuery, head_nulls: Dict[Variable, Null]
+) -> Tuple[Tuple[Atom, ...], Substitution]:
+    """The atoms of InferredAccQ and the binding of its free variables.
+
+    A configuration is successful when the atoms have a homomorphism
+    into it extending the binding.  Neither depends on the
+    configuration, so a search builds them once.
+    """
+    seed = Substitution(
+        {variable: head_nulls[variable] for variable in query.head}
+    )
+    return inferred_accessible_query(query).atoms, seed
+
+
 def success_match(
     config: ChaseConfiguration,
     query: ConjunctiveQuery,
     head_nulls: Dict[Variable, Null],
 ) -> Optional[Substitution]:
     """A match for InferredAccQ preserving the free variables, if any."""
-    target = inferred_accessible_query(query)
-    seed = Substitution(
-        {variable: head_nulls[variable] for variable in query.head}
-    )
-    return find_homomorphism(list(target.atoms), config.index, seed)
+    atoms, seed = success_pattern(query, head_nulls)
+    return find_homomorphism(atoms, config.index, seed)
 
 
 def replay_proof(

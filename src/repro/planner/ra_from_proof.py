@@ -248,7 +248,7 @@ def _apply_step(
         config.add(step.fact, provenance)
     saturate(
         config,
-        list(acc.free_rules),
+        acc.free_rules,
         nulls,
         policy.for_saturation() if policy else None,
         since_generation=pre_generation,

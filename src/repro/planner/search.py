@@ -5,7 +5,10 @@ configuration (saturated under cost-free rules -- the eager-proof
 discipline), the partial plan generated so far, and its cost.  Expanding
 a node fires one accessibility axiom for a *candidate fact for exposure*:
 a fact of an original relation, not yet accessed, whose chosen method's
-input positions all hold accessible values.
+input positions all hold accessible values.  Both prunings below are
+decided on the exposure alone, before the child's saturation, so only the
+children kept in the tree are chased (``docs/theory.md``, "Pruning before
+saturation").
 
 Pruning (the paper's "Optimizations"):
 
@@ -43,6 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -55,6 +59,7 @@ from repro.cost.functions import (
     SimpleCostFunction,
 )
 from repro.logic.atoms import Atom, Substitution
+from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.queries import ConjunctiveQuery
 from repro.logic.terms import Null, NullFactory, Term, Variable
 from repro.planner.domination import (
@@ -65,11 +70,13 @@ from repro.planner.domination import (
 from repro.planner.plan_state import PlanState, PlanningError
 from repro.planner.proof_to_plan import (
     ChaseProof,
+    Exposed,
     Exposure,
     SaturationLog,
-    fire_access,
+    expose_access,
     initial_configuration,
-    success_match,
+    saturate_exposed,
+    success_pattern,
 )
 from repro.plans.plan import Plan
 from repro.schema.accessible import (
@@ -144,6 +151,8 @@ class SearchStats:
     chase: ChaseStats = field(default_factory=ChaseStats)
     # Domination-check breakdown (see repro.planner.domination).
     domination: DominationStats = field(default_factory=DominationStats)
+    # Dominator node id -> how many expanded children it absorbed.
+    dominators: Counter = field(default_factory=Counter)
     # Candidate generation: pairs inherited from the parent's list vs.
     # freshly discovered from the configuration delta.
     candidates_inherited: int = 0
@@ -168,6 +177,14 @@ class SearchStats:
                 f"(candidates={d.candidates} hom_calls={d.hom_calls} "
                 f"avoided={d.hom_calls_avoided} "
                 f"time={d.time_seconds:.4f}s)",
+                "dominated by: "
+                + (
+                    " ".join(
+                        f"n{node_id}x{count}"
+                        for node_id, count in sorted(self.dominators.items())
+                    )
+                    or "-"
+                ),
                 f"candidates: inherited={self.candidates_inherited} "
                 f"fresh={self.candidates_fresh}",
                 f"time: copy={self.time_copy:.4f}s "
@@ -207,6 +224,9 @@ class SearchNode:
     cost: float
     successful: bool = False
     pruned: Optional[str] = None
+    # For ``pruned == "domination"``: the id of the registered node the
+    # relevant facts of this one map into.
+    dominated_by: Optional[int] = None
     # Full ranked candidate list (rank, fact, method); children inherit
     # it, so it is never truncated -- ``limit`` caps consumption (beam
     # search) and ``cursor`` walks it in O(1) per candidate.
@@ -268,7 +288,10 @@ class SearchResult:
     tree: Tuple[SearchNode, ...] = ()
     # True when the bounded proof space was fully explored AND every
     # cost-free saturation genuinely reached a fixpoint: a failed search
-    # is then a *certified* "no plan within the access budget".
+    # is then a *certified* "no plan within the access budget".  Only
+    # nodes kept in the tree are saturated, so only their saturations
+    # count: a child closed by depth, cost or domination on its exposure
+    # alone is never chased and cannot void the certificate.
     exhausted: bool = False
 
     @property
@@ -343,6 +366,10 @@ class _Searcher:
         self._drained = False
         self._ids = itertools.count()
         self.head_nulls: Dict[Variable, Null] = {}
+        # InferredAccQ and the binding of its free variables: the success
+        # test of every finalized node, built once in _make_root.
+        self._success_atoms: Tuple[Atom, ...] = ()
+        self._success_seed = Substitution()
         # Admissible completion margin for branch-and-bound: every
         # descendant of a non-successful node appends at least one
         # access command, which charges at least this much.
@@ -379,6 +406,9 @@ class _Searcher:
             log=self.saturation_log,
         )
         self.head_nulls = frozen
+        self._success_atoms, self._success_seed = success_pattern(
+            self.query, frozen
+        )
         rigid = frozenset(self.head_nulls.values())
         self._registry = make_registry(
             self.options.domination_index,
@@ -482,19 +512,23 @@ class _Searcher:
             config = node.config.deep_copy()
         self.stats.time_copy += time.perf_counter() - tick
         try:
-            state, _exposed = fire_access(
+            exposed = expose_access(
                 config,
                 node.state,
                 fact,
                 method,
                 self.acc,
-                self.nulls,
                 self.options.chase_policy,
                 expose_induced=self.options.expose_induced,
-                log=self.saturation_log,
             )
         except PlanningError:
             return None
+        # Depth and cost read only the commands, which the exposure
+        # fixed; domination reads the relevant facts, and the exposure's
+        # map into a closed dominator exactly when their saturation does.
+        # So every verdict comes before the chase, and only a child that
+        # is kept pays for one.
+        state = exposed.state
         if state.access_command_count > self.options.max_accesses:
             self.stats.pruned_by_depth += 1
             return None
@@ -521,17 +555,42 @@ class _Searcher:
             child.pruned = "cost"
             self._record(child)
             return None
-        if (
-            self.options.domination
-            and self._registry.find_dominator(child.cost, child.config)
-            is not None
-        ):
-            self.stats.pruned_by_domination += 1
-            child.pruned = "domination"
-            self._record(child)
-            return None
+        chased = False
+        if self.options.domination:
+            # A homomorphism of the exposed child's relevant facts into
+            # a registered node extends to the child's saturation only
+            # if that node is closed under the free rules.  Once some
+            # kept node's saturation was cut short (depth cap, blocking,
+            # firing budget) that is no longer known, and the child is
+            # chased first; so is a child whose own exposure the depth
+            # cap cut short, which puts the cut on the log whatever the
+            # verdict.
+            if exposed.depth_truncated or not self.saturation_log.complete:
+                self._saturate(config, exposed)
+                chased = True
+            dominator = self._registry.find_dominator(cost, config)
+            if dominator is not None:
+                self.stats.pruned_by_domination += 1
+                self.stats.dominators[dominator] += 1
+                child.pruned = "domination"
+                child.dominated_by = dominator
+                self._record(child)
+                return None
+        if not chased:
+            self._saturate(config, exposed)
         self._finalize_node(child, parent=node)
         return child
+
+    def _saturate(self, config: ChaseConfiguration, exposed: Exposed) -> None:
+        """Chase an exposed child's configuration under the free rules."""
+        saturate_exposed(
+            config,
+            exposed,
+            self.acc,
+            self.nulls,
+            self.options.chase_policy,
+            self.saturation_log,
+        )
 
     def _finalize_node(
         self, node: SearchNode, parent: Optional[SearchNode] = None
@@ -539,7 +598,9 @@ class _Searcher:
         """Success check, candidate generation, registration."""
         self.stats.nodes_created += 1
         node.generation = node.config.generation
-        match = success_match(node.config, self.query, self.head_nulls)
+        match = find_homomorphism(
+            self._success_atoms, node.config.index, self._success_seed
+        )
         if match is not None:
             node.successful = True
             self.stats.successes += 1

@@ -3,7 +3,8 @@
 ``search_tree_to_dot`` regenerates Figure 1 of the paper as an actual
 figure: one box per proof-tree node showing the exposed fact, partial
 cost and status (success / pruned-by-cost / dominated), edges following
-the accessibility-axiom firings.  Render with ``dot -Tpdf``.
+the accessibility-axiom firings and a dashed edge from each dominated
+node to its dominator.  Render with ``dot -Tpdf``.
 
 ``plan_to_dot`` draws a plan's dataflow: access commands as double
 octagons (labelled with their method), middleware tables as boxes,
@@ -57,6 +58,11 @@ def search_tree_to_dot(result: SearchResult, title: str = "proof space") -> str:
         lines.append(f"  n{node.node_id} [{', '.join(attrs)}];")
         if node.parent_id is not None:
             lines.append(f"  n{node.parent_id} -> n{node.node_id};")
+        if node.dominated_by is not None:
+            lines.append(
+                f"  n{node.node_id} -> n{node.dominated_by} "
+                f'[style=dashed, constraint=false, label="dominated by"];'
+            )
     lines.append("}")
     return "\n".join(lines)
 

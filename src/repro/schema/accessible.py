@@ -115,6 +115,13 @@ class ChaseRule:
         return f"<{self.kind.value}> {self.tgd!r}"
 
 
+_EXPOSURE_KINDS = (
+    AxiomKind.DEFINING,
+    AxiomKind.ACCESSED_TO_INFACC,
+    AxiomKind.REVERSE_INCLUSION,
+)
+
+
 class AccessibleSchema:
     """An accessible schema: the base schema plus one axiom system."""
 
@@ -122,16 +129,40 @@ class AccessibleSchema:
         self.schema = schema
         self.variant = variant
         self.rules: Tuple[ChaseRule, ...] = tuple(_build_rules(schema, variant))
+        # The rule tuple never changes, so every split of it is computed
+        # once here and handed around as a tuple.
+        #: Rules fired eagerly at no cost (everything but access axioms).
+        self.free_rules: Tuple[ChaseRule, ...] = tuple(
+            r for r in self.rules if not r.is_access
+        )
+        #: Rules whose firing represents making an access.
+        self.access_rules: Tuple[ChaseRule, ...] = tuple(
+            r for r in self.rules if r.is_access
+        )
+        #: The free rules that are not exposure rules.  No free rule has an
+        #: ``Accessed_`` relation in its head, so once the exposure rules
+        #: have been applied to the facts of an access, saturating under
+        #: these alone saturates under all free rules.
+        self.saturation_rules: Tuple[ChaseRule, ...] = tuple(
+            r for r in self.free_rules if r.kind not in _EXPOSURE_KINDS
+        )
+        by_body: Dict[str, List[ChaseRule]] = {}
+        for rule in self.free_rules:
+            if rule.kind in _EXPOSURE_KINDS:
+                by_body.setdefault(rule.tgd.body[0].relation, []).append(rule)
+        self._exposure_rules: Dict[str, Tuple[ChaseRule, ...]] = {
+            relation: tuple(rules) for relation, rules in by_body.items()
+        }
 
-    @property
-    def free_rules(self) -> Tuple[ChaseRule, ...]:
-        """Rules fired eagerly at no cost (everything but access axioms)."""
-        return tuple(r for r in self.rules if not r.is_access)
+    def exposure_rules(self, accessed_relation: str) -> Tuple[ChaseRule, ...]:
+        """The free rules whose whole body is one ``Accessed_R`` atom.
 
-    @property
-    def access_rules(self) -> Tuple[ChaseRule, ...]:
-        """Rules whose firing represents making an access."""
-        return tuple(r for r in self.rules if r.is_access)
+        These are ``def[R]``, ``acc2inf[R]`` and (bidirectional variants)
+        ``rev[R]``, in rule order: full TGDs over the distinct variables
+        of that single atom, so their heads follow from a new
+        ``Accessed_R`` fact by substitution, with no trigger search.
+        """
+        return self._exposure_rules.get(accessed_relation, ())
 
     def access_rule_for(
         self, method_name: str, negative: bool = False

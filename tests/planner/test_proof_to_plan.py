@@ -8,11 +8,18 @@ from repro.logic.atoms import Atom
 from repro.logic.queries import cq
 from repro.logic.terms import Constant, Null
 from repro.planner.plan_state import PlanningError
+from repro.chase.engine import ChasePolicy, saturate
+from repro.logic.terms import NullFactory
+from repro.planner.plan_state import PlanState
 from repro.planner.proof_to_plan import (
     ChaseProof,
     Exposure,
+    expose_access,
+    fire_access,
+    initial_configuration,
     plan_from_proof,
     replay_proof,
+    saturate_exposed,
 )
 from repro.schema.accessible import AccessibleSchema, Variant
 from repro.schema.core import SchemaBuilder
@@ -95,6 +102,78 @@ class TestReplay:
         # the proof cannot witness InferredAccQ.
         with pytest.raises(PlanningError):
             plan_from_proof(acc, bogus)
+
+
+class TestExposeThenSaturate:
+    """``fire_access`` is ``expose_access`` then ``saturate_exposed``."""
+
+    UDIRECT = Atom("Udirect", (Null("Q_e"), Null("Q_l")))
+
+    def start(self, uni_schema, variant):
+        acc = AccessibleSchema(uni_schema, variant)
+        config, _ = initial_configuration(acc, q_boolean(), NullFactory("t"))
+        return acc, config, uni_schema.method("mt_udir")
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_exposure_applies_the_accessed_body_rules(
+        self, uni_schema, variant
+    ):
+        acc, config, method = self.start(uni_schema, variant)
+        exposed = expose_access(config, PlanState(), self.UDIRECT, method, acc)
+        assert exposed.facts == (self.UDIRECT,)
+        assert exposed.depth_truncated == 0
+        assert exposed.state.access_command_count == 1
+        accessed = self.UDIRECT.rename_relation("Accessed_Udirect")
+        infacc = self.UDIRECT.rename_relation("InfAcc_Udirect")
+        assert config.facts_since(exposed.since_generation) == (
+            accessed,
+            Atom("_accessible", (Null("Q_e"),)),
+            Atom("_accessible", (Null("Q_l"),)),
+            infacc,
+        )
+        assert config.provenance(infacc).rule == "acc2inf[Udirect]"
+        assert config.provenance(infacc).trigger_facts == (accessed,)
+        assert config.depth(infacc) == config.depth(accessed) + 1
+        # No free rule outside the exposure rules reads an Accessed_ fact.
+        for rule in acc.saturation_rules:
+            assert not any(
+                atom.relation.startswith("Accessed_")
+                for atom in rule.tgd.body + rule.tgd.head
+            )
+        assert set(acc.saturation_rules) | {
+            rule
+            for relation in uni_schema.relations
+            for rule in acc.exposure_rules("Accessed_" + relation.name)
+        } == set(acc.free_rules)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_halves_compose_to_a_full_saturation(self, uni_schema, variant):
+        acc, config, method = self.start(uni_schema, variant)
+        fired = config.copy()
+        state, facts = fire_access(
+            fired, PlanState(), self.UDIRECT, method, acc, NullFactory("f")
+        )
+        exposed = expose_access(config, PlanState(), self.UDIRECT, method, acc)
+        result = saturate_exposed(config, exposed, acc, NullFactory("f"))
+        assert result.is_complete
+        assert (state.commands, facts) == (exposed.state.commands, exposed.facts)
+        assert set(config) == set(fired)
+        # ... and that is a fixpoint of *all* the free rules.
+        again = saturate(config, acc.free_rules, NullFactory("g"))
+        assert again.firings == 0
+
+    def test_depth_cap_withholds_exposure_heads_and_is_reported(
+        self, uni_schema
+    ):
+        acc, config, method = self.start(uni_schema, Variant.FORWARD)
+        policy = ChasePolicy(max_depth=1)  # Accessed_ is depth 1, heads 2
+        exposed = expose_access(
+            config, PlanState(), self.UDIRECT, method, acc, policy
+        )
+        assert exposed.depth_truncated == 2  # def[Udirect], acc2inf[Udirect]
+        assert not config.is_accessible(Null("Q_e"))
+        result = saturate_exposed(config, exposed, acc, NullFactory("f"), policy)
+        assert not result.is_complete
 
 
 class TestGeneratedPlanSemantics:

@@ -44,6 +44,19 @@ class TestSearchTreeDot:
         assert "#b7e1a1" in dot  # a success node exists
         assert "#d9d2e9" in dot  # a dominated node exists (the n''')
 
+    def test_dominated_nodes_point_at_their_dominator(self, figure1_result):
+        dot = search_tree_to_dot(figure1_result)
+        dominated = [
+            n for n in figure1_result.tree if n.pruned == "domination"
+        ]
+        assert dominated
+        for node in dominated:
+            assert (
+                f"n{node.node_id} -> n{node.dominated_by} [style=dashed"
+                in dot
+            )
+        assert dot.count("style=dashed") == len(dominated)
+
     def test_syntactically_balanced(self, figure1_result):
         dot = search_tree_to_dot(figure1_result)
         assert dot.startswith("digraph")
