@@ -6,8 +6,9 @@ machine-readable ``BENCH_parallel.json`` (rendered by ``report.py
 --parallel-json``):
 
 * **process scaling** -- the same burst of CPU-bound requests (the
-  row-heavy join workload whose interpreter cost is pure Python, i.e.
-  the GIL-bound regime where in-process threads cannot help) served at
+  residual-condition join workload, whose selection cannot be applied
+  before the rows are paired and whose interpreter cost is pure Python,
+  i.e. the GIL-bound regime where in-process threads cannot help) served at
   increasing :class:`~repro.service.ProcessWorkerPool` worker counts,
   plus a :class:`~repro.service.ThreadWorkerPool` row for contrast.
   Every response is asserted byte-identical to the single-process
@@ -41,7 +42,10 @@ sys.path.insert(
     0, os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 
-from benchmarks.bench_execution import row_heavy_workload  # noqa: E402
+from benchmarks.bench_execution import (  # noqa: E402
+    residual_join_workload,
+    row_heavy_workload,
+)
 
 from repro.data.source import InMemorySource, ShardedInMemorySource
 from repro.logic.queries import parse_cq
@@ -77,7 +81,7 @@ def serve_burst(source, plan, requests, worker_pool=None, workers=1):
 # ----------------------------------------------------------- process scaling
 def scaling_sweep(n, requests, workers_list):
     """The CPU-bound burst at each process-tier width, plus threads."""
-    schema, instance, plan = row_heavy_workload(n)
+    schema, instance, plan = residual_join_workload(n)
     source = InMemorySource(schema, instance)
     started = perf_counter()
     reference = canonical(plan.execute(source))

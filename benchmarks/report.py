@@ -272,20 +272,26 @@ def render_exec(report: Dict) -> str:
             + " |"
         )
     lines.append("")
-    if report.get("columnar_rows"):
+    for key, title in (
+        ("columnar_rows", "residual-condition join: every pair formed"),
+        ("pushdown_rows", "one-sided selection: pushed below the join"),
+    ):
+        if not report.get(key):
+            continue
         lines += [
-            "### executor backends: interpreter vs columnar "
-            "(row-heavy workloads, differential-verified)",
+            f"### executor backends: interpreter vs columnar ({title}, "
+            "differential-verified)",
             "",
-            "| rows/relation | answer rows | interpreter time"
+            "| workload | rows/relation | answer rows | interpreter time"
             " | columnar time | speedup |",
-            "|---|---|---|---|---|",
+            "|---|---|---|---|---|---|",
         ]
-        for row in report["columnar_rows"]:
+        for row in report[key]:
             lines.append(
                 "| "
                 + " | ".join(
                     [
+                        row["workload"],
                         str(row["rows_per_relation"]),
                         str(row["answer_rows"]),
                         _time(row["interpreter"]["wall_time"]),

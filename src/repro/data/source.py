@@ -83,8 +83,10 @@ class InMemorySource:
                 relation=method.relation,
                 inputs=values,
             )
-        matching = self._lookup(method, values)
+        # One acquisition covers the lookup and the metering (the index
+        # check inside re-enters the RLock its caller already holds).
         with self._lock:
+            matching = self._lookup(method, values)
             self.log.append(
                 AccessRecord(
                     method=method_name,

@@ -18,7 +18,8 @@ sets and dictionary keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Union
 
 
@@ -33,40 +34,100 @@ class _Orderable:
         return NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
-class Variable(_Orderable):
+class _Term(_Orderable):
+    """One payload and its hash, both fixed at construction.
+
+    Terms are the cells of every tuple the chase, the homomorphism
+    search, the source indexes and the executors put into sets, so
+    ``__hash__`` returns a stored value instead of recomputing it.  The
+    stored value is ``hash((payload,))`` -- exactly what the frozen
+    dataclasses these classes replaced computed on every call -- so every
+    set and dict of terms keeps its iteration order.
+    """
+
+    __slots__ = ("_payload", "_hash")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            # Identity first, as comparing ``(payload,)`` tuples would:
+            # equality then agrees with the stored 1-tuple hash even
+            # for a payload that is not equal to itself (NaN).
+            mine, theirs = self._payload, other._payload
+            return mine is theirs or mine == theirs
+        return NotImplemented
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self._payload,))
+
+
+# The slot descriptors write past the frozen ``__setattr__``.
+_set_payload = _Term._payload.__set__
+_set_hash = _Term._hash.__set__
+
+
+class Variable(_Term):
     """A query variable, identified by name."""
 
-    name: str
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_payload(self, name)
+        _set_hash(self, hash((name,)))
+
+    name = property(attrgetter("_payload"), doc="The variable's name.")
 
     def __repr__(self) -> str:
-        return f"?{self.name}"
+        return f"?{self._payload}"
 
 
-@dataclass(frozen=True, slots=True)
-class Constant(_Orderable):
+class Constant(_Term):
     """A schema constant (a concrete data value known to the querier)."""
 
-    value: Union[str, int, float, bool]
+    __slots__ = ()
+    __match_args__ = ("value",)
+
+    def __init__(self, value: Union[str, int, float, bool]) -> None:
+        _set_payload(self, value)
+        _set_hash(self, hash((value,)))
+
+    value = property(attrgetter("_payload"), doc="The data value.")
 
     def __repr__(self) -> str:
-        if isinstance(self.value, str):
-            return f"'{self.value}'"
-        return repr(self.value)
+        if isinstance(self._payload, str):
+            return f"'{self._payload}'"
+        return repr(self._payload)
 
 
-@dataclass(frozen=True, slots=True)
-class Null(_Orderable):
+class Null(_Term):
     """A labelled null ("chase constant").
 
     Nulls compare by name only.  Use :func:`fresh_null` or a
     :class:`NullFactory` to mint globally fresh ones.
     """
 
-    name: str
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_payload(self, name)
+        _set_hash(self, hash((name,)))
+
+    name = property(attrgetter("_payload"), doc="The null's label.")
 
     def __repr__(self) -> str:
-        return f"_{self.name}"
+        return f"_{self._payload}"
 
 
 Term = Union[Variable, Constant, Null]

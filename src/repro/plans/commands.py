@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -30,6 +31,8 @@ from repro.plans.expressions import (
     EvaluationError,
     Expression,
     NamedTable,
+    Row,
+    row_picker,
 )
 from repro.logic.terms import Constant, Term
 
@@ -107,19 +110,25 @@ class AccessCommand:
                 f"access {self.method}: input expression lacks "
                 f"attributes {self.input_attrs}: {exc}"
             ) from exc
-        columns = {a: i for i, a in enumerate(projected.attributes)}
-        distinct: Dict[Tuple, None] = {}
-        for input_row in projected.rows:
-            values = tuple(
-                entry
-                if isinstance(entry, Constant)
-                else input_row[columns[entry]]
-                for entry in self.input_binding
+        distinct: Iterable[Row]
+        if self.input_binding == projected.attributes:
+            # Every position reads its own attribute: the projected rows
+            # already are the distinct binding set.
+            distinct = projected.rows
+        else:
+            columns = projected.column_map()
+            distinct = dict.fromkeys(
+                tuple(
+                    entry
+                    if isinstance(entry, Constant)
+                    else input_row[columns[entry]]
+                    for entry in self.input_binding
+                )
+                for input_row in projected.rows
             )
-            distinct.setdefault(values, None)
-        rows = set()
+        rows: Set[Row] = set()
         fetched = 0
-        map_output = self._output_mapper()
+        collect = self._output_collector(rows)
         cache_hits_before = cache.hits if cache is not None else 0
         retries_before = resilience.retries if resilience is not None else 0
         faults_before = resilience.faults if resilience is not None else 0
@@ -143,10 +152,7 @@ class AccessCommand:
             for values in keyed:
                 accessed_rows = answers[values]
                 fetched += len(accessed_rows)
-                for accessed in accessed_rows:
-                    out_row = map_output(accessed)
-                    if out_row is not None:
-                        rows.add(out_row)
+                collect(accessed_rows)
         else:
             for values in distinct:
                 if resilience is not None:
@@ -164,10 +170,7 @@ class AccessCommand:
                 else:
                     accessed_rows = source.access(self.method, values)
                 fetched += len(accessed_rows)
-                for accessed in accessed_rows:
-                    out_row = map_output(accessed)
-                    if out_row is not None:
-                        rows.add(out_row)
+                collect(accessed_rows)
         if stats is not None:
             # rows_in counts the raw tuples the input expression fed the
             # access; the projection onto the bound attributes is what
@@ -187,19 +190,45 @@ class AccessCommand:
         env[self.target] = table
         return table
 
-    def _output_mapper(
-        self,
-    ) -> Callable[[Tuple[Term, ...]], Optional[Tuple[Term, ...]]]:
-        """``b_out`` as a function of one accessed tuple (None: filtered)."""
-        if all(len(positions) == 1 for _attr, positions in self.output_map):
-            # No attribute is an equality filter: a plain index pick.
-            picks = [positions[0] for _attr, positions in self.output_map]
-            return lambda accessed: tuple([accessed[p] for p in picks])
-        return self._map_output
+    def _output_collector(
+        self, rows: Set[Row]
+    ) -> Callable[[Iterable[Row]], None]:
+        """``b_out`` over one access answer: adds its image to ``rows``."""
+        if any(len(positions) != 1 for _attr, positions in self.output_map):
+            map_output = self._map_output
 
-    def _map_output(
-        self, accessed: Tuple[Term, ...]
-    ) -> Optional[Tuple[Term, ...]]:
+            def collect_filtered(accessed_rows: Iterable[Row]) -> None:
+                """Some attribute is an equality filter: row by row."""
+                for accessed in accessed_rows:
+                    out_row = map_output(accessed)
+                    if out_row is not None:
+                        rows.add(out_row)
+
+            return collect_filtered
+        picks = [positions[0] for _attr, positions in self.output_map]
+        pick = row_picker(picks)
+        if picks != list(range(len(picks))):
+            return lambda accessed_rows: rows.update(map(pick, accessed_rows))
+        width = len(picks)
+
+        def collect_prefix(accessed_rows: Iterable[Row]) -> None:
+            """Union the answer in as it is, or cut to the mapped prefix.
+
+            The map is the identity when it covers the whole accessed
+            tuple: the source's tuples then enter ``rows`` unchanged,
+            nothing re-tupled or re-hashed.  A shorter map is a prefix
+            projection.  One sampled width decides for the answer (one
+            relation, one arity).
+            """
+            if accessed_rows and len(next(iter(accessed_rows))) == width:
+                rows.update(accessed_rows)
+            else:
+                rows.update(map(pick, accessed_rows))
+
+        return collect_prefix
+
+    def _map_output(self, accessed: Row) -> Optional[Row]:
+        """``b_out`` on one accessed tuple (None: equality filter failed)."""
         out: List[Term] = []
         for _attr, positions in self.output_map:
             values = {accessed[p] for p in positions}

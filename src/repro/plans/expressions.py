@@ -10,8 +10,11 @@ to encode exactly the intended join conditions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -19,7 +22,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -29,6 +31,21 @@ from repro.logic.terms import Constant, Term
 
 class EvaluationError(ExecutionError):
     """Raised when an expression is evaluated against an unfit environment."""
+
+
+Row = Tuple[Term, ...]
+
+
+def row_picker(columns: Sequence[int]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[c] for c in columns)`` without a Python frame.
+
+    ``itemgetter`` returns a bare cell for one column and rejects zero
+    columns; a one- or zero-width slice yields the tuple in those cases.
+    """
+    if len(columns) > 1:
+        return itemgetter(*columns)
+    start = columns[0] if columns else 0
+    return itemgetter(slice(start, start + len(columns)))
 
 
 @dataclass(frozen=True)
@@ -43,11 +60,12 @@ class NamedTable:
             raise EvaluationError(
                 f"duplicate attribute in {self.attributes}"
             )
-        for row in self.rows:
-            if len(row) != len(self.attributes):
-                raise EvaluationError(
-                    f"row width {len(row)} != {len(self.attributes)} attrs"
-                )
+        width = len(self.attributes)
+        wrong_widths = set(map(len, self.rows)) - {width}
+        if wrong_widths:
+            raise EvaluationError(
+                f"row width {min(wrong_widths)} != {width} attrs"
+            )
 
     @classmethod
     def from_rows(
@@ -98,12 +116,16 @@ class NamedTable:
             ) from None
 
     def project(self, attributes: Sequence[str]) -> "NamedTable":
-        """Duplicate-eliminating projection."""
-        columns = [self.column(a) for a in attributes]
-        return NamedTable(
-            tuple(attributes),
-            frozenset(tuple(row[c] for c in columns) for row in self.rows),
-        )
+        """Duplicate-eliminating projection.
+
+        Projecting onto exactly the table's own attributes returns the
+        table itself: tables are immutable, so the alias is unobservable.
+        """
+        attributes = tuple(attributes)
+        if attributes == self.attributes:
+            return self
+        pick = row_picker([self.column(a) for a in attributes])
+        return NamedTable(attributes, frozenset(map(pick, self.rows)))
 
     def rename(self, mapping: Mapping[str, str]) -> "NamedTable":
         """A copy with attributes renamed."""
@@ -181,22 +203,23 @@ class NeqConst:
 Condition = (EqAttr, EqConst, NeqAttr, NeqConst)
 
 
-def _compile_conditions(conditions, attrs: Tuple[str, ...]):
+def _compile_conditions(conditions, colmap: Mapping[str, int]):
     """Index-based row predicates for the built-in condition types.
 
-    Returns ``None`` when some condition is not one of the four known
-    classes (the caller must then fall back to ``holds``-based
-    filtering).  Unknown attribute names raise :class:`EvaluationError`,
-    matching what ``holds`` would have raised.
+    ``colmap`` maps attribute names to row indexes (a table's cached
+    :meth:`NamedTable.column_map`).  Returns ``None`` when some
+    condition is not one of the four known classes (the caller must then
+    fall back to ``holds``-based filtering).  Unknown attribute names
+    raise :class:`EvaluationError`, matching what ``holds`` would have
+    raised.
     """
-    colmap = {a: i for i, a in enumerate(attrs)}
 
     def _col(name: str) -> int:
         try:
             return colmap[name]
         except KeyError:
             raise EvaluationError(
-                f"no attribute {name!r} in {attrs}"
+                f"no attribute {name!r} in {tuple(colmap)}"
             ) from None
 
     checks = []
@@ -216,6 +239,144 @@ def _compile_conditions(conditions, attrs: Tuple[str, ...]):
         else:
             return None
     return checks
+
+
+def _filtered(rows: Iterable[Row], checks) -> Iterable[Row]:
+    """The rows passing every compiled check (a conjunction, lazily)."""
+    for check in checks:
+        rows = filter(check, rows)
+    return rows
+
+
+def split_conditions(
+    conditions: Iterable[object],
+    left_attrs: Sequence[str],
+    right_attrs: Sequence[str],
+) -> Tuple[Tuple[object, ...], Tuple[object, ...], Tuple[object, ...]]:
+    """Partition a join's selection into (left-only, right-only, residual).
+
+    A condition whose attributes all belong to one input can be applied
+    to that input before the join: ``σ_c(L ⋈ R) = σ_c(L) ⋈ R`` when
+    ``attrs(c) ⊆ attrs(L)``.  One that reads only shared attributes goes
+    left -- the natural join equates the shared columns, so either side
+    would do.  Everything else (two-sided conditions, unknown attribute
+    names, condition classes other than the built-in four) is residual
+    and must see the joined row.
+    """
+    left_only, right_only, residual = [], [], []
+    for cond in conditions:
+        if isinstance(cond, (EqAttr, NeqAttr)):
+            read = (cond.left, cond.right)
+        elif isinstance(cond, (EqConst, NeqConst)):
+            read = (cond.attribute,)
+        else:
+            residual.append(cond)
+            continue
+        if all(a in left_attrs for a in read):
+            left_only.append(cond)
+        elif all(a in right_attrs for a in read):
+            right_only.append(cond)
+        else:
+            residual.append(cond)
+    return tuple(left_only), tuple(right_only), tuple(residual)
+
+
+def _select_by_holds(table: NamedTable, conditions) -> NamedTable:
+    """Row-at-a-time selection through ``holds``: any condition object.
+
+    Unknown attributes raise here only when a row is actually checked.
+    """
+    return NamedTable(
+        table.attributes,
+        frozenset(
+            row
+            for row in table.rows
+            if all(cond.holds(table, row) for cond in conditions)
+        ),
+    )
+
+
+def _join_tables(
+    left: NamedTable,
+    right: NamedTable,
+    conditions: Tuple[object, ...],
+    project_to: Optional[Tuple[str, ...]],
+) -> NamedTable:
+    """``π[project_to](σ[conditions](left ⋈ right))``, set-at-a-time.
+
+    One-sided conditions filter their input before the hash table is
+    built, so no pair is formed that such a condition would discard; the
+    hash table is built on the *smaller* filtered input; only residual
+    conditions see joined rows, which are narrowed to the output columns
+    as they enter the result set.  Semantically identical to joining,
+    then filtering, then projecting.
+    """
+    left_attrs = left.attributes
+    shared = [a for a in right.attributes if a in left_attrs]
+    extra = [a for a in right.attributes if a not in left_attrs]
+    out_attrs = left_attrs + tuple(extra)
+    out_colmap = {a: i for i, a in enumerate(out_attrs)}
+    left_conds, right_conds, residual = split_conditions(
+        conditions, left_attrs, right.attributes
+    )
+    try:
+        checks = _compile_conditions(residual, out_colmap)
+        left_checks = _compile_conditions(left_conds, left.column_map())
+        right_checks = _compile_conditions(right_conds, right.column_map())
+    except EvaluationError:
+        checks = None
+    if checks is None:
+        # Unknown condition type or attribute: keep the unfused (lazy)
+        # behaviour, which only raises when a joined row is checked.
+        table = _select_by_holds(
+            _join_tables(left, right, (), None), conditions
+        )
+        return table.project(project_to) if project_to is not None else table
+    attributes = out_attrs
+    pick_out = None
+    if project_to is not None and tuple(project_to) != out_attrs:
+        attributes = tuple(project_to)
+        for attr in attributes:
+            if attr not in out_colmap:
+                raise EvaluationError(
+                    f"no attribute {attr!r} in {out_attrs}"
+                )
+        pick_out = row_picker([out_colmap[a] for a in attributes])
+    left_rows = (
+        list(_filtered(left.rows, left_checks)) if left_checks else left.rows
+    )
+    right_rows = (
+        list(_filtered(right.rows, right_checks))
+        if right_checks
+        else right.rows
+    )
+    left_key = row_picker([left.column(a) for a in shared])
+    right_key = row_picker([right.column(a) for a in shared])
+    suffix = row_picker([right.column(a) for a in extra])
+    buckets: Dict[Row, List[Row]] = defaultdict(list)
+    matches = buckets.get
+    if len(right_rows) <= len(left_rows):
+        # Build on the right, probe with the left (the classic shape).
+        for row in right_rows:
+            buckets[right_key(row)].append(suffix(row))
+        joined = (
+            row + tail
+            for row in left_rows
+            for tail in matches(left_key(row), ())
+        )
+    else:
+        # Left side is smaller: build on it, probe with the right.
+        for row in left_rows:
+            buckets[left_key(row)].append(row)
+        joined = (
+            head + suffix(row)
+            for row in right_rows
+            for head in matches(right_key(row), ())
+        )
+    joined = _filtered(joined, checks)
+    if pick_out is not None:
+        joined = map(pick_out, joined)
+    return NamedTable(attributes, frozenset(joined))
 
 
 # -------------------------------------------------------------- expressions
@@ -391,22 +552,14 @@ class Select(Expression):
             return self.child._evaluate_fused(env, self.conditions, None)
         table = self.child.evaluate(env)
         try:
-            checks = _compile_conditions(self.conditions, table.attributes)
+            checks = _compile_conditions(self.conditions, table.column_map())
         except EvaluationError:
             checks = None
-        if checks is not None:
-            rows = frozenset(
-                row
-                for row in table.rows
-                if all(check(row) for check in checks)
-            )
-        else:
-            rows = frozenset(
-                row
-                for row in table.rows
-                if all(cond.holds(table, row) for cond in self.conditions)
-            )
-        return NamedTable(table.attributes, rows)
+        if checks is None:
+            return _select_by_holds(table, self.conditions)
+        return NamedTable(
+            table.attributes, frozenset(_filtered(table.rows, checks))
+        )
 
     def tables_read(self) -> FrozenSet[str]:
         """Temporary tables this expression scans."""
@@ -452,89 +605,17 @@ class Join(Expression):
         conditions: Tuple[object, ...],
         project_to: Optional[Tuple[str, ...]],
     ) -> NamedTable:
-        """Hash join with optional fused selection and projection.
+        """The join with a selection and projection directly above it.
 
-        The hash table is built on the *smaller* input; ``conditions``
-        are applied to each joined row before it is materialized, and
-        ``project_to`` (when given) narrows the row in the same pass --
-        so ``σ``/``π`` directly above a join never materialize the full
-        join result.  Semantically identical to evaluating the join and
-        then filtering/projecting.
+        ``σ``/``π`` over a join are evaluated by :func:`_join_tables` in
+        the same pass, so the full join result is never materialized.
         """
-        left = self.left.evaluate(env)
-        right = self.right.evaluate(env)
-        shared = [a for a in right.attributes if a in left.attributes]
-        extra = [a for a in right.attributes if a not in left.attributes]
-        out_attrs = left.attributes + tuple(extra)
-        try:
-            checks = _compile_conditions(conditions, out_attrs)
-        except EvaluationError:
-            # Unknown attribute: preserve the unfused (lazy) behaviour,
-            # which only raises when a row is actually checked.
-            checks = None
-        if checks is None:
-            # Unknown condition type or attribute: join, filter via `holds`.
-            table = self._evaluate_fused(env, (), None)
-            rows = frozenset(
-                row
-                for row in table.rows
-                if all(cond.holds(table, row) for cond in conditions)
-            )
-            table = NamedTable(out_attrs, rows)
-            return (
-                table.project(project_to) if project_to is not None else table
-            )
-        left_key = [left.column(a) for a in shared]
-        right_key = [right.column(a) for a in shared]
-        extra_cols = [right.column(a) for a in extra]
-        out_cols: Optional[List[int]] = None
-        if project_to is not None:
-            colmap = {a: i for i, a in enumerate(out_attrs)}
-            out_cols = []
-            for attr in project_to:
-                if attr not in colmap:
-                    raise EvaluationError(
-                        f"no attribute {attr!r} in {out_attrs}"
-                    )
-                out_cols.append(colmap[attr])
-        rows: Set[Tuple[Term, ...]] = set()
-
-        def _emit(joined: Tuple[Term, ...]) -> None:
-            if all(check(joined) for check in checks):
-                rows.add(
-                    joined
-                    if out_cols is None
-                    else tuple(joined[c] for c in out_cols)
-                )
-
-        if len(right.rows) <= len(left.rows):
-            # Build on the right, probe with the left (the classic shape).
-            by_key: Dict[Tuple[Term, ...], List[Tuple[Term, ...]]] = {}
-            for row in right.rows:
-                key = tuple(row[c] for c in right_key)
-                by_key.setdefault(key, []).append(
-                    tuple(row[c] for c in extra_cols)
-                )
-            for row in left.rows:
-                key = tuple(row[c] for c in left_key)
-                for suffix in by_key.get(key, ()):
-                    _emit(row + suffix)
-        else:
-            # Left side is smaller: build on it, probe with the right.
-            by_left: Dict[Tuple[Term, ...], List[Tuple[Term, ...]]] = {}
-            for row in left.rows:
-                key = tuple(row[c] for c in left_key)
-                by_left.setdefault(key, []).append(row)
-            for row in right.rows:
-                key = tuple(row[c] for c in right_key)
-                bucket = by_left.get(key)
-                if not bucket:
-                    continue
-                suffix = tuple(row[c] for c in extra_cols)
-                for left_row in bucket:
-                    _emit(left_row + suffix)
-        attributes = out_attrs if project_to is None else tuple(project_to)
-        return NamedTable(attributes, frozenset(rows))
+        return _join_tables(
+            self.left.evaluate(env),
+            self.right.evaluate(env),
+            conditions,
+            project_to,
+        )
 
     def tables_read(self) -> FrozenSet[str]:
         """Temporary tables this expression scans."""
@@ -635,19 +716,21 @@ class Rename(Expression):
     child: Expression
     mapping: Tuple[Tuple[str, str], ...]
 
-    def _map(self) -> Dict[str, str]:
-        return dict(self.mapping)
+    def __post_init__(self) -> None:
+        # Outside the dataclass fields, like NamedTable._colmap: built
+        # once per instance, invisible to equality and hashing.
+        object.__setattr__(self, "_renames", dict(self.mapping))
 
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
-        mapping = self._map()
+        renames = self._renames
         return tuple(
-            mapping.get(a, a) for a in self.child.attributes(env_schema)
+            renames.get(a, a) for a in self.child.attributes(env_schema)
         )
 
     def evaluate(self, env: Environment) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        return self.child.evaluate(env).rename(self._map())
+        return self.child.evaluate(env).rename(self._renames)
 
     def tables_read(self) -> FrozenSet[str]:
         """Temporary tables this expression scans."""

@@ -109,6 +109,51 @@ class TestMethodIndex:
         assert source.log[0].results == 2
 
 
+class TestConcurrentIndexAccess:
+    """Lookup and metering share one lock acquisition per access; a
+    writer invalidating the index mid-flight must never make a reader
+    see less data than an earlier access of theirs did, or lose a log
+    record."""
+
+    def test_readers_race_a_writer(self, source):
+        import sys
+        import threading
+
+        readers, reads, writes = 8, 300, 60
+        regressions, errors = [], []
+
+        def read():
+            seen = 0
+            try:
+                for _ in range(reads):
+                    size = len(source.access("mt_key", ("a",)))
+                    if size < seen:
+                        regressions.append((seen, size))
+                    seen = size
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        def write():
+            for i in range(writes):
+                source.instance.add("R", ("a", f"w{i}"))
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not regressions
+        assert source.total_invocations == readers * reads
+        assert len(source.access("mt_key", ("a",))) == 2 + writes
+
+
 class TestMetering:
     def test_log_records_everything(self, source):
         source.access("mt_key", ("a",))
