@@ -1,49 +1,82 @@
-"""Fingerprint-indexed domination pruning for Algorithm 1.
+"""Domination pruning for Algorithm 1, checked on the delta.
 
 Domination (the paper's second "Optimization") discards a freshly
 expanded node when some already-explored node has *at least as many
 useful facts* at no higher cost: a homomorphism from the new node's
 relevant facts (original, inferred-accessible and ``_accessible``
-relations) into the explored node's configuration, fixing the canonical
-constants of the query's free variables.
+relations -- everything but ``Accessed_`` copies) into the explored
+node's configuration, fixing the canonical constants of the query's free
+variables.
 
-The check is the search's hot loop: naively it scans every explored node
-and runs a full backtracking-join homomorphism against each.  This
-module makes the scan sublinear with a *signature subsumption* index:
+Two things keep the check from touching the whole configuration.
 
-* every configuration gets a cheap canonical **signature** -- the set of
-  relations with at least one relevant fact, plus every *rigid* term
-  occurrence ``(relation, position, term)`` where rigid means a schema
-  constant or a frozen head null (the terms a domination homomorphism
-  must map to themselves);
-* a homomorphism of the candidate's pattern into a target configuration
-  maps each pattern atom to a fact of the *same* relation that agrees
-  with it on every rigid position, so the target's signature necessarily
-  **contains** the candidate's -- signature subsumption is a sound
-  prefilter (it can only admit false positives, never reject a true
-  dominator);
-* the registry keeps an inverted index from signature elements to the
-  nodes whose signatures contain them; candidate dominators are the
-  intersection of the posting lists of the child's signature elements,
-  visited cheapest-cost-first, and the full ``find_homomorphism`` runs
-  only on those survivors.
+**Which nodes to test** -- a *signature subsumption* index.  Every
+configuration has a signature: the relations with a relevant fact, plus
+every *rigid* term occurrence ``(relation, position, term)``, rigid
+meaning a schema constant or a frozen head null (the terms a domination
+homomorphism maps to themselves).  A homomorphism sends each pattern
+atom to a fact of the same relation that agrees with it on every rigid
+position, so a dominator's signature **contains** the candidate's:
+subsumption can only admit false positives, never reject a dominator.
+An inverted index from signature elements to registered nodes gives the
+survivors by intersecting posting lists; they are visited cheapest
+first (registration order among equals) up to the candidate's cost.
+Per-relation fact *counts* are deliberately not compared: homomorphisms
+need not be injective, so a dominator may hold fewer facts of a relation
+than the pattern it absorbs.
 
-Per-relation fact *counts* are deliberately not part of the subsumption
-test: homomorphisms need not be injective, so a dominator may hold fewer
-facts of a relation than the pattern it absorbs (several pattern facts
-collapsing onto one image).  Requiring ``count >= count`` would wrongly
-reject such dominators.
+**What to map** -- only what the branch added.  Configurations grow
+along a branch and never shrink, and a fork keeps its parent's fact log
+as a prefix, so for any registered ancestor *a* of a node *n*
 
-:class:`LinearRegistry` preserves the original linear scan as a
-differential-testing oracle, and :class:`DifferentialRegistry` runs both
-side by side, asserting they agree on every single check.
+    relevant(n) = relevant(a)  +  relevant(n.facts_since(a.generation)).
+
+The registry records each node's lineage (root to node), its
+``generation`` at registration, its signature and its nulls.  Told the
+parent of the node under test, it
+
+* builds the child's signature as the parent's plus the signature of the
+  delta past the parent (a signature is a union over facts), and a kept
+  node's registered signature the same way after its saturation;
+* for each surviving entry takes the lowest common ancestor *a* of the
+  parent and the entry.  Every fact of *a* is in the entry and in the
+  child, so the identity maps ``relevant(a)`` into the entry, and the
+  child is dominated as soon as the delta past *a* maps into the entry
+  by a homomorphism that fixes the nulls of *a* -- the two agree where
+  they overlap and together cover the whole pattern.  That search is
+  seeded with ``frozen`` plus ``n -> n`` for every null of *a* the delta
+  mentions.
+
+The seed *restricts* the search: a dominator may exist that sends some
+null of *a* elsewhere.  A seeded miss therefore proves nothing and falls
+through to the from-scratch search of the whole pattern into that entry,
+so every verdict and every reported dominator is the one the
+from-scratch check gives.  A check made without a parent (the root, or
+a caller with no lineage to offer) is from scratch throughout.
+
+:class:`LinearRegistry` is the prefiltered from-scratch scan and
+:class:`NaiveRegistry` the unfiltered one; both ignore the parent.
+:class:`DifferentialRegistry` runs the delta path against the linear
+scan on every check and raises on any difference, in existence or in the
+dominator named.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from bisect import insort
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.chase.configuration import ChaseConfiguration
 from repro.logic.atoms import Atom, Substitution
@@ -55,6 +88,8 @@ _EPS = 1e-12
 
 SignatureElement = Tuple
 Signature = FrozenSet[SignatureElement]
+
+_by_cost = attrgetter("cost")
 
 
 def relevant_facts(config: ChaseConfiguration) -> List[Atom]:
@@ -71,6 +106,11 @@ def relevant_facts(config: ChaseConfiguration) -> List[Atom]:
             continue
         out.extend(config.facts_of(relation))
     return out
+
+
+def _relevant(facts: Iterable[Atom]) -> List[Atom]:
+    """The relevant facts of a slice of a configuration's fact log."""
+    return [fact for fact in facts if not is_accessed_name(fact.relation)]
 
 
 def signature_of(
@@ -100,8 +140,13 @@ class DominationStats:
       examined (the sum of registry sizes at each check);
     * ``candidates`` -- nodes surviving the signature-subsumption
       prefilter (before the cost cutoff);
-    * ``hom_calls`` -- full ``find_homomorphism`` invocations actually
-      run;
+    * ``hom_calls`` -- candidate entries actually tested for a
+      homomorphism (one per entry, however it was searched);
+    * ``seeded_hits`` -- entries the delta mapped into under the common
+      ancestor's identity seed, with no from-scratch search;
+    * ``full_searches`` -- from-scratch searches of the whole pattern
+      actually run (every tested entry of a registry without lineage,
+      only the seeded misses of one with);
     * ``time_seconds`` -- wall time inside the check.
     """
 
@@ -109,6 +154,8 @@ class DominationStats:
     registry_scanned: int = 0
     candidates: int = 0
     hom_calls: int = 0
+    seeded_hits: int = 0
+    full_searches: int = 0
     time_seconds: float = 0.0
 
     @property
@@ -124,6 +171,8 @@ class DominationStats:
             "candidates": self.candidates,
             "hom_calls": self.hom_calls,
             "hom_calls_avoided": self.hom_calls_avoided,
+            "seeded_hits": self.seeded_hits,
+            "full_searches": self.full_searches,
             "time_seconds": self.time_seconds,
         }
 
@@ -135,11 +184,29 @@ class _Entry:
     node_id: int
     cost: float
     config: ChaseConfiguration
+
+
+@dataclass
+class _IndexedEntry(_Entry):
+    """A registered node with what the delta check reads off it."""
+
     signature: Signature
+    # Registry slots of the node's ancestors, root first, its own last.
+    lineage: Tuple[int, ...]
+    # ``config.generation`` at registration: a descendant's
+    # ``facts_since`` of it is what the branch added below this node.
+    generation: int
+    # Every null of the configuration; the parent's own frozenset when
+    # the node added none.
+    nulls: FrozenSet[Null]
 
 
 class DominationRegistry:
-    """Interface shared by the indexed registry and the linear oracle."""
+    """Interface shared by the indexed registry and the scans.
+
+    ``parent`` names the registered node whose configuration the one at
+    hand was forked from; a registry that keeps no lineage ignores it.
+    """
 
     def __init__(
         self, frozen: Substitution, rigid: FrozenSet[Term]
@@ -154,75 +221,192 @@ class DominationRegistry:
         raise NotImplementedError
 
     def register(
-        self, node_id: int, cost: float, config: ChaseConfiguration
+        self,
+        node_id: int,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int] = None,
     ) -> None:
         """Admit an explored node as a potential future dominator."""
         raise NotImplementedError
 
     def find_dominator(
-        self, cost: float, config: ChaseConfiguration
+        self,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int] = None,
     ) -> Optional[int]:
-        """The node id of a dominator of (cost, config), or None."""
+        """The node id of a dominator of (cost, config), or None.
+
+        Of several dominators the indexed registry and the linear scan
+        name the cheapest, and of equally cheap ones the first
+        registered.
+        """
         tick = time.perf_counter()
         try:
-            return self._find(cost, config)
+            return self._find(cost, config, parent)
         finally:
             self.stats.time_seconds += time.perf_counter() - tick
 
     def _find(
-        self, cost: float, config: ChaseConfiguration
+        self,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int],
     ) -> Optional[int]:
         raise NotImplementedError
 
+    def _maps_from_scratch(
+        self, pattern: Sequence[Atom], entry: _Entry
+    ) -> bool:
+        """Search the whole pattern into one entry, nothing assumed."""
+        self.stats.full_searches += 1
+        return (
+            find_homomorphism(
+                pattern, entry.config.index, self.frozen, map_nulls=True
+            )
+            is not None
+        )
+
 
 class FingerprintRegistry(DominationRegistry):
-    """Signature-subsumption buckets over an inverted element index."""
+    """Signature-subsumption buckets over an inverted element index,
+    with each survivor tested on the delta past a common ancestor."""
 
     def __init__(
         self, frozen: Substitution, rigid: FrozenSet[Term]
     ) -> None:
         super().__init__(frozen, rigid)
-        self._entries: List[_Entry] = []
+        self._entries: List[_IndexedEntry] = []
+        self._slot_of: Dict[int, int] = {}
         self._postings: Dict[SignatureElement, List[int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def register(
-        self, node_id: int, cost: float, config: ChaseConfiguration
+        self,
+        node_id: int,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int] = None,
     ) -> None:
         """Index the node under every element of its signature."""
-        signature = signature_of(relevant_facts(config), self.rigid)
         slot = len(self._entries)
-        self._entries.append(_Entry(node_id, cost, config, signature))
+        if parent is None:
+            signature = signature_of(relevant_facts(config), self.rigid)
+            nulls = config.nulls()
+            lineage: Tuple[int, ...] = (slot,)
+        else:
+            above = self._entries[self._slot_of[parent]]
+            delta = config.facts_since(above.generation)
+            signature = self._signature_below(above, delta)
+            fresh = {
+                term
+                for fact in delta
+                for term in fact.terms
+                if isinstance(term, Null) and term not in above.nulls
+            }
+            nulls = above.nulls | fresh if fresh else above.nulls
+            lineage = above.lineage + (slot,)
+        self._entries.append(
+            _IndexedEntry(
+                node_id,
+                cost,
+                config,
+                signature,
+                lineage,
+                config.generation,
+                nulls,
+            )
+        )
+        self._slot_of[node_id] = slot
         for element in signature:
             self._postings.setdefault(element, []).append(slot)
 
+    def _signature_below(
+        self, above: _IndexedEntry, delta: Iterable[Atom]
+    ) -> Signature:
+        """The signature of ``above``'s configuration plus ``delta``."""
+        added = signature_of(_relevant(delta), self.rigid)
+        if added <= above.signature:
+            return above.signature
+        return above.signature | added
+
     def _find(
-        self, cost: float, config: ChaseConfiguration
+        self,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int],
     ) -> Optional[int]:
-        self.stats.checks += 1
-        self.stats.registry_scanned += len(self._entries)
-        pattern = relevant_facts(config)
-        signature = signature_of(pattern, self.rigid)
+        stats = self.stats
+        stats.checks += 1
+        stats.registry_scanned += len(self._entries)
+        pattern: Optional[List[Atom]] = None
+        if parent is None:
+            lineage: Tuple[int, ...] = ()
+            pattern = relevant_facts(config)
+            signature = signature_of(pattern, self.rigid)
+        else:
+            above = self._entries[self._slot_of[parent]]
+            lineage = above.lineage
+            signature = self._signature_below(
+                above, config.facts_since(above.generation)
+            )
         survivors = self._subsuming_entries(signature)
         if not survivors:
             return None
-        self.stats.candidates += len(survivors)
-        survivors.sort(key=lambda entry: entry.cost)
+        stats.candidates += len(survivors)
+        survivors.sort(key=_by_cost)
+        # Survivors of one check mostly share their common ancestor with
+        # the parent: the delta and its seed are built once per ancestor.
+        seeded: Dict[int, Tuple[List[Atom], Substitution]] = {}
         for entry in survivors:
             if entry.cost > cost + _EPS:
                 break  # cost-sorted: nothing cheaper remains
-            self.stats.hom_calls += 1
-            hom = find_homomorphism(
-                pattern, entry.config.index, self.frozen, map_nulls=True
-            )
-            if hom is not None:
+            stats.hom_calls += 1
+            ancestor = _common_ancestor(lineage, entry.lineage)
+            if ancestor is not None:
+                if ancestor not in seeded:
+                    seeded[ancestor] = self._seeded_delta(
+                        config, self._entries[ancestor]
+                    )
+                delta, seed = seeded[ancestor]
+                if (
+                    find_homomorphism(
+                        delta, entry.config.index, seed, map_nulls=True
+                    )
+                    is not None
+                ):
+                    stats.seeded_hits += 1
+                    return entry.node_id
+            # No lineage to lean on, or the seed was too strict: a
+            # dominator may still send a null of the ancestor elsewhere.
+            if pattern is None:
+                pattern = relevant_facts(config)
+            if self._maps_from_scratch(pattern, entry):
                 return entry.node_id
         return None
 
-    def _subsuming_entries(self, signature: Signature) -> List[_Entry]:
-        """Entries whose signature contains every element of ``signature``."""
+    def _seeded_delta(
+        self, config: ChaseConfiguration, ancestor: _IndexedEntry
+    ) -> Tuple[List[Atom], Substitution]:
+        """What ``config`` added below ``ancestor``, and the seed that
+        pins the ancestor's nulls occurring in it to themselves."""
+        delta = _relevant(config.facts_since(ancestor.generation))
+        seed = self.frozen.as_dict()
+        known = ancestor.nulls
+        for fact in delta:
+            for term in fact.terms:
+                if term in known:
+                    seed[term] = term
+        return delta, Substitution(seed)
+
+    def _subsuming_entries(
+        self, signature: Signature
+    ) -> List[_IndexedEntry]:
+        """Entries whose signature contains every element of
+        ``signature``, in registration order."""
         if not signature:
             return list(self._entries)
         postings: List[List[int]] = []
@@ -237,11 +421,25 @@ class FingerprintRegistry(DominationRegistry):
             slots.intersection_update(posting)
             if not slots:
                 return []
-        return [self._entries[slot] for slot in slots]
+        return [self._entries[slot] for slot in sorted(slots)]
+
+
+def _common_ancestor(
+    mine: Tuple[int, ...], theirs: Tuple[int, ...]
+) -> Optional[int]:
+    """The last slot two lineages share from the root down, if any."""
+    shared = None
+    for left, right in zip(mine, theirs):
+        if left != right:
+            break
+        shared = left
+    return shared
 
 
 class LinearRegistry(DominationRegistry):
-    """The original O(registry) scan, kept as the differential oracle."""
+    """The original O(registry) from-scratch scan, kept as the
+    differential oracle; it visits entries in the index's order,
+    cheapest first and first registered among equals."""
 
     def __init__(
         self, frozen: Substitution, rigid: FrozenSet[Term]
@@ -253,15 +451,21 @@ class LinearRegistry(DominationRegistry):
         return len(self._entries)
 
     def register(
-        self, node_id: int, cost: float, config: ChaseConfiguration
+        self,
+        node_id: int,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int] = None,
     ) -> None:
-        """Append the node; signatures are not needed for the scan."""
-        self._entries.append(
-            _Entry(node_id, cost, config, frozenset())
-        )
+        """File the node by cost, after the equally cheap ones already
+        there; the scan needs neither signature nor parent."""
+        insort(self._entries, _Entry(node_id, cost, config), key=_by_cost)
 
     def _find(
-        self, cost: float, config: ChaseConfiguration
+        self,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int],
     ) -> Optional[int]:
         self.stats.checks += 1
         self.stats.registry_scanned += len(self._entries)
@@ -269,17 +473,14 @@ class LinearRegistry(DominationRegistry):
         pattern_relations = {atom.relation for atom in pattern}
         for entry in self._entries:
             if entry.cost > cost + _EPS:
-                continue
+                break  # cost-sorted: nothing cheaper remains
             # Cheap prefilter: a homomorphism needs every relation of the
             # pattern present in the target configuration.
             if not pattern_relations <= set(entry.config.relations()):
                 continue
             self.stats.candidates += 1
             self.stats.hom_calls += 1
-            hom = find_homomorphism(
-                pattern, entry.config.index, self.frozen, map_nulls=True
-            )
-            if hom is not None:
+            if self._maps_from_scratch(pattern, entry):
                 return entry.node_id
         return None
 
@@ -291,7 +492,9 @@ class NaiveRegistry(DominationRegistry):
     signature index and no relation prefilter, so ``hom_calls`` measures
     what domination costs without any indexing.  Prune outcomes are
     identical to the other registries (the extra homomorphism attempts
-    all fail on entries the prefilters would have skipped).
+    all fail on entries the prefilters would have skipped), but the scan
+    is in registration order, so of several dominators it names the
+    first registered, not the cheapest.
     """
 
     def __init__(
@@ -304,15 +507,20 @@ class NaiveRegistry(DominationRegistry):
         return len(self._entries)
 
     def register(
-        self, node_id: int, cost: float, config: ChaseConfiguration
+        self,
+        node_id: int,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int] = None,
     ) -> None:
         """Append the node."""
-        self._entries.append(
-            _Entry(node_id, cost, config, frozenset())
-        )
+        self._entries.append(_Entry(node_id, cost, config))
 
     def _find(
-        self, cost: float, config: ChaseConfiguration
+        self,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int],
     ) -> Optional[int]:
         self.stats.checks += 1
         self.stats.registry_scanned += len(self._entries)
@@ -322,24 +530,23 @@ class NaiveRegistry(DominationRegistry):
                 continue
             self.stats.candidates += 1
             self.stats.hom_calls += 1
-            hom = find_homomorphism(
-                pattern, entry.config.index, self.frozen, map_nulls=True
-            )
-            if hom is not None:
+            if self._maps_from_scratch(pattern, entry):
                 return entry.node_id
         return None
 
 
 class DominationMismatch(AssertionError):
-    """The fingerprint index and the linear oracle disagreed."""
+    """The delta-checking index and the from-scratch oracle disagreed."""
 
 
 class DifferentialRegistry(DominationRegistry):
-    """Runs the fingerprint index against the linear oracle on every check.
+    """Runs the delta path against the linear oracle on every check.
 
-    Raises :class:`DominationMismatch` the moment the two disagree on
-    whether a dominator exists; reported stats are the fingerprint
-    side's.  Slow by construction -- for tests and audits only.
+    Only the indexed side is told the parent; the oracle maps the whole
+    pattern from scratch.  Raises :class:`DominationMismatch` the moment
+    the two disagree on whether a dominator exists or on which node it
+    is; reported stats are the indexed side's.  Slow by construction --
+    for tests and audits only.
     """
 
     def __init__(
@@ -354,22 +561,29 @@ class DifferentialRegistry(DominationRegistry):
         return len(self.indexed)
 
     def register(
-        self, node_id: int, cost: float, config: ChaseConfiguration
+        self,
+        node_id: int,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int] = None,
     ) -> None:
-        """Register with both sides."""
-        self.indexed.register(node_id, cost, config)
+        """Register with both sides; the lineage goes to the index."""
+        self.indexed.register(node_id, cost, config, parent)
         self.oracle.register(node_id, cost, config)
 
     def find_dominator(
-        self, cost: float, config: ChaseConfiguration
+        self,
+        cost: float,
+        config: ChaseConfiguration,
+        parent: Optional[int] = None,
     ) -> Optional[int]:
         """Check both sides; any disagreement is a hard error."""
-        fast = self.indexed.find_dominator(cost, config)
+        fast = self.indexed.find_dominator(cost, config, parent)
         slow = self.oracle.find_dominator(cost, config)
-        if (fast is None) != (slow is None):
+        if fast != slow:
             raise DominationMismatch(
-                f"fingerprint says dominator={fast!r}, "
-                f"linear oracle says dominator={slow!r} "
+                f"delta check says dominator={fast!r}, "
+                f"from-scratch oracle says dominator={slow!r} "
                 f"for a node of cost {cost} "
                 f"({len(self.indexed)} registered nodes)"
             )

@@ -27,8 +27,11 @@ The hot loop is incremental end to end (see ``docs/theory.md``,
 "Search-state indexing and incrementality"):
 
 * domination queries go through a fingerprint-indexed registry
-  (:mod:`repro.planner.domination`) instead of a linear scan, with the
-  old scan available as a differential oracle (``domination_index``);
+  (:mod:`repro.planner.domination`) instead of a linear scan, and the
+  registry, told the child's parent, maps only what the branch added
+  below the ancestor the child shares with each candidate dominator;
+  the old scan is available as a differential oracle
+  (``domination_index``);
 * children inherit the parent's ranked candidate list and extend it only
   from ``config.facts_since(parent_generation)`` plus facts whose input
   positions newly became accessible (``incremental_candidates``);
@@ -123,10 +126,11 @@ class SearchOptions:
     stop_on_first: bool = False
     collect_tree: bool = False
     # Domination registry flavour: "fingerprint" (signature-subsumption
-    # index), "linear" (the original prefiltered scan), "naive" (a full
-    # homomorphism per registered node -- the benchmarks' unoptimized
-    # reference), or "differential" (fingerprint + linear, with
-    # agreement asserted on every check).
+    # index, each survivor tested on the delta), "linear" (the original
+    # prefiltered from-scratch scan), "naive" (a full homomorphism per
+    # registered node -- the benchmarks' unoptimized reference), or
+    # "differential" (fingerprint + linear, with agreement on the
+    # dominator asserted on every check).
     domination_index: str = "fingerprint"
     # Incremental hot-loop machinery; each switch falls back to the
     # original full recomputation when False (baseline/differential mode).
@@ -176,6 +180,8 @@ class SearchStats:
                 f"domination checks: {d.checks} "
                 f"(candidates={d.candidates} hom_calls={d.hom_calls} "
                 f"avoided={d.hom_calls_avoided} "
+                f"seeded_hits={d.seeded_hits} "
+                f"full_searches={d.full_searches} "
                 f"time={d.time_seconds:.4f}s)",
                 "dominated by: "
                 + (
@@ -568,7 +574,9 @@ class _Searcher:
             if exposed.depth_truncated or not self.saturation_log.complete:
                 self._saturate(config, exposed)
                 chased = True
-            dominator = self._registry.find_dominator(cost, config)
+            dominator = self._registry.find_dominator(
+                cost, config, parent=node.node_id
+            )
             if dominator is not None:
                 self.stats.pruned_by_domination += 1
                 self.stats.dominators[dominator] += 1
@@ -637,7 +645,12 @@ class _Searcher:
             self.stats.time_candidates += time.perf_counter() - tick
         self._record(node)
         if self.options.domination:
-            self._registry.register(node.node_id, node.cost, node.config)
+            self._registry.register(
+                node.node_id,
+                node.cost,
+                node.config,
+                parent=parent.node_id if parent is not None else None,
+            )
 
     def _record(self, node: SearchNode) -> None:
         if self.options.collect_tree:
