@@ -17,6 +17,15 @@ underlying :class:`~repro.data.instance.Instance` mutates (tracked via
 original scan-per-access behaviour -- the benchmarks' naive reference.
 Metering is identical either way: the index changes how an access is
 *answered*, never whether it is logged or charged.
+
+``access`` is the inner loop of plan execution (an access command calls
+it once per key, bound once per command by
+:func:`repro.plans.commands.bound_access`), so its common case is kept
+short: every check runs on every call -- schema lookup, constant
+coercion, arity, index staleness, one :class:`AccessRecord` -- but an
+access answered by an index already built for the instance's current
+version takes the source lock once, for the lookup and the log append
+together.
 """
 
 from __future__ import annotations
@@ -25,8 +34,16 @@ import hashlib
 import json
 import threading
 from concurrent.futures import Executor
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.data.instance import Instance, _to_constant
 from repro.errors import AccessViolation
@@ -37,9 +54,16 @@ from repro.schema.core import AccessMethod, Schema, SchemaError
 _MethodIndex = Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One logged invocation of an access method."""
+# The answer to a key no tuple matches: one object for every such access.
+_NO_ROWS: FrozenSet[Tuple[Constant, ...]] = frozenset()
+
+
+class AccessRecord(NamedTuple):
+    """One logged invocation of an access method.
+
+    A named tuple: one is built per access, and the access is the
+    runtime's inner loop.
+    """
 
     method: str
     relation: str
@@ -74,7 +98,7 @@ class InMemorySource:
         method, in the order the method declares them.
         """
         method = self.schema.method(method_name)
-        values = tuple(_to_constant(v) for v in inputs)
+        values = tuple(map(_to_constant, inputs))
         if len(values) != len(method.input_positions):
             raise AccessViolation(
                 f"method {method_name} needs {len(method.input_positions)} "
@@ -83,16 +107,22 @@ class InMemorySource:
                 relation=method.relation,
                 inputs=values,
             )
-        # One acquisition covers the lookup and the metering (the index
-        # check inside re-enters the RLock its caller already holds).
+        # One acquisition covers the lookup and the metering.  An index
+        # built for the instance's current version answers right here;
+        # anything else (first use, a mutation since, an unindexed or a
+        # sharded source) goes through _lookup, re-entering the lock.
         with self._lock:
-            matching = self._lookup(method, values)
+            index = self._indexes.get(method_name)
+            if (
+                index is None
+                or self.instance.version != self._indexed_version
+            ):
+                matching = self._lookup(method, values)
+            else:
+                matching = index.get(values, _NO_ROWS)
             self.log.append(
                 AccessRecord(
-                    method=method_name,
-                    relation=method.relation,
-                    inputs=values,
-                    results=len(matching),
+                    method_name, method.relation, values, len(matching)
                 )
             )
         return matching
@@ -115,9 +145,11 @@ class InMemorySource:
         The logging/metering in :meth:`access` stays at the outermost
         source, so composite sources (sharding below) can delegate the
         data question to sub-sources while still charging one access.
+        :meth:`access` comes here whenever this source holds no current
+        index of its own for the method -- always, for a composite.
         """
         if self.indexed:
-            return self._method_index(method).get(values, frozenset())
+            return self._method_index(method).get(values, _NO_ROWS)
         return self._scan(method, values)
 
     def _scan(

@@ -35,19 +35,28 @@ stampede of identical requests costs one source invocation -- the same
 "identical accesses are paid once" contract the sequential runtime
 gives.  Single-threaded callers see identical semantics to the PR 3
 cache; the only addition is one uncontended lock acquisition per fetch.
+
+Binding: an access command asks for many keys of one method, so
+:meth:`AccessCache.bind` resolves once what they share -- how the
+source's epoch is read, the source's ``access``, the method's relation
+(at the first miss) -- and returns the per-key fetch.  The epoch is
+still read under the lock for *every* key: only how to read it is
+hoisted, never the value.  :meth:`AccessCache.fetch` is a bind for one
+key.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.data.source import AccessRecord
 from repro.logic.terms import Constant
-from repro.sources.base import source_epoch
+from repro.sources.base import epoch_reader
 
-_Key = Tuple[str, Tuple[Constant, ...]]
+_Inputs = Tuple[Constant, ...]
+_Key = Tuple[str, _Inputs]
 _Rows = FrozenSet[Tuple[Constant, ...]]
 # Cached value: the rows plus the relation name hoisted at miss time
 # (so charge_hits never re-reads schema state on a hit).
@@ -84,10 +93,16 @@ class AccessCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def fetch(
-        self, source, method: str, inputs: Tuple[Constant, ...]
-    ) -> _Rows:
-        """The result of ``source.access(method, inputs)``, memoized.
+    def bind(self, source, method: str) -> Callable[[_Inputs], _Rows]:
+        """The memoized per-key fetch of one method: ``inputs -> rows``.
+
+        Resolved here, once for all the keys of an access command: how
+        the source's epoch is read (:func:`~repro.sources.base.epoch_reader`)
+        and its ``access`` entry point; the method's relation is looked
+        up at the first miss.  The epoch itself is *read* under the
+        lock for every key -- a mutation between two keys of one
+        command must still clear the store before the second is
+        answered.
 
         On a hit the source is not touched (unless ``charge_hits``, in
         which case an equivalent :class:`AccessRecord` is appended to
@@ -97,63 +112,79 @@ class AccessCache:
         source), except that a waiter whose fetcher failed retries the
         fetch itself so errors are seen by everyone who asked.
         """
-        key = (method, inputs)
-        waited = False
-        while True:
-            with self._lock:
-                version = source_epoch(source)
-                if version != self._instance_version:
-                    self._store.clear()
-                    self._instance_version = version
-                entry = self._store.get(key)
+        read_epoch = epoch_reader(source)
+        access = source.access
+        lock = self._lock
+        store = self._store
+        inflight = self._inflight
+        relation: Optional[str] = None
+
+        def fetch(inputs: _Inputs) -> _Rows:
+            """One key: a hit from the store, or the source's answer."""
+            nonlocal relation
+            key = (method, inputs)
+            waited = False
+            while True:
+                with lock:
+                    version = read_epoch()
+                    if version != self._instance_version:
+                        store.clear()
+                        self._instance_version = version
+                    entry = store.get(key)
+                    if entry is not None:
+                        self.hits += 1
+                        if waited:
+                            self.stampedes_collapsed += 1
+                        store.move_to_end(key)
+                        charge = self.charge_hits
+                    else:
+                        flight = inflight.get(key)
+                        if flight is None:
+                            flight = inflight[key] = _InFlight()
+                            self.misses += 1
+                            break  # this thread is the fetcher
                 if entry is not None:
-                    self.hits += 1
-                    if waited:
-                        self.stampedes_collapsed += 1
-                    self._store.move_to_end(key)
-                    relation, rows = entry
-                    charge = self.charge_hits
-                else:
-                    flight = self._inflight.get(key)
-                    if flight is None:
-                        flight = _InFlight()
-                        self._inflight[key] = flight
-                        self.misses += 1
-                        break  # this thread is the fetcher
-            if entry is not None:
-                if charge:
-                    source.log.append(
-                        AccessRecord(
-                            method=method,
-                            relation=relation,
-                            inputs=inputs,
-                            results=len(rows),
+                    hit_relation, rows = entry
+                    if charge:
+                        source.log.append(
+                            AccessRecord(
+                                method, hit_relation, inputs, len(rows)
+                            )
                         )
-                    )
-                return rows
-            # Another thread is fetching this key: wait, then re-check.
-            flight.event.wait()
-            waited = not flight.failed
-        try:
-            result = source.access(method, inputs)
-            relation = source.schema.method(method).relation
-        except BaseException:
-            with self._lock:
-                flight.failed = True
-                self._inflight.pop(key, None)
+                    return rows
+                # Another thread is fetching this key: wait, then re-check.
+                flight.event.wait()
+                waited = not flight.failed
+            try:
+                result = access(method, inputs)
+                if relation is None:
+                    relation = source.schema.method(method).relation
+            except BaseException:
+                with lock:
+                    flight.failed = True
+                    inflight.pop(key, None)
+                flight.event.set()
+                raise
+            with lock:
+                # Only install if no epoch change (instance mutation or
+                # backend snapshot move) invalidated this fetch in flight.
+                if read_epoch() == self._instance_version:
+                    store[key] = (relation, result)
+                    if len(store) > self.maxsize:
+                        store.popitem(last=False)
+                        self.evictions += 1
+                inflight.pop(key, None)
             flight.event.set()
-            raise
-        with self._lock:
-            # Only install if no epoch change (instance mutation or
-            # backend snapshot move) invalidated this fetch in flight.
-            if source_epoch(source) == self._instance_version:
-                self._store[key] = (relation, result)
-                if len(self._store) > self.maxsize:
-                    self._store.popitem(last=False)
-                    self.evictions += 1
-            self._inflight.pop(key, None)
-        flight.event.set()
-        return result
+            return result
+
+        return fetch
+
+    def fetch(self, source, method: str, inputs: _Inputs) -> _Rows:
+        """The result of ``source.access(method, inputs)``, memoized.
+
+        :meth:`bind` for a single key.
+        """
+        return self.bind(source, method)(inputs)
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""

@@ -62,7 +62,11 @@ except ImportError as exc:  # pragma: no cover
 
 from repro.errors import ExecutionError
 from repro.logic.terms import Constant, Term
-from repro.plans.commands import AccessCommand, MiddlewareCommand
+from repro.plans.commands import (
+    AccessCommand,
+    MiddlewareCommand,
+    bound_access,
+)
 from repro.plans.expressions import EvaluationError, NamedTable
 from repro.plans.ir import (
     PlanIRError,
@@ -632,26 +636,11 @@ class _CAccess:
                     for entry in self.binding
                 )
             )
-        batches = []
         cache_hits_before = cache.hits if cache is not None else 0
         retries_before = resilience.retries if resilience is not None else 0
         faults_before = resilience.faults if resilience is not None else 0
-        for values in bindings:
-            if resilience is not None:
-                if cache is not None:
-                    fetch = lambda v=values: cache.fetch(
-                        source, self.method, v
-                    )
-                else:
-                    fetch = lambda v=values: source.access(self.method, v)
-                accessed_rows = resilience.call(
-                    fetch, self.method, inputs=values
-                )
-            elif cache is not None:
-                accessed_rows = cache.fetch(source, self.method, values)
-            else:
-                accessed_rows = source.access(self.method, values)
-            batches.append(accessed_rows)
+        access = bound_access(source, self.method, cache, resilience)
+        batches = [access(values) for values in bindings]
         if stats is not None:
             stats.rows_in = inputs.nrows
             stats.dispatched = len(bindings)

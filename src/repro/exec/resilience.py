@@ -21,10 +21,16 @@ time so fault scenarios run deterministically in simulated seconds:
   :class:`~repro.errors.MethodOutage` force-opens the breaker
   immediately -- hard outages should not burn the whole threshold.
 
-:class:`ResilientDispatcher` ties them together and is what
-:meth:`repro.plans.commands.AccessCommand.execute` calls per dispatched
-access when a ``resilience`` argument is threaded through
-:meth:`repro.plans.plan.Plan.execute`.  Its counters surface in
+:class:`ResilientDispatcher` ties them together when a ``resilience``
+argument is threaded through :meth:`repro.plans.plan.Plan.execute`.
+An access command *binds* it once (:meth:`ResilientDispatcher.bind`,
+through :func:`repro.plans.commands.bound_access`): the method's
+breaker, the retry policy and the deadline are the same for every key
+of the command and are resolved then; the callable it returns runs the
+per-key protocol -- deadline check, breaker admission, fetch, breaker
+feedback, retry and backoff -- once per dispatched access.
+:meth:`ResilientDispatcher.call` is the same loop for a single call (a
+batched access is one).  Its counters surface in
 :class:`~repro.exec.stats.ExecStats` (retries, faults, breaker trips).
 Plan-level *failover* -- re-planning around open breakers -- lives one
 layer up, in :mod:`repro.exec.failover`.
@@ -364,70 +370,93 @@ class ResilientDispatcher:
         if self.deadline is not None:
             self.deadline.check(doing)
 
-    def call(
-        self,
-        fetch: Callable[[], object],
-        method: str,
-        inputs: Tuple = (),
-        relation: Optional[str] = None,
-    ):
-        """Run one access dispatch with retries, breaker and deadline.
+    def bind(
+        self, fetch: Callable[[Tuple], object], method: str
+    ) -> Callable[[Tuple], object]:
+        """The per-key dispatch of one access command: ``inputs -> rows``.
 
-        ``fetch`` is the zero-argument thunk that actually touches the
-        source (directly or through the access cache).  Transient
-        errors are retried per the policy; permanent ones propagate
-        immediately with the breaker informed either way.
+        ``fetch`` takes one key's input tuple and touches the source
+        (directly or through the access cache).  What does not depend
+        on the key is decided here, once: the method's breaker (the
+        registry creates a breaker once and never replaces it --
+        :meth:`BreakerRegistry.reset_method` resets it in place -- so
+        the object resolved now is the one every later key would have
+        been handed), the retry policy, the deadline and the text the
+        deadline check reports.  Everything else is decided per key by
+        the callable returned: deadline check, breaker admission,
+        fetch, and on a failure the breaker feedback and the retry
+        decision.  Transient errors are retried per the policy;
+        permanent ones propagate immediately with the breaker informed
+        either way.
         """
         breaker = (
             self.breakers.for_method(method)
             if self.breakers is not None
             else None
         )
-        attempt = 0
-        while True:
-            self.check_deadline(f"access {method}")
-            if breaker is not None and not breaker.allow():
-                raise breaker.refuse(inputs)
-            attempt += 1
-            try:
-                result = fetch()
-            except TransientAccessError as error:
-                self.faults += 1
-                if breaker is not None:
-                    breaker.record_failure()
-                if self.retry is None or not self.retry.should_retry(
-                    error, attempt
-                ):
-                    self.giveups += 1
+        retry = self.retry
+        deadline = self.deadline
+        doing = f"access {method}"
+
+        def dispatch(inputs: Tuple):
+            """One key: deadline, breaker, fetch, retries."""
+            attempt = 0
+            while True:
+                if deadline is not None:
+                    deadline.check(doing)
+                if breaker is not None and not breaker.allow():
+                    raise breaker.refuse(inputs)
+                attempt += 1
+                try:
+                    result = fetch(inputs)
+                except TransientAccessError as error:
+                    self.faults += 1
+                    if breaker is not None:
+                        breaker.record_failure()
+                    if retry is None or not retry.should_retry(
+                        error, attempt
+                    ):
+                        self.giveups += 1
+                        error.attempts = attempt
+                        raise
+                    wait = retry.delay(attempt, method, inputs)
+                    if deadline is not None and wait > deadline.remaining():
+                        self.giveups += 1
+                        raise DeadlineExceeded(
+                            f"backoff of {wait:.3f}s before retrying "
+                            f"{method} would overrun the plan deadline "
+                            f"(remaining {deadline.remaining():.3f}s)"
+                        ) from error
+                    self.backoff_waited += wait
+                    if self.sleep is not None:
+                        self.sleep(wait)
+                    self.retries += 1
+                except AccessError as error:
+                    # Permanent: breaker learns, caller decides (failover).
+                    if breaker is not None:
+                        breaker.record_failure(
+                            permanent=isinstance(error, MethodOutage)
+                        )
                     error.attempts = attempt
                     raise
-                wait = self.retry.delay(attempt, method, inputs)
-                if (
-                    self.deadline is not None
-                    and wait > self.deadline.remaining()
-                ):
-                    self.giveups += 1
-                    raise DeadlineExceeded(
-                        f"backoff of {wait:.3f}s before retrying {method} "
-                        f"would overrun the plan deadline "
-                        f"(remaining {self.deadline.remaining():.3f}s)"
-                    ) from error
-                self.backoff_waited += wait
-                if self.sleep is not None:
-                    self.sleep(wait)
-                self.retries += 1
-            except AccessError as error:
-                # Permanent: breaker learns, caller decides (failover).
-                if breaker is not None:
-                    breaker.record_failure(
-                        permanent=isinstance(error, MethodOutage)
-                    )
-                error.attempts = attempt
-                raise
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return result
+                else:
+                    if breaker is not None:
+                        breaker.record_success()
+                    return result
+
+        return dispatch
+
+    def call(
+        self, fetch: Callable[[], object], method: str, inputs: Tuple = ()
+    ):
+        """Run one dispatch of a zero-argument ``fetch`` thunk.
+
+        :meth:`bind` for a single call: what a batched access (one
+        round trip for many keys) and a caller with one key use.
+        ``inputs`` only identifies the call -- to the retry jitter and
+        to a :class:`~repro.errors.CircuitOpen`.
+        """
+        return self.bind(lambda _inputs: fetch(), method)(inputs)
 
     @property
     def breaker_trips(self) -> int:

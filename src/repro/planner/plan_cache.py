@@ -52,6 +52,14 @@ from repro.schema.core import Schema
 CACHE_KIND = "repro.plan-cache"
 CACHE_VERSION = 2
 
+# ``json.dumps`` with non-default arguments builds a ``JSONEncoder`` per
+# call; a cache key is rendered on every request, so the two renderings
+# it uses are each one encoder.  Same arguments, byte-identical text.
+_canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=str
+).encode
+_constant_json = json.JSONEncoder(sort_keys=True, default=str).encode
+
 
 def entry_checksum(entry: Mapping[str, Any]) -> str:
     """The BLAKE2b content checksum of one disk entry (sans checksum).
@@ -61,11 +69,8 @@ def entry_checksum(entry: Mapping[str, Any]) -> str:
     write, or a concurrent editor moves the digest and the entry is
     quarantined instead of trusted.
     """
-    payload = json.dumps(
-        {k: v for k, v in entry.items() if k != "checksum"},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
+    payload = _canonical_json(
+        {k: v for k, v in entry.items() if k != "checksum"}
     )
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -85,7 +90,7 @@ def canonical_query_text(query: ConjunctiveQuery) -> str:
         if isinstance(term, Variable):
             return f"?{term.name}"
         if isinstance(term, Constant):
-            return json.dumps(term.value, sort_keys=True, default=str)
+            return _constant_json(term.value)
         raise ValueError(f"cannot render query term {term!r}")
 
     head = ",".join(render(v) for v in query.head)
@@ -113,15 +118,12 @@ def plan_cache_key(
         identity = {"kind": "default"}
     else:
         identity = cost.identity()
-    payload = json.dumps(
+    payload = _canonical_json(
         {
             "query": canonical_query_text(query),
             "schema": schema.fingerprint(),
             "cost": identity,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
+        }
     )
     return hashlib.blake2b(
         payload.encode("utf-8"), digest_size=16

@@ -15,6 +15,7 @@ access cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -101,6 +102,13 @@ class AccessCommand:
         :class:`~repro.exec.resilience.ResilientDispatcher`) wraps each
         dispatch in retry/backoff, circuit-breaker and deadline checks;
         without it a failing access propagates immediately.
+
+        The distinct tuples reach the source one of two ways.  A source
+        that offers ``access_batch`` (and no cache in the way) is asked
+        for all of them in one guarded call.  Otherwise the path from a
+        key to its rows is bound once (:func:`bound_access`) and the
+        loop only calls it: one access per key, in the order of the
+        distinct set, exactly the accesses the cost function charges.
         """
         inputs = self.input_expr.evaluate(env)
         try:
@@ -154,21 +162,9 @@ class AccessCommand:
                 fetched += len(accessed_rows)
                 collect(accessed_rows)
         else:
+            access = bound_access(source, self.method, cache, resilience)
             for values in distinct:
-                if resilience is not None:
-                    if cache is not None:
-                        fetch = lambda v=values: cache.fetch(
-                            source, self.method, v
-                        )
-                    else:
-                        fetch = lambda v=values: source.access(self.method, v)
-                    accessed_rows = resilience.call(
-                        fetch, self.method, inputs=values
-                    )
-                elif cache is not None:
-                    accessed_rows = cache.fetch(source, self.method, values)
-                else:
-                    accessed_rows = source.access(self.method, values)
+                accessed_rows = access(values)
                 fetched += len(accessed_rows)
                 collect(accessed_rows)
         if stats is not None:
@@ -276,6 +272,29 @@ class MiddlewareCommand:
 
 
 Command = Union[AccessCommand, MiddlewareCommand]
+
+
+def bound_access(
+    source, method: str, cache=None, resilience=None
+) -> Callable[[Row], Iterable[Row]]:
+    """The path from one key of ``method`` to its rows, bound once.
+
+    The one composition of ``resilience x cache x source``, shared by
+    both executors: the source's ``access`` (or, with an
+    :class:`~repro.exec.cache.AccessCache`, its memo over it), inside
+    the :class:`~repro.exec.resilience.ResilientDispatcher`'s guard
+    when there is one.  Each layer's ``bind`` settles here what is the
+    same for every key of an access command -- the method's breaker,
+    how the source's epoch is read -- and the callable returned decides
+    the rest per key.
+    """
+    if cache is not None:
+        fetch = cache.bind(source, method)
+    else:
+        fetch = partial(source.access, method)
+    if resilience is not None:
+        return resilience.bind(fetch, method)
+    return fetch
 
 
 def identity_output_map(

@@ -12,10 +12,11 @@ Two additions make *real* backends safe to put behind the planner:
   change underneath us must expose a monotone ``epoch()``; anything
   derived from its answers (the :class:`~repro.exec.cache.AccessCache`,
   a paginated result sequence) is valid only within one epoch.
-  :func:`source_epoch` is the single reading point: it prefers
+  :func:`epoch_reader` is the single resolution point: it prefers
   ``epoch()``, falls back to ``instance.version`` (the in-memory
   sources' native token), and answers 0 for epoch-less sources --
-  preserving the old cache behaviour exactly.
+  preserving the old cache behaviour exactly.  :func:`source_epoch`
+  is one read through it.
 
 * **Defensive I/O wrappers.**  :class:`PacedSource` (client-side
   token-bucket pacing mapped to the existing
@@ -96,24 +97,34 @@ class SourceAdapter(Protocol):
         ...
 
 
-def source_epoch(source) -> int:
-    """The source's current snapshot token, through any wrapper stack.
+def epoch_reader(source) -> Callable[[], Any]:
+    """How to read a source's snapshot token, resolved once.
 
     Prefers a callable ``epoch()`` (the adapter protocol), falls back
     to ``instance.version`` (the in-memory sources), and answers 0 for
     sources with neither -- so epoch-less callers keep the exact
     pre-adapter cache semantics.  Wrappers delegate ``epoch`` via
-    ``__getattr__``, so reading through a stack reaches the backend.
+    ``__getattr__``, so resolving through a stack reaches the backend.
+    The reader returned is what a caller with many reads to make (the
+    :class:`~repro.exec.cache.AccessCache`, once per key of an access
+    command) calls for each; which of the three it is cannot change
+    while a source object lives.
     """
     epoch = getattr(source, "epoch", None)
     if callable(epoch):
-        return int(epoch())
+        return epoch
     instance = getattr(source, "instance", None)
-    if instance is not None:
-        version = getattr(instance, "version", None)
-        if version is not None:
-            return int(version)
-    return 0
+    if getattr(instance, "version", None) is not None:
+        return lambda: source.instance.version
+    return lambda: 0
+
+
+def source_epoch(source) -> int:
+    """The source's current snapshot token, through any wrapper stack.
+
+    One read through :func:`epoch_reader`.
+    """
+    return int(epoch_reader(source)())
 
 
 class MeteredSourceMixin:

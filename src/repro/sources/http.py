@@ -473,10 +473,7 @@ class HTTPSource(MeteredSourceMixin):
         with self._lock:
             self.log.append(
                 AccessRecord(
-                    method=method_name,
-                    relation=method.relation,
-                    inputs=values,
-                    results=len(matching),
+                    method_name, method.relation, values, len(matching)
                 )
             )
         return matching
@@ -522,10 +519,7 @@ class HTTPSource(MeteredSourceMixin):
                 results[values] = rows
                 self.log.append(
                     AccessRecord(
-                        method=method_name,
-                        relation=method.relation,
-                        inputs=values,
-                        results=len(rows),
+                        method_name, method.relation, values, len(rows)
                     )
                 )
         return results

@@ -117,9 +117,11 @@ _STATEMENT_ERRORS = (
 _CHUNK_PARAMS = 250
 
 
-def _encode_cell(value) -> str:
-    """One typed cell as canonical JSON text (exact round trip)."""
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+#: One typed cell as canonical JSON text (exact round trip):
+#: ``json.dumps(value, separators=(",", ":"), sort_keys=True)`` through
+#: one encoder -- ``json.dumps`` with non-default arguments builds a
+#: ``JSONEncoder`` per call, and a keyed access encodes every key cell.
+_encode_cell = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def _decode_cell(text: str) -> Constant:
@@ -348,7 +350,7 @@ class SQLiteSource(MeteredSourceMixin):
         self, method_name: str, inputs: Sequence[object]
     ) -> Tuple[AccessMethod, Tuple[Constant, ...]]:
         method = self.schema.method(method_name)
-        values = tuple(_to_constant(v) for v in inputs)
+        values = tuple(map(_to_constant, inputs))
         if len(values) != len(method.input_positions):
             raise AccessViolation(
                 f"method {method_name} needs "
@@ -386,10 +388,7 @@ class SQLiteSource(MeteredSourceMixin):
         with self._lock:
             self.log.append(
                 AccessRecord(
-                    method=method_name,
-                    relation=method.relation,
-                    inputs=values,
-                    results=len(matching),
+                    method_name, method.relation, values, len(matching)
                 )
             )
         return matching
@@ -420,10 +419,10 @@ class SQLiteSource(MeteredSourceMixin):
             for values in keyed:
                 self.log.append(
                     AccessRecord(
-                        method=method_name,
-                        relation=method.relation,
-                        inputs=values,
-                        results=len(results[values]),
+                        method_name,
+                        method.relation,
+                        values,
+                        len(results[values]),
                     )
                 )
         return results

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data.instance import Instance
-from repro.data.source import AccessViolation, InMemorySource
+from repro.data.source import AccessRecord, AccessViolation, InMemorySource
 from repro.logic.terms import Constant
 from repro.schema.core import SchemaBuilder
 
@@ -184,3 +184,59 @@ class TestMetering:
         source.access("mt_scan")
         source.reset_log()
         assert source.total_invocations == 0
+
+
+class TestAccessRecord:
+    """The log record is a named tuple; every reader's use of it holds."""
+
+    def test_fields_by_name_and_keyword_construction(self, source):
+        source.access("mt_key", ("a",))
+        record = source.log[0]
+        assert (record.method, record.relation) == ("mt_key", "R")
+        assert record.inputs == (Constant("a"),)
+        assert record.results == 2
+        assert record == AccessRecord(
+            method="mt_key",
+            relation="R",
+            inputs=(Constant("a"),),
+            results=2,
+        )
+        assert record == AccessRecord("mt_key", "R", (Constant("a"),), 2)
+
+    def test_hashable_and_immutable(self, source):
+        source.access("mt_key", ("a",))
+        source.access("mt_key", ("a",))
+        source.access("mt_key", ("b",))
+        assert len(set(source.log)) == 2
+        with pytest.raises(AttributeError):
+            source.log[0].results = 99
+        with pytest.raises(AttributeError):
+            source.log[0].extra = 1
+        assert source.log[0].results == 2
+
+    def test_a_charged_cache_hit_logs_the_sources_own_record(self, source):
+        from repro.exec.cache import AccessCache
+
+        cache = AccessCache(charge_hits=True)
+        calls = [
+            ("mt_key", (Constant("a"),)),
+            ("mt_key", (Constant("zzz"),)),
+            ("mt_scan", ()),
+        ]
+        for method, inputs in calls + calls:
+            cache.fetch(source, method, inputs)
+        assert (cache.hits, cache.misses) == (3, 3)
+        by_the_source, by_the_cache = source.log[:3], source.log[3:]
+        assert by_the_cache == by_the_source
+        assert [type(record) for record in by_the_cache] == [AccessRecord] * 3
+
+    def test_readers_of_the_log(self, source):
+        source.access("mt_key", ("a",))
+        source.access("mt_scan")
+        assert source._log_snapshot() == tuple(source.log)
+        assert source.distinct_accesses() == {
+            ("mt_key", (Constant("a"),)),
+            ("mt_scan", ()),
+        }
+        assert source.invocations_of("mt_scan") == 1
+        assert source.charged_cost() == pytest.approx(7.0)

@@ -17,7 +17,7 @@ from repro.errors import (
 from repro.scenarios import example1
 from repro.schema.core import SchemaBuilder
 from repro.sources import SQLiteSource
-from repro.sources.sqlite import _CHUNK_PARAMS
+from repro.sources.sqlite import _CHUNK_PARAMS, _encode_cell, _key_encodings
 
 _NO_SLEEP = lambda _seconds: None  # noqa: E731
 
@@ -103,6 +103,29 @@ class TestTypedRoundTrip:
         sql = SQLiteSource(typed_schema(), typed_instance(), sleep=_NO_SLEEP)
         with pytest.raises(AccessViolation):
             sql.access("mt_T", ())
+
+    @pytest.mark.parametrize(
+        "value",
+        ["a", 'q"uo\\te', "\u00e9\u4e16", "", 0, 1, -7, 2**70, 1.0, 0.5,
+         1e300, -0.0, float("inf"), True, False],
+        ids=repr,
+    )
+    def test_cell_text_is_what_json_dumps_wrote(self, value):
+        """The shared encoder writes the bytes the per-call one did."""
+        import json
+
+        assert _encode_cell(value) == json.dumps(
+            value, separators=(",", ":"), sort_keys=True
+        )
+
+    def test_key_spellings_of_python_equal_values(self):
+        assert _key_encodings(1) == ["1", "1.0", "true"]
+        assert _key_encodings(1.0) == ["1", "1.0", "true"]
+        assert _key_encodings(True) == ["1", "1.0", "true"]
+        assert _key_encodings(0) == ["0", "0.0", "false"]
+        assert _key_encodings(2) == ["2", "2.0"]
+        assert _key_encodings(2.5) == ["2.5"]
+        assert _key_encodings("1") == ['"1"']
 
 
 class TestReconnectLifecycle:
