@@ -1,24 +1,19 @@
-"""SEARCH: Algorithm 1 hot-loop throughput, baseline vs incremental.
+"""SEARCH: Algorithm 1's hot loop, one series.
 
-Two surfaces:
+Two families, chosen for where a search spends its time:
 
-* pytest-benchmark series (``pytest benchmarks/bench_search.py``):
-  planning time on the k-sources family under the unoptimized baseline
-  (naive domination scan, full candidate rescans, full cost recompute,
-  deep configuration copies) and the incremental hot loop (fingerprint
-  domination index, inherited candidates, delta cost, copy-on-write
-  forks);
-* a standalone comparison runner (``python benchmarks/bench_search.py``)
-  that plans every point under three modes -- ``baseline`` (naive),
-  ``linear`` (the prefiltered scan the incremental registry replaced)
-  and ``incremental`` -- and writes the machine-readable
-  ``BENCH_search.json`` (rendered by ``report.py --search-json``):
-  wall time, domination-check breakdowns, candidate inheritance counts
-  and the derived homomorphism-call reduction and speedup, with
-  equivalence of ``best_cost``, ``pruned_by_domination`` and
-  ``exhausted`` asserted across all modes (plus one non-timed
-  ``differential`` run per point asserting per-check agreement of the
-  fingerprint index with the linear oracle).
+* ``example5[k]`` (k redundant sources) -- many small nodes, most closed
+  by the cost bound; what is left is forking, ranking and pricing;
+* ``views[k]`` (k interchangeable views) -- few kept nodes and a
+  domination check per expansion against all of them: the family where
+  domination time lives (``plan_cold``'s p95 is ``views[32]``).
+
+Two surfaces: a pytest-benchmark series (``pytest
+benchmarks/bench_search.py``) and a standalone runner (``python
+benchmarks/bench_search.py``) that writes ``BENCH_search.json``
+(rendered by ``report.py --search-json``): wall time plus
+``SearchStats.as_dict()`` per point.  CI compares the smoke run's tree
+counts with the committed file's.
 """
 
 import argparse
@@ -30,54 +25,34 @@ import pytest
 
 from benchmarks.conftest import record
 from repro.planner.search import SearchOptions, find_best_plan
-from repro.scenarios import redundant_sources
+from repro.scenarios import redundant_sources, view_stack_scenario
 
-# The unoptimized reference: linear domination scan with a full
-# homomorphism per registered node, full candidate/cost recomputation,
-# deep configuration copies.
-BASELINE = dict(
-    domination_index="naive",
-    incremental_candidates=False,
-    incremental_cost=False,
-    cow_configs=False,
-)
-# The pre-overhaul implementation: linear scan with the relation-subset
-# prefilter, everything else recomputed from scratch.
-LINEAR = dict(
-    domination_index="linear",
-    incremental_candidates=False,
-    incremental_cost=False,
-    cow_configs=False,
-)
-# The incremental hot loop (the defaults).
-INCREMENTAL = dict()
-
-MODES = {
-    "baseline": BASELINE,
-    "linear": LINEAR,
-    "incremental": INCREMENTAL,
+# family -> (scenario factory of k, access budget of k)
+FAMILIES = {
+    "example5": (redundant_sources, lambda k: k + 1),
+    "views": (view_stack_scenario, lambda k: 6),
 }
+FULL = [("example5", k) for k in (4, 5, 6)] + [
+    ("views", k) for k in (8, 16, 32)
+]
+# Every smoke point is also a full point, so CI has counts to compare.
+SMOKE = [("example5", 4), ("views", 8)]
 
 
-def _options(k, overrides):
-    return SearchOptions(max_accesses=k + 1, **overrides)
+def _plan(family, k):
+    factory, budget = FAMILIES[family]
+    scenario = factory(k)
+    return find_best_plan(
+        scenario.schema, scenario.query, SearchOptions(max_accesses=budget(k))
+    )
 
 
-@pytest.mark.parametrize("mode", list(MODES))
-@pytest.mark.parametrize("k", [3, 4])
-def test_search_modes(benchmark, k, mode):
-    scenario = redundant_sources(k)
-
-    def plan():
-        return find_best_plan(
-            scenario.schema, scenario.query, _options(k, MODES[mode])
-        )
-
-    result = benchmark(plan)
+@pytest.mark.parametrize("family,k", SMOKE)
+def test_search(benchmark, family, k):
+    result = benchmark(_plan, family, k)
     assert result.found
     record(
         benchmark,
-        mode=mode,
         nodes=result.stats.nodes_created,
         best_cost=result.best_cost,
         dom_hom_calls=result.stats.domination.hom_calls,
@@ -85,20 +60,20 @@ def test_search_modes(benchmark, k, mode):
     )
 
 
-# ------------------------------------------------------ standalone comparison
-def _measure(scenario, k, overrides, repeats):
-    """Best-of-``repeats`` wall time plus the final run's search stats."""
+# ---------------------------------------------------------- standalone runner
+def _measure(family, k, repeats):
+    """Best-of-``repeats`` wall time (scenario built inside, as a cold
+    planner would) plus the final run's search stats."""
     best_time = None
-    result = None
     for _ in range(repeats):
         started = time.perf_counter()
-        result = find_best_plan(
-            scenario.schema, scenario.query, _options(k, overrides)
-        )
+        result = _plan(family, k)
         elapsed = time.perf_counter() - started
         if best_time is None or elapsed < best_time:
             best_time = elapsed
     return {
+        "scenario": f"{family}[{k}]",
+        "k": k,
         "wall_time": best_time,
         "best_cost": result.best_cost,
         "exhausted": result.exhausted,
@@ -106,57 +81,10 @@ def _measure(scenario, k, overrides, repeats):
     }
 
 
-def run_comparison(ks, repeats=3):
-    """Plan every k under all modes; return the comparison report."""
-    rows = []
-    for k in ks:
-        scenario = redundant_sources(k)
-        entry = {"k": k, "scenario": scenario.name}
-        for mode, overrides in MODES.items():
-            entry[mode] = _measure(scenario, k, overrides, repeats)
-        # Per-check agreement of the fingerprint index with the linear
-        # oracle (raises DominationMismatch on any disagreement).
-        find_best_plan(
-            scenario.schema,
-            scenario.query,
-            _options(k, dict(domination_index="differential")),
-        )
-        base, incr = entry["baseline"], entry["incremental"]
-        # Every mode must explore the same tree and find the same plan.
-        for mode in MODES:
-            other = entry[mode]
-            assert other["best_cost"] == base["best_cost"], (k, mode)
-            assert other["exhausted"] == base["exhausted"], (k, mode)
-            assert other["nodes_created"] == base["nodes_created"], (k, mode)
-            assert (
-                other["pruned_by_domination"]
-                == base["pruned_by_domination"]
-            ), (k, mode)
-        base_homs = base["domination"]["hom_calls"]
-        incr_homs = incr["domination"]["hom_calls"]
-        entry["hom_reduction"] = (
-            base_homs / incr_homs if incr_homs else float("inf")
-        )
-        entry["speedup"] = (
-            base["wall_time"] / incr["wall_time"]
-            if incr["wall_time"]
-            else float("inf")
-        )
-        rows.append(entry)
-    return {
-        "benchmark": "bench_search",
-        "mode": "smoke" if max(ks) <= 4 else "full",
-        "ks": list(ks),
-        "rows": rows,
-    }
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="compare baseline vs incremental Algorithm 1 search"
-    )
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--smoke", action="store_true", help="k <= 4 only (CI)"
+        "--smoke", action="store_true", help="one small point per family (CI)"
     )
     parser.add_argument(
         "--repeats", type=int, default=5, help="timing repeats per point"
@@ -165,21 +93,25 @@ def main(argv=None):
         "--output", default="BENCH_search.json", help="report destination"
     )
     args = parser.parse_args(argv)
-    ks = [3, 4] if args.smoke else [4, 5, 6]
-    report = run_comparison(ks, repeats=args.repeats)
+    report = {
+        "benchmark": "bench_search",
+        "mode": "smoke" if args.smoke else "full",
+        "rows": [
+            _measure(family, k, args.repeats)
+            for family, k in (SMOKE if args.smoke else FULL)
+        ],
+    }
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
     for row in report["rows"]:
-        base, incr = row["baseline"], row["incremental"]
+        dom = row["domination"]
         print(
-            f"{row['scenario']}: "
-            f"{row['hom_reduction']:.1f}x fewer domination hom calls "
-            f"({base['domination']['hom_calls']} -> "
-            f"{incr['domination']['hom_calls']}), "
-            f"{row['speedup']:.2f}x faster "
-            f"({base['wall_time'] * 1e3:.1f} -> "
-            f"{incr['wall_time'] * 1e3:.1f} ms), "
-            f"best cost {incr['best_cost']}"
+            f"{row['scenario']}: {row['wall_time'] * 1e3:.1f} ms, "
+            f"{row['nodes_created']} nodes, "
+            f"{row['pruned_by_domination']} dominated "
+            f"({dom['hom_calls']} hom calls, "
+            f"{dom['time_seconds'] * 1e3:.2f} ms in checks), "
+            f"best cost {row['best_cost']}"
         )
     print(f"wrote {args.output}")
     return 0

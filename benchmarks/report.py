@@ -36,7 +36,7 @@ The default mode groups pytest-benchmark rows by module and prints one
 markdown table per module with mean/stddev timings and every
 ``extra_info`` measurement.  ``--chase-json`` instead renders the
 naive-vs-semi-naive comparison report emitted by ``bench_chase.py``,
-``--search-json`` the baseline-vs-incremental search comparison
+``--search-json`` the search series
 emitted by ``bench_search.py``, and ``--exec-json`` the
 naive-vs-runtime dispatcher comparison emitted by
 ``bench_execution.py``.
@@ -142,31 +142,29 @@ def render_chase(report: Dict) -> str:
 
 
 def render_search(report: Dict) -> str:
-    """Markdown table for a ``bench_search.py`` comparison report."""
+    """Markdown table for a ``bench_search.py`` report."""
     lines = [
-        "### Algorithm 1 search: baseline vs incremental "
-        f"({report['mode']})",
+        f"### Algorithm 1 search ({report['mode']})",
         "",
-        "| scenario | baseline homs | incremental homs | reduction"
-        " | baseline time | incremental time | speedup"
-        " | best cost | nodes |",
+        "| scenario | time | nodes | expanded | dominated | hom calls"
+        " | seeded hits | in checks | best cost |",
         "|---|---|---|---|---|---|---|---|---|",
     ]
     for row in report["rows"]:
-        base, incr = row["baseline"], row["incremental"]
+        dom = row["domination"]
         lines.append(
             "| "
             + " | ".join(
                 [
                     row["scenario"],
-                    str(base["domination"]["hom_calls"]),
-                    str(incr["domination"]["hom_calls"]),
-                    f"{row['hom_reduction']:.1f}x",
-                    _time(base["wall_time"]),
-                    _time(incr["wall_time"]),
-                    f"{row['speedup']:.2f}x",
-                    format_value(incr["best_cost"]),
-                    str(incr["nodes_created"]),
+                    _time(row["wall_time"]),
+                    str(row["nodes_created"]),
+                    str(row["nodes_expanded"]),
+                    str(row["pruned_by_domination"]),
+                    str(dom["hom_calls"]),
+                    str(dom["seeded_hits"]),
+                    _time(dom["time_seconds"]),
+                    format_value(row["best_cost"]),
                 ]
             )
             + " |"
@@ -670,7 +668,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--search-json", metavar="PATH",
-        help="render a bench_search.py comparison report instead",
+        help="render a bench_search.py report instead",
     )
     parser.add_argument(
         "--exec-json", metavar="PATH",

@@ -177,8 +177,8 @@ class ChaseConfiguration:
     def deep_copy(self) -> "ChaseConfiguration":
         """A fully materialised copy sharing no mutable state.
 
-        The pre-copy-on-write behaviour, kept for differential testing
-        and as the baseline mode of the search benchmarks.
+        What :meth:`copy` must be indistinguishable from; tests fork
+        with it as the reference.
         """
         clone = ChaseConfiguration.__new__(ChaseConfiguration)
         clone._index = self._index.copy()

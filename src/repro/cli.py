@@ -38,7 +38,6 @@ from repro.exec import (
 from repro.faults import FaultInjectingSource, FaultPolicy, VirtualClock
 from repro.logic.queries import parse_cq
 from repro.planner.answerability import default_policy_for
-from repro.planner.domination import REGISTRY_KINDS
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.plans.tools import to_sql
 from repro.scenarios import (
@@ -320,13 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--max-accesses", type=int, default=6)
     for command in (demo, serve, plan, check):
         command.add_argument(
-            "--chase-strategy",
-            choices=["semi-naive", "naive"],
-            default="semi-naive",
-            help="chase evaluation strategy for per-node saturation "
-                 "(naive is the slow reference oracle)",
-        )
-        command.add_argument(
             "--chase-stats",
             action="store_true",
             help="print aggregated chase instrumentation after planning",
@@ -335,17 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--search-stats",
             action="store_true",
             help="print the search hot-loop breakdown after planning "
-                 "(domination checks, candidate inheritance, copy/cost "
-                 "timings)",
-        )
-        command.add_argument(
-            "--domination-index",
-            choices=list(REGISTRY_KINDS),
-            default="fingerprint",
-            help="domination registry: fingerprint (indexed), linear "
-                 "(original prefiltered scan), naive (unoptimized "
-                 "reference), differential (fingerprint checked against "
-                 "linear on every query)",
+                 "(domination checks, copy/candidate/cost timings)",
         )
     return parser
 
@@ -373,8 +355,7 @@ def _demo(args) -> int:
         scenario.query,
         SearchOptions(
             max_accesses=args.max_accesses,
-            chase_policy=_chase_policy(args, scenario.schema),
-            domination_index=args.domination_index,
+            chase_policy=default_policy_for(scenario.schema),
         ),
     )
     _print_chase_stats(args, result)
@@ -498,8 +479,7 @@ def _demo_calibrated(args, scenario, instance, exec_stats) -> None:
             max_accesses=args.max_accesses,
             cost=cost,
             prune_by_bound=True,
-            chase_policy=_chase_policy(args, scenario.schema),
-            domination_index=args.domination_index,
+            chase_policy=default_policy_for(scenario.schema),
         ),
     )
     print(f"\ncalibration [{store.summary()}]")
@@ -533,8 +513,7 @@ def _serve_demo(args) -> int:
     scenario = SCENARIOS[args.scenario]()
     search_options = SearchOptions(
         max_accesses=args.max_accesses,
-        chase_policy=_chase_policy(args, scenario.schema),
-        domination_index=args.domination_index,
+        chase_policy=default_policy_for(scenario.schema),
     )
     use_plan_cache = args.plan_cache or args.plan_cache_dir is not None
     plan_cache = (
@@ -674,13 +653,6 @@ def _chaos_scenario(args) -> int:
     return 0
 
 
-def _chase_policy(args, schema):
-    """The schema-appropriate chase policy with the requested strategy."""
-    policy = default_policy_for(schema)
-    policy.strategy = args.chase_strategy
-    return policy
-
-
 def _print_chase_stats(args, result) -> None:
     if args.chase_stats:
         print(f"chase [{result.stats.chase.summary()}]\n")
@@ -700,8 +672,7 @@ def _plan(args, check_only: bool) -> int:
         query,
         SearchOptions(
             max_accesses=args.max_accesses,
-            chase_policy=_chase_policy(args, schema),
-            domination_index=args.domination_index,
+            chase_policy=default_policy_for(schema),
         ),
     )
     _print_chase_stats(args, result)

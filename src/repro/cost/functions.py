@@ -9,21 +9,13 @@ All cost functions expose two entry points:
 Monotonicity (appending commands never decreases cost) is what makes the
 cost-bound pruning of Section 5 sound; :func:`is_monotone_on` provides a
 programmatic spot-check used by the test suite.
-
-Because every search-node expansion only *appends* commands to the
-parent's prefix, cost functions additionally support an incremental
-path: :meth:`CostFunction.cost_state` yields an opaque accumulator and
-:meth:`CostFunction.delta_cost` extends it with the appended commands,
-charging O(|new commands|) per expansion instead of re-walking the whole
-prefix.  The base-class default falls back to a full recompute, so
-third-party cost functions stay correct without opting in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
@@ -50,28 +42,6 @@ class CostFunction:
     def commands_cost(self, commands: Sequence[Command]) -> float:
         """Monotone cost of a command prefix."""
         raise NotImplementedError
-
-    def cost_state(self) -> object:
-        """The initial opaque accumulator for :meth:`delta_cost`.
-
-        The default state is the command prefix itself, which makes the
-        default ``delta_cost`` a full recompute -- correct for any
-        subclass.  Subclasses override both methods together.
-        """
-        return ()
-
-    def delta_cost(
-        self, state: object, new_commands: Sequence[Command]
-    ) -> Tuple[object, float]:
-        """Charge only the appended commands of a growing prefix.
-
-        Returns ``(next_state, total_cost)`` where ``total_cost`` equals
-        ``commands_cost(prefix + new_commands)``; threading ``next_state``
-        through successive extensions is what lets Algorithm 1 cost each
-        expansion in O(|new_commands|).
-        """
-        commands = tuple(state) + tuple(new_commands)
-        return commands, self.commands_cost(commands)
 
     def plan_cost(self, plan: Plan) -> float:
         """Cost of a complete plan (defaults to its command list)."""
@@ -139,17 +109,6 @@ class SimpleCostFunction(CostFunction):
             if isinstance(c, AccessCommand)
         )
 
-    def cost_state(self) -> float:
-        """Running total; per-method weights are context-free."""
-        return 0.0
-
-    def delta_cost(
-        self, state: float, new_commands: Sequence[Command]
-    ) -> Tuple[float, float]:
-        """O(|new_commands|): add the appended commands' weights."""
-        total = state + self.commands_cost(new_commands)
-        return total, total
-
     def identity(self) -> Dict[str, object]:
         """Kind plus the full per-method weight table and default."""
         return {
@@ -177,17 +136,6 @@ class CountingCostFunction(CostFunction):
         return float(
             sum(1 for c in commands if isinstance(c, AccessCommand))
         )
-
-    def cost_state(self) -> float:
-        """Running total; counting is context-free."""
-        return 0.0
-
-    def delta_cost(
-        self, state: float, new_commands: Sequence[Command]
-    ) -> Tuple[float, float]:
-        """O(|new_commands|): count the appended access commands."""
-        total = state + self.commands_cost(new_commands)
-        return total, total
 
     def min_access_charge(self) -> float:
         """Every access command costs exactly one unit."""
@@ -281,23 +229,6 @@ class CardinalityCostFunction(CostFunction):
         for command in commands:
             total += self._advance(estimates, static_bounds, command)
         return total
-
-    def cost_state(self) -> Tuple[float, Dict[str, float], Dict[str, float]]:
-        """Running total, table-size estimates, and static bounds so far."""
-        return 0.0, {}, {}
-
-    def delta_cost(
-        self,
-        state: Tuple[float, Mapping[str, float], Mapping[str, float]],
-        new_commands: Sequence[Command],
-    ) -> Tuple[Tuple[float, Dict[str, float], Dict[str, float]], float]:
-        """O(|new_commands|): the estimate dicts carry the context."""
-        total, estimates, static_bounds = state
-        estimates = dict(estimates)
-        static_bounds = dict(static_bounds)
-        for command in new_commands:
-            total += self._advance(estimates, static_bounds, command)
-        return (total, estimates, static_bounds), total
 
     def identity(self) -> Dict[str, object]:
         """Kind plus every estimator knob, key-sorted.

@@ -19,7 +19,7 @@ failover executor re-plans around.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple
 
 # The transient fault kinds, in the order the unit interval is carved up.
@@ -124,6 +124,22 @@ class FaultPolicy:
     def outage(cls, method: str, after: int = 0, seed: int = 0) -> "FaultPolicy":
         """A schedule whose only fault is one method's hard outage."""
         return cls(seed=seed, outages={method: after})
+
+    # -------------------------------------------------- plain-data round trip
+    def to_dict(self) -> Dict[str, object]:
+        """The nine fields as JSON-able data (what source specs carry)."""
+        data: Dict[str, object] = {
+            f.name: getattr(self, f.name) for f in fields(self)
+        }
+        data["outages"] = dict(self.outages)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "FaultPolicy":
+        """Inverse of :meth:`to_dict`; every field must be present."""
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["outages"] = dict(values["outages"])
+        return cls(**values)
 
     # ------------------------------------------------------- the schedule
     def kind_for(self, method: str, inputs: Tuple) -> Optional[str]:

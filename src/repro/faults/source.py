@@ -101,12 +101,15 @@ class FaultInjectingSource:
             self._attempts[key] = attempt + 1
             invocation = self._method_calls.get(method_name, 0)
             self._method_calls[method_name] = invocation + 1
-            self.stats.calls += 1
+            # One access counts on one stats object from start to
+            # finish, whatever ``reset_faults`` swaps in meanwhile.
+            stats = self.stats
+            stats.calls += 1
 
         relation = self._relation_of(method_name)
         if self.policy.is_out(method_name, invocation):
             with self._lock:
-                self.stats.outage_refusals += 1
+                stats.outage_refusals += 1
             raise MethodOutage(
                 f"method is hard-down (invocation #{invocation})",
                 method=method_name,
@@ -119,7 +122,7 @@ class FaultInjectingSource:
                 rows = self.inner.access(method_name, values)
                 kept = frozenset(sorted(rows)[: self.policy.truncation_keep])
                 with self._lock:
-                    self.stats.injected[kind] += 1
+                    stats.injected[kind] += 1
                 raise ResultTruncated(
                     f"result truncated to {len(kept)} of {len(rows)} rows "
                     f"(attempt {attempt})",
@@ -129,7 +132,7 @@ class FaultInjectingSource:
                     inputs=values,
                 )
             with self._lock:
-                self.stats.injected[kind] += 1
+                stats.injected[kind] += 1
             error = {
                 KIND_UNAVAILABLE: SourceUnavailable,
                 KIND_TIMEOUT: AccessTimeout,
@@ -143,11 +146,11 @@ class FaultInjectingSource:
             )
         if self.policy.latency:
             with self._lock:
-                self.stats.injected_latency += self.policy.latency
+                stats.injected_latency += self.policy.latency
             if self.clock is not None:
                 self.clock.advance(self.policy.latency)
         with self._lock:
-            self.stats.delivered += 1
+            stats.delivered += 1
         return self.inner.access(method_name, values)
 
     def _relation_of(self, method_name: str) -> Optional[str]:
@@ -159,9 +162,10 @@ class FaultInjectingSource:
     # ------------------------------------------------------- inspection
     def reset_faults(self) -> None:
         """Forget attempt history and stats (the schedule is unchanged)."""
-        self.stats = FaultStats()
-        self._attempts.clear()
-        self._method_calls.clear()
+        with self._lock:
+            self.stats = FaultStats()
+            self._attempts.clear()
+            self._method_calls.clear()
 
     def __repr__(self) -> str:
         return f"FaultInjectingSource({self.inner!r}, {self.stats.summary()})"

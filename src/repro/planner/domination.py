@@ -10,20 +10,21 @@ variables.
 
 Two things keep the check from touching the whole configuration.
 
-**Which nodes to test** -- a *signature subsumption* index.  Every
-configuration has a signature: the relations with a relevant fact, plus
-every *rigid* term occurrence ``(relation, position, term)``, rigid
-meaning a schema constant or a frozen head null (the terms a domination
-homomorphism maps to themselves).  A homomorphism sends each pattern
-atom to a fact of the same relation that agrees with it on every rigid
-position, so a dominator's signature **contains** the candidate's:
-subsumption can only admit false positives, never reject a dominator.
-An inverted index from signature elements to registered nodes gives the
-survivors by intersecting posting lists; they are visited cheapest
-first (registration order among equals) up to the candidate's cost.
-Per-relation fact *counts* are deliberately not compared: homomorphisms
-need not be injective, so a dominator may hold fewer facts of a relation
-than the pattern it absorbs.
+**Which nodes to test** -- *signature subsumption*.  Every configuration
+has a signature: the relations with a relevant fact, plus every *rigid*
+term occurrence ``(relation, position, term)``, rigid meaning a schema
+constant or a frozen head null (the terms a domination homomorphism maps
+to themselves).  A homomorphism sends each pattern atom to a fact of the
+same relation that agrees with it on every rigid position, so a
+dominator's signature **contains** the candidate's: subsumption can only
+admit false positives, never reject a dominator.  The survivors are
+found by one ``frozenset`` subset test per registered node -- a C-level
+scan that measured faster than the inverted index it replaced
+(EXPERIMENTS.md, FORKS) -- and visited cheapest first (registration
+order among equals) up to the candidate's cost.  Per-relation fact
+*counts* are deliberately not compared: homomorphisms need not be
+injective, so a dominator may hold fewer facts of a relation than the
+pattern it absorbs.
 
 **What to map** -- only what the branch added.  Configurations grow
 along a branch and never shrink, and a fork keeps its parent's fact log
@@ -54,11 +55,9 @@ so every verdict and every reported dominator is the one the
 from-scratch check gives.  A check made without a parent (the root, or
 a caller with no lineage to offer) is from scratch throughout.
 
-:class:`LinearRegistry` is the prefiltered from-scratch scan and
-:class:`NaiveRegistry` the unfiltered one; both ignore the parent.
-:class:`DifferentialRegistry` runs the delta path against the linear
-scan on every check and raises on any difference, in existence or in the
-dominator named.
+:class:`FingerprintRegistry` is the registry Algorithm 1 runs on.
+:class:`LinearRegistry`, the prefiltered from-scratch scan that ignores
+the parent, is what tests compare it against.
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ class _IndexedEntry(_Entry):
 
 
 class DominationRegistry:
-    """Interface shared by the indexed registry and the scans.
+    """Interface shared by the delta registry and the reference scan.
 
     ``parent`` names the registered node whose configuration the one at
     hand was forked from; a registry that keeps no lineage ignores it.
@@ -238,9 +237,8 @@ class DominationRegistry:
     ) -> Optional[int]:
         """The node id of a dominator of (cost, config), or None.
 
-        Of several dominators the indexed registry and the linear scan
-        name the cheapest, and of equally cheap ones the first
-        registered.
+        Of several dominators both registries name the cheapest, and of
+        equally cheap ones the first registered.
         """
         tick = time.perf_counter()
         try:
@@ -270,8 +268,8 @@ class DominationRegistry:
 
 
 class FingerprintRegistry(DominationRegistry):
-    """Signature-subsumption buckets over an inverted element index,
-    with each survivor tested on the delta past a common ancestor."""
+    """Signature subsumption picks the entries worth testing; each is
+    tested on the delta past its common ancestor with the child."""
 
     def __init__(
         self, frozen: Substitution, rigid: FrozenSet[Term]
@@ -279,7 +277,6 @@ class FingerprintRegistry(DominationRegistry):
         super().__init__(frozen, rigid)
         self._entries: List[_IndexedEntry] = []
         self._slot_of: Dict[int, int] = {}
-        self._postings: Dict[SignatureElement, List[int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -291,7 +288,7 @@ class FingerprintRegistry(DominationRegistry):
         config: ChaseConfiguration,
         parent: Optional[int] = None,
     ) -> None:
-        """Index the node under every element of its signature."""
+        """Record the node with its signature, lineage and nulls."""
         slot = len(self._entries)
         if parent is None:
             signature = signature_of(relevant_facts(config), self.rigid)
@@ -321,8 +318,6 @@ class FingerprintRegistry(DominationRegistry):
             )
         )
         self._slot_of[node_id] = slot
-        for element in signature:
-            self._postings.setdefault(element, []).append(slot)
 
     def _signature_below(
         self, above: _IndexedEntry, delta: Iterable[Atom]
@@ -353,7 +348,10 @@ class FingerprintRegistry(DominationRegistry):
             signature = self._signature_below(
                 above, config.facts_since(above.generation)
             )
-        survivors = self._subsuming_entries(signature)
+        # One C-level subset test per entry, in registration order.
+        survivors = [
+            entry for entry in self._entries if signature <= entry.signature
+        ]
         if not survivors:
             return None
         stats.candidates += len(survivors)
@@ -402,27 +400,6 @@ class FingerprintRegistry(DominationRegistry):
                     seed[term] = term
         return delta, Substitution(seed)
 
-    def _subsuming_entries(
-        self, signature: Signature
-    ) -> List[_IndexedEntry]:
-        """Entries whose signature contains every element of
-        ``signature``, in registration order."""
-        if not signature:
-            return list(self._entries)
-        postings: List[List[int]] = []
-        for element in signature:
-            posting = self._postings.get(element)
-            if posting is None:
-                return []
-            postings.append(posting)
-        postings.sort(key=len)
-        slots = set(postings[0])
-        for posting in postings[1:]:
-            slots.intersection_update(posting)
-            if not slots:
-                return []
-        return [self._entries[slot] for slot in sorted(slots)]
-
 
 def _common_ancestor(
     mine: Tuple[int, ...], theirs: Tuple[int, ...]
@@ -437,9 +414,9 @@ def _common_ancestor(
 
 
 class LinearRegistry(DominationRegistry):
-    """The original O(registry) from-scratch scan, kept as the
-    differential oracle; it visits entries in the index's order,
-    cheapest first and first registered among equals."""
+    """The O(registry) from-scratch scan tests use as the reference; it
+    visits entries in the delta registry's order, cheapest first and
+    first registered among equals."""
 
     def __init__(
         self, frozen: Substitution, rigid: FrozenSet[Term]
@@ -483,129 +460,3 @@ class LinearRegistry(DominationRegistry):
             if self._maps_from_scratch(pattern, entry):
                 return entry.node_id
         return None
-
-
-class NaiveRegistry(DominationRegistry):
-    """A full homomorphism check against every cost-eligible node.
-
-    The unoptimized reference point of the search benchmarks: no
-    signature index and no relation prefilter, so ``hom_calls`` measures
-    what domination costs without any indexing.  Prune outcomes are
-    identical to the other registries (the extra homomorphism attempts
-    all fail on entries the prefilters would have skipped), but the scan
-    is in registration order, so of several dominators it names the
-    first registered, not the cheapest.
-    """
-
-    def __init__(
-        self, frozen: Substitution, rigid: FrozenSet[Term]
-    ) -> None:
-        super().__init__(frozen, rigid)
-        self._entries: List[_Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def register(
-        self,
-        node_id: int,
-        cost: float,
-        config: ChaseConfiguration,
-        parent: Optional[int] = None,
-    ) -> None:
-        """Append the node."""
-        self._entries.append(_Entry(node_id, cost, config))
-
-    def _find(
-        self,
-        cost: float,
-        config: ChaseConfiguration,
-        parent: Optional[int],
-    ) -> Optional[int]:
-        self.stats.checks += 1
-        self.stats.registry_scanned += len(self._entries)
-        pattern = relevant_facts(config)
-        for entry in self._entries:
-            if entry.cost > cost + _EPS:
-                continue
-            self.stats.candidates += 1
-            self.stats.hom_calls += 1
-            if self._maps_from_scratch(pattern, entry):
-                return entry.node_id
-        return None
-
-
-class DominationMismatch(AssertionError):
-    """The delta-checking index and the from-scratch oracle disagreed."""
-
-
-class DifferentialRegistry(DominationRegistry):
-    """Runs the delta path against the linear oracle on every check.
-
-    Only the indexed side is told the parent; the oracle maps the whole
-    pattern from scratch.  Raises :class:`DominationMismatch` the moment
-    the two disagree on whether a dominator exists or on which node it
-    is; reported stats are the indexed side's.  Slow by construction --
-    for tests and audits only.
-    """
-
-    def __init__(
-        self, frozen: Substitution, rigid: FrozenSet[Term]
-    ) -> None:
-        super().__init__(frozen, rigid)
-        self.indexed = FingerprintRegistry(frozen, rigid)
-        self.oracle = LinearRegistry(frozen, rigid)
-        self.stats = self.indexed.stats
-
-    def __len__(self) -> int:
-        return len(self.indexed)
-
-    def register(
-        self,
-        node_id: int,
-        cost: float,
-        config: ChaseConfiguration,
-        parent: Optional[int] = None,
-    ) -> None:
-        """Register with both sides; the lineage goes to the index."""
-        self.indexed.register(node_id, cost, config, parent)
-        self.oracle.register(node_id, cost, config)
-
-    def find_dominator(
-        self,
-        cost: float,
-        config: ChaseConfiguration,
-        parent: Optional[int] = None,
-    ) -> Optional[int]:
-        """Check both sides; any disagreement is a hard error."""
-        fast = self.indexed.find_dominator(cost, config, parent)
-        slow = self.oracle.find_dominator(cost, config)
-        if fast != slow:
-            raise DominationMismatch(
-                f"delta check says dominator={fast!r}, "
-                f"from-scratch oracle says dominator={slow!r} "
-                f"for a node of cost {cost} "
-                f"({len(self.indexed)} registered nodes)"
-            )
-        return fast
-
-
-REGISTRY_KINDS = ("fingerprint", "linear", "naive", "differential")
-
-
-def make_registry(
-    kind: str, frozen: Substitution, rigid: FrozenSet[Term]
-) -> DominationRegistry:
-    """Build the requested registry flavour."""
-    if kind == "fingerprint":
-        return FingerprintRegistry(frozen, rigid)
-    if kind == "linear":
-        return LinearRegistry(frozen, rigid)
-    if kind == "naive":
-        return NaiveRegistry(frozen, rigid)
-    if kind == "differential":
-        return DifferentialRegistry(frozen, rigid)
-    raise ValueError(
-        f"unknown domination index {kind!r}; "
-        f"expected one of {REGISTRY_KINDS}"
-    )

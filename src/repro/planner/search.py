@@ -23,25 +23,22 @@ Search order follows the paper: depth-first on the leftmost branch, with
 candidates ordered by derivation depth and methods by expected cost; a
 best-first (cheapest partial plan) strategy is also provided.
 
-The hot loop is incremental end to end (see ``docs/theory.md``,
-"Search-state indexing and incrementality"):
+There is one loop (``docs/theory.md``, "Search-state indexing and
+incrementality"), and what it keeps from a parent is what measured as a
+win on ``plan_cold``:
 
-* domination queries go through a fingerprint-indexed registry
-  (:mod:`repro.planner.domination`) instead of a linear scan, and the
-  registry, told the child's parent, maps only what the branch added
-  below the ancestor the child shares with each candidate dominator;
-  the old scan is available as a differential oracle
-  (``domination_index``);
-* children inherit the parent's ranked candidate list and extend it only
-  from ``config.facts_since(parent_generation)`` plus facts whose input
-  positions newly became accessible (``incremental_candidates``);
-* monotone cost functions are charged only for the appended commands via
-  :meth:`CostFunction.delta_cost` (``incremental_cost``);
-* configuration forks are copy-on-write (``cow_configs``), sharing the
-  parent's generation-log prefix instead of deep-copying the index.
+* a child's configuration is a copy-on-write fork that shares its
+  parent's fact log as a prefix;
+* the domination registry (:mod:`repro.planner.domination`), told the
+  child's parent, builds the child's signature from the parent's and
+  maps only what the branch added below the ancestor the child shares
+  with each candidate dominator.
 
-Each piece can be switched back to the original full recomputation for
-differential testing and the search benchmarks' baseline mode.
+Candidates are ranked per kept node from its own configuration and a
+child is priced by ``commands_cost`` of its commands: inheriting the
+parent's candidate list and costing only the appended commands were
+both built, measured at no wall-clock effect, and removed
+(EXPERIMENTS.md, FORKS).
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.chase.configuration import ChaseConfiguration
 from repro.chase.engine import ChasePolicy
@@ -64,12 +61,8 @@ from repro.cost.functions import (
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.queries import ConjunctiveQuery
-from repro.logic.terms import Null, NullFactory, Term, Variable
-from repro.planner.domination import (
-    DominationRegistry,
-    DominationStats,
-    make_registry,
-)
+from repro.logic.terms import Null, NullFactory, Variable
+from repro.planner.domination import DominationStats, FingerprintRegistry
 from repro.planner.plan_state import PlanState, PlanningError
 from repro.planner.proof_to_plan import (
     ChaseProof,
@@ -83,7 +76,6 @@ from repro.planner.proof_to_plan import (
 )
 from repro.plans.plan import Plan
 from repro.schema.accessible import (
-    ACCESSIBLE,
     AccessibleSchema,
     Variant,
     accessed_name,
@@ -96,7 +88,10 @@ from repro.schema.core import AccessMethod, Schema
 
 @dataclass
 class SearchOptions:
-    """Tuning knobs for Algorithm 1."""
+    """What Algorithm 1 searches: budgets, cost function, which prunings
+    run and in which order the tree is walked.  Every field changes the
+    tree explored or when the search stops; none selects an
+    implementation."""
 
     max_accesses: int = 6
     cost: Optional[CostFunction] = None
@@ -125,18 +120,6 @@ class SearchOptions:
     max_nodes: Optional[int] = None
     stop_on_first: bool = False
     collect_tree: bool = False
-    # Domination registry flavour: "fingerprint" (signature-subsumption
-    # index, each survivor tested on the delta), "linear" (the original
-    # prefiltered from-scratch scan), "naive" (a full homomorphism per
-    # registered node -- the benchmarks' unoptimized reference), or
-    # "differential" (fingerprint + linear, with agreement on the
-    # dominator asserted on every check).
-    domination_index: str = "fingerprint"
-    # Incremental hot-loop machinery; each switch falls back to the
-    # original full recomputation when False (baseline/differential mode).
-    incremental_candidates: bool = True
-    incremental_cost: bool = True
-    cow_configs: bool = True
 
 
 @dataclass
@@ -157,11 +140,8 @@ class SearchStats:
     domination: DominationStats = field(default_factory=DominationStats)
     # Dominator node id -> how many expanded children it absorbed.
     dominators: Counter = field(default_factory=Counter)
-    # Candidate generation: pairs inherited from the parent's list vs.
-    # freshly discovered from the configuration delta.
-    candidates_inherited: int = 0
-    candidates_fresh: int = 0
-    # Wall time inside the hot loop's three incremental pieces.
+    # Wall time forking configurations, ranking candidates and pricing
+    # children.
     time_copy: float = 0.0
     time_candidates: float = 0.0
     time_cost: float = 0.0
@@ -191,8 +171,6 @@ class SearchStats:
                     )
                     or "-"
                 ),
-                f"candidates: inherited={self.candidates_inherited} "
-                f"fresh={self.candidates_fresh}",
                 f"time: copy={self.time_copy:.4f}s "
                 f"candidates={self.time_candidates:.4f}s "
                 f"cost={self.time_cost:.4f}s",
@@ -210,8 +188,6 @@ class SearchStats:
             "pruned_by_domination": self.pruned_by_domination,
             "pruned_by_depth": self.pruned_by_depth,
             "domination": self.domination.as_dict(),
-            "candidates_inherited": self.candidates_inherited,
-            "candidates_fresh": self.candidates_fresh,
             "time_copy": self.time_copy,
             "time_candidates": self.time_candidates,
             "time_cost": self.time_cost,
@@ -233,19 +209,14 @@ class SearchNode:
     # For ``pruned == "domination"``: the id of the registered node the
     # relevant facts of this one map into.
     dominated_by: Optional[int] = None
-    # Full ranked candidate list (rank, fact, method); children inherit
-    # it, so it is never truncated -- ``limit`` caps consumption (beam
-    # search) and ``cursor`` walks it in O(1) per candidate.
+    # Full ranked candidate list (rank, fact, method), never truncated:
+    # ``limit`` caps consumption (beam search) and ``cursor`` walks it
+    # in O(1) per candidate.
     candidates: List[Tuple[Tuple, Atom, AccessMethod]] = field(
         default_factory=list
     )
     cursor: int = 0
     limit: Optional[int] = None
-    # Configuration generation at finalize time: children ask
-    # ``facts_since(parent.generation)`` for their candidate delta.
-    generation: int = 0
-    # Opaque CostFunction accumulator threaded through delta_cost.
-    cost_state: object = None
 
     @property
     def _end(self) -> int:
@@ -367,7 +338,7 @@ class _Searcher:
         self.nodes: List[SearchNode] = []
         # Domination registry over every non-pruned node explored so far;
         # built in _make_root once the frozen head nulls are known.
-        self._registry: Optional[DominationRegistry] = None
+        self._registry: Optional[FingerprintRegistry] = None
         self.saturation_log = SaturationLog()
         self._drained = False
         self._ids = itertools.count()
@@ -392,15 +363,6 @@ class _Searcher:
             for r in self.schema.relations
             if self.schema.methods_of(r.name)
         }
-        # Input positions a relation's methods read: when a term becomes
-        # accessible, only facts holding it in one of these positions can
-        # turn into new candidates.
-        self._input_positions: Dict[str, Tuple[int, ...]] = {
-            relation: tuple(
-                sorted({p for m in methods for p in m.input_positions})
-            )
-            for relation, methods in self._methods_by_relation.items()
-        }
 
     # ------------------------------------------------------------- setup
     def _make_root(self) -> SearchNode:
@@ -416,10 +378,10 @@ class _Searcher:
             self.query, frozen
         )
         rigid = frozenset(self.head_nulls.values())
-        self._registry = make_registry(
-            self.options.domination_index,
-            Substitution({null: null for null in rigid}),
-            rigid,
+        # Tests shadow this registry by replacing the module's name for
+        # its class; no option selects another one.
+        self._registry = FingerprintRegistry(
+            Substitution({null: null for null in rigid}), rigid
         )
         root = SearchNode(
             node_id=next(self._ids),
@@ -428,11 +390,6 @@ class _Searcher:
             state=PlanState(),
             exposures=(),
             cost=0.0,
-            cost_state=(
-                self.cost.cost_state()
-                if self.options.incremental_cost
-                else None
-            ),
         )
         self._finalize_node(root)
         return root
@@ -512,10 +469,7 @@ class _Searcher:
     ) -> Optional[SearchNode]:
         self.stats.nodes_expanded += 1
         tick = time.perf_counter()
-        if self.options.cow_configs:
-            config = node.config.copy()
-        else:
-            config = node.config.deep_copy()
+        config = node.config.copy()
         self.stats.time_copy += time.perf_counter() - tick
         try:
             exposed = expose_access(
@@ -539,13 +493,7 @@ class _Searcher:
             self.stats.pruned_by_depth += 1
             return None
         tick = time.perf_counter()
-        if self.options.incremental_cost:
-            new_commands = state.commands[len(node.state.commands) :]
-            cost_state, cost = self.cost.delta_cost(
-                node.cost_state, new_commands
-            )
-        else:
-            cost_state, cost = None, self.cost.commands_cost(state.commands)
+        cost = self.cost.commands_cost(state.commands)
         self.stats.time_cost += time.perf_counter() - tick
         child = SearchNode(
             node_id=next(self._ids),
@@ -554,7 +502,6 @@ class _Searcher:
             state=state,
             exposures=node.exposures + (Exposure(fact, method.name),),
             cost=cost,
-            cost_state=cost_state,
         )
         if self.options.prune_by_cost and cost >= self.best_cost:
             self.stats.pruned_by_cost += 1
@@ -586,7 +533,7 @@ class _Searcher:
                 return None
         if not chased:
             self._saturate(config, exposed)
-        self._finalize_node(child, parent=node)
+        self._finalize_node(child, parent=node.node_id)
         return child
 
     def _saturate(self, config: ChaseConfiguration, exposed: Exposed) -> None:
@@ -601,11 +548,10 @@ class _Searcher:
         )
 
     def _finalize_node(
-        self, node: SearchNode, parent: Optional[SearchNode] = None
+        self, node: SearchNode, parent: Optional[int] = None
     ) -> None:
         """Success check, candidate generation, registration."""
         self.stats.nodes_created += 1
-        node.generation = node.config.generation
         match = find_homomorphism(
             self._success_atoms, node.config.index, self._success_seed
         )
@@ -636,20 +582,14 @@ class _Searcher:
             node.pruned = "bound"
         else:
             tick = time.perf_counter()
-            if parent is not None and self.options.incremental_candidates:
-                node.candidates = self._child_candidates(node, parent)
-            else:
-                node.candidates = self._full_candidates(node)
+            node.candidates = self._candidates(node.config)
             if self.options.beam_width is not None:
                 node.limit = self.options.beam_width
             self.stats.time_candidates += time.perf_counter() - tick
         self._record(node)
         if self.options.domination:
             self._registry.register(
-                node.node_id,
-                node.cost,
-                node.config,
-                parent=parent.node_id if parent is not None else None,
+                node.node_id, node.cost, node.config, parent=parent
             )
 
     def _record(self, node: SearchNode) -> None:
@@ -660,12 +600,11 @@ class _Searcher:
     def _rank(
         self, config: ChaseConfiguration, fact: Atom, method: AccessMethod
     ) -> Tuple:
-        """The node-independent sort key of a candidate pair.
+        """The sort key of a candidate pair.
 
         Derivation depth comes from the fact's provenance, fixed at first
         insertion and shared down the branch, so a pair ranks identically
-        in every configuration containing the fact -- which is what lets
-        children merge inherited and fresh candidates without re-sorting.
+        in every configuration containing the fact.
         """
         if self.options.candidate_order == "method":
             return (
@@ -679,15 +618,13 @@ class _Searcher:
             repr(fact),
         )
 
-    def _full_candidates(
-        self, node: SearchNode
+    def _candidates(
+        self, config: ChaseConfiguration
     ) -> List[Tuple[Tuple, Atom, AccessMethod]]:
-        """Candidate (fact, method) pairs for exposure, in search order.
-
-        Full rescan of every accessed relation -- used for the root and
-        as the non-incremental baseline.
+        """Candidate (fact, method) pairs for exposure, in search order:
+        every fact of an accessed relation with no accessed copy yet,
+        under every method whose input positions hold accessible terms.
         """
-        config = node.config
         out: List[Tuple[Tuple, Atom, AccessMethod]] = []
         for relation, methods in self._methods_by_relation.items():
             for fact in config.facts_of(relation):
@@ -704,86 +641,3 @@ class _Searcher:
                         out.append((self._rank(config, fact, method), fact, method))
         out.sort(key=lambda item: item[0])
         return out
-
-    def _child_candidates(
-        self, node: SearchNode, parent: SearchNode
-    ) -> List[Tuple[Tuple, Atom, AccessMethod]]:
-        """Incremental candidate generation from the parent's list.
-
-        Sound because configurations only grow along a branch: a pair
-        valid in the parent stays valid in the child unless its fact got
-        an accessed copy (checked during inheritance), and a pair valid
-        in the child but not in the parent must involve either a fact
-        from the delta ``facts_since(parent.generation)`` or a fact whose
-        missing input term became accessible in that delta.
-        """
-        config = node.config
-        inherited: List[Tuple[Tuple, Atom, AccessMethod]] = []
-        seen: Set[Tuple[Atom, str]] = set()
-        dropped = False
-        for rank, fact, method in parent.candidates:
-            accessed = fact.rename_relation(accessed_name(fact.relation))
-            if accessed in config:
-                dropped = True
-                continue
-            inherited.append((rank, fact, method))
-            seen.add((fact, method.name))
-        fresh: List[Tuple[Tuple, Atom, AccessMethod]] = []
-        new_terms: List[Term] = []
-        for fact in config.facts_since(parent.generation):
-            if fact.relation == ACCESSIBLE:
-                new_terms.append(fact.terms[0])
-                continue
-            methods = self._methods_by_relation.get(fact.relation)
-            if methods:
-                self._try_candidate(config, fact, methods, seen, fresh)
-        for term in new_terms:
-            for relation, positions in self._input_positions.items():
-                methods = self._methods_by_relation[relation]
-                for position in positions:
-                    for fact in config.index.facts_with(
-                        relation, position, term
-                    ):
-                        self._try_candidate(
-                            config, fact, methods, seen, fresh
-                        )
-        fresh.sort(key=lambda item: item[0])
-        self.stats.candidates_inherited += len(inherited)
-        self.stats.candidates_fresh += len(fresh)
-        # Ranks are node-independent and the inherited list is already
-        # sorted (a filtered subsequence of the parent's), so a linear
-        # merge reproduces the full rescan's order exactly.  Candidate
-        # lists are never mutated after construction (nodes walk them by
-        # integer cursor), so when nothing was filtered and nothing is
-        # fresh the parent's list can be shared by reference -- deep
-        # branches stop paying an O(n) copy per child.
-        if not fresh:
-            return parent.candidates if not dropped else inherited
-        if not inherited:
-            return fresh
-        return list(
-            heapq.merge(inherited, fresh, key=lambda item: item[0])
-        )
-
-    def _try_candidate(
-        self,
-        config: ChaseConfiguration,
-        fact: Atom,
-        methods: Sequence[AccessMethod],
-        seen: Set[Tuple[Atom, str]],
-        out: List[Tuple[Tuple, Atom, AccessMethod]],
-    ) -> None:
-        """Append every fireable (fact, method) pair not seen before."""
-        accessed = fact.rename_relation(accessed_name(fact.relation))
-        if accessed in config:
-            return
-        for method in methods:
-            key = (fact, method.name)
-            if key in seen:
-                continue
-            if all(
-                config.is_accessible(fact.terms[p])
-                for p in method.input_positions
-            ):
-                seen.add(key)
-                out.append((self._rank(config, fact, method), fact, method))

@@ -163,20 +163,9 @@ def source_to_spec(source) -> Dict[str, Any]:
     if isinstance(source, CoalescingSource):
         return {"wrap": "coalescing", "inner": source_to_spec(source.inner)}
     if isinstance(source, FaultInjectingSource):
-        policy = source.policy
         return {
             "wrap": "faults",
-            "policy": {
-                "seed": policy.seed,
-                "unavailable_rate": policy.unavailable_rate,
-                "timeout_rate": policy.timeout_rate,
-                "rate_limit_rate": policy.rate_limit_rate,
-                "truncation_rate": policy.truncation_rate,
-                "burst": policy.burst,
-                "truncation_keep": policy.truncation_keep,
-                "latency": policy.latency,
-                "outages": dict(policy.outages),
-            },
+            "policy": source.policy.to_dict(),
             "inner": source_to_spec(source.inner),
         }
     if isinstance(source, ShardedInMemorySource):
@@ -267,20 +256,9 @@ def spec_to_source(spec: Mapping[str, Any]):
     if wrap == "coalescing":
         return CoalescingSource(spec_to_source(spec["inner"]))
     if wrap == "faults":
-        policy = spec["policy"]
         return FaultInjectingSource(
             spec_to_source(spec["inner"]),
-            FaultPolicy(
-                seed=policy["seed"],
-                unavailable_rate=policy["unavailable_rate"],
-                timeout_rate=policy["timeout_rate"],
-                rate_limit_rate=policy["rate_limit_rate"],
-                truncation_rate=policy["truncation_rate"],
-                burst=policy["burst"],
-                truncation_keep=policy["truncation_keep"],
-                latency=policy["latency"],
-                outages=dict(policy["outages"]),
-            ),
+            FaultPolicy.from_dict(spec["policy"]),
         )
     if spec.get("format") != SPEC_KIND or spec.get("version") != SPEC_VERSION:
         raise SourceSpecError(
@@ -322,17 +300,7 @@ def spec_to_source(spec: Mapping[str, Any]):
             burst=config.get("burst"),
             fault_policy=None
             if policy is None
-            else FaultPolicy(
-                seed=policy["seed"],
-                unavailable_rate=policy["unavailable_rate"],
-                timeout_rate=policy["timeout_rate"],
-                rate_limit_rate=policy["rate_limit_rate"],
-                truncation_rate=policy["truncation_rate"],
-                burst=policy["burst"],
-                truncation_keep=policy["truncation_keep"],
-                latency=policy["latency"],
-                outages=dict(policy["outages"]),
-            ),
+            else FaultPolicy.from_dict(policy),
         )
         return HTTPSource(
             transport,

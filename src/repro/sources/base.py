@@ -47,19 +47,11 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
+    runtime_checkable,
 )
-
-try:  # Protocol is typing-only; keep the runtime dependency soft.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover -- ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        """No-op stand-in when typing lacks runtime_checkable."""
-        return cls
-
 
 from repro.errors import RateLimited
 from repro.logic.terms import Constant

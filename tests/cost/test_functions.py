@@ -127,84 +127,6 @@ class TestMonotonicityChecker:
         assert not is_monotone_on(Bogus(), commands)
 
 
-class TestDeltaCost:
-    """delta_cost must agree with a full recompute at every split."""
-
-    def cost_functions(self):
-        return [
-            SimpleCostFunction({"cheap": 1.0, "pricey": 10.0}),
-            CountingCostFunction(),
-            CardinalityCostFunction(
-                relation_cardinality={"cheap": 50, "pricey": 500},
-                per_tuple=0.05,
-            ),
-        ]
-
-    def test_matches_full_recompute_at_every_split(self, commands):
-        for cost in self.cost_functions():
-            for split in range(len(commands) + 1):
-                state = cost.cost_state()
-                state, total = cost.delta_cost(state, commands[:split])
-                assert total == pytest.approx(
-                    cost.commands_cost(commands[:split])
-                )
-                state, total = cost.delta_cost(state, commands[split:])
-                assert total == pytest.approx(cost.commands_cost(commands))
-
-    def test_one_command_at_a_time(self, commands):
-        for cost in self.cost_functions():
-            state = cost.cost_state()
-            for index, command in enumerate(commands):
-                state, total = cost.delta_cost(state, [command])
-                assert total == pytest.approx(
-                    cost.commands_cost(commands[: index + 1])
-                )
-
-    def test_state_is_not_mutated_by_extension(self, commands):
-        # A search tree extends one parent state along many branches; the
-        # parent's accumulator must stay valid after a child extension.
-        for cost in self.cost_functions():
-            state = cost.cost_state()
-            state, before = cost.delta_cost(state, commands[:2])
-            cost.delta_cost(state, commands[2:])
-            _, again = cost.delta_cost(state, [])
-            assert again == pytest.approx(before)
-
-    def test_cardinality_estimates_flow_through_the_split(self):
-        cost = CardinalityCostFunction(
-            relation_cardinality={"big": 1000, "probe": 10},
-            per_access=1.0,
-            per_tuple=0.01,
-        )
-        chained = [
-            access("A", "big"),
-            access(
-                "B", "probe", Project(Scan("A"), ("A_p0",)), ("A_p0",)
-            ),
-        ]
-        state = cost.cost_state()
-        state, _ = cost.delta_cost(state, chained[:1])
-        # The second access's fan-in must see A's 1000-row estimate.
-        _, total = cost.delta_cost(state, chained[1:])
-        assert total == pytest.approx(cost.commands_cost(chained))
-        assert total > 2.0 + 0.01  # charged for the large fan-in
-
-    def test_base_class_fallback_is_correct(self, commands):
-        class ThirdParty(CountingCostFunction):
-            # Deliberately does NOT override cost_state/delta_cost.
-            def cost_state(self):
-                return CostFunction.cost_state(self)
-
-            def delta_cost(self, state, new_commands):
-                return CostFunction.delta_cost(self, state, new_commands)
-
-        cost = ThirdParty()
-        state = cost.cost_state()
-        state, _ = cost.delta_cost(state, commands[:2])
-        _, total = cost.delta_cost(state, commands[2:])
-        assert total == pytest.approx(cost.commands_cost(commands))
-
-
 class TestSelectSelectivity:
     def selective_commands(self):
         from repro.plans.expressions import EqConst, Select
@@ -429,25 +351,3 @@ class TestCalibratedEstimates:
             bounds=SizeBounds(schema, {"R": 3}),
         )
         assert is_monotone_on(cost, commands)
-
-    def test_delta_cost_agrees_with_recompute_when_calibrated(self):
-        from repro.cost.bounds import SizeBounds
-        from repro.schema.core import SchemaBuilder as SB
-
-        schema = (
-            SB("s").relation("R", 2).access("cheap", "R", inputs=[]).build()
-        )
-        cost = CardinalityCostFunction(
-            relation_cardinality={},
-            per_tuple=0.1,
-            calibration=self.make_calibration(fan_out=3),
-            bounds=SizeBounds(schema, {"R": 2}),
-        )
-        chained = [
-            access("A", "cheap"),
-            access("B", "probe", Project(Scan("A"), ("A_p0",)), ("A_p0",)),
-        ]
-        state = cost.cost_state()
-        state, _ = cost.delta_cost(state, chained[:1])
-        _, total = cost.delta_cost(state, chained[1:])
-        assert total == pytest.approx(cost.commands_cost(chained))

@@ -1,5 +1,8 @@
 """The deterministic fault schedule: replayable, transient, recoverable."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.data.instance import Instance
@@ -194,6 +197,50 @@ class TestLatencyAndPlumbing:
         assert source.schema.name == "s"
         source.reset_faults()
         assert source.stats.calls == 0
+
+    def test_reset_during_a_threaded_burst_keeps_the_books(
+        self, schema, instance
+    ):
+        """Service workers call ``access`` while an operator resets: an
+        access counts on one ``FaultStats`` from start to finish, so the
+        object left after the burst balances."""
+        policy = FaultPolicy(
+            seed=3,
+            unavailable_rate=0.3,
+            burst=2,
+            latency=0.01,
+            outages={"mt_free": 40},
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                source = make_source(schema, instance, policy)
+                running = threading.Event()
+
+                def burst():
+                    running.wait()
+                    for i in range(150):
+                        try:
+                            source.access("mt_key", (f"k{i % 7}",))
+                            source.access("mt_free", ())
+                        except (SourceUnavailable, MethodOutage):
+                            pass
+
+                workers = [threading.Thread(target=burst) for _ in range(4)]
+                for worker in workers:
+                    worker.start()
+                running.set()
+                while any(worker.is_alive() for worker in workers):
+                    source.reset_faults()
+                stats = source.stats
+                assert stats.calls == (
+                    stats.delivered
+                    + stats.injected_total
+                    + stats.outage_refusals
+                )
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

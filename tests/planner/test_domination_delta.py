@@ -21,15 +21,9 @@ from repro.chase.engine import ChasePolicy
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.terms import Constant, Null
 from repro.planner import search as search_module
-from repro.planner.domination import (
-    DifferentialRegistry,
-    DominationMismatch,
-    FingerprintRegistry,
-    LinearRegistry,
-    NaiveRegistry,
-)
+from repro.planner.domination import FingerprintRegistry, LinearRegistry
 from repro.planner.search import SearchOptions, find_best_plan
-from repro.scenarios import referential_chain, view_stack_scenario
+from repro.scenarios import referential_chain
 from tests.planner.test_prune_before_chase import (
     BLOCKING,
     DEPTH4,
@@ -38,6 +32,8 @@ from tests.planner.test_prune_before_chase import (
     cyclic_schema,
 )
 
+# The 13 planning problems of ``benchmarks/e2e``'s ``plan_cold`` and the
+# 8 sweep scenarios, as (scenario factory, access budget).
 PROBLEMS = {key: (row[0], row[1]) for key, row in PLAN_COLD.items()}
 PROBLEMS.update({f"sweep:{key}": row for key, row in SCENARIOS.items()})
 
@@ -65,14 +61,16 @@ class ShadowedRegistry(FingerprintRegistry):
 
 @pytest.fixture
 def shadowed(monkeypatch):
-    """Make every search in the test run on a :class:`ShadowedRegistry`."""
+    """Make every search in the test run on a :class:`ShadowedRegistry`:
+    the searcher builds its registry by the name ``FingerprintRegistry``
+    in its own module, and that name is the seam."""
     built = []
 
-    def make(kind, frozen, rigid):
+    def make(frozen, rigid):
         built.append(ShadowedRegistry(frozen, rigid))
         return built[-1]
 
-    monkeypatch.setattr(search_module, "make_registry", make)
+    monkeypatch.setattr(search_module, "FingerprintRegistry", make)
     return built
 
 
@@ -91,20 +89,24 @@ def check_books(registry, stats):
 
 
 # ------------------------------------------------ (a) real searches
-@pytest.mark.parametrize("cow", [True, False], ids=["cow", "deepcopy"])
+@pytest.mark.parametrize("fork", ["cow", "deepcopy"])
 @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
 @pytest.mark.parametrize("key", list(PROBLEMS))
 def test_every_check_equals_a_from_scratch_check(
-    shadowed, key, strategy, cow
+    shadowed, monkeypatch, key, strategy, fork
 ):
+    if fork == "deepcopy":
+        # The search forks with ``copy``; a materialised fork keeps the
+        # same fact log, so every delta and verdict must be the same.
+        monkeypatch.setattr(
+            ChaseConfiguration, "copy", ChaseConfiguration.deep_copy
+        )
     factory, budget = PROBLEMS[key]
     scenario = factory()
     result = find_best_plan(
         scenario.schema,
         scenario.query,
-        SearchOptions(
-            max_accesses=budget, strategy=strategy, cow_configs=cow
-        ),
+        SearchOptions(max_accesses=budget, strategy=strategy),
     )
     assert result.found
     (registry,) = shadowed
@@ -161,18 +163,6 @@ def test_depth_truncated_exposure_is_checked_on_the_delta(shadowed):
     assert result.stats.domination.seeded_hits == 1
 
 
-def test_differential_index_hands_the_parent_to_its_indexed_side():
-    scenario = view_stack_scenario(8)
-    result = find_best_plan(
-        scenario.schema,
-        scenario.query,
-        SearchOptions(domination_index="differential"),
-    )
-    assert result.stats.pruned_by_domination == 14
-    assert result.stats.domination.seeded_hits == 14
-    assert result.stats.domination.full_searches == 0
-
-
 # --------------------------------------------- (b) hand-built registries
 X, Y, Z, W = Null("x"), Null("y"), Null("z"), Null("w")
 
@@ -188,13 +178,7 @@ def grown(parent, *facts):
 def registries(rigid=frozenset()):
     frozen = Substitution({null: null for null in rigid})
     return [
-        cls(frozen, rigid)
-        for cls in (
-            FingerprintRegistry,
-            LinearRegistry,
-            NaiveRegistry,
-            DifferentialRegistry,
-        )
+        cls(frozen, rigid) for cls in (FingerprintRegistry, LinearRegistry)
     ]
 
 
@@ -210,9 +194,8 @@ def test_a_too_strict_seed_falls_back_to_the_full_search():
         registry.register(1, 1.0, sibling, parent=0)
         assert registry.find_dominator(1.0, child, parent=0) == 1
         assert registry.stats.seeded_hits == 0
-        if not isinstance(registry, NaiveRegistry):  # it also tries the root
-            assert registry.stats.hom_calls == 1
-            assert registry.stats.full_searches == 1
+        assert registry.stats.hom_calls == 1
+        assert registry.stats.full_searches == 1
 
 
 def test_a_frozen_null_keeps_the_fallback_honest():
@@ -241,7 +224,7 @@ def test_a_dominator_in_another_branch_is_met_at_the_root():
         registry.register(1, 1.0, a, parent=0)
         registry.register(2, 1.0, b, parent=0)
         assert registry.find_dominator(2.0, child, parent=2) == 1
-        if isinstance(registry, (FingerprintRegistry, DifferentialRegistry)):
+        if isinstance(registry, FingerprintRegistry):
             # Pinning the nulls of ``b`` as well (w -> w) would have
             # missed: ``a`` holds no ``T(w)``.
             stats = registry.stats
@@ -262,12 +245,10 @@ def test_an_entry_on_the_parents_own_path_is_its_own_ancestor():
 
 
 def test_index_and_oracle_name_the_cheapest_then_first_registered():
-    """Which dominator is named is part of the contract the differential
-    registry checks: cheapest first, registration order among equals."""
+    """Which dominator is named is part of the contract the shadow
+    checks: cheapest first, registration order among equals."""
     config = ChaseConfiguration([Atom("R", (Constant("a"),))])
     for registry in registries():
-        if isinstance(registry, NaiveRegistry):
-            continue  # registration order: it would name node 1
         registry.register(1, 3.0, config)
         registry.register(2, 1.0, config)
         registry.register(3, 1.0, config)
@@ -276,16 +257,16 @@ def test_index_and_oracle_name_the_cheapest_then_first_registered():
 
 
 def test_differential_registry_raises_on_a_different_dominator():
-    config = ChaseConfiguration([Atom("R", (Constant("a"),))])
-    registry = DifferentialRegistry(Substitution({}), frozenset())
-    registry.register(1, 1.0, config)
-    registry.register(2, 1.0, config)
-    assert registry.find_dominator(1.0, config) == 1
-    # An oracle that names another dominator, though one exists on both
-    # sides, is a mismatch.
-    registry.oracle._entries.reverse()
-    with pytest.raises(DominationMismatch):
-        registry.find_dominator(1.0, config)
+    """The shadow comparison has teeth: a from-scratch side that names
+    another dominator, though one exists on both sides, is a failure."""
+    root = ChaseConfiguration([Atom("R", (Constant("a"),))])
+    registry = ShadowedRegistry(Substitution({}), frozenset())
+    registry.register(0, 1.0, root)
+    registry.register(1, 1.0, grown(root), parent=0)
+    assert registry.find_dominator(1.0, grown(root), parent=0) == 0
+    registry.shadow._entries.reverse()
+    with pytest.raises(AssertionError):
+        registry.find_dominator(1.0, grown(root), parent=0)
 
 
 def test_per_node_state_is_shared_with_the_parent_when_nothing_is_new():

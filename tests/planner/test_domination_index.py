@@ -1,8 +1,10 @@
-"""Differential tests: fingerprint-indexed domination vs the oracle.
+"""The delta registry against the from-scratch reference scan.
 
-The fingerprint registry must prune *exactly* the same nodes as the
-original linear scan on every scenario of the library, and the two
-search strategies must agree on the optimum with full pruning on.
+Algorithm 1 always runs on :class:`FingerprintRegistry`.  Searched again
+with :class:`LinearRegistry` put in its place it must prune exactly the
+same nodes, by the same dominators, on every scenario of the library,
+and the two search strategies must agree on the optimum with full
+pruning on.
 """
 
 import pytest
@@ -10,11 +12,10 @@ import pytest
 from repro.chase.configuration import ChaseConfiguration
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.terms import Constant, Null
+from repro.planner import search as search_module
 from repro.planner.domination import (
     FingerprintRegistry,
     LinearRegistry,
-    NaiveRegistry,
-    make_registry,
     relevant_facts,
     signature_of,
 )
@@ -39,75 +40,39 @@ SCENARIOS = {
     "webservices": webservices,
 }
 
-# The baseline: the pre-index implementation recomputing everything.
-FULL_RECOMPUTE = dict(
-    incremental_candidates=False, incremental_cost=False, cow_configs=False
-)
-
 
 def tree_shape(result):
     """What the search did, node by node (prunes included)."""
     return [
-        (node.node_id, node.parent_id, node.pruned, node.successful)
+        (
+            node.node_id,
+            node.parent_id,
+            node.pruned,
+            node.dominated_by,
+            node.successful,
+        )
         for node in result.tree
     ]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 class TestFingerprintMatchesOracle:
-    def test_same_nodes_pruned(self, name):
+    def test_same_nodes_pruned(self, name, monkeypatch):
         scenario = SCENARIOS[name]()
-        oracle = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(
-                domination_index="linear",
-                collect_tree=True,
-                **FULL_RECOMPUTE,
-            ),
+        options = SearchOptions(collect_tree=True)
+        indexed = find_best_plan(scenario.schema, scenario.query, options)
+        monkeypatch.setattr(
+            search_module, "FingerprintRegistry", LinearRegistry
         )
-        indexed = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(domination_index="fingerprint", collect_tree=True),
-        )
+        oracle = find_best_plan(scenario.schema, scenario.query, options)
+        assert oracle.stats.domination.seeded_hits == 0  # really the scan
         assert tree_shape(indexed) == tree_shape(oracle)
         assert indexed.best_cost == oracle.best_cost
         assert indexed.exhausted == oracle.exhausted
-        assert (
-            indexed.stats.pruned_by_domination
-            == oracle.stats.pruned_by_domination
-        )
-        assert indexed.stats.nodes_created == oracle.stats.nodes_created
-
-    def test_differential_registry_agrees_on_every_check(self, name):
-        scenario = SCENARIOS[name]()
-        # DifferentialRegistry raises DominationMismatch on the first
-        # check where the fingerprint index and the oracle disagree.
-        result = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(domination_index="differential"),
-        )
-        assert result.stats.nodes_created > 0
-
-    def test_naive_scan_prunes_identically(self, name):
-        scenario = SCENARIOS[name]()
-        naive = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(domination_index="naive", collect_tree=True),
-        )
-        indexed = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(domination_index="fingerprint", collect_tree=True),
-        )
-        assert tree_shape(naive) == tree_shape(indexed)
-        # The index only ever *skips* homomorphism attempts.
+        # The subsumption filter only ever *skips* homomorphism attempts.
         assert (
             indexed.stats.domination.hom_calls
-            <= naive.stats.domination.hom_calls
+            <= oracle.stats.domination.hom_calls
         )
 
     def test_dfs_and_best_first_agree(self, name):
@@ -210,18 +175,3 @@ class TestRegistries:
             [Atom("R", (Constant("a"),)), Atom("Accessed_R", (Constant("a"),))]
         )
         assert {atom.relation for atom in relevant_facts(config)} == {"R"}
-
-    def test_make_registry_kinds(self):
-        frozen = Substitution({})
-        assert isinstance(
-            make_registry("fingerprint", frozen, frozenset()),
-            FingerprintRegistry,
-        )
-        assert isinstance(
-            make_registry("linear", frozen, frozenset()), LinearRegistry
-        )
-        assert isinstance(
-            make_registry("naive", frozen, frozenset()), NaiveRegistry
-        )
-        with pytest.raises(ValueError):
-            make_registry("bogus", frozen, frozenset())

@@ -22,6 +22,7 @@ from repro.logic.atoms import Substitution
 from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.queries import cq
 from repro.logic.terms import NullFactory
+from repro.planner import search as search_module
 from repro.planner.domination import LinearRegistry, relevant_facts
 from repro.planner.proof_to_plan import replay_proof
 from repro.planner.search import SearchOptions, find_best_plan
@@ -70,7 +71,21 @@ def saturated_copy(node, acc):
 @pytest.mark.parametrize("order", ["depth", "method"])
 @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_every_verdict_holds_after_saturation(name, strategy, order, index):
+def test_every_verdict_holds_after_saturation(
+    monkeypatch, name, strategy, order, index
+):
+    """``index`` is what stood at the searcher's registry seam: its own
+    registry, the from-scratch reference scan, or its own with every
+    check repeated from scratch (``test_domination_delta.py``)."""
+    if index != "fingerprint":
+        # That module imports this one.
+        from tests.planner.test_domination_delta import ShadowedRegistry
+
+        monkeypatch.setattr(
+            search_module,
+            "FingerprintRegistry",
+            LinearRegistry if index == "linear" else ShadowedRegistry,
+        )
     factory, budget = SCENARIOS[name]
     scenario = factory()
     result = search(
@@ -79,7 +94,6 @@ def test_every_verdict_holds_after_saturation(name, strategy, order, index):
         max_accesses=budget,
         strategy=strategy,
         candidate_order=order,
-        domination_index=index,
     )
     assert result.found
     acc = AccessibleSchema(scenario.schema, Variant.FORWARD)

@@ -209,6 +209,23 @@ class TestStrategies:
         assert any(node.pruned for node in result.tree)
         assert any(node.successful for node in result.tree)
 
+    def test_stats_the_end_to_end_tracer_reads(self):
+        """``benchmarks/e2e/tracing.py`` is frozen and reads these by
+        name for its ``planner.*``, ``chase.*`` and ``cost.*`` metrics;
+        a search that dominates and prices nodes must fill them."""
+        scenario = example5(sources=3)
+        stats = find_best_plan(
+            scenario.schema, scenario.query, SearchOptions(max_accesses=4)
+        ).stats
+        assert stats.domination.hom_calls == stats.pruned_by_domination > 0
+        assert stats.domination.time_seconds > 0
+        assert stats.time_cost > 0
+        assert stats.chase.time_search + stats.chase.time_fire > 0
+        assert stats.chase.rounds > 0
+        assert stats.chase.triggers_enumerated >= stats.chase.triggers_fired
+        assert stats.nodes_expanded > stats.nodes_created > 0
+        assert stats.pruned_by_cost > 0
+
 
 class TestFigure1:
     def test_exploration_order_matches_paper(self):
