@@ -1,83 +1,40 @@
-"""Source decorators: caching, budgets, and failure injection.
+"""Source decorators: budgets and latency.
 
-Real restricted interfaces are rate-limited, flaky, and worth caching.
-These wrappers compose around any source exposing
-``access(method, inputs)`` (duck-typed; :class:`~repro.data.source.
-InMemorySource` or another decorator):
+Real restricted interfaces are metered and slow.  These wrappers
+compose around any source exposing ``access(method, inputs)``; their
+base -- shared with :mod:`repro.sources.base` and
+:mod:`repro.faults.source` -- is
+:class:`repro.source_contract.SourceWrapper`.
 
-* :class:`CachingSource` -- memoizes (method, inputs) pairs, so repeated
-  probes (common in proof-generated plans whose accesses are driven by
-  overlapping temporary tables) hit the backend once.
-* :class:`BudgetedSource` -- enforces a hard invocation or cost budget,
-  raising :class:`AccessBudgetExceeded`; useful to assert a plan's
-  runtime frugality in tests.
-* :class:`FlakySource` -- fails deterministically on chosen invocation
-  indices, for failure-injection testing of harness code.
-* :class:`LatencySource` -- adds a fixed real-time delay per access,
+* :class:`BudgetedSource` -- a hard invocation or cost budget, raising
+  :class:`AccessBudgetExceeded`; :func:`budgeted` puts one around a
+  request's source when its :class:`~repro.exec.budget.ResourceBudget`
+  asks for it.
+* :class:`LatencySource` -- a fixed real-time delay per access,
   modelling remote-call latency; this is what makes worker threads in a
   :class:`~repro.service.QueryService` overlap usefully (the sleep
   releases the GIL), so the service benchmark measures real concurrency
   wins rather than pure-Python contention.
+* :class:`StormyLatencySource` -- latency with a deterministic slow
+  tail, the regime hedged execution targets.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
-from repro.data.instance import _to_constant
-from repro.errors import AccessBudgetExceeded, SourceUnavailable
-from repro.logic.terms import Constant
-
-
-class _Wrapper:
-    """Shared plumbing: delegate everything, intercept ``access``."""
-
-    #: Never delegate the batch endpoint: a wrapper that intercepts
-    #: ``access`` but silently forwards ``access_batch`` would let the
-    #: batch path route around its caching/budgeting/fault logic.
-    #: Wrappers that can batch safely override this with a real method.
-    access_batch = None
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    @property
-    def schema(self):
-        """The wrapped source's schema."""
-        return self.inner.schema
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+from repro.errors import AccessBudgetExceeded, SourceUnavailable  # noqa: F401
+from repro.source_contract import SourceWrapper
 
 
-class CachingSource(_Wrapper):
-    """Memoize accesses by (method, inputs)."""
+class BudgetedSource(SourceWrapper):
+    """Refuse accesses beyond an invocation-count or cost budget.
 
-    def __init__(self, inner) -> None:
-        super().__init__(inner)
-        self._cache: Dict[
-            Tuple[str, Tuple[Constant, ...]],
-            FrozenSet[Tuple[Constant, ...]],
-        ] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, method_name: str, inputs: Sequence[object] = ()):
-        """Invoke an access method (see the class docstring)."""
-        key = (method_name, tuple(_to_constant(v) for v in inputs))
-        if key in self._cache:
-            self.hits += 1
-            return self._cache[key]
-        self.misses += 1
-        result = self.inner.access(method_name, inputs)
-        self._cache[key] = result
-        return result
-
-
-class BudgetedSource(_Wrapper):
-    """Refuse accesses beyond an invocation-count or cost budget."""
+    Names no ``spec_kind``: what it has spent depends on global call
+    order, so budgets ship per request instead (:func:`budgeted`).
+    """
 
     def __init__(
         self,
@@ -117,37 +74,20 @@ class BudgetedSource(_Wrapper):
         return self.inner.access(method_name, inputs)
 
 
-class FlakySource(_Wrapper):
-    """Fail on selected invocation indices (0-based), or by predicate."""
+def budgeted(source, budget):
+    """``source`` under ``budget``'s access and cost ceilings, if it sets any.
 
-    def __init__(
-        self,
-        inner,
-        fail_on: Sequence[int] = (),
-        predicate: Optional[Callable[[str, Tuple], bool]] = None,
-    ) -> None:
-        super().__init__(inner)
-        self.fail_on = frozenset(fail_on)
-        self.predicate = predicate
-        self.calls = 0
-
-    def access(self, method_name: str, inputs: Sequence[object] = ()):
-        """Invoke an access method (see the class docstring)."""
-        index = self.calls
-        self.calls += 1
-        if index in self.fail_on or (
-            self.predicate is not None
-            and self.predicate(method_name, tuple(inputs))
-        ):
-            raise SourceUnavailable(
-                f"injected failure on call #{index}",
-                method=method_name,
-                inputs=tuple(inputs),
-            )
-        return self.inner.access(method_name, inputs)
+    The one place a :class:`~repro.exec.budget.ResourceBudget` becomes
+    a :class:`BudgetedSource`, in the service and in a worker alike.
+    """
+    if budget is None or (
+        budget.max_accesses is None and budget.max_cost is None
+    ):
+        return source
+    return BudgetedSource(source, budget.max_accesses, budget.max_cost)
 
 
-class LatencySource(_Wrapper):
+class LatencySource(SourceWrapper):
     """Delay every access by a fixed latency (default: real sleep).
 
     ``sleep`` is injectable for tests; the production default
@@ -155,6 +95,9 @@ class LatencySource(_Wrapper):
     overlap their waits.  The call counter is lock-protected -- this
     wrapper is meant to sit under a multi-threaded service.
     """
+
+    spec_kind = "latency"
+    spec_fields = ("latency",)
 
     def __init__(self, inner, latency: float, sleep: Callable[[float], None] = time.sleep) -> None:
         if latency < 0:
@@ -176,7 +119,7 @@ class LatencySource(_Wrapper):
         return self.inner.access(method_name, inputs)
 
 
-class StormyLatencySource(_Wrapper):
+class StormyLatencySource(SourceWrapper):
     """Latency with a deterministic tail: every k-th access is slow.
 
     Models the P99 regime hedged execution targets -- a backend that is
@@ -187,7 +130,11 @@ class StormyLatencySource(_Wrapper):
     per instance, so two worker processes rehydrating the same spec
     storm independently -- which is exactly why a hedge duplicate,
     landing on a different counter, usually dodges the slow tick.
+    Timing-only nondeterminism, so the wrapper is safe to ship as a spec.
     """
+
+    spec_kind = "storm"
+    spec_fields = ("base_latency", "slow_latency", "slow_every")
 
     def __init__(
         self,
@@ -221,24 +168,3 @@ class StormyLatencySource(_Wrapper):
         if delay:
             self._sleep(delay)
         return self.inner.access(method_name, inputs)
-
-
-def calibrate_costs(source) -> Dict[str, float]:
-    """Fit simple-cost weights from an executed source's log.
-
-    Per method: the total runtime charge observed, i.e. declared
-    per-invocation cost times invocation count.  Feeding the result into
-    ``SimpleCostFunction(per_method=...)`` makes a *re*-planning run see
-    each method at the price one access command actually cost last time
-    (the fan-out of probe methods is priced in), which is the simplest
-    feedback loop between execution and the static search.
-    """
-    from collections import defaultdict
-
-    invocations: Dict[str, int] = defaultdict(int)
-    for record in source.log:
-        invocations[record.method] += 1
-    return {
-        method: source.schema.method(method).cost * count
-        for method, count in invocations.items()
-    }

@@ -49,6 +49,7 @@ from repro.data.instance import Instance, _to_constant
 from repro.errors import AccessViolation
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema, SchemaError
+from repro.source_contract import MeteredSourceMixin
 
 # Per-method index: input-position value tuple -> matching relation rows.
 _MethodIndex = Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]
@@ -71,8 +72,11 @@ class AccessRecord(NamedTuple):
     results: int
 
 
-class InMemorySource:
+class InMemorySource(MeteredSourceMixin):
     """An instance exposed only through its schema's access methods."""
+
+    spec_kind = "memory"
+    spec_fields = ("indexed",)
 
     def __init__(
         self, schema: Schema, instance: Instance, indexed: bool = True
@@ -126,16 +130,6 @@ class InMemorySource:
                 )
             )
         return matching
-
-    def epoch(self) -> int:
-        """The snapshot token of the adapter protocol: instance version.
-
-        The in-memory source never reconnects, so its epoch is exactly
-        the instance's mutation counter -- the token the
-        :class:`~repro.exec.cache.AccessCache` has always invalidated
-        on.
-        """
-        return self.instance.version
 
     def _lookup(
         self, method: AccessMethod, values: Tuple[Constant, ...]
@@ -192,44 +186,6 @@ class InMemorySource:
                 }
                 self._indexes[method.name] = index
             return index
-
-    # ---------------------------------------------------------- metering
-    def reset_log(self) -> None:
-        """Clear the access log and counters."""
-        with self._lock:
-            self.log.clear()
-
-    @property
-    def total_invocations(self) -> int:
-        """Every logged call, including repeats."""
-        return len(self.log)
-
-    def _log_snapshot(self) -> Tuple[AccessRecord, ...]:
-        """A point-in-time copy of the log, safe against appenders."""
-        with self._lock:
-            return tuple(self.log)
-
-    def distinct_accesses(self) -> FrozenSet[Tuple[str, Tuple[Constant, ...]]]:
-        """The set of (method, inputs) pairs -- Theorem 8's access measure."""
-        return frozenset(
-            (rec.method, rec.inputs) for rec in self._log_snapshot()
-        )
-
-    def invocations_of(self, method_name: str) -> int:
-        """Logged invocation count for one method."""
-        return sum(
-            1 for rec in self._log_snapshot() if rec.method == method_name
-        )
-
-    def charged_cost(self, per_method: Optional[Dict[str, float]] = None) -> float:
-        """Total runtime cost: per-method weight (default: declared cost)."""
-        total = 0.0
-        for record in self._log_snapshot():
-            if per_method is not None and record.method in per_method:
-                total += per_method[record.method]
-            else:
-                total += self.schema.method(record.method).cost
-        return total
 
     def __repr__(self) -> str:
         return (
@@ -299,6 +255,9 @@ class ShardedInMemorySource(InMemorySource):
     ``concurrent.futures`` executor as ``pool`` to scan partitions
     concurrently; by default shards are scanned inline.
     """
+
+    spec_kind = "sharded"
+    spec_fields = ("shards", "indexed")  # never the pool
 
     def __init__(
         self,

@@ -8,8 +8,9 @@ outcome, not discovered via an out-of-memory kill.  A
 :meth:`Plan.execute <repro.plans.plan.Plan.execute>` (row budgets) and
 wrapped around the source as a
 :class:`~repro.data.decorators.BudgetedSource` (access/cost budgets,
-the PR 4 :class:`~repro.errors.AccessBudgetExceeded` machinery) by the
-:class:`~repro.service.QueryService`.
+the PR 4 :class:`~repro.errors.AccessBudgetExceeded` machinery) by
+:func:`repro.data.decorators.budgeted`, the one guard the
+:class:`~repro.service.QueryService` and its workers both call.
 
 Degradation policy: a *resident*-row overflow (intermediate state) is
 always an error -- there is no sound partial answer to salvage from a
@@ -42,7 +43,8 @@ class ResourceBudget:
         size and the peak total of resident temporary rows.
     ``max_accesses`` / ``max_cost``
         access budgets, enforced by wrapping the request's source in a
-        :class:`~repro.data.decorators.BudgetedSource` (raises
+        :class:`~repro.data.decorators.BudgetedSource`
+        (:func:`~repro.data.decorators.budgeted`; raises
         :class:`~repro.errors.AccessBudgetExceeded`).
     ``on_result_overflow``
         ``"truncate"`` (default: degrade to a marked partial answer) or

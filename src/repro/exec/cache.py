@@ -7,7 +7,7 @@ legitimately remember what a call returned: an
 same ``(method, inputs)`` pair always yields the same tuple set until
 the underlying instance mutates -- which makes memoization sound.  The
 cache watches the source's *epoch token*
-(:func:`~repro.sources.base.source_epoch`: ``epoch()`` when the source
+(:func:`~repro.source_contract.source_epoch`: ``epoch()`` when the source
 exposes it, ``Instance.version`` otherwise) and drops everything when
 it moves, so a stale answer is never served -- including answers from
 a real backend (:mod:`repro.sources`) whose snapshot changed behind a
@@ -53,7 +53,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.data.source import AccessRecord
 from repro.logic.terms import Constant
-from repro.sources.base import epoch_reader
+from repro.source_contract import epoch_reader
 
 _Inputs = Tuple[Constant, ...]
 _Key = Tuple[str, _Inputs]
@@ -97,8 +97,8 @@ class AccessCache:
         """The memoized per-key fetch of one method: ``inputs -> rows``.
 
         Resolved here, once for all the keys of an access command: how
-        the source's epoch is read (:func:`~repro.sources.base.epoch_reader`)
-        and its ``access`` entry point; the method's relation is looked
+        the source's epoch is read
+        (:func:`~repro.source_contract.epoch_reader`) and its ``access`` entry point; the method's relation is looked
         up at the first miss.  The epoch itself is *read* under the
         lock for every key -- a mutation between two keys of one
         command must still clear the store before the second is

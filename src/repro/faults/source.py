@@ -1,9 +1,10 @@
 """The fault-injecting source wrapper.
 
 :class:`FaultInjectingSource` composes like the decorators in
-:mod:`repro.data.decorators`: it delegates everything to the wrapped
-source and intercepts ``access``.  Each interception consults the
-:class:`~repro.faults.policy.FaultPolicy` schedule:
+:mod:`repro.data.decorators`: a
+:class:`~repro.source_contract.SourceWrapper`, it delegates everything
+to the wrapped source and intercepts ``access``, consulting the
+:class:`~repro.faults.policy.FaultPolicy` schedule each time:
 
 * a permanently-out method refuses with
   :class:`~repro.errors.MethodOutage` *without* touching the backend;
@@ -29,7 +30,7 @@ unaffected -- the property the differential fault tests rely on.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.data.instance import _to_constant
 from repro.errors import (
@@ -49,17 +50,21 @@ from repro.faults.policy import (
     FaultStats,
 )
 from repro.logic.terms import Constant
+from repro.source_contract import SourceWrapper
 
 _Key = Tuple[str, Tuple[Constant, ...]]
 
 
-class FaultInjectingSource:
-    """Wrap any source with a seeded, deterministic fault schedule."""
+class FaultInjectingSource(SourceWrapper):
+    """Wrap any source with a seeded, deterministic fault schedule.
 
-    #: The batch endpoint is never delegated: batched accesses reaching
-    #: the inner source directly would skip the fault schedule, and the
-    #: chaos/differential suites rely on every access being in scope.
-    access_batch = None
+    The batch endpoint stays blocked: the chaos/differential suites
+    rely on every access being in the schedule's scope.  A spec carries
+    the policy only; the schedule is keyed by ``(seed, method, inputs)``,
+    not by call order, so a rehydrated copy faults in the same places.
+    """
+
+    spec_kind = "faults"
 
     def __init__(
         self,
@@ -67,7 +72,7 @@ class FaultInjectingSource:
         policy: FaultPolicy,
         clock: Optional[VirtualClock] = None,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy
         self.clock = clock
         self.stats = FaultStats()
@@ -78,14 +83,15 @@ class FaultInjectingSource:
         # service workers hammer the same wrapper.
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------- delegation
-    @property
-    def schema(self):
-        """The wrapped source's schema."""
-        return self.inner.schema
+    # ------------------------------------------------------------- spec
+    def spec_config(self) -> Dict[str, Any]:
+        """The policy in its JSON form."""
+        return {"policy": self.policy.to_dict()}
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, Any], inner):
+        """Rebuild the wrapper with fresh attempt counters."""
+        return cls(inner, FaultPolicy.from_dict(spec["policy"]))
 
     # ----------------------------------------------------------- access
     def access(self, method_name: str, inputs: Sequence[object] = ()):

@@ -49,7 +49,7 @@ from typing import Dict, List, Mapping, Optional
 from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
 from repro.data.accessible_part import accessible_part
-from repro.data.decorators import BudgetedSource
+from repro.data.decorators import budgeted
 from repro.data.instance import _to_constant
 from repro.errors import (
     DeadlineExceeded,
@@ -736,16 +736,7 @@ class QueryService:
         plan = request.plan
         if request.bindings:
             plan = substitute_constants(plan, request.bindings)
-        source = self.source
         budget = request.budget
-        if budget is not None and (
-            budget.max_accesses is not None or budget.max_cost is not None
-        ):
-            source = BudgetedSource(
-                source,
-                max_invocations=budget.max_accesses,
-                max_cost=budget.max_cost,
-            )
         dispatcher = ResilientDispatcher(
             retry=self.retry,
             breakers=self.breakers,
@@ -755,7 +746,7 @@ class QueryService:
         started = perf_counter()
         try:
             table = plan.execute(
-                source,
+                budgeted(self.source, budget),
                 cache=self.cache,
                 stats=stats,
                 resilience=dispatcher,

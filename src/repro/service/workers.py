@@ -58,9 +58,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import repro.errors as errors_module
 from repro.data.decorators import (
-    CachingSource,
     LatencySource,
     StormyLatencySource,
+    budgeted,
 )
 from repro.data.instance import Instance, _to_constant
 from repro.data.source import InMemorySource, ShardedInMemorySource
@@ -80,7 +80,6 @@ from repro.exec.resilience import (
     RetryPolicy,
 )
 from repro.exec.stats import ExecStats
-from repro.faults.policy import FaultPolicy
 from repro.faults.source import FaultInjectingSource
 from repro.logic.terms import Constant
 from repro.plans.ir import (
@@ -91,223 +90,69 @@ from repro.plans.ir import (
     term_from_ir,
     term_to_ir,
 )
-from repro.schema.serialize import schema_from_dict, schema_to_dict
+from repro.schema.serialize import schema_from_dict
+from repro.source_contract import (
+    SPEC_KIND,
+    SPEC_VERSION,
+    SourceSpecError,
+    SourceWrapper,
+    source_epoch,
+    source_to_spec,
+)
 from repro.sources.base import (
     AdaptiveConcurrencySource,
     CoalescingSource,
     PacedSource,
-    source_epoch,
 )
-from repro.sources.http import HTTPSource, StubTransport
+from repro.sources.http import HTTPSource
 from repro.sources.sqlite import SQLiteSource
 
-#: Format marker stamped into every source spec.
-SPEC_KIND = "repro.source-spec"
-SPEC_VERSION = 1
-
-
-class SourceSpecError(ValueError):
-    """Raised when a source (stack) cannot be described as a spec."""
-
-
 # -------------------------------------------------------------- source spec
-def source_to_spec(source) -> Dict[str, Any]:
-    """Describe a source (possibly a wrapper stack) as a plain dict.
-
-    Supported: :class:`InMemorySource`, :class:`ShardedInMemorySource`,
-    and stacks of :class:`LatencySource` / :class:`CachingSource` /
-    :class:`FaultInjectingSource` over them.  Stateful wrappers whose
-    behaviour depends on global call order (``FlakySource``,
-    ``BudgetedSource``) are rejected: replaying them per worker would
-    change semantics, and budgets are shipped per request instead.
-    """
-    if isinstance(source, StormyLatencySource):
-        # Per-instance call counters make the storm *schedule* differ
-        # between workers, but latency is timing-only nondeterminism:
-        # answers are unchanged, which is what makes this (unlike
-        # FlakySource) safe to replay per worker -- and what hedged
-        # dispatch exploits.
-        return {
-            "wrap": "storm",
-            "base_latency": source.base_latency,
-            "slow_latency": source.slow_latency,
-            "slow_every": source.slow_every,
-            "inner": source_to_spec(source.inner),
-        }
-    if isinstance(source, LatencySource):
-        return {
-            "wrap": "latency",
-            "latency": source.latency,
-            "inner": source_to_spec(source.inner),
-        }
-    if isinstance(source, CachingSource):
-        return {"wrap": "caching", "inner": source_to_spec(source.inner)}
-    if isinstance(source, PacedSource):
-        return {
-            "wrap": "paced",
-            "rate": source.rate,
-            "capacity": source.capacity,
-            "max_wait": source.max_wait,
-            "inner": source_to_spec(source.inner),
-        }
-    if isinstance(source, AdaptiveConcurrencySource):
-        # The evolved AIMD limit is deliberately not shipped: each
-        # worker starts its own probe from the configured ceiling, the
-        # same way per-worker breakers start closed.
-        return {
-            "wrap": "aimd",
-            "max_concurrency": source.max_concurrency,
-            "increase": source.increase,
-            "inner": source_to_spec(source.inner),
-        }
-    if isinstance(source, CoalescingSource):
-        return {"wrap": "coalescing", "inner": source_to_spec(source.inner)}
-    if isinstance(source, FaultInjectingSource):
-        return {
-            "wrap": "faults",
-            "policy": source.policy.to_dict(),
-            "inner": source_to_spec(source.inner),
-        }
-    if isinstance(source, ShardedInMemorySource):
-        return {
-            "format": SPEC_KIND,
-            "version": SPEC_VERSION,
-            "kind": "sharded",
-            "schema": schema_to_dict(source.schema),
-            "instance": source.instance.to_dict(),
-            "shards": source.shards,
-            "indexed": source.indexed,
-        }
-    if isinstance(source, InMemorySource):
-        return {
-            "format": SPEC_KIND,
-            "version": SPEC_VERSION,
-            "kind": "memory",
-            "schema": schema_to_dict(source.schema),
-            "instance": source.instance.to_dict(),
-            "indexed": source.indexed,
-        }
-    if isinstance(source, SQLiteSource):
-        # Each worker rehydrates its *own* database from the canonical
-        # instance dump (":memory:" by construction) -- workers never
-        # share a connection, so there is nothing to contend on.
-        return {
-            "format": SPEC_KIND,
-            "version": SPEC_VERSION,
-            "kind": "sqlite",
-            "schema": schema_to_dict(source.schema),
-            "instance": source.instance.to_dict(),
-            "max_reconnects": source.max_reconnects,
-            "backoff": source.backoff,
-            "max_backoff": source.max_backoff,
-            "drop_every": source.drop_every,
-        }
-    if isinstance(source, HTTPSource):
-        spec_config = getattr(source.transport, "spec_config", None)
-        if not callable(spec_config):
-            raise SourceSpecError(
-                f"HTTPSource transport {type(source.transport).__name__} "
-                "is not spec-able: it exposes no spec_config()"
-            )
-        return {
-            "format": SPEC_KIND,
-            "version": SPEC_VERSION,
-            "kind": "http",
-            "schema": schema_to_dict(source.transport.schema),
-            "instance": source.transport.instance.to_dict(),
-            "transport": spec_config(),
-            "max_retry_after_waits": source.max_retry_after_waits,
-            "max_snapshot_restarts": source.max_snapshot_restarts,
-        }
-    raise SourceSpecError(
-        f"cannot describe {type(source).__name__} as a worker source spec"
+#: Every class a spec can name, by the kind its ``to_spec()`` writes.
+#: Explicit, not self-registration at import: a ``spawn`` worker imports
+#: only what this module imports.
+SPEC_CLASSES = {
+    cls.spec_kind: cls
+    for cls in (
+        InMemorySource,
+        ShardedInMemorySource,
+        SQLiteSource,
+        HTTPSource,
+        LatencySource,
+        StormyLatencySource,
+        PacedSource,
+        AdaptiveConcurrencySource,
+        CoalescingSource,
+        FaultInjectingSource,
     )
+}
 
 
 def spec_to_source(spec: Mapping[str, Any]):
-    """Rehydrate the source (stack) described by :func:`source_to_spec`."""
-    wrap = spec.get("wrap")
-    if wrap == "storm":
-        return StormyLatencySource(
-            spec_to_source(spec["inner"]),
-            float(spec["base_latency"]),
-            float(spec["slow_latency"]),
-            int(spec["slow_every"]),
-        )
-    if wrap == "latency":
-        return LatencySource(
-            spec_to_source(spec["inner"]), float(spec["latency"])
-        )
-    if wrap == "caching":
-        return CachingSource(spec_to_source(spec["inner"]))
-    if wrap == "paced":
-        return PacedSource(
-            spec_to_source(spec["inner"]),
-            float(spec["rate"]),
-            capacity=float(spec["capacity"]),
-            max_wait=float(spec["max_wait"]),
-        )
-    if wrap == "aimd":
-        return AdaptiveConcurrencySource(
-            spec_to_source(spec["inner"]),
-            max_concurrency=int(spec["max_concurrency"]),
-            increase=float(spec["increase"]),
-        )
-    if wrap == "coalescing":
-        return CoalescingSource(spec_to_source(spec["inner"]))
-    if wrap == "faults":
-        return FaultInjectingSource(
-            spec_to_source(spec["inner"]),
-            FaultPolicy.from_dict(spec["policy"]),
-        )
-    if spec.get("format") != SPEC_KIND or spec.get("version") != SPEC_VERSION:
+    """Rehydrate the source (stack) described by :func:`source_to_spec`.
+
+    A ``"wrap"`` spec names a wrapper class and nests its ``"inner"``;
+    any other must carry the format header and names a backend ``"kind"``.
+    """
+    wrapped = "wrap" in spec
+    if not wrapped and (
+        spec.get("format") != SPEC_KIND or spec.get("version") != SPEC_VERSION
+    ):
         raise SourceSpecError(
             f"not a source spec (format={spec.get('format')!r}, "
             f"version={spec.get('version')!r})"
         )
-    schema = schema_from_dict(spec["schema"])
-    instance = Instance.from_dict(spec["instance"])
-    if spec["kind"] == "sharded":
-        return ShardedInMemorySource(
-            schema,
-            instance,
-            shards=int(spec["shards"]),
-            indexed=bool(spec.get("indexed", True)),
-        )
-    if spec["kind"] == "memory":
-        return InMemorySource(
-            schema, instance, indexed=bool(spec.get("indexed", True))
-        )
-    if spec["kind"] == "sqlite":
-        drop_every = spec.get("drop_every")
-        return SQLiteSource(
-            schema,
-            instance,
-            max_reconnects=int(spec.get("max_reconnects", 4)),
-            backoff=float(spec.get("backoff", 0.01)),
-            max_backoff=float(spec.get("max_backoff", 0.5)),
-            drop_every=None if drop_every is None else int(drop_every),
-        )
-    if spec["kind"] == "http":
-        config = spec["transport"]
-        policy = config.get("fault_policy")
-        transport = StubTransport(
-            schema,
-            instance,
-            latency=float(config.get("latency", 0.0)),
-            page_size=config.get("page_size"),
-            rate_limit=config.get("rate_limit"),
-            burst=config.get("burst"),
-            fault_policy=None
-            if policy is None
-            else FaultPolicy.from_dict(policy),
-        )
-        return HTTPSource(
-            transport,
-            max_retry_after_waits=int(spec.get("max_retry_after_waits", 8)),
-            max_snapshot_restarts=int(spec.get("max_snapshot_restarts", 8)),
-        )
-    raise SourceSpecError(f"unknown source spec kind {spec['kind']!r}")
+    kind = spec["wrap" if wrapped else "kind"]
+    cls = SPEC_CLASSES.get(kind)
+    if cls is None or issubclass(cls, SourceWrapper) != wrapped:
+        raise SourceSpecError(f"unknown source spec kind {kind!r}")
+    if wrapped:
+        return cls.from_spec(spec, spec_to_source(spec["inner"]))
+    return cls.from_spec(
+        spec,
+        schema_from_dict(spec["schema"]),
+        Instance.from_dict(spec["instance"]),
+    )
 
 
 # ----------------------------------------------------------- request payload
@@ -429,24 +274,13 @@ def execute_payload(
         if bindings:
             plan = substitute_constants(plan, bindings)
         budget = _budget_from_dict(payload.get("budget"))
-        run_source = source
-        if budget is not None and (
-            budget.max_accesses is not None or budget.max_cost is not None
-        ):
-            from repro.data.decorators import BudgetedSource
-
-            run_source = BudgetedSource(
-                source,
-                max_invocations=budget.max_accesses,
-                max_cost=budget.max_cost,
-            )
         stats = ExecStats() if payload.get("collect_stats") else None
         dispatcher = ResilientDispatcher(
             retry=_retry_from_dict(payload.get("retry")),
             breakers=BreakerRegistry(),
         )
         table = plan.execute(
-            run_source,
+            budgeted(source, budget),
             stats=stats,
             resilience=dispatcher,
             budget=budget,

@@ -1,0 +1,259 @@
+"""The source contract, stated once.
+
+In the paper a source *is* its access methods: a plan can only call
+``mt(inputs)``, and the cost function charges each call.  What the
+runtime asks of a source is all here, in a module that imports nothing
+from :mod:`repro.data` or :mod:`repro.sources` and so sits below both:
+the duck-typed protocol (:class:`SourceAdapter`) with its epoch token,
+read through any wrapper stack (:func:`epoch_reader`,
+:func:`source_epoch`); what every backend inherits
+(:class:`MeteredSourceMixin`); the one delegation base
+(:class:`SourceWrapper`); and the spec a source writes about itself to
+cross a process boundary (:class:`Specable`, :func:`source_to_spec`) --
+the way back, ``spec_to_source``, sits beside the explicit kind -> class
+table in :mod:`repro.service.workers`.
+
+Batching: a backend that can answer several input tuples in one round
+trip adds ``access_batch(method, inputs_list)``; the access-command
+boundary uses it when present, and a wrapper never forwards it.
+"""
+
+from __future__ import annotations
+
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
+
+from repro.logic.terms import Constant
+from repro.schema.serialize import schema_to_dict
+
+#: Format marker stamped into every backend spec.
+SPEC_KIND = "repro.source-spec"
+SPEC_VERSION = 1
+
+
+class SourceSpecError(ValueError):
+    """Raised when a source (stack) cannot be described as a spec."""
+
+
+@runtime_checkable
+class SourceAdapter(Protocol):
+    """The duck-typed contract every source backend satisfies.
+
+    ``schema``
+        the :class:`~repro.schema.core.Schema` whose access methods the
+        adapter serves.
+    ``access``
+        invoke one method with values for all of its input positions;
+        returns the matching relation tuples as a frozenset.
+    ``log``
+        the per-invocation metering log (a list of
+        :class:`~repro.data.source.AccessRecord`).
+    ``epoch``
+        a monotone snapshot token; answers observed under different
+        epochs must never be mixed (see :func:`source_epoch`).
+    """
+
+    schema: Any
+    log: List[Any]
+
+    def access(
+        self, method_name: str, inputs: Sequence[object] = ()
+    ) -> FrozenSet[Tuple[Constant, ...]]:
+        """Invoke one access method with its bound input values."""
+        ...
+
+    def epoch(self) -> int:
+        """The current monotone snapshot token."""
+        ...
+
+
+def epoch_reader(source) -> Callable[[], Any]:
+    """How to read a source's snapshot token, resolved once.
+
+    Prefers a callable ``epoch()`` (the adapter protocol), falls back
+    to ``instance.version`` (the in-memory sources), and answers 0 for
+    sources with neither -- so epoch-less callers keep the exact
+    pre-adapter cache semantics.  Wrappers delegate ``epoch`` via
+    ``__getattr__``, so resolving through a stack reaches the backend.
+    The reader returned is what a caller with many reads to make (the
+    :class:`~repro.exec.cache.AccessCache`, once per key of an access
+    command) calls for each; which of the three it is cannot change
+    while a source object lives.
+    """
+    epoch = getattr(source, "epoch", None)
+    if callable(epoch):
+        return epoch
+    instance = getattr(source, "instance", None)
+    if getattr(instance, "version", None) is not None:
+        return lambda: source.instance.version
+    return lambda: 0
+
+
+def source_epoch(source) -> int:
+    """The source's current snapshot token, through any wrapper stack.
+
+    One read through :func:`epoch_reader`.
+    """
+    return int(epoch_reader(source)())
+
+
+class Specable:
+    """A class names its ``spec_kind`` and the constructor fields to ship.
+
+    A backend's spec is the format header, schema and instance dump plus
+    those fields; a wrapper's ``{"wrap": kind, **fields, "inner": ...}``.
+    """
+
+    #: ``None``: instances cannot be shipped (a :class:`SourceSpecError`).
+    spec_kind: Optional[str] = None
+    #: Constructor keywords that are also attributes of the instance.
+    spec_fields: Tuple[str, ...] = ()
+
+    def to_spec(self) -> Dict[str, Any]:
+        """This source (and what it wraps) as a plain dict."""
+        if self.spec_kind is None:
+            raise SourceSpecError(
+                f"{type(self).__name__} declares no spec_kind: it cannot "
+                "be described as a worker source spec"
+            )
+        return self._write_spec(self.spec_config())
+
+    def spec_config(self) -> Dict[str, Any]:
+        """The JSON form of the constructor fields named in ``spec_fields``."""
+        return {name: getattr(self, name) for name in self.spec_fields}
+
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, Any], *built):
+        """``cls(*built, **fields)``; a field the spec lacks keeps its default.
+
+        ``built`` is the rebuilt inner source of a wrapper, the schema
+        and instance of a backend.
+        """
+        fields = {n: spec[n] for n in cls.spec_fields if n in spec}
+        return cls(*built, **fields)
+
+
+class MeteredSourceMixin(Specable):
+    """What every backend shares: metering, the epoch, the spec's shape.
+
+    Subclasses provide ``self.log`` (a list of
+    :class:`~repro.data.source.AccessRecord`), ``self._lock`` (held
+    around log mutation), ``self.schema`` and ``self.instance``, so
+    benchmarks, the CLI and the worker tier treat every backend alike.
+    """
+
+    def epoch(self) -> int:
+        """The snapshot token: the ground-truth instance's mutation counter.
+
+        Stable across a reconnect (which reloads the *same* snapshot),
+        bumped by a mutation -- what the
+        :class:`~repro.exec.cache.AccessCache` invalidates on.
+        """
+        return self.instance.version
+
+    def reset_log(self) -> None:
+        """Clear the access log and counters."""
+        with self._lock:
+            self.log.clear()
+
+    @property
+    def total_invocations(self) -> int:
+        """Every logged call, including repeats."""
+        return len(self.log)
+
+    def _log_snapshot(self):
+        """A point-in-time copy of the log, safe against appenders."""
+        with self._lock:
+            return tuple(self.log)
+
+    def distinct_accesses(self):
+        """The set of (method, inputs) pairs -- Theorem 8's access measure."""
+        return frozenset(
+            (rec.method, rec.inputs) for rec in self._log_snapshot()
+        )
+
+    def invocations_of(self, method_name: str) -> int:
+        """Logged invocation count for one method."""
+        return sum(
+            1 for rec in self._log_snapshot() if rec.method == method_name
+        )
+
+    def charged_cost(
+        self, per_method: Optional[Dict[str, float]] = None
+    ) -> float:
+        """Total runtime cost: per-method weight (default: declared cost)."""
+        total = 0.0
+        for record in self._log_snapshot():
+            if per_method is not None and record.method in per_method:
+                total += per_method[record.method]
+            else:
+                total += self.schema.method(record.method).cost
+        return total
+
+    def _write_spec(self, config: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            "format": SPEC_KIND,
+            "version": SPEC_VERSION,
+            "kind": self.spec_kind,
+            "schema": schema_to_dict(self.schema),
+            "instance": self.instance.to_dict(),
+            **config,
+        }
+
+
+class SourceWrapper(Specable):
+    """Delegate everything to ``inner``; subclasses intercept ``access``."""
+
+    #: Never delegate the batch endpoint: a wrapper that intercepts
+    #: ``access`` but silently forwarded ``access_batch`` would let the
+    #: batch path route around its pacing/budgeting/fault logic.
+    #: Wrappers that can batch safely override this with a real method.
+    access_batch = None
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    @property
+    def schema(self):
+        """The wrapped source's schema."""
+        return self.inner.schema
+
+    def __getattr__(self, name):
+        # ``copy`` and ``pickle`` probe an instance whose __init__ never
+        # ran: an unset ``inner`` is a missing attribute, not a lookup
+        # on ``self.inner`` that comes straight back here.
+        if name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+    def _write_spec(self, config: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            "wrap": self.spec_kind,
+            **config,
+            "inner": source_to_spec(self.inner),
+        }
+
+
+def source_to_spec(source) -> Dict[str, Any]:
+    """Describe a source (possibly a wrapper stack) as a plain dict.
+
+    What is an observation of the run so far -- logs, attempt counters,
+    an evolved AIMD limit -- is never in it: each worker starts its own.
+    """
+    to_spec = getattr(source, "to_spec", None)
+    if not callable(to_spec):
+        raise SourceSpecError(
+            f"cannot describe {type(source).__name__} as a worker source spec"
+        )
+    return to_spec()

@@ -6,19 +6,23 @@ backends that can actually disconnect, throttle and paginate --
 :class:`SQLiteSource` (relations as tables) and :class:`HTTPSource` (a
 web-service client over a pluggable transport) -- plus the shared
 defensive I/O layer (:class:`PacedSource`,
-:class:`AdaptiveConcurrencySource`, :class:`CoalescingSource`) and the
-epoch-token machinery (:func:`source_epoch`) that keeps caches and
-answers snapshot-consistent across reconnects and backend mutations.
+:class:`AdaptiveConcurrencySource`, :class:`CoalescingSource`).  The
+contract they speak is :mod:`repro.source_contract`'s, re-exported
+here: :class:`SourceAdapter`, :class:`MeteredSourceMixin`, and the epoch
+token (:func:`source_epoch`) that keeps caches and answers
+snapshot-consistent across reconnects and backend mutations.
 """
 
+from repro.source_contract import (
+    MeteredSourceMixin,
+    SourceAdapter,
+    source_epoch,
+)
 from repro.sources.base import (
     AdaptiveConcurrencySource,
     CoalescingSource,
-    MeteredSourceMixin,
     PacedSource,
-    SourceAdapter,
     TokenBucket,
-    source_epoch,
 )
 from repro.sources.http import (
     EPOCH_HEADER,

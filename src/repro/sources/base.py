@@ -1,172 +1,26 @@
-"""The adapter layer's shared plumbing: protocol, epochs, defense.
+"""The adapter layer's defensive I/O: token buckets and three wrappers.
 
-Every backend in :mod:`repro.sources` speaks the same duck-typed
-protocol the rest of the runtime already consumes -- ``schema``,
-``access(method, inputs)``, a metered ``log`` -- captured here as
-:class:`SourceAdapter` (a :class:`typing.Protocol`, so
-:class:`~repro.data.source.InMemorySource` satisfies it unchanged).
-
-Two additions make *real* backends safe to put behind the planner:
-
-* **Epoch tokens.**  A backend that can reconnect or whose data can
-  change underneath us must expose a monotone ``epoch()``; anything
-  derived from its answers (the :class:`~repro.exec.cache.AccessCache`,
-  a paginated result sequence) is valid only within one epoch.
-  :func:`epoch_reader` is the single resolution point: it prefers
-  ``epoch()``, falls back to ``instance.version`` (the in-memory
-  sources' native token), and answers 0 for epoch-less sources --
-  preserving the old cache behaviour exactly.  :func:`source_epoch`
-  is one read through it.
-
-* **Defensive I/O wrappers.**  :class:`PacedSource` (client-side
-  token-bucket pacing mapped to the existing
-  :class:`~repro.errors.RateLimited`), :class:`AdaptiveConcurrencySource`
-  (AIMD concurrency control per source) and :class:`CoalescingSource`
-  (single-flight collapse of identical concurrent accesses) compose
-  around any adapter the same way the :mod:`repro.data.decorators`
-  wrappers do, and all three are spec-able so the process tier can
-  rehydrate the full defensive stack per worker.
-
-Batching: a backend that can answer several distinct input tuples in
-one round trip exposes ``access_batch(method, inputs_list)``; the
-access-command boundary dispatches through it when present.  Wrappers
-deliberately *block* delegation of ``access_batch`` (class attribute
-``None``) unless they implement it themselves -- otherwise a wrapper's
-pacing/fault/metering logic would be silently bypassed by the batch
-path reaching the inner source directly.
+What makes a *real* backend safe to put behind the planner:
+:class:`PacedSource` (client-side token-bucket pacing mapped to the
+existing :class:`~repro.errors.RateLimited`),
+:class:`AdaptiveConcurrencySource` (AIMD concurrency control per
+source) and :class:`CoalescingSource` (single-flight collapse of
+identical concurrent accesses).  Like the :mod:`repro.data.decorators`
+wrappers they subclass the one base,
+:class:`repro.source_contract.SourceWrapper` (where the adapter
+protocol, epochs and metering live too), and all three name a
+``spec_kind``, so the process tier rehydrates the full defensive stack
+per worker.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import RateLimited
-from repro.logic.terms import Constant
-
-
-@runtime_checkable
-class SourceAdapter(Protocol):
-    """The duck-typed contract every source backend satisfies.
-
-    ``schema``
-        the :class:`~repro.schema.core.Schema` whose access methods the
-        adapter serves.
-    ``access``
-        invoke one method with values for all of its input positions;
-        returns the matching relation tuples as a frozenset.
-    ``log``
-        the per-invocation metering log (a list of
-        :class:`~repro.data.source.AccessRecord`).
-    ``epoch``
-        a monotone snapshot token; answers observed under different
-        epochs must never be mixed (see :func:`source_epoch`).
-    """
-
-    schema: Any
-    log: List[Any]
-
-    def access(
-        self, method_name: str, inputs: Sequence[object] = ()
-    ) -> FrozenSet[Tuple[Constant, ...]]:
-        """Invoke one access method with its bound input values."""
-        ...
-
-    def epoch(self) -> int:
-        """The current monotone snapshot token."""
-        ...
-
-
-def epoch_reader(source) -> Callable[[], Any]:
-    """How to read a source's snapshot token, resolved once.
-
-    Prefers a callable ``epoch()`` (the adapter protocol), falls back
-    to ``instance.version`` (the in-memory sources), and answers 0 for
-    sources with neither -- so epoch-less callers keep the exact
-    pre-adapter cache semantics.  Wrappers delegate ``epoch`` via
-    ``__getattr__``, so resolving through a stack reaches the backend.
-    The reader returned is what a caller with many reads to make (the
-    :class:`~repro.exec.cache.AccessCache`, once per key of an access
-    command) calls for each; which of the three it is cannot change
-    while a source object lives.
-    """
-    epoch = getattr(source, "epoch", None)
-    if callable(epoch):
-        return epoch
-    instance = getattr(source, "instance", None)
-    if getattr(instance, "version", None) is not None:
-        return lambda: source.instance.version
-    return lambda: 0
-
-
-def source_epoch(source) -> int:
-    """The source's current snapshot token, through any wrapper stack.
-
-    One read through :func:`epoch_reader`.
-    """
-    return int(epoch_reader(source)())
-
-
-class MeteredSourceMixin:
-    """The metering helpers every backend shares.
-
-    Subclasses provide ``self.log`` (a list of
-    :class:`~repro.data.source.AccessRecord`), ``self._lock`` (held
-    around log mutation) and ``self.schema``; the mixin derives the
-    same metering surface :class:`~repro.data.source.InMemorySource`
-    exposes, so benchmarks and the CLI treat every backend uniformly.
-    """
-
-    def reset_log(self) -> None:
-        """Clear the access log and counters."""
-        with self._lock:
-            self.log.clear()
-
-    @property
-    def total_invocations(self) -> int:
-        """Every logged call, including repeats."""
-        return len(self.log)
-
-    def _log_snapshot(self):
-        """A point-in-time copy of the log, safe against appenders."""
-        with self._lock:
-            return tuple(self.log)
-
-    def distinct_accesses(self):
-        """The set of (method, inputs) pairs -- Theorem 8's measure."""
-        return frozenset(
-            (rec.method, rec.inputs) for rec in self._log_snapshot()
-        )
-
-    def invocations_of(self, method_name: str) -> int:
-        """Logged invocation count for one method."""
-        return sum(
-            1 for rec in self._log_snapshot() if rec.method == method_name
-        )
-
-    def charged_cost(
-        self, per_method: Optional[Dict[str, float]] = None
-    ) -> float:
-        """Total runtime cost: per-method weight (default: declared)."""
-        total = 0.0
-        for record in self._log_snapshot():
-            if per_method is not None and record.method in per_method:
-                total += per_method[record.method]
-            else:
-                total += self.schema.method(record.method).cost
-        return total
+from repro.source_contract import SourceWrapper
 
 
 # ----------------------------------------------------------- token buckets
@@ -225,28 +79,7 @@ class TokenBucket:
 
 
 # ------------------------------------------------------ defensive wrappers
-class _AdapterWrapper:
-    """Delegate everything, intercept ``access``; block batch bypass."""
-
-    #: Wrappers never silently expose the inner source's batch
-    #: endpoint: delegation would route around the wrapper's own
-    #: pacing/limiting/metering.  Wrappers that *can* batch safely
-    #: override this with a real implementation.
-    access_batch = None
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    @property
-    def schema(self):
-        """The wrapped source's schema."""
-        return self.inner.schema
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-class PacedSource(_AdapterWrapper):
+class PacedSource(SourceWrapper):
     """Client-side token-bucket pacing in front of any source.
 
     A mediator that knows its backend's advertised call budget paces
@@ -259,6 +92,9 @@ class PacedSource(_AdapterWrapper):
     server's budget the server observes *zero* over-budget requests
     (``benchmarks/bench_adapters.py`` asserts exactly that).
     """
+
+    spec_kind = "paced"
+    spec_fields = ("rate", "capacity", "max_wait")
 
     def __init__(
         self,
@@ -318,7 +154,7 @@ class PacedSource(_AdapterWrapper):
         }
 
 
-class AdaptiveConcurrencySource(_AdapterWrapper):
+class AdaptiveConcurrencySource(SourceWrapper):
     """AIMD concurrency control per source, TCP style.
 
     The in-flight access count is gated by an adaptive limit: every
@@ -328,8 +164,12 @@ class AdaptiveConcurrencySource(_AdapterWrapper):
     :class:`~repro.errors.AccessTimeout` from below -- halves it
     (multiplicative decrease, floored at 1).  Callers over the limit
     block on a condition variable, so a misbehaving backend throttles
-    the whole service *smoothly* instead of via an error storm.
+    the whole service *smoothly* instead of via an error storm.  A
+    spec carries the ceiling, not the evolved limit: workers probe anew.
     """
+
+    spec_kind = "aimd"
+    spec_fields = ("max_concurrency", "increase")
 
     def __init__(
         self,
@@ -407,7 +247,7 @@ class AdaptiveConcurrencySource(_AdapterWrapper):
             }
 
 
-class CoalescingSource(_AdapterWrapper):
+class CoalescingSource(SourceWrapper):
     """Single-flight collapse of identical concurrent accesses.
 
     When several threads ask for the same ``(method, inputs)`` at the
@@ -420,6 +260,8 @@ class CoalescingSource(_AdapterWrapper):
     whose leader failed retries itself, so errors reach everyone who
     asked.
     """
+
+    spec_kind = "coalescing"
 
     def __init__(self, inner) -> None:
         super().__init__(inner)

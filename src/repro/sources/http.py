@@ -64,7 +64,8 @@ from repro.faults.policy import (
 )
 from repro.logic.terms import Constant
 from repro.schema.core import Schema
-from repro.sources.base import MeteredSourceMixin, TokenBucket
+from repro.source_contract import MeteredSourceMixin, SourceSpecError
+from repro.sources.base import TokenBucket
 
 #: The epoch header every stub response carries.
 EPOCH_HEADER = "X-Source-Epoch"
@@ -292,6 +293,9 @@ class StubTransport:
 class HTTPSource(MeteredSourceMixin):
     """The defensive web-service client behind the access protocol."""
 
+    spec_kind = "http"
+    spec_fields = ("max_retry_after_waits", "max_snapshot_restarts")
+
     def __init__(
         self,
         transport,
@@ -314,6 +318,29 @@ class HTTPSource(MeteredSourceMixin):
         self.snapshot_restarts = 0
         self.batched_calls = 0
         self._last_epoch: Optional[int] = None
+
+    # --------------------------------------------------------------- spec
+    def spec_config(self) -> Dict[str, Any]:
+        """The transport's ``spec_config()``, then the client's patience.
+
+        A transport without one (a live socket) is a typed error.
+        """
+        spec_config = getattr(self.transport, "spec_config", None)
+        if not callable(spec_config):
+            raise SourceSpecError(
+                f"HTTPSource transport {type(self.transport).__name__} "
+                "is not spec-able: it exposes no spec_config()"
+            )
+        return {"transport": spec_config(), **super().spec_config()}
+
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, Any], schema, instance):
+        """Rebuild the client over a rehydrated :class:`StubTransport`."""
+        config = dict(spec["transport"])
+        policy = config.pop("fault_policy", None)
+        if policy is not None:
+            config["fault_policy"] = FaultPolicy.from_dict(policy)
+        return super().from_spec(spec, StubTransport(schema, instance, **config))
 
     @property
     def schema(self):

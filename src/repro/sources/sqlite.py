@@ -90,7 +90,7 @@ from repro.data.source import AccessRecord
 from repro.errors import AccessError, AccessViolation, SourceUnavailable
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema
-from repro.sources.base import MeteredSourceMixin
+from repro.source_contract import MeteredSourceMixin
 
 #: Errors that *may* mean "the connection is gone" (the reconnect loop's
 #: catch) -- unless the message is one of ``_STATEMENT_ERRORS``.
@@ -178,7 +178,14 @@ def _keyed_join_sql(
 
 
 class SQLiteSource(MeteredSourceMixin):
-    """An instance served through SQLite, behind the access protocol."""
+    """An instance served through SQLite, behind the access protocol.
+
+    A spec carries the lifecycle knobs, never ``path``: each worker
+    loads its *own* ``":memory:"`` database from the instance dump.
+    """
+
+    spec_kind = "sqlite"
+    spec_fields = ("max_reconnects", "backoff", "max_backoff", "drop_every")
 
     def __init__(
         self,
@@ -218,17 +225,6 @@ class SQLiteSource(MeteredSourceMixin):
         # QueryService -- statements serialize, waits overlap upstream.
         self._lock = threading.RLock()
         self._connect()
-
-    # ------------------------------------------------------------- epochs
-    def epoch(self) -> int:
-        """The read-snapshot token: the ground-truth instance version.
-
-        Stable across reconnects (a reconnect reloads the *same*
-        snapshot), bumped by backend mutations -- exactly the monotone
-        token the :class:`~repro.exec.cache.AccessCache` keys
-        invalidation on.
-        """
-        return self.instance.version
 
     # -------------------------------------------------- connection lifecycle
     def _connect(self) -> None:

@@ -1,18 +1,17 @@
-"""Tests for source decorators and runtime cost calibration."""
+"""Tests for the budget decorator, alone and under the access cache."""
 
 import pytest
 
 from repro.data.decorators import (
     AccessBudgetExceeded,
     BudgetedSource,
-    CachingSource,
-    FlakySource,
-    SourceUnavailable,
-    calibrate_costs,
+    budgeted,
 )
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.planner.search import SearchOptions, find_best_plan
+from repro.exec.budget import ResourceBudget
+from repro.exec.cache import AccessCache
+from repro.planner.search import find_best_plan
 from repro.scenarios import example1
 from repro.schema.core import SchemaBuilder
 
@@ -28,33 +27,6 @@ def backend():
     )
     instance = Instance({"R": [("a", "1"), ("b", "2")]})
     return InMemorySource(schema, instance)
-
-
-class TestCachingSource:
-    def test_repeat_accesses_hit_cache(self, backend):
-        source = CachingSource(backend)
-        first = source.access("mt_key", ("a",))
-        second = source.access("mt_key", ("a",))
-        assert first == second
-        assert source.hits == 1
-        assert source.misses == 1
-        assert backend.total_invocations == 1
-
-    def test_distinct_inputs_miss(self, backend):
-        source = CachingSource(backend)
-        source.access("mt_key", ("a",))
-        source.access("mt_key", ("b",))
-        assert source.misses == 2
-
-    def test_plan_runs_through_cache(self):
-        scenario = example1()
-        plan = find_best_plan(scenario.schema, scenario.query).best_plan
-        backend = InMemorySource(scenario.schema, scenario.instance(0))
-        cached = CachingSource(backend)
-        out_cached = plan.run(cached)
-        fresh = InMemorySource(scenario.schema, scenario.instance(0))
-        out_fresh = plan.run(fresh)
-        assert out_cached.rows == out_fresh.rows
 
 
 class TestBudgetedSource:
@@ -89,73 +61,28 @@ class TestBudgetedSource:
             plan.run(source)
 
 
-class TestFlakySource:
-    def test_fails_on_selected_calls(self, backend):
-        source = FlakySource(backend, fail_on=[1])
-        source.access("mt_R")
-        with pytest.raises(SourceUnavailable):
-            source.access("mt_R")
-        # Subsequent calls recover.
-        source.access("mt_R")
-
-    def test_predicate_failures(self, backend):
-        source = FlakySource(
-            backend,
-            predicate=lambda method, inputs: method == "mt_key",
-        )
-        source.access("mt_R")
-        with pytest.raises(SourceUnavailable):
-            source.access("mt_key", ("a",))
-
-    def test_plan_propagates_failure(self):
-        scenario = example1()
-        plan = find_best_plan(scenario.schema, scenario.query).best_plan
-        backend = InMemorySource(scenario.schema, scenario.instance(0))
-        source = FlakySource(backend, fail_on=[0])
-        with pytest.raises(SourceUnavailable):
-            plan.run(source)
-
-
 class TestComposition:
-    def test_cache_behind_budget(self, backend):
-        """A cache inside a budget: repeats are free."""
-        source = BudgetedSource(CachingSource(backend), max_invocations=5)
-        for _ in range(5):
-            source.access("mt_key", ("a",))
-        # Budget counts the outer calls; backend saw only one.
-        assert backend.total_invocations == 1
-
     def test_budget_behind_cache(self, backend):
-        """A budget inside a cache: repeats don't consume budget."""
-        source = CachingSource(BudgetedSource(backend, max_invocations=1))
+        """A budget under the access cache: repeats don't consume budget."""
+        budget = BudgetedSource(backend, max_invocations=1)
+        fetch = AccessCache().bind(budget, "mt_key")
         for _ in range(5):
-            source.access("mt_key", ("a",))
+            fetch(("a",))
+        assert budget.invocations == 1
         assert backend.total_invocations == 1
 
 
-class TestCalibration:
-    def test_weights_reflect_fanout(self):
-        scenario = example1(professors=20, directory_extra=30)
-        plan = find_best_plan(scenario.schema, scenario.query).best_plan
-        source = InMemorySource(scenario.schema, scenario.instance(0))
-        plan.run(source)
-        weights = calibrate_costs(source)
-        # The probe method was invoked many times: its calibrated weight
-        # exceeds the one-shot scan's.
-        assert weights["mt_prof"] > weights["mt_udir"]
+class TestBudgetGuard:
+    """``budgeted``: the one place a ResourceBudget wraps a source."""
 
-    def test_replan_with_calibrated_costs(self):
-        """Feedback loop: calibrated weights are usable for re-planning."""
-        from repro.cost.functions import SimpleCostFunction
+    def test_no_access_ceiling_means_no_wrapper(self, backend):
+        assert budgeted(backend, None) is backend
+        assert budgeted(backend, ResourceBudget(max_result_rows=3)) is backend
 
-        scenario = example1()
-        plan = find_best_plan(scenario.schema, scenario.query).best_plan
-        source = InMemorySource(scenario.schema, scenario.instance(0))
-        plan.run(source)
-        cost = SimpleCostFunction(calibrate_costs(source))
-        replanned = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(cost=cost),
-        )
-        assert replanned.found
+    def test_either_ceiling_wraps(self, backend):
+        by_count = budgeted(backend, ResourceBudget(max_accesses=2))
+        assert isinstance(by_count, BudgetedSource)
+        assert (by_count.max_invocations, by_count.max_cost) == (2, None)
+        by_cost = budgeted(backend, ResourceBudget(max_cost=4.0))
+        assert (by_cost.max_invocations, by_cost.max_cost) == (None, 4.0)
+        assert by_cost.inner is backend

@@ -117,6 +117,21 @@ class TestTransientKinds:
         assert source.stats.injected_total == 3
         assert source.stats.delivered == 1
 
+    def test_an_unprotected_plan_propagates_the_injected_failure(self):
+        from repro.planner.search import find_best_plan
+        from repro.scenarios import example1
+
+        scenario = example1()
+        plan = find_best_plan(scenario.schema, scenario.query).best_plan
+        source = make_source(
+            scenario.schema,
+            scenario.instance(0),
+            FaultPolicy(seed=0, unavailable_rate=1.0, burst=1),
+        )
+        with pytest.raises(SourceUnavailable):
+            plan.run(source)
+        assert source.inner.total_invocations == 0  # failed, not charged
+
     def test_attempt_counters_are_per_key(self, schema, instance):
         policy = FaultPolicy(seed=0, unavailable_rate=1.0, burst=1)
         source = make_source(schema, instance, policy)

@@ -88,17 +88,3 @@ class TestWeakAcyclicityPredictsTermination:
             config, tgds, NullFactory("wa"), ChasePolicy(max_firings=5_000)
         )
         assert result.reached_fixpoint, [repr(t) for t in tgds]
-
-
-class TestDecoratedCompleteness:
-    def test_plan_complete_through_cache(self):
-        from repro.data.decorators import CachingSource
-        from repro.data.source import InMemorySource
-        from repro.planner.search import find_best_plan
-
-        scenario = example1(professors=8, directory_extra=8)
-        plan = find_best_plan(scenario.schema, scenario.query).best_plan
-        instance = scenario.instance(2)
-        source = CachingSource(InMemorySource(scenario.schema, instance))
-        out = plan.run(source)
-        assert set(out.rows) == instance.evaluate(scenario.query)
