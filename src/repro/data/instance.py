@@ -25,30 +25,26 @@ from repro.logic.atoms import Atom
 from repro.logic.dependencies import TGD
 from repro.logic.homomorphisms import FactIndex, find_homomorphism
 from repro.logic.queries import ConjunctiveQuery
-from repro.logic.terms import Constant, Term
-
-
-class InstanceError(ValueError):
-    """Raised for malformed instance data."""
-
-
-def _to_constant(value: object) -> Constant:
-    if isinstance(value, Constant):
-        return value
-    if isinstance(value, (str, int, float, bool)):
-        return Constant(value)
-    raise InstanceError(f"cannot store {value!r} in an instance")
+from repro.logic.terms import Constant, InstanceError, Term, _to_constant
 
 
 class Instance:
-    """A finite database instance (relation name -> set of tuples)."""
+    """A finite database instance (relation name -> set of tuples).
+
+    ``version`` is a monotone mutation counter: it bumps on every
+    successful insert.  Derived structures (the fact index, per-method
+    access indexes in :class:`~repro.data.source.InMemorySource`) use it
+    to detect staleness cheaply instead of re-hashing the data.  It is a
+    plain attribute because every access reads it; only :meth:`add`
+    writes it.
+    """
 
     def __init__(
         self, data: Optional[Mapping[str, Iterable[Sequence[object]]]] = None
     ) -> None:
         self._data: Dict[str, Set[Tuple[Constant, ...]]] = {}
         self._index: Optional[FactIndex] = None
-        self._version = 0
+        self.version = 0
         if data:
             for relation, tuples in data.items():
                 for row in tuples:
@@ -62,7 +58,7 @@ class Instance:
             return False
         bucket.add(constants)
         self._index = None
-        self._version += 1
+        self.version += 1
         return True
 
     def add_fact(self, fact: Atom) -> bool:
@@ -70,16 +66,6 @@ class Instance:
         if not fact.is_fact:
             raise InstanceError(f"not ground: {fact!r}")
         return self.add(fact.relation, fact.terms)
-
-    @property
-    def version(self) -> int:
-        """Monotone mutation counter: bumps on every successful insert.
-
-        Derived structures (the fact index, per-method access indexes in
-        :class:`~repro.data.source.InMemorySource`) use it to detect
-        staleness cheaply instead of re-hashing the data.
-        """
-        return self._version
 
     def tuples(self, relation: str) -> FrozenSet[Tuple[Constant, ...]]:
         """The stored tuples of one relation (empty when unknown)."""
@@ -145,7 +131,7 @@ class Instance:
         """An independent deep copy of the stored data."""
         clone = Instance()
         clone._data = {r: set(b) for r, b in self._data.items()}
-        clone._version = self._version
+        clone.version = self.version
         return clone
 
     # ---------------------------------------------------- serialization

@@ -21,11 +21,12 @@ Metering is identical either way: the index changes how an access is
 ``access`` is the inner loop of plan execution (an access command calls
 it once per key, bound once per command by
 :func:`repro.plans.commands.bound_access`), so its common case is kept
-short: every check runs on every call -- schema lookup, constant
-coercion, arity, index staleness, one :class:`AccessRecord` -- but an
-access answered by an index already built for the instance's current
-version takes the source lock once, for the lookup and the log append
-together.
+short: every check runs on every call -- schema lookup, the input check
+(:func:`~repro.source_contract.checked_inputs`), index staleness, one
+:class:`AccessRecord` -- but an access answered by an index already
+built for the instance's current version takes the source lock once, for
+the lookup and the log append together, and inputs that already are a
+tuple of constants are logged as the object they arrived as.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import Executor
+from functools import partial
 from typing import (
     Dict,
     FrozenSet,
@@ -45,11 +47,11 @@ from typing import (
     Tuple,
 )
 
-from repro.data.instance import Instance, _to_constant
+from repro.data.instance import Instance
 from repro.errors import AccessViolation
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema, SchemaError
-from repro.source_contract import MeteredSourceMixin
+from repro.source_contract import MeteredSourceMixin, checked_inputs
 
 # Per-method index: input-position value tuple -> matching relation rows.
 _MethodIndex = Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]
@@ -70,6 +72,11 @@ class AccessRecord(NamedTuple):
     relation: str
     inputs: Tuple[Constant, ...]
     results: int
+
+
+# An ``AccessRecord`` from a 4-tuple, without the Python frame of the
+# generated ``__new__``.
+_record_of = partial(tuple.__new__, AccessRecord)
 
 
 class InMemorySource(MeteredSourceMixin):
@@ -102,15 +109,7 @@ class InMemorySource(MeteredSourceMixin):
         method, in the order the method declares them.
         """
         method = self.schema.method(method_name)
-        values = tuple(map(_to_constant, inputs))
-        if len(values) != len(method.input_positions):
-            raise AccessViolation(
-                f"method {method_name} needs {len(method.input_positions)} "
-                f"inputs, got {len(values)}",
-                method=method_name,
-                relation=method.relation,
-                inputs=values,
-            )
+        values = checked_inputs(method, inputs)
         # One acquisition covers the lookup and the metering.  An index
         # built for the instance's current version answers right here;
         # anything else (first use, a mutation since, an unindexed or a
@@ -125,8 +124,8 @@ class InMemorySource(MeteredSourceMixin):
             else:
                 matching = index.get(values, _NO_ROWS)
             self.log.append(
-                AccessRecord(
-                    method_name, method.relation, values, len(matching)
+                _record_of(
+                    (method_name, method.relation, values, len(matching))
                 )
             )
         return matching

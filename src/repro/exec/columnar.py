@@ -49,6 +49,7 @@ interpreter remains the oracle.  Soundness arguments live in
 
 from __future__ import annotations
 
+from itertools import chain
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -640,12 +641,12 @@ class _CAccess:
         retries_before = resilience.retries if resilience is not None else 0
         faults_before = resilience.faults if resilience is not None else 0
         access = bound_access(source, self.method, cache, resilience)
-        batches = [access(values) for values in bindings]
+        batches = list(map(access, bindings))
         if stats is not None:
             stats.rows_in = inputs.nrows
             stats.dispatched = len(bindings)
             stats.deduped = inputs.nrows - len(bindings)
-            stats.rows_fetched = sum(len(batch) for batch in batches)
+            stats.rows_fetched = sum(map(len, batches))
             if cache is not None:
                 stats.cache_hits = cache.hits - cache_hits_before
             if resilience is not None:
@@ -668,9 +669,7 @@ class _CAccess:
         those arrays, and set semantics are restored by the same
         ``_dedup`` grouping the middleware boundary uses.
         """
-        rows: List[Tuple[Term, ...]] = []
-        for batch in batches:
-            rows.extend(batch)
+        rows: List[Tuple[Term, ...]] = list(chain.from_iterable(batches))
         if not self.output_map:
             # Boolean access: any surviving row witnesses the empty tuple.
             return _ColTable((), (), 1 if rows else 0)

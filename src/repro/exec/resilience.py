@@ -142,6 +142,15 @@ class CircuitBreaker:
     which is the standard breaker contract -- a probe admitted by one
     thread may overlap another thread's failure report, and the state
     machine is correct under any interleaving of reports.
+
+    ``state`` and ``consecutive_failures`` (the failures reported since
+    the last success) are plain attributes, written only under the lock
+    and readable without it.  A caller may skip a call that its own
+    unlocked read shows to be a no-op -- :meth:`allow` unless ``state``
+    is ``OPEN``, :meth:`record_success` while ``state`` is ``CLOSED``
+    with no failure outstanding -- which is what the dispatch of
+    :meth:`ResilientDispatcher.bind` does (``docs/theory.md``, "The
+    quiet path").
     """
 
     def __init__(
@@ -164,7 +173,7 @@ class CircuitBreaker:
         self.state = CLOSED
         self.trips = 0
         self.forced = False  # opened by a MethodOutage: never half-opens
-        self._consecutive_failures = 0
+        self.consecutive_failures = 0
         self._probe_successes = 0
         self._opened_at = 0.0
         self._lock = threading.Lock()
@@ -189,18 +198,18 @@ class CircuitBreaker:
                 self._probe_successes += 1
                 if self._probe_successes >= self.half_open_successes:
                     self.state = CLOSED
-                    self._consecutive_failures = 0
+                    self.consecutive_failures = 0
             else:
-                self._consecutive_failures = 0
+                self.consecutive_failures = 0
 
     def record_failure(self, permanent: bool = False) -> None:
         """Feed back a failed call; ``permanent`` force-opens."""
         with self._lock:
-            self._consecutive_failures += 1
+            self.consecutive_failures += 1
             if permanent:
                 self.forced = True
             if self.state == HALF_OPEN or permanent or (
-                self._consecutive_failures >= self.failure_threshold
+                self.consecutive_failures >= self.failure_threshold
             ):
                 self._trip()
 
@@ -225,13 +234,13 @@ class CircuitBreaker:
         with self._lock:
             self.state = CLOSED
             self.forced = False
-            self._consecutive_failures = 0
+            self.consecutive_failures = 0
             self._probe_successes = 0
 
     def refuse(self, inputs: Tuple = ()) -> CircuitOpen:
         """The error describing why a call was refused right now."""
         return CircuitOpen(
-            f"circuit open ({self._consecutive_failures} consecutive "
+            f"circuit open ({self.consecutive_failures} consecutive "
             f"failures{', hard outage' if self.forced else ''})",
             method=self.method,
             inputs=inputs,
@@ -388,6 +397,12 @@ class ResilientDispatcher:
         decision.  Transient errors are retried per the policy;
         permanent ones propagate immediately with the breaker informed
         either way.
+
+        The breaker's locked protocol is entered exactly when it can
+        decide something: ``allow()`` when the breaker reads ``OPEN``,
+        ``record_success()`` when it is not ``CLOSED`` or a failure is
+        outstanding (in any other state both are no-ops), so a key of a
+        healthy method takes no breaker lock.
         """
         breaker = (
             self.breakers.for_method(method)
@@ -404,7 +419,13 @@ class ResilientDispatcher:
             while True:
                 if deadline is not None:
                     deadline.check(doing)
-                if breaker is not None and not breaker.allow():
+                # A breaker that does not read OPEN admits every call
+                # and changes nothing doing so: only an open one is asked.
+                if (
+                    breaker is not None
+                    and breaker.state == OPEN
+                    and not breaker.allow()
+                ):
                     raise breaker.refuse(inputs)
                 attempt += 1
                 try:
@@ -440,7 +461,12 @@ class ResilientDispatcher:
                     error.attempts = attempt
                     raise
                 else:
-                    if breaker is not None:
+                    # A success is news to the breaker only when it is
+                    # probing or a failure is outstanding.
+                    if breaker is not None and (
+                        breaker.consecutive_failures
+                        or breaker.state != CLOSED
+                    ):
                         breaker.record_success()
                     return result
 

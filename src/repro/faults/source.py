@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.data.instance import _to_constant
 from repro.errors import (
     AccessTimeout,
     MethodOutage,
@@ -50,7 +49,7 @@ from repro.faults.policy import (
     FaultStats,
 )
 from repro.logic.terms import Constant
-from repro.source_contract import SourceWrapper
+from repro.source_contract import SourceWrapper, constant_inputs
 
 _Key = Tuple[str, Tuple[Constant, ...]]
 
@@ -100,7 +99,7 @@ class FaultInjectingSource(SourceWrapper):
         Raises the scheduled :mod:`repro.errors` type when the schedule
         says so; otherwise returns the wrapped source's answer.
         """
-        values = tuple(_to_constant(v) for v in inputs)
+        values = constant_inputs(inputs)
         key = (method_name, values)
         with self._lock:
             attempt = self._attempts.get(key, 0)

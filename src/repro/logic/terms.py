@@ -133,6 +133,21 @@ class Null(_Term):
 Term = Union[Variable, Constant, Null]
 
 
+class InstanceError(ValueError):
+    """Raised for malformed instance data."""
+
+
+def _to_constant(value: object) -> Constant:
+    # Here, below repro.data.instance (which re-exports both names) and
+    # repro.source_contract: instance rows and access inputs are coerced
+    # alike.
+    if isinstance(value, Constant):
+        return value
+    if isinstance(value, (str, int, float, bool)):
+        return Constant(value)
+    raise InstanceError(f"cannot store {value!r} in an instance")
+
+
 class NullFactory:
     """Mints fresh labelled nulls with a shared prefix.
 

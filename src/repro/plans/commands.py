@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -106,9 +108,11 @@ class AccessCommand:
         The distinct tuples reach the source one of two ways.  A source
         that offers ``access_batch`` (and no cache in the way) is asked
         for all of them in one guarded call.  Otherwise the path from a
-        key to its rows is bound once (:func:`bound_access`) and the
-        loop only calls it: one access per key, in the order of the
+        key to its rows is bound once (:func:`bound_access`) and
+        mapped over the keys: one access per key, in the order of the
         distinct set, exactly the accesses the cost function charges.
+        Either way the answers come back as one list, in key order, and
+        :meth:`_collect` turns them into the produced rows.
         """
         inputs = self.input_expr.evaluate(env)
         try:
@@ -134,39 +138,32 @@ class AccessCommand:
                 )
                 for input_row in projected.rows
             )
-        rows: Set[Row] = set()
-        fetched = 0
-        collect = self._output_collector(rows)
         cache_hits_before = cache.hits if cache is not None else 0
         retries_before = resilience.retries if resilience is not None else 0
         faults_before = resilience.faults if resilience is not None else 0
         batch = getattr(source, "access_batch", None) if cache is None else None
+        answers: List[Iterable[Row]]
         if callable(batch) and len(distinct) > 1:
             # Batch at the access boundary: several distinct input
             # tuples become one backend round trip (the backend still
             # meters one logical access per tuple).  Only without an
             # AccessCache -- the cache's single-flight memoization is
             # per key, and splitting a batch across hit/miss keys would
-            # re-derive exactly the per-key loop below.
+            # re-derive exactly the per-key branch below.
             keyed = list(distinct)
             if resilience is not None:
-                answers = resilience.call(
+                by_key = resilience.call(
                     lambda: batch(self.method, keyed),
                     self.method,
                     inputs=keyed[0],
                 )
             else:
-                answers = batch(self.method, keyed)
-            for values in keyed:
-                accessed_rows = answers[values]
-                fetched += len(accessed_rows)
-                collect(accessed_rows)
+                by_key = batch(self.method, keyed)
+            answers = list(map(by_key.__getitem__, keyed))
         else:
             access = bound_access(source, self.method, cache, resilience)
-            for values in distinct:
-                accessed_rows = access(values)
-                fetched += len(accessed_rows)
-                collect(accessed_rows)
+            answers = list(map(access, distinct))
+        rows = self._collect(answers)
         if stats is not None:
             # rows_in counts the raw tuples the input expression fed the
             # access; the projection onto the bound attributes is what
@@ -174,54 +171,48 @@ class AccessCommand:
             stats.rows_in = len(inputs.rows)
             stats.dispatched = len(distinct)
             stats.deduped = len(inputs.rows) - len(distinct)
-            stats.rows_fetched = fetched
+            stats.rows_fetched = sum(map(len, answers))
             if cache is not None:
                 stats.cache_hits = cache.hits - cache_hits_before
             if resilience is not None:
                 stats.retries = resilience.retries - retries_before
                 stats.faults = resilience.faults - faults_before
-        table = NamedTable(self.output_attrs, frozenset(rows))
+        table = NamedTable(self.output_attrs, rows)
         if stats is not None:
             stats.rows_out = len(table.rows)
         env[self.target] = table
         return table
 
-    def _output_collector(
-        self, rows: Set[Row]
-    ) -> Callable[[Iterable[Row]], None]:
-        """``b_out`` over one access answer: adds its image to ``rows``."""
+    def _collect(self, answers: Sequence[Iterable[Row]]) -> FrozenSet[Row]:
+        """``b_out`` over every answer of the command: the produced rows.
+
+        The answers are taken at once, in dispatch order, so each kind
+        of output map is one C-level pass over them.  The map is the
+        identity when it covers the whole accessed tuple, in order: the
+        source's tuples are then unioned in unchanged, nothing re-tupled
+        or re-hashed (one sampled row decides for the command -- one
+        relation, one arity).  A prefix or a permutation is one ``map``
+        of the row picker over the chained answers.  Only an attribute
+        fed by several positions (the equality filter) goes row by row
+        through :meth:`_map_output`.
+        """
+        rows: Set[Row] = set()
         if any(len(positions) != 1 for _attr, positions in self.output_map):
             map_output = self._map_output
-
-            def collect_filtered(accessed_rows: Iterable[Row]) -> None:
-                """Some attribute is an equality filter: row by row."""
-                for accessed in accessed_rows:
-                    out_row = map_output(accessed)
-                    if out_row is not None:
-                        rows.add(out_row)
-
-            return collect_filtered
-        picks = [positions[0] for _attr, positions in self.output_map]
-        pick = row_picker(picks)
-        if picks != list(range(len(picks))):
-            return lambda accessed_rows: rows.update(map(pick, accessed_rows))
-        width = len(picks)
-
-        def collect_prefix(accessed_rows: Iterable[Row]) -> None:
-            """Union the answer in as it is, or cut to the mapped prefix.
-
-            The map is the identity when it covers the whole accessed
-            tuple: the source's tuples then enter ``rows`` unchanged,
-            nothing re-tupled or re-hashed.  A shorter map is a prefix
-            projection.  One sampled width decides for the answer (one
-            relation, one arity).
-            """
-            if accessed_rows and len(next(iter(accessed_rows))) == width:
-                rows.update(accessed_rows)
+            for accessed in chain.from_iterable(answers):
+                out_row = map_output(accessed)
+                if out_row is not None:
+                    rows.add(out_row)
+        else:
+            picks = [positions[0] for _attr, positions in self.output_map]
+            sample = next(chain.from_iterable(answers), ())
+            if picks == list(range(len(sample))):
+                rows.update(*answers)
             else:
-                rows.update(map(pick, accessed_rows))
-
-        return collect_prefix
+                rows.update(
+                    map(row_picker(picks), chain.from_iterable(answers))
+                )
+        return frozenset(rows)
 
     def _map_output(self, accessed: Row) -> Optional[Row]:
         """``b_out`` on one accessed tuple (None: equality filter failed)."""

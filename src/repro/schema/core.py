@@ -108,6 +108,7 @@ class Schema:
         constraints: Iterable[TGD] = (),
         name: str = "S",
     ) -> None:
+        self._fingerprint: Optional[str] = None
         self.name = name
         self._relations: Dict[str, Relation] = {}
         for relation in relations:
@@ -123,6 +124,13 @@ class Schema:
         self.constants: Tuple[Constant, ...] = tuple(constants)
         self.constraints: Tuple[TGD, ...] = tuple(constraints)
         self._validate_constraints()
+
+    def __setattr__(self, attribute: str, value: object) -> None:
+        # What fingerprint() memoises is a digest of these three and the
+        # declarations: assigning one drops the memo.
+        object.__setattr__(self, attribute, value)
+        if attribute in ("name", "constants", "constraints"):
+            object.__setattr__(self, "_fingerprint", None)
 
     def _add_method(self, method: AccessMethod) -> None:
         relation = self._relations.get(method.relation)
@@ -140,6 +148,7 @@ class Schema:
             raise SchemaError(f"duplicate method name {method.name}")
         self._methods[method.name] = method
         self._methods_by_relation[method.relation].append(method)
+        self._fingerprint = None
 
     def _validate_constraints(self) -> None:
         for tgd in self.constraints:
@@ -235,11 +244,19 @@ class Schema:
 
         Delegates to :func:`repro.schema.serialize.schema_fingerprint`
         (imported lazily to avoid a core<->serialize import cycle).
-        Used as one component of plan-cache keys.
+        Used as one component of plan-cache keys, so it is asked for on
+        every request: the digest is computed on the first call and
+        kept.  A schema is not mutated after construction anywhere in
+        this package; should a caller assign ``name``, ``constants`` or
+        ``constraints`` later, the assignment *drops the memo* (it does
+        not raise) and the next call re-hashes.
         """
-        from repro.schema.serialize import schema_fingerprint
+        digest = self._fingerprint
+        if digest is None:
+            from repro.schema.serialize import schema_fingerprint
 
-        return schema_fingerprint(self)
+            digest = self._fingerprint = schema_fingerprint(self)
+        return digest
 
     # ------------------------------------------------------- properties
     @property

@@ -200,6 +200,7 @@ def _retry_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[RetryPolicy]
         multiplier=float(data.get("multiplier", 2.0)),
         max_delay=float(data.get("max_delay", 2.0)),
         jitter=float(data.get("jitter", 0.1)),
+        seed=int(data.get("seed", 0)),
     )
 
 
@@ -213,6 +214,7 @@ def retry_to_dict(retry: Optional[RetryPolicy]) -> Optional[Dict[str, Any]]:
         "multiplier": retry.multiplier,
         "max_delay": retry.max_delay,
         "jitter": retry.jitter,
+        "seed": retry.seed,
     }
 
 

@@ -13,6 +13,12 @@ cross a process boundary (:class:`Specable`, :func:`source_to_spec`) --
 the way back, ``spec_to_source``, sits beside the explicit kind -> class
 table in :mod:`repro.service.workers`.
 
+Inputs: an access supplies one constant per input position of its
+method.  :func:`checked_inputs` is that check, the only copy of it --
+every backend's ``access`` and ``access_batch`` start there -- over
+:func:`constant_inputs`, the coercion of raw values that a wrapper keying
+on the inputs (the fault schedule) shares.
+
 Batching: a backend that can answer several input tuples in one round
 trip adds ``access_batch(method, inputs_list)``; the access-command
 boundary uses it when present, and a wrapper never forwards it.
@@ -34,7 +40,8 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.logic.terms import Constant
+from repro.errors import AccessViolation
+from repro.logic.terms import Constant, _to_constant
 from repro.schema.serialize import schema_to_dict
 
 #: Format marker stamped into every backend spec.
@@ -76,6 +83,43 @@ class SourceAdapter(Protocol):
     def epoch(self) -> int:
         """The current monotone snapshot token."""
         ...
+
+
+def constant_inputs(inputs: Sequence[object]) -> Tuple[Constant, ...]:
+    """``inputs`` as a tuple of constants.
+
+    A tuple that already holds nothing but :class:`Constant` objects --
+    what an access command dispatches -- is returned as it is, the same
+    object; anything else (a list, raw ``str``/``int``/``float``/``bool``
+    values) is coerced value by value, and a value no constant can hold
+    raises :class:`~repro.logic.terms.InstanceError`.
+    """
+    if type(inputs) is tuple:
+        for value in inputs:
+            if type(value) is not Constant:
+                break
+        else:
+            return inputs
+    return tuple(map(_to_constant, inputs))
+
+
+def checked_inputs(method, inputs: Sequence[object]) -> Tuple[Constant, ...]:
+    """The input tuple of one access to ``method``, or ``AccessViolation``.
+
+    ``method`` is the :class:`~repro.schema.core.AccessMethod`; the
+    access must supply exactly one value per input position, in the
+    order the method declares them.
+    """
+    values = constant_inputs(inputs)
+    if len(values) != len(method.input_positions):
+        raise AccessViolation(
+            f"method {method.name} needs {len(method.input_positions)} "
+            f"inputs, got {len(values)}",
+            method=method.name,
+            relation=method.relation,
+            inputs=values,
+        )
+    return values
 
 
 def epoch_reader(source) -> Callable[[], Any]:

@@ -64,7 +64,11 @@ from repro.faults.policy import (
 )
 from repro.logic.terms import Constant
 from repro.schema.core import Schema
-from repro.source_contract import MeteredSourceMixin, SourceSpecError
+from repro.source_contract import (
+    MeteredSourceMixin,
+    SourceSpecError,
+    checked_inputs,
+)
 from repro.sources.base import TokenBucket
 
 #: The epoch header every stub response carries.
@@ -475,15 +479,7 @@ class HTTPSource(MeteredSourceMixin):
     ) -> FrozenSet[Tuple[Constant, ...]]:
         """Invoke a method as a (paginated) web-service lookup."""
         method = self.schema.method(method_name)
-        values = tuple(_to_constant(v) for v in inputs)
-        if len(values) != len(method.input_positions):
-            raise AccessViolation(
-                f"method {method_name} needs "
-                f"{len(method.input_positions)} inputs, got {len(values)}",
-                method=method_name,
-                relation=method.relation,
-                inputs=values,
-            )
+        values = checked_inputs(method, inputs)
         matching = self._paginate(method_name, values)
         with self._lock:
             self.log.append(
@@ -503,9 +499,7 @@ class HTTPSource(MeteredSourceMixin):
         logical access either way.
         """
         method = self.schema.method(method_name)
-        keyed = [
-            tuple(_to_constant(v) for v in inputs) for inputs in inputs_list
-        ]
+        keyed = [checked_inputs(method, inputs) for inputs in inputs_list]
         with self._lock:
             self.batched_calls += 1
         try:

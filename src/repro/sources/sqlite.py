@@ -87,10 +87,10 @@ from typing import (
 
 from repro.data.instance import Instance, _to_constant
 from repro.data.source import AccessRecord
-from repro.errors import AccessError, AccessViolation, SourceUnavailable
+from repro.errors import AccessError, SourceUnavailable
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema
-from repro.source_contract import MeteredSourceMixin
+from repro.source_contract import MeteredSourceMixin, checked_inputs
 
 #: Errors that *may* mean "the connection is gone" (the reconnect loop's
 #: catch) -- unless the message is one of ``_STATEMENT_ERRORS``.
@@ -342,21 +342,6 @@ class SQLiteSource(MeteredSourceMixin):
         self.sever_connection()
 
     # ------------------------------------------------------------- access
-    def _check_method(
-        self, method_name: str, inputs: Sequence[object]
-    ) -> Tuple[AccessMethod, Tuple[Constant, ...]]:
-        method = self.schema.method(method_name)
-        values = tuple(map(_to_constant, inputs))
-        if len(values) != len(method.input_positions):
-            raise AccessViolation(
-                f"method {method_name} needs "
-                f"{len(method.input_positions)} inputs, got {len(values)}",
-                method=method_name,
-                relation=method.relation,
-                inputs=values,
-            )
-        return method, values
-
     def _select(
         self, method: AccessMethod, values: Tuple[Constant, ...]
     ) -> FrozenSet[Tuple[Constant, ...]]:
@@ -379,7 +364,8 @@ class SQLiteSource(MeteredSourceMixin):
         self, method_name: str, inputs: Sequence[object] = ()
     ) -> FrozenSet[Tuple[Constant, ...]]:
         """Invoke a method: a parameterized SELECT over its relation."""
-        method, values = self._check_method(method_name, inputs)
+        method = self.schema.method(method_name)
+        values = checked_inputs(method, inputs)
         matching = self._select(method, values)
         with self._lock:
             self.log.append(
@@ -402,7 +388,7 @@ class SQLiteSource(MeteredSourceMixin):
         trips, never the books.
         """
         method = self.schema.method(method_name)
-        keyed = [self._check_method(method_name, v)[1] for v in inputs_list]
+        keyed = [checked_inputs(method, v) for v in inputs_list]
         with self._lock:
             self.batched_calls += 1
             if method.input_positions:

@@ -70,8 +70,116 @@ class TestInputCoercion:
     def test_uncoercible_input_rejected(self, source):
         from repro.data.instance import InstanceError
 
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match="cannot store"):
             source.access("mt_key", (object(),))
+        with pytest.raises(InstanceError, match="cannot store"):
+            source.access("mt_key", (None,))
+        assert source.total_invocations == 0
+
+    def test_a_tuple_of_constants_is_logged_as_the_object_it_is(self, source):
+        key = (Constant("a"),)
+        rows = source.access("mt_key", key)
+        assert len(rows) == 2
+        record = source.log[-1]
+        assert type(record) is AccessRecord
+        assert record == AccessRecord("mt_key", "R", (Constant("a"),), 2)
+        assert record.inputs is key
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [["a"], [Constant("a")], ("a",), iter(["a"])],
+        ids=["list", "list-of-constants", "raw-tuple", "iterator"],
+    )
+    def test_anything_else_is_coerced_to_one(self, source, inputs):
+        assert source.access("mt_key", inputs) == source.access(
+            "mt_key", (Constant("a"),)
+        )
+        first, second = source.log
+        assert first == second
+        assert type(first.inputs) is tuple
+        assert all(type(value) is Constant for value in first.inputs)
+
+    @pytest.mark.parametrize("value", ["1", 1, True, 1.0, 2.5])
+    def test_raw_scalars_of_every_storable_type(self, value):
+        schema = (
+            SchemaBuilder("s")
+            .relation("R", 2)
+            .access("mt_key", "R", inputs=[0])
+            .access("mt_both", "R", inputs=[0, 1])
+            .build()
+        )
+        instance = Instance({"R": [(value, "x"), ("other", "y")]})
+        source = InMemorySource(schema, instance)
+        expected = frozenset({(Constant(value), Constant("x"))})
+        assert source.access("mt_key", (value,)) == expected
+        assert source.access("mt_both", (value, "x")) == expected
+        # One raw value beside a constant: the whole tuple is rebuilt.
+        mixed = (Constant(value), "x")
+        assert source.access("mt_both", mixed) == expected
+        assert source.log[-1].inputs == (Constant(value), Constant("x"))
+        assert source.log[-1].inputs is not mixed
+
+    def test_violation_carries_method_relation_and_coerced_inputs(self, source):
+        with pytest.raises(AccessViolation) as caught:
+            source.access("mt_key", ("a", 2))
+        error = caught.value
+        assert (error.method, error.relation) == ("mt_key", "R")
+        assert error.inputs == (Constant("a"), Constant(2))
+        assert str(error) == (
+            "method mt_key needs 1 inputs, got 2 "
+            "[method=mt_key, relation=R, inputs=('a', 2)]"
+        )
+        assert source.total_invocations == 0
+
+    def test_unknown_method_is_a_schema_error_before_any_coercion(self, source):
+        from repro.schema.core import SchemaError
+
+        with pytest.raises(SchemaError, match="unknown method nope"):
+            source.access("nope", (object(),))
+
+
+class TestCheckedInputs:
+    """The one input check every backend's ``access`` starts with."""
+
+    def test_every_backend_raises_the_same_violation(self, source):
+        from repro.sources import HTTPSource, SQLiteSource, StubTransport
+
+        schema, instance = source.schema, source.instance
+        sqlite = SQLiteSource(schema, instance, path=":memory:")
+        http = HTTPSource(StubTransport(schema, instance))
+        calls = [
+            lambda: source.access("mt_key", ("a", "b")),
+            lambda: sqlite.access("mt_key", ("a", "b")),
+            lambda: http.access("mt_key", ("a", "b")),
+            lambda: sqlite.access_batch("mt_key", [("a",), ("a", "b")]),
+            lambda: http.access_batch("mt_key", [("a",), ("a", "b")]),
+        ]
+        for call in calls:
+            with pytest.raises(AccessViolation) as caught:
+                call()
+            assert str(caught.value) == (
+                "method mt_key needs 1 inputs, got 2 "
+                "[method=mt_key, relation=R, inputs=('a', 'b')]"
+            )
+        for backend in (source, sqlite, http):
+            assert backend.total_invocations == 0
+
+    def test_constant_inputs_passes_a_constant_tuple_through(self):
+        from repro.source_contract import checked_inputs, constant_inputs
+
+        key = (Constant("a"), Constant(1))
+        assert constant_inputs(key) is key
+        assert constant_inputs(()) == ()
+        assert constant_inputs(["a", 1]) == key
+        assert constant_inputs(("a", Constant(1))) == key
+        method = (
+            SchemaBuilder("s")
+            .relation("R", 2)
+            .access("mt_both", "R", inputs=[0, 1])
+            .build()
+            .method("mt_both")
+        )
+        assert checked_inputs(method, key) is key
 
 
 class TestMethodIndex:

@@ -4,8 +4,13 @@ import json
 
 import pytest
 
+from repro.logic.terms import Constant
 from repro.scenarios import example1, example2
-from repro.schema.serialize import schema_from_dict, schema_to_dict
+from repro.schema.serialize import (
+    schema_fingerprint,
+    schema_from_dict,
+    schema_to_dict,
+)
 
 
 def roundtrip(schema):
@@ -80,3 +85,49 @@ class TestRoundtrip:
         restored = roundtrip(schema)
         body_atom = restored.constraints[0].body[0]
         assert body_atom.terms[1].value == "tag"
+
+
+class TestFingerprintMemo:
+    """``Schema.fingerprint()`` hashes once; a late assignment drops the memo."""
+
+    def test_serialised_once_per_schema(self, monkeypatch):
+        import repro.schema.serialize as serialize
+
+        calls = []
+        real = serialize.schema_to_dict
+
+        def counting(schema):
+            calls.append(schema)
+            return real(schema)
+
+        monkeypatch.setattr(serialize, "schema_to_dict", counting)
+        schema = example1().schema
+        first = schema.fingerprint()
+        assert [schema.fingerprint() for _ in range(5)] == [first] * 5
+        assert len(calls) == 1
+        assert first == serialize.schema_fingerprint(schema)
+
+    @pytest.mark.parametrize(
+        "attribute,value",
+        [
+            ("name", "renamed"),
+            ("constants", (Constant("late"),)),
+            ("constraints", ()),
+        ],
+    )
+    def test_assignment_drops_the_memo(self, attribute, value):
+        schema = example2().schema
+        before = schema.fingerprint()
+        setattr(schema, attribute, value)
+        after = schema.fingerprint()
+        assert after != before
+        assert after == schema_fingerprint(schema)
+        assert after == roundtrip(schema).fingerprint()
+
+    def test_without_methods_has_its_own_digest(self):
+        schema = example1().schema
+        whole = schema.fingerprint()
+        dropped = schema.without_methods([schema.methods[0].name])
+        assert dropped.fingerprint() != whole
+        assert dropped.fingerprint() == schema_fingerprint(dropped)
+        assert schema.fingerprint() == whole

@@ -37,6 +37,7 @@ from repro.service.workers import (
     ProcessWorkerPool,
     SourceSpecError,
     ThreadWorkerPool,
+    _retry_from_dict,
     decode_bindings,
     encode_bindings,
     encoded_plan_ir,
@@ -166,6 +167,24 @@ class TestPayload:
         data = json.loads(json.dumps(retry_to_dict(retry)))
         assert data["max_attempts"] == 3
         assert retry_to_dict(None) is None
+
+    def test_retry_round_trip_keeps_the_jitter_seed(self):
+        """A process-tier worker backs off exactly as the thread tier does."""
+        retry = RetryPolicy(max_attempts=5, base_delay=0.02, jitter=0.5, seed=7)
+        shipped = _retry_from_dict(json.loads(json.dumps(retry_to_dict(retry))))
+        assert shipped == retry
+        inputs = (Constant("k"), Constant(3))
+        for attempt in range(1, 5):
+            assert shipped.delay(attempt, "mt_R", inputs) == retry.delay(
+                attempt, "mt_R", inputs
+            )
+        assert shipped.delay(1, "mt_R", inputs) != RetryPolicy(
+            max_attempts=5, base_delay=0.02, jitter=0.5
+        ).delay(1, "mt_R", inputs)
+        # A payload written before the field existed reads as seed 0.
+        old = retry_to_dict(retry)
+        del old["seed"]
+        assert _retry_from_dict(old).seed == 0
 
     def test_execute_payload_matches_direct_execution(self):
         schema = simple_schema()

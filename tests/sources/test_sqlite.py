@@ -16,6 +16,7 @@ from repro.errors import (
 )
 from repro.scenarios import example1
 from repro.schema.core import SchemaBuilder
+from repro.source_contract import constant_inputs
 from repro.sources import SQLiteSource
 from repro.sources.sqlite import _CHUNK_PARAMS, _encode_cell, _key_encodings
 
@@ -227,7 +228,7 @@ class TestBatching:
         assert sql.total_invocations == len(keys)
         assert sql.invocations_of("mt_prof") == len(keys)
         for key in keys:
-            assert batched[sql._check_method("mt_prof", key)[1]] == (
+            assert batched[constant_inputs(key)] == (
                 mem.access("mt_prof", key)
             )
 
@@ -269,7 +270,7 @@ class TestBatching:
         assert sql.reconnects == 0
         assert sql._statements == -(-len(keys) // _CHUNK_PARAMS)
         for key in keys:
-            assert answers[sql._check_method("mt_T", key)[1]] == (
+            assert answers[constant_inputs(key)] == (
                 mem.access("mt_T", key)
             )
 
@@ -318,7 +319,7 @@ class TestBatching:
         second = sql.access_batch("w2", keys)
         mem = InMemorySource(schema, instance)
         for key in keys:
-            constants = sql._check_method("w2", key)[1]
+            constants = constant_inputs(key)
             assert spelled(second[constants]) == spelled(
                 mem.access("w2", key)
             )
@@ -359,7 +360,7 @@ class TestBatchDifferential:
 
         answers = batched.access_batch(method, keys)
         for key in keys:
-            constants = batched._check_method(method, key)[1]
+            constants = constant_inputs(key)
             expected = mem.access(method, key)
             assert spelled(per_key.access(method, key)) == spelled(expected)
             assert spelled(answers[constants]) == spelled(expected)
