@@ -31,6 +31,7 @@ import time
 
 from repro.data.source import InMemorySource
 from repro.exec.cache import AccessCache
+from repro.exec.context import ExecutionContext
 from repro.exec.resilience import (
     BreakerRegistry,
     ResilientDispatcher,
@@ -184,7 +185,10 @@ def differential_matrix(quick, seed=0):
                     resilience = None
                     cache = None
                 answer = canonical(
-                    plan.execute(source, cache=cache, resilience=resilience)
+                    plan.execute(
+                        source,
+                        ExecutionContext(cache=cache, resilience=resilience),
+                    )
                 )
                 assert answer == oracle, (name, backend_kind, condition)
                 extra = {}

@@ -44,6 +44,7 @@ from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.errors import PlanInadmissible
 from repro.exec.budget import ERROR, ResourceBudget
+from repro.exec.context import ExecutionContext
 from repro.exec.stats import ExecStats
 from repro.logic.queries import cq
 from repro.planner.search import SearchOptions, find_best_plan
@@ -130,7 +131,7 @@ def _plan_and_run(schema, query, source, cost, dump_weight, prune=False):
     )
     assert result.found
     stats = ExecStats()
-    result.best_plan.execute(source, stats=stats)
+    result.best_plan.execute(source, ExecutionContext(stats=stats))
     return result, stats, measured_cost(stats, dump_weight)
 
 
@@ -278,7 +279,7 @@ def test_calibrated_planning(benchmark, mode):
             SearchOptions(max_accesses=4, cost=cost_function(dump_weight)),
         )
         stats = ExecStats()
-        warm.best_plan.execute(source, stats=stats)
+        warm.best_plan.execute(source, ExecutionContext(stats=stats))
         store = CalibrationStore()
         store.observe_stats(
             stats, {m.name: m.relation for m in schema.methods}

@@ -37,7 +37,7 @@ import pytest
 from benchmarks.conftest import record
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.exec import AccessCache, BatchExecutor
+from repro.exec import AccessCache, BatchExecutor, ExecutionContext
 from repro.logic.terms import Constant
 from repro.planner.proof_to_plan import ChaseProof, plan_from_proof
 from repro.planner.search import SearchOptions, find_best_plan
@@ -145,7 +145,7 @@ def test_dispatch_modes(benchmark, dispatch):
         source = InMemorySource(scenario.schema, instance, indexed=indexed)
         cache = AccessCache() if with_cache else None
         for plan in plans:
-            plan.execute(source, cache=cache)
+            plan.execute(source, ExecutionContext(cache=cache))
         return source
 
     source = benchmark(run)

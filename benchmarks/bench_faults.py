@@ -32,6 +32,7 @@ from time import perf_counter
 from repro.data.source import InMemorySource
 from repro.exec import (
     BreakerRegistry,
+    ExecutionContext,
     FailoverExecutor,
     ResilientDispatcher,
     RetryPolicy,
@@ -106,7 +107,10 @@ def transient_sweep(scenario, plan, rates, trials, retries):
             # Resilient: same schedule, retries must recover everything.
             clock = VirtualClock()
             dispatcher = make_dispatcher(clock, retries=retries, seed=seed)
-            table = plan.execute(wrapped(clock), resilience=dispatcher)
+            table = plan.execute(
+                wrapped(clock),
+                ExecutionContext(resilience=dispatcher),
+            )
             assert canonical(table) == reference, (rate, seed)
             assert dispatcher.giveups == 0, (rate, seed)
             resilient_ok += 1

@@ -85,6 +85,7 @@ from repro.exec import (
     CircuitBreaker,
     Deadline,
     ExecStats,
+    ExecutionContext,
     FailoverExecutor,
     FailoverOutcome,
     ResilientDispatcher,
@@ -147,6 +148,7 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "ExecStats",
+    "ExecutionContext",
     "Exposure",
     "FailoverExecutor",
     "FailoverOutcome",

@@ -31,6 +31,7 @@ from repro.exec import (
     BreakerRegistry,
     Deadline,
     ExecStats,
+    ExecutionContext,
     FailoverExecutor,
     ResilientDispatcher,
     RetryPolicy,
@@ -417,9 +418,9 @@ def _demo(args) -> int:
         try:
             output = result.best_plan.execute(
                 source,
-                cache=cache,
-                stats=exec_stats,
-                resilience=resilience,
+                ExecutionContext(
+                    cache=cache, stats=exec_stats, resilience=resilience
+                ),
                 executor=args.executor,
             )
         except ReproError as error:

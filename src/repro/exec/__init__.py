@@ -14,14 +14,16 @@ package makes *running* that plan cheap.  Four cooperating pieces:
   temp-table freeing) driven by :meth:`repro.plans.plan.Plan.execute`,
 * :class:`ExecStats` / :class:`BatchExecutor` -- the observability and
   serving loop around all of it,
+* :class:`ExecutionContext` (:mod:`repro.exec.context`) -- the cache,
+  stats, dispatcher, budget and cancel token of one run: what
+  ``Plan.execute`` takes besides the source, and ships to a worker,
 * :class:`ResourceBudget` (:mod:`repro.exec.budget`) -- per-request
-  row/access/cost ceilings threaded through ``Plan.execute``; result
-  overflow degrades to an explicitly marked partial answer,
+  row/access/cost ceilings; result overflow degrades to an explicitly
+  marked partial answer,
 * the fault-tolerance stack (:mod:`repro.exec.resilience`):
   :class:`RetryPolicy` (exponential backoff, deterministic jitter),
   :class:`Deadline`, per-method :class:`CircuitBreaker`\\ s, all driven
-  by a :class:`ResilientDispatcher` threaded through
-  :meth:`Plan.execute <repro.plans.plan.Plan.execute>`,
+  by the context's :class:`ResilientDispatcher`,
 * :class:`FailoverExecutor` (:mod:`repro.exec.failover`) -- when a
   method dies mid-plan, re-plan the query over the surviving methods
   and fall back to the next-cheapest viable plan, or return an
@@ -38,10 +40,10 @@ access") for why access memoization is sound and what degraded
 execution guarantees.
 """
 
-from repro.exec.batch import BatchExecutor, BatchItem, substitute_constants
+# Leaves first: repro.plans imports repro.exec.context, and batch and
+# failover import repro.plans.
 from repro.exec.budget import ResourceBudget
 from repro.exec.cache import AccessCache
-from repro.exec.failover import FailoverExecutor, FailoverOutcome
 from repro.exec.resilience import (
     BreakerRegistry,
     CircuitBreaker,
@@ -50,6 +52,14 @@ from repro.exec.resilience import (
     RetryPolicy,
 )
 from repro.exec.stats import CommandStats, ExecStats
+from repro.exec.context import ExecutionContext
+from repro.exec.batch import (
+    BatchExecutor,
+    BatchItem,
+    run_request,
+    substitute_constants,
+)
+from repro.exec.failover import FailoverExecutor, FailoverOutcome
 
 __all__ = [
     "AccessCache",
@@ -60,10 +70,12 @@ __all__ = [
     "CommandStats",
     "Deadline",
     "ExecStats",
+    "ExecutionContext",
     "FailoverExecutor",
     "FailoverOutcome",
     "ResilientDispatcher",
     "ResourceBudget",
     "RetryPolicy",
+    "run_request",
     "substitute_constants",
 ]

@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.data.decorators import budgeted
 from repro.errors import ReproError
 from repro.exec.cache import AccessCache
+from repro.exec.context import ExecutionContext
 from repro.exec.stats import ExecStats
 from repro.logic.terms import Constant
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
@@ -122,6 +124,28 @@ def _sub_condition(condition, subst: Dict[Constant, Constant]):
     return condition
 
 
+def run_request(
+    source,
+    plan: Plan,
+    bindings: Optional[Mapping[object, object]],
+    context: ExecutionContext,
+    *,
+    executor: str = "interpreter",
+) -> NamedTable:
+    """One request, start to finish: rebind, guard the source, execute.
+
+    The runner the service, the worker tier and :class:`BatchExecutor`
+    share.  The answer is the output table, truncated per the budget
+    (``context.truncated_rows`` says by how much); every failure is a
+    typed :class:`~repro.errors.ReproError`.
+    """
+    if bindings:
+        plan = substitute_constants(plan, bindings)
+    return plan.execute(
+        budgeted(source, context.budget), context, executor=executor
+    )
+
+
 @dataclass(frozen=True)
 class BatchItem:
     """The structured per-plan result of a batch run: table or error."""
@@ -156,7 +180,9 @@ class BatchExecutor:
         self.source = source
         self.cache = cache
         self.stats = ExecStats() if collect_stats else None
-        self.resilience = resilience
+        self.context = ExecutionContext(
+            cache=cache, stats=self.stats, resilience=resilience
+        )
         self.executor = executor
         self.failed = 0
 
@@ -168,14 +194,8 @@ class BatchExecutor:
         Errors propagate to the caller; :meth:`run_plans` is the
         error-isolating batch surface.
         """
-        if bindings:
-            plan = substitute_constants(plan, bindings)
-        return plan.execute(
-            self.source,
-            cache=self.cache,
-            stats=self.stats,
-            resilience=self.resilience,
-            executor=self.executor,
+        return run_request(
+            self.source, plan, bindings, self.context, executor=self.executor
         )
 
     def run_bindings(
@@ -184,30 +204,18 @@ class BatchExecutor:
         """One plan over many parameter bindings (shared cache across runs)."""
         return [self.run(plan, bindings) for bindings in bindings_list]
 
-    def run_plans(
-        self, plans: Sequence[Plan], workers: Optional[int] = None
-    ) -> List[BatchItem]:
+    def run_plans(self, plans: Sequence[Plan]) -> List[BatchItem]:
         """Many plans over the shared source/cache, errors isolated.
 
-        One failing plan no longer aborts the batch: each plan yields a
+        One failing plan does not abort the batch: each plan yields a
         :class:`BatchItem` carrying either its result table or the
         error it died with (any deliberate :class:`~repro.errors.
         ReproError` -- access faults, evaluation errors, expired
         deadlines).  Failures are tallied in :attr:`failed` and shown
-        by :meth:`summary`.
-
-        ``workers`` > 1 runs the batch through a temporary
-        :class:`~repro.service.QueryService` pool over the *same*
-        source and cache (the runtime is thread-safe), preserving item
-        order and per-plan failure isolation; results are identical to
-        the sequential default.  The batch dispatcher's retry policy,
-        breakers and sleep carry over (each plan run gets its own
-        forked counters); a batch-wide deadline does not -- deadlines
-        are per-request in the service, so pass one per submit there
-        instead.
+        by :meth:`summary`.  The batch is sequential; for concurrent
+        runs over the same source and cache submit the plans to a
+        :class:`~repro.service.QueryService`.
         """
-        if workers is not None and workers > 1 and len(plans) > 1:
-            return self._run_plans_concurrent(plans, workers)
         items: List[BatchItem] = []
         for index, plan in enumerate(plans):
             try:
@@ -221,44 +229,6 @@ class BatchExecutor:
                 items.append(
                     BatchItem(index=index, plan=plan.name, table=table)
                 )
-        return items
-
-    def _run_plans_concurrent(
-        self, plans: Sequence[Plan], workers: int
-    ) -> List[BatchItem]:
-        # Imported lazily: repro.service imports this module for
-        # substitute_constants.
-        from repro.service import QueryService
-
-        dispatcher = self.resilience
-        service = QueryService(
-            self.source,
-            workers=workers,
-            max_queue=len(plans),
-            cache=self.cache,
-            retry=dispatcher.retry if dispatcher is not None else None,
-            breakers=dispatcher.breakers if dispatcher is not None else None,
-            sleep=dispatcher.sleep if dispatcher is not None else None,
-            collect_stats=self.stats is not None,
-            name="batch",
-            executor=self.executor,
-        )
-        with service:
-            tickets = [service.submit(plan) for plan in plans]
-            responses = [ticket.result() for ticket in tickets]
-        items: List[BatchItem] = []
-        for index, (plan, response) in enumerate(zip(plans, responses)):
-            if response.ok:
-                items.append(
-                    BatchItem(index=index, plan=plan.name, table=response.table)
-                )
-            else:
-                self.failed += 1
-                items.append(
-                    BatchItem(index=index, plan=plan.name, error=response.error)
-                )
-        if self.stats is not None and service.stats is not None:
-            self.stats.merge(service.stats)
         return items
 
     def summary(self) -> str:

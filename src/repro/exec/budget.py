@@ -4,13 +4,13 @@ A service cannot let one pathological request starve the pool: a plan
 whose intermediate tables explode, whose output is unboundedly large,
 or whose access fan-out is unbounded must be cut off with a *typed*
 outcome, not discovered via an out-of-memory kill.  A
-:class:`ResourceBudget` states the ceilings and is threaded through
-:meth:`Plan.execute <repro.plans.plan.Plan.execute>` (row budgets) and
-wrapped around the source as a
+:class:`ResourceBudget` states the ceilings, rides in the run's
+:class:`~repro.exec.context.ExecutionContext` (row budgets, checked by
+the command loop) and is wrapped around the source as a
 :class:`~repro.data.decorators.BudgetedSource` (access/cost budgets,
 the PR 4 :class:`~repro.errors.AccessBudgetExceeded` machinery) by
-:func:`repro.data.decorators.budgeted`, the one guard the
-:class:`~repro.service.QueryService` and its workers both call.
+:func:`repro.data.decorators.budgeted`, the one guard, called by the
+one request runner (:func:`repro.exec.batch.run_request`).
 
 Degradation policy: a *resident*-row overflow (intermediate state) is
 always an error -- there is no sound partial answer to salvage from a
@@ -25,7 +25,7 @@ answer -- the same "marked, never silent" contract as PR 4's
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.errors import RowBudgetExceeded
 
@@ -121,14 +121,3 @@ class ResourceBudget:
         kept = frozenset(sorted(table.rows)[: self.max_result_rows])
         self.truncated_rows += len(table.rows) - len(kept)
         return type(table)(table.attributes, kept)
-
-    def as_dict(self) -> Dict:
-        """A JSON-able representation."""
-        return {
-            "max_result_rows": self.max_result_rows,
-            "max_resident_rows": self.max_resident_rows,
-            "max_accesses": self.max_accesses,
-            "max_cost": self.max_cost,
-            "on_result_overflow": self.on_result_overflow,
-            "truncated_rows": self.truncated_rows,
-        }

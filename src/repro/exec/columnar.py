@@ -32,14 +32,13 @@ interpreter sees -- which is what makes the shared
 :class:`~repro.exec.budget.ResourceBudget` resident/result checks and
 the deterministic truncation prefix *identical* across backends.
 
-Access commands stay tuple-at-a-time at the boundary -- the source API
-is an external call per distinct input tuple -- but the input side is
-batched: the input expression is evaluated columnar, the distinct
-binding tuples are computed by one vectorized grouping, and only those
-are decoded back to terms and dispatched through the existing
-:class:`~repro.data.source.InMemorySource` indexes,
-:class:`~repro.exec.cache.AccessCache` and resilience stack, with
-unchanged dedup/cache/retry accounting.
+Access commands are columnar on the input side only: the input
+expression is evaluated columnar, the distinct binding tuples are
+computed by one vectorized grouping, and only those are decoded back to
+terms and handed to the access step the interpreter uses
+(:func:`repro.plans.commands.access_keys`: the same batch-or-per-key
+decision, cache, resilience stack and dedup/cache/retry accounting).
+The command loop is shared too (:func:`repro.plans.plan.run_commands`).
 
 ``Plan.execute(..., executor="differential")`` runs this backend and
 the interpreter back to back and asserts identical sorted answers; the
@@ -49,8 +48,9 @@ interpreter remains the oracle.  Soundness arguments live in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import chain
-from time import perf_counter
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # numpy is a baked-in dependency; fail with guidance, not a stack dump
@@ -62,12 +62,10 @@ except ImportError as exc:  # pragma: no cover
     ) from exc
 
 from repro.errors import ExecutionError
+from repro.exec.cache import AccessCache
+from repro.exec.context import ExecutionContext
 from repro.logic.terms import Constant, Term
-from repro.plans.commands import (
-    AccessCommand,
-    MiddlewareCommand,
-    bound_access,
-)
+from repro.plans.commands import access_keys
 from repro.plans.expressions import EvaluationError, NamedTable
 from repro.plans.ir import (
     PlanIRError,
@@ -75,6 +73,7 @@ from repro.plans.ir import (
     plan_to_ir,
     term_from_ir,
 )
+from repro.plans.plan import last_readers, run_commands
 
 __all__ = [
     "ColumnarPlan",
@@ -152,6 +151,16 @@ class _Codec:
     def decode(self, code: int) -> Term:
         """The term behind one code."""
         return self._terms[code]
+
+
+class _ColEnv(dict):
+    """One run's temporary tables and the term dictionary they share."""
+
+    __slots__ = ("codec",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.codec = _Codec()
 
 
 class _ColTable:
@@ -606,8 +615,9 @@ class _CAccess:
         """Names of the temp tables this subtree scans."""
         return self.input_expr.tables_read()
 
-    def execute(self, env, source, codec, cache, stats, resilience):
-        """Run this compiled command, mutating ``env`` and ``stats``."""
+    def execute(self, env, source, context=None):
+        """Run this compiled command, writing its table into ``env``."""
+        codec = env.codec
         inputs = self.input_expr.eval(env, codec)
         try:
             columns = [inputs.column(a) for a in self.input_attrs]
@@ -637,25 +647,10 @@ class _CAccess:
                     for entry in self.binding
                 )
             )
-        cache_hits_before = cache.hits if cache is not None else 0
-        retries_before = resilience.retries if resilience is not None else 0
-        faults_before = resilience.faults if resilience is not None else 0
-        access = bound_access(source, self.method, cache, resilience)
-        batches = list(map(access, bindings))
-        if stats is not None:
-            stats.rows_in = inputs.nrows
-            stats.dispatched = len(bindings)
-            stats.deduped = inputs.nrows - len(bindings)
-            stats.rows_fetched = sum(map(len, batches))
-            if cache is not None:
-                stats.cache_hits = cache.hits - cache_hits_before
-            if resilience is not None:
-                stats.retries = resilience.retries - retries_before
-                stats.faults = resilience.faults - faults_before
-        table = self._encode_output(batches, codec)
-        if stats is not None:
-            stats.rows_out = table.nrows
-        env[self.target] = table
+        batches = access_keys(
+            source, self.method, bindings, context, inputs.nrows
+        )
+        env[self.target] = self._encode_output(batches, codec)
 
     def _encode_output(self, batches, codec) -> _ColTable:
         """Batch-map the accessed tuples into the output column table.
@@ -711,12 +706,9 @@ class _CMiddleware:
         """Names of the temp tables this subtree scans."""
         return self.expr.tables_read()
 
-    def execute(self, env, source, codec, cache, stats, resilience):
-        """Run this compiled command, mutating ``env`` and ``stats``."""
-        table = self.expr.eval(env, codec)
-        if stats is not None:
-            stats.rows_out = table.nrows
-        env[self.target] = table
+    def execute(self, env, source, context=None):
+        """Run this compiled command, writing its table into ``env``."""
+        env[self.target] = self.expr.eval(env, env.codec)
 
 
 # ---------------------------------------------------------------- compiler
@@ -803,84 +795,36 @@ class ColumnarPlan:
         self.name = ir.get("name", "plan")
         self.output_table = ir["output"]
         self.commands = tuple(_compile_command(c) for c in ir["commands"])
-        self._last_readers = self._compute_last_readers()
+        self._last_readers = last_readers(self.commands)
 
     @classmethod
     def from_plan(cls, plan) -> "ColumnarPlan":
         """Compile a :class:`~repro.plans.plan.Plan` via its IR."""
         return cls(plan_to_ir(plan))
 
-    def _compute_last_readers(self) -> Dict[str, int]:
-        last: Dict[str, int] = {c.target: -1 for c in self.commands}
-        for index, command in enumerate(self.commands):
-            for table in command.tables_read():
-                last[table] = index
-        return last
-
     def execute(
-        self,
-        source,
-        cache=None,
-        stats=None,
-        free_temps: bool = True,
-        resilience=None,
-        budget=None,
+        self, source, context: Optional[ExecutionContext] = None
     ) -> NamedTable:
         """Run the compiled pipeline; same contract as ``Plan.execute``.
 
-        The environment holds dictionary-encoded column tables; the
-        output is decoded to a :class:`NamedTable` and passed through
-        ``budget.admit_result`` exactly like the interpreter, so the
-        deterministic truncation prefix and ``truncated_rows`` match
+        The loop is the interpreter's
+        (:func:`~repro.plans.plan.run_commands`) over an environment of
+        dictionary-encoded column tables; the output is decoded to a
+        :class:`NamedTable` before ``budget.admit_result`` sees it, so
+        the deterministic truncation prefix and ``truncated_rows`` match
         across backends.
         """
-        codec = _Codec()
-        env: Dict[str, _ColTable] = {}
-        last_read = self._last_readers if free_temps else {}
-        started = perf_counter()
-        for index, command in enumerate(self.commands):
-            if resilience is not None:
-                resilience.check_deadline(f"command #{index}")
-            command_stats = None
-            if stats is not None:
-                command_stats = stats.command(
-                    index,
-                    command.target,
-                    command.kind,
-                    method=getattr(command, "method", None),
-                )
-            command_started = perf_counter()
-            command.execute(
-                env, source, codec, cache, command_stats, resilience
-            )
-            if command_stats is not None:
-                command_stats.wall_time = perf_counter() - command_started
-            if stats is not None or budget is not None:
-                resident = sum(table.nrows for table in env.values())
-                if stats is not None:
-                    stats.note_resident(resident)
-                if budget is not None:
-                    budget.check_resident(resident)
-            if free_temps:
-                freed = 0
-                for table in [
-                    t
-                    for t, last in last_read.items()
-                    if last <= index and t in env and t != self.output_table
-                ]:
-                    del env[table]
-                    freed += 1
-                if command_stats is not None:
-                    command_stats.freed_tables = freed
-        output = codec.decode_table(env[self.output_table])
-        if budget is not None:
-            output = budget.admit_result(output)
-        if stats is not None:
-            stats.wall_time += perf_counter() - started
-            stats.runs += 1
-            if resilience is not None:
-                stats.breaker_trips = resilience.breaker_trips
-        return output
+        env = _ColEnv()
+        return run_commands(
+            self.commands,
+            self.output_table,
+            self._last_readers,
+            env,
+            source,
+            context if context is not None else ExecutionContext(),
+            attrgetter("nrows"),
+            env.codec.decode_table,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -901,20 +845,14 @@ def compile_columnar(plan) -> ColumnarPlan:
 
 # ------------------------------------------------------------ differential
 def execute_differential(
-    plan,
-    source,
-    cache=None,
-    stats=None,
-    free_temps: bool = True,
-    resilience=None,
-    budget=None,
+    plan, source, context: Optional[ExecutionContext] = None
 ) -> NamedTable:
     """Run columnar AND interpreter, assert identical sorted answers.
 
-    The columnar backend is the measured run (it gets ``stats`` and the
-    caller's ``budget``); the interpreter replays as the oracle with a
-    fresh copy of the budget and the *same* access cache -- when no
-    cache was supplied a private one is created for the pair of runs,
+    The columnar backend is the measured run (it gets the context's
+    ``stats`` and ``budget``); the interpreter replays as the oracle
+    with a fresh copy of the budget and the *same* access cache -- when
+    the context has none a private one is created for the pair of runs,
     so the oracle's accesses are answered from memory instead of
     re-invoking (and re-charging) the source.  Answers are compared as
     sorted row lists plus attribute tuples -- byte-identical output --
@@ -922,26 +860,19 @@ def execute_differential(
     mismatch raises :class:`DifferentialMismatch`; this mode is for
     verification, not performance.
     """
-    from repro.exec.cache import AccessCache
-
-    shared_cache = cache if cache is not None else AccessCache()
-    columnar_output = compile_columnar(plan).execute(
-        source,
-        cache=shared_cache,
-        stats=stats,
-        free_temps=free_temps,
-        resilience=resilience,
-        budget=budget,
+    context = context if context is not None else ExecutionContext()
+    budget = context.budget
+    measured = replace(
+        context,
+        cache=context.cache if context.cache is not None else AccessCache(),
     )
-    oracle_budget = budget.fresh() if budget is not None else None
-    oracle_output = plan.execute(
-        source,
-        cache=shared_cache,
-        free_temps=free_temps,
-        resilience=resilience,
-        budget=oracle_budget,
-        executor="interpreter",
+    oracle = replace(
+        measured,
+        stats=None,
+        budget=budget.fresh() if budget is not None else None,
     )
+    columnar_output = compile_columnar(plan).execute(source, measured)
+    oracle_output = plan.execute(source, oracle)
     if columnar_output.attributes != oracle_output.attributes:
         raise DifferentialMismatch(
             f"plan {plan.name}: columnar attributes "
@@ -954,10 +885,10 @@ def execute_differential(
             f"rows) differs from the interpreter oracle "
             f"({len(oracle_output.rows)} rows)"
         )
-    if budget is not None and budget.truncated_rows != oracle_budget.truncated_rows:
+    if budget is not None and budget.truncated_rows != oracle.truncated_rows:
         raise DifferentialMismatch(
             f"plan {plan.name}: columnar truncated "
             f"{budget.truncated_rows} rows, interpreter "
-            f"{oracle_budget.truncated_rows}"
+            f"{oracle.truncated_rows}"
         )
     return columnar_output

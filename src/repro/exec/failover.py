@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.data.accessible_part import accessible_part
 from repro.errors import (
     AccessError,
     CircuitOpen,
@@ -39,10 +38,15 @@ from repro.errors import (
     MethodOutage,
     NoViablePlan,
 )
+from repro.exec.context import ExecutionContext
 from repro.exec.resilience import ResilientDispatcher
 from repro.exec.stats import ExecStats
 from repro.logic.queries import ConjunctiveQuery
-from repro.planner.search import SearchOptions, find_best_plan
+from repro.planner.search import (
+    SearchOptions,
+    accessible_answer,
+    find_plan_avoiding,
+)
 from repro.plans.expressions import NamedTable
 from repro.plans.plan import Plan
 from repro.schema.core import Schema
@@ -110,8 +114,10 @@ class FailoverExecutor:
         self.source = source
         self.resilience = resilience or ResilientDispatcher()
         self.options = options
-        self.cache = cache
         self.stats = stats
+        self.context = ExecutionContext(
+            cache=cache, stats=stats, resilience=self.resilience
+        )
         self.allow_partial = allow_partial
         self.dead_methods: List[str] = []
 
@@ -129,12 +135,7 @@ class FailoverExecutor:
                 break
             plans_tried.append(plan.name)
             try:
-                table = plan.execute(
-                    self.source,
-                    cache=self.cache,
-                    stats=self.stats,
-                    resilience=self.resilience,
-                )
+                table = plan.execute(self.source, self.context)
             except DeadlineExceeded as error:
                 return self._finish(
                     None, plans_tried, failovers, error=error
@@ -160,8 +161,17 @@ class FailoverExecutor:
         # No full plan survives: degrade to the accessible part.
         if self.allow_partial:
             try:
+                # AccPart is read off the wrapped instance (the
+                # simulation's ground truth restricted to what surviving
+                # methods can reveal), so it stays correct even while
+                # the faulty access path is down.
                 return self._finish(
-                    self._partial_answer(query),
+                    accessible_answer(
+                        self.schema,
+                        self.source.instance,
+                        query,
+                        self.dead_methods,
+                    ),
                     plans_tried,
                     failovers,
                     partial=True,
@@ -174,22 +184,9 @@ class FailoverExecutor:
     # ------------------------------------------------------------ helpers
     def _plan(self, query: ConjunctiveQuery) -> Tuple[Plan, float]:
         """The cheapest plan over the schema minus the dead methods."""
-        schema = (
-            self.schema.without_methods(self.dead_methods)
-            if self.dead_methods
-            else self.schema
+        result = find_plan_avoiding(
+            self.schema, query, self.dead_methods, self.options
         )
-        if not schema.methods:
-            raise NoViablePlan(
-                "every access method is dead",
-                dead_methods=tuple(self.dead_methods),
-            )
-        result = find_best_plan(schema, query, self.options)
-        if not result.found:
-            raise NoViablePlan(
-                f"no plan for {query.name} avoids the dead methods",
-                dead_methods=tuple(self.dead_methods),
-            )
         plan = result.best_plan
         if self.dead_methods:
             plan = Plan(
@@ -214,19 +211,6 @@ class FailoverExecutor:
                 permanent=True
             )
         return method
-
-    def _partial_answer(self, query: ConjunctiveQuery) -> NamedTable:
-        """The query over AccPart of the surviving methods, as a table.
-
-        This reads the wrapped instance directly (the simulation's
-        ground truth restricted to what surviving methods can reveal),
-        so it stays correct even while the faulty access path is down.
-        """
-        schema = self.schema.without_methods(self.dead_methods)
-        part = accessible_part(schema, self.source.instance).as_instance()
-        answers = part.evaluate(query)
-        attributes = tuple(variable.name for variable in query.head)
-        return NamedTable(attributes, frozenset(answers))
 
     def _finish(
         self,

@@ -21,8 +21,9 @@ time so fault scenarios run deterministically in simulated seconds:
   :class:`~repro.errors.MethodOutage` force-opens the breaker
   immediately -- hard outages should not burn the whole threshold.
 
-:class:`ResilientDispatcher` ties them together when a ``resilience``
-argument is threaded through :meth:`repro.plans.plan.Plan.execute`.
+:class:`ResilientDispatcher` ties them together as the ``resilience``
+field of the :class:`~repro.exec.context.ExecutionContext` a plan runs
+under.
 An access command *binds* it once (:meth:`ResilientDispatcher.bind`,
 through :func:`repro.plans.commands.bound_access`): the method's
 breaker, the retry policy and the deadline are the same for every key
@@ -343,36 +344,21 @@ class ResilientDispatcher:
 
     A dispatcher's *counters* are plain attributes and therefore
     per-request state: concurrent callers must not share one dispatcher.
-    The shareable parts -- the (locked) breaker registry, the frozen
-    retry policy, the sleep callable -- are exactly what :meth:`fork`
-    carries into a fresh per-request dispatcher, which is how the
-    :class:`~repro.service.QueryService` and the concurrent batch path
-    give every request its own counters over one breaker state.
+    The (locked) breaker registry, the frozen retry policy and the sleep
+    callable are shareable, which is how every request of a
+    :class:`~repro.service.QueryService` gets its own dispatcher, and
+    so its own counters, over one breaker state.
     """
 
     retry: Optional[RetryPolicy] = None
     breakers: Optional[BreakerRegistry] = None
     deadline: Optional[Deadline] = None
     sleep: Optional[Sleep] = None
-    # Counters (snapshotted by AccessCommand.execute into CommandStats).
+    # Counters (their per-command deltas go into CommandStats).
     retries: int = 0
     faults: int = 0
     giveups: int = 0
     backoff_waited: float = 0.0
-
-    def fork(self, deadline: Optional[Deadline] = None) -> "ResilientDispatcher":
-        """A fresh dispatcher sharing policy and breakers, own counters.
-
-        ``deadline`` overrides the per-request deadline (``None`` keeps
-        this dispatcher's, which is correct when one deadline is meant
-        to cover a whole batch).
-        """
-        return ResilientDispatcher(
-            retry=self.retry,
-            breakers=self.breakers,
-            deadline=deadline if deadline is not None else self.deadline,
-            sleep=self.sleep,
-        )
 
     def check_deadline(self, doing: str = "execution") -> None:
         """Deadline check usable between commands, not just per access."""

@@ -1,9 +1,10 @@
 """Execution instrumentation: per-command and per-run counters.
 
-:class:`ExecStats` is threaded through :meth:`repro.plans.plan.Plan.execute`
-and collects, per command, wall time and row flow, plus the access
-dispatch breakdown the runtime's optimisations act on: how many input
-rows each access command saw, how many *distinct* input tuples were
+:class:`ExecStats` is the ``stats`` field of a run's
+:class:`~repro.exec.context.ExecutionContext` and collects, per
+command, wall time and row flow, plus the access dispatch breakdown
+the runtime's optimisations act on: how many input rows each access
+command saw, how many *distinct* input tuples were
 actually dispatched (the dedup win), and how many dispatches were
 answered by the :class:`~repro.exec.cache.AccessCache` without touching
 the source (the memoization win).  ``peak_resident_rows`` tracks the
@@ -44,44 +45,18 @@ class CommandStats:
     faults: int = 0  # transient faults seen (retried or given up on)
 
     def as_dict(self) -> Dict:
-        """A JSON-able representation."""
-        return {
-            "index": self.index,
-            "target": self.target,
-            "kind": self.kind,
-            "method": self.method,
-            "wall_time": self.wall_time,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "dispatched": self.dispatched,
-            "deduped": self.deduped,
-            "rows_fetched": self.rows_fetched,
-            "cache_hits": self.cache_hits,
-            "freed_tables": self.freed_tables,
-            "retries": self.retries,
-            "faults": self.faults,
-        }
+        """A JSON-able representation: the fields, in declaration order."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CommandStats":
-        """Inverse of :meth:`as_dict` (cross-process stats shipping)."""
-        method = data.get("method")
-        return cls(
-            index=int(data["index"]),
-            target=str(data["target"]),
-            kind=str(data["kind"]),
-            method=str(method) if method is not None else None,
-            wall_time=float(data.get("wall_time", 0.0)),
-            rows_in=int(data.get("rows_in", 0)),
-            rows_out=int(data.get("rows_out", 0)),
-            dispatched=int(data.get("dispatched", 0)),
-            deduped=int(data.get("deduped", 0)),
-            rows_fetched=int(data.get("rows_fetched", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            freed_tables=int(data.get("freed_tables", 0)),
-            retries=int(data.get("retries", 0)),
-            faults=int(data.get("faults", 0)),
-        )
+        """Inverse of :meth:`as_dict` (cross-process stats shipping).
+
+        By the dataclass's own fields: one the payload lacks keeps its
+        default, so a field added here ships without a codec to update.
+        """
+        fields = cls.__dataclass_fields__
+        return cls(**{k: data[k] for k in fields if k in data})
 
 
 @dataclass
@@ -222,15 +197,8 @@ class ExecStats:
         (dispatched, cache hits, ...) are recomputed from the command
         records rather than trusted from the payload.
         """
-        stats = cls(
-            commands=[
-                CommandStats.from_dict(entry)
-                for entry in data.get("commands", ())
-            ],
-            wall_time=float(data.get("wall_time", 0.0)),
-            peak_resident_rows=int(data.get("peak_resident_rows", 0)),
-            runs=int(data.get("runs", 0)),
-            breaker_trips=int(data.get("breaker_trips", 0)),
-            failovers=int(data.get("failovers", 0)),
-        )
-        return stats
+        own = {k: data[k] for k in cls.__dataclass_fields__ if k in data}
+        own["commands"] = [
+            CommandStats.from_dict(entry) for entry in data.get("commands", ())
+        ]
+        return cls(**own)

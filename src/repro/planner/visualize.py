@@ -79,16 +79,14 @@ def plan_to_dot(plan: Plan) -> str:
         if isinstance(command, AccessCommand):
             label = f"{command.target}\\naccess {command.method}"
             shape = "doubleoctagon"
-            expr = command.input_expr
         else:
             label = f"{command.target}"
             shape = "box"
-            expr = command.expr
         lines.append(
             f'  "{command.target}" [shape={shape}, '
             f'label="{_escape(label)}"];'
         )
-        for source in sorted(expr.tables_read()):
+        for source in sorted(command.tables_read()):
             lines.append(f'  "{source}" -> "{command.target}";')
     lines.append(
         f'  "{plan.output_table}" [style=filled, fillcolor="#b7e1a1"];'

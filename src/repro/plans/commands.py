@@ -14,7 +14,7 @@ access cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import (
@@ -30,6 +30,7 @@ from typing import (
     Union,
 )
 
+from repro.exec.context import ExecutionContext
 from repro.plans.expressions import (
     EvaluationError,
     Expression,
@@ -65,6 +66,8 @@ class AccessCommand:
     input_binding: InputBinding
     output_map: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
+    kind = "access"
+
     @property
     def output_attrs(self) -> Tuple[str, ...]:
         """The attribute names of the produced table, in order."""
@@ -83,36 +86,26 @@ class AccessCommand:
                 seen[entry] = None
         return tuple(seen)
 
+    def tables_read(self) -> FrozenSet[str]:
+        """Names of the temporary tables the input expression scans."""
+        return self.input_expr.tables_read()
+
     def execute(
         self,
         env: Dict[str, NamedTable],
         source,
-        cache=None,
-        stats=None,
-        resilience=None,
+        context: Optional[ExecutionContext] = None,
     ) -> NamedTable:
         """Run the command against a source; returns the produced table.
 
         Dispatch is *deduplicated*: the distinct input-value tuples are
         collected before any access is made, so an input expression that
         yields the same binding several times (or binds only constants)
-        costs one invocation per distinct tuple.  With an
-        :class:`~repro.exec.cache.AccessCache` supplied, each distinct
-        tuple is further memoized across commands and plans.  ``stats``
-        (a :class:`~repro.exec.stats.CommandStats`) receives the
-        dispatch breakdown when given.  ``resilience`` (a
-        :class:`~repro.exec.resilience.ResilientDispatcher`) wraps each
-        dispatch in retry/backoff, circuit-breaker and deadline checks;
-        without it a failing access propagates immediately.
-
-        The distinct tuples reach the source one of two ways.  A source
-        that offers ``access_batch`` (and no cache in the way) is asked
-        for all of them in one guarded call.  Otherwise the path from a
-        key to its rows is bound once (:func:`bound_access`) and
-        mapped over the keys: one access per key, in the order of the
-        distinct set, exactly the accesses the cost function charges.
-        Either way the answers come back as one list, in key order, and
-        :meth:`_collect` turns them into the produced rows.
+        costs one invocation per distinct tuple.  How they reach the
+        source -- through the context's cache and dispatcher, in one
+        batch or key by key -- is :func:`access_keys`; the answers come
+        back as one list, in key order, and :meth:`_collect` turns them
+        into the produced rows.
         """
         inputs = self.input_expr.evaluate(env)
         try:
@@ -138,48 +131,10 @@ class AccessCommand:
                 )
                 for input_row in projected.rows
             )
-        cache_hits_before = cache.hits if cache is not None else 0
-        retries_before = resilience.retries if resilience is not None else 0
-        faults_before = resilience.faults if resilience is not None else 0
-        batch = getattr(source, "access_batch", None) if cache is None else None
-        answers: List[Iterable[Row]]
-        if callable(batch) and len(distinct) > 1:
-            # Batch at the access boundary: several distinct input
-            # tuples become one backend round trip (the backend still
-            # meters one logical access per tuple).  Only without an
-            # AccessCache -- the cache's single-flight memoization is
-            # per key, and splitting a batch across hit/miss keys would
-            # re-derive exactly the per-key branch below.
-            keyed = list(distinct)
-            if resilience is not None:
-                by_key = resilience.call(
-                    lambda: batch(self.method, keyed),
-                    self.method,
-                    inputs=keyed[0],
-                )
-            else:
-                by_key = batch(self.method, keyed)
-            answers = list(map(by_key.__getitem__, keyed))
-        else:
-            access = bound_access(source, self.method, cache, resilience)
-            answers = list(map(access, distinct))
-        rows = self._collect(answers)
-        if stats is not None:
-            # rows_in counts the raw tuples the input expression fed the
-            # access; the projection onto the bound attributes is what
-            # collapses them into the distinct dispatch set.
-            stats.rows_in = len(inputs.rows)
-            stats.dispatched = len(distinct)
-            stats.deduped = len(inputs.rows) - len(distinct)
-            stats.rows_fetched = sum(map(len, answers))
-            if cache is not None:
-                stats.cache_hits = cache.hits - cache_hits_before
-            if resilience is not None:
-                stats.retries = resilience.retries - retries_before
-                stats.faults = resilience.faults - faults_before
-        table = NamedTable(self.output_attrs, rows)
-        if stats is not None:
-            stats.rows_out = len(table.rows)
+        answers = access_keys(
+            source, self.method, distinct, context, len(inputs.rows)
+        )
+        table = NamedTable(self.output_attrs, self._collect(answers))
         env[self.target] = table
         return table
 
@@ -238,23 +193,25 @@ class MiddlewareCommand:
     target: str
     expr: Expression
 
+    kind = "middleware"
+
+    def tables_read(self) -> FrozenSet[str]:
+        """Names of the temporary tables the expression scans."""
+        return self.expr.tables_read()
+
     def execute(
         self,
         env: Dict[str, NamedTable],
         source,
-        cache=None,
-        stats=None,
-        resilience=None,
+        context: Optional[ExecutionContext] = None,
     ) -> NamedTable:
         """Run the command, writing its target table into the env.
 
-        ``cache`` and ``resilience`` are accepted for signature parity
-        with :meth:`AccessCommand.execute` and ignored -- middleware
-        commands never touch the source.
+        A middleware command never touches the source and reads nothing
+        of the context; it takes both so the command loop calls every
+        command alike.
         """
         table = self.expr.evaluate(env)
-        if stats is not None:
-            stats.rows_out = len(table.rows)
         env[self.target] = table
         return table
 
@@ -263,6 +220,61 @@ class MiddlewareCommand:
 
 
 Command = Union[AccessCommand, MiddlewareCommand]
+
+
+def access_keys(
+    source,
+    method: str,
+    keys,
+    context: Optional[ExecutionContext],
+    rows_in: int,
+) -> List[Iterable[Row]]:
+    """The answers to the distinct ``keys`` of one access command, in order.
+
+    The access step both engines share.  A source that offers
+    ``access_batch`` is asked for several keys in one guarded call (one
+    round trip; the backend still meters one access per key) -- but only
+    without an :class:`~repro.exec.cache.AccessCache`, whose
+    single-flight memo is per key.  Otherwise the path from a key to its
+    rows is bound once (:func:`bound_access`) and mapped over the keys:
+    one access per key, in the order given, exactly the accesses the
+    cost function charges.  The dispatch counts (``rows_in``: the raw
+    tuples the keys were distilled from) and what the cache and the
+    dispatcher counted meanwhile go into ``context.command_stats``.
+    """
+    if context is None:
+        context = ExecutionContext()
+    cache, resilience = context.cache, context.resilience
+    stats = context.command_stats
+    if stats is not None:
+        cache_hits_before = cache.hits if cache is not None else 0
+        retries_before = resilience.retries if resilience is not None else 0
+        faults_before = resilience.faults if resilience is not None else 0
+    batch = getattr(source, "access_batch", None) if cache is None else None
+    answers: List[Iterable[Row]]
+    if callable(batch) and len(keys) > 1:
+        keyed = list(keys)
+        if resilience is not None:
+            by_key = resilience.call(
+                lambda: batch(method, keyed), method, inputs=keyed[0]
+            )
+        else:
+            by_key = batch(method, keyed)
+        answers = list(map(by_key.__getitem__, keyed))
+    else:
+        access = bound_access(source, method, cache, resilience)
+        answers = list(map(access, keys))
+    if stats is not None:
+        stats.rows_in = rows_in
+        stats.dispatched = len(keys)
+        stats.deduped = rows_in - len(keys)
+        stats.rows_fetched = sum(map(len, answers))
+        if cache is not None:
+            stats.cache_hits = cache.hits - cache_hits_before
+        if resilience is not None:
+            stats.retries = resilience.retries - retries_before
+            stats.faults = resilience.faults - faults_before
+    return answers
 
 
 def bound_access(

@@ -17,9 +17,11 @@ expressions use:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from time import perf_counter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.exec.context import ExecutionContext
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
 from repro.plans.expressions import Expression, NamedTable
 
@@ -55,12 +57,7 @@ class Plan:
         """Check def-before-use of temporary tables and output presence."""
         defined: Set[str] = set()
         for command in self.commands:
-            expr = (
-                command.input_expr
-                if isinstance(command, AccessCommand)
-                else command.expr
-            )
-            for table in expr.tables_read():
+            for table in command.tables_read():
                 if table not in defined:
                     raise PlanValidationError(
                         f"{command!r} reads undefined table {table!r}"
@@ -80,55 +77,34 @@ class Plan:
         runtime entry point; the two are proven equivalent in
         ``tests/exec/test_exec_soundness.py``.
         """
-        env: Dict[str, NamedTable] = {}
-        for command in self.commands:
-            command.execute(env, source)
-        return env[self.output_table]
+        return self.run_with_env(source)[0]
 
     def execute(
         self,
         source,
-        cache=None,
-        stats=None,
-        free_temps: bool = True,
-        resilience=None,
-        budget=None,
+        context: Optional[ExecutionContext] = None,
+        *,
         executor: str = "interpreter",
-        cancel=None,
     ) -> NamedTable:
         """Run the plan through the execution runtime.
 
-        ``cache``
-            an optional :class:`~repro.exec.cache.AccessCache`; access
-            commands memoize ``(method, inputs)`` results through it
-            (shared caches span commands, plans and batch runs).
-        ``stats``
-            an optional :class:`~repro.exec.stats.ExecStats` collecting
-            per-command wall time, row flow, the dispatch breakdown and
-            the peak number of resident temporary rows.
-        ``free_temps``
-            drop each temporary table from the environment right after
-            its last reader ran (the output table is always kept), so
-            peak intermediate state is bounded by what is still needed
-            rather than by everything ever produced.
-        ``resilience``
-            an optional
-            :class:`~repro.exec.resilience.ResilientDispatcher`: every
-            access dispatch then runs under its retry/backoff policy,
-            per-method circuit breakers and overall plan deadline, and
-            the deadline is also re-checked between commands.
-        ``budget``
-            an optional :class:`~repro.exec.budget.ResourceBudget`.
-            After every command the resident-row total is checked
-            against ``max_resident_rows`` (overflow raises
-            :class:`~repro.errors.RowBudgetExceeded`), and the final
-            output is passed through ``budget.admit_result`` -- which
-            either truncates it to a deterministic prefix (recording
-            the dropped rows, so the caller can mark the answer
-            partial) or raises, per the budget's overflow policy.
+        ``context``
+            the run's :class:`~repro.exec.context.ExecutionContext`
+            (``None``: a bare one).  Its ``cache`` memoizes
+            ``(method, inputs)`` results across commands, plans and
+            requests; its ``stats`` collect per-command wall time, row
+            flow and the dispatch breakdown; its ``resilience``
+            dispatcher puts every access under retry/backoff, a
+            per-method circuit breaker and the run's deadline; its
+            ``budget`` caps resident rows (an error) and result rows
+            (truncated to a deterministic prefix, or an error, per its
+            overflow policy); its ``cancel`` token stops a run whose
+            answer is no longer wanted.  :func:`run_commands` checks
+            cancellation and the deadline before every command,
+            whichever engine runs it.
         ``executor``
             which backend runs the plan.  ``"interpreter"`` (the
-            default) is the tuple-at-a-time runtime below;
+            default) evaluates the commands as they stand;
             ``"columnar"`` compiles the plan to its serializable IR and
             executes it vectorized over numpy column arrays
             (:mod:`repro.exec.columnar`; same answers, same stats and
@@ -137,122 +113,37 @@ class Plan:
             answers are byte-identical -- the interpreter stays the
             oracle.  The compiled form is cached on the plan, so
             repeated ``executor="columnar"`` runs pay compilation once.
-        ``cancel``
-            an optional :class:`threading.Event`-like object (anything
-            with ``is_set()``).  The interpreter re-checks it between
-            commands and raises :class:`~repro.errors.PlanCancelled`
-            when set -- cooperative, best-effort cancellation for runs
-            whose answer is no longer wanted (a lost hedge duplicate).
-            The columnar backends ignore it.
+
+        Each temporary table is dropped right after its last reader ran
+        (the output table is always kept), so peak intermediate state is
+        bounded by what is still needed; :meth:`run` keeps everything.
         """
+        if context is None:
+            context = ExecutionContext()
         if executor != "interpreter":
-            # Imported lazily: repro.exec imports repro.plans.
+            # Imported lazily: repro.exec.columnar imports this module
+            # (and numpy, which the interpreter path never needs).
             from repro.exec import columnar as _columnar
 
             if executor == "columnar":
                 return _columnar.compile_columnar(self).execute(
-                    source,
-                    cache=cache,
-                    stats=stats,
-                    free_temps=free_temps,
-                    resilience=resilience,
-                    budget=budget,
+                    source, context
                 )
             if executor == "differential":
-                return _columnar.execute_differential(
-                    self,
-                    source,
-                    cache=cache,
-                    stats=stats,
-                    free_temps=free_temps,
-                    resilience=resilience,
-                    budget=budget,
-                )
+                return _columnar.execute_differential(self, source, context)
             raise ValueError(
                 f"unknown executor {executor!r} "
                 "(expected 'interpreter', 'columnar' or 'differential')"
             )
-        from time import perf_counter
-
-        env: Dict[str, NamedTable] = {}
-        last_read = self._last_readers() if free_temps else {}
-        started = perf_counter()
-        for index, command in enumerate(self.commands):
-            if cancel is not None and cancel.is_set():
-                from repro.errors import PlanCancelled
-
-                raise PlanCancelled(
-                    f"plan cancelled before command #{index} "
-                    f"({len(self.commands) - index} commands unrun)"
-                )
-            if resilience is not None:
-                resilience.check_deadline(f"command #{index}")
-            command_stats = None
-            if stats is not None:
-                is_access = isinstance(command, AccessCommand)
-                command_stats = stats.command(
-                    index,
-                    command.target,
-                    "access" if is_access else "middleware",
-                    method=command.method if is_access else None,
-                )
-            command_started = perf_counter()
-            command.execute(
-                env,
-                source,
-                cache=cache,
-                stats=command_stats,
-                resilience=resilience,
-            )
-            if command_stats is not None:
-                command_stats.wall_time = perf_counter() - command_started
-            if stats is not None or budget is not None:
-                resident = sum(len(table.rows) for table in env.values())
-                if stats is not None:
-                    stats.note_resident(resident)
-                if budget is not None:
-                    budget.check_resident(resident)
-            if free_temps:
-                freed = 0
-                for table in [
-                    t
-                    for t, last in last_read.items()
-                    if last <= index and t in env and t != self.output_table
-                ]:
-                    del env[table]
-                    freed += 1
-                if command_stats is not None:
-                    command_stats.freed_tables = freed
-        output = env[self.output_table]
-        if budget is not None:
-            output = budget.admit_result(output)
-        if stats is not None:
-            stats.wall_time += perf_counter() - started
-            stats.runs += 1
-            if resilience is not None:
-                # The registry total is monotone, so assignment is safe
-                # even when one dispatcher spans many plan runs.
-                stats.breaker_trips = resilience.breaker_trips
-        return output
-
-    def _last_readers(self) -> Dict[str, int]:
-        """For each table: the index of the last command reading it.
-
-        Tables never read map to ``-1`` (free immediately after their
-        defining command unless they are the output).
-        """
-        last: Dict[str, int] = {
-            command.target: -1 for command in self.commands
-        }
-        for index, command in enumerate(self.commands):
-            expr = (
-                command.input_expr
-                if isinstance(command, AccessCommand)
-                else command.expr
-            )
-            for table in expr.tables_read():
-                last[table] = index
-        return last
+        return run_commands(
+            self.commands,
+            self.output_table,
+            last_readers(self.commands),
+            {},
+            source,
+            context,
+            len,
+        )
 
     def run_with_env(self, source) -> Tuple[NamedTable, Dict[str, NamedTable]]:
         """Execute and also return the full temporary-table environment."""
@@ -281,13 +172,10 @@ class Plan:
         return tuple(c.method for c in self.access_commands)
 
     def _expressions(self) -> List[Expression]:
-        out: List[Expression] = []
-        for command in self.commands:
-            if isinstance(command, AccessCommand):
-                out.append(command.input_expr)
-            else:
-                out.append(command.expr)
-        return out
+        return [
+            c.input_expr if isinstance(c, AccessCommand) else c.expr
+            for c in self.commands
+        ]
 
     @property
     def kind(self) -> PlanKind:
@@ -318,3 +206,84 @@ class Plan:
             f"Plan({self.name}: {len(self.commands)} commands, "
             f"{len(self.access_commands)} accesses, out={self.output_table})"
         )
+
+
+def last_readers(commands: Sequence) -> Dict[str, int]:
+    """For each table: the index of the last command reading it.
+
+    Tables never read map to ``-1`` (free immediately after their
+    defining command unless they are the output).
+    """
+    last: Dict[str, int] = {command.target: -1 for command in commands}
+    for index, command in enumerate(commands):
+        for table in command.tables_read():
+            last[table] = index
+    return last
+
+
+def run_commands(
+    commands: Sequence,
+    output_table: str,
+    last_read: Dict[str, int],
+    env: Dict,
+    source,
+    context: ExecutionContext,
+    row_count: Callable[[object], int],
+    decode: Optional[Callable[[object], NamedTable]] = None,
+) -> NamedTable:
+    """The command loop: the paper's plan semantics plus the runtime's books.
+
+    Both engines run it.  An engine supplies its compiled ``commands``
+    (each with ``target``, ``kind``, ``execute(env, source, context)``),
+    their ``last_read`` map, the ``env`` they fill, how to count one of
+    its tables' rows and, if they are not :class:`NamedTable`, how to
+    ``decode`` the output.  Before each command the context's stop check
+    runs; after it the resident rows are noted and checked against the
+    budget and every table whose last reader has run is dropped.
+    """
+    stats, budget = context.stats, context.budget
+    record = None
+    started = perf_counter()
+    for index, command in enumerate(commands):
+        context.check_stop(index, len(commands))
+        if stats is not None:
+            record = context.command_stats = stats.command(
+                index,
+                command.target,
+                command.kind,
+                method=getattr(command, "method", None),
+            )
+        command_started = perf_counter()
+        command.execute(env, source, context)
+        if record is not None:
+            record.wall_time = perf_counter() - command_started
+            record.rows_out = row_count(env[command.target])
+        if stats is not None or budget is not None:
+            resident = sum(map(row_count, env.values()))
+            if stats is not None:
+                stats.note_resident(resident)
+            if budget is not None:
+                budget.check_resident(resident)
+        freed = 0
+        for table in [
+            t
+            for t, last in last_read.items()
+            if last <= index and t in env and t != output_table
+        ]:
+            del env[table]
+            freed += 1
+        if record is not None:
+            record.freed_tables = freed
+    output = env[output_table]
+    if decode is not None:
+        output = decode(output)
+    if budget is not None:
+        output = budget.admit_result(output)
+    if stats is not None:
+        stats.wall_time += perf_counter() - started
+        stats.runs += 1
+        if context.resilience is not None:
+            # The registry total is monotone, so assignment is safe
+            # even when one dispatcher spans many plan runs.
+            stats.breaker_trips = context.resilience.breaker_trips
+    return output

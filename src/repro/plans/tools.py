@@ -67,12 +67,7 @@ def eliminate_dead_commands(plan: Plan) -> Plan:
         if command.target in needed:
             kept_reversed.append(command)
             needed.discard(command.target)
-            expr = (
-                command.input_expr
-                if isinstance(command, AccessCommand)
-                else command.expr
-            )
-            needed |= expr.tables_read()
+            needed |= command.tables_read()
     return Plan(
         tuple(reversed(kept_reversed)),
         plan.output_table,

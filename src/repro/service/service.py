@@ -48,8 +48,6 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
-from repro.data.accessible_part import accessible_part
-from repro.data.decorators import budgeted
 from repro.data.instance import _to_constant
 from repro.errors import (
     DeadlineExceeded,
@@ -62,9 +60,10 @@ from repro.errors import (
     ServiceOverloaded,
     ServiceStopped,
 )
-from repro.exec.batch import substitute_constants
+from repro.exec.batch import run_request
 from repro.exec.budget import ERROR, ResourceBudget
 from repro.exec.cache import AccessCache
+from repro.exec.context import ExecutionContext
 from repro.exec.resilience import (
     CLOSED,
     BreakerRegistry,
@@ -77,8 +76,11 @@ from repro.exec.stats import ExecStats
 from repro.logic.atoms import Atom
 from repro.logic.queries import ConjunctiveQuery
 from repro.planner.plan_cache import PlanCache, canonical_query_text, plan_cache_key
-from repro.planner.search import SearchOptions, find_best_plan
-from repro.plans.expressions import NamedTable
+from repro.planner.search import (
+    SearchOptions,
+    accessible_answer,
+    find_plan_avoiding,
+)
 from repro.plans.ir import table_from_ir
 from repro.plans.plan import Plan
 from repro.service.admission import AdmissionQueue
@@ -88,7 +90,6 @@ from repro.service.workers import (
     encode_bindings,
     encoded_plan_ir,
     rebuild_error,
-    retry_to_dict,
 )
 from repro.service.request import (
     PRIORITY_NORMAL,
@@ -163,32 +164,8 @@ class ServiceHealth:
         )
 
     def as_dict(self) -> Dict:
-        """A JSON-able representation."""
-        return {
-            "running": self.running,
-            "accepting": self.accepting,
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
-            "queue_capacity": self.queue_capacity,
-            "in_flight": self.in_flight,
-            "served": self.served,
-            "completed": self.completed,
-            "partial": self.partial,
-            "failed": self.failed,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "preempted": self.preempted,
-            "mean_service_time": self.mean_service_time,
-            "breakers": dict(self.breakers),
-            "cache": self.cache,
-            "stats": self.stats,
-            "worker_tier": self.worker_tier,
-            "plan_cache": self.plan_cache,
-            "planned": self.planned,
-            "calibration": self.calibration,
-            "rejected_inadmissible": self.rejected_inadmissible,
-            "method_health": self.method_health,
-        }
+        """A JSON-able representation: every field, in declaration order."""
+        return dict(vars(self))
 
 
 class QueryService:
@@ -205,7 +182,6 @@ class QueryService:
         breakers: Optional[BreakerRegistry] = None,
         default_deadline: Optional[float] = None,
         default_budget: Optional[ResourceBudget] = None,
-        collect_stats: bool = True,
         clock=time.monotonic,
         sleep: Optional[Sleep] = None,
         name: str = "service",
@@ -214,8 +190,6 @@ class QueryService:
         plan_cache: Optional[PlanCache] = None,
         calibration: Optional[CalibrationStore] = None,
         size_bounds: Optional[SizeBounds] = None,
-        method_health: Optional[MethodHealthRegistry] = None,
-        allow_degraded: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("worker count must be positive")
@@ -251,13 +225,10 @@ class QueryService:
         # Health-aware degraded planning: outages observed while serving
         # mark methods dead here, and plan_for plans over the schema
         # minus the dead set -- one re-plan per outage, not one failure
-        # per request.  allow_degraded additionally lets submit_query
-        # fall back to a marked-partial accessible-part answer when no
-        # full plan survives the dead set.
-        self.method_health = (
-            method_health if method_health is not None else MethodHealthRegistry()
-        )
-        self.allow_degraded = allow_degraded
+        # per request.  When no full plan survives the dead set,
+        # submit_query falls back to a marked-partial accessible-part
+        # answer.
+        self.method_health = MethodHealthRegistry()
         self._replans = 0
         self._degraded_served = 0
         self.retry = retry
@@ -269,7 +240,7 @@ class QueryService:
         self.clock = clock
         self.sleep = sleep
         self.name = name
-        self.stats: Optional[ExecStats] = ExecStats() if collect_stats else None
+        self.stats = ExecStats()
         self._queue = AdmissionQueue(max_queue)
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -380,12 +351,7 @@ class QueryService:
         is resolved with the same typed overload error -- every
         submitted request is accounted for.
         """
-        with self._lock:
-            if not (self._running and self._accepting):
-                raise ServiceStopped(
-                    f"service {self.name!r} is not accepting requests"
-                )
-            rid = request_id or f"q{next(self._ids)}"
+        rid = self._admit_id(request_id)
         if budget is None and self.default_budget is not None:
             budget = self.default_budget.fresh()
         self._check_admissible(plan, budget)
@@ -424,6 +390,15 @@ class QueryService:
                 ),
             )
         return ticket
+
+    def _admit_id(self, request_id: Optional[str]) -> str:
+        """The id of a request being admitted, or ``ServiceStopped``."""
+        with self._lock:
+            if not (self._running and self._accepting):
+                raise ServiceStopped(
+                    f"service {self.name!r} is not accepting requests"
+                )
+            return request_id or f"q{next(self._ids)}"
 
     def _check_admissible(
         self, plan: Plan, budget: Optional[ResourceBudget]
@@ -536,38 +511,32 @@ class QueryService:
         options = search_options if search_options is not None else SearchOptions()
         dead = self.current_dead_methods()
         schema = self.source.schema
-        if dead:
-            schema = schema.without_methods(dead)
         key = None
         if self.plan_cache is not None:
-            key = plan_cache_key(query, schema, options.cost)
+            # The key is asked for before any search, so the degraded
+            # schema is built here as well as inside find_plan_avoiding.
+            surviving = schema.without_methods(dead) if dead else schema
+            key = plan_cache_key(query, surviving, options.cost)
             hit = self.plan_cache.get(key)
             if hit is not None:
                 return hit.plan
-        if dead and not schema.methods:
-            raise NoViablePlan(
-                "every access method is dead", dead_methods=dead
-            )
-        result = find_best_plan(schema, query, options)
         with self._lock:
             self._planned += 1
             if dead:
                 self._replans += 1
-        if not result.found:
+        try:
+            result = find_plan_avoiding(schema, query, dead, options)
+        except NoViablePlan as error:
             if dead:
-                raise NoViablePlan(
-                    f"no plan for {canonical_query_text(query)} avoids "
-                    f"the dead methods",
-                    dead_methods=dead,
-                )
+                raise
             raise ExecutionError(
                 f"no plan within the search budget for query "
                 f"{canonical_query_text(query)}"
-            )
-        if self.plan_cache is not None and key is not None:
+            ) from error
+        if key is not None:
             meta = {
                 "query": canonical_query_text(query),
-                "schema": schema.fingerprint(),
+                "schema": surviving.fingerprint(),
             }
             if dead:
                 meta["dead_methods"] = list(dead)
@@ -588,19 +557,16 @@ class QueryService:
         step disappears and only execution remains; ``kwargs`` are
         those of :meth:`submit` (bindings, priority, deadline, budget).
 
-        When the dead-method set leaves *no* viable plan and
-        ``allow_degraded`` is on, the request is served anyway: the
-        query is evaluated over the accessible part of the surviving
-        schema and the response comes back explicitly marked
-        ``partial`` and ``degraded`` -- a sound under-approximation of
-        the certain answers, never a silent wrong answer and never a
+        When the dead-method set leaves *no* viable plan the request is
+        served anyway: the query is evaluated over the accessible part
+        of the surviving schema and the response comes back explicitly
+        marked ``partial`` and ``degraded`` -- a sound under-approximation
+        of the certain answers, never a silent wrong answer and never a
         per-request error storm.
         """
         try:
             plan = self.plan_for(query, search_options=search_options)
         except NoViablePlan:
-            if not self.allow_degraded:
-                raise
             return self._degraded_ticket(query, **kwargs)
         return self.submit(plan, **kwargs)
 
@@ -616,30 +582,19 @@ class QueryService:
     ) -> Ticket:
         """Serve a no-viable-plan query from the accessible part, marked.
 
-        The answer is computed synchronously (it reads the wrapped
-        instance directly -- the simulation's ground truth restricted
-        to what surviving methods can reveal, the same fallback
-        :class:`~repro.exec.failover.FailoverExecutor` uses) and the
-        ticket comes back already resolved with a ``partial`` +
-        ``degraded`` response.  The request is fully accounted: it
-        counts as served/partial in :meth:`health`, so the accounting
-        identity holds with zero special cases.
+        The answer is computed synchronously
+        (:func:`~repro.planner.search.accessible_answer`, read off the
+        wrapped instance) and the ticket comes back already resolved,
+        ``partial`` + ``degraded``.  The request is fully accounted: it
+        counts as served/partial in :meth:`health`.
         """
-        with self._lock:
-            if not (self._running and self._accepting):
-                raise ServiceStopped(
-                    f"service {self.name!r} is not accepting requests"
-                )
-            rid = request_id or f"q{next(self._ids)}"
-        bound_query = self._bind_query(query, bindings)
-        dead = self.current_dead_methods()
-        schema = self.source.schema.without_methods(dead)
+        rid = self._admit_id(request_id)
         started = perf_counter()
-        part = accessible_part(schema, self.source.instance).as_instance()
-        answers = part.evaluate(bound_query)
-        table = NamedTable(
-            tuple(variable.name for variable in bound_query.head),
-            frozenset(answers),
+        table = accessible_answer(
+            self.source.schema,
+            self.source.instance,
+            self._bind_query(query, bindings),
+            self.current_dead_methods(),
         )
         request = QueryRequest(
             plan=None,  # no plan survives the dead set; served degraded
@@ -720,7 +675,7 @@ class QueryService:
         request = ticket.request
         queue_wait = max(0.0, self.clock() - request.submitted_at)
         deadline: Optional[Deadline] = ticket.deadline
-        stats = ExecStats() if self.stats is not None else None
+        stats = ExecStats()
         if deadline is not None and deadline.expired:
             return QueryResponse(
                 request.request_id,
@@ -731,41 +686,39 @@ class QueryService:
                 stats=stats,
                 queue_wait=queue_wait,
             )
-        if self.worker_pool is not None:
-            return self._execute_on_pool(ticket, queue_wait, stats)
-        plan = request.plan
-        if request.bindings:
-            plan = substitute_constants(plan, request.bindings)
-        budget = request.budget
-        dispatcher = ResilientDispatcher(
-            retry=self.retry,
-            breakers=self.breakers,
-            deadline=deadline,
-            sleep=self.sleep,
+        context = ExecutionContext(
+            cache=self.cache,
+            stats=stats,
+            resilience=ResilientDispatcher(
+                retry=self.retry,
+                breakers=self.breakers,
+                deadline=deadline,
+                sleep=self.sleep,
+            ),
+            budget=request.budget,
         )
+        table = failure = None
+        truncated = 0
         started = perf_counter()
         try:
-            table = plan.execute(
-                budgeted(self.source, budget),
-                cache=self.cache,
-                stats=stats,
-                resilience=dispatcher,
-                budget=budget,
-                executor=self.executor,
-            )
+            if self.worker_pool is not None:
+                table = self._run_on_pool(request, context)
+            else:
+                table = run_request(
+                    self.source,
+                    request.plan,
+                    request.bindings,
+                    context,
+                    executor=self.executor,
+                )
+            truncated = context.truncated_rows
         except ReproError as error:
-            return QueryResponse(
-                request.request_id,
-                error=error,
-                stats=stats,
-                queue_wait=queue_wait,
-                wall_time=perf_counter() - started,
-            )
-        truncated = budget.truncated_rows if budget is not None else 0
+            failure = error
         return QueryResponse(
             request.request_id,
             table=table,
-            complete=truncated == 0,
+            error=failure,
+            complete=failure is None and truncated == 0,
             partial=truncated > 0,
             truncated_rows=truncated,
             stats=stats,
@@ -773,71 +726,35 @@ class QueryService:
             wall_time=perf_counter() - started,
         )
 
-    def _execute_on_pool(
-        self,
-        ticket: Ticket,
-        queue_wait: float,
-        stats: Optional[ExecStats],
-    ) -> QueryResponse:
+    def _run_on_pool(self, request: QueryRequest, context: ExecutionContext):
         """Ship one admitted request to the execution tier.
 
-        The request crosses the boundary as data -- plan IR, term-IR
-        bindings, a budget dict, a retry-policy dict -- and the answer
-        comes back as sorted rows plus a stats dict.  The per-request
-        deadline is enforced parent-side as the blocking-wait timeout
-        (worker processes cannot share the parent's clock); tier-level
-        failures (a killed worker, a timeout) surface as typed errors
-        on this ticket only, and the pool recovers for the next one.
+        It crosses as data -- plan IR, term-IR bindings, the context's
+        wire form -- and the answer comes back as sorted rows plus a
+        stats dict, folded into ``context.stats`` and ``context.budget``
+        here.  The deadline is enforced twice: by the worker on its own
+        clock (an expired request frees its slot) and here as the wait
+        timeout.  A tier-level failure (killed worker, timeout) or the
+        typed error a worker reported is raised, on this request only.
         """
-        request = ticket.request
-        budget = request.budget
-        deadline: Optional[Deadline] = ticket.deadline
         payload = {
             # Memoized per plan object: a hot plan (and every hedge
             # duplicate the tier issues for it) is encoded once.
             "plan": encoded_plan_ir(request.plan),
             "bindings": encode_bindings(request.bindings),
             "executor": self.executor,
-            "collect_stats": stats is not None,
-            "budget": budget.as_dict() if budget is not None else None,
-            "retry": retry_to_dict(self.retry),
+            **context.to_payload(),
         }
-        timeout = deadline.remaining() if deadline is not None else None
-        started = perf_counter()
-        try:
-            result = self.worker_pool.run_request(payload, timeout=timeout)
-        except ReproError as error:
-            return QueryResponse(
-                request.request_id,
-                error=error,
-                stats=stats,
-                queue_wait=queue_wait,
-                wall_time=perf_counter() - started,
-            )
-        wall_time = perf_counter() - started
-        if stats is not None and result.get("stats"):
-            stats.merge(ExecStats.from_dict(result["stats"]))
-        if not result.get("ok"):
-            return QueryResponse(
-                request.request_id,
-                error=rebuild_error(result),
-                stats=stats,
-                queue_wait=queue_wait,
-                wall_time=wall_time,
-            )
-        truncated = int(result.get("truncated", 0))
-        if budget is not None:
-            budget.truncated_rows = truncated
-        return QueryResponse(
-            request.request_id,
-            table=table_from_ir(result["table"]),
-            complete=truncated == 0,
-            partial=truncated > 0,
-            truncated_rows=truncated,
-            stats=stats,
-            queue_wait=queue_wait,
-            wall_time=wall_time,
+        result = self.worker_pool.run_request(
+            payload, timeout=payload["deadline"]
         )
+        if result.get("stats"):
+            context.stats.merge(ExecStats.from_dict(result["stats"]))
+        if not result.get("ok"):
+            raise rebuild_error(result)
+        if context.budget is not None:
+            context.budget.truncated_rows = int(result.get("truncated", 0))
+        return table_from_ir(result["table"])
 
     def _observe_outage(self, response: QueryResponse) -> None:
         """Mark the failing method dead on a hard-outage response.
@@ -892,7 +809,7 @@ class QueryService:
                     )
                 else:
                     self._mean_service_time = response.wall_time
-            if self.stats is not None and response.stats is not None:
+            if response.stats is not None:
                 self.stats.merge(response.stats)
             self._idle.notify_all()
 
@@ -997,7 +914,7 @@ class QueryService:
                 mean_service_time=self._mean_service_time,
                 breakers=self.breakers.states(),
                 cache=self.cache.as_dict() if self.cache is not None else None,
-                stats=self.stats.as_dict() if self.stats is not None else None,
+                stats=self.stats.as_dict(),
                 worker_tier=worker_tier,
                 plan_cache=plan_cache,
                 planned=self._planned,

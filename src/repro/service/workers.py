@@ -12,7 +12,9 @@ service's externally observable behaviour bit-identical:
   once per worker via the executor's initializer, so each worker
   rehydrates its own source -- with its own per-method indexes -- once,
   not per request.  Requests then ship only the plan IR
-  (:mod:`repro.plans.ir`), encoded bindings and a budget dict; answers
+  (:mod:`repro.plans.ir`), encoded bindings and the wire form of their
+  :class:`~repro.exec.context.ExecutionContext` (budget, retry policy,
+  the seconds the deadline has left); answers
   come back as sorted row lists (:func:`~repro.plans.ir.table_to_ir`)
   plus an ``ExecStats.as_dict()`` payload the parent rebuilds and
   merges.  No pickled closures, no live sources -- which is also what
@@ -57,11 +59,7 @@ from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import repro.errors as errors_module
-from repro.data.decorators import (
-    LatencySource,
-    StormyLatencySource,
-    budgeted,
-)
+from repro.data.decorators import LatencySource, StormyLatencySource
 from repro.data.instance import Instance, _to_constant
 from repro.data.source import InMemorySource, ShardedInMemorySource
 from repro.errors import (
@@ -72,14 +70,8 @@ from repro.errors import (
     WorkerCrashed,
     WorkerStalled,
 )
-from repro.exec.batch import substitute_constants
-from repro.exec.budget import ResourceBudget
-from repro.exec.resilience import (
-    BreakerRegistry,
-    ResilientDispatcher,
-    RetryPolicy,
-)
-from repro.exec.stats import ExecStats
+from repro.exec.batch import run_request
+from repro.exec.context import ExecutionContext
 from repro.faults.source import FaultInjectingSource
 from repro.logic.terms import Constant
 from repro.plans.ir import (
@@ -179,45 +171,6 @@ def decode_bindings(
     }
 
 
-def _budget_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[ResourceBudget]:
-    if data is None:
-        return None
-    return ResourceBudget(
-        max_result_rows=data.get("max_result_rows"),
-        max_resident_rows=data.get("max_resident_rows"),
-        max_accesses=data.get("max_accesses"),
-        max_cost=data.get("max_cost"),
-        on_result_overflow=data.get("on_result_overflow", "truncate"),
-    )
-
-
-def _retry_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[RetryPolicy]:
-    if data is None:
-        return None
-    return RetryPolicy(
-        max_attempts=int(data.get("max_attempts", 4)),
-        base_delay=float(data.get("base_delay", 0.05)),
-        multiplier=float(data.get("multiplier", 2.0)),
-        max_delay=float(data.get("max_delay", 2.0)),
-        jitter=float(data.get("jitter", 0.1)),
-        seed=int(data.get("seed", 0)),
-    )
-
-
-def retry_to_dict(retry: Optional[RetryPolicy]) -> Optional[Dict[str, Any]]:
-    """Encode a retry policy for the request payload."""
-    if retry is None:
-        return None
-    return {
-        "max_attempts": retry.max_attempts,
-        "base_delay": retry.base_delay,
-        "multiplier": retry.multiplier,
-        "max_delay": retry.max_delay,
-        "jitter": retry.jitter,
-        "seed": retry.seed,
-    }
-
-
 # Encoded-plan memo: hedged process-tier dispatch ships the full plan IR
 # per duplicate, and a hot plan (plan-cache hit) is re-encoded for every
 # request.  Keyed weakly by the (frozen, hashable) Plan object so the
@@ -259,40 +212,36 @@ def execute_payload(
 
     This is the single execution path both pool flavours share: the
     process tier calls it in the worker against the rehydrated source,
-    the thread tier calls it in-process against the shared source.
+    the thread tier calls it in-process against the shared source.  The
+    payload is ``plan`` (IR), ``bindings``, ``executor`` and the wire
+    form of an :class:`~repro.exec.context.ExecutionContext`
+    (``collect_stats``, ``budget``, ``retry``, ``deadline``), every key
+    but ``plan`` optional; the run itself is
+    :func:`~repro.exec.batch.run_request`, as in the service.
     Errors come back as ``{"ok": False, "error_type", "error"}`` so the
     parent can re-raise the matching typed :mod:`repro.errors` class --
     exception *instances* never cross the boundary.
 
     ``cancel`` (thread tier only) is a :class:`threading.Event` the
-    interpreter polls between commands: a hedge duplicate whose twin
+    command loop polls between commands: a hedge duplicate whose twin
     already won stops cooperatively instead of running to completion.
     A successful result carries the source's epoch token (``"epoch"``)
     so callers can tell which backend snapshot answered.
     """
     try:
-        plan = ir_to_plan(payload["plan"])
-        bindings = decode_bindings(payload.get("bindings"))
-        if bindings:
-            plan = substitute_constants(plan, bindings)
-        budget = _budget_from_dict(payload.get("budget"))
-        stats = ExecStats() if payload.get("collect_stats") else None
-        dispatcher = ResilientDispatcher(
-            retry=_retry_from_dict(payload.get("retry")),
-            breakers=BreakerRegistry(),
-        )
-        table = plan.execute(
-            budgeted(source, budget),
-            stats=stats,
-            resilience=dispatcher,
-            budget=budget,
+        context = ExecutionContext.from_payload(payload, cancel=cancel)
+        table = run_request(
+            source,
+            ir_to_plan(payload["plan"]),
+            decode_bindings(payload.get("bindings")),
+            context,
             executor=payload.get("executor", "interpreter"),
-            cancel=cancel,
         )
+        stats = context.stats
         return {
             "ok": True,
             "table": table_to_ir(table),
-            "truncated": budget.truncated_rows if budget is not None else 0,
+            "truncated": context.truncated_rows,
             "stats": stats.as_dict() if stats is not None else None,
             "epoch": source_epoch(source),
         }
@@ -493,6 +442,17 @@ class WorkerPool:
         if self._hedge_delay is not None:
             return self._hedge_delay
         return self.latency.hedge_delay()
+
+    def alive(self) -> bool:
+        """Whether the tier can currently take requests."""
+        with self._lock:
+            return self._started and self._executor is not None
+
+    def _stall_bound(self, timeout: Optional[float]) -> Optional[float]:
+        """The wait on one request: deadline or watchdog, the nearer."""
+        if self.watchdog_seconds is None or timeout is None:
+            return timeout if timeout is not None else self.watchdog_seconds
+        return min(timeout, self.watchdog_seconds)
 
     def backlog(self) -> int:
         """Requests currently inside the tier (submitted, unfinished)."""
@@ -700,13 +660,7 @@ class ProcessWorkerPool(WorkerPool):
             executor = self._ensure_executor()
             self.tasks += 1
             self._pending += 1
-        effective = timeout
-        if self.watchdog_seconds is not None:
-            effective = (
-                self.watchdog_seconds
-                if timeout is None
-                else min(timeout, self.watchdog_seconds)
-            )
+        effective = self._stall_bound(timeout)
         started = time.monotonic()
         future: Optional[Future] = None
         try:
@@ -742,11 +696,11 @@ class ProcessWorkerPool(WorkerPool):
         )
         cancelled = future.cancel() if future is not None else True
         if not watchdog_fired:
-            # The request's own deadline expired first.  Without a
-            # watchdog the stuck future is merely abandoned (its slot
-            # stays blocked until the task finishes -- the pre-watchdog
-            # behaviour); with one, a running worker is killed so the
-            # slot comes back.
+            # The request's own deadline expired first.  The worker runs
+            # under the same deadline (shipped as seconds remaining), so
+            # it stops at its next key and the slot comes back; a worker
+            # stuck *inside* an access is merely abandoned without a
+            # watchdog, killed with one.
             if not cancelled and self.watchdog_seconds is not None:
                 self._watchdog_recycle(executor)
             return DeadlineExceeded(
@@ -810,11 +764,6 @@ class ProcessWorkerPool(WorkerPool):
             restarts = self.restarts
         broken.shutdown(wait=False, cancel_futures=True)
         return restarts
-
-    def alive(self) -> bool:
-        """Whether the tier can currently take requests."""
-        with self._lock:
-            return self._started and self._executor is not None
 
     def health(self) -> Dict[str, Any]:
         """A JSON-able liveness/counters snapshot of the tier."""
@@ -912,13 +861,7 @@ class ThreadWorkerPool(WorkerPool):
             executor = self._executor
             self.tasks += 1
             self._pending += 1
-        effective = timeout
-        if self.watchdog_seconds is not None:
-            effective = (
-                self.watchdog_seconds
-                if timeout is None
-                else min(timeout, self.watchdog_seconds)
-            )
+        effective = self._stall_bound(timeout)
         started = time.monotonic()
         future: Optional[Future] = None
 
@@ -995,11 +938,6 @@ class ThreadWorkerPool(WorkerPool):
             if token is not None and not token.is_set():
                 token.set()
                 self.hedge_cancelled += 1
-
-    def alive(self) -> bool:
-        """Whether the tier can currently take requests."""
-        with self._lock:
-            return self._started and self._executor is not None
 
     def health(self) -> Dict[str, Any]:
         """A JSON-able liveness/counters snapshot of the tier."""

@@ -30,6 +30,7 @@ from repro.exec import (
     AccessCache,
     BreakerRegistry,
     ExecStats,
+    ExecutionContext,
     ResilientDispatcher,
     RetryPolicy,
 )
@@ -401,7 +402,9 @@ def test_breaker_and_epoch_reader_resolve_once_per_command(
     cache = AccessCache(maxsize=4096)
     dispatcher = ResilientDispatcher(breakers=registry)
     table = one_command_plan(keys).execute(
-        source, cache=cache, resilience=dispatcher, executor=executor
+        source,
+        ExecutionContext(cache=cache, resilience=dispatcher),
+        executor=executor,
     )
     assert len(table.rows) == 1000
     assert source.total_invocations == 1000
@@ -450,7 +453,10 @@ class TestMutationBetweenKeys:
         instance = Instance({"R": [("k0", "a"), ("k1", "b")]})
         source = MutatingSource(keyed_schema(), instance)
         cache = AccessCache()
-        table = one_command_plan([A, B]).execute(source, cache=cache)
+        table = one_command_plan([A, B]).execute(
+            source,
+            ExecutionContext(cache=cache),
+        )
         # Whichever key went second saw its new row; the first did not.
         new_rows = [row for row in table.rows if row[1] == Constant("new")]
         assert len(new_rows) == 1 and len(table.rows) == 3
@@ -630,18 +636,14 @@ def test_executors_report_identical_command_stats(
         cache = AccessCache() if cached else None
         table = plan.execute(
             source,
-            cache=cache,
-            stats=stats,
-            resilience=dispatcher,
+            ExecutionContext(cache=cache, stats=stats, resilience=dispatcher),
             executor=executor,
         )
         # A second run over the same cache: hits are counted alike too.
         again = ExecStats()
         plan.execute(
             source,
-            cache=cache,
-            stats=again,
-            resilience=dispatcher,
+            ExecutionContext(cache=cache, stats=again, resilience=dispatcher),
             executor=executor,
         )
         seen[executor] = (

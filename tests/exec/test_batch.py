@@ -157,8 +157,21 @@ class TestBatchExecutor:
         assert "cache:" in executor.summary()
 
 
+def serve_concurrently(source, plans, workers, cache=None):
+    """The plans through a ``QueryService`` pool: the concurrent batch."""
+    from repro.service import QueryService
+
+    with QueryService(
+        source, workers=workers, max_queue=len(plans), cache=cache
+    ) as service:
+        tickets = [service.submit(plan) for plan in plans]
+        responses = [ticket.result() for ticket in tickets]
+    return service, responses
+
+
 class TestConcurrentRunPlans:
-    """The ``workers=`` path must be indistinguishable from sequential."""
+    """The service is the concurrent batch path (``run_plans`` is
+    sequential): it must be indistinguishable from the sequential batch."""
 
     def broken_plan(self):
         # Wrong arity: dies with an AccessViolation at runtime.
@@ -180,13 +193,10 @@ class TestConcurrentRunPlans:
         sequential = BatchExecutor(
             InMemorySource(schema, instance)
         ).run_plans(plans)
-        concurrent = BatchExecutor(
-            InMemorySource(schema, instance), cache=AccessCache()
-        ).run_plans(plans, workers=4)
-        assert [item.plan for item in concurrent] == [
-            item.plan for item in sequential
-        ]
-        assert [item.index for item in concurrent] == list(range(len(plans)))
+        _, concurrent = serve_concurrently(
+            InMemorySource(schema, instance), plans, 4, cache=AccessCache()
+        )
+        assert [item.index for item in sequential] == list(range(len(plans)))
         for seq, par in zip(sequential, concurrent):
             assert par.ok and seq.ok
             assert par.table.rows == seq.table.rows
@@ -194,25 +204,29 @@ class TestConcurrentRunPlans:
     def test_workers_preserve_failure_isolation(self, schema, instance):
         plans = [keyed_plan("a"), self.broken_plan(), keyed_plan("b")]
         executor = BatchExecutor(InMemorySource(schema, instance))
-        items = executor.run_plans(plans, workers=3)
-        assert [item.ok for item in items] == [True, False, True]
-        assert "needs 1 inputs" in str(items[1].error)
-        assert executor.failed == 1
-        assert len(items[0].table.rows) == 2
-        assert len(items[2].table.rows) == 1
+        items = executor.run_plans(plans)
+        service, responses = serve_concurrently(
+            InMemorySource(schema, instance), plans, 3
+        )
+        for outcome in (items, responses):
+            assert [item.ok for item in outcome] == [True, False, True]
+            assert "needs 1 inputs" in str(outcome[1].error)
+            assert len(outcome[0].table.rows) == 2
+            assert len(outcome[2].table.rows) == 1
+        assert executor.failed == service.health().failed == 1
 
     def test_workers_merge_stats_into_the_batch_aggregate(
         self, schema, instance
     ):
+        plans = [keyed_plan("a"), keyed_plan("b")]
         executor = BatchExecutor(InMemorySource(schema, instance))
-        executor.run_plans([keyed_plan("a"), keyed_plan("b")], workers=2)
-        assert executor.stats.runs == 2
-        assert executor.stats.accesses_dispatched == 2
-
-    def test_workers_one_takes_the_sequential_path(self, schema, instance):
-        executor = BatchExecutor(InMemorySource(schema, instance))
-        items = executor.run_plans([keyed_plan("a")], workers=1)
-        assert items[0].ok
+        executor.run_plans(plans)
+        service, _ = serve_concurrently(
+            InMemorySource(schema, instance), plans, 2
+        )
+        for stats in (executor.stats, service.stats):
+            assert stats.runs == 2
+            assert stats.accesses_dispatched == 2
 
     def test_scenario_library_equality(self):
         from repro.planner.search import SearchOptions, find_best_plan
@@ -231,9 +245,9 @@ class TestConcurrentRunPlans:
             plans = [result.best_plan] * 4
             source = InMemorySource(scenario.schema, scenario.instance(0))
             sequential = BatchExecutor(source).run_plans(plans)
-            concurrent = BatchExecutor(
-                source, cache=AccessCache()
-            ).run_plans(plans, workers=4)
+            _, concurrent = serve_concurrently(
+                source, plans, 4, cache=AccessCache()
+            )
             for seq, par in zip(sequential, concurrent):
                 assert seq.ok and par.ok, scenario.name
                 assert par.table.rows == seq.table.rows, scenario.name

@@ -5,7 +5,7 @@ import pytest
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.errors import RowBudgetExceeded
-from repro.exec import ExecStats, ResourceBudget
+from repro.exec import ExecStats, ExecutionContext, ResourceBudget
 from repro.exec.budget import ERROR
 from repro.logic.terms import Constant
 from repro.plans.commands import AccessCommand, identity_output_map
@@ -94,13 +94,14 @@ class TestBudgetUnit:
             ResourceBudget(max_result_rows=-1)
         with pytest.raises(ValueError):
             ResourceBudget(on_result_overflow="explode")
-        assert "max_result_rows" in ResourceBudget().as_dict()
+        shipped = ExecutionContext(budget=ResourceBudget()).to_payload()
+        assert "max_result_rows" in shipped["budget"]
 
 
 class TestPlanExecuteWiring:
     def test_result_budget_truncates_plan_output(self, source):
         budget = ResourceBudget(max_result_rows=2)
-        out = scan_plan().execute(source, budget=budget)
+        out = scan_plan().execute(source, ExecutionContext(budget=budget))
         assert len(out.rows) == 2
         assert budget.truncated_rows == 4
         # The kept rows are the deterministic sorted prefix.
@@ -110,13 +111,17 @@ class TestPlanExecuteWiring:
     def test_resident_budget_aborts_plan(self, source):
         with pytest.raises(RowBudgetExceeded):
             scan_plan().execute(
-                source, budget=ResourceBudget(max_resident_rows=2)
+                source,
+                ExecutionContext(budget=ResourceBudget(max_resident_rows=2)),
             )
 
     def test_budget_and_stats_compose(self, source):
         stats = ExecStats()
         budget = ResourceBudget(max_result_rows=100)
-        out = scan_plan().execute(source, stats=stats, budget=budget)
+        out = scan_plan().execute(
+            source,
+            ExecutionContext(stats=stats, budget=budget),
+        )
         assert len(out.rows) == 6
         assert stats.peak_resident_rows == 6
         assert not budget.truncated
@@ -133,9 +138,14 @@ class TestColumnarBudgetParity:
     def test_same_prefix_and_truncated_count(self, source):
         interp_budget = ResourceBudget(max_result_rows=2)
         columnar_budget = ResourceBudget(max_result_rows=2)
-        interp = scan_plan().execute(source, budget=interp_budget)
+        interp = scan_plan().execute(
+            source,
+            ExecutionContext(budget=interp_budget),
+        )
         columnar = scan_plan().execute(
-            source, budget=columnar_budget, executor="columnar"
+            source,
+            ExecutionContext(budget=columnar_budget),
+            executor="columnar",
         )
         assert columnar.rows == interp.rows
         assert columnar_budget.truncated_rows == interp_budget.truncated_rows == 4
@@ -145,7 +155,9 @@ class TestColumnarBudgetParity:
     def test_differential_checks_truncation_too(self, source):
         budget = ResourceBudget(max_result_rows=2)
         out = scan_plan().execute(
-            source, budget=budget, executor="differential"
+            source,
+            ExecutionContext(budget=budget),
+            executor="differential",
         )
         assert len(out.rows) == 2
         assert budget.truncated_rows == 4
@@ -154,6 +166,6 @@ class TestColumnarBudgetParity:
         with pytest.raises(RowBudgetExceeded):
             scan_plan().execute(
                 source,
-                budget=ResourceBudget(max_resident_rows=2),
+                ExecutionContext(budget=ResourceBudget(max_resident_rows=2)),
                 executor="columnar",
             )

@@ -12,7 +12,7 @@ import pytest
 
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.exec import AccessCache, ExecStats, ResourceBudget
+from repro.exec import AccessCache, ExecStats, ExecutionContext, ResourceBudget
 from repro.exec.columnar import (
     ColumnarPlan,
     DifferentialMismatch,
@@ -240,9 +240,14 @@ class TestBoundAccess:
 
     def test_bound_access_parity_and_dedup(self, schema, source):
         stats_i, stats_c = ExecStats(), ExecStats()
-        interp = self.bound_plan().execute(source, stats=stats_i)
+        interp = self.bound_plan().execute(
+            source,
+            ExecutionContext(stats=stats_i),
+        )
         columnar = self.bound_plan().execute(
-            source, stats=stats_c, executor="columnar"
+            source,
+            ExecutionContext(stats=stats_c),
+            executor="columnar",
         )
         assert columnar.rows == interp.rows
         ci, cc = stats_i.commands[-1], stats_c.commands[-1]
@@ -277,9 +282,11 @@ class TestBoundAccess:
     def test_cache_accounting_parity(self, schema, source):
         cache_i, cache_c = AccessCache(), AccessCache()
         for _ in range(3):
-            self.bound_plan().execute(source, cache=cache_i)
+            self.bound_plan().execute(source, ExecutionContext(cache=cache_i))
             self.bound_plan().execute(
-                source, cache=cache_c, executor="columnar"
+                source,
+                ExecutionContext(cache=cache_c),
+                executor="columnar",
             )
         assert (cache_i.hits, cache_i.misses) == (cache_c.hits, cache_c.misses)
 
@@ -301,8 +308,8 @@ class TestRuntimeContract:
             "OUT",
         )
         si, sc = ExecStats(), ExecStats()
-        plan.execute(source, stats=si)
-        plan.execute(source, stats=sc, executor="columnar")
+        plan.execute(source, ExecutionContext(stats=si))
+        plan.execute(source, ExecutionContext(stats=sc), executor="columnar")
         assert si.peak_resident_rows == sc.peak_resident_rows
         assert [c.freed_tables for c in si.commands] == [
             c.freed_tables for c in sc.commands
@@ -314,8 +321,12 @@ class TestRuntimeContract:
             ResourceBudget(max_result_rows=5),
             ResourceBudget(max_result_rows=5),
         )
-        interp = plan.execute(source, budget=bi)
-        columnar = plan.execute(source, budget=bc, executor="columnar")
+        interp = plan.execute(source, ExecutionContext(budget=bi))
+        columnar = plan.execute(
+            source,
+            ExecutionContext(budget=bc),
+            executor="columnar",
+        )
         assert columnar.rows == interp.rows
         assert bc.truncated_rows == bi.truncated_rows > 0
 
@@ -431,8 +442,8 @@ class TestAccessOutputEncoding:
         stats = ExecStats()
         columnar = plan.execute(
             InMemorySource(schema, instance),
+            ExecutionContext(stats=stats),
             executor="columnar",
-            stats=stats,
         )
         interp = plan.execute(InMemorySource(schema, instance))
         assert columnar.rows == interp.rows

@@ -14,6 +14,7 @@ from repro.data.source import InMemorySource
 from repro.exec import (
     AccessCache,
     BreakerRegistry,
+    ExecutionContext,
     ResilientDispatcher,
     RetryPolicy,
 )
@@ -63,6 +64,7 @@ def test_every_execution_mode_is_complete(name, factory, budget):
         else instance.evaluate(scenario.query)
     )
 
+    # Plan.run frees no temporary table; every execute() below does.
     naive_source = InMemorySource(scenario.schema, instance, indexed=False)
     naive = plan.run(naive_source)
     assert _answers(scenario, naive) == truth
@@ -81,20 +83,13 @@ def test_every_execution_mode_is_complete(name, factory, budget):
                 scenario.schema, instance, indexed=config["indexed"]
             )
             output = plan.execute(
-                source, cache=config["cache"], executor=executor
+                source,
+                ExecutionContext(cache=config["cache"]),
+                executor=executor,
             )
             assert output.attributes == naive.attributes, (executor, mode)
             assert output.rows == naive.rows, (executor, mode)
             assert _answers(scenario, output) == truth, (executor, mode)
-
-    # Temp freeing must not change the output either.
-    for executor in ("interpreter", "columnar"):
-        unfreed = plan.execute(
-            InMemorySource(scenario.schema, instance),
-            free_temps=False,
-            executor=executor,
-        )
-        assert unfreed.rows == naive.rows, executor
 
 
 @pytest.mark.parametrize(
@@ -126,7 +121,9 @@ def test_executors_agree_under_injected_faults(name, factory, budget):
             sleep=clock.sleep,
         )
         output = plan.execute(
-            source, resilience=dispatcher, executor=executor
+            source,
+            ExecutionContext(resilience=dispatcher),
+            executor=executor,
         )
         assert output.rows == reference.rows, executor
 
@@ -147,7 +144,7 @@ def test_differential_with_charged_cache(name, factory, budget):
     reference = plan.execute(InMemorySource(scenario.schema, instance))
     output = plan.execute(
         InMemorySource(scenario.schema, instance),
-        cache=AccessCache(charge_hits=True),
+        ExecutionContext(cache=AccessCache(charge_hits=True)),
         executor="differential",
     )
     assert output.rows == reference.rows
@@ -165,7 +162,10 @@ def test_repeated_batch_execution_stays_sound(seed):
     source = InMemorySource(scenario.schema, instance)
     cache = AccessCache()
     outputs = [
-        result.best_plan.execute(source, cache=cache) for _ in range(3)
+        result.best_plan.execute(
+            source,
+            ExecutionContext(cache=cache),
+        ) for _ in range(3)
     ]
     reference = result.best_plan.run(
         InMemorySource(scenario.schema, instance, indexed=False)

@@ -28,7 +28,7 @@ from repro.errors import (
     SourceUnavailable,
     TransientAccessError,
 )
-from repro.exec import BreakerRegistry, ResilientDispatcher
+from repro.exec import BreakerRegistry, ExecutionContext, ResilientDispatcher
 from repro.exec.resilience import CLOSED, HALF_OPEN, OPEN
 from repro.faults import FaultPolicy
 from repro.logic.terms import Constant
@@ -314,7 +314,9 @@ class TestNoBreakerLockOnAHealthyKey:
         breaker = spied_breaker(registry)
         dispatcher = ResilientDispatcher(breakers=registry)
         table = one_command_plan(keys).execute(
-            source, resilience=dispatcher, executor=executor
+            source,
+            ExecutionContext(resilience=dispatcher),
+            executor=executor,
         )
         assert len(table.rows) == 1000
         assert source.total_invocations == 1000
@@ -418,12 +420,11 @@ class TestFourThreadsOneBreaker:
             failure_threshold=self.THRESHOLD, recovery_time=1e9
         )
         sick = SharedFlakyFetch(healthy_every=4, budget=120)
-        shared = ResilientDispatcher(breakers=registry)
         well = registry.for_method("mt_well")
         left_open = []
 
         def work(worker):
-            dispatcher = shared.fork()
+            dispatcher = ResilientDispatcher(breakers=registry)
             sick_access = dispatcher.bind(sick, "mt_sick")
             well_access = dispatcher.bind(
                 lambda inputs: frozenset({inputs}), "mt_well"
@@ -455,13 +456,14 @@ class TestFourThreadsOneBreaker:
             failure_threshold=self.THRESHOLD, recovery_time=0.0
         )
         sick = SharedFlakyFetch(healthy_every=4, budget=10**9)
-        shared = ResilientDispatcher(breakers=registry)
         breaker = registry.for_method("mt_sick")
         phase = threading.Barrier(4)
         at_the_barrier = []
 
         def work(worker):
-            access = shared.fork().bind(sick, "mt_sick")
+            access = ResilientDispatcher(breakers=registry).bind(
+                sick, "mt_sick"
+            )
             for i in range(300):
                 try:
                     access((Constant(i),))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.exec import AccessCache, ExecStats
+from repro.exec import AccessCache, ExecStats, ExecutionContext
 from repro.plans.commands import AccessCommand, MiddlewareCommand, identity_output_map
 from repro.plans.expressions import (
     Join,
@@ -68,17 +68,18 @@ class TestExecuteEquivalence:
         plan = chained_plan()
         reference = plan.run(InMemorySource(schema, instance, indexed=False))
         tuned = plan.execute(
-            InMemorySource(schema, instance), cache=AccessCache()
+            InMemorySource(schema, instance),
+            ExecutionContext(cache=AccessCache()),
         )
         assert tuned.attributes == reference.attributes
         assert tuned.rows == reference.rows
 
     def test_no_free_temps_still_matches(self, schema, instance):
+        # run_with_env frees nothing: the keep-everything reference.
         plan = chained_plan()
-        reference = plan.run(InMemorySource(schema, instance))
-        tuned = plan.execute(
-            InMemorySource(schema, instance), free_temps=False
-        )
+        reference, env = plan.run_with_env(InMemorySource(schema, instance))
+        assert set(env) == {"TR", "TK", "TS", "OUT"}
+        tuned = plan.execute(InMemorySource(schema, instance))
         assert tuned.rows == reference.rows
 
 
@@ -108,7 +109,7 @@ class TestDedupDispatch:
         )
         source = InMemorySource(schema, instance)
         stats = ExecStats()
-        plan.execute(source, stats=stats)
+        plan.execute(source, ExecutionContext(stats=stats))
         probe = stats.commands[1]
         assert probe.rows_in == 3
         assert probe.dispatched == 2
@@ -137,7 +138,7 @@ class TestDedupDispatch:
         )
         source = InMemorySource(schema, instance)
         stats = ExecStats()
-        plan.execute(source, stats=stats)
+        plan.execute(source, ExecutionContext(stats=stats))
         # Three input rows all bind the same constant tuple.
         assert stats.commands[1].dispatched == 1
         assert stats.commands[1].deduped == 2
@@ -149,9 +150,9 @@ class TestCacheIntegration:
         plan = chained_plan()
         source = InMemorySource(schema, instance)
         cache = AccessCache()
-        first = plan.execute(source, cache=cache)
+        first = plan.execute(source, ExecutionContext(cache=cache))
         invocations_after_first = source.total_invocations
-        second = plan.execute(source, cache=cache)
+        second = plan.execute(source, ExecutionContext(cache=cache))
         assert first.rows == second.rows
         # Every access of the second run was served from the cache.
         assert source.total_invocations == invocations_after_first
@@ -163,8 +164,14 @@ class TestCacheIntegration:
         plan.execute(uncached)
         plan.execute(uncached)
         charged = InMemorySource(schema, instance)
-        plan.execute(charged, cache=AccessCache(charge_hits=True))
-        plan.execute(charged, cache=AccessCache(charge_hits=True))
+        plan.execute(
+            charged,
+            ExecutionContext(cache=AccessCache(charge_hits=True)),
+        )
+        plan.execute(
+            charged,
+            ExecutionContext(cache=AccessCache(charge_hits=True)),
+        )
         # Per-run caches with charged hits reproduce the uncached books.
         assert charged.total_invocations == uncached.total_invocations
         assert charged.charged_cost() == pytest.approx(
@@ -176,7 +183,10 @@ class TestTempFreeing:
     def test_intermediates_freed_after_last_reader(self, schema, instance):
         plan = chained_plan()
         stats = ExecStats()
-        plan.execute(InMemorySource(schema, instance), stats=stats)
+        plan.execute(
+            InMemorySource(schema, instance),
+            ExecutionContext(stats=stats),
+        )
         # TK's last reader is the TS access (index 2); TR and TS feed the
         # final join.  Everything except OUT is freed by the end.
         assert sum(c.freed_tables for c in stats.commands) == 3
@@ -199,7 +209,8 @@ class TestTempFreeing:
         )
         stats = ExecStats()
         output = plan.execute(
-            InMemorySource(schema, instance), stats=stats
+            InMemorySource(schema, instance),
+            ExecutionContext(stats=stats),
         )
         assert len(output.rows) == 3
         # DEAD is never read: released right after it is produced.
@@ -207,22 +218,25 @@ class TestTempFreeing:
 
     def test_peak_resident_lower_with_freeing(self, schema, instance):
         plan = chained_plan()
-        kept = ExecStats()
-        plan.execute(
-            InMemorySource(schema, instance), stats=kept, free_temps=False
-        )
+        # Nothing freed: every table is still resident when the run ends.
+        _, env = plan.run_with_env(InMemorySource(schema, instance))
+        kept = sum(len(table.rows) for table in env.values())
         freed = ExecStats()
         plan.execute(
-            InMemorySource(schema, instance), stats=freed, free_temps=True
+            InMemorySource(schema, instance),
+            ExecutionContext(stats=freed),
         )
-        assert freed.peak_resident_rows <= kept.peak_resident_rows
+        assert freed.peak_resident_rows <= kept
 
 
 class TestStats:
     def test_stats_shape(self, schema, instance):
         plan = chained_plan()
         stats = ExecStats()
-        plan.execute(InMemorySource(schema, instance), stats=stats)
+        plan.execute(
+            InMemorySource(schema, instance),
+            ExecutionContext(stats=stats),
+        )
         assert stats.runs == 1
         assert len(stats.commands) == len(plan.commands)
         assert stats.wall_time > 0

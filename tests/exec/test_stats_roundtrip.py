@@ -11,6 +11,7 @@ import json
 
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
+from repro.exec.context import ExecutionContext
 from repro.exec.stats import CommandStats, ExecStats
 from repro.plans.commands import AccessCommand, identity_output_map
 from repro.plans.expressions import Singleton
@@ -37,7 +38,7 @@ def executed_stats():
         "T",
     )
     stats = ExecStats()
-    plan.execute(source, stats=stats)
+    plan.execute(source, ExecutionContext(stats=stats))
     return stats
 
 

@@ -14,6 +14,7 @@ from repro.data.source import InMemorySource
 from repro.exec import (
     AccessCache,
     BreakerRegistry,
+    ExecutionContext,
     FailoverExecutor,
     ResilientDispatcher,
     RetryPolicy,
@@ -85,7 +86,7 @@ def test_faulty_run_with_retries_is_byte_identical(name, factory, budget, rate):
     policy = FaultPolicy.transient(rate, seed=FAULT_SEED)
     source = faulty_source(scenario, policy)
     dispatcher = resilient()
-    output = plan.execute(source, resilience=dispatcher)
+    output = plan.execute(source, ExecutionContext(resilience=dispatcher))
     assert canonical(output) == canonical(reference)
     assert dispatcher.giveups == 0
     # The schedule actually bit on at least one scenario-rate combo; the
@@ -103,7 +104,8 @@ def test_fault_bursts_recover_with_enough_retries(name, factory, budget):
     )
     policy = FaultPolicy.transient(0.4, seed=FAULT_SEED, burst=2)
     output = plan.execute(
-        faulty_source(scenario, policy), resilience=resilient(retries=4)
+        faulty_source(scenario, policy),
+        ExecutionContext(resilience=resilient(retries=4)),
     )
     assert canonical(output) == canonical(reference)
 
@@ -119,7 +121,7 @@ def test_fault_schedule_and_backoff_are_reproducible():
             clock=clock,
         )
         dispatcher = resilient(clock=clock)
-        table = plan.execute(source, resilience=dispatcher)
+        table = plan.execute(source, ExecutionContext(resilience=dispatcher))
         return (
             canonical(table),
             source.stats.as_dict(),
@@ -140,7 +142,8 @@ def test_cache_and_resilience_compose():
         scenario, FaultPolicy.transient(0.3, seed=FAULT_SEED)
     )
     output = plan.execute(
-        source, cache=AccessCache(), resilience=resilient()
+        source,
+        ExecutionContext(cache=AccessCache(), resilience=resilient()),
     )
     assert canonical(output) == canonical(reference)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.data.instance import Instance
 from repro.data.source import AccessViolation, InMemorySource
+from repro.exec.context import ExecutionContext
 from repro.exec.stats import CommandStats
 from repro.logic.terms import Constant
 from repro.plans.commands import (
@@ -141,14 +142,17 @@ def cells(*rows):
 
 
 def run_with_stats(command, env, source):
-    stats = CommandStats(index=0, target=command.target, kind="access")
-    table = command.execute(env, source, stats=stats)
+    context = ExecutionContext()
+    stats = context.command_stats = CommandStats(
+        index=0, target=command.target, kind="access"
+    )
+    table = command.execute(env, source, context)
     return table, (
         stats.rows_in,
         stats.dispatched,
         stats.deduped,
         stats.rows_fetched,
-        stats.rows_out,
+        len(table.rows),  # rows_out is the command loop's to record
     )
 
 

@@ -104,14 +104,9 @@ class TestCacheInvalidation:
                 relation_cardinality={}, calibration=store
             ),
         )
-        # collect_stats=False keeps the serving path from bumping the
-        # store behind our back -- the test drives the bump explicitly.
-        with QueryService(
-            source,
-            collect_stats=False,
-            plan_cache=PlanCache(),
-            calibration=store,
-        ) as service:
+        # Only the cost function holds the store: the service is given
+        # none to feed, so the test drives the bump explicitly.
+        with QueryService(source, plan_cache=PlanCache()) as service:
             service.submit_query(
                 scenario.query, search_options=options
             ).result(10)

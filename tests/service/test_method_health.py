@@ -187,15 +187,13 @@ class TestDegradedPlanning:
             assert health.method_health["degraded_served"] >= 1
             assert health.served == health.completed + health.partial + health.failed
 
-    def test_no_viable_plan_raises_typed_when_degraded_disallowed(self):
-        _, service = outage_service(
-            fragile_schema(), "mt_R", allow_degraded=False
-        )
+    def test_plan_for_raises_typed_no_viable_plan(self):
+        _, service = outage_service(fragile_schema(), "mt_R")
         with service:
             serve_query(service)
             service.wait_idle(timeout=10.0)
             with pytest.raises(NoViablePlan) as excinfo:
-                service.submit_query(QUERY)
+                service.plan_for(QUERY)
             assert excinfo.value.dead_methods == ("mt_R",)
 
 

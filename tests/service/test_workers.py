@@ -8,6 +8,7 @@ prove it, because "it pickled today" is not a compatibility story.
 import json
 import os
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -26,25 +27,25 @@ from repro.errors import (
     WorkerStalled,
 )
 from repro.exec.budget import ResourceBudget
-from repro.exec.resilience import RetryPolicy
+from repro.exec.context import ExecutionContext
+from repro.exec.resilience import ResilientDispatcher, RetryPolicy
 from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.terms import Constant
 from repro.plans.ir import plan_to_ir, table_from_ir, table_to_ir
 from repro.schema.core import SchemaBuilder
+from repro.source_contract import SourceWrapper
 from repro.service.service import QueryService
 from repro.service.workers import (
     LatencyTracker,
     ProcessWorkerPool,
     SourceSpecError,
     ThreadWorkerPool,
-    _retry_from_dict,
     decode_bindings,
     encode_bindings,
     encoded_plan_ir,
     execute_payload,
     merge_answer_tables,
     rebuild_error,
-    retry_to_dict,
     source_to_spec,
     spec_to_source,
 )
@@ -162,16 +163,22 @@ class TestPayload:
         assert encode_bindings(None) is None
         assert decode_bindings(None) is None
 
+    @staticmethod
+    def retry_payload(retry):
+        """A retry policy's wire form, through JSON."""
+        context = ExecutionContext(resilience=ResilientDispatcher(retry=retry))
+        return json.loads(json.dumps(context.to_payload()))
+
     def test_retry_round_trip(self):
         retry = RetryPolicy(max_attempts=3, base_delay=0.01)
-        data = json.loads(json.dumps(retry_to_dict(retry)))
-        assert data["max_attempts"] == 3
-        assert retry_to_dict(None) is None
+        assert self.retry_payload(retry)["retry"]["max_attempts"] == 3
+        assert self.retry_payload(None)["retry"] is None
 
     def test_retry_round_trip_keeps_the_jitter_seed(self):
         """A process-tier worker backs off exactly as the thread tier does."""
         retry = RetryPolicy(max_attempts=5, base_delay=0.02, jitter=0.5, seed=7)
-        shipped = _retry_from_dict(json.loads(json.dumps(retry_to_dict(retry))))
+        payload = self.retry_payload(retry)
+        shipped = ExecutionContext.from_payload(payload).retry
         assert shipped == retry
         inputs = (Constant("k"), Constant(3))
         for attempt in range(1, 5):
@@ -182,9 +189,8 @@ class TestPayload:
             max_attempts=5, base_delay=0.02, jitter=0.5
         ).delay(1, "mt_R", inputs)
         # A payload written before the field existed reads as seed 0.
-        old = retry_to_dict(retry)
-        del old["seed"]
-        assert _retry_from_dict(old).seed == 0
+        del payload["retry"]["seed"]
+        assert ExecutionContext.from_payload(payload).retry.seed == 0
 
     def test_execute_payload_matches_direct_execution(self):
         schema = simple_schema()
@@ -209,7 +215,7 @@ class TestPayload:
         reference = sorted(plan.execute(source).rows)
         budget = ResourceBudget(max_result_rows=3)
         result = execute_payload(
-            source, {"plan": plan_to_ir(plan), "budget": budget.as_dict()}
+            source, {"plan": plan_to_ir(plan), "budget": asdict(budget)}
         )
         assert result["ok"]
         assert result["truncated"] == len(reference) - 3
@@ -546,15 +552,101 @@ class TestHedgeCancellation:
             assert result["ok"]
 
     def test_cancel_token_stops_plan_execution_between_commands(self):
+        """One command loop: either engine polls the token before every
+        command (the columnar one ran to completion before PR 21)."""
         import threading
 
         schema = simple_schema()
-        source = InMemorySource(schema, simple_instance())
         plan = simple_plan(schema)
-        token = threading.Event()
-        token.set()
-        with pytest.raises(PlanCancelled):
-            plan.execute(source, cancel=token)
+        assert len(plan.commands) > 1 and plan.commands[0].kind == "access"
+
+        class CancellingSource(SourceWrapper):
+            """Sets the token while command #0 is being served."""
+
+            def access(self, method, inputs):
+                token.set()
+                return self.inner.access(method, inputs)
+
+        for executor in ("interpreter", "columnar"):
+            token = threading.Event()
+            token.set()
+            source = InMemorySource(schema, simple_instance())
+            with pytest.raises(PlanCancelled, match="before command #0"):
+                plan.execute(
+                    source, ExecutionContext(cancel=token), executor=executor
+                )
+            assert source.total_invocations == 0
+            token = threading.Event()
+            with pytest.raises(PlanCancelled, match="before command #1"):
+                plan.execute(
+                    CancellingSource(source),
+                    ExecutionContext(cancel=token),
+                    executor=executor,
+                )
+            assert source.total_invocations == 1
+
+
+# ------------------------------------------------- the deadline crosses tiers
+class TestDeadlineCrossesTheTier:
+    """The payload ships the seconds a deadline has left; the worker
+    restarts it on its own clock, so an expired request frees its slot
+    (before PR 21 only the parent's wait timed out)."""
+
+    @staticmethod
+    def keyed_schema():
+        return (
+            SchemaBuilder("slow")
+            .relation("R", 2)
+            .relation("S", 2)
+            .access("mt_R", "R", inputs=[], cost=1.0)
+            .access("mt_S", "S", inputs=[0], cost=1.0)
+            .build()
+        )
+
+    def slow_source(self, latency, keys=12):
+        schema = self.keyed_schema()
+        instance = Instance(
+            {
+                "R": [(f"a{i}", f"b{i}") for i in range(keys)],
+                "S": [(f"b{i}", f"c{i}") for i in range(keys)],
+            }
+        )
+        return LatencySource(InMemorySource(schema, instance), latency)
+
+    def test_payload_deadline_is_enforced_by_the_worker(self):
+        source = self.slow_source(0.005)
+        plan = simple_plan(source.schema)
+        payload = {"plan": plan_to_ir(plan), "collect_stats": True}
+        late = execute_payload(source, dict(payload, deadline=1e-6))
+        assert late["ok"] is False
+        assert late["error_type"] == "DeadlineExceeded"
+        assert source.calls <= 1
+        # A deadline already spent on the way is typed too, not a crash.
+        spent = execute_payload(source, dict(payload, deadline=-0.5))
+        assert spent["error_type"] == "DeadlineExceeded"
+        # No key (or None): no deadline, as before.
+        for unbounded in (payload, dict(payload, deadline=None)):
+            result = execute_payload(source, unbounded)
+            assert result["ok"] and len(result["table"]["rows"]) == 12
+
+    def test_thread_tier_slot_is_freed_when_the_deadline_passes(self):
+        source = self.slow_source(0.02)
+        plan = simple_plan(source.schema)
+        pool = ThreadWorkerPool(source, workers=1)
+        with QueryService(source, workers=1, worker_pool=pool) as service:
+            response = service.submit(plan, deadline=0.05).result(10)
+            assert type(response.error).__name__ == "DeadlineExceeded"
+            time.sleep(0.15)
+            assert pool.backlog() == 0
+            calls = source.calls
+            # The abandoned run stopped at its next key: it never asked
+            # for all 13 (it did, over ~260 ms, before the deadline
+            # crossed), and it is not still asking.
+            assert calls < 13
+            time.sleep(0.15)
+            assert source.calls == calls
+            # The one slot serves the next request promptly.
+            assert service.submit(plan, deadline=5.0).result(10).ok
 
 
 # ------------------------------------------------------- encoded-plan memo
