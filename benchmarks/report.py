@@ -146,12 +146,14 @@ def render_search(report: Dict) -> str:
     lines = [
         f"### Algorithm 1 search ({report['mode']})",
         "",
-        "| scenario | time | nodes | expanded | dominated | hom calls"
+        "| scenario | time | nodes | expanded | configs copied"
+        " | chase rounds | triggers | dominated | hom calls"
         " | seeded hits | in checks | best cost |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for row in report["rows"]:
         dom = row["domination"]
+        chase = row["chase"]
         lines.append(
             "| "
             + " | ".join(
@@ -160,6 +162,9 @@ def render_search(report: Dict) -> str:
                     _time(row["wall_time"]),
                     str(row["nodes_created"]),
                     str(row["nodes_expanded"]),
+                    str(row["configs_copied"]),
+                    str(chase["rounds"]),
+                    str(chase["triggers_enumerated"]),
                     str(row["pruned_by_domination"]),
                     str(dom["hom_calls"]),
                     str(dom["seeded_hits"]),

@@ -16,18 +16,46 @@ Evaluation strategies
 
 ``ChasePolicy.strategy`` selects how candidate matches are enumerated:
 
-* ``"semi-naive"`` (default): delta-driven.  The engine keeps a per-rule
-  generation watermark into the configuration's append-only fact log and,
-  on each pass, only searches for matches whose body image touches a fact
-  added after the rule's watermark (:func:`find_triggers_delta`).  A match
-  among exclusively-old facts was enumerable in an earlier pass, where it
-  was fired, head-filtered, or suppressed -- all permanent outcomes, so
+* ``"semi-naive"`` (default): delta-driven, and dispatched.  A run keeps
+  the facts that arrived since it began, bucketed by relation with their
+  positions in the configuration's append-only fact log (filled once
+  from ``facts_since(since_generation)``, then from what each firing
+  added), a per-rule watermark into that log, and an agenda of the rule
+  slots *woken* by an arrival: those whose body mentions the relation of
+  a fact they have not seen.  A round visits only the woken slots, in
+  slot order; a visit searches for the matches whose body image touches
+  a fact at or past the rule's watermark
+  (:func:`repro.chase.firing.triggers_through` over the bucket
+  suffixes), then moves the watermark to the present.  A match among
+  exclusively-old facts was enumerable in an earlier pass, where it was
+  fired, head-filtered, or suppressed -- all permanent outcomes, so
   skipping it is sound.  Saturations that *resume* an already-saturated
   configuration (the planner's per-node eager saturation) pass
   ``since_generation`` so even the first pass is delta-restricted.
 * ``"naive"``: re-enumerate every body homomorphism of every rule over
   the entire configuration each round -- the textbook loop, kept as the
   differential-testing oracle.
+
+Dispatch
+--------
+
+Visiting only woken rules enumerates exactly the triggers that a loop
+over *all* rules every round would, in its order.  Such a loop, reaching
+a rule none of whose body relations received a fact since its
+watermark, has no pivot to seed a join at: it enumerates nothing, and
+moving that watermark forward changes nothing either, because whenever
+the rule is next looked at the bucket suffixes past the old and the new
+watermark hold the same facts.  So skipping the visit is unobservable.
+For the rules that do have a pivot the order is kept by construction: a
+firing of the rule at slot ``c`` wakes the readers of each relation it
+added to -- a slot above ``c`` joins the current round (the all-rules
+loop would still reach it this round, and find the fact behind its
+watermark), a slot at or below ``c``, the firing rule included, waits
+for the next (the all-rules loop has passed it).  A round that fires
+nothing wakes nobody and ends the run, so ``rounds`` counts the same
+passes.  The relation -> reading slots map belongs to the rule sequence
+(:class:`repro.schema.accessible.RuleSet`): ``AccessibleSchema`` builds
+its rule sets once, any other sequence is wrapped per run.
 
 Both strategies stream triggers: enumeration and firing interleave, and
 the restricted-chase head filter inside the trigger generators runs when
@@ -43,26 +71,25 @@ split between trigger search and firing.
 
 from __future__ import annotations
 
+import heapq
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.chase.blocking import BagTree, BlockingPolicy
 from repro.chase.configuration import ChaseConfiguration, Provenance
 from repro.chase.firing import (
-    FiringResult,
     RuleLike,
     Trigger,
-    _tgd_of,
     find_triggers,
-    find_triggers_delta,
-    head_satisfied,
+    triggers_through,
 )
 from repro.chase.stats import ChaseStats
 from repro.errors import ChaseBudgetExceeded, NonTerminatingChaseError
-from repro.logic.atoms import Atom, Substitution
-from repro.logic.dependencies import TGD
+from repro.logic.atoms import Atom
 from repro.logic.terms import NullFactory
+from repro.schema.accessible import RuleSet, tgd_of
 
 SEMI_NAIVE = "semi-naive"
 NAIVE = "naive"
@@ -163,111 +190,230 @@ def chase_to_fixpoint(
     policy = policy or ChasePolicy()
     if policy.blocking is not None and bag_tree is None:
         bag_tree = policy.blocking.fresh_tree(list(config))
-    delta_mode = policy.strategy == SEMI_NAIVE
-    stats = ChaseStats(strategy=policy.strategy, runs=1)
-    budget_started = time.perf_counter()
-    steps = 0
-    firings = 0
-    blocked = 0
-    truncated = 0
-    all_new: List[Atom] = []
-    suppressed: Set[Tuple[str, Tuple[Atom, ...]]] = set()
-    # Per-rule watermark into the fact log: a pass over a rule only looks
-    # for matches touching facts newer than its watermark.
-    marks = [since_generation if delta_mode else 0] * len(rules)
+    run = _Run(config, nulls, policy, bag_tree)
+    try:
+        if policy.strategy == SEMI_NAIVE:
+            if not isinstance(rules, RuleSet):
+                rules = RuleSet(rules)
+            _semi_naive_rounds(run, rules, since_generation)
+        else:
+            _naive_rounds(run, rules)
+    except _FiringsSpent:
+        return run.result(reached_fixpoint=False)
+    return run.result(reached_fixpoint=True)
+
+
+class _FiringsSpent(Exception):
+    """``max_firings`` ran out and the policy asks for a truncated result."""
+
+
+class _Run:
+    """One run's counters and the step every enumerated trigger takes,
+    whichever strategy enumerated it."""
+
+    def __init__(
+        self,
+        config: ChaseConfiguration,
+        nulls: NullFactory,
+        policy: ChasePolicy,
+        bag_tree: Optional[BagTree],
+    ) -> None:
+        self.config = config
+        self.nulls = nulls
+        self.policy = policy
+        self.bag_tree = bag_tree
+        self.stats = ChaseStats(strategy=policy.strategy, runs=1)
+        self.started = time.perf_counter()
+        self.steps = 0
+        self.firings = 0
+        self.blocked = 0
+        self.truncated = 0
+        self.new_facts: List[Atom] = []
+        # Blocked and depth-capped triggers, by rule slot and body image:
+        # two rules may share a name (unnamed TGDs default to their
+        # relation names), a slot is one rule.
+        self.suppressed: Set[Tuple[int, Tuple[Atom, ...]]] = set()
+
+    def result(self, reached_fixpoint: bool) -> ChaseResult:
+        """The run so far as a :class:`ChaseResult`."""
+        return ChaseResult(
+            reached_fixpoint=reached_fixpoint,
+            firings=self.firings,
+            blocked=self.blocked,
+            depth_truncated=self.truncated,
+            new_facts=tuple(self.new_facts),
+            stats=self.stats,
+        )
+
+    def drain(self, slot: int, triggers: Iterable[Trigger]) -> bool:
+        """Fire the triggers of one visit of the rule at ``slot`` as they
+        are enumerated; returns whether any of them added a fact."""
+        policy = self.policy
+        stats = self.stats
+        fired = False
+        iterator = iter(triggers)
+        while True:
+            tick = time.perf_counter()
+            trigger = next(iterator, None)
+            stats.time_search += time.perf_counter() - tick
+            if trigger is None:
+                return fired
+            self.steps += 1
+            if policy.max_steps is not None and self.steps > policy.max_steps:
+                raise ChaseBudgetExceeded(
+                    f"chase exceeded {policy.max_steps} trigger steps "
+                    f"({self.firings} firings, {stats.rounds} rounds)",
+                    stats=stats,
+                    steps=self.steps,
+                    elapsed=time.perf_counter() - self.started,
+                )
+            if policy.max_seconds is not None:
+                elapsed = time.perf_counter() - self.started
+                if elapsed > policy.max_seconds:
+                    raise ChaseBudgetExceeded(
+                        f"chase exceeded {policy.max_seconds}s wall clock "
+                        f"({self.steps} steps, {self.firings} firings)",
+                        stats=stats,
+                        steps=self.steps,
+                        elapsed=elapsed,
+                    )
+            if self.firings >= policy.max_firings:
+                if policy.raise_on_budget:
+                    raise NonTerminatingChaseError(
+                        f"chase exceeded {policy.max_firings} firings"
+                    )
+                raise _FiringsSpent
+            key = (slot, trigger.body_image())
+            if key in self.suppressed:
+                continue
+            # No head re-check here: the generators filter satisfied
+            # heads at yield time, and nothing fires between the yield
+            # and this point.
+            tick = time.perf_counter()
+            outcome, added = _fire_checked(
+                trigger, self.config, self.nulls, policy, self.bag_tree
+            )
+            stats.time_fire += time.perf_counter() - tick
+            if outcome == "fired":
+                self.firings += 1
+                stats.triggers_fired += 1
+                self.new_facts.extend(added)
+                fired = True
+            elif outcome == "blocked":
+                self.blocked += 1
+                self.suppressed.add(key)
+            elif outcome == "depth":
+                self.truncated += 1
+                self.suppressed.add(key)
+
+
+def _naive_rounds(run: _Run, rules: Sequence[RuleLike]) -> None:
+    """Every rule over the whole configuration, round after round, until
+    a round fires nothing."""
+    progress = True
+    while progress:
+        progress = False
+        run.stats.rounds += 1
+        for slot, rule in enumerate(rules):
+            triggers = find_triggers(
+                rule,
+                run.config,
+                run.policy.restricted,
+                snapshot=True,
+                stats=run.stats,
+            )
+            if run.drain(slot, triggers):
+                progress = True
+
+
+class _Agenda:
+    """What arrived since a semi-naive run began, whom it woke, and how
+    far into the fact log each rule has looked."""
+
+    def __init__(self, rules: RuleSet, since_generation: int) -> None:
+        self.rules = rules
+        self.marks = [since_generation] * len(rules)
+        # relation -> (log positions, facts), both in log order.
+        self.arrived: Dict[str, Tuple[List[int], List[Atom]]] = {}
+        # Woken slots the current round has yet to reach (a heap, and
+        # its members), and those woken at or behind its cursor.
+        self.ahead: List[int] = []
+        self.queued: Set[int] = set()
+        self.later: Set[int] = set()
+
+    def deliver(self, facts: Sequence[Atom], start: int, cursor: int) -> None:
+        """Bucket the facts logged from position ``start`` on and wake
+        their readers: above ``cursor`` this round, the rest the next."""
+        readers = self.rules.readers
+        for position, fact in enumerate(facts, start):
+            relation = fact.relation
+            bucket = self.arrived.get(relation)
+            if bucket is None:
+                bucket = self.arrived[relation] = ([], [])
+            bucket[0].append(position)
+            bucket[1].append(fact)
+            for slot in readers.get(relation, ()):
+                if slot <= cursor:
+                    self.later.add(slot)
+                elif slot not in self.queued:
+                    self.queued.add(slot)
+                    heapq.heappush(self.ahead, slot)
+
+    def visit(self, generation: int) -> Tuple[int, Dict[str, List[Atom]]]:
+        """The lowest woken slot ahead of the cursor, with the arrivals
+        its rule has not seen in each relation of its body (copies:
+        firings may deliver meanwhile); its watermark moves to
+        ``generation``, the present."""
+        slot = heapq.heappop(self.ahead)
+        self.queued.discard(slot)
+        mark = self.marks[slot]
+        self.marks[slot] = generation
+        unseen = {}
+        for atom in tgd_of(self.rules[slot]).body:
+            bucket = self.arrived.get(atom.relation)
+            if bucket is not None:
+                positions, facts = bucket
+                unseen[atom.relation] = facts[bisect_left(positions, mark):]
+        return slot, unseen
+
+    def turn(self) -> None:
+        """Start the next round: the slots that waited are now ahead."""
+        self.ahead = sorted(self.later)
+        self.queued = set(self.ahead)
+        self.later = set()
+
+
+def _semi_naive_rounds(
+    run: _Run, rules: RuleSet, since_generation: int
+) -> None:
+    """Rounds over the woken rules only (module docstring, "Dispatch").
+    The dispatch itself is booked as trigger search."""
+    config = run.config
+    stats = run.stats
+    agenda = _Agenda(rules, since_generation)
+    tick = time.perf_counter()
+    agenda.deliver(config.facts_since(since_generation), since_generation, -1)
+    stats.time_search += time.perf_counter() - tick
     progress = True
     while progress:
         progress = False
         stats.rounds += 1
-        for slot, rule in enumerate(rules):
-            current_generation = config.generation
-            if delta_mode:
-                if marks[slot] >= current_generation:
-                    continue  # nothing new since this rule's last pass
-                triggers = find_triggers_delta(
-                    rule,
-                    config,
-                    marks[slot],
-                    policy.restricted,
-                    stats=stats,
-                )
-                marks[slot] = current_generation
-            else:
-                triggers = find_triggers(
-                    rule,
-                    config,
-                    policy.restricted,
-                    snapshot=True,
-                    stats=stats,
-                )
-            iterator = iter(triggers)
-            while True:
+        while agenda.ahead:
+            tick = time.perf_counter()
+            generation = config.generation
+            slot, unseen = agenda.visit(generation)
+            triggers = triggers_through(
+                rules[slot], config, unseen, run.policy.restricted, stats=stats
+            )
+            stats.time_search += time.perf_counter() - tick
+            if run.drain(slot, triggers):
+                progress = True
                 tick = time.perf_counter()
-                trigger = next(iterator, None)
+                agenda.deliver(
+                    config.facts_since(generation), generation, slot
+                )
                 stats.time_search += time.perf_counter() - tick
-                if trigger is None:
-                    break
-                steps += 1
-                if policy.max_steps is not None and steps > policy.max_steps:
-                    raise ChaseBudgetExceeded(
-                        f"chase exceeded {policy.max_steps} trigger steps "
-                        f"({firings} firings, {stats.rounds} rounds)",
-                        stats=stats,
-                        steps=steps,
-                        elapsed=time.perf_counter() - budget_started,
-                    )
-                if policy.max_seconds is not None:
-                    elapsed = time.perf_counter() - budget_started
-                    if elapsed > policy.max_seconds:
-                        raise ChaseBudgetExceeded(
-                            f"chase exceeded {policy.max_seconds}s wall clock "
-                            f"({steps} steps, {firings} firings)",
-                            stats=stats,
-                            steps=steps,
-                            elapsed=elapsed,
-                        )
-                if firings >= policy.max_firings:
-                    if policy.raise_on_budget:
-                        raise NonTerminatingChaseError(
-                            f"chase exceeded {policy.max_firings} firings"
-                        )
-                    return ChaseResult(
-                        reached_fixpoint=False,
-                        firings=firings,
-                        blocked=blocked,
-                        depth_truncated=truncated,
-                        new_facts=tuple(all_new),
-                        stats=stats,
-                    )
-                if trigger.key() in suppressed:
-                    continue
-                # No head re-check here: the generators above filter
-                # satisfied heads at yield time, and nothing fires
-                # between the yield and this point.
-                tick = time.perf_counter()
-                outcome, added = _fire_checked(
-                    trigger, config, nulls, policy, bag_tree
-                )
-                stats.time_fire += time.perf_counter() - tick
-                if outcome == "fired":
-                    firings += 1
-                    stats.triggers_fired += 1
-                    all_new.extend(added)
-                    progress = True
-                elif outcome == "blocked":
-                    blocked += 1
-                    suppressed.add(trigger.key())
-                elif outcome == "depth":
-                    truncated += 1
-                    suppressed.add(trigger.key())
-    return ChaseResult(
-        reached_fixpoint=True,
-        firings=firings,
-        blocked=blocked,
-        depth_truncated=truncated,
-        new_facts=tuple(all_new),
-        stats=stats,
-    )
+        agenda.turn()
 
 
 def _fire_checked(

@@ -11,10 +11,13 @@ Two enumeration modes back the fixpoint engine:
 
 * :func:`find_triggers` -- the naive mode: every body homomorphism over
   the whole configuration;
-* :func:`find_triggers_delta` -- the semi-naive mode: only homomorphisms
-  whose body image touches at least one fact added after a generation
-  watermark, found by seeding the join at each (body atom, delta fact)
-  pivot via :func:`repro.logic.homomorphisms.find_homomorphisms_through`.
+* :func:`triggers_through` -- the semi-naive mode: only homomorphisms
+  whose body image touches at least one fact of a delta, found by
+  seeding the join at each (body atom, delta fact) pivot via
+  :func:`repro.logic.homomorphisms.find_homomorphisms_through`.  The
+  engine hands it the delta it keeps bucketed by relation;
+  :func:`find_triggers_delta` buckets "everything after a generation
+  watermark" itself and calls the same enumerator.
 
 Both are generators whose restricted-chase head filter runs when a
 trigger is *requested* (i.e., against the configuration as it stands at
@@ -25,7 +28,17 @@ immediately needs no second ``head_satisfied`` check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
 from repro.chase.stats import ChaseStats
@@ -37,13 +50,7 @@ from repro.logic.homomorphisms import (
     find_homomorphisms_through,
 )
 from repro.logic.terms import NullFactory, Variable
-from repro.schema.accessible import ChaseRule
-
-RuleLike = Union[TGD, ChaseRule]
-
-
-def _tgd_of(rule: RuleLike) -> TGD:
-    return rule.tgd if isinstance(rule, ChaseRule) else rule
+from repro.schema.accessible import RuleLike, tgd_of
 
 
 @dataclass(frozen=True)
@@ -53,14 +60,24 @@ class Trigger:
     rule: RuleLike
     homomorphism: Substitution
 
+    def __post_init__(self) -> None:
+        # Deduplication, suppression and the firing itself all read the
+        # body image; it is built here, once.  A plain attribute, not a
+        # field: equality, hash and repr do not see it.
+        object.__setattr__(
+            self,
+            "_body_image",
+            tuple(atom.apply(self.homomorphism) for atom in self.tgd.body),
+        )
+
     @property
     def tgd(self) -> TGD:
         """The underlying dependency of the trigger's rule."""
-        return _tgd_of(self.rule)
+        return tgd_of(self.rule)
 
     def body_image(self) -> Tuple[Atom, ...]:
         """The facts the body maps onto."""
-        return tuple(atom.apply(self.homomorphism) for atom in self.tgd.body)
+        return self._body_image
 
     def key(self) -> Tuple[str, Tuple[Atom, ...]]:
         """Identity of the trigger for deduplication."""
@@ -90,8 +107,11 @@ def head_satisfied(
 
     Existential head variables may map to *any* value of the configuration
     (this is what makes the chase "restricted"/standard rather than
-    oblivious).
+    oblivious).  A full TGD has none, so its head is ground under the
+    match and holds exactly when every head fact is present.
     """
+    if tgd.is_full:
+        return all(atom.apply(homomorphism) in config for atom in tgd.head)
     binding = homomorphism.restrict(tgd.frontier())
     return (
         find_homomorphism(list(tgd.head), config.index, binding) is not None
@@ -113,19 +133,75 @@ def find_triggers(
     corrupting the enumeration; facts added mid-stream are picked up by
     the next round.
     """
-    tgd = _tgd_of(rule)
+    tgd = tgd_of(rule)
     hom_stats = stats.hom if stats is not None else None
+    # The search starts from the empty binding and maps variables only,
+    # so what it yields holds the body variables and no other: it is the
+    # trigger's homomorphism as it stands.
     for hom in find_homomorphisms(
         list(tgd.body), config.index, snapshot=snapshot, stats=hom_stats
     ):
         if stats is not None:
             stats.triggers_enumerated += 1
-        body_binding = hom.restrict(tgd.body_variables())
-        if restricted and head_satisfied(tgd, body_binding, config):
+        if restricted and head_satisfied(tgd, hom, config):
             if stats is not None:
                 stats.triggers_filtered += 1
             continue
-        yield Trigger(rule, body_binding)
+        yield Trigger(rule, hom)
+
+
+def triggers_through(
+    rule: RuleLike,
+    config: ChaseConfiguration,
+    delta: Mapping[str, Sequence[Atom]],
+    restricted: bool = True,
+    *,
+    stats: Optional[ChaseStats] = None,
+) -> Iterator[Trigger]:
+    """Candidate matches whose body image touches the delta.
+
+    ``delta`` maps a relation to the new facts of it, oldest first.  For
+    each body atom and each delta fact of its relation, the backtracking
+    join is seeded at that pivot; the remaining body atoms join against
+    the *full* index.  A match containing several delta facts is found
+    once per delta pivot, so matches are deduplicated by body image
+    before the head filter runs.
+
+    Soundness of the restriction: a candidate match containing *no* delta
+    fact was already enumerable when every fact of its body image existed,
+    i.e. in an earlier pass -- where it was fired, head-filtered, or
+    suppressed, and all three outcomes are permanent (facts are never
+    removed).  Candidate scans always snapshot, so the consumer may fire
+    triggers while streaming; ``delta`` itself must not change meanwhile.
+    """
+    tgd = tgd_of(rule)
+    body = list(tgd.body)
+    hom_stats = stats.hom if stats is not None else None
+    seen: Set[Tuple[Atom, ...]] = set()
+    for pivot_atom in body:
+        for pivot_fact in delta.get(pivot_atom.relation, ()):
+            # As in find_triggers: the binding holds the body variables
+            # and no other, so it is the trigger's, uncopied.
+            for hom in find_homomorphisms_through(
+                body,
+                config.index,
+                pivot_atom,
+                pivot_fact,
+                snapshot=True,
+                stats=hom_stats,
+            ):
+                trigger = Trigger(rule, hom)
+                image = trigger.body_image()
+                if image in seen:
+                    continue
+                seen.add(image)
+                if stats is not None:
+                    stats.triggers_enumerated += 1
+                if restricted and head_satisfied(tgd, hom, config):
+                    if stats is not None:
+                        stats.triggers_filtered += 1
+                    continue
+                yield trigger
 
 
 def find_triggers_delta(
@@ -136,58 +212,12 @@ def find_triggers_delta(
     *,
     stats: Optional[ChaseStats] = None,
 ) -> Iterator[Trigger]:
-    """Candidate matches whose body image touches the delta.
-
-    The delta is every fact the configuration acquired after
-    ``since_generation``.  For each body atom and each delta fact of its
-    relation, the backtracking join is seeded at that pivot; the remaining
-    body atoms join against the *full* index.  A match containing several
-    delta facts is found once per delta pivot, so matches are deduplicated
-    by body image before the head filter runs.
-
-    Soundness of the restriction: a candidate match containing *no* delta
-    fact was already enumerable when every fact of its body image existed,
-    i.e. in an earlier pass -- where it was fired, head-filtered, or
-    suppressed, and all three outcomes are permanent (facts are never
-    removed).  Candidate scans always snapshot, so the consumer may fire
-    triggers while streaming.
-    """
-    delta = config.facts_since(since_generation)
-    if not delta:
-        return
-    tgd = _tgd_of(rule)
-    body = list(tgd.body)
-    by_relation: Dict[str, List[Atom]] = {}
-    for fact in delta:
-        by_relation.setdefault(fact.relation, []).append(fact)
-    hom_stats = stats.hom if stats is not None else None
-    seen: Set[Tuple[str, Tuple[Atom, ...]]] = set()
-    for pivot_atom in body:
-        pivot_facts = by_relation.get(pivot_atom.relation)
-        if not pivot_facts:
-            continue
-        for pivot_fact in pivot_facts:
-            for hom in find_homomorphisms_through(
-                body,
-                config.index,
-                pivot_atom,
-                pivot_fact,
-                snapshot=True,
-                stats=hom_stats,
-            ):
-                binding = hom.restrict(tgd.body_variables())
-                trigger = Trigger(rule, binding)
-                key = trigger.key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if stats is not None:
-                    stats.triggers_enumerated += 1
-                if restricted and head_satisfied(tgd, binding, config):
-                    if stats is not None:
-                        stats.triggers_filtered += 1
-                    continue
-                yield trigger
+    """:func:`triggers_through` every fact the configuration acquired
+    after ``since_generation`` (read when this is called)."""
+    delta: Dict[str, List[Atom]] = {}
+    for fact in config.facts_since(since_generation):
+        delta.setdefault(fact.relation, []).append(fact)
+    return triggers_through(rule, config, delta, restricted, stats=stats)
 
 
 def fire_trigger(

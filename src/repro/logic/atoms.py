@@ -120,11 +120,19 @@ class Substitution:
         """A plain-dict copy of the mapping."""
         return dict(self._mapping)
 
+    @classmethod
+    def adopting(cls, mapping: Dict[Term, Term]) -> "Substitution":
+        """The substitution over ``mapping`` itself, not a copy of it:
+        for a caller that built the dict and keeps no reference to it."""
+        new = cls.__new__(cls)
+        new._mapping = mapping
+        return new
+
     def extended(self, term: Term, image: Term) -> "Substitution":
         """A new substitution with one extra binding."""
-        new = Substitution(self._mapping)
-        new._mapping[term] = image
-        return new
+        mapping = dict(self._mapping)
+        mapping[term] = image
+        return Substitution.adopting(mapping)
 
     def restrict(self, keys: Iterable[Term]) -> "Substitution":
         """The substitution restricted to the given keys."""

@@ -307,20 +307,31 @@ def extend_homomorphism(
     """Try to extend ``binding`` so that ``atom`` maps onto ``fact``.
 
     Returns the extended substitution, or None when the terms clash.
+    ``binding`` is never mutated: its mapping is copied once, when the
+    first unbound term is met, and ``binding`` itself comes back when
+    the atom binds nothing new.
     """
-    if atom.relation != fact.relation or atom.arity != fact.arity:
+    terms = atom.terms
+    images = fact.terms
+    if atom.relation != fact.relation or len(terms) != len(images):
         return None
-    current = binding
-    for term, image in zip(atom.terms, fact.terms):
-        if _mappable(term, map_nulls):
-            bound = current.get(term)
+    mapping = binding._mapping
+    copied = False
+    for term, image in zip(terms, images):
+        if isinstance(term, Variable) or (
+            map_nulls and isinstance(term, Null)
+        ):
+            bound = mapping.get(term)
             if bound is None:
-                current = current.extended(term, image)
+                if not copied:
+                    mapping = dict(mapping)
+                    copied = True
+                mapping[term] = image
             elif bound != image:
                 return None
         elif term != image:
             return None
-    return current
+    return Substitution.adopting(mapping) if copied else binding
 
 
 def find_homomorphisms(

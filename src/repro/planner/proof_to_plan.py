@@ -16,11 +16,13 @@ by firing" -- they come back from the very same access, so incorporating
 them costs no extra access command).
 
 One firing comes in two halves.  :func:`expose_access` is the costed
-one: it extends the plan and adds the ``Accessed_`` facts with the heads
-of the rules whose whole body is such a fact.  :func:`saturate_exposed`
-chases the remaining free rules.  :func:`fire_access` is the two in
-sequence; Algorithm 1 calls them apart, so that it can discard a child
-on its exposure before paying for the chase.
+one: it extends the plan (:func:`read_exposure`, which writes nothing)
+and adds the ``Accessed_`` facts with the heads of the rules whose whole
+body is such a fact (:func:`write_exposure`).  :func:`saturate_exposed`
+chases the remaining free rules.  :func:`fire_access` is all of it in
+sequence; Algorithm 1 calls the pieces apart, so that it can close a
+child by depth or cost before forking a configuration for it, and by
+domination before paying for the chase.
 """
 
 from __future__ import annotations
@@ -135,29 +137,26 @@ class Exposed(NamedTuple):
     depth_truncated: int
 
 
-def expose_access(
+def read_exposure(
     config: ChaseConfiguration,
     state: PlanState,
     fact: Atom,
     method: AccessMethod,
-    acc_schema: AccessibleSchema,
-    policy: Optional[ChasePolicy] = None,
     expose_induced: bool = True,
-) -> Exposed:
-    """The costed half of an accessibility-axiom firing, in place.
+) -> Tuple[PlanState, Tuple[Atom, ...]]:
+    """The read-only half of an exposure: what it would do, undone.
 
-    Checks the method's inputs, extends the plan state, and adds
-    ``Accessed_R(t)`` for the chosen fact and (unless ``expose_induced``
-    is False -- an ablation switch) every fact induced by the same
-    access, followed by the heads of the schema's exposure rules
-    (``def[R]``, ``acc2inf[R]``, ``rev[R]``) for those facts.  The
-    commands, and so the depth and cost of the node, are final here;
-    the configuration still has to be saturated under
-    ``acc_schema.saturation_rules`` (:func:`saturate_exposed`).
+    Checks the method's inputs and returns the plan state extended by
+    the access together with the facts it exposes: the chosen fact and
+    (unless ``expose_induced`` is False -- an ablation switch) every
+    fact induced by the same access, less those already accessed.
+    Nothing is written to ``config``.  The commands, and so the depth
+    and cost of the node, are final in the returned state: Algorithm 1
+    reads its depth and cost verdicts here and hands only a child that
+    survives them to :func:`write_exposure`.  Raises
+    :class:`PlanningError` when the firing is impossible or a no-op.
     """
     _check_inputs_accessible(config, fact, method)
-    new_state = state
-    pre_generation = config.generation
     to_expose = (
         _induced_facts(config, fact, method)
         if expose_induced
@@ -165,26 +164,48 @@ def expose_access(
     )
     relation = accessed_name(fact.relation)
     exposed: List[Atom] = []
-    accessed_facts: List[Atom] = []
     for induced in to_expose:
-        accessed = induced.rename_relation(relation)
-        if accessed in config:
+        if induced.rename_relation(relation) in config:
             continue
-        new_state = new_state.expose(induced, method)
-        config.add(
-            accessed,
-            Provenance(
-                rule=f"access[{method.name}]",
-                trigger_facts=(induced,),
-                depth=config.depth(induced) + 1,
-            ),
-        )
+        state = state.expose(induced, method)
         exposed.append(induced)
-        accessed_facts.append(accessed)
     if not exposed:
         raise PlanningError(
             f"{fact!r} is already exposed; firing {method.name} is a no-op"
         )
+    return state, tuple(exposed)
+
+
+def write_exposure(
+    config: ChaseConfiguration,
+    state: PlanState,
+    facts: Tuple[Atom, ...],
+    method: AccessMethod,
+    acc_schema: AccessibleSchema,
+    policy: Optional[ChasePolicy] = None,
+) -> Exposed:
+    """The writing half: what :func:`read_exposure` returned, in place.
+
+    Adds ``Accessed_R(t)`` for every exposed fact, then the heads of
+    the schema's exposure rules (``def[R]``, ``acc2inf[R]``, ``rev[R]``)
+    for those facts.  The configuration still has to be saturated under
+    ``acc_schema.saturation_rules`` (:func:`saturate_exposed`).
+    """
+    pre_generation = config.generation
+    relation = accessed_name(method.relation)
+    access_rule = f"access[{method.name}]"
+    accessed_facts: List[Atom] = []
+    for fact in facts:
+        accessed = fact.rename_relation(relation)
+        config.add(
+            accessed,
+            Provenance(
+                rule=access_rule,
+                trigger_facts=(fact,),
+                depth=config.depth(fact) + 1,
+            ),
+        )
+        accessed_facts.append(accessed)
     # Rule by rule over all the new facts: the order (and provenance) in
     # which a chase round over the free rules would have added the heads.
     max_depth = policy.max_depth if policy else None
@@ -202,9 +223,22 @@ def expose_access(
                 rule=tgd.name, trigger_facts=(accessed,), depth=depth
             )
             config.add_all(apply_to_atoms(tgd.head, binding), provenance)
-    return Exposed(
-        new_state, tuple(exposed), pre_generation, depth_truncated
-    )
+    return Exposed(state, facts, pre_generation, depth_truncated)
+
+
+def expose_access(
+    config: ChaseConfiguration,
+    state: PlanState,
+    fact: Atom,
+    method: AccessMethod,
+    acc_schema: AccessibleSchema,
+    policy: Optional[ChasePolicy] = None,
+    expose_induced: bool = True,
+) -> Exposed:
+    """The costed half of an accessibility-axiom firing, in place:
+    :func:`read_exposure` followed by :func:`write_exposure`."""
+    state, facts = read_exposure(config, state, fact, method, expose_induced)
+    return write_exposure(config, state, facts, method, acc_schema, policy)
 
 
 def saturate_exposed(

@@ -28,7 +28,9 @@ incrementality"), and what it keeps from a parent is what measured as a
 win on ``plan_cold``:
 
 * a child's configuration is a copy-on-write fork that shares its
-  parent's fact log as a prefix;
+  parent's fact log as a prefix, made only for a child that depth and
+  cost let through: both read the commands, which the read-only half of
+  the exposure fixes (``docs/theory.md``, "Pruning before saturation");
 * the domination registry (:mod:`repro.planner.domination`), told the
   child's parent, builds the child's signature from the parent's and
   maps only what the branch added below the ancestor the child shares
@@ -71,10 +73,11 @@ from repro.planner.proof_to_plan import (
     Exposed,
     Exposure,
     SaturationLog,
-    expose_access,
     initial_configuration,
+    read_exposure,
     saturate_exposed,
     success_pattern,
+    write_exposure,
 )
 from repro.plans.expressions import NamedTable
 from repro.plans.plan import Plan
@@ -136,6 +139,10 @@ class SearchStats:
     pruned_by_bound: int = 0
     pruned_by_domination: int = 0
     pruned_by_depth: int = 0
+    # Configurations forked: one per child that survived the depth and
+    # cost verdicts (pruned_by_domination + nodes_created - 1; the root
+    # is built, not forked).
+    configs_copied: int = 0
     best_cost_history: List[float] = field(default_factory=list)
     # Aggregated instrumentation of every per-node chase saturation.
     chase: ChaseStats = field(default_factory=ChaseStats)
@@ -175,6 +182,7 @@ class SearchStats:
                     or "-"
                 ),
                 f"time: copy={self.time_copy:.4f}s "
+                f"({self.configs_copied} configs) "
                 f"candidates={self.time_candidates:.4f}s "
                 f"cost={self.time_cost:.4f}s",
             ]
@@ -190,6 +198,7 @@ class SearchStats:
             "pruned_by_bound": self.pruned_by_bound,
             "pruned_by_domination": self.pruned_by_domination,
             "pruned_by_depth": self.pruned_by_depth,
+            "configs_copied": self.configs_copied,
             "domination": self.domination.as_dict(),
             "time_copy": self.time_copy,
             "time_candidates": self.time_candidates,
@@ -203,6 +212,9 @@ class SearchNode:
 
     node_id: int
     parent_id: Optional[int]
+    # The node's own configuration -- except for ``pruned == "cost"``,
+    # where it is the one the verdict was read from: the parent's,
+    # unexposed (a cost-closed child is never given a fork).
     config: ChaseConfiguration
     state: PlanState
     exposures: Tuple[Exposure, ...]
@@ -507,27 +519,22 @@ class _Searcher:
         self, node: SearchNode, fact: Atom, method: AccessMethod
     ) -> Optional[SearchNode]:
         self.stats.nodes_expanded += 1
-        tick = time.perf_counter()
-        config = node.config.copy()
-        self.stats.time_copy += time.perf_counter() - tick
         try:
-            exposed = expose_access(
-                config,
+            state, facts = read_exposure(
+                node.config,
                 node.state,
                 fact,
                 method,
-                self.acc,
-                self.options.chase_policy,
-                expose_induced=self.options.expose_induced,
+                self.options.expose_induced,
             )
         except PlanningError:
             return None
-        # Depth and cost read only the commands, which the exposure
-        # fixed; domination reads the relevant facts, and the exposure's
-        # map into a closed dominator exactly when their saturation does.
-        # So every verdict comes before the chase, and only a child that
-        # is kept pays for one.
-        state = exposed.state
+        # Depth and cost read only the commands, which the read half
+        # fixed: a child they close never gets a configuration of its
+        # own.  Domination reads the relevant facts, and the exposure's
+        # map into a closed dominator exactly when their saturation
+        # does.  So every verdict comes before the chase, and only a
+        # child that is kept pays for one.
         if state.access_command_count > self.options.max_accesses:
             self.stats.pruned_by_depth += 1
             return None
@@ -537,7 +544,7 @@ class _Searcher:
         child = SearchNode(
             node_id=next(self._ids),
             parent_id=node.node_id,
-            config=config,
+            config=node.config,
             state=state,
             exposures=node.exposures + (Exposure(fact, method.name),),
             cost=cost,
@@ -547,6 +554,13 @@ class _Searcher:
             child.pruned = "cost"
             self._record(child)
             return None
+        tick = time.perf_counter()
+        config = child.config = node.config.copy()
+        self.stats.time_copy += time.perf_counter() - tick
+        self.stats.configs_copied += 1
+        exposed = write_exposure(
+            config, state, facts, method, self.acc, self.options.chase_policy
+        )
         chased = False
         if self.options.domination:
             # A homomorphism of the exposed child's relevant facts into

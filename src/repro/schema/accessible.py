@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.logic.atoms import Atom
 from repro.logic.dependencies import TGD
@@ -115,6 +115,38 @@ class ChaseRule:
         return f"<{self.kind.value}> {self.tgd!r}"
 
 
+RuleLike = Union[TGD, ChaseRule]
+
+
+def tgd_of(rule: RuleLike) -> TGD:
+    """The dependency a rule fires: a bare TGD is its own."""
+    return rule.tgd if isinstance(rule, ChaseRule) else rule
+
+
+class RuleSet(tuple):
+    """A fixed sequence of rules that knows which of them read a relation.
+
+    ``readers[relation]`` holds, in increasing order, the slots of the
+    rules whose body mentions ``relation``: what the chase consults to
+    hand a new fact only to the rules it can complete a match for.  The
+    map is derived here, once, and lives on the sequence itself, so it is
+    collected with the rules instead of keeping them alive from a cache.
+    """
+
+    readers: Dict[str, Tuple[int, ...]]
+
+    def __new__(cls, rules: Iterable[RuleLike] = ()) -> "RuleSet":
+        self = super().__new__(cls, rules)
+        by_relation: Dict[str, List[int]] = {}
+        for slot, rule in enumerate(self):
+            for relation in {atom.relation for atom in tgd_of(rule).body}:
+                by_relation.setdefault(relation, []).append(slot)
+        self.readers = {
+            relation: tuple(slots) for relation, slots in by_relation.items()
+        }
+        return self
+
+
 _EXPOSURE_KINDS = (
     AxiomKind.DEFINING,
     AxiomKind.ACCESSED_TO_INFACC,
@@ -132,7 +164,7 @@ class AccessibleSchema:
         # The rule tuple never changes, so every split of it is computed
         # once here and handed around as a tuple.
         #: Rules fired eagerly at no cost (everything but access axioms).
-        self.free_rules: Tuple[ChaseRule, ...] = tuple(
+        self.free_rules: RuleSet = RuleSet(
             r for r in self.rules if not r.is_access
         )
         #: Rules whose firing represents making an access.
@@ -143,7 +175,7 @@ class AccessibleSchema:
         #: ``Accessed_`` relation in its head, so once the exposure rules
         #: have been applied to the facts of an access, saturating under
         #: these alone saturates under all free rules.
-        self.saturation_rules: Tuple[ChaseRule, ...] = tuple(
+        self.saturation_rules: RuleSet = RuleSet(
             r for r in self.free_rules if r.kind not in _EXPOSURE_KINDS
         )
         by_body: Dict[str, List[ChaseRule]] = {}
