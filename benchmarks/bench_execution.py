@@ -37,7 +37,7 @@ import pytest
 from benchmarks.conftest import record
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.exec import AccessCache, BatchExecutor, ExecutionContext
+from repro.exec import AccessCache, ExecStats, ExecutionContext, run_request
 from repro.logic.terms import Constant
 from repro.planner.proof_to_plan import ChaseProof, plan_from_proof
 from repro.planner.search import SearchOptions, find_best_plan
@@ -197,22 +197,21 @@ def _serve_naive(scenario, plans, rounds):
 def _serve_runtime(scenario, plans, rounds, charge_hits):
     """The exec runtime: indexed source + shared LRU access cache."""
     source = InMemorySource(scenario.schema, scenario.instance(0), indexed=True)
-    executor = BatchExecutor(
-        source, cache=AccessCache(charge_hits=charge_hits)
-    )
+    cache = AccessCache(charge_hits=charge_hits)
+    stats = ExecStats()
+    context = ExecutionContext(cache=cache, stats=stats)
     outputs = []
     started = perf_counter()
     for _ in range(rounds):
         for plan in plans:
-            outputs.append(executor.run(plan))
+            outputs.append(run_request(source, plan, None, context))
     elapsed = perf_counter() - started
-    stats = executor.stats
     return {
         "outputs": outputs,
         "wall_time": elapsed,
         "invocations": source.total_invocations,
         "charged_cost": source.charged_cost(),
-        "cache": executor.cache.as_dict(),
+        "cache": cache.as_dict(),
         "dispatched": stats.accesses_dispatched,
         "deduped": stats.accesses_deduped,
         "cache_hits": stats.cache_hits,

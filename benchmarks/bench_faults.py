@@ -14,7 +14,8 @@ measures two things and writes the machine-readable
   runs in milliseconds).
 * **outage sweep** -- one permanent method outage at a time, every
   method of the k-redundant-sources schema in turn, served through
-  :class:`~repro.exec.failover.FailoverExecutor`.  Killing any one of
+  :meth:`QueryService.serve_query
+  <repro.service.service.QueryService.serve_query>`.  Killing any one of
   the k directory sources must fail over to a sibling source and return
   identical answers; killing the one non-redundant method degrades to a
   marked partial answer.  The report records the complete-recovery rate
@@ -33,7 +34,6 @@ from repro.data.source import InMemorySource
 from repro.exec import (
     BreakerRegistry,
     ExecutionContext,
-    FailoverExecutor,
     ResilientDispatcher,
     RetryPolicy,
 )
@@ -41,6 +41,7 @@ from repro.errors import ReproError
 from repro.faults import FaultInjectingSource, FaultPolicy, VirtualClock
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import redundant_sources
+from repro.service import QueryService
 
 ACCESS_LATENCY = 0.01  # simulated seconds per successful access
 
@@ -155,19 +156,26 @@ def outage_sweep(scenario, budget, retries):
             FaultPolicy.outage(victim),
             clock=clock,
         )
-        executor = FailoverExecutor(
-            scenario.schema,
+        service = QueryService(
             source,
-            resilience=make_dispatcher(clock, retries=retries),
-            options=SearchOptions(max_accesses=budget),
+            workers=1,
+            retry=RetryPolicy(max_attempts=retries + 1, seed=0),
+            breakers=BreakerRegistry(clock=clock),
+            clock=clock,
+            sleep=clock.sleep,
         )
-        started = perf_counter()
-        outcome = executor.run(scenario.query)
-        elapsed = perf_counter() - started
-        if outcome.complete:
+        with service:
+            started = perf_counter()
+            response = service.serve_query(
+                scenario.query,
+                search_options=SearchOptions(max_accesses=budget),
+            )
+            elapsed = perf_counter() - started
+            health = service.health()
+        if response.complete:
             complete += 1
-            assert canonical(outcome.table) == reference, victim
-        elif outcome.partial:
+            assert canonical(response.table) == reference, victim
+        elif response.partial:
             partial += 1
         else:
             failed += 1
@@ -176,13 +184,17 @@ def outage_sweep(scenario, budget, retries):
                 "victim": victim,
                 "outcome": (
                     "complete"
-                    if outcome.complete
-                    else "partial" if outcome.partial else "failed"
+                    if response.complete
+                    else "partial" if response.partial else "failed"
                 ),
-                "failovers": outcome.failovers,
-                "plans_tried": list(outcome.plans_tried),
-                "rows": len(outcome.table.rows) if outcome.table else 0,
+                "failovers": response.failovers,
+                "rows": len(response.table.rows) if response.ok else 0,
                 "wall_time": elapsed,
+                # Each attempt was one admitted request of the service.
+                "submitted": response.failovers + 1,
+                "served": health.served,
+                "shed": health.shed,
+                "rejected": health.rejected,
             }
         )
     trials = len(rows)

@@ -24,10 +24,6 @@ machine-readable ``BENCH_parallel.json`` (rendered by ``report.py
   (asserted >= 95%, hardware-independent), the cold-vs-warm planning
   latency, and a restart trial where a fresh process re-reads the
   plans from the on-disk cache tier without re-searching.
-* **sharded scan** -- a :class:`~repro.data.ShardedInMemorySource`
-  answering the same plan as the unsharded source, asserted identical
-  with identical access metering (partitioning is invisible to the
-  cost ledger).
 """
 
 import argparse
@@ -35,7 +31,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 sys.path.insert(
@@ -47,7 +42,7 @@ from benchmarks.bench_execution import (  # noqa: E402
     row_heavy_workload,
 )
 
-from repro.data.source import InMemorySource, ShardedInMemorySource
+from repro.data.source import InMemorySource
 from repro.logic.queries import parse_cq
 from repro.planner import PlanCache
 from repro.service import ProcessWorkerPool, QueryService, ThreadWorkerPool
@@ -252,51 +247,6 @@ def plan_cache_workload(n, repeats, distinct, directory):
     }
 
 
-# ------------------------------------------------------------- sharded scan
-def sharded_scan(n, shards):
-    """Sharded vs plain source: same answers, same access metering."""
-    schema, instance, plan = row_heavy_workload(n)
-    plain = InMemorySource(schema, instance)
-    started = perf_counter()
-    reference = canonical(plan.execute(plain))
-    plain_time = perf_counter() - started
-    rows = []
-    for pool in (None, ThreadPoolExecutor(max_workers=shards)):
-        sharded = ShardedInMemorySource(
-            schema, instance, shards=shards, pool=pool
-        )
-        started = perf_counter()
-        answer = canonical(plan.execute(sharded))
-        elapsed = perf_counter() - started
-        assert answer == reference, "sharded scan answers diverge"
-        assert sharded.total_invocations == plain.total_invocations, (
-            sharded.total_invocations,
-            plain.total_invocations,
-        )
-        rows.append(
-            {
-                "parallel_scan": pool is not None,
-                "wall_time": elapsed,
-                "identical_to_reference": True,
-                "invocations": sharded.total_invocations,
-            }
-        )
-        if pool is not None:
-            pool.shutdown(wait=True)
-    partition_sizes = [
-        part.instance.size() for part in sharded.partitions
-    ]
-    assert sum(partition_sizes) == instance.size()
-    return {
-        "rows_per_relation": n,
-        "shards": shards,
-        "plain_time": plain_time,
-        "partition_sizes": partition_sizes,
-        "metering_identical": True,
-        "rows": rows,
-    }
-
-
 def run_benchmark(quick):
     """The full report dict (also asserting soundness throughout)."""
     cpu_count = os.cpu_count() or 1
@@ -321,7 +271,6 @@ def run_benchmark(quick):
     assert cache["search_eliminated"] >= 0.95, cache
     assert cache["warm_over_cold"] < 0.5, cache
     assert cache["restart"]["searches_after_restart"] == 0, cache
-    sharding = sharded_scan(n=800 if quick else 2000, shards=4)
     return {
         "benchmark": "bench_parallel",
         "mode": "quick" if quick else "full",
@@ -330,7 +279,6 @@ def run_benchmark(quick):
         "scaling": scaling,
         "scaling_floor": floor,
         "plan_cache": cache,
-        "sharding": sharding,
     }
 
 
@@ -369,12 +317,6 @@ def main(argv=None):
         f"warm {cache['warm_plan_ms']:.4f} ms, "
         f"restart searches {cache['restart']['searches_after_restart']}"
     )
-    for row in report["sharding"]["rows"]:
-        mode = "parallel" if row["parallel_scan"] else "serial"
-        print(
-            f"sharded scan ({mode}): {row['wall_time'] * 1e3:.1f} ms, "
-            f"identical answers, metering parity"
-        )
     print(f"wrote {args.output}")
     return 0
 

@@ -344,8 +344,8 @@ def render_faults(report: Dict) -> str:
         f"({outage['scenario']}: {outage['methods']} methods, "
         f"success rate {outage['success_rate']:.0%})",
         "",
-        "| dead method | outcome | failovers | plans tried | answer rows |",
-        "|---|---|---|---|---|",
+        "| dead method | outcome | failovers | answer rows |",
+        "|---|---|---|---|",
     ]
     for row in outage["rows"]:
         lines.append(
@@ -355,7 +355,6 @@ def render_faults(report: Dict) -> str:
                     row["victim"],
                     row["outcome"],
                     str(row["failovers"]),
-                    str(len(row["plans_tried"])),
                     str(row["rows"]),
                 ]
             )
@@ -553,30 +552,6 @@ def render_parallel(report: Dict) -> str:
         )
         + " |",
     ]
-    sharding = report["sharding"]
-    lines += [
-        "",
-        "### sharded source: partial scans merge to identical answers "
-        f"({sharding['shards']} shards, "
-        f"{sharding['rows_per_relation']} rows/relation, "
-        f"partition sizes {sharding['partition_sizes']})",
-        "",
-        "| scan | wall time | identical answers | metered accesses |",
-        "|---|---|---|---|",
-    ]
-    for row in sharding["rows"]:
-        lines.append(
-            "| "
-            + " | ".join(
-                [
-                    "parallel" if row["parallel_scan"] else "serial",
-                    _time(row["wall_time"]),
-                    "yes" if row["identical_to_reference"] else "NO",
-                    str(row["invocations"]),
-                ]
-            )
-            + " |"
-        )
     lines.append("")
     return "\n".join(lines)
 

@@ -79,15 +79,11 @@ from repro.errors import (
 )
 from repro.exec import (
     AccessCache,
-    BatchExecutor,
-    BatchItem,
     BreakerRegistry,
     CircuitBreaker,
     Deadline,
     ExecStats,
     ExecutionContext,
-    FailoverExecutor,
-    FailoverOutcome,
     ResilientDispatcher,
     ResourceBudget,
     RetryPolicy,
@@ -135,8 +131,6 @@ __all__ = [
     "AccessMethod",
     "AccessibleSchema",
     "Atom",
-    "BatchExecutor",
-    "BatchItem",
     "BreakerRegistry",
     "CardinalityCostFunction",
     "ChaseBudgetExceeded",
@@ -150,8 +144,6 @@ __all__ = [
     "ExecStats",
     "ExecutionContext",
     "Exposure",
-    "FailoverExecutor",
-    "FailoverOutcome",
     "FaultInjectingSource",
     "FaultPolicy",
     "FaultStats",

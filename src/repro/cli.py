@@ -32,7 +32,6 @@ from repro.exec import (
     Deadline,
     ExecStats,
     ExecutionContext,
-    FailoverExecutor,
     ResilientDispatcher,
     RetryPolicy,
 )
@@ -192,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--failover",
         action="store_true",
-        help="serve the query through the failover executor: when a "
-             "method dies (breaker opens / hard outage), re-plan over "
-             "the surviving methods and fall back to the next-cheapest "
-             "plan, or to a marked partial answer",
+        help="serve the query through QueryService.serve_query: when a "
+             "method dies (hard outage), re-plan over the surviving "
+             "methods and fall back to the next-cheapest plan, or to a "
+             "marked partial answer from the accessible part",
     )
 
     serve = sub.add_parser(
@@ -351,14 +350,11 @@ def _demo(args) -> int:
     scenario = SCENARIOS[args.scenario]()
     print(scenario.schema.describe())
     print(f"\nquery: {scenario.query}\n")
-    result = find_best_plan(
-        scenario.schema,
-        scenario.query,
-        SearchOptions(
-            max_accesses=args.max_accesses,
-            chase_policy=default_policy_for(scenario.schema),
-        ),
+    options = SearchOptions(
+        max_accesses=args.max_accesses,
+        chase_policy=default_policy_for(scenario.schema),
     )
+    result = find_best_plan(scenario.schema, scenario.query, options)
     _print_chase_stats(args, result)
     _print_search_stats(args, result)
     if not result.found:
@@ -382,13 +378,15 @@ def _demo(args) -> int:
                 outages={method: 0 for method in args.outage},
             )
         source = FaultInjectingSource(source, policy, clock=clock)
+    retry = RetryPolicy(max_attempts=args.retry + 1, seed=args.fault_seed)
+    breakers = BreakerRegistry(clock=clock)
     resilience = None
-    if faulty or args.retry or args.deadline is not None or args.failover:
+    if not args.failover and (
+        faulty or args.retry or args.deadline is not None
+    ):
         resilience = ResilientDispatcher(
-            retry=RetryPolicy(
-                max_attempts=args.retry + 1, seed=args.fault_seed
-            ),
-            breakers=BreakerRegistry(clock=clock),
+            retry=retry,
+            breakers=breakers,
             deadline=(
                 Deadline(args.deadline, clock=clock)
                 if args.deadline is not None
@@ -402,18 +400,31 @@ def _demo(args) -> int:
     )
     truth = instance.evaluate(scenario.query)
     if args.failover:
-        executor = FailoverExecutor(
-            scenario.schema,
+        from repro.service import QueryService
+
+        with QueryService(
             source,
-            resilience=resilience,
+            workers=1,
             cache=cache,
-            stats=exec_stats,
+            retry=retry,
+            breakers=breakers,
+            clock=clock,
+            sleep=clock.sleep,
+            executor=args.executor,
+        ) as service:
+            response = service.serve_query(
+                scenario.query, search_options=options, deadline=args.deadline
+            )
+            dead = service.current_dead_methods()
+        print(
+            f"failover outcome: {response.describe()}"
+            + (f", dead={list(dead)}" if dead else "")
         )
-        outcome = executor.run(scenario.query)
-        print(f"failover outcome: {outcome.describe()}")
-        if not outcome.ok:
+        if not response.ok:
             return 1
-        output = outcome.table
+        output = response.table
+        if exec_stats is not None:
+            exec_stats.merge(service.stats)
     else:
         try:
             output = result.best_plan.execute(

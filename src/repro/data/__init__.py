@@ -15,9 +15,6 @@ from repro.data.source import (
     AccessRecord,
     AccessViolation,
     InMemorySource,
-    ShardedInMemorySource,
-    partition_instance,
-    shard_of,
 )
 from repro.data.accessible_part import AccessiblePart, accessible_part
 from repro.data.generators import (
@@ -34,10 +31,7 @@ __all__ = [
     "Instance",
     "InstanceError",
     "InstanceGenerator",
-    "ShardedInMemorySource",
     "accessible_part",
-    "partition_instance",
     "random_instance",
     "repair_instance",
-    "shard_of",
 ]

@@ -31,17 +31,13 @@ tuple of constants are logged as the object they arrived as.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
-from concurrent.futures import Executor
 from functools import partial
 from typing import (
     Dict,
     FrozenSet,
     List,
     NamedTuple,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -112,8 +108,8 @@ class InMemorySource(MeteredSourceMixin):
         values = checked_inputs(method, inputs)
         # One acquisition covers the lookup and the metering.  An index
         # built for the instance's current version answers right here;
-        # anything else (first use, a mutation since, an unindexed or a
-        # sharded source) goes through _lookup, re-entering the lock.
+        # anything else (first use, a mutation since, an unindexed
+        # source) goes through _lookup, re-entering the lock.
         with self._lock:
             index = self._indexes.get(method_name)
             if (
@@ -135,11 +131,8 @@ class InMemorySource(MeteredSourceMixin):
     ) -> FrozenSet[Tuple[Constant, ...]]:
         """Answer one access *without* logging it.
 
-        The logging/metering in :meth:`access` stays at the outermost
-        source, so composite sources (sharding below) can delegate the
-        data question to sub-sources while still charging one access.
-        :meth:`access` comes here whenever this source holds no current
-        index of its own for the method -- always, for a composite.
+        The logging/metering stays in :meth:`access`, which comes here
+        whenever this source holds no current index for the method.
         """
         if self.indexed:
             return self._method_index(method).get(values, _NO_ROWS)
@@ -190,130 +183,4 @@ class InMemorySource(MeteredSourceMixin):
         return (
             f"InMemorySource({self.schema.name}, "
             f"{self.instance.size()} tuples, {len(self.log)} accesses)"
-        )
-
-
-# ------------------------------------------------------------------ sharding
-def shard_of(relation: str, row: Sequence[Constant], shards: int) -> int:
-    """Deterministic shard index of one tuple.
-
-    Uses BLAKE2b over a canonical JSON encoding of the raw cell values,
-    *not* Python's builtin ``hash`` -- the builtin is salted per process,
-    and shard assignment must agree between the parent and any worker
-    process that rehydrates the same data.
-    """
-    payload = json.dumps(
-        [
-            relation,
-            [
-                cell.value if isinstance(cell, Constant) else cell
-                for cell in row
-            ],
-        ],
-        separators=(",", ":"),
-        default=str,
-    )
-    digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % shards
-
-
-def partition_instance(instance: Instance, shards: int) -> Tuple[Instance, ...]:
-    """Hash-partition an instance into ``shards`` disjoint instances.
-
-    Every tuple lands in exactly one partition (keyed by
-    :func:`shard_of`), so the union of the partitions equals the
-    original instance and any per-partition scan results can be merged
-    by plain set union without double counting.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    parts = [Instance() for _ in range(shards)]
-    for relation in instance.relations():
-        for row in instance.tuples(relation):
-            parts[shard_of(relation, row, shards)].add(relation, row)
-    return tuple(parts)
-
-
-class ShardedInMemorySource(InMemorySource):
-    """An :class:`InMemorySource` whose data is hash-partitioned.
-
-    Answering an access becomes a *parallel partial scan*: each shard
-    answers the access over its own partition (using its own per-method
-    index) and the partial results are merged by set union.  This is
-    sound because the partitions are disjoint and
-
-    ``access(m, v) over R  ==  U_i access(m, v) over R_i``
-
-    holds for selection-style accesses -- the merge point restores set
-    semantics exactly like the columnar dedup boundary.  Note the whole
-    *plan* is never run per shard (that would lose cross-shard join
-    pairs); only individual accesses fan out.
-
-    Metering is unchanged: one logical access is logged and charged
-    once at this source, never per shard.  Pass a
-    ``concurrent.futures`` executor as ``pool`` to scan partitions
-    concurrently; by default shards are scanned inline.
-    """
-
-    spec_kind = "sharded"
-    spec_fields = ("shards", "indexed")  # never the pool
-
-    def __init__(
-        self,
-        schema: Schema,
-        instance: Instance,
-        shards: int = 4,
-        indexed: bool = True,
-        pool: Optional["Executor"] = None,
-    ) -> None:
-        super().__init__(schema, instance, indexed=indexed)
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self.pool = pool
-        self._partitions: Tuple[InMemorySource, ...] = ()
-        self._partition_version = -1
-        self._repartition()
-
-    def _repartition(self) -> None:
-        self._partitions = tuple(
-            InMemorySource(self.schema, part, indexed=self.indexed)
-            for part in partition_instance(self.instance, self.shards)
-        )
-        self._partition_version = self.instance.version
-
-    @property
-    def partitions(self) -> Tuple[InMemorySource, ...]:
-        """The shard sub-sources (rebuilt lazily after mutations)."""
-        with self._lock:
-            if self.instance.version != self._partition_version:
-                self._repartition()
-            return self._partitions
-
-    def _lookup(
-        self, method: AccessMethod, values: Tuple[Constant, ...]
-    ) -> FrozenSet[Tuple[Constant, ...]]:
-        partitions = self.partitions
-        if len(partitions) == 1:
-            return partitions[0]._lookup(method, values)
-        if self.pool is not None:
-            futures = [
-                self.pool.submit(part._lookup, method, values)
-                for part in partitions
-            ]
-            partials = [future.result() for future in futures]
-        else:
-            partials = [
-                part._lookup(method, values) for part in partitions
-            ]
-        merged: Set[Tuple[Constant, ...]] = set()
-        for partial in partials:
-            merged |= partial
-        return frozenset(merged)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedInMemorySource({self.schema.name}, "
-            f"{self.instance.size()} tuples, {self.shards} shards, "
-            f"{len(self.log)} accesses)"
         )

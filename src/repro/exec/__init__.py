@@ -12,8 +12,9 @@ package makes *running* that plan cheap.  Four cooperating pieces:
 * the tuned evaluator in :mod:`repro.plans` (deduplicated access
   dispatch, smaller-side hash joins, selection/projection fusion,
   temp-table freeing) driven by :meth:`repro.plans.plan.Plan.execute`,
-* :class:`ExecStats` / :class:`BatchExecutor` -- the observability and
-  serving loop around all of it,
+* :class:`ExecStats` and :func:`run_request` -- the observability and
+  the one request runner (rebind, guard the source, execute) the
+  service and the worker tier share,
 * :class:`ExecutionContext` (:mod:`repro.exec.context`) -- the cache,
   stats, dispatcher, budget and cancel token of one run: what
   ``Plan.execute`` takes besides the source, and ships to a worker,
@@ -24,10 +25,6 @@ package makes *running* that plan cheap.  Four cooperating pieces:
   :class:`RetryPolicy` (exponential backoff, deterministic jitter),
   :class:`Deadline`, per-method :class:`CircuitBreaker`\\ s, all driven
   by the context's :class:`ResilientDispatcher`,
-* :class:`FailoverExecutor` (:mod:`repro.exec.failover`) -- when a
-  method dies mid-plan, re-plan the query over the surviving methods
-  and fall back to the next-cheapest viable plan, or return an
-  explicitly marked partial answer from the accessible part,
 * the columnar backend (:mod:`repro.exec.columnar`) -- plans compiled
   via the serializable IR (:mod:`repro.plans.ir`) to vectorized numpy
   execution, selected with ``Plan.execute(..., executor="columnar")``
@@ -40,8 +37,8 @@ access") for why access memoization is sound and what degraded
 execution guarantees.
 """
 
-# Leaves first: repro.plans imports repro.exec.context, and batch and
-# failover import repro.plans.
+# Leaves first: repro.plans imports repro.exec.context, and batch
+# imports repro.plans.
 from repro.exec.budget import ResourceBudget
 from repro.exec.cache import AccessCache
 from repro.exec.resilience import (
@@ -53,26 +50,16 @@ from repro.exec.resilience import (
 )
 from repro.exec.stats import CommandStats, ExecStats
 from repro.exec.context import ExecutionContext
-from repro.exec.batch import (
-    BatchExecutor,
-    BatchItem,
-    run_request,
-    substitute_constants,
-)
-from repro.exec.failover import FailoverExecutor, FailoverOutcome
+from repro.exec.batch import run_request, substitute_constants
 
 __all__ = [
     "AccessCache",
-    "BatchExecutor",
-    "BatchItem",
     "BreakerRegistry",
     "CircuitBreaker",
     "CommandStats",
     "Deadline",
     "ExecStats",
     "ExecutionContext",
-    "FailoverExecutor",
-    "FailoverOutcome",
     "ResilientDispatcher",
     "ResourceBudget",
     "RetryPolicy",

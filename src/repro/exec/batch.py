@@ -1,12 +1,12 @@
-"""Batch execution: many runs sharing one source, index and cache.
+"""One request, start to finish: rebind the plan, guard, execute.
 
 A deployed mediator does not run a plan once: it serves the same plan
 for many parameter values, or several alternative plans over the same
-sources.  :class:`BatchExecutor` is that serving loop in miniature --
-every run goes through one shared :class:`~repro.data.source.InMemorySource`
-(so its per-method indexes are built once) and one shared
-:class:`~repro.exec.cache.AccessCache` (so identical accesses are paid
-once *across* runs), with one aggregated
+sources.  Every such run goes through :func:`run_request` -- the one
+runner the service, the worker tier and any caller outside them share
+-- with an :class:`~repro.exec.context.ExecutionContext` carrying what
+the runs have in common: one :class:`~repro.exec.cache.AccessCache` (so
+identical accesses are paid once *across* runs) and one aggregated
 :class:`~repro.exec.stats.ExecStats`.
 
 Parameter bindings are plan rewrites: :func:`substitute_constants`
@@ -18,14 +18,10 @@ re-planning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 from repro.data.decorators import budgeted
-from repro.errors import ReproError
-from repro.exec.cache import AccessCache
 from repro.exec.context import ExecutionContext
-from repro.exec.stats import ExecStats
 from repro.logic.terms import Constant
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
 from repro.plans.expressions import (
@@ -134,8 +130,8 @@ def run_request(
 ) -> NamedTable:
     """One request, start to finish: rebind, guard the source, execute.
 
-    The runner the service, the worker tier and :class:`BatchExecutor`
-    share.  The answer is the output table, truncated per the budget
+    The runner the service and the worker tier share.  The answer is
+    the output table, truncated per the budget
     (``context.truncated_rows`` says by how much); every failure is a
     typed :class:`~repro.errors.ReproError`.
     """
@@ -144,100 +140,3 @@ def run_request(
     return plan.execute(
         budgeted(source, context.budget), context, executor=executor
     )
-
-
-@dataclass(frozen=True)
-class BatchItem:
-    """The structured per-plan result of a batch run: table or error."""
-
-    index: int
-    plan: str
-    table: Optional[NamedTable] = None
-    error: Optional[Exception] = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether this plan produced a table."""
-        return self.table is not None
-
-    def __repr__(self) -> str:
-        if self.ok:
-            return f"BatchItem(#{self.index} {self.plan}: {len(self.table.rows)} rows)"
-        return f"BatchItem(#{self.index} {self.plan}: FAILED {self.error!r})"
-
-
-class BatchExecutor:
-    """Run plans repeatedly over one shared source, index and cache."""
-
-    def __init__(
-        self,
-        source,
-        cache: Optional[AccessCache] = None,
-        collect_stats: bool = True,
-        resilience=None,
-        executor: str = "interpreter",
-    ) -> None:
-        self.source = source
-        self.cache = cache
-        self.stats = ExecStats() if collect_stats else None
-        self.context = ExecutionContext(
-            cache=cache, stats=self.stats, resilience=resilience
-        )
-        self.executor = executor
-        self.failed = 0
-
-    def run(
-        self, plan: Plan, bindings: Optional[Mapping[object, object]] = None
-    ) -> NamedTable:
-        """Execute one plan (optionally rebound) through the shared state.
-
-        Errors propagate to the caller; :meth:`run_plans` is the
-        error-isolating batch surface.
-        """
-        return run_request(
-            self.source, plan, bindings, self.context, executor=self.executor
-        )
-
-    def run_bindings(
-        self, plan: Plan, bindings_list: Sequence[Mapping[object, object]]
-    ) -> List[NamedTable]:
-        """One plan over many parameter bindings (shared cache across runs)."""
-        return [self.run(plan, bindings) for bindings in bindings_list]
-
-    def run_plans(self, plans: Sequence[Plan]) -> List[BatchItem]:
-        """Many plans over the shared source/cache, errors isolated.
-
-        One failing plan does not abort the batch: each plan yields a
-        :class:`BatchItem` carrying either its result table or the
-        error it died with (any deliberate :class:`~repro.errors.
-        ReproError` -- access faults, evaluation errors, expired
-        deadlines).  Failures are tallied in :attr:`failed` and shown
-        by :meth:`summary`.  The batch is sequential; for concurrent
-        runs over the same source and cache submit the plans to a
-        :class:`~repro.service.QueryService`.
-        """
-        items: List[BatchItem] = []
-        for index, plan in enumerate(plans):
-            try:
-                table = self.run(plan)
-            except ReproError as error:
-                self.failed += 1
-                items.append(
-                    BatchItem(index=index, plan=plan.name, error=error)
-                )
-            else:
-                items.append(
-                    BatchItem(index=index, plan=plan.name, table=table)
-                )
-        return items
-
-    def summary(self) -> str:
-        """Digest of the aggregated stats (and cache, when present)."""
-        parts = []
-        if self.stats is not None:
-            parts.append(self.stats.summary())
-        if self.cache is not None:
-            parts.append(f"cache: {self.cache.summary()}")
-        if self.failed:
-            parts.append(f"{self.failed} plan run(s) FAILED")
-        return "; ".join(parts) or "no instrumentation collected"

@@ -18,8 +18,9 @@ half-built join.  A *result*-row overflow defaults to degradation: the
 output is truncated to a deterministic prefix (sorted rows, so two runs
 truncate identically) and the budget records how many rows were
 dropped, which the caller surfaces as an explicitly marked partial
-answer -- the same "marked, never silent" contract as PR 4's
-:class:`~repro.exec.failover.FailoverOutcome`.
+answer -- the same "marked, never silent" contract as the
+accessible-part fallback of
+:meth:`QueryService.submit_query <repro.service.service.QueryService.submit_query>`.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ feedback, retry and backoff -- once per dispatched access.
 :meth:`ResilientDispatcher.call` is the same loop for a single call (a
 batched access is one).  Its counters surface in
 :class:`~repro.exec.stats.ExecStats` (retries, faults, breaker trips).
-Plan-level *failover* -- re-planning around open breakers -- lives one
-layer up, in :mod:`repro.exec.failover`.
+Plan-level *failover* -- re-planning around dead methods -- lives one
+layer up, in :meth:`QueryService.serve_query
+<repro.service.service.QueryService.serve_query>`.
 """
 
 from __future__ import annotations

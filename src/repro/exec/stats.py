@@ -67,11 +67,8 @@ class ExecStats:
     wall_time: float = 0.0
     peak_resident_rows: int = 0
     runs: int = 0
-    # Resilience counters: breaker trips are synced from the dispatcher's
-    # registry after each run; failovers are incremented by the
-    # FailoverExecutor when it re-plans around a dead method.
+    # Synced from the dispatcher's breaker registry after each run.
     breaker_trips: int = 0
-    failovers: int = 0
 
     def command(
         self,
@@ -95,10 +92,10 @@ class ExecStats:
     def merge(self, other: "ExecStats") -> None:
         """Fold another run's stats into this one (service aggregation).
 
-        Additive counters (runs, wall time, per-command records,
-        failovers) sum; ``peak_resident_rows`` takes the maximum -- the
-        peaks of two requests do not stack unless they were resident
-        simultaneously, which per-request tracking cannot see;
+        Additive counters (runs, wall time, per-command records) sum;
+        ``peak_resident_rows`` takes the maximum -- the peaks of two
+        requests do not stack unless they were resident simultaneously,
+        which per-request tracking cannot see;
         ``breaker_trips`` also takes the maximum because each request
         snapshots the *same* monotone registry-wide total.  The service
         serializes merges under its own lock; this method itself is not
@@ -111,7 +108,6 @@ class ExecStats:
             self.peak_resident_rows = other.peak_resident_rows
         if other.breaker_trips > self.breaker_trips:
             self.breaker_trips = other.breaker_trips
-        self.failovers += other.failovers
 
     # ------------------------------------------------------------ totals
     @property
@@ -152,11 +148,10 @@ class ExecStats:
     def summary(self) -> str:
         """A one-line human-readable digest."""
         resilience = ""
-        if self.faults or self.breaker_trips or self.failovers:
+        if self.faults or self.breaker_trips:
             resilience = (
                 f", {self.faults} faults / {self.retries} retries, "
-                f"{self.breaker_trips} breaker trips, "
-                f"{self.failovers} failovers"
+                f"{self.breaker_trips} breaker trips"
             )
         return (
             f"{self.runs} run(s), {len(self.commands)} commands in "
@@ -182,7 +177,6 @@ class ExecStats:
             "retries": self.retries,
             "faults": self.faults,
             "breaker_trips": self.breaker_trips,
-            "failovers": self.failovers,
             "commands": [c.as_dict() for c in self.commands],
         }
 

@@ -13,7 +13,7 @@ tests can assert byte-identical results against the fault-free run.
 Permanent failures are separate: ``outages`` maps a method name to the
 (0-based) invocation index from which that method is hard-down, raising
 :class:`~repro.errors.MethodOutage` forever after -- the scenario the
-failover executor re-plans around.
+service re-plans around.
 """
 
 from __future__ import annotations

@@ -322,8 +322,7 @@ def find_plan_avoiding(
 ) -> SearchResult:
     """The best plan over ``schema`` minus ``dead_methods``, found.
 
-    Degraded planning, for both failover loops: the data is unchanged,
-    only the access to it.  Raises :class:`~repro.errors.NoViablePlan`
+    Degraded planning: the data is unchanged, only the access to it.  Raises :class:`~repro.errors.NoViablePlan`
     (carrying the dead set) when no plan survives.
     """
     dead = tuple(dead_methods)

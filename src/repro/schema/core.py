@@ -221,8 +221,8 @@ class Schema:
 
         Relations, constants and constraints are untouched: the data and
         its semantics have not changed, only our *access* to it -- this
-        is the "schema minus the dead methods" the failover executor
-        re-plans against when a source goes down.  Unknown method names
+        is the "schema minus the dead methods" the service re-plans
+        against when a source goes down.  Unknown method names
         raise :class:`SchemaError`.
         """
         drop = set(names)

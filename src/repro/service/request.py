@@ -6,8 +6,7 @@ plan plus parameter bindings rewritten via
 optional per-request deadline, and an optional
 :class:`~repro.exec.budget.ResourceBudget`.  Submitting one yields a
 :class:`Ticket` -- a tiny thread-safe future the caller blocks on --
-and the worker resolves it with a :class:`QueryResponse`, which follows
-PR 4's :class:`~repro.exec.failover.FailoverOutcome` convention: the
+and the worker resolves it with a :class:`QueryResponse`, whose
 outcome is always *explicitly marked* (``complete`` / ``partial`` /
 ``error``), never silently degraded.
 """
@@ -63,8 +62,9 @@ class QueryResponse:
     """The explicitly marked outcome of one served request.
 
     Exactly one of the three shapes holds: ``complete`` (full answer),
-    ``partial`` (a marked under-approximation -- today: a result-row
-    budget truncated the output), or neither with ``error`` set (the
+    ``partial`` (a marked under-approximation: a result-row budget
+    truncated the output, or no plan avoids the dead methods and the
+    accessible part answered), or neither with ``error`` set (the
     request failed or was shed; the error is always a typed
     :class:`~repro.errors.ReproError`).
     """
@@ -84,6 +84,9 @@ class QueryResponse:
     #: accessible-part fallback).  Orthogonal to complete/partial: a
     #: degraded *complete* response is still the certain answers.
     degraded: bool = False
+    #: How many times :meth:`QueryService.serve_query` re-submitted the
+    #: query around a newly dead method before this response.
+    failovers: int = 0
 
     @property
     def ok(self) -> bool:
@@ -96,10 +99,14 @@ class QueryResponse:
             status = "complete"
             if self.degraded:
                 status = "complete (degraded planning)"
+        elif self.partial and self.degraded and not self.truncated_rows:
+            status = "PARTIAL (accessible-part fallback)"
         elif self.partial:
             status = f"PARTIAL ({self.truncated_rows} rows truncated)"
         else:
             status = f"FAILED ({self.error})"
+        if self.failovers:
+            status += f" after {self.failovers} failover(s)"
         rows = len(self.table.rows) if self.table is not None else 0
         return (
             f"{self.request_id or 'request'}: {status}, {rows} rows, "

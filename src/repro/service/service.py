@@ -449,7 +449,7 @@ class QueryService:
         """The dead-method set planning must avoid right now, sorted.
 
         The union of the method-health registry and any breakers
-        force-opened by a hard outage (failover's diagnosis path);
+        force-opened by a hard outage;
         force-opened breakers are folded *into* the registry so the
         two views converge.  Recovery is observed here too: a dead
         method whose breaker has closed again (a half-open probe
@@ -570,6 +570,49 @@ class QueryService:
             return self._degraded_ticket(query, **kwargs)
         return self.submit(plan, **kwargs)
 
+    def serve_query(
+        self,
+        query: ConjunctiveQuery,
+        *,
+        search_options: Optional[SearchOptions] = None,
+        timeout: Optional[float] = None,
+        **kwargs,
+    ) -> QueryResponse:
+        """Submit a query, block, and re-plan around the outage it meets.
+
+        The request that observes an outage is answered too: while an
+        attempt fails and the dead-method set grew because of it, the
+        query is submitted again -- :meth:`plan_for` then plans over
+        the schema minus the dead methods, or :meth:`submit_query`
+        degrades to the accessible part.  Every round grows the dead
+        set, so there are at most as many rounds as methods, and each
+        attempt is an ordinarily admitted and accounted request.  A
+        ``deadline`` covers the whole call: it is measured from the
+        first submission and a later attempt gets what is left of it.
+        The response of the last attempt is returned, with
+        ``failovers`` = attempts - 1.
+        """
+        seconds = kwargs.get("deadline")
+        if seconds is None:
+            seconds = self.default_deadline
+        overall = (
+            Deadline(seconds, clock=self.clock) if seconds is not None else None
+        )
+        failovers = 0
+        while True:
+            dead = set(self.current_dead_methods())
+            if overall is not None:
+                kwargs["deadline"] = max(overall.remaining(), 1e-9)
+            response = self.submit_query(
+                query, search_options=search_options, **kwargs
+            ).result(timeout)
+            if response.error is None or dead.issuperset(
+                self.current_dead_methods()
+            ):
+                response.failovers = failovers
+                return response
+            failovers += 1
+
     def _degraded_ticket(
         self,
         query: ConjunctiveQuery,
@@ -585,32 +628,51 @@ class QueryService:
         The answer is computed synchronously
         (:func:`~repro.planner.search.accessible_answer`, read off the
         wrapped instance) and the ticket comes back already resolved,
-        ``partial`` + ``degraded``.  The request is fully accounted: it
-        counts as served/partial in :meth:`health`.
+        ``partial`` + ``degraded``.  The request's governance is the
+        healthy path's: the table goes through the budget's result-row
+        check (a marked truncation, or the typed budget error), and an
+        answer that took longer than the deadline is a typed
+        :class:`~repro.errors.DeadlineExceeded`.  The request is fully
+        accounted: it counts as served in :meth:`health`.
         """
         rid = self._admit_id(request_id)
-        started = perf_counter()
-        table = accessible_answer(
-            self.source.schema,
-            self.source.instance,
-            self._bind_query(query, bindings),
-            self.current_dead_methods(),
-        )
+        if budget is None and self.default_budget is not None:
+            budget = self.default_budget.fresh()
+        seconds = deadline if deadline is not None else self.default_deadline
         request = QueryRequest(
             plan=None,  # no plan survives the dead set; served degraded
             bindings=bindings,
             priority=priority,
-            deadline_seconds=deadline,
+            deadline_seconds=seconds,
             budget=budget,
             request_id=rid,
             submitted_at=self.clock(),
         )
+        limit = (
+            Deadline(seconds, clock=self.clock) if seconds is not None else None
+        )
+        table = failure = None
+        started = perf_counter()
+        try:
+            table = accessible_answer(
+                self.source.schema,
+                self.source.instance,
+                self._bind_query(query, bindings),
+                self.current_dead_methods(),
+            )
+            if limit is not None:
+                limit.check("the accessible-part fallback")
+            if budget is not None:
+                table = budget.admit_result(table)
+        except ReproError as error:
+            table, failure = None, error
         ticket = Ticket(request)
         response = QueryResponse(
             rid,
             table=table,
-            complete=False,
-            partial=True,
+            error=failure,
+            partial=failure is None,
+            truncated_rows=budget.truncated_rows if budget is not None else 0,
             degraded=True,
             wall_time=perf_counter() - started,
         )
@@ -668,6 +730,10 @@ class QueryService:
                 # re-planned full plan still computes the certain
                 # answers) but the serving regime is degraded.
                 response.degraded = True
+            if response.error is not None:
+                # Before the waiter wakes: whoever reads the response
+                # must find the dead set it implies (serve_query does).
+                self._observe_outage(response)
             ticket.resolve(response)
             self._account(response)
 
@@ -787,8 +853,6 @@ class QueryService:
                 # balancing: the ticket is already resolved, and an
                 # unaccounted request breaks served-counter invariants.
                 pass
-        if response.error is not None:
-            self._observe_outage(response)
         with self._lock:
             self._in_flight -= 1
             self._served += 1

@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 import repro.errors as errors_module
 from repro.data.decorators import LatencySource, StormyLatencySource
 from repro.data.instance import Instance, _to_constant
-from repro.data.source import InMemorySource, ShardedInMemorySource
+from repro.data.source import InMemorySource
 from repro.errors import (
     AccessError,
     DeadlineExceeded,
@@ -91,11 +91,7 @@ from repro.source_contract import (
     source_epoch,
     source_to_spec,
 )
-from repro.sources.base import (
-    AdaptiveConcurrencySource,
-    CoalescingSource,
-    PacedSource,
-)
+from repro.sources.base import PacedSource
 from repro.sources.http import HTTPSource
 from repro.sources.sqlite import SQLiteSource
 
@@ -107,14 +103,11 @@ SPEC_CLASSES = {
     cls.spec_kind: cls
     for cls in (
         InMemorySource,
-        ShardedInMemorySource,
         SQLiteSource,
         HTTPSource,
         LatencySource,
         StormyLatencySource,
         PacedSource,
-        AdaptiveConcurrencySource,
-        CoalescingSource,
         FaultInjectingSource,
     )
 }
@@ -266,7 +259,7 @@ def rebuild_error(result: Mapping[str, Any]) -> ReproError:
 
     Access errors are rebuilt *with* their method/relation context when
     the worker shipped it, so parent-side consumers (the service's
-    method-health registry, failover diagnosis) see the same typed
+    method-health registry) see the same typed
     error they would have seen executing in-process.
     """
     error_type = result.get("error_type", "ExecutionError")

@@ -293,7 +293,7 @@ def source_to_spec(source) -> Dict[str, Any]:
     """Describe a source (possibly a wrapper stack) as a plain dict.
 
     What is an observation of the run so far -- logs, attempt counters,
-    an evolved AIMD limit -- is never in it: each worker starts its own.
+    a bucket's token level -- is never in it: each worker starts its own.
     """
     to_spec = getattr(source, "to_spec", None)
     if not callable(to_spec):

@@ -4,9 +4,8 @@ The in-memory sources in :mod:`repro.data` are the oracle; this package
 holds the adapters that serve the same schema/access contract from
 backends that can actually disconnect, throttle and paginate --
 :class:`SQLiteSource` (relations as tables) and :class:`HTTPSource` (a
-web-service client over a pluggable transport) -- plus the shared
-defensive I/O layer (:class:`PacedSource`,
-:class:`AdaptiveConcurrencySource`, :class:`CoalescingSource`).  The
+web-service client over a pluggable transport) -- plus the client-side
+pacer (:class:`PacedSource` over a :class:`TokenBucket`).  The
 contract they speak is :mod:`repro.source_contract`'s, re-exported
 here: :class:`SourceAdapter`, :class:`MeteredSourceMixin`, and the epoch
 token (:func:`source_epoch`) that keeps caches and answers
@@ -18,12 +17,7 @@ from repro.source_contract import (
     SourceAdapter,
     source_epoch,
 )
-from repro.sources.base import (
-    AdaptiveConcurrencySource,
-    CoalescingSource,
-    PacedSource,
-    TokenBucket,
-)
+from repro.sources.base import PacedSource, TokenBucket
 from repro.sources.http import (
     EPOCH_HEADER,
     HTTPSource,
@@ -34,8 +28,6 @@ from repro.sources.http import (
 from repro.sources.sqlite import SQLiteSource
 
 __all__ = [
-    "AdaptiveConcurrencySource",
-    "CoalescingSource",
     "EPOCH_HEADER",
     "HTTPSource",
     "MeteredSourceMixin",

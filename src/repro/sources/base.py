@@ -1,23 +1,21 @@
-"""The adapter layer's defensive I/O: token buckets and three wrappers.
+"""The adapter layer's defensive I/O: the token bucket and the pacer.
 
 What makes a *real* backend safe to put behind the planner:
 :class:`PacedSource` (client-side token-bucket pacing mapped to the
-existing :class:`~repro.errors.RateLimited`),
-:class:`AdaptiveConcurrencySource` (AIMD concurrency control per
-source) and :class:`CoalescingSource` (single-flight collapse of
-identical concurrent accesses).  Like the :mod:`repro.data.decorators`
-wrappers they subclass the one base,
+existing :class:`~repro.errors.RateLimited`).  Like the
+:mod:`repro.data.decorators` wrappers it subclasses the one base,
 :class:`repro.source_contract.SourceWrapper` (where the adapter
-protocol, epochs and metering live too), and all three name a
-``spec_kind``, so the process tier rehydrates the full defensive stack
-per worker.
+protocol, epochs and metering live too), and names a ``spec_kind``, so
+the process tier rehydrates the pacer per worker.  (Single-flight
+collapse of identical concurrent accesses is the access cache's:
+:meth:`repro.exec.cache.AccessCache.bind`.)
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.errors import RateLimited
 from repro.source_contract import SourceWrapper
@@ -152,166 +150,3 @@ class PacedSource(SourceWrapper):
             tuple(values): self.inner.access(method_name, values)
             for values in inputs_list
         }
-
-
-class AdaptiveConcurrencySource(SourceWrapper):
-    """AIMD concurrency control per source, TCP style.
-
-    The in-flight access count is gated by an adaptive limit: every
-    success grows it additively (``increase / limit`` per call, i.e.
-    +1 per round of ``limit`` successes), every backpressure signal --
-    a typed :class:`~repro.errors.RateLimited` or
-    :class:`~repro.errors.AccessTimeout` from below -- halves it
-    (multiplicative decrease, floored at 1).  Callers over the limit
-    block on a condition variable, so a misbehaving backend throttles
-    the whole service *smoothly* instead of via an error storm.  A
-    spec carries the ceiling, not the evolved limit: workers probe anew.
-    """
-
-    spec_kind = "aimd"
-    spec_fields = ("max_concurrency", "increase")
-
-    def __init__(
-        self,
-        inner,
-        max_concurrency: int = 32,
-        initial: Optional[float] = None,
-        increase: float = 1.0,
-    ) -> None:
-        if max_concurrency < 1:
-            raise ValueError("max_concurrency must be at least 1")
-        super().__init__(inner)
-        self.max_concurrency = max_concurrency
-        self.increase = increase
-        self._limit = float(
-            min(max_concurrency, initial if initial is not None else 4.0)
-        )
-        self._inflight = 0
-        self._cond = threading.Condition()
-        self.throttle_events = 0
-        self.peak_inflight = 0
-        self.waits = 0
-
-    @property
-    def limit(self) -> float:
-        """The current adaptive concurrency ceiling."""
-        with self._cond:
-            return self._limit
-
-    def _enter(self) -> None:
-        with self._cond:
-            while self._inflight >= max(1, int(self._limit)):
-                self.waits += 1
-                self._cond.wait(timeout=1.0)
-            self._inflight += 1
-            self.peak_inflight = max(self.peak_inflight, self._inflight)
-
-    def _exit(self, backpressure: bool) -> None:
-        with self._cond:
-            self._inflight -= 1
-            if backpressure:
-                self._limit = max(1.0, self._limit / 2.0)
-                self.throttle_events += 1
-            else:
-                self._limit = min(
-                    float(self.max_concurrency),
-                    self._limit + self.increase / max(1.0, self._limit),
-                )
-            self._cond.notify_all()
-
-    def access(self, method_name: str, inputs: Sequence[object] = ()):
-        """Invoke an access method (see the class docstring)."""
-        from repro.errors import AccessTimeout  # local: avoid fanout
-
-        self._enter()
-        try:
-            result = self.inner.access(method_name, inputs)
-        except (RateLimited, AccessTimeout):
-            self._exit(backpressure=True)
-            raise
-        except BaseException:
-            self._exit(backpressure=False)
-            raise
-        self._exit(backpressure=False)
-        return result
-
-    def as_dict(self) -> Dict[str, Any]:
-        """A JSON-able counters snapshot (used by the benchmarks)."""
-        with self._cond:
-            return {
-                "limit": self._limit,
-                "max_concurrency": self.max_concurrency,
-                "throttle_events": self.throttle_events,
-                "peak_inflight": self.peak_inflight,
-                "waits": self.waits,
-            }
-
-
-class CoalescingSource(SourceWrapper):
-    """Single-flight collapse of identical concurrent accesses.
-
-    When several threads ask for the same ``(method, inputs)`` at the
-    same moment, only the first reaches the backend; the rest wait on
-    its completion and share the answer (sound: accesses are
-    deterministic reads within an epoch).  Unlike
-    :class:`~repro.exec.cache.AccessCache` nothing is *retained* --
-    this is request coalescing at the I/O boundary, not memoization,
-    so it composes under a cache without double-bookkeeping.  A waiter
-    whose leader failed retries itself, so errors reach everyone who
-    asked.
-    """
-
-    spec_kind = "coalescing"
-
-    def __init__(self, inner) -> None:
-        super().__init__(inner)
-        self._lock = threading.Lock()
-        self._inflight: Dict[Tuple, "_Flight"] = {}
-        self.coalesced = 0
-        self.leaders = 0
-
-    def access(self, method_name: str, inputs: Sequence[object] = ()):
-        """Invoke an access method (see the class docstring)."""
-        key = (method_name, tuple(inputs))
-        while True:
-            with self._lock:
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._inflight[key] = flight
-                    self.leaders += 1
-                    leader = True
-                else:
-                    leader = False
-            if leader:
-                break
-            flight.event.wait()
-            if not flight.failed:
-                with self._lock:
-                    self.coalesced += 1
-                return flight.result
-            # Leader failed: fall through and try to lead ourselves.
-        try:
-            result = self.inner.access(method_name, inputs)
-        except BaseException:
-            with self._lock:
-                flight.failed = True
-                self._inflight.pop(key, None)
-            flight.event.set()
-            raise
-        flight.result = result
-        with self._lock:
-            self._inflight.pop(key, None)
-        flight.event.set()
-        return result
-
-
-class _Flight:
-    """One in-progress access other threads can wait on."""
-
-    __slots__ = ("event", "failed", "result")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.failed = False
-        self.result = None

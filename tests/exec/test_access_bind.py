@@ -13,11 +13,7 @@ import threading
 import pytest
 
 from repro.data.instance import Instance
-from repro.data.source import (
-    AccessViolation,
-    InMemorySource,
-    ShardedInMemorySource,
-)
+from repro.data.source import AccessViolation, InMemorySource
 from repro.errors import (
     AccessError,
     CircuitOpen,
@@ -547,21 +543,6 @@ class TestInMemorySourcePaths:
         assert source.access(METHOD, (Constant("zz"),)) == frozenset()
         assert scans == [A, (Constant("zz"),)]
         assert not source._indexes
-
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_sharded_source_answers_through_its_partitions(self, indexed):
-        flat = keyed_source(keys=40)
-        sharded = ShardedInMemorySource(
-            flat.schema, flat.instance, shards=4, indexed=indexed
-        )
-        for key in KEYS[:40] + [(Constant("absent"),)]:
-            assert sharded.access(METHOD, key) == flat.access(METHOD, key)
-        assert sharded.access("mt_scan") == flat.access("mt_scan")
-        assert sharded.log == flat.log
-        # The composite answered from its shards: it holds no index of
-        # its own, and one logical access was logged once, here only.
-        assert not sharded._indexes
-        assert all(not part.log for part in sharded.partitions)
 
     def test_arity_violation_message_is_unchanged(self):
         source = keyed_source(keys=2)

@@ -4,7 +4,14 @@ import pytest
 
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.exec import AccessCache, BatchExecutor, substitute_constants
+from repro.errors import ReproError
+from repro.exec import (
+    AccessCache,
+    ExecStats,
+    ExecutionContext,
+    run_request,
+    substitute_constants,
+)
 from repro.logic.terms import Constant
 from repro.plans.commands import AccessCommand, MiddlewareCommand, identity_output_map
 from repro.plans.expressions import EqConst, Literal, NamedTable, Scan, Select, Singleton
@@ -88,73 +95,34 @@ class TestSubstituteConstants:
         assert out.rows == frozenset({(Constant("b"),)})
 
 
-class TestBatchExecutor:
+class TestRunRequest:
     def test_bindings_sweep_shares_cache(self, schema, instance):
         source = InMemorySource(schema, instance)
-        executor = BatchExecutor(source, cache=AccessCache())
-        outputs = executor.run_bindings(
-            keyed_plan("a"), [{}, {"a": "b"}, {}, {"a": "b"}]
-        )
-        assert len(outputs) == 4
+        cache, stats = AccessCache(), ExecStats()
+        context = ExecutionContext(cache=cache, stats=stats)
+        outputs = [
+            run_request(source, keyed_plan("a"), bindings, context)
+            for bindings in ({}, {"a": "b"}, {}, {"a": "b"})
+        ]
         assert outputs[0].rows == outputs[2].rows
         assert outputs[1].rows == outputs[3].rows
         # Two distinct probes total; the repeats were cache hits.
         assert source.total_invocations == 2
-        assert executor.cache.hits == 2
-        assert executor.stats.runs == 4
+        assert cache.hits == 2
+        assert stats.runs == 4
 
-    def test_run_plans_shares_cache_across_plans(self, schema, instance):
-        source = InMemorySource(schema, instance)
-        executor = BatchExecutor(source, cache=AccessCache())
-        plan = keyed_plan("a")
-        first, second = executor.run_plans([plan, plan])
-        assert first.ok and second.ok
-        assert first.table.rows == second.table.rows
-        assert source.total_invocations == 1
-        assert executor.failed == 0
 
-    def test_run_plans_isolates_per_plan_failures(self, schema, instance):
-        # Wrong arity: this plan dies with an AccessViolation at runtime.
-        broken = Plan(
-            (
-                AccessCommand(
-                    "TR",
-                    "mt_key",
-                    Singleton(),
-                    (),
-                    identity_output_map(("k", "v")),
-                ),
-            ),
-            "TR",
-        )
-        executor = BatchExecutor(InMemorySource(schema, instance))
-        items = executor.run_plans([keyed_plan("a"), broken, keyed_plan("b")])
-        assert [item.ok for item in items] == [True, False, True]
-        assert items[1].table is None
-        assert "needs 1 inputs" in str(items[1].error)
-        assert items[1].index == 1
-        # The failure did not poison the neighbours.
-        assert len(items[0].table.rows) == 2
-        assert len(items[2].table.rows) == 1
-        assert executor.failed == 1
-        assert "1 plan run(s) FAILED" in executor.summary()
-        assert "FAILED" in repr(items[1])
-
-    def test_without_stats(self, schema, instance):
-        executor = BatchExecutor(
-            InMemorySource(schema, instance), collect_stats=False
-        )
-        out = executor.run(keyed_plan("a"))
-        assert len(out.rows) == 2
-        assert executor.stats is None
-        assert "no instrumentation" in executor.summary()
-
-    def test_summary_mentions_cache(self, schema, instance):
-        executor = BatchExecutor(
-            InMemorySource(schema, instance), cache=AccessCache()
-        )
-        executor.run(keyed_plan("a"))
-        assert "cache:" in executor.summary()
+def run_sequentially(source, plans):
+    """The plans one after another through ``run_request``, errors kept."""
+    stats = ExecStats()
+    context = ExecutionContext(stats=stats)
+    outcomes = []
+    for plan in plans:
+        try:
+            outcomes.append(run_request(source, plan, None, context))
+        except ReproError as error:
+            outcomes.append(error)
+    return stats, outcomes
 
 
 def serve_concurrently(source, plans, workers, cache=None):
@@ -170,8 +138,8 @@ def serve_concurrently(source, plans, workers, cache=None):
 
 
 class TestConcurrentRunPlans:
-    """The service is the concurrent batch path (``run_plans`` is
-    sequential): it must be indistinguishable from the sequential batch."""
+    """The service is the concurrent batch path: it must be
+    indistinguishable from a sequential ``run_request`` loop."""
 
     def broken_plan(self):
         # Wrong arity: dies with an AccessViolation at runtime.
@@ -190,41 +158,48 @@ class TestConcurrentRunPlans:
 
     def test_workers_match_sequential_results(self, schema, instance):
         plans = [keyed_plan(k) for k in ("a", "b", "c", "a", "b")]
-        sequential = BatchExecutor(
-            InMemorySource(schema, instance)
-        ).run_plans(plans)
+        _, sequential = run_sequentially(
+            InMemorySource(schema, instance), plans
+        )
         _, concurrent = serve_concurrently(
             InMemorySource(schema, instance), plans, 4, cache=AccessCache()
         )
-        assert [item.index for item in sequential] == list(range(len(plans)))
+        assert len(sequential) == len(concurrent) == len(plans)
         for seq, par in zip(sequential, concurrent):
-            assert par.ok and seq.ok
-            assert par.table.rows == seq.table.rows
+            assert par.ok
+            assert par.table.rows == seq.rows
 
     def test_workers_preserve_failure_isolation(self, schema, instance):
         plans = [keyed_plan("a"), self.broken_plan(), keyed_plan("b")]
-        executor = BatchExecutor(InMemorySource(schema, instance))
-        items = executor.run_plans(plans)
+        _, outcomes = run_sequentially(
+            InMemorySource(schema, instance), plans
+        )
         service, responses = serve_concurrently(
             InMemorySource(schema, instance), plans, 3
         )
-        for outcome in (items, responses):
-            assert [item.ok for item in outcome] == [True, False, True]
-            assert "needs 1 inputs" in str(outcome[1].error)
-            assert len(outcome[0].table.rows) == 2
-            assert len(outcome[2].table.rows) == 1
-        assert executor.failed == service.health().failed == 1
+        assert [r.ok for r in responses] == [True, False, True]
+        # One failing plan poisons neither loop's neighbours.
+        for seq, par in zip(outcomes, responses):
+            if par.ok:
+                assert par.table.rows == seq.rows
+            else:
+                assert "needs 1 inputs" in str(par.error)
+                assert "needs 1 inputs" in str(seq)
+        assert len(responses[0].table.rows) == 2
+        assert len(responses[2].table.rows) == 1
+        assert service.health().failed == 1
 
     def test_workers_merge_stats_into_the_batch_aggregate(
         self, schema, instance
     ):
         plans = [keyed_plan("a"), keyed_plan("b")]
-        executor = BatchExecutor(InMemorySource(schema, instance))
-        executor.run_plans(plans)
+        sequential_stats, _ = run_sequentially(
+            InMemorySource(schema, instance), plans
+        )
         service, _ = serve_concurrently(
             InMemorySource(schema, instance), plans, 2
         )
-        for stats in (executor.stats, service.stats):
+        for stats in (sequential_stats, service.stats):
             assert stats.runs == 2
             assert stats.accesses_dispatched == 2
 
@@ -244,10 +219,10 @@ class TestConcurrentRunPlans:
             assert result.found, scenario.name
             plans = [result.best_plan] * 4
             source = InMemorySource(scenario.schema, scenario.instance(0))
-            sequential = BatchExecutor(source).run_plans(plans)
+            _, sequential = run_sequentially(source, plans)
             _, concurrent = serve_concurrently(
                 source, plans, 4, cache=AccessCache()
             )
             for seq, par in zip(sequential, concurrent):
-                assert seq.ok and par.ok, scenario.name
-                assert par.table.rows == seq.table.rows, scenario.name
+                assert par.ok, scenario.name
+                assert par.table.rows == seq.rows, scenario.name

@@ -245,6 +245,68 @@ class TestConcurrency:
         assert len(rows) == 2
         assert flaky.calls == 2
 
+    def test_leader_failure_reaches_a_retry_not_a_stale_answer(self, source):
+        import threading
+        import time
+
+        class LeaderDiesSource:
+            """The first access parks until released, then raises."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+                self.started = threading.Event()
+                self.release = threading.Event()
+                self._lock = threading.Lock()
+
+            @property
+            def schema(self):
+                return self.inner.schema
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def access(self, method, inputs=()):
+                with self._lock:
+                    self.calls += 1
+                    first = self.calls == 1
+                if first:
+                    self.started.set()
+                    assert self.release.wait(10)
+                    raise RuntimeError("leader dies")
+                return self.inner.access(method, inputs)
+
+        flaky = LeaderDiesSource(source)
+        cache = AccessCache()
+        key = (Constant("a"),)
+        answers, errors = [], []
+
+        def fetch():
+            try:
+                answers.append(cache.fetch(flaky, "mt_key", key))
+            except RuntimeError as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=fetch) for _ in range(5)]
+        threads[0].start()
+        assert flaky.started.wait(10)
+        for thread in threads[1:]:
+            thread.start()
+        time.sleep(0.05)  # let the waiters park on the leader's flight
+        flaky.release.set()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        # The leader's error was its own; every waiter woke, fetched
+        # again (one of them leading a second flight) and got the answer.
+        assert len(errors) == 1
+        assert len(answers) == 4
+        assert all(rows == source.access("mt_key", key) for rows in answers)
+        assert cache._inflight == {}
+        # A re-fetch that reached the source is a miss like any other.
+        assert cache.misses == flaky.calls == 2
+        assert cache.hits == 3
+
     def test_many_threads_many_keys_consistent_accounting(self, source):
         import threading
 

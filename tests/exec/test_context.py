@@ -7,7 +7,7 @@
 (b) it round-trips budgets, retry policies and deadlines without a
     per-class codec;
 (c) the four runners -- in-process service, thread-tier service,
-    ``execute_payload``, ``BatchExecutor.run`` -- agree on rows,
+    ``execute_payload``, a direct ``run_request`` call -- agree on rows,
     truncation, access log and command stats;
 (d) the columnar engine takes the interpreter's batch branch;
 (e) the signatures that used to thread eight arguments take the context.
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.data.source import InMemorySource
 from repro.exec import (
     AccessCache,
-    BatchExecutor,
     BreakerRegistry,
     Deadline,
     ExecStats,
@@ -33,6 +32,7 @@ from repro.exec import (
     ResilientDispatcher,
     ResourceBudget,
     RetryPolicy,
+    run_request,
 )
 from repro.exec.columnar import ColumnarPlan, compile_columnar, execute_differential
 from repro.logic.terms import Constant
@@ -245,14 +245,11 @@ def run_all_four(scenario, plan, executor, budget):
     )
 
     source = fresh()
-    batch = BatchExecutor(source, executor=executor)
-    table = batch.run(plan)
-    if budget is not None:  # the batch takes no budget: apply it after
-        budget = budget.fresh()
-        table = budget.admit_result(table)
-    seen["batch"] = (
-        sorted(table.rows), budget.truncated_rows if budget else 0,
-        list(source.log), books(batch.stats),
+    context = ExecutionContext(stats=ExecStats(), budget=stamp())
+    table = run_request(source, plan, None, context, executor=executor)
+    seen["direct"] = (
+        sorted(table.rows), context.truncated_rows,
+        list(source.log), books(context.stats),
     )
     return seen
 
@@ -265,7 +262,7 @@ def run_all_four(scenario, plan, executor, budget):
 def test_the_four_runners_agree(name, factory, accesses, executor):
     scenario, plan = planned(factory, accesses)
     full = run_all_four(scenario, plan, executor, None)
-    reference = full["batch"]
+    reference = full["direct"]
     assert reference[2], "the plan made no access"
     for runner, outcome in full.items():
         assert outcome == reference, (runner, executor)
@@ -276,9 +273,9 @@ def test_the_four_runners_agree(name, factory, accesses, executor):
         scenario, plan, executor, ResourceBudget(max_result_rows=rows // 2)
     )
     for runner, outcome in cut.items():
-        assert outcome == cut["batch"], (runner, executor)
-    assert cut["batch"][0] == reference[0][: rows // 2]
-    assert cut["batch"][1] == rows - rows // 2
+        assert outcome == cut["direct"], (runner, executor)
+    assert cut["direct"][0] == reference[0][: rows // 2]
+    assert cut["direct"][1] == rows - rows // 2
 
 
 # ------------------------------------------- (d) one batch-or-per-key step

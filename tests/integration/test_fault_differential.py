@@ -15,7 +15,6 @@ from repro.exec import (
     AccessCache,
     BreakerRegistry,
     ExecutionContext,
-    FailoverExecutor,
     ResilientDispatcher,
     RetryPolicy,
 )
@@ -29,6 +28,7 @@ from repro.scenarios import (
     view_stack_scenario,
     webservices,
 )
+from repro.service import QueryService
 
 SCENARIOS = [
     ("example1", example1, 3),
@@ -67,6 +67,20 @@ def resilient(retries=4, clock=None):
         breakers=BreakerRegistry(clock=clock),
         sleep=clock.sleep,
     )
+
+
+def serve_with_failover(scenario, source):
+    """One ``serve_query`` over a one-worker service on a virtual clock."""
+    clock = VirtualClock()
+    with QueryService(
+        source,
+        workers=1,
+        retry=RetryPolicy(max_attempts=5, seed=FAULT_SEED),
+        breakers=BreakerRegistry(clock=clock),
+        clock=clock,
+        sleep=clock.sleep,
+    ) as service:
+        return service.serve_query(scenario.query, timeout=60)
 
 
 def canonical(table):
@@ -155,10 +169,7 @@ def test_failover_returns_the_same_certain_answers(victim):
         InMemorySource(scenario.schema, scenario.instance(0))
     )
     source = faulty_source(scenario, FaultPolicy.outage(victim))
-    executor = FailoverExecutor(
-        scenario.schema, source, resilience=resilient()
-    )
-    outcome = executor.run(scenario.query)
+    outcome = serve_with_failover(scenario, source)
     assert outcome.complete
     assert canonical(outcome.table) == canonical(reference)
 
@@ -185,10 +196,7 @@ def test_partial_answers_are_sound(name, factory, budget):
         InMemorySource(scenario.schema, instance),
         FaultPolicy.outage(first_access),
     )
-    executor = FailoverExecutor(
-        scenario.schema, source, resilience=resilient()
-    )
-    outcome = executor.run(scenario.query)
+    outcome = serve_with_failover(scenario, source)
     assert outcome.ok, outcome.describe()
     assert set(outcome.table.rows) <= truth or scenario.query.is_boolean
     if outcome.complete:

@@ -105,7 +105,6 @@ class TestFaultsRenderer:
                         "victim": "mt_udirect1",
                         "outcome": "complete",
                         "failovers": 1,
-                        "plans_tried": ["Q5", "Q5~failover1"],
                         "rows": 1,
                     }
                 ],
@@ -115,4 +114,4 @@ class TestFaultsRenderer:
         assert "unprotected vs resilient" in text
         assert "| 0.2 | 0% | 100% | yes | 3.2 |" in text
         assert "success rate 75%" in text
-        assert "| mt_udirect1 | complete | 1 | 2 | 1 |" in text
+        assert "| mt_udirect1 | complete | 1 | 1 |" in text

@@ -14,11 +14,14 @@ import pytest
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.errors import (
+    DeadlineExceeded,
     MethodOutage,
     NoViablePlan,
     PlanFailed,
     ReproError,
+    RowBudgetExceeded,
 )
+from repro.exec import ResourceBudget
 from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.queries import parse_cq
 from repro.planner.plan_cache import PlanCache
@@ -195,6 +198,97 @@ class TestDegradedPlanning:
             with pytest.raises(NoViablePlan) as excinfo:
                 service.plan_for(QUERY)
             assert excinfo.value.dead_methods == ("mt_R",)
+
+
+# ------------------------------------------- governance of degraded answers
+def lookup_schema():
+    """R only by key or by a free scan that is out; S free."""
+    return (
+        SchemaBuilder("lookup")
+        .relation("R", 2)
+        .relation("S", 1)
+        .access("mR", "R", inputs=[0], cost=1.0)
+        .access("mR_free", "R", inputs=[], cost=5.0)
+        .access("mS", "S", inputs=[], cost=1.0)
+        .build()
+    )
+
+
+LOOKUP_QUERY = parse_cq("Q(b) :- R(a, b)")
+
+
+class TestDegradedAnswersAreGoverned:
+    """The accessible-part fallback obeys the budget and the deadline."""
+
+    def degraded_service(self, **kwargs):
+        instance = Instance(
+            {
+                "R": [(f"a{i}", f"b{i}") for i in range(10)],
+                "S": [(f"a{i}",) for i in range(6)],
+            }
+        )
+        source = FaultInjectingSource(
+            InMemorySource(lookup_schema(), instance),
+            FaultPolicy.outage("mR_free"),
+        )
+        return QueryService(source, workers=1, sleep=_no_sleep, **kwargs)
+
+    def test_the_unbudgeted_fallback_is_the_reachable_six_rows(self):
+        with self.degraded_service() as service:
+            response = service.serve_query(LOOKUP_QUERY)
+            assert response.partial and response.degraded
+            assert response.failovers == 1
+            assert response.truncated_rows == 0
+            assert sorted(row[0].value for row in response.table.rows) == [
+                f"b{i}" for i in range(6)
+            ]
+
+    def test_truncate_mode_keeps_the_sorted_prefix_and_counts(self):
+        with self.degraded_service() as service:
+            service.serve_query(LOOKUP_QUERY)  # observes the outage
+            response = service.submit_query(
+                LOOKUP_QUERY, budget=ResourceBudget(max_result_rows=3)
+            ).result(10)
+            assert response.partial and response.degraded
+            assert response.truncated_rows == 3
+            assert sorted(row[0].value for row in response.table.rows) == [
+                "b0", "b1", "b2"
+            ]
+            assert "3 rows truncated" in response.describe()
+
+    def test_error_mode_raises_the_healthy_paths_budget_error(self):
+        with self.degraded_service() as service:
+            service.serve_query(LOOKUP_QUERY)
+            response = service.submit_query(
+                LOOKUP_QUERY,
+                budget=ResourceBudget(
+                    max_result_rows=3, on_result_overflow="error"
+                ),
+            ).result(10)
+            assert isinstance(response.error, RowBudgetExceeded)
+            assert response.table is None and not response.partial
+            health = service.health()
+            assert health.served == 3 and health.failed == 2
+
+    def test_the_default_budget_applies_as_in_submit(self):
+        template = ResourceBudget(max_result_rows=2)
+        with self.degraded_service(default_budget=template) as service:
+            service.serve_query(LOOKUP_QUERY)
+            response = service.submit_query(LOOKUP_QUERY).result(10)
+            assert len(response.table.rows) == 2
+            assert response.truncated_rows == 4
+            # A fresh copy per request: the template is never written.
+            assert template.truncated_rows == 0
+
+    def test_an_expired_deadline_is_a_typed_error(self):
+        with self.degraded_service() as service:
+            service.serve_query(LOOKUP_QUERY)
+            response = service.submit_query(
+                LOOKUP_QUERY, deadline=1e-9
+            ).result(10)
+            assert isinstance(response.error, DeadlineExceeded)
+            assert response.table is None
+            assert response.degraded
 
 
 # ------------------------------------------------------- retry-after hinting

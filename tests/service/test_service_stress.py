@@ -94,7 +94,6 @@ def test_aggregate_stats_equal_sum_of_per_request_stats():
     assert aggregate.cache_hits == sum(s.cache_hits for s in per_request)
     assert aggregate.rows_out == sum(s.rows_out for s in per_request)
     assert aggregate.retries == sum(s.retries for s in per_request)
-    assert aggregate.failovers == sum(s.failovers for s in per_request)
     assert aggregate.wall_time == pytest.approx(
         sum(s.wall_time for s in per_request)
     )

@@ -25,14 +25,13 @@ from repro.data.decorators import (
     LatencySource,
     StormyLatencySource,
 )
-from repro.data.source import InMemorySource, ShardedInMemorySource
+from repro.data.source import InMemorySource
 from repro.errors import ReproError
 from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.scenarios import example1
 from repro.service import SourceSpecError, source_to_spec, spec_to_source
+from repro.service.workers import SPEC_CLASSES
 from repro.sources import (
-    AdaptiveConcurrencySource,
-    CoalescingSource,
     HTTPSource,
     PacedSource,
     SQLiteSource,
@@ -78,7 +77,6 @@ CASES = {
     "memory-unindexed": lambda: InMemorySource(
         *scenario_data(), indexed=False
     ),
-    "sharded": lambda: ShardedInMemorySource(*scenario_data(), shards=3),
     "sqlite": sqlite,
     "http": http,
     "latency": lambda: LatencySource(memory(), 0.001),
@@ -88,10 +86,6 @@ CASES = {
     "paced": lambda: PacedSource(
         memory(), rate=100000.0, capacity=64.0, max_wait=0.5
     ),
-    "aimd": lambda: AdaptiveConcurrencySource(
-        memory(), max_concurrency=8, increase=2.0
-    ),
-    "coalescing": lambda: CoalescingSource(memory()),
     "faults": lambda: FaultInjectingSource(memory(), POLICY),
     "stack": lambda: FaultInjectingSource(
         PacedSource(LatencySource(sqlite(), 0.0), rate=100000.0, capacity=64.0),
@@ -108,8 +102,6 @@ WRAPPERS = {
             "latency",
             "storm",
             "paced",
-            "aimd",
-            "coalescing",
             "faults",
         )
     },
@@ -232,6 +224,27 @@ class TestNotSpecable:
             spec_to_source({**spec, "kind": "tape"})
         with pytest.raises(SourceSpecError, match="unknown"):
             spec_to_source({"wrap": "caching", "inner": spec})
+
+    @pytest.mark.parametrize(
+        "key,kind",
+        [("kind", "sharded"), ("wrap", "aimd"), ("wrap", "coalescing")],
+    )
+    def test_a_kind_the_table_no_longer_holds_is_unknown(self, key, kind):
+        spec = source_to_spec(memory())
+        stale = (
+            {**spec, "kind": kind}
+            if key == "kind"
+            else {"wrap": kind, "inner": spec}
+        )
+        with pytest.raises(SourceSpecError, match="unknown source spec kind"):
+            spec_to_source(stale)
+
+    def test_the_golden_file_names_every_kind_in_the_table(self):
+        named = {
+            spec.get("wrap") or spec["kind"] for spec in golden().values()
+        }
+        assert named == set(SPEC_CLASSES)
+        assert len(SPEC_CLASSES) == 7
 
 
 @pytest.mark.parametrize("name", WRAPPERS)

@@ -18,7 +18,7 @@ from repro.data.decorators import (
     StormyLatencySource,
 )
 from repro.data.instance import Instance
-from repro.data.source import InMemorySource, ShardedInMemorySource
+from repro.data.source import InMemorySource
 from repro.errors import (
     MethodOutage,
     PlanCancelled,
@@ -49,7 +49,7 @@ from repro.service.workers import (
     source_to_spec,
     spec_to_source,
 )
-from repro.sources import CoalescingSource
+from repro.sources import PacedSource
 
 
 def simple_schema():
@@ -99,28 +99,17 @@ class TestSourceSpec:
         assert rebuilt.schema.name == source.schema.name
         assert rebuilt.instance.to_dict() == source.instance.to_dict()
 
-    def test_sharded_round_trip(self):
-        source = ShardedInMemorySource(
-            simple_schema(), simple_instance(), shards=3
-        )
-        rebuilt = spec_to_source(
-            json.loads(json.dumps(source_to_spec(source)))
-        )
-        assert isinstance(rebuilt, ShardedInMemorySource)
-        assert rebuilt.shards == 3
-        assert rebuilt.instance.to_dict() == source.instance.to_dict()
-
     def test_wrapper_stack_round_trip(self):
         inner = InMemorySource(simple_schema(), simple_instance())
         stack = FaultInjectingSource(
-            CoalescingSource(LatencySource(inner, 0.001)),
+            PacedSource(LatencySource(inner, 0.001), rate=1e6),
             FaultPolicy.transient(0.2, seed=7),
         )
         spec = json.loads(json.dumps(source_to_spec(stack)))
         rebuilt = spec_to_source(spec)
         assert isinstance(rebuilt, FaultInjectingSource)
         assert rebuilt.policy.seed == 7
-        assert isinstance(rebuilt.inner, CoalescingSource)
+        assert isinstance(rebuilt.inner, PacedSource)
         assert isinstance(rebuilt.inner.inner, LatencySource)
         assert rebuilt.inner.inner.latency == pytest.approx(0.001)
 

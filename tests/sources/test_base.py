@@ -1,16 +1,13 @@
 """The shared adapter plumbing: epochs, buckets, defensive wrappers."""
 
-import threading
-
 import pytest
 
+from repro.data.decorators import LatencySource
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.errors import AccessTimeout, RateLimited
+from repro.errors import RateLimited
 from repro.schema.core import SchemaBuilder
 from repro.sources import (
-    AdaptiveConcurrencySource,
-    CoalescingSource,
     PacedSource,
     SourceAdapter,
     TokenBucket,
@@ -82,7 +79,7 @@ class TestSourceEpoch:
 
     def test_epoch_reads_through_wrapper_stacks(self):
         source = memory_source()
-        stack = CoalescingSource(PacedSource(source, rate=1e9, capacity=8))
+        stack = LatencySource(PacedSource(source, rate=1e9, capacity=8), 0.0)
         assert source_epoch(stack) == source.instance.version
 
 
@@ -156,153 +153,3 @@ class TestPacedSource:
         fresh = memory_source()
         for key, rows in answers.items():
             assert rows == fresh.access("mt_R", key)
-
-
-# ----------------------------------------------- AdaptiveConcurrencySource
-class BackpressuringSource:
-    """A source that raises a scripted error sequence, then answers."""
-
-    access_batch = None
-
-    def __init__(self, inner, errors):
-        self.inner = inner
-        self.errors = list(errors)
-
-    @property
-    def schema(self):
-        """The wrapped schema."""
-        return self.inner.schema
-
-    def access(self, method_name, inputs=()):
-        """Pop one scripted error, or delegate."""
-        if self.errors:
-            raise self.errors.pop(0)
-        return self.inner.access(method_name, inputs)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-class TestAdaptiveConcurrency:
-    def test_success_grows_the_limit_additively(self):
-        aimd = AdaptiveConcurrencySource(
-            memory_source(), max_concurrency=8, initial=2.0, increase=1.0
-        )
-        before = aimd.limit
-        aimd.access("mt_R", ("a",))
-        assert aimd.limit == pytest.approx(before + 1.0 / before)
-
-    def test_backpressure_halves_the_limit(self):
-        inner = BackpressuringSource(
-            memory_source(),
-            [RateLimited("busy"), AccessTimeout("slow")],
-        )
-        aimd = AdaptiveConcurrencySource(
-            inner, max_concurrency=8, initial=8.0
-        )
-        for expected in (4.0, 2.0):
-            with pytest.raises((RateLimited, AccessTimeout)):
-                aimd.access("mt_R", ("a",))
-            assert aimd.limit == pytest.approx(expected)
-        assert aimd.throttle_events == 2
-        # Recovery: the next success grows it again from the floor.
-        aimd.access("mt_R", ("a",))
-        assert aimd.limit > 2.0
-
-    def test_other_errors_do_not_shrink_the_limit(self):
-        inner = BackpressuringSource(memory_source(), [ValueError("boom")])
-        aimd = AdaptiveConcurrencySource(inner, initial=4.0)
-        with pytest.raises(ValueError):
-            aimd.access("mt_R", ("a",))
-        assert aimd.limit >= 4.0
-        assert aimd.throttle_events == 0
-
-    def test_wrapper_blocks_batch_bypass(self):
-        class Batchy:
-            """An inner source with a batch endpoint."""
-
-            schema = None
-
-            def access_batch(self, method_name, inputs_list):
-                """Would bypass the limiter if delegated."""
-                return {}
-
-        assert AdaptiveConcurrencySource(Batchy()).access_batch is None
-        assert CoalescingSource(Batchy()).access_batch is None
-
-
-# -------------------------------------------------------- CoalescingSource
-class GatedSource:
-    """A source whose accesses block until released (for overlap tests)."""
-
-    access_batch = None
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.gate = threading.Event()
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    @property
-    def schema(self):
-        """The wrapped schema."""
-        return self.inner.schema
-
-    def access(self, method_name, inputs=()):
-        """Count the call, wait for the gate, then delegate."""
-        with self._lock:
-            self.calls += 1
-        assert self.gate.wait(timeout=30.0)
-        return self.inner.access(method_name, inputs)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-class TestCoalescingSource:
-    def test_identical_concurrent_accesses_collapse_to_one(self):
-        gated = GatedSource(memory_source())
-        coalesced = CoalescingSource(gated)
-        results = []
-
-        def worker():
-            results.append(coalesced.access("mt_R", ("a",)))
-
-        leader = threading.Thread(target=worker)
-        leader.start()
-        # Wait until the leader is inside the backend call...
-        for _ in range(1000):
-            if gated.calls == 1:
-                break
-            threading.Event().wait(0.005)
-        assert gated.calls == 1
-        # ...then pile on: everyone finds the in-flight entry and waits.
-        followers = [threading.Thread(target=worker) for _ in range(5)]
-        for thread in followers:
-            thread.start()
-        for _ in range(1000):
-            if coalesced.leaders + len(coalesced._inflight) >= 1 and all(
-                t.is_alive() for t in followers
-            ):
-                break
-        gated.gate.set()
-        leader.join(timeout=30.0)
-        for thread in followers:
-            thread.join(timeout=30.0)
-        assert gated.calls <= 2  # followers raced the leader's finish
-        assert len(results) == 6
-        reference = memory_source().access("mt_R", ("a",))
-        assert all(r == reference for r in results)
-        assert coalesced.coalesced + coalesced.leaders == 6
-
-    def test_leader_failure_reaches_a_retry_not_a_stale_answer(self):
-        inner = BackpressuringSource(
-            memory_source(), [RateLimited("leader dies")]
-        )
-        coalesced = CoalescingSource(inner)
-        with pytest.raises(RateLimited):
-            coalesced.access("mt_R", ("a",))
-        # The failed flight was cleared: the next call leads and works.
-        assert coalesced.access("mt_R", ("a",)) == memory_source().access(
-            "mt_R", ("a",)
-        )
