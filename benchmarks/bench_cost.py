@@ -3,8 +3,8 @@
 Two surfaces:
 
 * pytest-benchmark series (``pytest benchmarks/bench_cost.py``):
-  planning time on the example5 family with and without
-  ``prune_by_bound``, and uncalibrated vs calibrated planning on the
+  planning time on the example5 family with and without the
+  incumbent bound, and uncalibrated vs calibrated planning on the
   misleading-fan-out schema;
 * a standalone comparison runner (``python benchmarks/bench_cost.py``)
   that writes the machine-readable ``BENCH_cost.json`` (rendered by
@@ -20,8 +20,9 @@ Two surfaces:
     cost (sum over access commands of method weight + per_tuple x
     rows dispatched).  The calibrated pick must never measure worse;
     on the misleading scenarios it is strictly cheaper.
-  - ``pruning``: example5(k) planned with and without
-    ``SearchOptions.prune_by_bound``, asserting the best plan never
+  - ``pruning``: example5(k) planned by the default search and by the
+    zero-margin reference (:class:`ZeroMarginCost`: same costs, so the
+    incumbent bound never fires), asserting the best plan never
     changes (the admissible-margin differential) and reporting the
     node-expansion reduction.  The smoke floor is >= 1.3x on the
     headline (minimum) reduction.
@@ -39,7 +40,7 @@ import pytest
 from benchmarks.conftest import record
 from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
-from repro.cost.functions import CardinalityCostFunction
+from repro.cost.functions import CardinalityCostFunction, SimpleCostFunction
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.errors import PlanInadmissible
@@ -123,11 +124,9 @@ def measured_cost(stats, dump_weight):
     )
 
 
-def _plan_and_run(schema, query, source, cost, dump_weight, prune=False):
+def _plan_and_run(schema, query, source, cost, dump_weight):
     result = find_best_plan(
-        schema,
-        query,
-        SearchOptions(max_accesses=4, cost=cost, prune_by_bound=prune),
+        schema, query, SearchOptions(max_accesses=4, cost=cost)
     )
     assert result.found
     stats = ExecStats()
@@ -153,7 +152,6 @@ def run_calibration_scenario(name, fan_out, dump_weight):
         source,
         cost_function(dump_weight, store),
         dump_weight,
-        prune=True,
     )
     return {
         "scenario": name,
@@ -183,16 +181,28 @@ def run_calibration_scenario(name, fan_out, dump_weight):
     }
 
 
-def run_pruning_point(k):
-    scenario = example5(k)
-    base = find_best_plan(
-        scenario.schema, scenario.query, SearchOptions(max_accesses=5)
-    )
-    pruned = find_best_plan(
+class ZeroMarginCost(SimpleCostFunction):
+    """The declared costs with no completion margin: the incumbent
+    bound never fires under it, so its search is the reference."""
+
+    def min_access_charge(self):
+        """No claim about what a further access adds."""
+        return 0.0
+
+
+def _plan(scenario, bound):
+    cost = None if bound else ZeroMarginCost.from_schema(scenario.schema)
+    return find_best_plan(
         scenario.schema,
         scenario.query,
-        SearchOptions(max_accesses=5, prune_by_bound=True),
+        SearchOptions(max_accesses=5, cost=cost),
     )
+
+
+def run_pruning_point(k):
+    scenario = example5(k)
+    base = _plan(scenario, bound=False)
+    pruned = _plan(scenario, bound=True)
     # The differential the feature hangs off: the admissible completion
     # margin may only shrink the tree, never change the returned plan.
     assert pruned.found == base.found
@@ -245,14 +255,9 @@ def run_admission_check():
 @pytest.mark.parametrize("mode", ["baseline", "bound-pruned"])
 def test_bound_pruning_planning(benchmark, mode):
     scenario = example5(6)
-    prune = mode == "bound-pruned"
 
     def plan():
-        return find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(max_accesses=5, prune_by_bound=prune),
-        )
+        return _plan(scenario, bound=mode == "bound-pruned")
 
     result = benchmark(plan)
     assert result.found

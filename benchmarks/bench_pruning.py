@@ -5,10 +5,8 @@ Four configurations of Algorithm 1 on the 4-source scenario:
 * full         -- cost-bound + domination pruning (the paper's setup),
 * no-domination,
 * no-cost-bound,
-* none         -- exhaustive search of the bounded proof space,
+* none         -- exhaustive search of the bounded proof space.
 
-plus the eager-exposure ablation (``expose_induced`` off: facts induced
-by the same access are not bulk-exposed, so permutations multiply).
 Every configuration must report the same best cost (Theorem 9); the
 interesting series is nodes explored and wall time.
 """
@@ -65,21 +63,3 @@ def test_pruning_node_reduction():
     assert counts["full"] <= counts["no-domination"]
     assert counts["full"] <= counts["no-cost-bound"]
     assert counts["full"] < counts["none"]
-
-
-@pytest.mark.parametrize("induced", [True, False])
-def test_bulk_exposure_ablation(benchmark, induced):
-    """Disabling induced-fact exposure: same optimum, slower search."""
-    scenario = redundant_sources(3)
-
-    def plan():
-        return find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(max_accesses=4, expose_induced=induced),
-        )
-
-    result = benchmark(plan)
-    assert result.found
-    record(benchmark, nodes=result.stats.nodes_created,
-           best_cost=result.best_cost)

@@ -20,7 +20,6 @@ from repro.chase.engine import (
     ChaseBudgetExceeded,
     ChasePolicy,
     ChaseResult,
-    NonTerminatingChaseError,
     chase_to_fixpoint,
     saturate,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ChaseResult",
     "ChaseStats",
     "FiringResult",
-    "NonTerminatingChaseError",
     "Provenance",
     "Trigger",
     "certain_answer_holds",

@@ -1,7 +1,9 @@
 """The chase fixpoint engine.
 
-Runs rules over a configuration until no candidate match remains, with
-three safety valves:
+Runs rules over a configuration until no candidate match remains -- the
+restricted chase: a match whose head already holds is not a candidate
+(:func:`repro.chase.firing.head_satisfied`), and no policy field asks
+for the oblivious variant -- with three safety valves:
 
 * a total firing budget (``max_firings``),
 * a cap on fact derivation depth (``max_depth``),
@@ -86,7 +88,7 @@ from repro.chase.firing import (
     triggers_through,
 )
 from repro.chase.stats import ChaseStats
-from repro.errors import ChaseBudgetExceeded, NonTerminatingChaseError
+from repro.errors import ChaseBudgetExceeded
 from repro.logic.atoms import Atom
 from repro.logic.terms import NullFactory
 from repro.schema.accessible import RuleSet, tgd_of
@@ -101,8 +103,7 @@ class ChasePolicy:
     """Termination, blocking, and evaluation controls for one chase run.
 
     ``max_firings`` is the soft budget: when it trips the run returns a
-    truncated (``reached_fixpoint=False``) result, or raises
-    :class:`NonTerminatingChaseError` under ``raise_on_budget``.
+    truncated (``reached_fixpoint=False``) result.
 
     ``max_steps`` / ``max_seconds`` are the *hard* fail-fast budgets for
     non-terminating TGD sets: ``max_steps`` bounds the total number of
@@ -116,8 +117,6 @@ class ChasePolicy:
     max_firings: int = 100_000
     max_depth: Optional[int] = None
     blocking: Optional[BlockingPolicy] = None
-    raise_on_budget: bool = False
-    restricted: bool = True
     strategy: str = SEMI_NAIVE
     max_steps: Optional[int] = None
     max_seconds: Optional[float] = None
@@ -132,19 +131,6 @@ class ChasePolicy:
             raise ValueError("max_steps must be positive when given")
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("max_seconds must be positive when given")
-
-    def for_saturation(self) -> "ChasePolicy":
-        """A copy suitable for eager free-rule saturation in the planner."""
-        return ChasePolicy(
-            max_firings=self.max_firings,
-            max_depth=self.max_depth,
-            blocking=self.blocking,
-            raise_on_budget=False,
-            restricted=self.restricted,
-            strategy=self.strategy,
-            max_steps=self.max_steps,
-            max_seconds=self.max_seconds,
-        )
 
 
 @dataclass
@@ -204,7 +190,7 @@ def chase_to_fixpoint(
 
 
 class _FiringsSpent(Exception):
-    """``max_firings`` ran out and the policy asks for a truncated result."""
+    """``max_firings`` ran out: the run ends with a truncated result."""
 
 
 class _Run:
@@ -278,10 +264,6 @@ class _Run:
                         elapsed=elapsed,
                     )
             if self.firings >= policy.max_firings:
-                if policy.raise_on_budget:
-                    raise NonTerminatingChaseError(
-                        f"chase exceeded {policy.max_firings} firings"
-                    )
                 raise _FiringsSpent
             key = (slot, trigger.body_image())
             if key in self.suppressed:
@@ -316,11 +298,7 @@ def _naive_rounds(run: _Run, rules: Sequence[RuleLike]) -> None:
         run.stats.rounds += 1
         for slot, rule in enumerate(rules):
             triggers = find_triggers(
-                rule,
-                run.config,
-                run.policy.restricted,
-                snapshot=True,
-                stats=run.stats,
+                rule, run.config, snapshot=True, stats=run.stats
             )
             if run.drain(slot, triggers):
                 progress = True
@@ -403,7 +381,7 @@ def _semi_naive_rounds(
             generation = config.generation
             slot, unseen = agenda.visit(generation)
             triggers = triggers_through(
-                rules[slot], config, unseen, run.policy.restricted, stats=stats
+                rules[slot], config, unseen, stats=stats
             )
             stats.time_search += time.perf_counter() - tick
             if run.drain(slot, triggers):

@@ -121,7 +121,6 @@ def head_satisfied(
 def find_triggers(
     rule: RuleLike,
     config: ChaseConfiguration,
-    restricted: bool = True,
     *,
     snapshot: bool = False,
     stats: Optional[ChaseStats] = None,
@@ -143,7 +142,7 @@ def find_triggers(
     ):
         if stats is not None:
             stats.triggers_enumerated += 1
-        if restricted and head_satisfied(tgd, hom, config):
+        if head_satisfied(tgd, hom, config):
             if stats is not None:
                 stats.triggers_filtered += 1
             continue
@@ -154,7 +153,6 @@ def triggers_through(
     rule: RuleLike,
     config: ChaseConfiguration,
     delta: Mapping[str, Sequence[Atom]],
-    restricted: bool = True,
     *,
     stats: Optional[ChaseStats] = None,
 ) -> Iterator[Trigger]:
@@ -197,7 +195,7 @@ def triggers_through(
                 seen.add(image)
                 if stats is not None:
                     stats.triggers_enumerated += 1
-                if restricted and head_satisfied(tgd, hom, config):
+                if head_satisfied(tgd, hom, config):
                     if stats is not None:
                         stats.triggers_filtered += 1
                     continue
@@ -208,7 +206,6 @@ def find_triggers_delta(
     rule: RuleLike,
     config: ChaseConfiguration,
     since_generation: int,
-    restricted: bool = True,
     *,
     stats: Optional[ChaseStats] = None,
 ) -> Iterator[Trigger]:
@@ -217,7 +214,7 @@ def find_triggers_delta(
     delta: Dict[str, List[Atom]] = {}
     for fact in config.facts_since(since_generation):
         delta.setdefault(fact.relation, []).append(fact)
-    return triggers_through(rule, config, delta, restricted, stats=stats)
+    return triggers_through(rule, config, delta, stats=stats)
 
 
 def fire_trigger(
@@ -250,7 +247,6 @@ def fire_all_once(
     rules: Iterable[RuleLike],
     config: ChaseConfiguration,
     nulls: NullFactory,
-    restricted: bool = True,
 ) -> Tuple[FiringResult, ...]:
     """One parallel round: fire every current trigger of every rule.
 
@@ -266,10 +262,8 @@ def fire_all_once(
         # materialised list can satisfy a later trigger's head, hence the
         # re-verify below is NOT redundant here (unlike the streaming
         # fixpoint engine, where the filter runs at fire time).
-        for trigger in list(find_triggers(rule, config, restricted)):
-            if restricted and head_satisfied(
-                trigger.tgd, trigger.homomorphism, config
-            ):
+        for trigger in list(find_triggers(rule, config)):
+            if head_satisfied(trigger.tgd, trigger.homomorphism, config):
                 continue
             results.append(fire_trigger(trigger, config, nulls))
     return tuple(results)

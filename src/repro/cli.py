@@ -490,7 +490,6 @@ def _demo_calibrated(args, scenario, instance, exec_stats) -> None:
         SearchOptions(
             max_accesses=args.max_accesses,
             cost=cost,
-            prune_by_bound=True,
             chase_policy=default_policy_for(scenario.schema),
         ),
     )

@@ -320,10 +320,6 @@ class ChaseError(ReproError):
     """A failure inside the chase engine."""
 
 
-class NonTerminatingChaseError(ChaseError):
-    """The firing budget was exhausted and the policy said raise."""
-
-
 class ChaseBudgetExceeded(ChaseError):
     """A chase step/wall-clock budget tripped before fixpoint.
 
@@ -360,7 +356,6 @@ __all__ = [
     "InvalidCostParameter",
     "MethodOutage",
     "NoViablePlan",
-    "NonTerminatingChaseError",
     "PlanCancelled",
     "PlanFailed",
     "PlanInadmissible",

@@ -83,10 +83,6 @@ class PlanState:
     def _fresh(self, prefix: str, counter: int) -> str:
         return f"{prefix}{counter}"
 
-    def has_attribute(self, null: Null) -> bool:
-        """Whether the null's attribute is in the current table."""
-        return _attr_of(null) in self.attributes
-
     # ------------------------------------------------------------ exposure
     def expose(self, fact: Atom, method: AccessMethod) -> "PlanState":
         """Extend the plan with the commands for one accessibility firing."""

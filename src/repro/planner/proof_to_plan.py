@@ -118,7 +118,7 @@ def initial_configuration(
         config,
         acc_schema.free_rules,
         nulls,
-        policy.for_saturation() if policy else None,
+        policy,
     )
     if log is not None:
         log.absorb(result)
@@ -142,14 +142,13 @@ def read_exposure(
     state: PlanState,
     fact: Atom,
     method: AccessMethod,
-    expose_induced: bool = True,
 ) -> Tuple[PlanState, Tuple[Atom, ...]]:
     """The read-only half of an exposure: what it would do, undone.
 
     Checks the method's inputs and returns the plan state extended by
     the access together with the facts it exposes: the chosen fact and
-    (unless ``expose_induced`` is False -- an ablation switch) every
-    fact induced by the same access, less those already accessed.
+    every fact induced by the same access (Algorithm 1, line 8), less
+    those already accessed.
     Nothing is written to ``config``.  The commands, and so the depth
     and cost of the node, are final in the returned state: Algorithm 1
     reads its depth and cost verdicts here and hands only a child that
@@ -157,14 +156,9 @@ def read_exposure(
     :class:`PlanningError` when the firing is impossible or a no-op.
     """
     _check_inputs_accessible(config, fact, method)
-    to_expose = (
-        _induced_facts(config, fact, method)
-        if expose_induced
-        else (fact,)
-    )
     relation = accessed_name(fact.relation)
     exposed: List[Atom] = []
-    for induced in to_expose:
+    for induced in _induced_facts(config, fact, method):
         if induced.rename_relation(relation) in config:
             continue
         state = state.expose(induced, method)
@@ -233,11 +227,10 @@ def expose_access(
     method: AccessMethod,
     acc_schema: AccessibleSchema,
     policy: Optional[ChasePolicy] = None,
-    expose_induced: bool = True,
 ) -> Exposed:
     """The costed half of an accessibility-axiom firing, in place:
     :func:`read_exposure` followed by :func:`write_exposure`."""
-    state, facts = read_exposure(config, state, fact, method, expose_induced)
+    state, facts = read_exposure(config, state, fact, method)
     return write_exposure(config, state, facts, method, acc_schema, policy)
 
 
@@ -260,7 +253,7 @@ def saturate_exposed(
         config,
         acc_schema.saturation_rules,
         nulls,
-        policy.for_saturation() if policy else None,
+        policy,
         since_generation=exposed.since_generation,
     )
     result.depth_truncated += exposed.depth_truncated
@@ -277,7 +270,6 @@ def fire_access(
     acc_schema: AccessibleSchema,
     nulls: NullFactory,
     policy: Optional[ChasePolicy] = None,
-    expose_induced: bool = True,
     log: Optional["SaturationLog"] = None,
 ) -> Tuple[PlanState, Tuple[Atom, ...]]:
     """Fire one accessibility axiom in place; returns (state, exposed).
@@ -287,9 +279,7 @@ def fire_access(
     the chosen fact and the facts induced by the same access, then
     saturates the cost-free rules.
     """
-    exposed = expose_access(
-        config, state, fact, method, acc_schema, policy, expose_induced
-    )
+    exposed = expose_access(config, state, fact, method, acc_schema, policy)
     saturate_exposed(config, exposed, acc_schema, nulls, policy, log)
     return exposed.state, exposed.facts
 

@@ -250,6 +250,6 @@ def _apply_step(
         config,
         acc.free_rules,
         nulls,
-        policy.for_saturation() if policy else None,
+        policy,
         since_generation=pre_generation,
     )

@@ -13,15 +13,22 @@ saturation").
 Pruning (the paper's "Optimizations"):
 
 * cost-bound -- monotone costs let us abort any node whose partial plan
-  already costs at least as much as the best complete plan found;
+  already costs at least as much as the best complete plan found, and
+  any non-successful node that the cheapest further access
+  (``CostFunction.min_access_charge()``) would carry that far: its
+  descendants could at best tie the incumbent (``docs/theory.md``,
+  "Branch-and-bound in Algorithm 1");
 * domination -- a new node is discarded when an already-explored node has
   "at least as many useful facts" (a homomorphism over the original,
   inferred-accessible and accessible relations, fixing the canonical
   constants of the query's free variables) at no higher cost.
 
-Search order follows the paper: depth-first on the leftmost branch, with
-candidates ordered by derivation depth and methods by expected cost; a
-best-first (cheapest partial plan) strategy is also provided.
+Search order is the paper's: depth-first on the leftmost branch, with
+candidates ordered by derivation depth and methods by expected cost, or
+by the fixed method priority of Figure 1.  A cheapest-partial-plan
+frontier measured the same best cost on every recorded problem, faster
+on some and slower on others, and was removed (EXPERIMENTS.md,
+SEARCH-ORDER).
 
 There is one loop (``docs/theory.md``, "Search-state indexing and
 incrementality"), and what it keeps from a parent is what measured as a
@@ -45,7 +52,6 @@ both built, measured at no wall-clock effect, and removed
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from collections import Counter
@@ -92,40 +98,41 @@ from repro.schema.accessible import (
 from repro.schema.core import AccessMethod, Schema
 
 
+CANDIDATE_ORDERS = ("depth", "method")
+
+
 @dataclass
 class SearchOptions:
-    """What Algorithm 1 searches: budgets, cost function, which prunings
-    run and in which order the tree is walked.  Every field changes the
-    tree explored or when the search stops; none selects an
-    implementation."""
+    """What Algorithm 1 searches: the access budget, the cost function,
+    which prunings run and in which order a node's candidates are tried.
+    Every field changes the tree explored or when the search stops; none
+    selects an implementation."""
 
     max_accesses: int = 6
     cost: Optional[CostFunction] = None
+    # The paper's cost-bound optimisation, both halves: a child whose
+    # cost reaches the incumbent is closed, and so is a non-successful
+    # node whose cost plus ``CostFunction.min_access_charge()`` does
+    # (every descendant appends at least one more access command, so it
+    # could at best *tie* the incumbent).
     prune_by_cost: bool = True
-    # Incumbent-based branch-and-bound: close any non-successful node
-    # whose cost plus the cost function's admissible completion margin
-    # (``CostFunction.min_access_charge()`` -- every descendant appends
-    # at least one more access command) already reaches the incumbent
-    # best cost.  Strictly stronger than ``prune_by_cost`` alone and
-    # plan-preserving whenever the margin is sound (a descendant could
-    # at best *tie* the incumbent, never beat it); off by default so
-    # node-count baselines stay bit-identical.
-    prune_by_bound: bool = False
     domination: bool = True
-    expose_induced: bool = True
-    strategy: str = "dfs"  # or "best-first"
     # Candidate ordering within a node: "depth" prefers facts of minimal
     # derivation depth (paper default), "method" prefers the cheapest
     # method first (the fixed method priority of Example 5 / Figure 1).
     candidate_order: str = "depth"
-    # Optional beam width: keep only the best-ranked N candidates per
-    # node.  Cuts the tree aggressively but FORFEITS Theorem 9 optimality
-    # (and certified negatives: exhausted is forced False).
-    beam_width: Optional[int] = None
     chase_policy: Optional[ChasePolicy] = None
-    max_nodes: Optional[int] = None
     stop_on_first: bool = False
     collect_tree: bool = False
+
+    def __post_init__(self) -> None:
+        if self.candidate_order not in CANDIDATE_ORDERS:
+            raise ValueError(
+                f"unknown candidate_order {self.candidate_order!r}; "
+                f"expected one of {CANDIDATE_ORDERS}"
+            )
+        if self.max_accesses < 0:
+            raise ValueError("max_accesses must be non-negative")
 
 
 @dataclass
@@ -224,33 +231,25 @@ class SearchNode:
     # For ``pruned == "domination"``: the id of the registered node the
     # relevant facts of this one map into.
     dominated_by: Optional[int] = None
-    # Full ranked candidate list (rank, fact, method), never truncated:
-    # ``limit`` caps consumption (beam search) and ``cursor`` walks it
-    # in O(1) per candidate.
+    # Full ranked candidate list (rank, fact, method); ``cursor`` walks
+    # it in O(1) per candidate.
     candidates: List[Tuple[Tuple, Atom, AccessMethod]] = field(
         default_factory=list
     )
     cursor: int = 0
-    limit: Optional[int] = None
-
-    @property
-    def _end(self) -> int:
-        if self.limit is None:
-            return len(self.candidates)
-        return min(self.limit, len(self.candidates))
 
     @property
     def pending(self) -> List[Tuple[Atom, AccessMethod]]:
         """Remaining (fact, method) candidates, in search order."""
         return [
             (fact, method)
-            for _, fact, method in self.candidates[self.cursor : self._end]
+            for _, fact, method in self.candidates[self.cursor :]
         ]
 
     @property
     def has_pending(self) -> bool:
         """Whether any candidate remains to be expanded."""
-        return self.cursor < self._end
+        return self.cursor < len(self.candidates)
 
     def next_candidate(self) -> Tuple[Atom, AccessMethod]:
         """Consume and return the next candidate (cursor advance)."""
@@ -320,10 +319,11 @@ def find_plan_avoiding(
     dead_methods,
     options: Optional[SearchOptions] = None,
 ) -> SearchResult:
-    """The best plan over ``schema`` minus ``dead_methods``, found.
+    """The best plan over ``schema`` minus ``dead_methods``.
 
-    Degraded planning: the data is unchanged, only the access to it.  Raises :class:`~repro.errors.NoViablePlan`
-    (carrying the dead set) when no plan survives.
+    Degraded planning: the data is unchanged, only the access to it.
+    Raises :class:`~repro.errors.NoViablePlan` (carrying the dead set)
+    when no plan survives.
     """
     dead = tuple(dead_methods)
     surviving = schema.without_methods(dead) if dead else schema
@@ -446,13 +446,9 @@ class _Searcher:
 
     # ------------------------------------------------------------- main
     def run(self) -> SearchResult:
-        """Drive the chosen search strategy over the bounded proof space
-        and package the best plan found (if any) with its statistics."""
-        root = self._make_root()
-        if self.options.strategy == "best-first":
-            self._run_best_first(root)
-        else:
-            self._run_dfs(root)
+        """Walk the bounded proof space depth-first and package the best
+        plan found (if any) with its statistics."""
+        self._run_dfs(self._make_root())
         self.stats.chase = self.saturation_log.stats
         self.stats.domination = self._registry.stats
         return SearchResult(
@@ -461,18 +457,12 @@ class _Searcher:
             best_proof=self.best_proof,
             stats=self.stats,
             tree=tuple(self.nodes) if self.options.collect_tree else (),
-            exhausted=(
-                self._drained
-                and self.saturation_log.complete
-                and self.options.beam_width is None
-            ),
+            exhausted=self._drained and self.saturation_log.complete,
         )
 
     def _run_dfs(self, root: SearchNode) -> None:
         stack = [root]
         while stack:
-            if self._budget_exhausted():
-                return
             node = stack[-1]
             if node.is_terminal:
                 stack.pop()
@@ -485,34 +475,6 @@ class _Searcher:
                 stack.append(child)
         self._drained = True
 
-    def _run_best_first(self, root: SearchNode) -> None:
-        counter = itertools.count()
-        heap: List[Tuple[float, int, SearchNode]] = []
-        heapq.heappush(heap, (root.cost, next(counter), root))
-        while heap:
-            if self._budget_exhausted():
-                return
-            _, _, node = heapq.heappop(heap)
-            if node.successful:
-                continue
-            while node.has_pending:
-                fact, method = node.next_candidate()
-                child = self._expand(node, fact, method)
-                if child is not None:
-                    if self.options.stop_on_first and child.successful:
-                        return
-                    if not child.is_terminal:
-                        heapq.heappush(
-                            heap, (child.cost, next(counter), child)
-                        )
-        self._drained = True
-
-    def _budget_exhausted(self) -> bool:
-        return (
-            self.options.max_nodes is not None
-            and self.stats.nodes_created >= self.options.max_nodes
-        )
-
     # --------------------------------------------------------- expansion
     def _expand(
         self, node: SearchNode, fact: Atom, method: AccessMethod
@@ -520,11 +482,7 @@ class _Searcher:
         self.stats.nodes_expanded += 1
         try:
             state, facts = read_exposure(
-                node.config,
-                node.state,
-                fact,
-                method,
-                self.options.expose_induced,
+                node.config, node.state, fact, method
             )
         except PlanningError:
             return None
@@ -621,7 +579,7 @@ class _Searcher:
                 self.best_proof = ChaseProof(self.query, node.exposures)
                 self.stats.best_cost_history.append(plan_cost)
         elif (
-            self.options.prune_by_bound
+            self.options.prune_by_cost
             and self.best_plan is not None
             and node.cost + self._min_access_charge >= self.best_cost
         ):
@@ -635,8 +593,6 @@ class _Searcher:
         else:
             tick = time.perf_counter()
             node.candidates = self._candidates(node.config)
-            if self.options.beam_width is not None:
-                node.limit = self.options.beam_width
             self.stats.time_candidates += time.perf_counter() - tick
         self._record(node)
         if self.options.domination:

@@ -49,7 +49,7 @@ def search_tree_to_dot(result: SearchResult, title: str = "proof space") -> str:
         if node.successful:
             attrs.append("style=filled")
             attrs.append('fillcolor="#b7e1a1"')
-        elif node.pruned == "cost":
+        elif node.pruned in ("cost", "bound"):
             attrs.append("style=filled")
             attrs.append('fillcolor="#f4c7c3"')
         elif node.pruned == "domination":

@@ -489,15 +489,19 @@ class QueryService:
     ) -> Plan:
         """The best plan for a query, via the plan cache when configured.
 
-        The cache key covers the *whole* planning problem -- canonical
-        query text, schema fingerprint, cost-model identity (see
-        :mod:`repro.planner.plan_cache`) -- so a hit is exactly as good
-        as re-running Algorithm 1.  On a miss the search runs here, in
-        the submitting thread (planning is request-shaping work, like
-        admission), and the result is stored for every later request.
-        Concurrent misses on the same key may both search; both store
-        the same answer, so this is wasted work at worst, never a wrong
-        plan.
+        The cache key covers the canonical query text, the schema
+        fingerprint and the cost-model identity (see
+        :mod:`repro.planner.plan_cache`): what decides *which plan is
+        cheapest*.  It covers no search option, so the cache holds
+        optima only: a ``stop_on_first`` request asks for any plan,
+        neither reads nor writes the cache, and always searches.  (A
+        service whose callers vary ``max_accesses`` or the chase policy
+        caches what the first of them found.)  On a miss the search
+        runs here, in the submitting thread (planning is
+        request-shaping work, like admission), and the result is stored
+        for every later request.  Concurrent misses on the same key may
+        both search; both store the same answer, so this is wasted work
+        at worst, never a wrong plan.
 
         Under a nonempty dead-method set, planning runs over
         ``schema.without_methods(dead)``: the degraded schema has a
@@ -512,7 +516,7 @@ class QueryService:
         dead = self.current_dead_methods()
         schema = self.source.schema
         key = None
-        if self.plan_cache is not None:
+        if self.plan_cache is not None and not options.stop_on_first:
             # The key is asked for before any search, so the degraded
             # schema is built here as well as inside find_plan_avoiding.
             surviving = schema.without_methods(dead) if dead else schema
@@ -929,12 +933,6 @@ class QueryService:
                     return False
                 self._idle.wait(remaining if remaining is not None else 0.1)
         return True
-
-    @property
-    def shed_count(self) -> int:
-        """Requests shed so far (door rejections + preemptions + stop)."""
-        with self._lock:
-            return self._shed
 
     def health(self) -> ServiceHealth:
         """A point-in-time snapshot of queue, tiers, breakers and caches.

@@ -77,7 +77,6 @@ from repro.logic.terms import Constant
 from repro.plans.ir import (
     ir_to_plan,
     plan_to_ir,
-    table_from_ir,
     table_to_ir,
     term_from_ir,
     term_to_ir,
@@ -949,25 +948,3 @@ class ThreadWorkerPool(WorkerPool):
     def __repr__(self) -> str:
         state = "alive" if self.alive() else "stopped"
         return f"ThreadWorkerPool({self.workers} threads, {state})"
-
-
-def merge_answer_tables(results: List[Mapping[str, Any]]):
-    """Union several workers' shipped answers into one table.
-
-    Set semantics are restored at this merge point: each worker ships
-    its rows sorted, the union dedups, and the caller re-sorts for
-    rendering -- deterministic regardless of completion order.  All
-    parts must agree on attributes (they ran the same plan).
-    """
-    if not results:
-        raise ValueError("nothing to merge")
-    tables = [table_from_ir(r["table"]) for r in results]
-    first = tables[0]
-    for other in tables[1:]:
-        if other.attributes != first.attributes:
-            raise ValueError(
-                f"cannot merge answers with attributes {other.attributes} "
-                f"vs {first.attributes}"
-            )
-    rows = frozenset().union(*(t.rows for t in tables))
-    return type(first)(first.attributes, rows)

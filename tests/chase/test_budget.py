@@ -7,6 +7,8 @@ from repro.errors import ChaseBudgetExceeded
 from repro.logic.atoms import Atom
 from repro.logic.dependencies import parse_tgd
 from repro.logic.terms import Constant, NullFactory
+from repro.planner.search import SearchOptions, find_best_plan
+from repro.scenarios import example5
 
 
 def diverging_config():
@@ -65,11 +67,14 @@ class TestPolicyPlumbing:
         with pytest.raises(ValueError):
             ChasePolicy(max_seconds=-1.0)
 
-    def test_for_saturation_keeps_the_budgets(self):
-        policy = ChasePolicy(max_steps=7, max_seconds=2.5)
-        derived = policy.for_saturation()
-        assert derived.max_steps == 7
-        assert derived.max_seconds == 2.5
+    def test_the_planner_saturates_under_the_callers_budgets(self):
+        scenario = example5()
+        with pytest.raises(ChaseBudgetExceeded):
+            find_best_plan(
+                scenario.schema,
+                scenario.query,
+                SearchOptions(chase_policy=ChasePolicy(max_steps=1)),
+            )
 
     def test_budget_error_is_importable_from_chase_package(self):
         from repro.chase import ChaseBudgetExceeded as FromChase

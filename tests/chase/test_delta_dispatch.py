@@ -70,7 +70,7 @@ def all_rules_every_round(config, rules, nulls, policy, since_generation=0):
                 if marks[slot] >= generation:
                     continue
                 triggers = find_triggers_delta(
-                    rule, config, marks[slot], policy.restricted, stats=stats
+                    rule, config, marks[slot], stats=stats
                 )
                 marks[slot] = generation
                 for trigger in triggers:
@@ -288,9 +288,8 @@ class TestPolicies:
             ChasePolicy(blocking=BlockingPolicy(enabled=True)),
             ChasePolicy(max_firings=5),
             ChasePolicy(max_firings=50, max_steps=7),
-            ChasePolicy(max_depth=4, restricted=False),
         ],
-        ids=["depth0", "depth3", "blocking", "firings5", "steps7", "oblivious"],
+        ids=["depth0", "depth3", "blocking", "firings5", "steps7"],
     )
     def test_existential_rules_under_each_valve(self, monkeypatch, policy):
         rules = tgds(*self.EXISTENTIAL)
@@ -415,7 +414,6 @@ policies = st.builds(
     max_depth=st.none() | st.integers(0, 3),
     blocking=st.none() | st.just(BlockingPolicy(enabled=True)),
     max_steps=st.none() | st.integers(1, 40),
-    restricted=st.booleans(),
 )
 
 

@@ -6,7 +6,6 @@ from repro.chase.blocking import BlockingPolicy
 from repro.chase.configuration import ChaseConfiguration
 from repro.chase.engine import (
     ChasePolicy,
-    NonTerminatingChaseError,
     chase_to_fixpoint,
     saturate,
 )
@@ -54,13 +53,6 @@ class TestFixpoint:
         assert not result.reached_fixpoint
         assert result.firings == 25
 
-    def test_firing_budget_raises_when_asked(self):
-        rules = [parse_tgd("R(x, y) -> R(y, z)")]
-        config = ChaseConfiguration([Atom("R", (A, B))])
-        policy = ChasePolicy(max_firings=10, raise_on_budget=True)
-        with pytest.raises(NonTerminatingChaseError):
-            chase_to_fixpoint(config, rules, NullFactory("t"), policy)
-
     def test_depth_bound_truncates(self):
         rules = [parse_tgd("R(x, y) -> R(y, z)")]
         config = ChaseConfiguration([Atom("R", (A, B))])
@@ -102,10 +94,6 @@ class TestFixpoint:
 
 
 class TestPolicy:
-    def test_for_saturation_never_raises(self):
-        policy = ChasePolicy(raise_on_budget=True).for_saturation()
-        assert not policy.raise_on_budget
-
     def test_result_is_complete_semantics(self):
         from repro.chase.engine import ChaseResult
 

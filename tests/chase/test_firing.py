@@ -71,11 +71,6 @@ class TestTriggers:
         config = config_of(Atom("R", (A,)), Atom("S", (A,)))
         assert list(find_triggers(tgd, config)) == []
 
-    def test_unrestricted_mode_keeps_satisfied_heads(self):
-        tgd = parse_tgd("R(x) -> S(x)")
-        config = config_of(Atom("R", (A,)), Atom("S", (A,)))
-        assert len(list(find_triggers(tgd, config, restricted=False))) == 1
-
     def test_existential_head_satisfaction_any_witness(self):
         tgd = parse_tgd("R(x) -> S(x, y)")
         config = config_of(Atom("R", (A,)), Atom("S", (A, B)))

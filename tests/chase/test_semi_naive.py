@@ -371,6 +371,11 @@ class TestDeltaMachinery:
         with pytest.raises(ValueError):
             ChasePolicy(strategy="bogus")
 
-    def test_for_saturation_preserves_strategy(self):
-        policy = ChasePolicy(strategy="naive").for_saturation()
-        assert policy.strategy == "naive"
+    def test_the_planner_saturates_under_the_callers_strategy(self):
+        scenario = example1()
+        result = find_best_plan(
+            scenario.schema,
+            scenario.query,
+            SearchOptions(chase_policy=ChasePolicy(strategy="naive")),
+        )
+        assert result.stats.chase.strategy == "naive"

@@ -80,15 +80,3 @@ class TestExhaustedFlag:
             uni_schema, query, SearchOptions(max_accesses=3)
         )
         assert result.exhausted
-
-    def test_exhausted_false_when_budget_hit(self):
-        from repro.planner.search import SearchOptions, find_best_plan
-        from repro.scenarios import example5
-
-        scenario = example5(sources=4)
-        result = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(max_accesses=5, max_nodes=2),
-        )
-        assert not result.exhausted

@@ -30,6 +30,7 @@ from tests.planner.test_prune_before_chase import (
     PLAN_COLD,
     SCENARIOS,
     cyclic_schema,
+    dfs_ids,
 )
 
 # The 13 planning problems of ``benchmarks/e2e``'s ``plan_cold`` and the
@@ -90,10 +91,9 @@ def check_books(registry, stats):
 
 # ------------------------------------------------ (a) real searches
 @pytest.mark.parametrize("fork", ["cow", "deepcopy"])
-@pytest.mark.parametrize("strategy", ["dfs", "best-first"])
-@pytest.mark.parametrize("key", list(PROBLEMS))
+@pytest.mark.parametrize("key", dfs_ids(PROBLEMS))
 def test_every_check_equals_a_from_scratch_check(
-    shadowed, monkeypatch, key, strategy, fork
+    shadowed, monkeypatch, key, fork
 ):
     if fork == "deepcopy":
         # The search forks with ``copy``; a materialised fork keeps the
@@ -106,12 +106,12 @@ def test_every_check_equals_a_from_scratch_check(
     result = find_best_plan(
         scenario.schema,
         scenario.query,
-        SearchOptions(max_accesses=budget, strategy=strategy),
+        SearchOptions(max_accesses=budget),
     )
     assert result.found
     (registry,) = shadowed
     check_books(registry, result.stats)
-    if key in PLAN_COLD and strategy == "dfs":
+    if key in PLAN_COLD:
         # The books the end-to-end benchmark reads, and no fallback.
         assert result.stats.pruned_by_domination == PLAN_COLD[key][5]
         assert result.stats.domination.full_searches == 0
@@ -121,20 +121,17 @@ def test_every_check_equals_a_from_scratch_check(
         )
 
 
-@pytest.mark.parametrize("strategy", ["dfs", "best-first"])
 @pytest.mark.parametrize(
-    "policy", [DEPTH4, BLOCKING], ids=["depth4", "blocking"]
+    "policy", [DEPTH4, BLOCKING], ids=["depth4-dfs", "blocking-dfs"]
 )
-def test_chase_first_checks_go_through_the_delta_too(
-    shadowed, policy, strategy
-):
+def test_chase_first_checks_go_through_the_delta_too(shadowed, policy):
     """The root's saturation is cut short, so each child is chased
     *before* its check and the delta holds its saturation as well."""
     schema, query = cyclic_schema()
     result = find_best_plan(
         schema,
         query,
-        SearchOptions(max_accesses=4, chase_policy=policy, strategy=strategy),
+        SearchOptions(max_accesses=4, chase_policy=policy),
     )
     (registry,) = shadowed
     check_books(registry, result.stats)

@@ -75,19 +75,6 @@ class TestFingerprintMatchesOracle:
             <= oracle.stats.domination.hom_calls
         )
 
-    def test_dfs_and_best_first_agree(self, name):
-        scenario = SCENARIOS[name]()
-        dfs = find_best_plan(
-            scenario.schema, scenario.query, SearchOptions(strategy="dfs")
-        )
-        best_first = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(strategy="best-first"),
-        )
-        assert dfs.best_cost == best_first.best_cost
-        assert dfs.exhausted == best_first.exhausted
-
 
 class TestSignature:
     def test_constants_are_rigid(self):

@@ -5,7 +5,7 @@ configuration (:func:`read_exposure`), decides depth and cost on the
 commands that fixes, and only then forks the configuration and writes
 the exposure into the fork (:func:`write_exposure`).  No option selects
 the old order, so it is checked from the outside, over ``plan_cold``'s
-thirteen problems and the eight-scenario sweep under both strategies:
+thirteen problems and the eight-scenario sweep:
 
 * a spy on ``ChaseConfiguration.copy`` / ``.add`` counts the forks and
   sees that a closed child never caused a write;
@@ -41,53 +41,43 @@ from tests.planner.test_prune_before_chase import (
     cyclic_schema,
 )
 
-# (label, factory, budget, strategy)
+# (label, factory, budget)
 SEARCHES = [
-    (key, row[0], row[1], "dfs") for key, row in PLAN_COLD.items()
+    (key, row[0], row[1]) for key, row in PLAN_COLD.items()
 ] + [
-    (f"{name}/{strategy}", factory, budget, strategy)
+    (f"{name}/dfs", factory, budget)
     for name, (factory, budget) in sorted(SCENARIOS.items())
-    for strategy in ("dfs", "best-first")
 ] + [
-    # Budgets small enough to close children by depth (none above does).
-    ("example5/shallow", example5, 1, "dfs"),
-    ("example5/shallow-bf", example5, 2, "best-first"),
+    # A budget small enough to close children by depth (none above does).
+    ("example5/shallow", example5, 1),
 ]
 searches = pytest.mark.parametrize(
-    "label,factory,budget,strategy", SEARCHES, ids=[row[0] for row in SEARCHES]
+    "label,factory,budget", SEARCHES, ids=[row[0] for row in SEARCHES]
 )
 
 
-def run(factory, budget, strategy, **options):
+def run(factory, budget, **options):
     scenario = factory()
     return find_best_plan(
         scenario.schema,
         scenario.query,
-        SearchOptions(
-            max_accesses=budget,
-            strategy=strategy,
-            collect_tree=True,
-            **options,
-        ),
+        SearchOptions(max_accesses=budget, collect_tree=True, **options),
     )
 
 
 # ------------------------------------------------------ the parent's exposure
 def expose_access_at_parent(
-    config, state, fact, method, acc_schema, policy=None, expose_induced=True
+    config, state, fact, method, acc_schema, policy=None
 ):
     """``expose_access`` of commit f9d9d1d: one pass, reads and writes
     interleaved."""
     _check_inputs_accessible(config, fact, method)
     new_state = state
     pre_generation = config.generation
-    to_expose = (
-        _induced_facts(config, fact, method) if expose_induced else (fact,)
-    )
     relation = accessed_name(fact.relation)
     exposed = []
     accessed_facts = []
-    for induced in to_expose:
+    for induced in _induced_facts(config, fact, method):
         accessed = induced.rename_relation(relation)
         if accessed in config:
             continue
@@ -136,21 +126,18 @@ def check_halves(monkeypatch):
     def install(acc, policy=None):
         checked = []
 
-        def checking(config, state, fact, method, expose_induced=True):
+        def checking(config, state, fact, method):
             before = config.generation
             reference_config = config.deep_copy()
             try:
                 reference = expose_access_at_parent(
-                    reference_config, state, fact, method, acc, policy,
-                    expose_induced,
+                    reference_config, state, fact, method, acc, policy
                 )
             except PlanningError:
                 reference = None
             halves_config = config.deep_copy()
             try:
-                new_state, facts = read_exposure(
-                    config, state, fact, method, expose_induced
-                )
+                new_state, facts = read_exposure(config, state, fact, method)
             except PlanningError:
                 assert reference is None
                 raise
@@ -173,23 +160,22 @@ def check_halves(monkeypatch):
 
 @searches
 def test_two_halves_write_what_the_one_pass_exposure_wrote(
-    check_halves, label, factory, budget, strategy
+    check_halves, label, factory, budget
 ):
     checked = check_halves(AccessibleSchema(factory().schema, Variant.FORWARD))
-    result = run(factory, budget, strategy)
+    result = run(factory, budget)
     # One comparison per expansion the read half let through.
     assert 0 < len(checked) <= result.stats.nodes_expanded
 
 
-@pytest.mark.parametrize("strategy", ["dfs", "best-first"])
-def test_two_halves_agree_under_a_depth_cap(check_halves, strategy):
+def test_two_halves_agree_under_a_depth_cap(check_halves):
     schema, query = cyclic_schema()
     policy = ChasePolicy(max_depth=4)
     checked = check_halves(AccessibleSchema(schema, Variant.FORWARD), policy)
     find_best_plan(
         schema,
         query,
-        SearchOptions(max_accesses=4, chase_policy=policy, strategy=strategy),
+        SearchOptions(max_accesses=4, chase_policy=policy),
     )
     assert any(exposed.depth_truncated for exposed in checked)
 
@@ -217,7 +203,7 @@ def config_spy(monkeypatch):
 
 @searches
 def test_only_a_child_that_survives_its_verdict_is_forked(
-    monkeypatch, config_spy, label, factory, budget, strategy
+    monkeypatch, config_spy, label, factory, budget
 ):
     closed = []
     expand = search_module._Searcher._expand
@@ -241,7 +227,7 @@ def test_only_a_child_that_survives_its_verdict_is_forked(
         return child
 
     monkeypatch.setattr(search_module._Searcher, "_expand", watched)
-    result = run(factory, budget, strategy)
+    result = run(factory, budget)
     stats = result.stats
     assert len(closed) == stats.pruned_by_cost + stats.pruned_by_depth
     assert (
@@ -262,13 +248,13 @@ def test_only_a_child_that_survives_its_verdict_is_forked(
 
 
 def test_the_sweep_closes_children_by_depth_and_by_cost():
-    shallow = run(example5, 1, "dfs")
+    shallow = run(example5, 1)
     assert shallow.stats.pruned_by_depth > 0
-    assert run(*PLAN_COLD["example5[10]"][:2], "dfs").stats.pruned_by_cost == 82
+    assert run(*PLAN_COLD["example5[10]"][:2]).stats.pruned_by_cost == 54
 
 
 def test_identity_without_the_cost_verdict():
-    result = run(example5, 6, "dfs", prune_by_cost=False, domination=False)
+    result = run(example5, 6, prune_by_cost=False, domination=False)
     stats = result.stats
     assert stats.pruned_by_cost == stats.pruned_by_domination == 0
     assert stats.configs_copied == stats.nodes_created - 1 > 0

@@ -20,13 +20,13 @@ import pytest
 
 from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
-from repro.cost.functions import CardinalityCostFunction
+from repro.cost.functions import CardinalityCostFunction, SimpleCostFunction
 from repro.data.source import InMemorySource
 from repro.errors import PlanInadmissible
 from repro.exec.budget import ERROR, TRUNCATE, ResourceBudget
 from repro.planner.plan_cache import PlanCache
 from repro.planner.search import SearchOptions, find_best_plan
-from repro.scenarios import example1
+from repro.scenarios import example1, example5
 from repro.service import QueryService
 
 
@@ -125,6 +125,29 @@ class TestCacheInvalidation:
             ).result(10)
             # The bump moved the cost identity, hence the cache key.
             assert service.health().planned == 2
+
+    def test_a_first_plan_request_never_touches_the_cache(self):
+        """The key covers no search option, so the cache may hold optima
+        only: ``stop_on_first`` under the method order stops at a
+        three-access plan of cost 9 where the optimum costs 6."""
+        scenario = example5(sources=3, source_costs=[5.0, 1.0, 3.0])
+        source = InMemorySource(scenario.schema, scenario.instance(0))
+        first = SearchOptions(stop_on_first=True, candidate_order="method")
+        cache = PlanCache()
+        cost = SimpleCostFunction.from_schema(scenario.schema)
+        with QueryService(source, plan_cache=cache) as service:
+            any_plan = service.plan_for(scenario.query, search_options=first)
+            assert cost.plan_cost(any_plan) == 9.0
+            assert len(cache) == 0
+            best = service.plan_for(scenario.query)
+            assert cost.plan_cost(best) == 6.0
+            assert len(best.methods_used()) == 2
+            # Nor is the optimum, now cached, served to a first-plan
+            # request: it searches again.
+            again = service.plan_for(scenario.query, search_options=first)
+            assert cost.plan_cost(again) == 9.0
+            assert service.health().planned == 3
+            assert service.plan_for(scenario.query) is best
 
 
 class TestAdmissionBounds:

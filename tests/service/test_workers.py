@@ -31,7 +31,7 @@ from repro.exec.context import ExecutionContext
 from repro.exec.resilience import ResilientDispatcher, RetryPolicy
 from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.terms import Constant
-from repro.plans.ir import plan_to_ir, table_from_ir, table_to_ir
+from repro.plans.ir import plan_to_ir, table_from_ir
 from repro.schema.core import SchemaBuilder
 from repro.source_contract import SourceWrapper
 from repro.service.service import QueryService
@@ -44,7 +44,6 @@ from repro.service.workers import (
     encode_bindings,
     encoded_plan_ir,
     execute_payload,
-    merge_answer_tables,
     rebuild_error,
     source_to_spec,
     spec_to_source,
@@ -240,26 +239,6 @@ class TestPayload:
             {"error_type": "RowBudgetExceeded", "error": "over"}
         )
         assert isinstance(rebuilt, RowBudgetExceeded)
-
-
-# ------------------------------------------------------------------- merging
-class TestMerge:
-    def test_merge_unions_with_set_semantics(self):
-        schema = simple_schema()
-        source = InMemorySource(schema, simple_instance())
-        plan = simple_plan(schema)
-        table = plan.execute(source)
-        half_a = table_to_ir(table)
-        merged = merge_answer_tables(
-            [{"table": half_a}, {"table": half_a}]
-        )
-        assert canonical(merged) == canonical(table)
-
-    def test_merge_rejects_attribute_disagreement(self):
-        a = {"table": {"attrs": ["x"], "rows": []}}
-        b = {"table": {"attrs": ["y"], "rows": []}}
-        with pytest.raises(ValueError):
-            merge_answer_tables([a, b])
 
 
 # --------------------------------------------------------------- thread tier

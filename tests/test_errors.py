@@ -74,7 +74,6 @@ class TestContext:
 
 class TestAliases:
     def test_old_import_locations_still_work(self):
-        from repro.chase.engine import NonTerminatingChaseError
         from repro.data.decorators import (
             AccessBudgetExceeded,
             SourceUnavailable,
@@ -84,7 +83,6 @@ class TestAliases:
         assert AccessViolation is errors.AccessViolation
         assert SourceUnavailable is errors.SourceUnavailable
         assert AccessBudgetExceeded is errors.AccessBudgetExceeded
-        assert NonTerminatingChaseError is errors.NonTerminatingChaseError
 
     def test_rebased_layer_errors(self):
         from repro.chase import ChaseBudgetExceeded
