@@ -37,12 +37,23 @@ class Instance:
     to detect staleness cheaply instead of re-hashing the data.  It is a
     plain attribute because every access reads it; only :meth:`add`
     writes it.
+
+    Equal cells are shared: a stored row holds one :class:`Constant`
+    object per ``(type(value), value)`` across every row and relation of
+    the instance (and of its :meth:`copy`), so the keys an access
+    command builds from one answer find the rows of the next by
+    identity, without a Python-level ``__eq__``.  ``Constant(1)``,
+    ``Constant(1.0)`` and ``Constant(True)`` stay three objects with
+    their own ``value``; two NaN objects stay two constants.  The table
+    holds exactly the cells of stored rows, so it is bounded by the
+    instance's own domain.
     """
 
     def __init__(
         self, data: Optional[Mapping[str, Iterable[Sequence[object]]]] = None
     ) -> None:
         self._data: Dict[str, Set[Tuple[Constant, ...]]] = {}
+        self._cells: Dict[Tuple[type, object], Constant] = {}
         self._index: Optional[FactIndex] = None
         self.version = 0
         if data:
@@ -52,11 +63,16 @@ class Instance:
 
     def add(self, relation: str, row: Sequence[object]) -> bool:
         """Insert one tuple (values are coerced to schema constants)."""
-        constants = tuple(_to_constant(v) for v in row)
+        constants = tuple(map(_to_constant, row))
         bucket = self._data.setdefault(relation, set())
         if constants in bucket:
             return False
-        bucket.add(constants)
+        cells = self._cells
+        shared = []
+        for cell in constants:
+            value = cell.value
+            shared.append(cells.setdefault((value.__class__, value), cell))
+        bucket.add(tuple(shared))
         self._index = None
         self.version += 1
         return True
@@ -131,6 +147,7 @@ class Instance:
         """An independent deep copy of the stored data."""
         clone = Instance()
         clone._data = {r: set(b) for r, b in self._data.items()}
+        clone._cells = dict(self._cells)
         clone.version = self.version
         return clone
 

@@ -144,7 +144,11 @@ class _Codec:
         if not table.attributes:
             rows = frozenset({()}) if table.nrows else frozenset()
             return NamedTable((), rows)
-        lookup = np.array(self._terms, dtype=object)
+        # ``fromiter`` stores each term as it is; ``np.array`` would first
+        # ask every term whether it is a sequence (a term is a tuple
+        # subclass whose ``len`` raises), at a Python frame apiece.
+        terms = self._terms
+        lookup = np.fromiter(terms, dtype=object, count=len(terms))
         decoded = [lookup[column[: table.nrows]] for column in table.columns]
         return NamedTable(table.attributes, frozenset(zip(*decoded)))
 
@@ -217,17 +221,23 @@ class _ColTable:
 def _row_ids(columns: Sequence[np.ndarray], nrows: int) -> np.ndarray:
     """One int64 id per row such that equal rows get equal ids.
 
-    Columns are folded pairwise; the running ids are recompressed to a
-    dense range before each fold, so the product of the two factors
-    stays far below 2**63 for any realistic table.
+    Columns are folded pairwise, ``ids * (max + 1) + column``, so ids
+    order rows lexicographically by their codes.  The running ids are
+    recompressed to a dense range (their rank, which keeps that order)
+    only before a fold whose product could reach 2**63: codes are dense
+    per run, so two or three columns never need it.
     """
     if not columns:
         return np.zeros(nrows, dtype=np.int64)
     ids = columns[0].astype(np.int64, copy=False)
+    bound = int(ids.max()) + 1 if ids.size else 1
     for column in columns[1:]:
-        _, ids = np.unique(ids, return_inverse=True)
         multiplier = int(column.max()) + 1 if column.size else 1
+        if bound * multiplier >= 2**63:
+            _, ids = np.unique(ids, return_inverse=True)
+            bound = int(ids.max()) + 1 if ids.size else 1
         ids = ids * np.int64(multiplier) + column
+        bound *= multiplier
     return ids
 
 

@@ -22,7 +22,9 @@ class Atom:
     terms: Tuple[Term, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.terms, tuple):
+        # ``type() is``, not ``isinstance``: a term is a tuple subclass,
+        # and ``tuple(term)`` raises for it.
+        if type(self.terms) is not tuple:
             object.__setattr__(self, "terms", tuple(self.terms))
 
     @property

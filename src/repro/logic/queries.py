@@ -30,7 +30,9 @@ class ConjunctiveQuery:
     name: str = "Q"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.head, tuple):
+        # ``type() is``, not ``isinstance``: a term is a tuple subclass,
+        # and ``tuple(term)`` raises for it.
+        if type(self.head) is not tuple:
             object.__setattr__(self, "head", tuple(self.head))
         if not isinstance(self.atoms, tuple):
             object.__setattr__(self, "atoms", tuple(self.atoms))

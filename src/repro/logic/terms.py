@@ -13,53 +13,85 @@ Three disjoint kinds of term appear in the paper's development:
 
 All terms are immutable, hashable values, so they can live in frozen atoms,
 sets and dictionary keys.
+
+A term is the 1-tuple ``(payload,)``, an instance of a ``tuple`` subclass
+whose ``__hash__`` *is* ``tuple.__hash__``.  Terms are the cells of every
+tuple the chase, the homomorphism search, the source indexes and the
+executors put into sets, so their hash is computed in C, with no Python
+frame, and it is ``hash((payload,))`` -- the value every set and dict of
+terms has always iterated by.  Nothing else of the tuple shows: equality
+is same kind and equal payload (never equal to a plain tuple, in either
+operand order), ordering is by printed form among terms only, and
+iterating, measuring, indexing or concatenating a term raises
+``TypeError``, so a term is never taken for a tuple of terms.
 """
 
 from __future__ import annotations
 
 import itertools
+from _collections import _tuplegetter  # namedtuple's C field reader
 from dataclasses import FrozenInstanceError
-from operator import attrgetter
+from operator import ge, gt, le, lt
 from typing import Union
 
+_new_tuple = tuple.__new__
 
-class _Orderable:
-    """Cross-kind total order by printed form (stable output in tests)."""
+
+def _by_repr(compare, symbol: str):
+    """An ordering method: ``compare`` on printed forms, terms only."""
+
+    def _order(self, other):
+        if isinstance(other, _Term):
+            return compare(repr(self), repr(other))
+        if isinstance(other, tuple):
+            raise TypeError(
+                f"'{symbol}' not supported between instances of "
+                f"{type(self).__name__!r} and {type(other).__name__!r}"
+            )
+        return NotImplemented
+
+    return _order
+
+
+class _Term(tuple):
+    """One payload, as the 1-tuple ``(payload,)``; see the module docstring."""
 
     __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (Variable, Constant, Null)):
-            return repr(self) < repr(other)
-        return NotImplemented
-
-
-class _Term(_Orderable):
-    """One payload and its hash, both fixed at construction.
-
-    Terms are the cells of every tuple the chase, the homomorphism
-    search, the source indexes and the executors put into sets, so
-    ``__hash__`` returns a stored value instead of recomputing it.  The
-    stored value is ``hash((payload,))`` -- exactly what the frozen
-    dataclasses these classes replaced computed on every call -- so every
-    set and dict of terms keeps its iteration order.
-    """
-
-    __slots__ = ("_payload", "_hash")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = tuple.__hash__
+    _payload = _tuplegetter(0, "The payload, whatever the kind calls it.")
 
     def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
         if other.__class__ is self.__class__:
-            # Identity first, as comparing ``(payload,)`` tuples would:
-            # equality then agrees with the stored 1-tuple hash even
-            # for a payload that is not equal to itself (NaN).
+            # Identity first, as tuple equality does: equality then
+            # agrees with the hash even for a payload that is not equal
+            # to itself (NaN).
             mine, theirs = self._payload, other._payload
             return mine is theirs or mine == theirs
+        if isinstance(other, tuple):
+            return False
         return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            mine, theirs = self._payload, other._payload
+            return mine is not theirs and mine != theirs
+        if isinstance(other, tuple):
+            return True
+        return NotImplemented
+
+    __lt__ = _by_repr(lt, "<")
+    __le__ = _by_repr(le, "<=")
+    __gt__ = _by_repr(gt, ">")
+    __ge__ = _by_repr(ge, ">=")
+
+    def __bool__(self) -> bool:
+        return True
+
+    def _not_a_sequence(self, *args: object) -> None:
+        raise TypeError(f"{type(self).__name__!r} object is not a sequence")
+
+    __iter__ = __len__ = __getitem__ = __contains__ = _not_a_sequence
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -71,25 +103,19 @@ class _Term(_Orderable):
         return (self.__class__, (self._payload,))
 
 
-# The slot descriptors write past the frozen ``__setattr__``.
-_set_payload = _Term._payload.__set__
-_set_hash = _Term._hash.__set__
-
-
 class Variable(_Term):
     """A query variable, identified by name."""
 
     __slots__ = ()
     __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set_payload(self, name)
-        _set_hash(self, hash((name,)))
+    def __new__(cls, name: str) -> "Variable":
+        return _new_tuple(cls, (name,))
 
-    name = property(attrgetter("_payload"), doc="The variable's name.")
+    name = _tuplegetter(0, "The variable's name.")
 
     def __repr__(self) -> str:
-        return f"?{self._payload}"
+        return f"?{self.name}"
 
 
 class Constant(_Term):
@@ -98,16 +124,16 @@ class Constant(_Term):
     __slots__ = ()
     __match_args__ = ("value",)
 
-    def __init__(self, value: Union[str, int, float, bool]) -> None:
-        _set_payload(self, value)
-        _set_hash(self, hash((value,)))
+    def __new__(cls, value: Union[str, int, float, bool]) -> "Constant":
+        return _new_tuple(cls, (value,))
 
-    value = property(attrgetter("_payload"), doc="The data value.")
+    value = _tuplegetter(0, "The data value.")
 
     def __repr__(self) -> str:
-        if isinstance(self._payload, str):
-            return f"'{self._payload}'"
-        return repr(self._payload)
+        value = self.value
+        if isinstance(value, str):
+            return f"'{value}'"
+        return repr(value)
 
 
 class Null(_Term):
@@ -120,14 +146,13 @@ class Null(_Term):
     __slots__ = ()
     __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set_payload(self, name)
-        _set_hash(self, hash((name,)))
+    def __new__(cls, name: str) -> "Null":
+        return _new_tuple(cls, (name,))
 
-    name = property(attrgetter("_payload"), doc="The null's label.")
+    name = _tuplegetter(0, "The null's label.")
 
     def __repr__(self) -> str:
-        return f"_{self._payload}"
+        return f"_{self.name}"
 
 
 Term = Union[Variable, Constant, Null]

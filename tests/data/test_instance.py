@@ -1,12 +1,18 @@
 """Unit tests for instances: storage, evaluation, constraint checks."""
 
+import json
+
 import pytest
 
 from repro.data.instance import Instance, InstanceError
+from repro.data.source import InMemorySource
 from repro.logic.atoms import Atom
 from repro.logic.dependencies import parse_tgd
 from repro.logic.queries import cq
 from repro.logic.terms import Constant, Variable
+from repro.scenarios import example5
+from repro.schema.core import SchemaBuilder
+from repro.service.workers import source_to_spec, spec_to_source
 
 
 class TestStorage:
@@ -49,6 +55,89 @@ class TestStorage:
         a = Instance({"R": [("x",)], "S": []})
         b = Instance({"R": [("x",)]})
         assert a == b
+
+
+def _cells(instance):
+    return [cell for r in instance.relations() for row in instance.tuples(r)
+            for cell in row]
+
+
+class TestSharedCells:
+    """One ``Constant`` object per ``(type(value), value)`` per instance."""
+
+    def test_equal_cells_are_one_object_across_rows_and_relations(self):
+        instance = Instance(
+            {"R": [("a", "b"), ("b", "a")], "S": [("a",), (Constant("b"),)]}
+        )
+        by_value = {}
+        for cell in _cells(instance):
+            assert by_value.setdefault(cell.value, cell) is cell
+        assert set(by_value) == {"a", "b"}
+
+    def test_shared_after_copy_and_a_later_add(self):
+        instance = Instance({"R": [("a",)]})
+        (a,), = instance.tuples("R")
+        clone = instance.copy()
+        clone.add("S", ("a", "new"))
+        (row,) = clone.tuples("S")
+        assert row[0] is a
+        instance.add("T", ("a",))
+        assert next(iter(instance.tuples("T")))[0] is a
+        # The clone's new cells are its own.
+        assert all(c.value != "new" for c in _cells(instance))
+
+    def test_equal_numbers_of_three_types_stay_three_constants(self):
+        instance = Instance({"I": [(1,)], "F": [(1.0,)], "B": [(True,)]})
+        cells = {r: next(iter(instance.tuples(r)))[0] for r in "IFB"}
+        assert [type(cells[r].value) for r in "IFB"] == [int, float, bool]
+        assert [repr(cells[r]) for r in "IFB"] == ["1", "1.0", "True"]
+        assert cells["I"] is not cells["F"] and cells["F"] is not cells["B"]
+        assert instance.to_dict() == {"B": [[True]], "F": [[1.0]], "I": [[1]]}
+        for r in "IFB":
+            instance.add(r + "2", (cells[r].value, "x"))
+            assert next(iter(instance.tuples(r + "2")))[0] is cells[r]
+
+    def test_two_nan_objects_stay_two_constants(self):
+        nan, other = float("nan"), float("nan")
+        instance = Instance({"R": [(nan,), (other,)], "S": [(nan,)]})
+        assert instance.size("R") == 2
+        (s,), = instance.tuples("S")
+        assert s.value is nan
+        assert [c for c in _cells(instance) if c.value is nan] == [s, s]
+
+    def test_a_refused_row_adds_no_cell(self):
+        instance = Instance({"R": [(1,)]})
+        assert not instance.add("R", (1.0,))  # equal row: a duplicate
+        with pytest.raises(InstanceError):
+            instance.add("R", ("fresh", object()))
+        assert len(instance._cells) == 1
+
+    def test_memory_source_answers_with_the_instances_own_cells(self):
+        schema = (
+            SchemaBuilder("s").relation("R", 2).relation("S", 2)
+            .access("mR", "R", inputs=[]).access("mS", "S", inputs=[0])
+            .build()
+        )
+        instance = Instance(
+            {"R": [("a", "b"), ("c", "b")], "S": [("b", "d"), ("d", "a")]}
+        )
+        own = {id(cell) for cell in _cells(instance)}
+        source = InMemorySource(schema, instance)
+        answers = list(source.access("mR"))
+        for _, b in answers:
+            answers.extend(source.access("mS", (b,)))
+        assert answers and all(id(c) in own for row in answers for c in row)
+
+    def test_a_worker_spec_round_trip_rebuilds_a_sharing_instance(self):
+        scenario = example5(3)
+        shipped = InMemorySource(scenario.schema, scenario.instance(0))
+        rebuilt = spec_to_source(json.loads(json.dumps(source_to_spec(shipped))))
+        assert rebuilt.instance == shipped.instance
+        by_key = {}
+        for cell in _cells(rebuilt.instance):
+            key = (type(cell.value), cell.value)
+            assert by_key.setdefault(key, cell) is cell
+        assert len(by_key) < len(_cells(rebuilt.instance))
 
 
 class TestEvaluation:

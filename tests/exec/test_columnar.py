@@ -100,6 +100,21 @@ class TestPrimitives:
     def test_row_ids_zero_columns(self):
         assert list(_row_ids([], 3)) == [0, 0, 0]
 
+    @pytest.mark.parametrize("top", [8, 2**30], ids=["small", "re-ranked"])
+    def test_row_ids_order_rows_lexicographically(self, top):
+        # At 2**30 the third fold would pass 2**63 and re-ranks first;
+        # either way the ids sort (and group) exactly as the rows do,
+        # which is the order every dedup and dispatch takes.
+        rng = np.random.default_rng(1)
+        columns = [rng.integers(0, top, 60, dtype=np.int64) for _ in range(3)]
+        columns = [np.concatenate((c, c[:10])) for c in columns]
+        ids = [int(i) for i in _row_ids(columns, 70)]
+        rows = list(zip(*(map(int, c) for c in columns)))
+        for i in range(70):
+            for j in range(70):
+                assert (ids[i] < ids[j]) == (rows[i] < rows[j])
+                assert (ids[i] == ids[j]) == (rows[i] == rows[j])
+
     def test_match_pairs_equals_python_join(self):
         rng = np.random.default_rng(0)
         codec = _Codec()

@@ -1,7 +1,14 @@
 """Unit tests for terms: identity, hashing, factories, ordering."""
 
+import json
+import operator
+
 import pytest
 
+from repro.data.instance import Instance
+from repro.data.source import InMemorySource
+from repro.logic.atoms import Atom
+from repro.logic.queries import ConjunctiveQuery
 from repro.logic.terms import (
     Constant,
     Null,
@@ -11,6 +18,9 @@ from repro.logic.terms import (
     is_ground,
     reset_null_counter,
 )
+from repro.schema.core import SchemaBuilder
+from repro.source_contract import checked_inputs
+from repro.sources.sqlite import SQLiteSource
 
 
 class TestVariable:
@@ -195,3 +205,115 @@ class TestFrozenSlotValues:
                 assert value == 5
             case _:
                 raise AssertionError("Constant(5) did not match")
+
+
+class TestRepresentation:
+    """A term is a 1-tuple hashed by ``tuple.__hash__`` and nothing else
+    of a tuple: a scalar everywhere but in the hash."""
+
+    @pytest.mark.parametrize("kind, _field", KINDS)
+    def test_the_hash_is_tuples_own_slot(self, kind, _field):
+        # A Python-level ``__hash__`` would put a frame back on every
+        # set and dict operation of the chase and the executors.
+        assert kind.__hash__ is tuple.__hash__
+
+    @pytest.mark.parametrize("kind, _field", KINDS)
+    @pytest.mark.parametrize(
+        "use",
+        [iter, len, tuple, list, json.dumps, lambda t: t[0],
+         lambda t: "q" in t, lambda t: t + ("r",), lambda t: ("r",) + t,
+         lambda t: 2 * t],
+        ids=["iter", "len", "tuple", "list", "json", "index", "in",
+             "add", "radd", "mul"],
+    )
+    def test_a_term_is_not_a_sequence(self, kind, _field, use):
+        with pytest.raises(TypeError):
+            use(kind("q"))
+
+    @pytest.mark.parametrize("kind, _field", KINDS)
+    @pytest.mark.parametrize("payload", ["", 0, False])
+    def test_always_true(self, kind, _field, payload):
+        assert bool(kind(payload)) is True
+
+    @pytest.mark.parametrize(
+        "compare",
+        [operator.lt, operator.le, operator.gt, operator.ge],
+        ids=["<", "<=", ">", ">="],
+    )
+    def test_no_order_against_a_plain_tuple(self, compare):
+        with pytest.raises(TypeError):
+            compare(Constant("a"), ("b",))
+        with pytest.raises(TypeError):
+            compare(("b",), Constant("a"))
+
+    def test_order_among_terms_is_by_repr(self):
+        assert Constant("a") < Constant("b") <= Constant("b")
+        assert Variable("a") > Constant("z")  # "?a" > "'z'"
+        assert Null("a") >= Variable("a")  # "_a" > "?a"
+
+    @pytest.mark.parametrize("kind, _field", KINDS)
+    def test_never_equal_to_a_plain_tuple_in_either_order(self, kind, _field):
+        term = kind("a")
+        assert ("a",) != term and term != ("a",)
+        assert not ("a",) == term and not term == ("a",)
+        assert len({term, ("a",)}) == 2
+        assert len({("a",), term}) == 2
+
+    def test_numpy_builds_a_flat_object_array(self):
+        np = pytest.importorskip("numpy")
+        terms = [Constant("a"), Constant(1), Null("n"), Variable("x")]
+        array = np.array(terms, dtype=object)
+        assert array.shape == (len(terms),)
+        assert all(a is t for a, t in zip(array, terms))
+        rows = np.array([(Constant("a"), Constant("b"))] * 3, dtype=object)
+        assert rows.shape == (3, 2)
+
+
+BARE_SCHEMA = (
+    SchemaBuilder("bare").relation("R", 1).access("mR", "R", inputs=[0]).build()
+)
+
+
+def _sqlite_access(term):
+    source = SQLiteSource(BARE_SCHEMA, Instance({"R": [("a",)]}))
+    try:
+        return source.access("mR", term)
+    finally:
+        source.close()
+
+
+class TestABareTermIsNotATupleOfTerms:
+    """Where a tuple of terms is wanted, one term raises ``TypeError`` --
+    as it did when terms were not tuples.  Without the guards a tuple
+    term would build an atom over the raw payload, store the row
+    ``('a',)``, or look up a key of raw payloads."""
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda t: Atom("R", t),
+            lambda t: Instance().add("R", t),
+            lambda t: ConjunctiveQuery(t, (Atom("R", (Variable("x"),)),)),
+            lambda t: t < ("b",),
+            json.dumps,
+            lambda t: InMemorySource(
+                BARE_SCHEMA, Instance({"R": [("a",)]})
+            ).access("mR", t),
+            _sqlite_access,
+            lambda t: checked_inputs(BARE_SCHEMA.method("mR"), t),
+        ],
+        ids=["atom", "instance-add", "query-head", "order", "json",
+             "memory-access", "sqlite-access", "checked-inputs"],
+    )
+    @pytest.mark.parametrize("kind, _field", KINDS)
+    def test_raises_type_error(self, use, kind, _field):
+        with pytest.raises(TypeError):
+            use(kind("x"))
+
+    def test_a_tuple_of_terms_is_still_taken_as_it_is(self):
+        terms = (Constant("a"), Variable("x"))
+        assert Atom("R", terms).terms is terms
+        assert Atom("R", list(terms)).terms == terms
+        assert ConjunctiveQuery([Variable("x")], [Atom("R", terms)]).head == (
+            Variable("x"),
+        )
