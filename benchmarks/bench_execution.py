@@ -352,12 +352,12 @@ def row_heavy_workload(n, keys=None):
     """The same join under a selection that splits by input.
 
     ``π[a,c](σ[c='c1' & a!='a0'](T_R ⋈ T_S))``: each condition reads one
-    input only, so the interpreter filters ``T_S`` down to one row before
-    any pair is formed and the join costs about what the scans do.  Kept
-    as the agreement check between the backends on pushed-down
-    selections (and as the twin of ``benchmarks/e2e``'s ``row_heavy``
-    request class); it measures a rewrite, not vectorisation, so no
-    speedup floor applies to it.
+    input only, so the plan's rewrite puts it below the join and either
+    backend filters ``T_S`` down to one row before any pair is formed;
+    the join costs about what the scans do.  Kept as the agreement check
+    between the backends on pushed-down selections (and as the twin of
+    ``benchmarks/e2e``'s ``row_heavy`` request class); no speedup floor
+    applies to it.
     """
     keys = keys if keys is not None else max(1, n // 100)
     return _two_scan_join(

@@ -15,9 +15,8 @@ rows survived the output mapping.  This module closes the loop:
   (thread-safe, deterministic -- plain integer sums), answers
   ``fan_out(method)`` / ``selectivity(method)`` queries with
   hit/fallback accounting, and persists itself as one versioned,
-  atomically-written JSON file (the same idioms as
-  :mod:`repro.planner.plan_cache`'s disk tier) so estimates survive
-  restarts.
+  checksummed, atomically-written JSON file (:mod:`repro.checked_json`,
+  the plan cache's disk protocol too) so estimates survive restarts.
 
 Two derived statistics feed the estimator:
 
@@ -50,6 +49,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from repro import checked_json
 from repro.errors import CostModelError
 
 #: Format marker + version stamped into the on-disk store.
@@ -57,22 +57,6 @@ from repro.errors import CostModelError
 #: treated as alien -- an empty store, re-filled by observation).
 CALIBRATION_KIND = "repro.cost-calibration"
 CALIBRATION_VERSION = 2
-
-
-def store_checksum(entry: Mapping) -> str:
-    """BLAKE2b content checksum of the on-disk store (sans checksum).
-
-    Same discipline as the plan cache's disk tier: canonical JSON of
-    everything but the checksum field, so a corrupt store is detected
-    and quarantined instead of silently mis-calibrating the planner.
-    """
-    payload = json.dumps(
-        {k: v for k, v in entry.items() if k != "checksum"},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 #: Selectivities are clamped into (EPSILON, 1.0]: zero would make
 #: downstream size estimates vanish (and divide costs to nothing).
@@ -423,25 +407,16 @@ class CalibrationStore:
         """
         if self.path is None:
             return
-        entry = self.as_dict()
-        entry["checksum"] = store_checksum(entry)
-        tmp = (
-            f"{self.path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        )
         try:
             with self._io_lock:
-                directory = os.path.dirname(self.path)
-                if directory:
-                    os.makedirs(directory, exist_ok=True)
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, sort_keys=True, indent=1)
-                os.replace(tmp, self.path)
+                checked_json.write(self.path, self.as_dict())
         except OSError:
             with self._lock:
                 self.persist_errors += 1
 
-    def _quarantine(self, path: str) -> None:
-        """Move a corrupt store aside and continue empty (never raise).
+    def _load(self, path: str) -> None:
+        """Rehydrate from disk; corrupt stores are quarantined, alien
+        ones ignored -- either way this store starts empty and serves.
 
         The store re-fills from live observations (every served request
         feeds it), so quarantine-and-continue converges back to
@@ -450,40 +425,17 @@ class CalibrationStore:
         ``<path>.quarantined`` for inspection and the event counted.
         """
         try:
-            os.replace(path, f"{path}.quarantined")
-        except OSError:  # pragma: no cover -- racing cleanup is fine
-            pass
-        self.quarantined += 1
-
-    def _load(self, path: str) -> None:
-        """Rehydrate from disk; corrupt stores are quarantined, alien
-        ones ignored -- either way this store starts empty and serves."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:  # pragma: no cover -- checked by caller
-            return
-        except (OSError, ValueError):
-            self._quarantine(path)
-            return
-        if (
-            not isinstance(entry, dict)
-            or entry.get("format") != CALIBRATION_KIND
-            or entry.get("version") != CALIBRATION_VERSION
-        ):
-            return
-        checksum = entry.get("checksum")
-        if not isinstance(checksum, str) or checksum != store_checksum(entry):
-            self._quarantine(path)
-            return
-        try:
+            entry = checked_json.read(path, CALIBRATION_KIND, CALIBRATION_VERSION)
+            if entry is None:
+                return
             methods = [
                 MethodCalibration.from_dict(item)
                 for item in entry.get("methods", ())
             ]
             store_version = int(entry.get("store_version", 0))
-        except (KeyError, TypeError, ValueError):
-            self._quarantine(path)
+        except (checked_json.CorruptFile, KeyError, TypeError, ValueError):
+            checked_json.quarantine(path)
+            self.quarantined += 1
             return
         self._methods = {m.method: m for m in methods}
         self.version = store_version

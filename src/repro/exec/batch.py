@@ -13,31 +13,28 @@ Parameter bindings are plan rewrites: :func:`substitute_constants`
 replaces schema constants wherever a plan mentions them (access input
 bindings, selection conditions, literal tables), which is how "the same
 plan for last name 'smith'" becomes "... for last name 'jones'" without
-re-planning.
+re-planning.  :func:`run_request` applies the same substitution to the
+plan's memoised executable form (:mod:`repro.plans.rewrite`) instead, so
+a bound request neither re-plans nor re-runs the rewrite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+import operator
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.data.decorators import budgeted
 from repro.exec.context import ExecutionContext
 from repro.logic.terms import Constant
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
 from repro.plans.expressions import (
-    Difference,
     EqConst,
     Expression,
     Join,
     Literal,
     NamedTable,
     NeqConst,
-    Project,
-    Rename,
-    Scan,
     Select,
-    Singleton,
-    Union,
 )
 from repro.plans.plan import Plan
 
@@ -58,66 +55,75 @@ def substitute_constants(
 
     Keys and values may be raw Python values or :class:`Constant`.
     Constants are replaced in access input bindings, in (in)equality
-    selection conditions and in literal tables; attribute names are
-    untouched.  An empty mapping returns the plan unchanged.
+    selection conditions -- a fused join's too -- and in literal tables;
+    attribute names are untouched.  A mapping that touches nothing
+    returns the plan itself.
     """
-    subst = _to_constant_map(mapping)
-    if not subst:
+    substitute = _substitution(_to_constant_map(mapping))
+    commands = tuple(map(substitute, plan.commands))
+    if all(map(operator.is_, commands, plan.commands)):
         return plan
-    commands = tuple(_sub_command(c, subst) for c in plan.commands)
     return Plan(commands, plan.output_table, name=plan.name)
 
 
-def _sub_command(command: Command, subst: Dict[Constant, Constant]) -> Command:
-    if isinstance(command, AccessCommand):
-        return AccessCommand(
-            target=command.target,
-            method=command.method,
-            input_expr=_sub_expr(command.input_expr, subst),
-            input_binding=tuple(
-                subst.get(entry, entry) if isinstance(entry, Constant) else entry
-                for entry in command.input_binding
-            ),
-            output_map=command.output_map,
+def _substitution(subst: Dict[Constant, Constant]) -> Callable[[Command], Command]:
+    """Constants replaced per ``subst`` in one command.
+
+    Every untouched subtree, condition tuple and binding is shared, so a
+    command that mentions none of the constants comes back as itself.
+    """
+
+    def _cells(cells):
+        if not any(isinstance(c, Constant) and c in subst for c in cells):
+            return cells
+        return tuple(subst.get(c, c) if isinstance(c, Constant) else c for c in cells)
+
+    def _conditions(conditions):
+        if not any(
+            isinstance(c, (EqConst, NeqConst)) and c.value in subst
+            for c in conditions
+        ):
+            return conditions
+        return tuple(
+            type(c)(c.attribute, subst.get(c.value, c.value))
+            if isinstance(c, (EqConst, NeqConst))
+            else c
+            for c in conditions
         )
-    return MiddlewareCommand(command.target, _sub_expr(command.expr, subst))
 
-
-def _sub_expr(expr: Expression, subst: Dict[Constant, Constant]) -> Expression:
-    if isinstance(expr, (Singleton, Scan)):
+    def _expr(expr: Expression) -> Expression:
+        if isinstance(expr, Literal):
+            table = expr.table
+            if not any(cell in subst for row in table.rows for cell in row):
+                return expr
+            rows = frozenset(map(_cells, table.rows))
+            return Literal(NamedTable(table.attributes, rows))
+        expr = expr.map_children(_expr)
+        if isinstance(expr, Select):
+            conditions = _conditions(expr.conditions)
+            if conditions is not expr.conditions:
+                return Select(expr.child, conditions)
+        elif isinstance(expr, Join) and expr.conditions:
+            conditions = _conditions(expr.conditions)
+            if conditions is not expr.conditions:
+                return Join(expr.left, expr.right, conditions, expr.project_to)
         return expr
-    if isinstance(expr, Literal):
-        return Literal(
-            NamedTable(
-                expr.table.attributes,
-                frozenset(
-                    tuple(subst.get(cell, cell) for cell in row)
-                    for row in expr.table.rows
-                ),
+
+    def _command(command: Command) -> Command:
+        if isinstance(command, AccessCommand):
+            expr = _expr(command.input_expr)
+            binding = _cells(command.input_binding)
+            if expr is command.input_expr and binding is command.input_binding:
+                return command
+            return AccessCommand(
+                command.target, command.method, expr, binding, command.output_map
             )
-        )
-    if isinstance(expr, Project):
-        return Project(_sub_expr(expr.child, subst), expr.attrs)
-    if isinstance(expr, Select):
-        return Select(
-            _sub_expr(expr.child, subst),
-            tuple(_sub_condition(c, subst) for c in expr.conditions),
-        )
-    if isinstance(expr, Rename):
-        return Rename(_sub_expr(expr.child, subst), expr.mapping)
-    if isinstance(expr, (Join, Union, Difference)):
-        return type(expr)(
-            _sub_expr(expr.left, subst), _sub_expr(expr.right, subst)
-        )
-    raise TypeError(f"cannot substitute constants in {expr!r}")
+        expr = _expr(command.expr)
+        if expr is command.expr:
+            return command
+        return MiddlewareCommand(command.target, expr)
 
-
-def _sub_condition(condition, subst: Dict[Constant, Constant]):
-    if isinstance(condition, EqConst):
-        return EqConst(condition.attribute, subst.get(condition.value, condition.value))
-    if isinstance(condition, NeqConst):
-        return NeqConst(condition.attribute, subst.get(condition.value, condition.value))
-    return condition
+    return _command
 
 
 def run_request(
@@ -136,7 +142,15 @@ def run_request(
     typed :class:`~repro.errors.ReproError`.
     """
     if bindings:
-        plan = substitute_constants(plan, bindings)
+        # Bind the plan's memoised executable form, not the plan: the
+        # substitution commutes with the rewrite (it changes constants,
+        # never attributes), so the rewrite is not run again.
+        form = plan.executable()
+        substitute = _substitution(_to_constant_map(bindings))
+        plan = Plan.from_executable(
+            form._replace(commands=tuple(map(substitute, form.commands))),
+            plan.name,
+        )
     return plan.execute(
         budgeted(source, context.budget), context, executor=executor
     )

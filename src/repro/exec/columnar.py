@@ -4,11 +4,12 @@ The tuple-at-a-time interpreter in :mod:`repro.plans.expressions` pays
 Python-level cost per *row*; after PR 3's indexing and caching the
 remaining execution time on row-heavy plans is exactly that per-row
 overhead.  This backend pays Python cost per *operator* instead: a
-:class:`ColumnarPlan` is compiled from the serializable plan IR
-(:mod:`repro.plans.ir`) into a pipeline over **dictionary-encoded
-column arrays** -- every ground term is interned to a small integer
-code once per execution, relations become one ``int64`` array per
-attribute, and the relational operators become array programs:
+:class:`ColumnarPlan` is compiled from the plan's executable form (the
+expression trees :mod:`repro.plans.rewrite` produced, the same ones the
+interpreter runs) into a pipeline over **dictionary-encoded column
+arrays** -- every ground term is interned to a small integer code once
+per execution, relations become one ``int64`` array per attribute, and
+the relational operators become array programs:
 
 * selections are boolean mask vectors (``EqAttr``/``EqConst``/
   ``NeqAttr``/``NeqConst`` compile to ``==``/``!=`` over code arrays --
@@ -18,11 +19,16 @@ attribute, and the relational operators become array programs:
   sorted by its composite key (the build), the larger side probes via
   binary search, and matching row-index pairs are expanded with
   ``repeat``/``cumsum`` arithmetic -- no Python-level row loop;
-* selections and projections sitting directly above a join are fused
-  into the probe: conditions mask the matched index pairs and only the
-  surviving, needed columns are ever gathered;
+* a fused join (the rewrite folded the σ/π above it into the node)
+  masks the matched index pairs with its conditions and gathers only
+  the surviving, needed columns; selections the rewrite pushed below
+  the join mask its inputs before any pair is formed;
 * unions, differences and duplicate elimination reduce to grouping on
   a joint row-id encoding of the participating tables.
+
+The rewrite decided where every condition goes and resolved every
+attribute name, so nothing here inspects a child node to fuse, and an
+unknown name has raised before the first access.
 
 Set semantics are preserved operator by operator (tables are
 deduplicated exactly where the interpreter's ``frozenset`` semantics
@@ -51,7 +57,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # numpy is a baked-in dependency; fail with guidance, not a stack dump
     import numpy as np
@@ -65,15 +71,26 @@ from repro.errors import ExecutionError
 from repro.exec.cache import AccessCache
 from repro.exec.context import ExecutionContext
 from repro.logic.terms import Constant, Term
-from repro.plans.commands import access_keys
-from repro.plans.expressions import EvaluationError, NamedTable
-from repro.plans.ir import (
-    PlanIRError,
-    condition_from_ir,
-    plan_to_ir,
-    term_from_ir,
+from repro.plans.commands import AccessCommand, access_keys
+from repro.plans.expressions import (
+    Difference,
+    EqAttr,
+    EqConst,
+    EvaluationError,
+    Expression,
+    Join,
+    Literal,
+    NamedTable,
+    NeqAttr,
+    Project,
+    Rename,
+    Scan,
+    Select,
+    Singleton,
+    Union,
 )
-from repro.plans.plan import last_readers, run_commands
+from repro.plans.plan import run_commands
+from repro.plans.rewrite import Executable
 
 __all__ = [
     "ColumnarPlan",
@@ -264,22 +281,6 @@ class _CExpr:
         """Evaluate this node over ``env`` into a column table."""
         raise NotImplementedError
 
-    def tables_read(self) -> frozenset:
-        """Names of the temp tables this subtree scans."""
-        raise NotImplementedError
-
-
-class _CSingleton(_CExpr):
-    __slots__ = ()
-
-    def eval(self, env, codec):
-        """Evaluate this node over ``env`` into a column table."""
-        return _ColTable((), (), 1)
-
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return frozenset()
-
 
 class _CScan(_CExpr):
     __slots__ = ("table",)
@@ -294,10 +295,6 @@ class _CScan(_CExpr):
         except KeyError:
             raise EvaluationError(f"unknown table {self.table!r}") from None
 
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return frozenset({self.table})
-
 
 class _CLiteral(_CExpr):
     __slots__ = ("attrs", "rows")
@@ -309,10 +306,6 @@ class _CLiteral(_CExpr):
     def eval(self, env, codec):
         """Evaluate this node over ``env`` into a column table."""
         return codec.encode_rows(self.attrs, self.rows)
-
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return frozenset()
 
 
 class _CProject(_CExpr):
@@ -328,34 +321,25 @@ class _CProject(_CExpr):
         columns = tuple(table.column(a) for a in self.attrs)
         return _dedup(_ColTable(self.attrs, columns, table.nrows))
 
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return self.child.tables_read()
 
-
-def _condition_mask(
-    condition, table_column, nrows: int, codec: _Codec
-) -> Optional[np.ndarray]:
-    """Boolean keep-mask of one condition, given a column resolver.
-
-    ``table_column(name)`` returns the code array of an attribute or
-    raises :class:`EvaluationError`; the caller decides how unknown
-    attributes interact with emptiness (matching the interpreter's
-    lazy ``holds`` fallback, which only raises when a row is checked).
-    """
-    from repro.plans.expressions import EqAttr, EqConst, NeqAttr, NeqConst
-
+def _condition_mask(condition, table_column, codec: _Codec) -> np.ndarray:
+    """Boolean keep-mask of one condition, given a column resolver."""
     if isinstance(condition, EqAttr):
         return table_column(condition.left) == table_column(condition.right)
     if isinstance(condition, NeqAttr):
         return table_column(condition.left) != table_column(condition.right)
     if isinstance(condition, EqConst):
         return table_column(condition.attribute) == codec.code(condition.value)
-    if isinstance(condition, NeqConst):
-        return table_column(condition.attribute) != codec.code(condition.value)
-    raise PlanIRError(  # unreachable off the IR path; kept for safety
-        f"columnar backend cannot evaluate condition {condition!r}"
-    )
+    return table_column(condition.attribute) != codec.code(condition.value)
+
+
+def _conditions_mask(conditions, table_column, codec: _Codec):
+    """The conjunction's keep-mask (``None``: no conditions, keep all)."""
+    keep: Optional[np.ndarray] = None
+    for condition in conditions:
+        mask = _condition_mask(condition, table_column, codec)
+        keep = mask if keep is None else (keep & mask)
+    return keep
 
 
 class _CSelect(_CExpr):
@@ -368,26 +352,8 @@ class _CSelect(_CExpr):
     def eval(self, env, codec):
         """Evaluate this node over ``env`` into a column table."""
         table = self.child.eval(env, codec)
-        keep: Optional[np.ndarray] = None
-        for condition in self.conditions:
-            try:
-                mask = _condition_mask(
-                    condition, table.column, table.nrows, codec
-                )
-            except EvaluationError:
-                # The interpreter's holds() fallback raises only when a
-                # row is actually checked: empty input passes through.
-                if table.nrows == 0:
-                    return table
-                raise
-            keep = mask if keep is None else (keep & mask)
-        if keep is None:
-            return table
-        return table.mask(keep)
-
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return self.child.tables_read()
+        keep = _conditions_mask(self.conditions, table.column, codec)
+        return table if keep is None else table.mask(keep)
 
 
 class _CRename(_CExpr):
@@ -402,10 +368,6 @@ class _CRename(_CExpr):
         table = self.child.eval(env, codec)
         attrs = tuple(self.mapping.get(a, a) for a in table.attributes)
         return _ColTable(attrs, table.columns, table.nrows)
-
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return self.child.tables_read()
 
 
 class _CUnion(_CExpr):
@@ -429,10 +391,6 @@ class _CUnion(_CExpr):
         return _dedup(
             _ColTable(left.attributes, columns, left.nrows + right.nrows)
         )
-
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return self.left.tables_read() | self.right.tables_read()
 
 
 class _CDifference(_CExpr):
@@ -459,19 +417,14 @@ class _CDifference(_CExpr):
         keep = np.isin(left_ids, right_ids, invert=True)
         return left.mask(keep)
 
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return self.left.tables_read() | self.right.tables_read()
-
 
 class _CJoin(_CExpr):
-    """Natural join with fused selection/projection over the probe.
+    """A natural join with its fused selection/projection over the probe.
 
-    The compiler folds ``Select``/``Project`` nodes sitting directly
-    above a ``Join`` into ``conditions``/``project_to`` here, mirroring
-    ``Join._evaluate_fused`` in the interpreter: conditions mask the
-    matched row-index pairs and only surviving, needed columns are
-    gathered -- the full join result is never materialized.
+    ``conditions``/``project_to`` are the fused join's own fields: the
+    conditions mask the matched row-index pairs and only surviving,
+    needed columns are gathered -- the full join result is never
+    materialized.
     """
 
     __slots__ = ("left", "right", "conditions", "project_to")
@@ -480,8 +433,8 @@ class _CJoin(_CExpr):
         self,
         left: _CExpr,
         right: _CExpr,
-        conditions: Tuple[object, ...] = (),
-        project_to: Optional[Tuple[str, ...]] = None,
+        conditions: Tuple[object, ...],
+        project_to: Optional[Tuple[str, ...]],
     ) -> None:
         self.left = left
         self.right = right
@@ -494,70 +447,26 @@ class _CJoin(_CExpr):
         right = self.right.eval(env, codec)
         shared = [a for a in right.attributes if left.has(a)]
         extra = [a for a in right.attributes if not left.has(a)]
-        out_attrs = left.attributes + tuple(extra)
         left_idx, right_idx = _match_pairs(left, right, shared)
 
         def pair_column(attribute: str) -> np.ndarray:
-            """Resolve an equi-join attribute to (side, code column)."""
+            """One attribute's codes over the matched pairs."""
             if left.has(attribute):
                 return left.column(attribute)[left_idx]
-            if right.has(attribute):
-                return right.column(attribute)[right_idx]
-            raise EvaluationError(
-                f"no attribute {attribute!r} in {out_attrs}"
-            )
+            return right.column(attribute)[right_idx]
 
-        keep: Optional[np.ndarray] = None
-        for condition in self.conditions:
-            try:
-                mask = _condition_mask(
-                    condition, pair_column, len(left_idx), codec
-                )
-            except EvaluationError:
-                # Interpreter parity: the unfused fallback only raises
-                # when a joined row is actually checked.
-                if len(left_idx) == 0:
-                    attrs = (
-                        out_attrs
-                        if self.project_to is None
-                        else self._checked_projection(out_attrs)
-                    )
-                    return _ColTable(
-                        attrs, tuple(np.empty(0, np.int64) for _ in attrs), 0
-                    )
-                raise
-            keep = mask if keep is None else (keep & mask)
+        keep = _conditions_mask(self.conditions, pair_column, codec)
         if keep is not None:
             left_idx = left_idx[keep]
             right_idx = right_idx[keep]
-        attrs = (
-            out_attrs
-            if self.project_to is None
-            else self._checked_projection(out_attrs)
-        )
-        columns = []
-        for attribute in attrs:
-            if left.has(attribute):
-                columns.append(left.column(attribute)[left_idx])
-            else:
-                columns.append(right.column(attribute)[right_idx])
-        table = _ColTable(attrs, tuple(columns), len(left_idx))
+        attrs = self.project_to
+        if attrs is None:
+            attrs = left.attributes + tuple(extra)
+        table = _ColTable(attrs, tuple(map(pair_column, attrs)), len(left_idx))
         # A natural join of two duplicate-free tables is duplicate-free
         # (shared + extra covers every right attribute); only an actual
         # projection can collapse rows.
         return table if self.project_to is None else _dedup(table)
-
-    def _checked_projection(self, out_attrs: Tuple[str, ...]) -> Tuple[str, ...]:
-        for attribute in self.project_to:
-            if attribute not in out_attrs:
-                raise EvaluationError(
-                    f"no attribute {attribute!r} in {out_attrs}"
-                )
-        return self.project_to
-
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return self.left.tables_read() | self.right.tables_read()
 
 
 def _match_pairs(
@@ -609,33 +518,19 @@ class _CAccess:
     )
     kind = "access"
 
-    def __init__(self, target, method, input_expr, binding, output_map):
-        self.target = target
-        self.method = method
-        self.input_expr = input_expr
-        self.binding = binding
-        self.output_map = output_map
-        seen: Dict[str, None] = {}
-        for entry in binding:
-            if isinstance(entry, str) and entry not in seen:
-                seen[entry] = None
-        self.input_attrs = tuple(seen)
-
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return self.input_expr.tables_read()
+    def __init__(self, command: AccessCommand) -> None:
+        self.target = command.target
+        self.method = command.method
+        self.input_expr = _compile_expr(command.input_expr)
+        self.binding = command.input_binding
+        self.output_map = command.output_map
+        self.input_attrs = command.input_attrs
 
     def execute(self, env, source, context=None):
         """Run this compiled command, writing its table into ``env``."""
         codec = env.codec
         inputs = self.input_expr.eval(env, codec)
-        try:
-            columns = [inputs.column(a) for a in self.input_attrs]
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"access {self.method}: input expression lacks "
-                f"attributes {self.input_attrs}: {exc}"
-            ) from exc
+        columns = [inputs.column(a) for a in self.input_attrs]
         # Distinct binding tuples via one vectorized grouping; only the
         # representatives are decoded back to terms for dispatch.
         if columns:
@@ -712,105 +607,58 @@ class _CMiddleware:
         self.target = target
         self.expr = expr
 
-    def tables_read(self):
-        """Names of the temp tables this subtree scans."""
-        return self.expr.tables_read()
-
     def execute(self, env, source, context=None):
         """Run this compiled command, writing its table into ``env``."""
         env[self.target] = self.expr.eval(env, env.codec)
 
 
 # ---------------------------------------------------------------- compiler
-def _compile_expr(obj: Mapping) -> _CExpr:
-    op = obj.get("op")
-    if op == "singleton":
-        return _CSingleton()
-    if op == "scan":
-        return _CScan(obj["table"])
-    if op == "literal":
-        return _CLiteral(
-            tuple(obj["attrs"]),
-            tuple(
-                tuple(term_from_ir(cell) for cell in row)
-                for row in obj["rows"]
-            ),
-        )
-    if op == "project":
-        child = _compile_expr(obj["child"])
-        attrs = tuple(obj["attrs"])
-        # π over ⋈ (optionally through σ) fuses into the join probe.
-        if isinstance(child, _CJoin) and child.project_to is None:
-            return _CJoin(child.left, child.right, child.conditions, attrs)
-        return _CProject(child, attrs)
-    if op == "select":
-        child = _compile_expr(obj["child"])
-        conditions = tuple(condition_from_ir(c) for c in obj["conditions"])
-        if isinstance(child, _CJoin) and child.project_to is None:
-            return _CJoin(
-                child.left, child.right, child.conditions + conditions
-            )
-        return _CSelect(child, conditions)
-    if op == "rename":
-        return _CRename(
-            _compile_expr(obj["child"]),
-            tuple((old, new) for old, new in obj["mapping"]),
-        )
-    if op == "join":
+def _compile_expr(expr: Expression) -> _CExpr:
+    """The columnar operator tree of one (rewritten) expression."""
+    if isinstance(expr, Scan):
+        return _CScan(expr.table)
+    if isinstance(expr, (Singleton, Literal)):
+        table = expr.evaluate({})
+        # Sorted, as the plan IR lists them: the order terms are first
+        # interned in, and hence the code order, never depends on
+        # frozenset iteration.
+        return _CLiteral(table.attributes, tuple(sorted(table.rows)))
+    if isinstance(expr, Project):
+        return _CProject(_compile_expr(expr.child), expr.attrs)
+    if isinstance(expr, Select):
+        return _CSelect(_compile_expr(expr.child), expr.conditions)
+    if isinstance(expr, Rename):
+        return _CRename(_compile_expr(expr.child), expr.mapping)
+    if isinstance(expr, Join):
         return _CJoin(
-            _compile_expr(obj["left"]), _compile_expr(obj["right"])
+            _compile_expr(expr.left),
+            _compile_expr(expr.right),
+            expr.conditions,
+            expr.project_to,
         )
-    if op == "union":
-        return _CUnion(
-            _compile_expr(obj["left"]), _compile_expr(obj["right"])
-        )
-    if op == "difference":
+    if isinstance(expr, Union):
+        return _CUnion(_compile_expr(expr.left), _compile_expr(expr.right))
+    if isinstance(expr, Difference):
         return _CDifference(
-            _compile_expr(obj["left"]), _compile_expr(obj["right"])
+            _compile_expr(expr.left), _compile_expr(expr.right)
         )
-    raise PlanIRError(f"unknown expression op {op!r}")
+    raise TypeError(f"columnar backend cannot compile {expr!r}")
 
 
-def _compile_command(obj: Mapping):
-    kind = obj.get("cmd")
-    if kind == "access":
-        return _CAccess(
-            target=obj["target"],
-            method=obj["method"],
-            input_expr=_compile_expr(obj["input"]),
-            binding=tuple(
-                entry if isinstance(entry, str) else term_from_ir(entry)
-                for entry in obj["binding"]
-            ),
-            output_map=tuple(
-                (attr, tuple(positions)) for attr, positions in obj["output"]
-            ),
-        )
-    if kind == "middleware":
-        return _CMiddleware(obj["target"], _compile_expr(obj["expr"]))
-    raise PlanIRError(f"unknown command kind {kind!r}")
+def _compile_command(command):
+    if isinstance(command, AccessCommand):
+        return _CAccess(command)
+    return _CMiddleware(command.target, _compile_expr(command.expr))
 
 
 class ColumnarPlan:
-    """A plan compiled from its IR into the columnar pipeline."""
+    """A plan's executable form compiled into the columnar pipeline."""
 
-    def __init__(self, ir: Mapping) -> None:
-        from repro.plans.ir import IR_KIND, IR_VERSION
-
-        if ir.get("ir") != IR_KIND or ir.get("version") != IR_VERSION:
-            raise PlanIRError(
-                f"not a readable plan IR (ir={ir.get('ir')!r}, "
-                f"version={ir.get('version')!r})"
-            )
-        self.name = ir.get("name", "plan")
-        self.output_table = ir["output"]
-        self.commands = tuple(_compile_command(c) for c in ir["commands"])
-        self._last_readers = last_readers(self.commands)
-
-    @classmethod
-    def from_plan(cls, plan) -> "ColumnarPlan":
-        """Compile a :class:`~repro.plans.plan.Plan` via its IR."""
-        return cls(plan_to_ir(plan))
+    def __init__(self, form: Executable, name: str = "plan") -> None:
+        self.name = name
+        self.output_table = form.output_table
+        self.commands = tuple(_compile_command(c) for c in form.commands)
+        self._last_readers = form.last_read
 
     def execute(
         self, source, context: Optional[ExecutionContext] = None
@@ -848,7 +696,7 @@ def compile_columnar(plan) -> ColumnarPlan:
     try:
         return plan._columnar_compiled  # type: ignore[attr-defined]
     except AttributeError:
-        compiled = ColumnarPlan.from_plan(plan)
+        compiled = ColumnarPlan(plan.executable(), plan.name)
         object.__setattr__(plan, "_columnar_compiled", compiled)
         return compiled
 

@@ -55,6 +55,10 @@ from repro.plans.expressions import (
     EqConst,
     Expression,
     Join,
+    Literal,
+    NamedTable,
+    NeqAttr,
+    NeqConst,
     Project,
     Rename,
     Scan,
@@ -208,14 +212,7 @@ class _Compiler:
         if isinstance(formula, Top):
             return context
         if isinstance(formula, Bottom):
-            empty = self._fresh("C")
-            self.commands.append(
-                MiddlewareCommand(
-                    empty,
-                    Difference(Scan(context.table), Scan(context.table)),
-                )
-            )
-            return _Context(empty, context.variables)
+            return self._none_of(context)
         if isinstance(formula, Eq):
             return self._compile_eq(formula, context, negated=False)
         if isinstance(formula, Not):
@@ -244,6 +241,12 @@ class _Compiler:
     def _compile_eq(
         self, formula: Eq, context: _Context, negated: bool
     ) -> _Context:
+        left, right = formula.left, formula.right
+        if isinstance(left, Constant) and isinstance(right, Constant):
+            # Decided now: true keeps every context row (no command).
+            if (left == right) != negated:
+                return context
+            return self._none_of(context)
         condition = self._eq_condition(formula, context, negated)
         target = self._fresh("C")
         self.commands.append(
@@ -253,9 +256,16 @@ class _Compiler:
         )
         return _Context(target, context.variables)
 
-    def _eq_condition(self, formula: Eq, context: _Context, negated: bool):
-        from repro.plans.expressions import NeqAttr, NeqConst
+    def _none_of(self, context: _Context) -> _Context:
+        """No row of the context: an empty table over its attributes."""
+        target = self._fresh("C")
+        attrs = tuple(context.attr(v) for v in context.variables)
+        self.commands.append(
+            MiddlewareCommand(target, Literal(NamedTable.empty(attrs)))
+        )
+        return _Context(target, context.variables)
 
+    def _eq_condition(self, formula: Eq, context: _Context, negated: bool):
         left, right = formula.left, formula.right
         if isinstance(left, Variable) and isinstance(right, Variable):
             cls = NeqAttr if negated else EqAttr
@@ -266,9 +276,6 @@ class _Compiler:
         if isinstance(left, Constant) and isinstance(right, Variable):
             cls = NeqConst if negated else EqConst
             return cls(context.attr(right), left)
-        if isinstance(left, Constant) and isinstance(right, Constant):
-            holds = (left == right) != negated
-            return _AlwaysTrue() if holds else _AlwaysFalse()
         raise ExecutabilityError(f"cannot compile equality {formula!r}")
 
     def _compile_not(self, formula: Not, context: _Context) -> _Context:
@@ -414,24 +421,4 @@ class _Compiler:
             v for v in first if v not in context.variables
         )
         return _Context(joined, new_vars)
-
-
-# Tiny always-true / always-false selection conditions for constant
-# equalities; they keep the Select node uniform.
-class _AlwaysTrue:
-    def holds(self, table, row) -> bool:
-        """Whether the condition holds for one row of the table."""
-        return True
-
-    def __repr__(self) -> str:
-        return "true"
-
-
-class _AlwaysFalse:
-    def holds(self, table, row) -> bool:
-        """Whether the condition holds for one row of the table."""
-        return False
-
-    def __repr__(self) -> str:
-        return "false"
 

@@ -39,6 +39,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro import checked_json
+from repro.checked_json import checksum as entry_checksum  # an entry's digest
 from repro.cost.functions import CostFunction
 from repro.logic.queries import ConjunctiveQuery
 from repro.logic.terms import Constant, Variable
@@ -59,20 +61,6 @@ _canonical_json = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), default=str
 ).encode
 _constant_json = json.JSONEncoder(sort_keys=True, default=str).encode
-
-
-def entry_checksum(entry: Mapping[str, Any]) -> str:
-    """The BLAKE2b content checksum of one disk entry (sans checksum).
-
-    Computed over the canonical JSON rendering of every field *except*
-    the checksum itself, so any bit flipped by a bad disk, a partial
-    write, or a concurrent editor moves the digest and the entry is
-    quarantined instead of trusted.
-    """
-    payload = _canonical_json(
-        {k: v for k, v in entry.items() if k != "checksum"}
-    )
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def canonical_query_text(query: ConjunctiveQuery) -> str:
@@ -215,18 +203,12 @@ class PlanCache:
             }
             if meta:
                 entry["meta"] = dict(meta)
-            entry["checksum"] = entry_checksum(entry)
-            path = self._path(key)
-            # Thread-unique temp name: two submitting threads storing
-            # the same key concurrently (both missed, both searched)
-            # must not race on the temp-then-rename protocol.  A failed
-            # disk write is counted, not raised -- the memory tier has
-            # the entry and the next put retries the disk.
-            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+            # Two threads storing one key (both missed, both searched)
+            # write distinct temp files.  A failed disk write is
+            # counted, not raised -- the memory tier has the entry and
+            # the next put retries the disk.
             try:
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, sort_keys=True, indent=1)
-                os.replace(tmp, path)
+                checked_json.write(self._path(key), entry)
             except OSError:
                 with self._lock:
                     self.persist_errors += 1
@@ -272,51 +254,27 @@ class PlanCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
 
-    def _quarantine(self, key: str) -> None:
-        """Move one corrupt entry aside and continue (never raise).
-
-        The file is renamed to ``<key>.json.quarantined`` so operators
-        can inspect what rotted, the slot reads as a miss (the planner
-        re-plans and the next ``put`` writes a fresh entry), and the
-        event is counted -- corruption is *visible and survivable*,
-        never served and never fatal.
-        """
-        path = self._path(key)
-        try:
-            os.replace(path, f"{path}.quarantined")
-        except OSError:  # pragma: no cover -- racing cleanup is fine
-            pass
-        with self._lock:
-            self.quarantined += 1
-
     def _load_from_disk(self, key: str) -> Optional[CachedPlan]:
+        """The disk entry for one key; a corrupt one is quarantined.
+
+        Quarantine moves the file to ``<key>.json.quarantined`` so
+        operators can inspect what rotted, the slot reads as a miss
+        (the planner re-plans and the next ``put`` writes a fresh
+        entry), and the event is counted -- corruption is *visible and
+        survivable*, never served and never fatal.
+        """
         if not self.directory:
             return None
+        path = self._path(key)
         try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # Unreadable or not JSON at all: torn write or bad disk.
-            self._quarantine(key)
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("format") != CACHE_KIND
-            or entry.get("version") != CACHE_VERSION
-            or entry.get("key") != key
-        ):
-            # Alien or outdated format: a miss, not corruption.
-            return None
-        checksum = entry.get("checksum")
-        if not isinstance(checksum, str) or checksum != entry_checksum(entry):
-            self._quarantine(key)
-            return None
-        try:
+            entry = checked_json.read(path, CACHE_KIND, CACHE_VERSION, key=key)
+            if entry is None:
+                return None
             plan = ir_to_plan(entry["plan"])
-        except (KeyError, TypeError, PlanIRError):
-            self._quarantine(key)
+        except (checked_json.CorruptFile, KeyError, TypeError, PlanIRError):
+            checked_json.quarantine(path)
+            with self._lock:
+                self.quarantined += 1
             return None
         return CachedPlan(plan, float(entry.get("cost", 0.0)), tier="disk")
 

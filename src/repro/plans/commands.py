@@ -32,7 +32,6 @@ from typing import (
 
 from repro.exec.context import ExecutionContext
 from repro.plans.expressions import (
-    EvaluationError,
     Expression,
     NamedTable,
     Row,
@@ -108,13 +107,7 @@ class AccessCommand:
         into the produced rows.
         """
         inputs = self.input_expr.evaluate(env)
-        try:
-            projected = inputs.project(self.input_attrs)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"access {self.method}: input expression lacks "
-                f"attributes {self.input_attrs}: {exc}"
-            ) from exc
+        projected = inputs.project(self.input_attrs)
         distinct: Iterable[Row]
         if self.input_binding == projected.attributes:
             # Every position reads its own attribute: the projected rows

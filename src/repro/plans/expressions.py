@@ -6,6 +6,11 @@ table names to :class:`NamedTable` values.  Cells hold ground terms
 reach the runtime).  Joins are natural joins on shared attribute names --
 the proof-to-plan algorithms arrange for attribute names (chase constants)
 to encode exactly the intended join conditions.
+
+``evaluate`` is the plain reference semantics, operator by operator.
+The engines run a plan's rewritten form instead
+(:mod:`repro.plans.rewrite`): selections pushed below joins and the
+σ/π directly above a join folded into the :class:`Join` node itself.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -78,6 +84,17 @@ class NamedTable:
     def empty(cls, attributes: Sequence[str]) -> "NamedTable":
         """An empty table with the given attributes."""
         return cls(tuple(attributes), frozenset())
+
+    def subset(self, rows: Iterable[Row]) -> "NamedTable":
+        """The table of ``rows``, which must be rows of this table.
+
+        Their width was checked when this table was built, so it is not
+        checked again.
+        """
+        table = object.__new__(NamedTable)
+        object.__setattr__(table, "attributes", self.attributes)
+        object.__setattr__(table, "rows", frozenset(rows))
+        return table
 
     @classmethod
     def singleton(cls) -> "NamedTable":
@@ -147,10 +164,6 @@ class EqAttr:
     left: str
     right: str
 
-    def holds(self, table: NamedTable, row: Tuple[Term, ...]) -> bool:
-        """Whether the condition holds for one row of the table."""
-        return row[table.column(self.left)] == row[table.column(self.right)]
-
     def __repr__(self) -> str:
         return f"{self.left}={self.right}"
 
@@ -161,10 +174,6 @@ class EqConst:
 
     attribute: str
     value: Constant
-
-    def holds(self, table: NamedTable, row: Tuple[Term, ...]) -> bool:
-        """Whether the condition holds for one row of the table."""
-        return row[table.column(self.attribute)] == self.value
 
     def __repr__(self) -> str:
         return f"{self.attribute}={self.value!r}"
@@ -177,10 +186,6 @@ class NeqAttr:
     left: str
     right: str
 
-    def holds(self, table: NamedTable, row: Tuple[Term, ...]) -> bool:
-        """Whether the condition holds for one row of the table."""
-        return row[table.column(self.left)] != row[table.column(self.right)]
-
     def __repr__(self) -> str:
         return f"{self.left}!={self.right}"
 
@@ -192,52 +197,71 @@ class NeqConst:
     attribute: str
     value: Constant
 
-    def holds(self, table: NamedTable, row: Tuple[Term, ...]) -> bool:
-        """Whether the condition holds for one row of the table."""
-        return row[table.column(self.attribute)] != self.value
-
     def __repr__(self) -> str:
         return f"{self.attribute}!={self.value!r}"
 
 
+#: The plan language's conditions: exactly the four the plan IR encodes.
 Condition = (EqAttr, EqConst, NeqAttr, NeqConst)
 
 
+def _not_a_condition(condition: object) -> TypeError:
+    return TypeError(
+        f"{condition!r} is not a condition: the plan language has "
+        "EqAttr, EqConst, NeqAttr and NeqConst"
+    )
+
+
+def condition_reads(condition: object) -> Tuple[str, ...]:
+    """The attributes a condition reads (``TypeError`` on a non-condition)."""
+    if isinstance(condition, (EqAttr, NeqAttr)):
+        return (condition.left, condition.right)
+    if isinstance(condition, (EqConst, NeqConst)):
+        return (condition.attribute,)
+    raise _not_a_condition(condition)
+
+
+def _check_names(names: Iterable[str], attributes: Sequence[str]) -> None:
+    """Raise :class:`EvaluationError` on the first name not in ``attributes``."""
+    for name in names:
+        if name not in attributes:
+            raise EvaluationError(
+                f"no attribute {name!r} in {tuple(attributes)}"
+            )
+
+
+def _check_conditions(conditions, attributes: Sequence[str]) -> None:
+    _check_names(chain.from_iterable(map(condition_reads, conditions)), attributes)
+
+
 def _compile_conditions(conditions, colmap: Mapping[str, int]):
-    """Index-based row predicates for the built-in condition types.
+    """Index-based row predicates, one per condition.
 
     ``colmap`` maps attribute names to row indexes (a table's cached
-    :meth:`NamedTable.column_map`).  Returns ``None`` when some
-    condition is not one of the four known classes (the caller must then
-    fall back to ``holds``-based filtering).  Unknown attribute names
-    raise :class:`EvaluationError`, matching what ``holds`` would have
-    raised.
+    :meth:`NamedTable.column_map`).  An unknown attribute raises
+    :class:`EvaluationError` whether or not any row would reach it.
     """
-
-    def _col(name: str) -> int:
-        try:
-            return colmap[name]
-        except KeyError:
-            raise EvaluationError(
-                f"no attribute {name!r} in {tuple(colmap)}"
-            ) from None
-
     checks = []
-    for cond in conditions:
-        if isinstance(cond, EqAttr):
-            left, right = _col(cond.left), _col(cond.right)
-            checks.append(lambda row, l=left, r=right: row[l] == row[r])
-        elif isinstance(cond, EqConst):
-            index, value = _col(cond.attribute), cond.value
-            checks.append(lambda row, i=index, v=value: row[i] == v)
-        elif isinstance(cond, NeqAttr):
-            left, right = _col(cond.left), _col(cond.right)
-            checks.append(lambda row, l=left, r=right: row[l] != row[r])
-        elif isinstance(cond, NeqConst):
-            index, value = _col(cond.attribute), cond.value
-            checks.append(lambda row, i=index, v=value: row[i] != v)
-        else:
-            return None
+    try:
+        for cond in conditions:
+            if isinstance(cond, EqAttr):
+                left, right = colmap[cond.left], colmap[cond.right]
+                checks.append(lambda row, l=left, r=right: row[l] == row[r])
+            elif isinstance(cond, EqConst):
+                index, value = colmap[cond.attribute], cond.value
+                checks.append(lambda row, i=index, v=value: row[i] == v)
+            elif isinstance(cond, NeqAttr):
+                left, right = colmap[cond.left], colmap[cond.right]
+                checks.append(lambda row, l=left, r=right: row[l] != row[r])
+            elif isinstance(cond, NeqConst):
+                index, value = colmap[cond.attribute], cond.value
+                checks.append(lambda row, i=index, v=value: row[i] != v)
+            else:
+                raise _not_a_condition(cond)
+    except KeyError as missing:
+        raise EvaluationError(
+            f"no attribute {missing.args[0]!r} in {tuple(colmap)}"
+        ) from None
     return checks
 
 
@@ -248,54 +272,6 @@ def _filtered(rows: Iterable[Row], checks) -> Iterable[Row]:
     return rows
 
 
-def split_conditions(
-    conditions: Iterable[object],
-    left_attrs: Sequence[str],
-    right_attrs: Sequence[str],
-) -> Tuple[Tuple[object, ...], Tuple[object, ...], Tuple[object, ...]]:
-    """Partition a join's selection into (left-only, right-only, residual).
-
-    A condition whose attributes all belong to one input can be applied
-    to that input before the join: ``σ_c(L ⋈ R) = σ_c(L) ⋈ R`` when
-    ``attrs(c) ⊆ attrs(L)``.  One that reads only shared attributes goes
-    left -- the natural join equates the shared columns, so either side
-    would do.  Everything else (two-sided conditions, unknown attribute
-    names, condition classes other than the built-in four) is residual
-    and must see the joined row.
-    """
-    left_only, right_only, residual = [], [], []
-    for cond in conditions:
-        if isinstance(cond, (EqAttr, NeqAttr)):
-            read = (cond.left, cond.right)
-        elif isinstance(cond, (EqConst, NeqConst)):
-            read = (cond.attribute,)
-        else:
-            residual.append(cond)
-            continue
-        if all(a in left_attrs for a in read):
-            left_only.append(cond)
-        elif all(a in right_attrs for a in read):
-            right_only.append(cond)
-        else:
-            residual.append(cond)
-    return tuple(left_only), tuple(right_only), tuple(residual)
-
-
-def _select_by_holds(table: NamedTable, conditions) -> NamedTable:
-    """Row-at-a-time selection through ``holds``: any condition object.
-
-    Unknown attributes raise here only when a row is actually checked.
-    """
-    return NamedTable(
-        table.attributes,
-        frozenset(
-            row
-            for row in table.rows
-            if all(cond.holds(table, row) for cond in conditions)
-        ),
-    )
-
-
 def _join_tables(
     left: NamedTable,
     right: NamedTable,
@@ -304,52 +280,25 @@ def _join_tables(
 ) -> NamedTable:
     """``π[project_to](σ[conditions](left ⋈ right))``, set-at-a-time.
 
-    One-sided conditions filter their input before the hash table is
-    built, so no pair is formed that such a condition would discard; the
-    hash table is built on the *smaller* filtered input; only residual
-    conditions see joined rows, which are narrowed to the output columns
-    as they enter the result set.  Semantically identical to joining,
-    then filtering, then projecting.
+    The hash table is built on the *smaller* input; the conditions see
+    joined rows, which are narrowed to the output columns as they enter
+    the result set, so the full join result is never materialized.  A
+    condition that reads one input only belongs below the join: the
+    rewrite puts it there, so no pair is formed that it would discard.
     """
     left_attrs = left.attributes
     shared = [a for a in right.attributes if a in left_attrs]
     extra = [a for a in right.attributes if a not in left_attrs]
     out_attrs = left_attrs + tuple(extra)
     out_colmap = {a: i for i, a in enumerate(out_attrs)}
-    left_conds, right_conds, residual = split_conditions(
-        conditions, left_attrs, right.attributes
-    )
-    try:
-        checks = _compile_conditions(residual, out_colmap)
-        left_checks = _compile_conditions(left_conds, left.column_map())
-        right_checks = _compile_conditions(right_conds, right.column_map())
-    except EvaluationError:
-        checks = None
-    if checks is None:
-        # Unknown condition type or attribute: keep the unfused (lazy)
-        # behaviour, which only raises when a joined row is checked.
-        table = _select_by_holds(
-            _join_tables(left, right, (), None), conditions
-        )
-        return table.project(project_to) if project_to is not None else table
+    checks = _compile_conditions(conditions, out_colmap)
     attributes = out_attrs
     pick_out = None
     if project_to is not None and tuple(project_to) != out_attrs:
         attributes = tuple(project_to)
-        for attr in attributes:
-            if attr not in out_colmap:
-                raise EvaluationError(
-                    f"no attribute {attr!r} in {out_attrs}"
-                )
+        _check_names(attributes, out_attrs)
         pick_out = row_picker([out_colmap[a] for a in attributes])
-    left_rows = (
-        list(_filtered(left.rows, left_checks)) if left_checks else left.rows
-    )
-    right_rows = (
-        list(_filtered(right.rows, right_checks))
-        if right_checks
-        else right.rows
-    )
+    left_rows, right_rows = left.rows, right.rows
     left_key = row_picker([left.column(a) for a in shared])
     right_key = row_picker([right.column(a) for a in shared])
     suffix = row_picker([right.column(a) for a in extra])
@@ -383,9 +332,12 @@ def _join_tables(
 class Expression:
     """Base class for RA expressions.
 
-    Subclasses implement :meth:`attributes` (static schema) and
-    :meth:`evaluate`.  ``uses_union``/``uses_difference``/
-    ``uses_inequality`` drive plan-language classification.
+    Subclasses implement :meth:`attributes` (static schema, checked:
+    every name an operator reads must exist) and :meth:`evaluate`.
+    ``uses_union``/``uses_difference``/``uses_inequality`` drive
+    plan-language classification.  :meth:`map_children` is the one
+    structural walk: a rewrite of the tree rebuilds each node over its
+    rewritten children and touches only the node kinds it cares about.
     """
 
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
@@ -396,9 +348,27 @@ class Expression:
         """Evaluate against the environment (see :class:`Expression`)."""
         raise NotImplementedError
 
+    def children(self) -> Tuple["Expression", ...]:
+        """Immediate subexpressions."""
+        return ()
+
+    def map_children(
+        self, function: Callable[["Expression"], "Expression"]
+    ) -> "Expression":
+        """This node over ``function(child)`` for each child.
+
+        The node itself when every child comes back as the same object
+        (a leaf always does), so a walk that changes nothing shares the
+        whole tree.
+        """
+        return self
+
     def tables_read(self) -> FrozenSet[str]:
         """Temporary tables this expression scans."""
-        raise NotImplementedError
+        read: FrozenSet[str] = frozenset()
+        for child in self.children():
+            read = read | child.tables_read() if read else child.tables_read()
+        return read
 
     @property
     def uses_union(self) -> bool:
@@ -415,9 +385,9 @@ class Expression:
         """Whether an inequality condition occurs in the subtree."""
         return any(child.uses_inequality for child in self.children())
 
-    def children(self) -> Tuple["Expression", ...]:
-        """Immediate subexpressions."""
-        return ()
+
+def _any_inequality(conditions) -> bool:
+    return any(isinstance(c, (NeqAttr, NeqConst)) for c in conditions)
 
 
 @dataclass(frozen=True)
@@ -436,10 +406,6 @@ class Singleton(Expression):
         """Evaluate against the environment (see :class:`Expression`)."""
         return NamedTable.singleton()
 
-    def tables_read(self) -> FrozenSet[str]:
-        """Temporary tables this expression scans."""
-        return frozenset()
-
     def __repr__(self) -> str:
         return "{()}"
 
@@ -457,10 +423,6 @@ class Literal(Expression):
     def evaluate(self, env: Environment) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         return self.table
-
-    def tables_read(self) -> FrozenSet[str]:
-        """Temporary tables this expression scans."""
-        return frozenset()
 
     def __repr__(self) -> str:
         return f"lit[{','.join(self.table.attributes)};{len(self.table)}]"
@@ -503,33 +465,21 @@ class Project(Expression):
 
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
-        child_attrs = self.child.attributes(env_schema)
-        for attr in self.attrs:
-            if attr not in child_attrs:
-                raise EvaluationError(
-                    f"projection attribute {attr!r} not in {child_attrs}"
-                )
+        _check_names(self.attrs, self.child.attributes(env_schema))
         return self.attrs
 
     def evaluate(self, env: Environment) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        if isinstance(self.child, Join):
-            return self.child._evaluate_fused(env, (), self.attrs)
-        if isinstance(self.child, Select) and isinstance(
-            self.child.child, Join
-        ):
-            return self.child.child._evaluate_fused(
-                env, self.child.conditions, self.attrs
-            )
         return self.child.evaluate(env).project(self.attrs)
-
-    def tables_read(self) -> FrozenSet[str]:
-        """Temporary tables this expression scans."""
-        return self.child.tables_read()
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
         return (self.child,)
+
+    def map_children(self, function) -> Expression:
+        """This node over ``function(child)`` (see :class:`Expression`)."""
+        child = function(self.child)
+        return self if child is self.child else Project(child, self.attrs)
 
     def __repr__(self) -> str:
         return f"π[{','.join(self.attrs)}]({self.child!r})"
@@ -544,37 +494,29 @@ class Select(Expression):
 
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
-        return self.child.attributes(env_schema)
+        attributes = self.child.attributes(env_schema)
+        _check_conditions(self.conditions, attributes)
+        return attributes
 
     def evaluate(self, env: Environment) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        if isinstance(self.child, Join):
-            return self.child._evaluate_fused(env, self.conditions, None)
         table = self.child.evaluate(env)
-        try:
-            checks = _compile_conditions(self.conditions, table.column_map())
-        except EvaluationError:
-            checks = None
-        if checks is None:
-            return _select_by_holds(table, self.conditions)
-        return NamedTable(
-            table.attributes, frozenset(_filtered(table.rows, checks))
-        )
-
-    def tables_read(self) -> FrozenSet[str]:
-        """Temporary tables this expression scans."""
-        return self.child.tables_read()
+        checks = _compile_conditions(self.conditions, table.column_map())
+        return table.subset(_filtered(table.rows, checks))
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
         return (self.child,)
 
+    def map_children(self, function) -> Expression:
+        """This node over ``function(child)`` (see :class:`Expression`)."""
+        child = function(self.child)
+        return self if child is self.child else Select(child, self.conditions)
+
     @property
     def uses_inequality(self) -> bool:
         """Whether an inequality condition occurs in the subtree."""
-        if any(isinstance(c, (NeqAttr, NeqConst)) for c in self.conditions):
-            return True
-        return self.child.uses_inequality
+        return _any_inequality(self.conditions) or self.child.uses_inequality
 
     def __repr__(self) -> str:
         conds = " & ".join(repr(c) for c in self.conditions)
@@ -583,130 +525,135 @@ class Select(Expression):
 
 @dataclass(frozen=True)
 class Join(Expression):
-    """Natural join on shared attribute names."""
+    """Natural join on shared attribute names, with its fused σ/π.
+
+    ``Join(l, r, conditions, project_to)`` is ``π[project_to](σ[conditions]
+    (l ⋈ r))`` evaluated in one pass (:func:`_join_tables`).  Only the
+    rewrite (:mod:`repro.plans.rewrite`) sets the two fused fields; a
+    plan as built, serialized and cached has plain joins (``()`` and
+    ``None``), and the plan IR refuses to lower a fused one.
+    """
 
     left: Expression
     right: Expression
+    conditions: Tuple[object, ...] = ()
+    project_to: Optional[Tuple[str, ...]] = None
+
+    @property
+    def is_fused(self) -> bool:
+        """Whether a selection or projection is folded into this join."""
+        return bool(self.conditions) or self.project_to is not None
 
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
         left_attrs = self.left.attributes(env_schema)
         right_attrs = self.right.attributes(env_schema)
-        extra = tuple(a for a in right_attrs if a not in left_attrs)
-        return left_attrs + extra
+        joined = left_attrs + tuple(a for a in right_attrs if a not in left_attrs)
+        _check_conditions(self.conditions, joined)
+        if self.project_to is None:
+            return joined
+        _check_names(self.project_to, joined)
+        return self.project_to
 
     def evaluate(self, env: Environment) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        return self._evaluate_fused(env, (), None)
-
-    def _evaluate_fused(
-        self,
-        env: Environment,
-        conditions: Tuple[object, ...],
-        project_to: Optional[Tuple[str, ...]],
-    ) -> NamedTable:
-        """The join with a selection and projection directly above it.
-
-        ``σ``/``π`` over a join are evaluated by :func:`_join_tables` in
-        the same pass, so the full join result is never materialized.
-        """
         return _join_tables(
             self.left.evaluate(env),
             self.right.evaluate(env),
-            conditions,
-            project_to,
+            self.conditions,
+            self.project_to,
         )
-
-    def tables_read(self) -> FrozenSet[str]:
-        """Temporary tables this expression scans."""
-        return self.left.tables_read() | self.right.tables_read()
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
         return (self.left, self.right)
 
+    def map_children(self, function) -> Expression:
+        """This node over ``function(child)`` (see :class:`Expression`)."""
+        left, right = function(self.left), function(self.right)
+        if left is self.left and right is self.right:
+            return self
+        return Join(left, right, self.conditions, self.project_to)
+
+    @property
+    def uses_inequality(self) -> bool:
+        """Whether an inequality condition occurs in the subtree."""
+        return _any_inequality(self.conditions) or super().uses_inequality
+
     def __repr__(self) -> str:
-        return f"({self.left!r} ⋈ {self.right!r})"
+        text = f"({self.left!r} ⋈ {self.right!r})"
+        if self.conditions:
+            conds = " & ".join(repr(c) for c in self.conditions)
+            text = f"σ[{conds}]{text}"
+        if self.project_to is not None:
+            text = f"π[{','.join(self.project_to)}]({text})"
+        return text
 
 
 @dataclass(frozen=True)
-class Union(Expression):
-    """Set union; the right side is reordered to the left's attributes."""
+class _SetOperation(Expression):
+    """Union or difference: the right side is reordered to the left's
+    attributes, and the attribute sets must coincide."""
 
     left: Expression
     right: Expression
 
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
-        left_attrs = self.left.attributes(env_schema)
-        right_attrs = self.right.attributes(env_schema)
-        if set(left_attrs) != set(right_attrs):
+        left = self.left.attributes(env_schema)
+        right = self.right.attributes(env_schema)
+        if set(left) != set(right):
             raise EvaluationError(
-                f"union attribute mismatch: {left_attrs} vs {right_attrs}"
+                f"{type(self).__name__.lower()} attribute mismatch: "
+                f"{left} vs {right}"
             )
-        return left_attrs
+        return left
 
     def evaluate(self, env: Environment) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         left = self.left.evaluate(env)
         right = self.right.evaluate(env).project(left.attributes)
-        return NamedTable(left.attributes, left.rows | right.rows)
-
-    def tables_read(self) -> FrozenSet[str]:
-        """Temporary tables this expression scans."""
-        return self.left.tables_read() | self.right.tables_read()
+        return NamedTable(left.attributes, self._combine(left.rows, right.rows))
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
         return (self.left, self.right)
+
+    def map_children(self, function) -> Expression:
+        """This node over ``function(child)`` (see :class:`Expression`)."""
+        left, right = function(self.left), function(self.right)
+        if left is self.left and right is self.right:
+            return self
+        return type(self)(left, right)
+
+    def __repr__(self) -> str:
+        return f"({self.left!r} {self._symbol} {self.right!r})"
+
+
+@dataclass(frozen=True, repr=False)
+class Union(_SetOperation):
+    """Set union; the right side is reordered to the left's attributes."""
+
+    _combine = staticmethod(frozenset.union)
+    _symbol = "∪"
 
     @property
     def uses_union(self) -> bool:
         """Whether a union operator occurs in the subtree."""
         return True
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} ∪ {self.right!r})"
 
-
-@dataclass(frozen=True)
-class Difference(Expression):
+@dataclass(frozen=True, repr=False)
+class Difference(_SetOperation):
     """Set difference; attribute sets must coincide."""
 
-    left: Expression
-    right: Expression
-
-    def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
-        """Static output attributes (see :class:`Expression`)."""
-        left_attrs = self.left.attributes(env_schema)
-        right_attrs = self.right.attributes(env_schema)
-        if set(left_attrs) != set(right_attrs):
-            raise EvaluationError(
-                f"difference attribute mismatch: {left_attrs} vs {right_attrs}"
-            )
-        return left_attrs
-
-    def evaluate(self, env: Environment) -> NamedTable:
-        """Evaluate against the environment (see :class:`Expression`)."""
-        left = self.left.evaluate(env)
-        right = self.right.evaluate(env).project(left.attributes)
-        return NamedTable(left.attributes, left.rows - right.rows)
-
-    def tables_read(self) -> FrozenSet[str]:
-        """Temporary tables this expression scans."""
-        return self.left.tables_read() | self.right.tables_read()
-
-    def children(self) -> Tuple[Expression, ...]:
-        """Immediate subexpressions."""
-        return (self.left, self.right)
+    _combine = staticmethod(frozenset.difference)
+    _symbol = "−"
 
     @property
     def uses_difference(self) -> bool:
         """Whether a difference operator occurs in the subtree."""
         return True
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} − {self.right!r})"
 
 
 @dataclass(frozen=True)
@@ -724,21 +671,25 @@ class Rename(Expression):
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
         renames = self._renames
-        return tuple(
+        attributes = tuple(
             renames.get(a, a) for a in self.child.attributes(env_schema)
         )
+        if len(set(attributes)) != len(attributes):
+            raise EvaluationError(f"duplicate attribute in {attributes}")
+        return attributes
 
     def evaluate(self, env: Environment) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         return self.child.evaluate(env).rename(self._renames)
 
-    def tables_read(self) -> FrozenSet[str]:
-        """Temporary tables this expression scans."""
-        return self.child.tables_read()
-
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
         return (self.child,)
+
+    def map_children(self, function) -> Expression:
+        """This node over ``function(child)`` (see :class:`Expression`)."""
+        child = function(self.child)
+        return self if child is self.child else Rename(child, self.mapping)
 
     def __repr__(self) -> str:
         pairs = ",".join(f"{a}->{b}" for a, b in self.mapping)

@@ -16,12 +16,11 @@ order and ``fingerprint`` hashes the key-sorted JSON, so the same plan
 always serializes to the same bytes -- two processes can agree on "the
 same plan" without exchanging pickles.
 
-Consumers today:
-
-* the columnar backend (:mod:`repro.exec.columnar`) compiles the IR --
-  not the dataclass tree -- into its vectorized program, so anything
-  able to produce this IR can be executed columnar;
-* the golden files under ``tests/plans/golden`` pin the format.
+Consumers today: the worker tier (a plan crosses the process boundary
+as IR), the plan cache's disk tier, and the golden files under
+``tests/plans/golden``, which pin the format.  The IR describes a plan
+as built; its executable form (:mod:`repro.plans.rewrite`, with fused
+joins) is never lowered -- :func:`expr_to_ir` refuses a fused join.
 
 The format is versioned (:data:`IR_VERSION`); loaders reject unknown
 versions instead of guessing.
@@ -164,6 +163,11 @@ def expr_to_ir(expr: Expression) -> Dict[str, Any]:
             "mapping": [[old, new] for old, new in expr.mapping],
         }
     if isinstance(expr, Join):
+        if expr.is_fused:
+            raise PlanIRError(
+                f"cannot serialize fused join {expr!r}: a plan's executable "
+                "form is never lowered to IR"
+            )
         return {
             "op": "join",
             "left": expr_to_ir(expr.left),

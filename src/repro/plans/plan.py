@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.exec.context import ExecutionContext
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
 from repro.plans.expressions import Expression, NamedTable
+from repro.plans.rewrite import Executable, rewrite
 
 
 class PlanValidationError(ValueError):
@@ -69,10 +70,38 @@ class Plan:
             )
 
     # -------------------------------------------------------- execution
+    def executable(self) -> Executable:
+        """The plan's executable form, computed once per plan object.
+
+        :func:`repro.plans.rewrite.rewrite`: attributes resolved
+        statically (an unknown name raises here, before any access),
+        selections pushed below joins, σ/π over a join fused into it.
+        Every way to run the plan runs this form.
+        """
+        try:
+            return self._executable  # type: ignore[attr-defined]
+        except AttributeError:
+            form = rewrite(self)
+            object.__setattr__(self, "_executable", form)
+            return form
+
+    @classmethod
+    def from_executable(cls, form: Executable, name: str = "plan") -> "Plan":
+        """A plan that runs ``form`` as it stands.
+
+        Its commands are the form's, which may hold fused joins, so it
+        does not lower to IR (lower the plan the form came from).  For a
+        form derived from another plan's -- a bound request's -- so the
+        rewrite is not run again.
+        """
+        plan = cls(form.commands, form.output_table, name)
+        object.__setattr__(plan, "_executable", form)
+        return plan
+
     def run(self, source) -> NamedTable:
         """Execute every command in sequence; returns the output table.
 
-        This is the plain reference interpreter: no cache, no temp-table
+        This is the plain reference loop: no cache, no temp-table
         freeing, no instrumentation.  :meth:`execute` is the tuned
         runtime entry point; the two are proven equivalent in
         ``tests/exec/test_exec_soundness.py``.
@@ -86,7 +115,7 @@ class Plan:
         *,
         executor: str = "interpreter",
     ) -> NamedTable:
-        """Run the plan through the execution runtime.
+        """Run the plan's executable form through the execution runtime.
 
         ``context``
             the run's :class:`~repro.exec.context.ExecutionContext`
@@ -104,15 +133,16 @@ class Plan:
             whichever engine runs it.
         ``executor``
             which backend runs the plan.  ``"interpreter"`` (the
-            default) evaluates the commands as they stand;
-            ``"columnar"`` compiles the plan to its serializable IR and
-            executes it vectorized over numpy column arrays
+            default) evaluates the commands of :meth:`executable` as
+            they stand; ``"columnar"`` compiles that same form into
+            operators over numpy column arrays
             (:mod:`repro.exec.columnar`; same answers, same stats and
-            budget accounting, much faster on row-heavy plans);
-            ``"differential"`` runs both and raises unless their sorted
-            answers are byte-identical -- the interpreter stays the
-            oracle.  The compiled form is cached on the plan, so
-            repeated ``executor="columnar"`` runs pay compilation once.
+            budget accounting, faster where every joined pair must be
+            checked); ``"differential"`` runs both and raises unless
+            their sorted answers are byte-identical -- the interpreter
+            stays the oracle.  The compiled form is cached on the plan,
+            so repeated ``executor="columnar"`` runs pay compilation
+            once.
 
         Each temporary table is dropped right after its last reader ran
         (the output table is always kept), so peak intermediate state is
@@ -135,10 +165,11 @@ class Plan:
                 f"unknown executor {executor!r} "
                 "(expected 'interpreter', 'columnar' or 'differential')"
             )
+        form = self.executable()
         return run_commands(
-            self.commands,
-            self.output_table,
-            last_readers(self.commands),
+            form.commands,
+            form.output_table,
+            form.last_read,
             {},
             source,
             context,
@@ -148,7 +179,7 @@ class Plan:
     def run_with_env(self, source) -> Tuple[NamedTable, Dict[str, NamedTable]]:
         """Execute and also return the full temporary-table environment."""
         env: Dict[str, NamedTable] = {}
-        for command in self.commands:
+        for command in self.executable().commands:
             command.execute(env, source)
         return env[self.output_table], env
 
@@ -206,19 +237,6 @@ class Plan:
             f"Plan({self.name}: {len(self.commands)} commands, "
             f"{len(self.access_commands)} accesses, out={self.output_table})"
         )
-
-
-def last_readers(commands: Sequence) -> Dict[str, int]:
-    """For each table: the index of the last command reading it.
-
-    Tables never read map to ``-1`` (free immediately after their
-    defining command unless they are the output).
-    """
-    last: Dict[str, int] = {command.target: -1 for command in commands}
-    for index, command in enumerate(commands):
-        for table in command.tables_read():
-            last[table] = index
-    return last
 
 
 def run_commands(

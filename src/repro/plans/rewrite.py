@@ -1,0 +1,185 @@
+"""The one σ/π-over-⋈ rewrite: a plan's executable form.
+
+A plan as the planner builds it -- and as :mod:`repro.plans.ir`
+serializes, fingerprints and caches it -- says *what* to compute.  This
+module decides, once per plan, how the selections and projections around
+its joins are evaluated, and both engines run the result: the
+interpreter (:meth:`Expression.evaluate
+<repro.plans.expressions.Expression.evaluate>`) and the columnar backend
+(:mod:`repro.exec.columnar`).  Neither inspects a child node to fuse.
+
+Per expression, bottom-up:
+
+* every operator's attributes are resolved statically, each command's
+  output attributes feeding the later commands' scans; an unknown name
+  is an :class:`~repro.plans.expressions.EvaluationError` raised here,
+  before any access is dispatched;
+* a selection's conditions are split over a join's inputs
+  (:func:`split_conditions`): one that reads a single input becomes a
+  ``Select`` under that input, ``σ_c(L ⋈ R) = σ_c(L) ⋈ R`` when
+  ``attrs(c) ⊆ attrs(L)``, so every intermediate is bounded by the
+  *filtered* inputs;
+* the residual conditions and a projection directly above a join fold
+  into that :class:`~repro.plans.expressions.Join`, which evaluates
+  ``π(σ(⋈))`` in one pass;
+* an empty selection and an identity projection disappear.
+
+The form is memoised per plan object (:meth:`Plan.executable
+<repro.plans.plan.Plan.executable>`) and never serialized: the IR
+refuses a fused join, so plan IR, fingerprints and plan-cache keys still
+describe the plan as built.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+
+from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
+from repro.plans.expressions import (
+    EvaluationError,
+    Expression,
+    Join,
+    Project,
+    Select,
+    condition_reads,
+)
+
+Schema = Mapping[str, Tuple[str, ...]]
+
+
+class Executable(NamedTuple):
+    """A plan's executable form: what both engines run."""
+
+    commands: Tuple[Command, ...]
+    output_table: str
+    #: For each table, the index of the last command reading it.
+    last_read: Dict[str, int]
+
+
+def last_readers(commands: Sequence) -> Dict[str, int]:
+    """For each table: the index of the last command reading it.
+
+    Tables never read map to ``-1`` (free immediately after their
+    defining command unless they are the output).
+    """
+    last: Dict[str, int] = {command.target: -1 for command in commands}
+    for index, command in enumerate(commands):
+        for table in command.tables_read():
+            last[table] = index
+    return last
+
+
+def split_conditions(
+    conditions: Iterable[object],
+    left_attrs: Sequence[str],
+    right_attrs: Sequence[str],
+) -> Tuple[Tuple[object, ...], Tuple[object, ...], Tuple[object, ...]]:
+    """Partition a join's selection into (left-only, right-only, residual).
+
+    A condition whose attributes all belong to one input can be applied
+    to that input before the join.  One that reads only shared
+    attributes goes left -- the natural join equates the shared columns,
+    so either side would do.  Everything else (two-sided conditions,
+    names in neither input) is residual and must see the joined row.
+    """
+    left_only, right_only, residual = [], [], []
+    for cond in conditions:
+        read = condition_reads(cond)
+        if all(a in left_attrs for a in read):
+            left_only.append(cond)
+        elif all(a in right_attrs for a in read):
+            right_only.append(cond)
+        else:
+            residual.append(cond)
+    return tuple(left_only), tuple(right_only), tuple(residual)
+
+
+def _select(expr: Expression, conditions, schema: Schema) -> Expression:
+    """``σ[conditions](expr)`` with each condition as low as it goes."""
+    if not conditions:
+        return expr
+    if isinstance(expr, Join):
+        left, right, residual = split_conditions(
+            conditions, expr.left.attributes(schema), expr.right.attributes(schema)
+        )
+        return Join(
+            _select(expr.left, left, schema),
+            _select(expr.right, right, schema),
+            expr.conditions + residual,
+            expr.project_to,
+        )
+    if isinstance(expr, Select):
+        return Select(expr.child, expr.conditions + tuple(conditions))
+    return Select(expr, tuple(conditions))
+
+
+def _project(expr: Expression, attrs, schema: Schema) -> Expression:
+    """``π[attrs](expr)``, folded into a join or a projection below."""
+    attrs = tuple(attrs)
+    if attrs == expr.attributes(schema):
+        return expr
+    if isinstance(expr, Join):
+        return Join(expr.left, expr.right, expr.conditions, attrs)
+    if isinstance(expr, Project):
+        return Project(expr.child, attrs)
+    return Project(expr, attrs)
+
+
+def rewrite_expression(expr: Expression, schema: Schema) -> Expression:
+    """``expr`` with selections pushed down and σ/π fused into joins.
+
+    ``schema`` maps each temporary table to its attributes.  Raises
+    :class:`EvaluationError` when an operator reads a name its input
+    lacks.  Idempotent: a fused join is taken apart and re-placed.
+    Every node the rewrite leaves as it was is shared, not copied.
+    """
+    expr.attributes(schema)  # every name checked once, before anything moves
+    return _rewrite(expr, schema)
+
+
+def _rewrite(expr: Expression, schema: Schema) -> Expression:
+    node = expr.map_children(lambda child: _rewrite(child, schema))
+    if isinstance(node, Select):
+        rewritten = _select(node.child, node.conditions, schema)
+    elif isinstance(node, Project):
+        rewritten = _project(node.child, node.attrs, schema)
+    elif isinstance(node, Join) and node.is_fused:
+        rewritten = _select(Join(node.left, node.right), node.conditions, schema)
+        if node.project_to is not None:
+            rewritten = _project(rewritten, node.project_to, schema)
+    else:
+        return node
+    return node if rewritten == node else rewritten
+
+
+def rewrite(plan) -> Executable:
+    """The executable form of ``plan`` (see the module docstring)."""
+    schema: Dict[str, Tuple[str, ...]] = {}
+    commands: List[Command] = []
+    for command in plan.commands:
+        if isinstance(command, AccessCommand):
+            expr = rewrite_expression(command.input_expr, schema)
+            available = expr.attributes(schema)
+            for attr in command.input_attrs:
+                if attr not in available:
+                    raise EvaluationError(
+                        f"access {command.method}: input expression lacks "
+                        f"attributes {command.input_attrs}: no attribute "
+                        f"{attr!r} in {available}"
+                    )
+            if expr is not command.input_expr:
+                command = AccessCommand(
+                    command.target,
+                    command.method,
+                    expr,
+                    command.input_binding,
+                    command.output_map,
+                )
+            schema[command.target] = command.output_attrs
+        else:
+            expr = rewrite_expression(command.expr, schema)
+            if expr is not command.expr:
+                command = MiddlewareCommand(command.target, expr)
+            schema[command.target] = expr.attributes(schema)
+        commands.append(command)
+    return Executable(tuple(commands), plan.output_table, last_readers(commands))

@@ -116,27 +116,7 @@ def _prefix_command(command: Command, prefix: str) -> Command:
 def _prefix_expr(expr: Expression, prefix: str) -> Expression:
     if isinstance(expr, Scan):
         return Scan(prefix + expr.table)
-    if isinstance(expr, (Singleton, Literal)):
-        return expr
-    if isinstance(expr, Project):
-        return Project(_prefix_expr(expr.child, prefix), expr.attrs)
-    if isinstance(expr, Select):
-        return Select(_prefix_expr(expr.child, prefix), expr.conditions)
-    if isinstance(expr, Rename):
-        return Rename(_prefix_expr(expr.child, prefix), expr.mapping)
-    if isinstance(expr, Join):
-        return Join(
-            _prefix_expr(expr.left, prefix), _prefix_expr(expr.right, prefix)
-        )
-    if isinstance(expr, Union):
-        return Union(
-            _prefix_expr(expr.left, prefix), _prefix_expr(expr.right, prefix)
-        )
-    if isinstance(expr, Difference):
-        return Difference(
-            _prefix_expr(expr.left, prefix), _prefix_expr(expr.right, prefix)
-        )
-    raise TypeError(f"cannot rename tables in {expr!r}")
+    return expr.map_children(lambda child: _prefix_expr(child, prefix))
 
 
 # ------------------------------------------------------------------ SQL

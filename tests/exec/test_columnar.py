@@ -222,17 +222,53 @@ class TestOperators:
         with pytest.raises(EvaluationError, match="no attribute 'nope'"):
             plan.execute(source)
 
-    def test_select_on_empty_with_unknown_attr_is_lazy(self, schema):
-        # Interpreter semantics: the holds() fallback only raises when a
-        # row is actually checked, so empty input passes through.
-        source = InMemorySource(schema, Instance({"R": [], "S": []}))
+    @pytest.mark.parametrize("rows", [0, 12], ids=["empty", "non-empty"])
+    def test_unknown_attr_raises_before_any_access(
+        self, schema, rows
+    ):
+        # Attributes are resolved when the plan is rewritten, so the
+        # error comes before the first access, whatever the data.
+        instance = Instance(
+            {"R": [(f"k{i}", f"v{i}") for i in range(rows)], "S": []}
+        )
+        source = InMemorySource(schema, instance)
         plan = middleware_plan(
             Select(Scan("T_R"), (EqConst("ghost", C("x")),))
         )
-        assert plan.execute(source).rows == frozenset()
-        assert (
-            plan.execute(source, executor="columnar").rows == frozenset()
+        for executor in ("interpreter", "columnar"):
+            with pytest.raises(EvaluationError, match="no attribute 'ghost'"):
+                plan.execute(source, executor=executor)
+        assert source.total_invocations == 0
+
+    def test_one_sided_selection_forms_no_discarded_pair(
+        self, schema, source, monkeypatch
+    ):
+        # T_R has 3 rows per key, the renamed copy too; the condition on
+        # w keeps one row of the copy, so 3 pairs are matched, not 9.
+        formed = []
+
+        def counting(left, right, shared):
+            pairs = _match_pairs(left, right, shared)
+            formed.append(len(pairs[0]))
+            return pairs
+
+        monkeypatch.setattr("repro.exec.columnar._match_pairs", counting)
+        plan = middleware_plan(
+            Project(
+                Select(
+                    Join(
+                        Select(Scan("T_R"), (EqConst("x", C("k1")),)),
+                        Rename(Scan("T_R"), (("y", "w"),)),
+                    ),
+                    (EqConst("w", C("v5")),),
+                ),
+                ("y", "w"),
+            )
         )
+        columnar = plan.execute(source, executor="columnar")
+        assert columnar.rows == plan.execute(source).rows
+        assert len(columnar.rows) == 3
+        assert formed == [3]
 
 
 class TestBoundAccess:

@@ -3,13 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data.instance import Instance
+from repro.data.source import InMemorySource
 from repro.logic.terms import Constant
+from repro.plans.commands import AccessCommand, MiddlewareCommand, identity_output_map
 from repro.plans.expressions import (
     Difference,
     EqAttr,
     EqConst,
     EvaluationError,
     Join,
+    Literal,
     NamedTable,
     NeqAttr,
     NeqConst,
@@ -20,8 +24,10 @@ from repro.plans.expressions import (
     Singleton,
     Union,
     row_picker,
-    split_conditions,
 )
+from repro.plans.plan import Plan
+from repro.plans.rewrite import rewrite_expression, split_conditions
+from repro.schema.core import SchemaBuilder
 
 
 A, B, C, D = (Constant(v) for v in "abcd")
@@ -216,16 +222,6 @@ class TestClassificationFlags:
         assert expr.attributes({"R": ("x", "y")}) == ("u", "y")
 
 
-class _Always:
-    """A condition class the compiler does not know: ``holds`` only."""
-
-    def __init__(self, verdict):
-        self.verdict = verdict
-
-    def holds(self, table, row):
-        return self.verdict
-
-
 class TestSplitConditions:
     LEFT, RIGHT = ("a", "b"), ("b", "c")
 
@@ -256,10 +252,13 @@ class TestSplitConditions:
     def test_two_sided_is_residual(self, cond):
         assert self.split(cond) == ((), (), (cond,))
 
-    def test_unknown_attribute_and_unknown_class_are_residual(self):
-        unknown = _Always(True)
-        conds = (EqConst("zz", A), unknown, NeqAttr("a", "zz"))
+    def test_unknown_attribute_is_residual(self):
+        conds = (EqConst("zz", A), NeqAttr("a", "zz"))
         assert self.split(*conds) == ((), (), conds)
+
+    def test_anything_but_the_four_conditions_is_rejected(self):
+        with pytest.raises(TypeError, match="not a condition"):
+            self.split(EqConst("a", A), "a = b")
 
     def test_order_is_kept_within_each_part(self):
         c1, c2, c3, c4 = (
@@ -273,42 +272,76 @@ class TestSplitConditions:
         assert conds == [EqConst("a", A)]
 
 
-# ------------------------------------------- fused join == row-by-row oracle
+# ------------------------------------ rewritten plans == row-by-row oracle
 CELLS = [A, B, C]
-NAMES = ["p", "q", "r", "s"]
+NAMES = ["p", "q", "r", "s", "t"]
+FRESH = ["u", "v"]
 
 
-def reference(left, right, conditions, attrs):
-    """``π[attrs](σ[conditions](left ⋈ right))`` one row at a time.
+def holds(condition, attributes, row):
+    """One condition on one row, by attribute position: no shared code."""
+    def cell(name):
+        return row[attributes.index(name)]
 
-    Nested-loop natural join, ``holds``-based selection (so an unknown
-    attribute raises exactly when a joined row reaches that condition),
-    comprehension projection: shares no code with the fused path.
+    if isinstance(condition, EqAttr):
+        return cell(condition.left) == cell(condition.right)
+    if isinstance(condition, NeqAttr):
+        return cell(condition.left) != cell(condition.right)
+    if isinstance(condition, EqConst):
+        return cell(condition.attribute) == condition.value
+    return cell(condition.attribute) != condition.value
+
+
+def reads(condition):
+    if isinstance(condition, (EqAttr, NeqAttr)):
+        return (condition.left, condition.right)
+    return (condition.attribute,)
+
+
+def reference(expr, env):
+    """``(attributes, rows)`` of a σ/π/⋈/ρ tree, one row at a time.
+
+    Nested-loop natural join, per-row selection, comprehension
+    projection; every name is checked before any row is looked at.
+    Shares no code with either engine or the rewrite.
     """
-    shared = [a for a in right.attributes if a in left.attributes]
-    extra = [a for a in right.attributes if a not in left.attributes]
-    joined = NamedTable(
-        left.attributes + tuple(extra),
-        frozenset(
-            lrow + tuple(rrow[right.column(a)] for a in extra)
-            for lrow in left.rows
-            for rrow in right.rows
+    if isinstance(expr, Scan):
+        table = env[expr.table]
+        return table.attributes, set(table.rows)
+    if isinstance(expr, Rename):
+        attrs, rows = reference(expr.child, env)
+        renames = dict(expr.mapping)
+        return tuple(renames.get(a, a) for a in attrs), rows
+    if isinstance(expr, Join):
+        left_attrs, left_rows = reference(expr.left, env)
+        right_attrs, right_rows = reference(expr.right, env)
+        shared = [a for a in right_attrs if a in left_attrs]
+        extra = [i for i, a in enumerate(right_attrs) if a not in left_attrs]
+        attrs = left_attrs + tuple(right_attrs[i] for i in extra)
+        rows = {
+            lrow + tuple(rrow[i] for i in extra)
+            for lrow in left_rows
+            for rrow in right_rows
             if all(
-                lrow[left.column(a)] == rrow[right.column(a)] for a in shared
+                lrow[left_attrs.index(a)] == rrow[right_attrs.index(a)]
+                for a in shared
             )
-        ),
-    )
-    kept = [
-        row
-        for row in joined.rows
-        if all(cond.holds(joined, row) for cond in conditions)
-    ]
-    if attrs is None:
-        return joined.attributes, frozenset(kept)
-    columns = [joined.column(a) for a in attrs]
-    return tuple(attrs), frozenset(
-        tuple(row[c] for c in columns) for row in kept
-    )
+        }
+        return attrs, rows
+    attrs, rows = reference(expr.child, env)
+    if isinstance(expr, Select):
+        for condition in expr.conditions:
+            if any(a not in attrs for a in reads(condition)):
+                raise EvaluationError(f"no attribute in {condition!r}")
+        return attrs, {
+            row
+            for row in rows
+            if all(holds(c, attrs, row) for c in expr.conditions)
+        }
+    if any(a not in attrs for a in expr.attrs):
+        raise EvaluationError(f"no attribute in {expr.attrs}")
+    columns = [attrs.index(a) for a in expr.attrs]
+    return tuple(expr.attrs), {tuple(row[c] for c in columns) for row in rows}
 
 
 def outcome(thunk):
@@ -317,13 +350,15 @@ def outcome(thunk):
     except EvaluationError:
         return "raises"
     if isinstance(result, NamedTable):
-        return result.attributes, result.rows
-    return result
+        return result.attributes, frozenset(result.rows)
+    return result[0], frozenset(result[1])
 
 
 @st.composite
 def tables(draw):
-    attrs = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=3))
+    attrs = draw(
+        st.lists(st.sampled_from(NAMES), unique=True, min_size=1, max_size=3)
+    )
     rows = draw(
         st.lists(
             st.tuples(*[st.sampled_from(CELLS)] * len(attrs)), max_size=8
@@ -332,8 +367,8 @@ def tables(draw):
     return NamedTable.from_rows(attrs, rows)
 
 
-def known_conditions(names):
-    """The four compiled classes over attributes that exist."""
+def conditions_over(names):
+    """The four condition classes over the given attribute names."""
     attr = st.sampled_from(names)
     return st.one_of(
         st.builds(EqAttr, attr, attr),
@@ -343,64 +378,122 @@ def known_conditions(names):
     )
 
 
-# Either of these sends the whole selection down the lazy ``holds`` path:
-# an attribute in no table, or a condition class the compiler does not know.
-LAZY_CONDITIONS = st.one_of(
-    st.builds(EqConst, st.just("zz"), st.sampled_from(CELLS)),
-    st.builds(NeqAttr, st.sampled_from(NAMES), st.just("zz")),
-    st.builds(_Always, st.booleans()),
-)
+# A name in no table: wherever it is read, every evaluation must raise.
+GHOST = "zz"
 
 
 @st.composite
-def join_cases(draw):
-    left, right = draw(tables()), draw(tables())
-    left_only = [a for a in left.attributes if a not in right.attributes]
-    right_only = [a for a in right.attributes if a not in left.attributes]
-    out = left.attributes + tuple(right_only)
-    pool = []
-    if out:
-        pool.append(known_conditions(out))
-    if left_only and right_only:
-        # Two-sided: the only conditions that stay above the join.
-        one, other = st.sampled_from(left_only), st.sampled_from(right_only)
-        pool += [
-            st.builds(EqAttr, one, other),
-            st.builds(NeqAttr, other, one),
-        ]
-    conditions = draw(st.lists(st.one_of(pool), max_size=3)) if pool else []
-    if draw(st.sampled_from([False, False, False, True])):
-        conditions.insert(
-            draw(st.integers(0, len(conditions))), draw(LAZY_CONDITIONS)
-        )
-    attrs = draw(st.lists(st.sampled_from(out), unique=True)) if out else []
-    return left, right, tuple(conditions), tuple(attrs)
+def trees(draw, schema, depth):
+    """A random σ/π/⋈/ρ tree over ``schema``; returns (tree, attributes).
+
+    ``spj`` draws the shape the rewrite acts on, ``π(σ(⋈))``, whose
+    conditions may read one input, both or neither.  One node in eight
+    reads :data:`GHOST`, so the eager error is part of the property too.
+    """
+    kinds = ["scan"]
+    if depth > 0:
+        kinds += ["select", "project", "join", "rename", "spj", "spj"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "scan":
+        table = draw(st.sampled_from(sorted(schema)))
+        return Scan(table), schema[table]
+    two_sided = []
+    if kind in ("join", "spj"):
+        left, left_attrs = draw(trees(schema, depth - 1))
+        right, right_attrs = draw(trees(schema, depth - 1))
+        extra = tuple(a for a in right_attrs if a not in left_attrs)
+        child, attrs = Join(left, right), left_attrs + extra
+        if kind == "join":
+            return child, attrs
+        left_only = [a for a in left_attrs if a not in right_attrs]
+        if left_only and extra:
+            # The conditions that must stay above the join.
+            one, other = st.sampled_from(left_only), st.sampled_from(extra)
+            two_sided = [st.builds(EqAttr, one, other), st.builds(NeqAttr, other, one)]
+    else:
+        child, attrs = draw(trees(schema, depth - 1))
+    ghost = draw(st.integers(0, 7)) == 0
+    names = list(attrs) + [GHOST] if ghost else list(attrs)
+
+    def select(child):
+        if not names:
+            return child
+        pool = st.one_of([conditions_over(names)] + two_sided)
+        conditions = draw(st.lists(pool, max_size=3))
+        return Select(child, tuple(conditions))
+
+    def project(child):
+        picked = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+        return Project(child, tuple(picked)), tuple(picked)
+
+    if kind == "select":
+        return select(child), attrs
+    if kind == "project":
+        return project(child)
+    if kind == "spj":
+        return project(select(child))
+    if not attrs:
+        return Rename(child, ()), attrs
+    old = draw(st.sampled_from(list(attrs)))
+    new = draw(st.sampled_from([a for a in NAMES + FRESH if a not in attrs]))
+    return Rename(child, ((old, new),)), tuple(new if a == old else a for a in attrs)
+
+
+@st.composite
+def tree_cases(draw):
+    env = {name: draw(tables()) for name in ("L", "R", "S")}
+    schema = {name: table.attributes for name, table in env.items()}
+    tree, _ = draw(trees(schema, draw(st.integers(1, 4))))
+    return env, tree
+
+
+def literal_plan(env, tree):
+    """The tables as literal commands, then ``OUT := tree``."""
+    commands = [MiddlewareCommand(n, Literal(t)) for n, t in env.items()]
+    return Plan(tuple(commands) + (MiddlewareCommand("OUT", tree),), "OUT")
 
 
 class TestFusedJoinMatchesRowByRow:
     @settings(max_examples=300, deadline=None)
-    @given(join_cases())
+    @given(tree_cases())
     def test_select_project_over_join(self, case):
-        left, right, conditions, attrs = case
-        env = {"L": left, "R": right}
-        join = Join(Scan("L"), Scan("R"))
-        for expr, conds, project in (
-            (Select(join, conditions), conditions, None),
-            (Project(Select(join, conditions), attrs), conditions, attrs),
-            (Project(join, attrs), (), attrs),
-        ):
-            assert outcome(lambda: expr.evaluate(env)) == outcome(
-                lambda: reference(left, right, conds, project)
-            ), expr
+        """Rewritten, under either engine, equals the row-by-row oracle."""
+        env, tree = case
+        plan = literal_plan(env, tree)
+        expected = outcome(lambda: reference(tree, env))
+        assert outcome(lambda: tree.evaluate(env)) == expected, tree
+        assert outcome(lambda: plan.execute(None)) == expected, tree
+        assert outcome(
+            lambda: plan.execute(None, executor="columnar")
+        ) == expected, tree
 
-    def test_unknown_attribute_raises_only_when_a_joined_row_exists(self):
+    def test_unknown_name_raises_before_access(self):
+        schema = (
+            SchemaBuilder("s")
+            .relation("R", 1)
+            .access("mt_R", "R", inputs=[], cost=1.0)
+            .build()
+        )
         cond = (EqConst("zz", A),)
-        join = Join(Scan("L"), Scan("R"))
-        empty = {"L": table(["p"], [(A,)]), "R": table(["p"], [(B,)])}
-        assert Select(join, cond).evaluate(empty).is_empty
-        full = {"L": table(["p"], [(A,)]), "R": table(["p"], [(A,)])}
-        with pytest.raises(EvaluationError):
-            Select(join, cond).evaluate(full)
+        plan = Plan(
+            (
+                AccessCommand(
+                    "L", "mt_R", Singleton(), (), identity_output_map(("p",))
+                ),
+                MiddlewareCommand(
+                    "OUT", Select(Join(Scan("L"), Scan("L")), cond)
+                ),
+            ),
+            "OUT",
+        )
+        for rows in ([], [("a",)]):  # the join is empty, then not
+            source = InMemorySource(schema, Instance({"R": rows}))
+            for executor in ("interpreter", "columnar", "differential"):
+                with pytest.raises(EvaluationError, match="no attribute 'zz'"):
+                    plan.execute(source, executor=executor)
+            with pytest.raises(EvaluationError, match="no attribute 'zz'"):
+                plan.run(source)
+            assert source.total_invocations == 0
 
     def test_one_sided_selection_forms_no_discarded_pair(self):
         # 3 x 3 rows on one key; the right-only condition keeps one right
@@ -418,8 +511,12 @@ class TestFusedJoinMatchesRowByRow:
         )
         right = table(["k", "s"], [(A, A), (A, B), (A, C)])
         env = {"L": left, "R": right}
-        result = Project(
+        expr = Project(
             Select(Join(Scan("L"), Scan("R")), (EqConst("s", B),)), ("p", "s")
-        ).evaluate(env)
+        )
+        rewritten = rewrite_expression(
+            expr, {"L": left.attributes, "R": right.attributes}
+        )
+        result = rewritten.evaluate(env)
         assert result.rows == frozenset({(A, B), (B, B), (C, B)})
         assert len(pairs) == 3
