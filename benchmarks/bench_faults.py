@@ -160,9 +160,7 @@ def outage_sweep(scenario, budget, retries):
             source,
             workers=1,
             retry=RetryPolicy(max_attempts=retries + 1, seed=0),
-            breakers=BreakerRegistry(clock=clock),
             clock=clock,
-            sleep=clock.sleep,
         )
         with service:
             started = perf_counter()

@@ -25,6 +25,9 @@ from repro.chaos.invariants import (
 from repro.errors import ReproError, ServiceOverloaded, ServiceStopped
 from repro.service.request import Ticket
 
+#: The service counters every submission lands in exactly one of.
+_BOOKS = ("served", "shed", "rejected")
+
 
 @dataclass
 class ChaosReport:
@@ -124,8 +127,7 @@ class ScenarioHarness:
         self.violations: List[InvariantViolation] = []
         self.responses: List = []
         self._tickets: List[Ticket] = []
-        self._carried_served = 0
-        self._carried_shed = 0
+        self._carried: Counter = Counter()
 
     def remaining(self) -> float:
         """Seconds left in the scenario's wall-clock budget."""
@@ -213,16 +215,17 @@ class ScenarioHarness:
 
         Restart scenarios (disk corruption) span two service
         generations; the accounting identity is over the whole run, so
-        the retired generation's served/shed counters carry forward
-        into :meth:`finish`'s check against the final generation.
+        the retired generation's served/shed/rejected counters carry
+        forward into :meth:`finish`'s check against the final
+        generation.
         """
         try:
             service.wait_idle(timeout=10.0)
         except Exception:  # pragma: no cover -- stopped services are idle
             pass
         health = service.health().as_dict()
-        self._carried_served += health.get("served", 0) or 0
-        self._carried_shed += health.get("shed", 0) or 0
+        for book in _BOOKS:
+            self._carried[book] += health.get(book, 0) or 0
 
     # -------------------------------------------------------- reporting
     def finish(
@@ -244,12 +247,8 @@ class ScenarioHarness:
             # termination violations already tell that story louder
             # than a second accounting mismatch would.
             checked = dict(health)
-            checked["served"] = (
-                (health.get("served", 0) or 0) + self._carried_served
-            )
-            checked["shed"] = (
-                (health.get("shed", 0) or 0) + self._carried_shed
-            )
+            for book in _BOOKS:
+                checked[book] = (health.get(book, 0) or 0) + self._carried[book]
             self.violations.extend(
                 verify_accounting(self.submitted, accounted, checked)
             )

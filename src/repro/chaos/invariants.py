@@ -125,9 +125,11 @@ def verify_accounting(
 
     * nothing lost: submitted == sum of all outcome buckets;
     * served books balance: ``health.served`` == complete + partial
-      + failed (exactly the tickets that reached :meth:`_account`);
-    * shed books balance: ``health.shed`` == shed + rejected (every
-      request the service refused was typed and counted).
+      + failed (exactly the tickets the service resolved and
+      accounted);
+    * refusal books balance: ``health.shed + health.rejected`` == shed
+      + rejected (every request the service refused, at the door or
+      from the queue, was typed and counted once).
     """
     violations: List[InvariantViolation] = []
     total = sum(outcomes.get(key, 0) for key in OUTCOMES)
@@ -152,13 +154,14 @@ def verify_accounting(
                 f"observed {served} served outcomes",
             )
         )
-    shed = outcomes.get("shed", 0) + outcomes.get("rejected", 0)
-    if health.get("shed") != shed:
+    refused = outcomes.get("shed", 0) + outcomes.get("rejected", 0)
+    shed, rejected = health.get("shed", 0), health.get("rejected", 0)
+    if shed + rejected != refused:
         violations.append(
             InvariantViolation(
                 "accounting",
-                f"service shed={health.get('shed')} but the harness "
-                f"observed {shed} shed/rejected outcomes",
+                f"service shed={shed} + rejected={rejected} but the "
+                f"harness observed {refused} shed/rejected outcomes",
             )
         )
     return violations

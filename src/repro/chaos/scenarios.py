@@ -74,8 +74,9 @@ from repro.service.service import QueryService
 from repro.service.workers import ProcessWorkerPool, ThreadWorkerPool
 from repro.sources import HTTPSource, SQLiteSource, StubTransport
 
-#: No real backoff sleeping inside chaos runs -- schedules stay
-#: deterministic and scenarios stay fast.
+#: No real reconnect backoff inside chaos runs -- schedules stay
+#: deterministic and scenarios stay fast.  (A service on the default
+#: wall clock records its retry backoff without sleeping.)
 _NO_SLEEP = lambda _seconds: None  # noqa: E731
 
 
@@ -159,7 +160,6 @@ def worker_kill(seed: int = 0, quick: bool = True) -> ChaosReport:
         max_queue=64,
         worker_pool=pool,
         default_deadline=60.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         for _ in range(batch):  # clean warm-up burst
@@ -198,7 +198,6 @@ def worker_stall(seed: int = 0, quick: bool = True) -> ChaosReport:
         max_queue=64,
         worker_pool=pool,
         default_deadline=60.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         # Each request makes 2 accesses and each rehydrated worker
@@ -230,7 +229,6 @@ def latency_storm(seed: int = 0, quick: bool = True) -> ChaosReport:
         max_queue=64,
         worker_pool=pool,
         default_deadline=30.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         for _ in range(requests):
@@ -262,7 +260,6 @@ def burst_outage(seed: int = 0, quick: bool = True) -> ChaosReport:
             max_attempts=4, base_delay=0.001, max_delay=0.002, seed=seed
         ),
         default_deadline=30.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         for _ in range(requests):
@@ -286,17 +283,13 @@ def permanent_outage(seed: int = 0, quick: bool = True) -> ChaosReport:
         max_queue=64,
         plan_cache=PlanCache(capacity=8),
         default_deadline=30.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         # First request rides the healthy plan into the outage: one
-        # typed failure, and the method-health registry learns.
+        # typed failure, and the method's breaker is force-opened
+        # before its ticket resolves.
         harness.submit(service.submit_query, query)
         harness.collect()
-        # Tickets resolve *before* the outage is folded into the
-        # registry; wait for the books to settle so the next plan
-        # definitely sees the dead set.
-        service.wait_idle(timeout=10.0)
         # Every later request re-plans over the surviving schema --
         # exactly one search (the degraded cache key misses once).
         for _ in range(requests):
@@ -347,7 +340,6 @@ def http_rate_limit_storm(seed: int = 0, quick: bool = True) -> ChaosReport:
             max_attempts=4, base_delay=0.001, max_delay=0.002, seed=seed
         ),
         default_deadline=30.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         for _ in range(requests):
@@ -389,7 +381,6 @@ def sqlite_disconnect(seed: int = 0, quick: bool = True) -> ChaosReport:
             max_attempts=4, base_delay=0.001, max_delay=0.002, seed=seed
         ),
         default_deadline=30.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         for _ in range(requests):
@@ -432,7 +423,6 @@ def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
             plan_cache=PlanCache(capacity=8, directory=cache_dir),
             calibration=CalibrationStore(path=calib_path),
             default_deadline=30.0,
-            sleep=_NO_SLEEP,
         )
         with warm:
             for _ in range(requests):
@@ -467,7 +457,6 @@ def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
             plan_cache=plan_cache,
             calibration=calibration,
             default_deadline=30.0,
-            sleep=_NO_SLEEP,
         )
         with service:
             for _ in range(requests):

@@ -379,14 +379,13 @@ def _demo(args) -> int:
             )
         source = FaultInjectingSource(source, policy, clock=clock)
     retry = RetryPolicy(max_attempts=args.retry + 1, seed=args.fault_seed)
-    breakers = BreakerRegistry(clock=clock)
     resilience = None
     if not args.failover and (
         faulty or args.retry or args.deadline is not None
     ):
         resilience = ResilientDispatcher(
             retry=retry,
-            breakers=breakers,
+            breakers=BreakerRegistry(clock=clock),
             deadline=(
                 Deadline(args.deadline, clock=clock)
                 if args.deadline is not None
@@ -407,9 +406,7 @@ def _demo(args) -> int:
             workers=1,
             cache=cache,
             retry=retry,
-            breakers=breakers,
             clock=clock,
-            sleep=clock.sleep,
             executor=args.executor,
         ) as service:
             response = service.serve_query(

@@ -229,8 +229,10 @@ class CircuitBreaker:
         This is the one transition the state machine cannot take by
         itself: a *forced*-open breaker (hard :class:`MethodOutage`)
         never half-opens, so when the outage is known to be over --
-        an operator says so, or the service's method-health recovery
-        loop does -- the breaker must be reset explicitly.  Clears the
+        an operator says so through
+        :meth:`QueryService.mark_method_recovered
+        <repro.service.service.QueryService.mark_method_recovered>` --
+        the breaker must be reset explicitly.  Clears the
         forced flag and the failure run; ``trips`` history is kept.
         """
         with self._lock:

@@ -17,14 +17,17 @@ Public surface of :mod:`repro.service`:
   :class:`~repro.service.workers.ThreadWorkerPool` implementations --
   the execution tier that ships plan IR (not pickles) to worker
   processes to scale CPU-bound serving past the GIL.
-* :class:`~repro.service.method_health.MethodHealthRegistry` -- the
-  dead-method ledger behind health-aware degraded planning, and
-  :class:`~repro.service.workers.LatencyTracker` -- the EWMA/P95
-  estimator behind adaptive hedged dispatch.
+* :class:`~repro.service.workers.LatencyTracker` -- the EWMA/P95
+  estimator behind adaptive hedged dispatch and the service's
+  retry-after hint.
+
+Health-aware degraded planning keeps no ledger of its own: the
+dead-method set is the service's breakers' forced-open set
+(:meth:`QueryService.current_dead_methods
+<repro.service.service.QueryService.current_dead_methods>`).
 """
 
 from repro.service.admission import AdmissionQueue
-from repro.service.method_health import MethodHealthRegistry
 from repro.service.request import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_CLASSES,
@@ -49,7 +52,6 @@ from repro.service.workers import (
 __all__ = [
     "AdmissionQueue",
     "LatencyTracker",
-    "MethodHealthRegistry",
     "ProcessWorkerPool",
     "PRIORITY_BEST_EFFORT",
     "PRIORITY_CLASSES",

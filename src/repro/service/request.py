@@ -37,9 +37,15 @@ PRIORITY_NAMES = {
 
 @dataclass
 class QueryRequest:
-    """One unit of admitted work: a plan run with its governance."""
+    """One unit of admitted work: a plan run with its governance.
 
-    plan: Plan
+    ``plan`` is ``None`` from admission until a query request is
+    planned (and stays ``None`` when no plan was found);
+    ``submitted_at`` is the service clock's reading when the request
+    entered the admission queue, from which ``queue_wait`` is measured.
+    """
+
+    plan: Optional[Plan]
     bindings: Optional[Mapping[object, object]] = None
     priority: int = PRIORITY_NORMAL
     deadline_seconds: Optional[float] = None
@@ -78,8 +84,8 @@ class QueryResponse:
     stats: Optional[ExecStats] = None
     queue_wait: float = 0.0
     wall_time: float = 0.0
-    #: True when this response was served while the service's method
-    #: health registry had a nonempty dead set -- planning was degraded
+    #: True when this response was served while the service's
+    #: dead-method set was nonempty -- planning was degraded
     #: (the plan avoids the dead methods, or the answer is the marked
     #: accessible-part fallback).  Orthogonal to complete/partial: a
     #: degraded *complete* response is still the certain answers.

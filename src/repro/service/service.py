@@ -8,24 +8,34 @@ one :class:`~repro.exec.cache.AccessCache`, one
 :class:`~repro.exec.resilience.BreakerRegistry`), and the service stays
 correct and responsive no matter the offered load:
 
+* **one request path** -- :meth:`submit` (a plan) and
+  :meth:`submit_query` (a query, planned in the submitting thread)
+  admit a request the same way -- its id, budget and
+  :class:`~repro.exec.resilience.Deadline` exist before any planning
+  -- and every outcome, from a worker or from the submitting thread,
+  is resolved and accounted by one tail.  Every submission lands in
+  exactly one book: ``served + shed + rejected == submitted``.
 * **admission control** -- a bounded priority queue
   (:class:`~repro.service.admission.AdmissionQueue`); overload is shed
   fast with typed :class:`~repro.errors.ServiceOverloaded` errors
   carrying queue depth and a retry-after hint, and high-priority
   arrivals may preempt queued best-effort work.
 * **per-request governance** -- each request runs under its own
-  :class:`~repro.exec.resilience.Deadline` (measured from *submission*,
-  so time spent queued counts) and
-  :class:`~repro.exec.budget.ResourceBudget` (row budgets inside
-  :meth:`Plan.execute <repro.plans.plan.Plan.execute>`, access/cost
-  budgets via :class:`~repro.data.decorators.BudgetedSource`), so one
-  pathological request degrades to a typed error or an explicitly
-  marked partial answer instead of starving the pool.
+  deadline (measured from *admission*, so planning and time spent
+  queued count) and :class:`~repro.exec.budget.ResourceBudget` (row
+  budgets inside :meth:`Plan.execute <repro.plans.plan.Plan.execute>`,
+  access/cost budgets via
+  :class:`~repro.data.decorators.BudgetedSource`), so one pathological
+  request degrades to a typed error or an explicitly marked partial
+  answer instead of starving the pool.
 * **isolation of mutable state** -- workers share only lock-protected
   structures; every request gets its own
-  :class:`~repro.exec.resilience.ResilientDispatcher` (forked over the
+  :class:`~repro.exec.resilience.ResilientDispatcher` (built over the
   shared breakers) and its own :class:`~repro.exec.stats.ExecStats`,
   merged into the service aggregate under the service lock.
+* **degraded planning** -- the dead-method set is the breakers'
+  forced-open set: an outage force-opens its method's breaker, and
+  :meth:`plan_for` plans over the schema minus those methods.
 * **lifecycle** -- :meth:`start` / :meth:`drain` / :meth:`shutdown`
   with the drain guarantee (in-flight and queued requests finish, new
   ones are rejected) and a :meth:`health` snapshot for operators.
@@ -65,12 +75,10 @@ from repro.exec.budget import ERROR, ResourceBudget
 from repro.exec.cache import AccessCache
 from repro.exec.context import ExecutionContext
 from repro.exec.resilience import (
-    CLOSED,
     BreakerRegistry,
     Deadline,
     ResilientDispatcher,
     RetryPolicy,
-    Sleep,
 )
 from repro.exec.stats import ExecStats
 from repro.logic.atoms import Atom
@@ -84,8 +92,8 @@ from repro.planner.search import (
 from repro.plans.ir import table_from_ir
 from repro.plans.plan import Plan
 from repro.service.admission import AdmissionQueue
-from repro.service.method_health import MethodHealthRegistry
 from repro.service.workers import (
+    LatencyTracker,
     WorkerPool,
     encode_bindings,
     encoded_plan_ir,
@@ -102,6 +110,32 @@ from repro.service.request import (
 _DEFAULT_SERVICE_TIME = 0.05
 
 
+def _typed(error: Exception, doing: str) -> ReproError:
+    """``error`` itself when typed, else an :class:`ExecutionError` saying so.
+
+    The untyped error stays attached as the cause, traceback included.
+    """
+    if isinstance(error, ReproError):
+        return error
+    typed = ExecutionError(f"{doing}: {error!r}")
+    typed.__cause__ = error
+    return typed
+
+
+def _outage_method(error: Optional[Exception]) -> Optional[str]:
+    """The method a hard :class:`MethodOutage` names, else ``None``.
+
+    The outage may come direct from in-process execution, rebuilt with
+    its method context from a worker-tier failure dict, or wrapped in a
+    :class:`PlanFailed`.
+    """
+    if isinstance(error, PlanFailed) and error.cause is not None:
+        error = error.cause
+    if isinstance(error, MethodOutage):
+        return getattr(error, "method", None) or None
+    return None
+
+
 @dataclass
 class ServiceHealth:
     """A point-in-time operational snapshot of a :class:`QueryService`."""
@@ -116,7 +150,11 @@ class ServiceHealth:
     completed: int
     partial: int
     failed: int
+    #: Admitted requests resolved shed: preempted from the queue by a
+    #: higher-priority arrival, or evicted by a non-draining stop.
     shed: int
+    #: Submissions refused at the door with a typed error (overload,
+    #: stopped service, inadmissible plan); they never got a ticket.
     rejected: int
     preempted: int
     mean_service_time: float
@@ -135,10 +173,11 @@ class ServiceHealth:
     #: Requests rejected at admission because their static result-size
     #: bound already exceeded the budget's row ceiling.
     rejected_inadmissible: int = 0
-    #: Method-health registry snapshot: the current dead-method set,
-    #: outage observations, recoveries, plus how often planning re-ran
-    #: over a degraded schema (``replans``) and how many responses were
-    #: served under a nonempty dead set (``degraded_served``).
+    #: Degraded-planning counters: the current dead-method set (the
+    #: breakers' forced-open set), outage observations, recoveries,
+    #: how often planning re-ran over a degraded schema (``replans``)
+    #: and how many responses were served under a nonempty dead set
+    #: (``degraded_served``).
     method_health: Optional[Dict] = None
 
     def summary(self) -> str:
@@ -154,7 +193,8 @@ class ServiceHealth:
             f"{self.queue_depth}/{self.queue_capacity} queued, "
             f"{self.served} served "
             f"({self.completed} complete / {self.partial} partial / "
-            f"{self.failed} failed), {self.shed} shed"
+            f"{self.failed} failed), {self.shed} shed, "
+            f"{self.rejected} rejected"
             + (f", breakers not closed: {open_breakers}" if open_breakers else "")
             + (
                 f", worker tier {self.worker_tier['tier']} DEGRADED"
@@ -169,7 +209,14 @@ class ServiceHealth:
 
 
 class QueryService:
-    """Serve plan runs concurrently over one shared, locked runtime."""
+    """Serve plan runs concurrently over one shared, locked runtime.
+
+    ``clock`` is the one injected time source: deadlines and breaker
+    recovery windows read it, and backoff waits call its ``sleep``
+    when it has one (a :class:`~repro.faults.clock.VirtualClock`
+    advances instead of blocking); under a clock without ``sleep``
+    (the default wall clock) a wait is recorded, not slept.
+    """
 
     def __init__(
         self,
@@ -179,11 +226,9 @@ class QueryService:
         max_queue: int = 64,
         cache: Optional[AccessCache] = None,
         retry: Optional[RetryPolicy] = None,
-        breakers: Optional[BreakerRegistry] = None,
         default_deadline: Optional[float] = None,
         default_budget: Optional[ResourceBudget] = None,
         clock=time.monotonic,
-        sleep: Optional[Sleep] = None,
         name: str = "service",
         executor: str = "interpreter",
         worker_pool: Optional[WorkerPool] = None,
@@ -222,23 +267,22 @@ class QueryService:
         # invoking Algorithm 1 search.
         self.plan_cache = plan_cache
         self._planned = 0
-        # Health-aware degraded planning: outages observed while serving
-        # mark methods dead here, and plan_for plans over the schema
-        # minus the dead set -- one re-plan per outage, not one failure
-        # per request.  When no full plan survives the dead set,
-        # submit_query falls back to a marked-partial accessible-part
-        # answer.
-        self.method_health = MethodHealthRegistry()
+        # Health-aware degraded planning: an outage observed while
+        # serving force-opens its method's breaker, and plan_for plans
+        # over the schema minus the forced-open set -- one re-plan per
+        # outage, not one failure per request.  When no full plan
+        # survives, submit_query answers from the accessible part,
+        # marked partial.
+        self._outages_observed = 0
+        self._recoveries = 0
         self._replans = 0
         self._degraded_served = 0
         self.retry = retry
-        self.breakers = breakers if breakers is not None else BreakerRegistry(
-            clock=clock
-        )
+        self.breakers = BreakerRegistry(clock=clock)
         self.default_deadline = default_deadline
         self.default_budget = default_budget
         self.clock = clock
-        self.sleep = sleep
+        self._sleep = getattr(clock, "sleep", None)
         self.name = name
         self.stats = ExecStats()
         self._queue = AdmissionQueue(max_queue)
@@ -248,13 +292,19 @@ class QueryService:
         self._running = False
         self._accepting = False
         self._ids = itertools.count(1)
+        # Admitted requests a thread holds: being planned in the
+        # submitting thread or executed by a worker.  The rest of the
+        # admitted, unresolved requests are the queue's depth.
         self._in_flight = 0
         self._served = 0
         self._completed = 0
         self._partial = 0
         self._failed = 0
         self._shed = 0
-        self._mean_service_time = 0.0
+        self._rejected = 0
+        # Service times of served requests; its mean feeds the
+        # retry-after hint.
+        self._service_time = LatencyTracker()
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "QueryService":
@@ -345,60 +395,101 @@ class QueryService:
 
         Raises :class:`~repro.errors.ServiceOverloaded` (fast, typed,
         with queue depth and retry-after hint) when admission control
-        sheds the request at the door, and
+        refuses the request at the door,
         :class:`~repro.errors.ServiceStopped` when the service is not
-        accepting.  A lower-priority ticket preempted by this admission
-        is resolved with the same typed overload error -- every
-        submitted request is accounted for.
+        accepting, and :class:`~repro.errors.PlanInadmissible` when the
+        plan's static result bound dooms its budget; each counts as
+        ``rejected``.  A lower-priority ticket preempted by this
+        admission is resolved with the same typed overload error and
+        counts as ``shed`` -- every submitted request is accounted for.
         """
-        rid = self._admit_id(request_id)
+        ticket = self._admit(
+            bindings=bindings,
+            priority=priority,
+            deadline=deadline,
+            budget=budget,
+            request_id=request_id,
+        )
+        ticket.request.plan = plan
+        self._enqueue(ticket)
+        return ticket
+
+    def _admit(
+        self,
+        *,
+        bindings: Optional[Mapping[object, object]] = None,
+        priority: int = PRIORITY_NORMAL,
+        deadline: Optional[float] = None,
+        budget: Optional[ResourceBudget] = None,
+        request_id: Optional[str] = None,
+    ) -> Ticket:
+        """The door every submission passes, before any planning.
+
+        Mints the request's id, gives it a fresh copy of the default
+        budget and starts its deadline on the service clock; the
+        request's ``plan`` is ``None`` until planned.  The returned
+        ticket is held by the calling thread (it counts as in flight)
+        until :meth:`_enqueue` or :meth:`_finish` takes it.  Raises
+        :class:`~repro.errors.ServiceStopped`, counted as rejected,
+        when the service is not accepting.
+        """
+        seconds = deadline if deadline is not None else self.default_deadline
         if budget is None and self.default_budget is not None:
             budget = self.default_budget.fresh()
-        self._check_admissible(plan, budget)
-        seconds = deadline if deadline is not None else self.default_deadline
         request = QueryRequest(
-            plan=plan,
+            plan=None,
             bindings=bindings,
             priority=priority,
             deadline_seconds=seconds,
             budget=budget,
-            request_id=rid,
-            submitted_at=self.clock(),
         )
+        with self._lock:
+            if not (self._running and self._accepting):
+                self._rejected += 1
+                raise ServiceStopped(
+                    f"service {self.name!r} is not accepting requests"
+                )
+            request.request_id = request_id or f"q{next(self._ids)}"
+            self._in_flight += 1
         ticket = Ticket(request)
         ticket.deadline = (
             Deadline(seconds, clock=self.clock) if seconds is not None else None
         )
+        return ticket
+
+    def _enqueue(self, ticket: Ticket) -> None:
+        """Hand an admitted, planned request to the admission queue.
+
+        A typed refusal at the door (an inadmissible plan, a full
+        queue, a stopping service) is counted as rejected and raised
+        to the submitter; a queued request this one preempted is
+        resolved shed.
+        """
+        request = ticket.request
+        retry_after = self._retry_after_hint()
+        refused = True
         try:
-            evicted = self._queue.offer(
-                ticket, retry_after=self._retry_after_hint()
-            )
-        except ServiceOverloaded:
-            with self._lock:
-                self._shed += 1
-            raise
+            self._check_admissible(request.plan, request.budget)
+            request.submitted_at = self.clock()
+            evicted = self._queue.offer(ticket, retry_after=retry_after)
+            refused = False
+        finally:
+            with self._lock:  # the ticket is queued now, or refused
+                self._in_flight -= 1
+                if refused:
+                    self._rejected += 1
+                self._idle.notify_all()
         if evicted is not None:
-            depth = self._queue.depth()
             self._resolve_shed(
                 evicted,
                 ServiceOverloaded(
                     "request shed from the admission queue by a "
                     "higher-priority arrival",
-                    queue_depth=depth,
+                    queue_depth=self._queue.depth(),
                     retry_after=self._retry_after_hint(),
                     shed=True,
                 ),
             )
-        return ticket
-
-    def _admit_id(self, request_id: Optional[str]) -> str:
-        """The id of a request being admitted, or ``ServiceStopped``."""
-        with self._lock:
-            if not (self._running and self._accepting):
-                raise ServiceStopped(
-                    f"service {self.name!r} is not accepting requests"
-                )
-            return request_id or f"q{next(self._ids)}"
 
     def _check_admissible(
         self, plan: Plan, budget: Optional[ResourceBudget]
@@ -448,38 +539,30 @@ class QueryService:
     def current_dead_methods(self) -> tuple:
         """The dead-method set planning must avoid right now, sorted.
 
-        The union of the method-health registry and any breakers
-        force-opened by a hard outage;
-        force-opened breakers are folded *into* the registry so the
-        two views converge.  Recovery is observed here too: a dead
-        method whose breaker has closed again (a half-open probe
-        succeeded, or :meth:`mark_method_recovered` reset it) leaves
-        the dead set.
+        It is the breakers' forced-open set: a hard
+        :class:`~repro.errors.MethodOutage` force-opens its method's
+        breaker (in-process dispatch does so itself; an outage a worker
+        tier reports is applied by :meth:`_observe_outage`), and a
+        forced-open breaker never half-opens, so a method leaves the
+        set only through :meth:`mark_method_recovered`.
         """
-        dead = set(self.method_health.dead_methods())
-        for method in self.breakers.forced_open_methods():
-            if method not in dead:
-                self.method_health.mark_dead(method, reason="breaker forced open")
-                dead.add(method)
-        if dead:
-            states = self.breakers.states()
-            for method in list(dead):
-                if states.get(method) == CLOSED:
-                    self.method_health.mark_recovered(method)
-                    dead.discard(method)
-        return tuple(sorted(dead))
+        return self.breakers.forced_open_methods()
 
     def mark_method_recovered(self, method: str) -> bool:
         """Declare one method's outage over (operator/probe action).
 
         Resets the method's breaker (a *forced*-open breaker never
-        half-opens by itself) and clears the registry entry, so the
-        next planning pass sees the full schema again -- whose cached
-        plan, keyed by the healthy schema fingerprint, is still warm.
-        Returns True when the method was actually marked dead.
+        half-opens by itself), so the next planning pass sees the full
+        schema again -- whose cached plan, keyed by the healthy schema
+        fingerprint, is still warm.  Returns True when the method was
+        dead.
         """
+        dead = method in self.current_dead_methods()
         self.breakers.reset_method(method)
-        return self.method_health.mark_recovered(method)
+        if dead:
+            with self._lock:
+                self._recoveries += 1
+        return dead
 
     def plan_for(
         self,
@@ -497,9 +580,9 @@ class QueryService:
         neither reads nor writes the cache, and always searches.  (A
         service whose callers vary ``max_accesses`` or the chase policy
         caches what the first of them found.)  On a miss the search
-        runs here, in the submitting thread (planning is
-        request-shaping work, like admission), and the result is stored
-        for every later request.  Concurrent misses on the same key may
+        runs here, in the calling thread -- for :meth:`submit_query`
+        the submitting one, after admission, so the request's deadline
+        is running -- and the result is stored for every later request.  Concurrent misses on the same key may
         both search; both store the same answer, so this is wasted work
         at worst, never a wrong plan.
 
@@ -554,25 +637,47 @@ class QueryService:
         search_options: Optional[SearchOptions] = None,
         **kwargs,
     ) -> Ticket:
-        """Plan a query (cache-first) and admit the resulting plan run.
+        """Admit a query, plan it (cache-first), and queue the plan run.
 
-        This is the millions-of-users entry point: many clients, few
-        distinct queries.  With a warm :class:`PlanCache` the search
-        step disappears and only execution remains; ``kwargs`` are
-        those of :meth:`submit` (bindings, priority, deadline, budget).
+        ``kwargs`` are those of :meth:`submit` (bindings, priority,
+        deadline, budget, request id).  The request is admitted first
+        -- its id, budget and deadline exist before the search runs --
+        then planned by :meth:`plan_for` in the submitting thread (so
+        back-to-back calls search serially), then queued exactly as
+        :meth:`submit` queues a plan.  With a warm :class:`PlanCache`
+        the search step disappears and only execution remains.
 
+        A request that cannot be queued is resolved on the spot, typed
+        and accounted like any served request: the search found no plan
+        (:class:`~repro.errors.ExecutionError`), or the deadline ran
+        out while planning (:class:`~repro.errors.DeadlineExceeded`).
         When the dead-method set leaves *no* viable plan the request is
         served anyway: the query is evaluated over the accessible part
         of the surviving schema and the response comes back explicitly
         marked ``partial`` and ``degraded`` -- a sound under-approximation
         of the certain answers, never a silent wrong answer and never a
-        per-request error storm.
+        per-request error storm.  Door refusals raise as in
+        :meth:`submit`.
         """
+        ticket = self._admit(**kwargs)
         try:
-            plan = self.plan_for(query, search_options=search_options)
+            ticket.request.plan = self.plan_for(
+                query, search_options=search_options
+            )
+            if ticket.deadline is not None:
+                ticket.deadline.check("planning")
         except NoViablePlan:
-            return self._degraded_ticket(query, **kwargs)
-        return self.submit(plan, **kwargs)
+            response = self._accessible_part(ticket, query)
+        except Exception as error:  # resolved typed, never raised
+            response = QueryResponse(
+                ticket.request.request_id,
+                error=_typed(error, "unexpected planning failure"),
+            )
+        else:
+            self._enqueue(ticket)
+            return ticket
+        self._finish(ticket, response)
+        return ticket
 
     def serve_query(
         self,
@@ -617,62 +722,39 @@ class QueryService:
                 return response
             failovers += 1
 
-    def _degraded_ticket(
-        self,
-        query: ConjunctiveQuery,
-        *,
-        bindings: Optional[Mapping[object, object]] = None,
-        priority: int = PRIORITY_NORMAL,
-        deadline: Optional[float] = None,
-        budget: Optional[ResourceBudget] = None,
-        request_id: Optional[str] = None,
-    ) -> Ticket:
-        """Serve a no-viable-plan query from the accessible part, marked.
+    def _accessible_part(
+        self, ticket: Ticket, query: ConjunctiveQuery
+    ) -> QueryResponse:
+        """Answer a no-viable-plan query from the accessible part, marked.
 
-        The answer is computed synchronously
+        The answer is computed in the submitting thread
         (:func:`~repro.planner.search.accessible_answer`, read off the
-        wrapped instance) and the ticket comes back already resolved,
-        ``partial`` + ``degraded``.  The request's governance is the
-        healthy path's: the table goes through the budget's result-row
-        check (a marked truncation, or the typed budget error), and an
-        answer that took longer than the deadline is a typed
-        :class:`~repro.errors.DeadlineExceeded`.  The request is fully
-        accounted: it counts as served in :meth:`health`.
+        wrapped instance) and comes back ``partial`` + ``degraded``.
+        The request's governance is the healthy path's: the table goes
+        through the budget's result-row check (a marked truncation, or
+        the typed budget error), and an answer finished past the
+        deadline is a typed :class:`~repro.errors.DeadlineExceeded`.
         """
-        rid = self._admit_id(request_id)
-        if budget is None and self.default_budget is not None:
-            budget = self.default_budget.fresh()
-        seconds = deadline if deadline is not None else self.default_deadline
-        request = QueryRequest(
-            plan=None,  # no plan survives the dead set; served degraded
-            bindings=bindings,
-            priority=priority,
-            deadline_seconds=seconds,
-            budget=budget,
-            request_id=rid,
-            submitted_at=self.clock(),
-        )
-        limit = (
-            Deadline(seconds, clock=self.clock) if seconds is not None else None
-        )
+        request = ticket.request
+        budget = request.budget
         table = failure = None
         started = perf_counter()
         try:
             table = accessible_answer(
                 self.source.schema,
                 self.source.instance,
-                self._bind_query(query, bindings),
+                self._bind_query(query, request.bindings),
                 self.current_dead_methods(),
             )
-            if limit is not None:
-                limit.check("the accessible-part fallback")
+            if ticket.deadline is not None:
+                ticket.deadline.check("the accessible-part fallback")
             if budget is not None:
                 table = budget.admit_result(table)
-        except ReproError as error:
-            table, failure = None, error
-        ticket = Ticket(request)
-        response = QueryResponse(
-            rid,
+        except Exception as error:  # resolved typed, never raised
+            table = None
+            failure = _typed(error, "unexpected accessible-part failure")
+        return QueryResponse(
+            request.request_id,
             table=table,
             error=failure,
             partial=failure is None,
@@ -680,11 +762,6 @@ class QueryService:
             degraded=True,
             wall_time=perf_counter() - started,
         )
-        ticket.resolve(response)
-        with self._lock:
-            self._in_flight += 1  # balances _account's decrement
-        self._account(response)
-        return ticket
 
     @staticmethod
     def _bind_query(
@@ -720,26 +797,36 @@ class QueryService:
             except Exception as error:  # never leave a ticket hanging
                 response = QueryResponse(
                     ticket.request.request_id,
-                    error=(
-                        error
-                        if isinstance(error, ReproError)
-                        else ExecutionError(
-                            f"unexpected worker failure: {error!r}"
-                        )
-                    ),
+                    error=_typed(error, "unexpected worker failure"),
                 )
-            if not response.degraded and self.method_health.dead_methods():
-                # Anything served while the dead set is nonempty is
-                # visibly flagged: the answer may be complete (a
-                # re-planned full plan still computes the certain
-                # answers) but the serving regime is degraded.
-                response.degraded = True
-            if response.error is not None:
-                # Before the waiter wakes: whoever reads the response
-                # must find the dead set it implies (serve_query does).
-                self._observe_outage(response)
-            ticket.resolve(response)
-            self._account(response)
+            self._finish(ticket, response)
+
+    def _finish(self, ticket: Ticket, response: QueryResponse) -> None:
+        """The one tail of every admitted request that is not shed.
+
+        A worker's response and one resolved in the submitting thread
+        (a planning failure, an expired deadline, the accessible-part
+        answer) take the same steps: the degraded flag, the outage
+        observation, the resolve, the books.
+        """
+        outage = _outage_method(response.error)
+        if not response.degraded and any(
+            method != outage for method in self.current_dead_methods()
+        ):
+            # Anything served while another method is dead is visibly
+            # flagged: the answer may be complete (a re-planned full
+            # plan still computes the certain answers) but the serving
+            # regime is degraded.  The outage this response met itself
+            # does not count: in-process dispatch has already
+            # force-opened its breaker, but the request was planned
+            # without knowing.
+            response.degraded = True
+        if outage is not None:
+            # Before the waiter wakes: whoever reads the response
+            # must find the dead set it implies (serve_query does).
+            self._observe_outage(outage)
+        ticket.resolve(response)
+        self._account(response)
 
     def _execute(self, ticket: Ticket) -> QueryResponse:
         request = ticket.request
@@ -751,7 +838,8 @@ class QueryService:
                 request.request_id,
                 error=DeadlineExceeded(
                     f"deadline of {request.deadline_seconds}s expired "
-                    f"after {queue_wait:.3f}s in the admission queue"
+                    f"before execution, after {queue_wait:.3f}s in the "
+                    f"admission queue"
                 ),
                 stats=stats,
                 queue_wait=queue_wait,
@@ -763,7 +851,7 @@ class QueryService:
                 retry=self.retry,
                 breakers=self.breakers,
                 deadline=deadline,
-                sleep=self.sleep,
+                sleep=self._sleep,
             ),
             budget=request.budget,
         )
@@ -826,22 +914,16 @@ class QueryService:
             context.budget.truncated_rows = int(result.get("truncated", 0))
         return table_from_ir(result["table"])
 
-    def _observe_outage(self, response: QueryResponse) -> None:
-        """Mark the failing method dead on a hard-outage response.
+    def _observe_outage(self, method: str) -> None:
+        """Force-open a hard-down method's breaker: planning avoids it.
 
-        This is the feed of the method-health registry: a typed
-        :class:`~repro.errors.MethodOutage` (direct from in-process
-        execution, rebuilt with its method context from a worker-tier
-        failure dict, or wrapped in a :class:`PlanFailed`) means the
-        method is hard-down -- the *next* planning pass avoids it.
+        In-process dispatch has already force-opened it; a worker
+        tier's workers never touch this service's breakers, so the
+        outage they report is applied here.
         """
-        error = response.error
-        if isinstance(error, PlanFailed) and error.cause is not None:
-            error = error.cause
-        if isinstance(error, MethodOutage):
-            method = getattr(error, "method", None)
-            if method:
-                self.method_health.mark_dead(method)
+        self.breakers.for_method(method).record_failure(permanent=True)
+        with self._lock:
+            self._outages_observed += 1
 
     def _account(self, response: QueryResponse) -> None:
         # Fold the request's observed row flow into the calibration
@@ -857,6 +939,8 @@ class QueryService:
                 # balancing: the ticket is already resolved, and an
                 # unaccounted request breaks served-counter invariants.
                 pass
+        if response.wall_time:
+            self._service_time.observe(response.wall_time)
         with self._lock:
             self._in_flight -= 1
             self._served += 1
@@ -868,15 +952,6 @@ class QueryService:
                 self._partial += 1
             else:
                 self._failed += 1
-            if response.wall_time:
-                # EWMA feeding the retry-after hint.
-                if self._mean_service_time:
-                    self._mean_service_time = (
-                        0.8 * self._mean_service_time
-                        + 0.2 * response.wall_time
-                    )
-                else:
-                    self._mean_service_time = response.wall_time
             if response.stats is not None:
                 self.stats.merge(response.stats)
             self._idle.notify_all()
@@ -900,8 +975,8 @@ class QueryService:
         (hedge duplicates, other clients of a shared pool) counts as
         waiting work too.
         """
+        mean = self._service_time.mean or _DEFAULT_SERVICE_TIME
         with self._lock:
-            mean = self._mean_service_time or _DEFAULT_SERVICE_TIME
             waiting = self._queue.depth() + self._in_flight
         width = self.workers
         if self.worker_pool is not None:
@@ -955,10 +1030,15 @@ class QueryService:
             if self.calibration is not None
             else None
         )
-        method_health = self.method_health.counters()
+        dead = self.current_dead_methods()
         with self._lock:
-            method_health["replans"] = self._replans
-            method_health["degraded_served"] = self._degraded_served
+            method_health = {
+                "dead_methods": list(dead),
+                "outages_observed": self._outages_observed,
+                "recoveries": self._recoveries,
+                "replans": self._replans,
+                "degraded_served": self._degraded_served,
+            }
             return ServiceHealth(
                 running=self._running,
                 accepting=self._accepting,
@@ -971,9 +1051,9 @@ class QueryService:
                 partial=self._partial,
                 failed=self._failed,
                 shed=self._shed,
-                rejected=self._queue.rejected,
+                rejected=self._rejected,
                 preempted=self._queue.preempted,
-                mean_service_time=self._mean_service_time,
+                mean_service_time=self._service_time.mean,
                 breakers=self.breakers.states(),
                 cache=self.cache.as_dict() if self.cache is not None else None,
                 stats=self.stats.as_dict(),

@@ -243,8 +243,8 @@ def execute_payload(
             "error_type": type(error).__name__,
             "error": str(error),
         }
-        # Access-layer context crosses the boundary too: the service's
-        # method-health registry needs to know *which* method died, and
+        # Access-layer context crosses the boundary too: the service
+        # must know *which* method died to force-open its breaker, and
         # a string message is not a protocol.
         for attribute in ("method", "relation"):
             value = getattr(error, attribute, None)
@@ -258,8 +258,8 @@ def rebuild_error(result: Mapping[str, Any]) -> ReproError:
 
     Access errors are rebuilt *with* their method/relation context when
     the worker shipped it, so parent-side consumers (the service's
-    method-health registry) see the same typed
-    error they would have seen executing in-process.
+    outage observation) see the same typed error they would have seen
+    executing in-process.
     """
     error_type = result.get("error_type", "ExecutionError")
     error_class = getattr(errors_module, error_type, ExecutionError)

@@ -313,8 +313,9 @@ def test_the_signatures_take_the_context():
         assert parameters(command.execute) == ["env", "source", "context"]
     with pytest.raises(TypeError):
         Plan.execute(None, None, cache=AccessCache())
-    # 19 -> 16 settable values: the source and fifteen keywords.
-    assert len(parameters(QueryService.__init__)) == 16
+    # 19 -> 16 -> 14 settable values: the source and thirteen keywords
+    # (the breakers and the backoff sleep derive from ``clock``).
+    assert len(parameters(QueryService.__init__)) == 14
 
 
 if __name__ == "__main__":

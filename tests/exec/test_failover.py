@@ -15,7 +15,7 @@ from repro.errors import (
     NoViablePlan,
     TransientAccessError,
 )
-from repro.exec import BreakerRegistry, RetryPolicy
+from repro.exec import RetryPolicy
 from repro.faults import FaultInjectingSource, FaultPolicy, VirtualClock
 from repro.planner.plan_cache import PlanCache
 from repro.planner.search import find_best_plan
@@ -36,9 +36,7 @@ def serving(scenario, policy=None, retries=2):
         workers=1,
         plan_cache=PlanCache(capacity=8),
         retry=RetryPolicy(max_attempts=retries + 1),
-        breakers=BreakerRegistry(clock=clock),
         clock=clock,
-        sleep=clock.sleep,
     )
 
 
@@ -178,7 +176,9 @@ class TestPartialAnswers:
         scenario = example1()
         with serving(scenario) as service:
             for method in ("mt_prof", "mt_udir"):
-                service.method_health.mark_dead(method)
+                service.breakers.for_method(method).record_failure(
+                    permanent=True
+                )
             with pytest.raises(NoViablePlan) as excinfo:
                 service.plan_for(scenario.query)
             assert excinfo.value.dead_methods == ("mt_prof", "mt_udir")

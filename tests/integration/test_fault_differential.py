@@ -76,9 +76,7 @@ def serve_with_failover(scenario, source):
         source,
         workers=1,
         retry=RetryPolicy(max_attempts=5, seed=FAULT_SEED),
-        breakers=BreakerRegistry(clock=clock),
         clock=clock,
-        sleep=clock.sleep,
     ) as service:
         return service.serve_query(scenario.query, timeout=60)
 

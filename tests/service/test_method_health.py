@@ -1,12 +1,11 @@
 """Health-aware degraded planning: one outage, one re-plan, recovery.
 
-The unit half exercises :class:`MethodHealthRegistry` as a ledger of
-*transitions*; the service half drives a real outage through a live
-``QueryService`` and asserts the paper-side consequence: planning swings
-to ``schema.without_methods(dead)`` exactly once (the degraded schema
+A real outage is driven through a live ``QueryService`` and the
+paper-side consequence asserted: planning swings to
+``schema.without_methods(dead)`` exactly once (the degraded schema
 fingerprint is a different cache key), serving continues marked
 ``degraded``, and recovery swings the key straight back to the warm
-healthy-schema entry.
+healthy-schema entry.  The dead set is the breakers' forced-open set.
 """
 
 import pytest
@@ -26,12 +25,7 @@ from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.queries import parse_cq
 from repro.planner.plan_cache import PlanCache
 from repro.schema.core import SchemaBuilder
-from repro.service.method_health import MethodHealthRegistry
 from repro.service.service import QueryService
-
-
-def _no_sleep(_seconds):
-    return None
 
 
 def redundant_schema():
@@ -81,7 +75,6 @@ def outage_service(schema, dead_method, **kwargs):
         workers=2,
         plan_cache=PlanCache(capacity=8),
         default_deadline=30.0,
-        sleep=_no_sleep,
         **kwargs,
     )
     return source, service
@@ -89,41 +82,6 @@ def outage_service(schema, dead_method, **kwargs):
 
 def serve_query(service, timeout=30.0):
     return service.submit_query(QUERY).result(timeout)
-
-
-# ------------------------------------------------------------------ registry
-class TestMethodHealthRegistry:
-    def test_mark_dead_counts_transitions_not_observations(self):
-        registry = MethodHealthRegistry()
-        assert registry.mark_dead("mt_a") is True
-        assert registry.mark_dead("mt_a") is False  # observed, no change
-        assert registry.mark_dead("mt_a") is False
-        counters = registry.counters()
-        assert counters["dead_methods"] == ["mt_a"]
-        assert counters["outages_observed"] == 3
-
-    def test_empty_method_name_is_ignored(self):
-        registry = MethodHealthRegistry()
-        assert registry.mark_dead("") is False
-        assert registry.dead_methods() == ()
-
-    def test_recovery_round_trip(self):
-        registry = MethodHealthRegistry()
-        registry.mark_dead("mt_a", reason="breaker forced open")
-        assert registry.is_dead("mt_a")
-        assert registry.reason("mt_a") == "breaker forced open"
-        assert registry.mark_recovered("mt_a") is True
-        assert registry.mark_recovered("mt_a") is False  # already healthy
-        assert not registry.is_dead("mt_a")
-        assert registry.reason("mt_a") is None
-        assert registry.counters()["recoveries"] == 1
-
-    def test_dead_set_is_sorted_for_stable_cache_keys(self):
-        registry = MethodHealthRegistry()
-        registry.mark_dead("mt_z")
-        registry.mark_dead("mt_a")
-        assert registry.dead_methods() == ("mt_a", "mt_z")
-        assert "2 dead" in repr(registry)
 
 
 # ------------------------------------------------- service degraded planning
@@ -231,7 +189,7 @@ class TestDegradedAnswersAreGoverned:
             InMemorySource(lookup_schema(), instance),
             FaultPolicy.outage("mR_free"),
         )
-        return QueryService(source, workers=1, sleep=_no_sleep, **kwargs)
+        return QueryService(source, workers=1, **kwargs)
 
     def test_the_unbudgeted_fallback_is_the_reachable_six_rows(self):
         with self.degraded_service() as service:
@@ -312,7 +270,7 @@ class TestRetryAfterHint:
             workers=8,
             worker_pool=pool,
         )
-        service._mean_service_time = 2.0
+        service._service_time.observe(2.0)
         return service
 
     def test_hint_uses_the_narrower_tier_width(self):
