@@ -61,10 +61,14 @@ def serve_burst(source, plan, requests, worker_pool=None, workers=1):
         worker_pool=worker_pool,
     )
     with service:
-        # One warm-up request outside the timed region: spawn-tier
-        # workers pay interpreter startup + source rehydration once,
-        # which is amortized cost, not per-request cost.
-        service.submit(plan).result(timeout=600)
+        # One warm-up request per worker, all at once, outside the timed
+        # region: every spawn-tier worker pays interpreter startup +
+        # source rehydration once, which is amortized cost, not
+        # per-request cost.  (A single warm-up request left the second
+        # worker still booting inside the burst.)
+        warm_up = [service.submit(plan) for _ in range(workers)]
+        for ticket in warm_up:
+            ticket.result(timeout=600)
         started = perf_counter()
         tickets = [service.submit(plan) for _ in range(requests)]
         responses = [ticket.result(timeout=600) for ticket in tickets]
@@ -84,7 +88,7 @@ def scaling_sweep(n, requests, workers_list):
     rows = []
     baseline = None
     for workers in workers_list:
-        pool = ProcessWorkerPool.for_source(source, workers=workers)
+        pool = ProcessWorkerPool(source, workers=workers)
         elapsed, responses, health = serve_burst(
             source, plan, requests, worker_pool=pool, workers=workers
         )

@@ -149,9 +149,7 @@ def worker_kill(seed: int = 0, quick: bool = True) -> ChaosReport:
     """Assassinate a worker process mid-burst; the tier must recover."""
     schema, instance, _query, plan, oracle = join_workload("chaos_kill")
     source = InMemorySource(schema, instance)
-    pool = ProcessWorkerPool.for_source(
-        source, workers=2, start_method="fork"
-    )
+    pool = ProcessWorkerPool(source, workers=2, start_method="fork")
     batch = 2 if quick else 4
     harness = ScenarioHarness("worker_kill", seed, 120.0, oracle)
     service = QueryService(
@@ -187,7 +185,7 @@ def worker_stall(seed: int = 0, quick: bool = True) -> ChaosReport:
         slow_latency=30.0,
         slow_every=3,
     )
-    pool = ProcessWorkerPool.for_source(
+    pool = ProcessWorkerPool(
         source, workers=2, start_method="fork", watchdog_seconds=0.5
     )
     requests = 4 if quick else 6
@@ -218,9 +216,7 @@ def latency_storm(seed: int = 0, quick: bool = True) -> ChaosReport:
         slow_latency=0.25,
         slow_every=5,
     )
-    pool = ThreadWorkerPool(
-        source, workers=4, hedge=True, hedge_delay=0.05
-    )
+    pool = ThreadWorkerPool(source, workers=4, hedge_delay=0.05)
     requests = 12 if quick else 24
     harness = ScenarioHarness("latency_storm", seed, 60.0, oracle)
     service = QueryService(

@@ -281,19 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
              "tier kills and recreates its pool to reclaim the slot",
     )
     serve.add_argument(
-        "--hedge",
-        action="store_true",
-        help="hedged dispatch on the execution tier: duplicate a "
-             "request to a second worker after an adaptive EWMA-P95 "
-             "delay and take the first answer (cuts tail latency; "
-             "safe because execution is deterministic)",
-    )
-    serve.add_argument(
         "--hedge-delay",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="fixed hedge delay overriding the adaptive P95 estimate",
+        help="hedged dispatch on the execution tier: a request not "
+             "answered after SECONDS is duplicated to a second worker "
+             "and the first answer wins (cuts tail latency; safe "
+             "because execution is deterministic)",
     )
     serve.add_argument(
         "--chaos-scenario",
@@ -548,11 +543,10 @@ def _serve_demo(args) -> int:
         source = LatencySource(source, args.latency)
     resilience = {
         "watchdog_seconds": args.watchdog_seconds,
-        "hedge": args.hedge,
         "hedge_delay": args.hedge_delay,
     }
     if args.worker_tier == "process":
-        worker_pool = ProcessWorkerPool.for_source(
+        worker_pool = ProcessWorkerPool(
             source, workers=args.tier_workers, **resilience
         )
     elif args.worker_tier == "thread":
@@ -561,10 +555,11 @@ def _serve_demo(args) -> int:
         )
     else:
         worker_pool = None
-        if args.hedge or args.watchdog_seconds is not None:
+        if args.hedge_delay is not None or args.watchdog_seconds is not None:
             print(
-                "note: --hedge/--watchdog-seconds apply to the execution "
-                "tier; pass --worker-tier thread|process to enable them"
+                "note: --hedge-delay/--watchdog-seconds apply to the "
+                "execution tier; pass --worker-tier thread|process to "
+                "enable them"
             )
     budget = (
         ResourceBudget(max_result_rows=args.budget_rows)

@@ -16,10 +16,10 @@ Public surface of :mod:`repro.service`:
   :class:`~repro.service.workers.ProcessWorkerPool` /
   :class:`~repro.service.workers.ThreadWorkerPool` implementations --
   the execution tier that ships plan IR (not pickles) to worker
-  processes to scale CPU-bound serving past the GIL.
-* :class:`~repro.service.workers.LatencyTracker` -- the EWMA/P95
-  estimator behind adaptive hedged dispatch and the service's
-  retry-after hint.
+  processes to scale CPU-bound serving past the GIL.  Both run one
+  request path; a tier is an executor, a submit and a reclaim rule.
+* :class:`~repro.service.workers.LatencyTracker` -- the EWMA mean of
+  service times behind the service's retry-after hint.
 
 Health-aware degraded planning keeps no ledger of its own: the
 dead-method set is the service's breakers' forced-open set

@@ -972,21 +972,17 @@ class QueryService:
         and the tier's worker count -- a 2-process tier behind 8
         service threads drains 2 requests at a time, not 8 -- and the
         tier's own backlog beyond this service's in-flight requests
-        (hedge duplicates, other clients of a shared pool) counts as
-        waiting work too.
+        (other clients of a shared pool) counts as waiting work too.
+        The backlog counts each request once: hedge duplicates are not
+        in it.
         """
         mean = self._service_time.mean or _DEFAULT_SERVICE_TIME
         with self._lock:
             waiting = self._queue.depth() + self._in_flight
         width = self.workers
         if self.worker_pool is not None:
-            tier_width = getattr(self.worker_pool, "workers", 0) or 0
-            if tier_width:
-                width = min(width, tier_width)
-            try:
-                backlog = self.worker_pool.backlog()
-            except Exception:  # pragma: no cover -- defensive
-                backlog = 0
+            width = min(width, self.worker_pool.workers)
+            backlog = self.worker_pool.backlog()
             with self._lock:
                 waiting += max(0, backlog - self._in_flight)
         return max(mean, waiting * mean / width)

@@ -38,7 +38,9 @@ service's externally observable behaviour bit-identical:
 
 :class:`ThreadWorkerPool` keeps the old in-process behaviour behind the
 same interface (useful on small data, where serialization dominates,
-and as the degraded fallback when processes are unavailable).
+and as the degraded fallback when processes are unavailable).  Both
+tiers share one request path (:class:`WorkerPool`); a tier is only an
+executor, a submit and a reclaim rule.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    CancelledError,
+    Executor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -56,7 +60,7 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as futures_wait
 from multiprocessing import get_context
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 import repro.errors as errors_module
 from repro.data.decorators import LatencySource, StormyLatencySource
@@ -303,45 +307,18 @@ def _run_payload_task(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # -------------------------------------------------------- latency tracking
+#: The weight of a new sample in :class:`LatencyTracker`'s mean.
+_EWMA_ALPHA = 0.2
+
+
 class LatencyTracker:
-    """Streaming EWMA mean + P95 estimate of request service times.
+    """Streaming EWMA mean of request service times (no samples stored);
+    ``QueryService``'s retry-after hint prices waiting work with it."""
 
-    The P95 is a Robbins-Monro stochastic quantile approximation: each
-    sample nudges the estimate up by a ``quantile`` fraction of one
-    step when the sample lies above it, down by ``1 - quantile`` when
-    below, with the step scaled to the current mean -- so the tail
-    estimate converges without storing any samples.  :meth:`hedge_delay`
-    is what hedged dispatch waits before duplicating a request: the
-    current P95 (clamped into ``[min_delay, max_delay]``), i.e. long
-    enough that ~95% of requests come back unhedged and only the tail
-    pays for a duplicate.  Until ``warmup`` samples arrive the tracker
-    answers ``initial_delay`` -- a cold estimator should not hedge
-    aggressively.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 0.2,
-        quantile: float = 0.95,
-        initial_delay: float = 0.05,
-        min_delay: float = 0.001,
-        max_delay: float = 5.0,
-        warmup: int = 5,
-    ) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be within (0, 1]")
-        if not 0 < quantile < 1:
-            raise ValueError("quantile must be within (0, 1)")
-        self.alpha = alpha
-        self.quantile = quantile
-        self.initial_delay = initial_delay
-        self.min_delay = min_delay
-        self.max_delay = max_delay
-        self.warmup = warmup
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.samples = 0
         self.mean = 0.0
-        self.p95 = 0.0
 
     def observe(self, seconds: float) -> None:
         """Fold one observed request service time in."""
@@ -351,157 +328,230 @@ class LatencyTracker:
             self.samples += 1
             if self.samples == 1:
                 self.mean = seconds
-                self.p95 = seconds
-                return
-            self.mean += self.alpha * (seconds - self.mean)
-            step = self.alpha * max(self.mean, 1e-6)
-            if seconds > self.p95:
-                self.p95 += step * self.quantile
             else:
-                self.p95 = max(0.0, self.p95 - step * (1.0 - self.quantile))
-
-    def hedge_delay(self) -> float:
-        """How long to wait before issuing a hedge duplicate."""
-        with self._lock:
-            if self.samples < self.warmup:
-                return self.initial_delay
-            return min(self.max_delay, max(self.min_delay, self.p95))
-
-    def as_dict(self) -> Dict[str, Any]:
-        """A JSON-able snapshot (surfaced by pool ``health()``)."""
-        with self._lock:
-            return {
-                "samples": self.samples,
-                "mean": self.mean,
-                "p95": self.p95,
-            }
+                self.mean += _EWMA_ALPHA * (seconds - self.mean)
 
 
 # ------------------------------------------------------------------- pools
 class WorkerPool:
-    """The execution-tier interface ``QueryService`` dispatches through.
+    """The execution tier ``QueryService`` dispatches through.
 
     One blocking call per request: :meth:`run_request` takes the plain
     payload dict and returns the plain result dict of
     :func:`execute_payload` (raising typed errors only for tier-level
     failures: crash, stall, timeout).  ``start``/``shutdown`` bracket
-    the tier's lifetime; :meth:`health` is a JSON-able liveness
-    snapshot.
+    the tier's lifetime; :meth:`health` is a JSON-able snapshot.
 
-    Both concrete tiers share two opt-in resilience features:
+    This class is the whole request path; a tier supplies three hooks:
+    :meth:`_new_executor`, :meth:`_submit` (one copy of a payload) and
+    :meth:`_reclaim` (the slot of a running copy).  Two opt-in
+    resilience features ride on the one path:
 
     * a **watchdog** (``watchdog_seconds``): a stall bound per request,
       independent of (and typically much tighter than) the request
-      deadline.  A request that exceeds it while its worker is alive
-      but stuck surfaces typed :class:`~repro.errors.WorkerStalled`
-      instead of blocking its slot forever -- the process tier also
-      kills and recreates the pool to reclaim the slot;
-    * **hedged dispatch** (``hedge=True``): after an adaptive
-      EWMA-P95-based delay (see :class:`LatencyTracker`) the request is
-      duplicated to a second worker and the first result wins, cutting
-      tail latency.  Safe because plan execution is deterministic and
+      deadline.  A request that exceeds it surfaces typed
+      :class:`~repro.errors.WorkerStalled` instead of blocking its slot
+      forever;
+    * **hedged dispatch** (``hedge_delay`` seconds; ``None`` hedges
+      nothing): a request that has not answered after the delay is
+      submitted a second time and the first result wins, cutting tail
+      latency.  Safe because plan execution is deterministic and
       accesses are idempotent under set semantics (docs/theory.md,
       "Chaos model, hedging, and degraded serving").
     """
 
     kind = "none"
 
-    def _init_resilience(
+    def __init__(
         self,
+        workers: int,
         watchdog_seconds: Optional[float],
-        hedge: bool,
         hedge_delay: Optional[float],
     ) -> None:
-        """Shared constructor plumbing for watchdog + hedging state."""
+        if workers < 1:
+            raise ValueError("worker count must be positive")
         if watchdog_seconds is not None and watchdog_seconds <= 0:
             raise ValueError("watchdog_seconds must be positive")
         if hedge_delay is not None and hedge_delay <= 0:
             raise ValueError("hedge_delay must be positive")
+        self.workers = workers
         self.watchdog_seconds = watchdog_seconds
-        self.hedge = hedge
-        self._hedge_delay = hedge_delay
-        self.latency = LatencyTracker()
+        self.hedge_delay = hedge_delay
+        self._lock = threading.Lock()
+        self._executor: Optional[Executor] = None
+        self._started = False
+        self._pending = 0
+        self.tasks = 0
+        self.crashes = 0
+        self.restarts = 0
         self.stalls = 0
         self.watchdog_kills = 0
         self.hedges = 0
         self.hedge_wins = 0
         self.hedge_waste = 0
         self.hedge_cancelled = 0
-        self._pending = 0
 
-    def hedge_delay(self) -> float:
-        """The delay before a hedge duplicate (fixed or adaptive)."""
-        if self._hedge_delay is not None:
-            return self._hedge_delay
-        return self.latency.hedge_delay()
+    # ------------------------------------------------------- a tier's hooks
+    def _new_executor(self) -> Executor:
+        """A fresh executor of ``self.workers`` workers."""
+        raise NotImplementedError
 
-    def alive(self) -> bool:
-        """Whether the tier can currently take requests."""
+    def _submit(self, executor, payload) -> Future:
+        """Submit one copy of ``payload`` to ``executor``."""
+        raise NotImplementedError
+
+    def _reclaim(self, executor, future, kill: bool) -> Optional[bool]:
+        """Get back the slot of a copy that is already running.
+
+        ``kill`` is true when a watchdog is set and the copy's request
+        timed out: the tier may then kill the copy's worker.  Returns
+        ``True`` when it did, ``False`` when it asked the copy to stop
+        at its next command, ``None`` when the copy runs on.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------ lifecycle
+    def start(self) -> "WorkerPool":
+        """Bring the tier up; returns ``self`` for ``with``-chaining."""
         with self._lock:
-            return self._started and self._executor is not None
+            self._started = True
+            self._current_executor()
+        return self
 
-    def _stall_bound(self, timeout: Optional[float]) -> Optional[float]:
-        """The wait on one request: deadline or watchdog, the nearer."""
-        if self.watchdog_seconds is None or timeout is None:
-            return timeout if timeout is not None else self.watchdog_seconds
-        return min(timeout, self.watchdog_seconds)
+    def shutdown(self) -> None:
+        """Stop the executor and mark the tier not-started; idempotent."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+            self._started = False
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def _current_executor(self) -> Executor:
+        """The installed executor, built if none is; caller holds the lock."""
+        if self._executor is None:
+            self._executor = self._new_executor()
+        return self._executor
+
+    def _replace(self, executor: Executor) -> int:
+        """Install a fresh executor in place of ``executor``; returns restarts.
+
+        Nothing is installed when another request already replaced it.
+        Copies still queued on ``executor`` are cancelled.
+        """
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
+                if self._started:
+                    self.restarts += 1
+                    self._current_executor()
+            restarts = self.restarts
+        executor.shutdown(wait=False, cancel_futures=True)
+        return restarts
 
     def backlog(self) -> int:
-        """Requests currently inside the tier (submitted, unfinished)."""
+        """Requests inside the tier, each once however many copies run."""
         with self._lock:
             return self._pending
 
-    def _resilience_health(self) -> Dict[str, Any]:
-        """The watchdog/hedging slice of ``health()``; caller holds lock."""
-        return {
-            "pending": self._pending,
-            "watchdog_seconds": self.watchdog_seconds,
-            "stalls": self.stalls,
-            "watchdog_kills": self.watchdog_kills,
-            "hedge": self.hedge,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "hedge_waste": self.hedge_waste,
-            "hedge_cancelled": self.hedge_cancelled,
-            "latency": self.latency.as_dict(),
-        }
+    # ---------------------------------------------------------- one request
+    def run_request(
+        self, payload: Mapping[str, Any], timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Execute one request payload and return its result dict.
+
+        The wait is bounded by the nearer of ``timeout`` (the request's
+        deadline) and the watchdog (:meth:`_timed_out` types a miss).
+        A broken executor (a killed worker) fails the request with
+        :class:`~repro.errors.WorkerCrashed` and is replaced; so does a
+        copy whose executor another request replaced (submit refused,
+        or queued copy cancelled) -- that replace's collateral.
+        """
+        with self._lock:
+            if not self._started:
+                raise WorkerCrashed(
+                    f"{self.kind} worker pool is not running",
+                    restarts=self.restarts,
+                )
+            executor = self._current_executor()
+            self.tasks += 1
+            self._pending += 1
+        bounds = [b for b in (timeout, self.watchdog_seconds) if b is not None]
+        future: Optional[Future] = None
+        try:
+            future = self._submit_copy(executor, payload)
+            return self._wait_hedged(
+                executor, future, payload, min(bounds) if bounds else None
+            )
+        except FutureTimeoutError:
+            raise self._timed_out(executor, future, timeout) from None
+        except BrokenExecutor as broken:
+            with self._lock:
+                self.crashes += 1
+            raise WorkerCrashed(
+                f"a worker died executing this request: {broken}",
+                restarts=self._replace(executor),
+            ) from broken
+        except CancelledError as cancelled:
+            raise self._replaced(cancelled) from cancelled
+        finally:
+            with self._lock:
+                self._pending -= 1
+
+    def _submit_copy(
+        self, executor: Executor, payload: Mapping[str, Any]
+    ) -> Future:
+        """:meth:`_submit`, with a refusal by a replaced executor typed."""
+        try:
+            return self._submit(executor, payload)
+        except BrokenExecutor:
+            raise
+        except RuntimeError as refused:  # "cannot schedule new futures"
+            raise self._replaced(refused) from refused
+
+    def _replaced(self, cause: BaseException) -> WorkerCrashed:
+        """The error of a copy whose executor was replaced under it."""
+        return WorkerCrashed(
+            f"the executor this request was sent to was replaced: {cause!r}",
+            restarts=self.restarts,
+        )
 
     def _wait_hedged(
         self,
+        executor: Executor,
         primary: Future,
-        submit: Callable[[], Future],
-        timeout: Optional[float],
+        payload: Mapping[str, Any],
+        bound: Optional[float],
     ) -> Dict[str, Any]:
-        """Await a request future, duplicating it after the hedge delay.
+        """Await a request's copy, duplicating it after the hedge delay.
 
         Returns the winner's result dict; raises ``FutureTimeoutError``
-        when neither copy answered within ``timeout`` (both copies are
-        cancelled best-effort first) and whatever the winner raised
-        otherwise.  Counter protocol: ``hedges`` counts duplicates
-        issued, ``hedge_wins`` duplicates that answered first,
-        ``hedge_waste`` duplicates outrun by their primary.
+        when no copy answered within ``bound`` (the duplicate is
+        reclaimed first) and whatever the winner raised otherwise.
+        Counter protocol: ``hedges`` counts duplicates issued,
+        ``hedge_wins`` duplicates that answered first, ``hedge_waste``
+        duplicates outrun by their primary.
         """
+        delay = self.hedge_delay
+        if delay is None or (bound is not None and delay >= bound):
+            return primary.result(timeout=bound)
         started = time.monotonic()
-        delay = self.hedge_delay()
-        if not self.hedge or (timeout is not None and delay >= timeout):
-            return primary.result(timeout=timeout)
         try:
             return primary.result(timeout=delay)
         except FutureTimeoutError:
             pass
-        hedge = submit()
+        hedge = self._submit_copy(executor, payload)
         with self._lock:
             self.hedges += 1
         remaining = (
             None
-            if timeout is None
-            else max(0.0, timeout - (time.monotonic() - started))
+            if bound is None
+            else max(0.0, bound - (time.monotonic() - started))
         )
         done, _ = futures_wait(
             [primary, hedge], timeout=remaining, return_when=FIRST_COMPLETED
         )
         if not done:
-            self._cancel_loser(hedge)
+            self._cancel_loser(executor, hedge)
             raise FutureTimeoutError()
         # Prefer the primary when both raced to completion: its result
         # is identical (deterministic execution) and the accounting
@@ -513,36 +563,77 @@ class WorkerPool:
                 self.hedge_wins += 1
             else:
                 self.hedge_waste += 1
-        self._cancel_loser(loser)
+        self._cancel_loser(executor, loser)
         return winner.result()
 
-    def _cancel_loser(self, future: Future) -> None:
-        """Reclaim a hedge loser's slot, best-effort.
+    def _cancel_loser(self, executor: Executor, future: Future) -> None:
+        """Reclaim a hedge loser's slot: dequeue it, or flag it down.
 
-        The base behaviour is ``Future.cancel()`` -- which only helps
-        while the loser is still queued.  Tiers that can reach into a
-        *running* duplicate (the thread tier's cancellation tokens)
-        override this.
+        A running loser asked to stop is counted in ``hedge_cancelled``
+        (its result is never read: the winner already answered).
         """
-        future.cancel()
+        if future.cancel():
+            return
+        if self._reclaim(executor, future, False) is False:
+            with self._lock:
+                self.hedge_cancelled += 1
 
-    def start(self) -> "WorkerPool":
-        """Bring the tier up; returns ``self`` for ``with``-chaining."""
-        return self
+    def _timed_out(
+        self, executor: Executor, future: Future, timeout: Optional[float]
+    ) -> ReproError:
+        """Map a request that answered within neither bound to its error.
 
-    def shutdown(self) -> None:  # pragma: no cover - trivial default
-        """Tear the tier down; idempotent."""
-        pass
-
-    def run_request(
-        self, payload: Mapping[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Execute one request payload and return its result dict."""
-        raise NotImplementedError
+        A queued copy is cancelled; a running one is reclaimed (killed
+        only when a watchdog is set and the tier can kill).  The error
+        is ``DeadlineExceeded`` when the request's own deadline was the
+        nearer bound, else a counted ``WorkerStalled``.
+        """
+        queued = future.cancel()
+        killed = not queued and (
+            self._reclaim(executor, future, self.watchdog_seconds is not None)
+            is True
+        )
+        if self.watchdog_seconds is None or (
+            timeout is not None and timeout <= self.watchdog_seconds
+        ):
+            return DeadlineExceeded(
+                f"worker did not answer within {timeout:.3f}s"
+            )
+        with self._lock:
+            self.stalls += 1
+            stalls = self.stalls
+        detail = (
+            "all workers busy" if queued
+            else "its worker was killed and replaced" if killed
+            else "its worker runs on until the task ends"
+        )
+        return WorkerStalled(
+            f"request made no progress within the {self.watchdog_seconds}s "
+            f"watchdog bound ({detail})",
+            stalls=stalls,
+            killed=killed,
+        )
 
     def health(self) -> Dict[str, Any]:
         """A JSON-able liveness/counters snapshot of the tier."""
-        return {"tier": self.kind, "alive": True}
+        with self._lock:
+            return {
+                "tier": self.kind,
+                "alive": self._started and self._executor is not None,
+                "workers": self.workers,
+                "tasks": self.tasks,
+                "crashes": self.crashes,
+                "restarts": self.restarts,
+                "pending": self._pending,
+                "watchdog_seconds": self.watchdog_seconds,
+                "stalls": self.stalls,
+                "watchdog_kills": self.watchdog_kills,
+                "hedge_delay": self.hedge_delay,
+                "hedges": self.hedges,
+                "hedge_wins": self.hedge_wins,
+                "hedge_waste": self.hedge_waste,
+                "hedge_cancelled": self.hedge_cancelled,
+            }
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -554,230 +645,66 @@ class WorkerPool:
 class ProcessWorkerPool(WorkerPool):
     """Plan execution on a ``ProcessPoolExecutor`` over a source spec.
 
-    ``start_method`` defaults to ``"spawn"``: slowest to start but
-    immune to fork-time lock/thread hazards, and it proves the spec
+    ``source`` crosses as :func:`source_to_spec`, rehydrated once per
+    worker.  ``start_method`` defaults to ``"spawn"``: slowest to start
+    but immune to fork-time lock/thread hazards, and it proves the spec
     path carries *everything* a worker needs (fork can silently lean on
     inherited state).  The differential tests run both.
 
-    A broken pool (a worker killed mid-request) fails the affected
-    request with :class:`~repro.errors.WorkerCrashed` and the pool is
-    recreated immediately, so the next request is served by fresh
-    workers -- liveness is reported via :meth:`health`.
+    ``Future.cancel`` cannot stop a running task, so a running copy's
+    slot comes back only by killing: with a watchdog set, the
+    executor's workers are killed and a fresh pool installed (requests
+    in flight on the killed pool fail typed
+    :class:`~repro.errors.WorkerCrashed` -- collateral, but never a
+    hang and never a wrong answer).  Without one the copy finishes on
+    its own; the worker enforces the shipped deadline itself.
     """
 
     kind = "process"
 
     def __init__(
         self,
-        source_spec: Mapping[str, Any],
+        source,
         workers: int = 8,
         start_method: str = "spawn",
         watchdog_seconds: Optional[float] = None,
-        hedge: bool = False,
         hedge_delay: Optional[float] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("worker count must be positive")
-        self.source_spec = dict(source_spec)
-        self.workers = workers
+        super().__init__(workers, watchdog_seconds, hedge_delay)
+        self.source_spec = source_to_spec(source)
         self.start_method = start_method
-        self._lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._started = False
-        self.tasks = 0
-        self.crashes = 0
-        self.restarts = 0
-        self._init_resilience(watchdog_seconds, hedge, hedge_delay)
 
-    @classmethod
-    def for_source(
-        cls, source, workers: int = 8, start_method: str = "spawn", **kwargs
-    ) -> "ProcessWorkerPool":
-        """Build a pool from a live source (via :func:`source_to_spec`)."""
-        return cls(
-            source_to_spec(source),
-            workers=workers,
-            start_method=start_method,
-            **kwargs,
+    def _new_executor(self) -> ProcessPoolExecutor:
+        """A process pool whose workers rehydrate the source spec."""
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=get_context(self.start_method),
+            initializer=_init_worker,
+            initargs=(self.source_spec,),
         )
 
-    def start(self) -> "ProcessWorkerPool":
-        """Spin up the process executor (workers rehydrate the spec)."""
-        with self._lock:
-            self._started = True
-            self._ensure_executor()
-        return self
+    def _submit(self, executor, payload):
+        """Ship the payload to a worker process."""
+        return executor.submit(_run_payload_task, dict(payload))
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        """Create (or recreate) the executor; caller holds the lock."""
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=get_context(self.start_method),
-                initializer=_init_worker,
-                initargs=(self.source_spec,),
-            )
-        return self._executor
-
-    def shutdown(self) -> None:
-        """Stop the executor and mark the tier not-started."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._started = False
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def run_request(
-        self, payload: Mapping[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Ship one payload to a worker process and await its result.
-
-        A broken pool (killed worker) raises typed :class:`WorkerCrashed`
-        and recreates the executor so the next request can succeed.
-        With a watchdog configured, a request that exceeds its stall
-        bound while its worker is alive-but-stuck raises typed
-        :class:`~repro.errors.WorkerStalled` and the pool is killed and
-        recreated -- the slot is reclaimed instead of blocked forever
-        (collateral in-flight requests on the killed pool surface as
-        :class:`WorkerCrashed`, typed, never hung).  With ``hedge``
-        enabled the request is duplicated to a second worker after the
-        adaptive hedge delay and the first result wins.
-        """
-        with self._lock:
-            if not self._started:
-                raise WorkerCrashed(
-                    "process worker pool is not running",
-                    restarts=self.restarts,
-                )
-            executor = self._ensure_executor()
-            self.tasks += 1
-            self._pending += 1
-        effective = self._stall_bound(timeout)
-        started = time.monotonic()
-        future: Optional[Future] = None
-        try:
-            future = executor.submit(_run_payload_task, dict(payload))
-            submit = lambda: executor.submit(_run_payload_task, dict(payload))
-            result = self._wait_hedged(future, submit, effective)
-            self.latency.observe(time.monotonic() - started)
-            return result
-        except FutureTimeoutError:
-            raise self._timeout_error(
-                executor, future, timeout, effective
-            ) from None
-        except BrokenExecutor as broken:
-            restarts = self._recreate(executor)
-            raise WorkerCrashed(
-                f"worker process died executing this request: {broken}",
-                restarts=restarts,
-            ) from broken
-        finally:
-            with self._lock:
-                self._pending -= 1
-
-    def _timeout_error(
-        self,
-        executor: ProcessPoolExecutor,
-        future: Optional[Future],
-        timeout: Optional[float],
-        effective: Optional[float],
-    ) -> ReproError:
-        """Map one request timeout to its typed error (watchdog-aware)."""
-        watchdog_fired = self.watchdog_seconds is not None and (
-            timeout is None or self.watchdog_seconds < timeout
-        )
-        cancelled = future.cancel() if future is not None else True
-        if not watchdog_fired:
-            # The request's own deadline expired first.  The worker runs
-            # under the same deadline (shipped as seconds remaining), so
-            # it stops at its next key and the slot comes back; a worker
-            # stuck *inside* an access is merely abandoned without a
-            # watchdog, killed with one.
-            if not cancelled and self.watchdog_seconds is not None:
-                self._watchdog_recycle(executor)
-            return DeadlineExceeded(
-                f"worker did not answer within {timeout:.3f}s"
-            )
-        with self._lock:
-            self.stalls += 1
-            stalls = self.stalls
-        if cancelled:
-            # Never started: the whole tier is busy (likely stuck
-            # behind other stalled requests).  The slot was reclaimed
-            # by the cancel, so no kill is needed.
-            return WorkerStalled(
-                f"request waited {effective:.3f}s unstarted in the worker "
-                f"tier (watchdog bound {self.watchdog_seconds}s): all "
-                f"workers busy",
-                stalls=stalls,
-                killed=False,
-            )
-        self._watchdog_recycle(executor)
-        return WorkerStalled(
-            f"worker made no progress within the {self.watchdog_seconds}s "
-            "watchdog bound; pool killed and recreated",
-            stalls=stalls,
-            killed=True,
-        )
-
-    def _watchdog_recycle(self, stuck: ProcessPoolExecutor) -> None:
-        """Kill a stuck executor's workers and install a fresh pool.
-
-        ``Future.cancel`` cannot stop a *running* task, so reclaiming
-        the slot means killing the worker processes.  Requests in
-        flight on the killed pool fail with typed
-        :class:`WorkerCrashed` via the normal broken-pool path --
-        collateral, but never a hang and never a wrong answer.
-        """
+    def _reclaim(self, executor, future, kill):
+        """Kill the executor's workers and install a fresh pool."""
+        if not kill:
+            return None
+        processes = list((executor._processes or {}).values())
         with self._lock:
             self.watchdog_kills += 1
-            if self._executor is stuck:
-                self._executor = None
-                if self._started:
-                    self.restarts += 1
-                    self._ensure_executor()
-        processes = getattr(stuck, "_processes", None) or {}
-        for process in list(processes.values()):
+        self._replace(executor)
+        for process in processes:
             try:
                 process.kill()
             except Exception:  # pragma: no cover -- already dead
                 pass
-        stuck.shutdown(wait=False, cancel_futures=True)
-
-    def _recreate(self, broken: ProcessPoolExecutor) -> int:
-        """Replace a broken executor with a fresh one; returns restarts."""
-        with self._lock:
-            self.crashes += 1
-            if self._executor is broken:
-                self._executor = None
-                if self._started:
-                    self.restarts += 1
-                    self._ensure_executor()
-            restarts = self.restarts
-        broken.shutdown(wait=False, cancel_futures=True)
-        return restarts
+        return True
 
     def health(self) -> Dict[str, Any]:
-        """A JSON-able liveness/counters snapshot of the tier."""
-        with self._lock:
-            snapshot = {
-                "tier": self.kind,
-                "alive": self._started and self._executor is not None,
-                "workers": self.workers,
-                "start_method": self.start_method,
-                "tasks": self.tasks,
-                "crashes": self.crashes,
-                "restarts": self.restarts,
-            }
-            snapshot.update(self._resilience_health())
-            return snapshot
-
-    def __repr__(self) -> str:
-        state = "alive" if self.alive() else "stopped"
-        return (
-            f"ProcessWorkerPool({self.workers} x {self.start_method}, "
-            f"{state}, {self.tasks} tasks, {self.crashes} crashes)"
-        )
+        """The shared snapshot plus the start method."""
+        return dict(super().health(), start_method=self.start_method)
 
 
 class ThreadWorkerPool(WorkerPool):
@@ -788,6 +715,10 @@ class ThreadWorkerPool(WorkerPool):
     them) and in environments where spawning processes is not allowed.
     Answers are byte-identical to the process tier by construction --
     both run :func:`execute_payload`.
+
+    Python threads cannot be killed: a running copy's slot comes back
+    when the copy stops at its next between-commands check, after its
+    cancellation token is set (``killed`` stays False).
     """
 
     kind = "thread"
@@ -797,154 +728,30 @@ class ThreadWorkerPool(WorkerPool):
         source,
         workers: int = 8,
         watchdog_seconds: Optional[float] = None,
-        hedge: bool = False,
         hedge_delay: Optional[float] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("worker count must be positive")
+        super().__init__(workers, watchdog_seconds, hedge_delay)
         self.source = source
-        self.workers = workers
-        self._lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._started = False
-        self.tasks = 0
-        # future -> its cooperative cancellation token.  Weak keys: an
-        # entry lives exactly as long as something still holds the
-        # future (the executor while running, the caller while waiting).
-        self._cancel_tokens: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
+
+    def _new_executor(self) -> ThreadPoolExecutor:
+        """A thread pool over the shared live source."""
+        return ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="exec-tier"
         )
-        self._init_resilience(watchdog_seconds, hedge, hedge_delay)
 
-    def start(self) -> "ThreadWorkerPool":
-        """Spin up the thread executor over the shared live source."""
+    def _submit(self, executor, payload):
+        """Submit one copy carrying its own cancellation token."""
+        token = threading.Event()
+        future = executor.submit(
+            execute_payload, self.source, payload, cancel=token
+        )
+        future.cancel_token = token
+        return future
+
+    def _reclaim(self, executor, future, kill):
+        """Set the copy's token: it stops at its next command."""
         with self._lock:
-            self._started = True
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="exec-tier",
-                )
-        return self
-
-    def shutdown(self) -> None:
-        """Stop the executor and mark the tier not-started."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._started = False
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def run_request(
-        self, payload: Mapping[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Execute one payload on a pool thread against the live source.
-
-        The watchdog surfaces a stuck request as typed
-        :class:`~repro.errors.WorkerStalled` -- but unlike the process
-        tier it cannot reclaim the slot: Python threads cannot be
-        killed, so the stalled thread leaks until its task finishes
-        (counted in ``stalls``; documented, not hidden).  Hedging works
-        as on the process tier.
-        """
-        with self._lock:
-            if not self._started or self._executor is None:
-                raise WorkerCrashed("thread worker pool is not running")
-            executor = self._executor
-            self.tasks += 1
-            self._pending += 1
-        effective = self._stall_bound(timeout)
-        started = time.monotonic()
-        future: Optional[Future] = None
-
-        def submit() -> Future:
-            """Submit one copy of the request with its own cancel token.
-
-            ``_cancel_loser`` sets the token when the copy loses a
-            hedge race while already running, so the duplicate stops at
-            its next between-commands check instead of finishing.
-            """
-            token = threading.Event()
-            submitted = executor.submit(
-                execute_payload, self.source, payload, cancel=token
-            )
-            with self._lock:
-                self._cancel_tokens[submitted] = token
-            return submitted
-
-        try:
-            future = submit()
-            result = self._wait_hedged(future, submit, effective)
-            self.latency.observe(time.monotonic() - started)
-            return result
-        except FutureTimeoutError:
-            watchdog_fired = self.watchdog_seconds is not None and (
-                timeout is None or self.watchdog_seconds < timeout
-            )
-            cancelled = future.cancel() if future is not None else True
-            if future is not None and not cancelled:
-                # Already running: ask it to stop between commands so
-                # the leaked thread frees its slot early (best-effort;
-                # not counted as a hedge cancellation).
-                with self._lock:
-                    token = self._cancel_tokens.get(future)
-                if token is not None:
-                    token.set()
-            if not watchdog_fired:
-                raise DeadlineExceeded(
-                    f"worker did not answer within {timeout:.3f}s"
-                ) from None
-            with self._lock:
-                self.stalls += 1
-                stalls = self.stalls
-            detail = (
-                "all workers busy"
-                if cancelled
-                else "worker thread leaked until its task finishes"
-            )
-            raise WorkerStalled(
-                f"request made no progress within the "
-                f"{self.watchdog_seconds}s watchdog bound ({detail})",
-                stalls=stalls,
-                killed=False,
-            ) from None
-        finally:
-            with self._lock:
-                self._pending -= 1
-
-    def _cancel_loser(self, future: Future) -> None:
-        """Reclaim a hedge loser's slot: dequeue it, or flag it down.
-
-        A loser still queued is plainly cancelled.  A loser already
-        *running* cannot be killed (Python threads), but its
-        cancellation token is set, so it raises
-        :class:`~repro.errors.PlanCancelled` at its next
-        between-commands check and frees its slot early -- counted in
-        ``hedge_cancelled`` (the result is never read: the winner
-        already answered).
-        """
-        if future.cancel():
-            return
-        with self._lock:
-            token = self._cancel_tokens.get(future)
-            if token is not None and not token.is_set():
-                token.set()
-                self.hedge_cancelled += 1
-
-    def health(self) -> Dict[str, Any]:
-        """A JSON-able liveness/counters snapshot of the tier."""
-        with self._lock:
-            snapshot = {
-                "tier": self.kind,
-                "alive": self._started and self._executor is not None,
-                "workers": self.workers,
-                "tasks": self.tasks,
-                "crashes": 0,
-                "restarts": 0,
-            }
-            snapshot.update(self._resilience_health())
-            return snapshot
-
-    def __repr__(self) -> str:
-        state = "alive" if self.alive() else "stopped"
-        return f"ThreadWorkerPool({self.workers} threads, {state})"
+            if future.cancel_token.is_set():
+                return None
+            future.cancel_token.set()
+        return False

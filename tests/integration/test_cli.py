@@ -42,7 +42,7 @@ class TestServeDemoResilience:
                 "serve-demo",
                 "example1",
                 "--worker-tier", "thread",
-                "--hedge",
+                "--hedge-delay", "0.05",
                 "--watchdog-seconds", "5",
                 "--requests", "4",
                 "--latency", "0",
@@ -50,7 +50,7 @@ class TestServeDemoResilience:
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "'hedge': True" in out
+        assert "'hedge_delay': 0.05" in out
         assert "'watchdog_seconds': 5.0" in out
 
     def test_resilience_flags_without_a_tier_print_a_note(self, capsys):
@@ -58,7 +58,7 @@ class TestServeDemoResilience:
             [
                 "serve-demo",
                 "example1",
-                "--hedge",
+                "--hedge-delay", "0.05",
                 "--requests", "2",
                 "--latency", "0",
             ]

@@ -58,13 +58,13 @@ def test_all_tiers_agree_on_scenarios(name, factory, budget):
         ("thread", lambda s: ThreadWorkerPool(s, workers=2)),
         (
             "spawn",
-            lambda s: ProcessWorkerPool.for_source(
+            lambda s: ProcessWorkerPool(
                 s, workers=2, start_method="spawn"
             ),
         ),
         (
             "fork",
-            lambda s: ProcessWorkerPool.for_source(
+            lambda s: ProcessWorkerPool(
                 s, workers=2, start_method="fork"
             ),
         ),
@@ -90,7 +90,7 @@ def test_budget_truncation_prefix_identical_across_tiers():
         pool = (
             None
             if tier == "none"
-            else ProcessWorkerPool.for_source(
+            else ProcessWorkerPool(
                 source, workers=1, start_method=tier
             )
         )
@@ -127,7 +127,7 @@ def test_deterministic_faults_identical_across_tiers():
         pool = (
             None
             if tier == "none"
-            else ProcessWorkerPool.for_source(
+            else ProcessWorkerPool(
                 source, workers=1, start_method=tier
             )
         )

@@ -62,7 +62,7 @@ class TestTierEquivalence:
         source = InMemorySource(schema, instance)
         reference = canonical(plan.execute(source))
         if tier == "process":
-            pool = ProcessWorkerPool.for_source(source, workers=2)
+            pool = ProcessWorkerPool(source, workers=2)
         else:
             pool = ThreadWorkerPool(source, workers=2)
         with QueryService(source, workers=2, worker_pool=pool) as service:
@@ -78,7 +78,7 @@ class TestTierEquivalence:
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
         reference = sorted(plan.execute(source).rows)
-        pool = ProcessWorkerPool.for_source(source, workers=1)
+        pool = ProcessWorkerPool(source, workers=1)
         with QueryService(source, workers=1, worker_pool=pool) as service:
             response = service.serve(
                 plan,
@@ -93,7 +93,7 @@ class TestTierEquivalence:
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
         reference = canonical(plan.execute(source))
-        pool = ProcessWorkerPool.for_source(source, workers=1)
+        pool = ProcessWorkerPool(source, workers=1)
         service = QueryService(
             source, workers=1, worker_pool=pool, executor="columnar"
         )
@@ -121,7 +121,7 @@ class TestHealthReporting:
     def test_health_reports_worker_tier(self, parts):
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
-        pool = ProcessWorkerPool.for_source(source, workers=2)
+        pool = ProcessWorkerPool(source, workers=2)
         with QueryService(source, workers=1, worker_pool=pool) as service:
             service.serve(plan, timeout=120)
             health = service.health()
@@ -165,7 +165,7 @@ class TestCrashRecovery:
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
         reference = canonical(plan.execute(source))
-        pool = ProcessWorkerPool.for_source(
+        pool = ProcessWorkerPool(
             source, workers=2, start_method="fork"
         )
         with QueryService(source, workers=1, worker_pool=pool) as service:

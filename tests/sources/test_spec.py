@@ -172,7 +172,7 @@ class TestProcessTierEndToEnd:
             InMemorySource(scenario.schema, instance)
         )
         source = build(scenario.schema, instance)
-        pool = ProcessWorkerPool.for_source(
+        pool = ProcessWorkerPool(
             source, workers=1, start_method=start_method
         )
         with QueryService(source, workers=1, worker_pool=pool) as svc:
