@@ -12,8 +12,8 @@ Two surfaces: a pytest-benchmark series (``pytest
 benchmarks/bench_search.py``) and a standalone runner (``python
 benchmarks/bench_search.py``) that writes ``BENCH_search.json``
 (rendered by ``report.py --search-json``): wall time plus
-``SearchStats.as_dict()`` and the aggregated ``ChaseStats.as_dict()``
-per point.  CI compares the smoke run's tree and chase counts with the
+``SearchStats.as_dict()`` per point, the aggregated chase counters
+nested under ``"chase"``.  CI compares the smoke run's tree and chase counts with the
 committed file's; ``views[64]`` is recorded for its wall time only
 (``plan_cold``'s p95 is ``views[32]``, this is the next doubling) and
 nothing floors it.
@@ -81,7 +81,6 @@ def _measure(family, k, repeats):
         "best_cost": result.best_cost,
         "exhausted": result.exhausted,
         **result.stats.as_dict(),
-        "chase": result.stats.chase.as_dict(),
     }
 
 

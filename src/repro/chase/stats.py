@@ -5,9 +5,11 @@ the fixpoint engine: how many rounds the run took, how many candidate
 matches were enumerated versus actually fired, how hard the backtracking
 join worked, and where the wall time went (trigger search vs. firing).
 
-The planner aggregates one instance across the many per-node saturations
-of an Algorithm 1 search (see ``SaturationLog``), which is what the CLI
-and the benchmarks report.
+An Algorithm 1 search absorbs every per-node saturation into one
+:class:`~repro.obs.Record` of this class (``SearchStats.chase``), which
+also counts the saturations that stopped short of a complete fixpoint:
+what the CLI and the benchmarks report, and what certifies a failed
+search as a negative.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.logic.homomorphisms import HomStats
+from repro.obs import Record
 
 
 @dataclass
-class ChaseStats:
-    """Counters and timings for one (or several merged) chase runs.
+class ChaseStats(Record):
+    """Counters and timings for one (or several absorbed) chase runs.
 
     * ``rounds`` -- sweeps over the rule list until no rule fired;
     * ``triggers_enumerated`` -- body homomorphisms produced by trigger
@@ -30,7 +33,9 @@ class ChaseStats:
     * ``hom`` -- backtracking-join effort (candidate scans, dead ends);
     * ``time_search`` / ``time_fire`` -- wall seconds spent enumerating
       triggers vs. firing them (depth check, blocking check, insertion);
-    * ``runs`` -- how many chase runs were merged into this record.
+    * ``runs`` -- how many chase runs were absorbed into this record;
+    * ``incomplete`` -- saturations the planner booked that did not
+      reach a complete fixpoint (budget hit, trigger blocked or capped).
     """
 
     strategy: str = ""
@@ -43,34 +48,7 @@ class ChaseStats:
     time_fire: float = 0.0
     # 0 for a fresh aggregate; the engine stamps 1 on each run's record.
     runs: int = 0
-
-    def absorb(self, other: "ChaseStats") -> None:
-        """Accumulate another run's counters into this aggregate."""
-        if not self.strategy:
-            self.strategy = other.strategy
-        self.rounds += other.rounds
-        self.triggers_enumerated += other.triggers_enumerated
-        self.triggers_filtered += other.triggers_filtered
-        self.triggers_fired += other.triggers_fired
-        self.hom.absorb(other.hom)
-        self.time_search += other.time_search
-        self.time_fire += other.time_fire
-        self.runs += other.runs
-
-    def as_dict(self) -> dict:
-        """A JSON-ready flat rendering (used by benchmark reports)."""
-        return {
-            "strategy": self.strategy,
-            "rounds": self.rounds,
-            "triggers_enumerated": self.triggers_enumerated,
-            "triggers_filtered": self.triggers_filtered,
-            "triggers_fired": self.triggers_fired,
-            "hom_candidates_scanned": self.hom.candidates_scanned,
-            "hom_backtracks": self.hom.backtracks,
-            "time_search": self.time_search,
-            "time_fire": self.time_fire,
-            "runs": self.runs,
-        }
+    incomplete: int = 0
 
     def summary(self) -> str:
         """A one-line human rendering for CLI output."""

@@ -416,7 +416,7 @@ def _demo(args) -> int:
             return 1
         output = response.table
         if exec_stats is not None:
-            exec_stats.merge(service.stats)
+            exec_stats = response.stats
     else:
         try:
             output = result.best_plan.execute(

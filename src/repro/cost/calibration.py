@@ -211,8 +211,9 @@ class CalibrationStore:
     ) -> int:
         """Aggregate every access command of an ``ExecStats`` record.
 
-        Only commands that carry their method name and actually
-        dispatched something are evidence.  Returns the number of
+        Only commands that carry their method name, actually
+        dispatched something and did not raise (a failed access's row
+        flow is no observation) are evidence.  Returns the number of
         commands folded in; the store version is bumped once per batch
         that contained any, so one plan run moves plan-cache keys at
         most once.
@@ -222,7 +223,7 @@ class CalibrationStore:
             for command in stats.commands:
                 if command.kind != "access" or command.method is None:
                     continue
-                if command.dispatched <= 0:
+                if command.dispatched <= 0 or command.raised:
                     continue
                 relation = (
                     relation_of.get(command.method, "")

@@ -204,24 +204,24 @@ class CircuitBreaker:
             else:
                 self.consecutive_failures = 0
 
-    def record_failure(self, permanent: bool = False) -> None:
-        """Feed back a failed call; ``permanent`` force-opens."""
+    def record_failure(self, permanent: bool = False) -> bool:
+        """Feed back a failed call; ``permanent`` force-opens.  Returns
+        whether this failure tripped the breaker (opened it)."""
         with self._lock:
             self.consecutive_failures += 1
-            if permanent:
-                self.forced = True
-            if self.state == HALF_OPEN or permanent or (
-                self.consecutive_failures >= self.failure_threshold
+            self.forced = self.forced or permanent
+            if not (
+                self.state == HALF_OPEN
+                or permanent
+                or self.consecutive_failures >= self.failure_threshold
             ):
-                self._trip()
-
-    def _trip(self) -> None:
-        # Caller holds self._lock.
-        if self.state != OPEN:
-            self.trips += 1
-        self.state = OPEN
-        self._opened_at = self.clock()
-        self._probe_successes = 0
+                return False
+            tripped = self.state != OPEN
+            self.trips += tripped
+            self.state = OPEN
+            self._opened_at = self.clock()
+            self._probe_successes = 0
+            return tripped
 
     def reset(self) -> None:
         """Close the breaker unconditionally (operator/recovery action).
@@ -361,6 +361,8 @@ class ResilientDispatcher:
     retries: int = 0
     faults: int = 0
     giveups: int = 0
+    # Breakers this dispatcher's own failure reports opened.
+    breaker_trips: int = 0
     backoff_waited: float = 0.0
 
     def check_deadline(self, doing: str = "execution") -> None:
@@ -421,8 +423,8 @@ class ResilientDispatcher:
                     result = fetch(inputs)
                 except TransientAccessError as error:
                     self.faults += 1
-                    if breaker is not None:
-                        breaker.record_failure()
+                    if breaker is not None and breaker.record_failure():
+                        self.breaker_trips += 1
                     if retry is None or not retry.should_retry(
                         error, attempt
                     ):
@@ -443,10 +445,10 @@ class ResilientDispatcher:
                     self.retries += 1
                 except AccessError as error:
                     # Permanent: breaker learns, caller decides (failover).
-                    if breaker is not None:
-                        breaker.record_failure(
-                            permanent=isinstance(error, MethodOutage)
-                        )
+                    if breaker is not None and breaker.record_failure(
+                        permanent=isinstance(error, MethodOutage)
+                    ):
+                        self.breaker_trips += 1
                     error.attempts = attempt
                     raise
                 else:
@@ -472,11 +474,6 @@ class ResilientDispatcher:
         to a :class:`~repro.errors.CircuitOpen`.
         """
         return self.bind(lambda _inputs: fetch(), method)(inputs)
-
-    @property
-    def breaker_trips(self) -> int:
-        """Total trips across the registry (0 without breakers)."""
-        return self.breakers.trips if self.breakers is not None else 0
 
     def summary(self) -> str:
         """A one-line human-readable digest."""

@@ -1,15 +1,15 @@
 """Execution instrumentation: per-command and per-run counters.
 
 :class:`ExecStats` is the ``stats`` field of a run's
-:class:`~repro.exec.context.ExecutionContext` and collects, per
-command, wall time and row flow, plus the access dispatch breakdown
-the runtime's optimisations act on: how many input rows each access
-command saw, how many *distinct* input tuples were
-actually dispatched (the dedup win), and how many dispatches were
-answered by the :class:`~repro.exec.cache.AccessCache` without touching
-the source (the memoization win).  ``peak_resident_rows`` tracks the
-largest total number of temporary-table rows alive at once, which is
-what the temp-table freeing in ``Plan.execute`` bounds.
+:class:`~repro.exec.context.ExecutionContext`.  Its ``commands`` are
+the run's transcript: per command, wall time, row flow and the dispatch
+breakdown the runtime acts on -- input rows seen, *distinct* tuples
+dispatched (the dedup win), dispatches the access cache answered (the
+memoization win), retries, faults and breaker trips.  Its totals are
+counters the command loop adds each record to once, when the command
+ends, returned or raised.  Both classes are :class:`~repro.obs.Record`
+s: ``absorb`` folds the totals (and the peak, by maximum) but not the
+per-run transcript, so the service's ledger stays one record's size.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.obs import MAX, PER_RUN, Record
+
 
 @dataclass
-class CommandStats:
+class CommandStats(Record):
     """Counters for one executed command."""
 
-    index: int
-    target: str
-    kind: str  # "access" | "middleware"
+    index: int = 0
+    target: str = ""
+    kind: str = ""  # "access" | "middleware"
     # The access method invoked (None for middleware commands).  This is
     # what lets downstream consumers -- notably the feedback-driven cost
     # calibration (repro.cost.calibration) -- aggregate observed row
@@ -43,32 +45,31 @@ class CommandStats:
     freed_tables: int = 0  # temp tables released after this command
     retries: int = 0  # dispatches re-attempted after a transient fault
     faults: int = 0  # transient faults seen (retried or given up on)
-
-    def as_dict(self) -> Dict:
-        """A JSON-able representation: the fields, in declaration order."""
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CommandStats":
-        """Inverse of :meth:`as_dict` (cross-process stats shipping).
-
-        By the dataclass's own fields: one the payload lacks keeps its
-        default, so a field added here ships without a codec to update.
-        """
-        fields = cls.__dataclass_fields__
-        return cls(**{k: data[k] for k in fields if k in data})
+    breaker_trips: int = 0  # breakers this command's failures opened
+    raised: int = 0  # 1: the access raised; its row flow is no observation
 
 
 @dataclass
-class ExecStats:
-    """Aggregated execution statistics for one (or a batch of) plan runs."""
+class ExecStats(Record):
+    """Execution statistics for one plan run, or totals over many."""
 
-    commands: List[CommandStats] = field(default_factory=list)
+    commands: List[CommandStats] = field(
+        default_factory=list, metadata=PER_RUN
+    )
     wall_time: float = 0.0
-    peak_resident_rows: int = 0
+    # Two requests' peaks stack only if they were resident at once,
+    # which per-request tracking cannot see.
+    peak_resident_rows: int = field(default=0, metadata=MAX)
     runs: int = 0
-    # Synced from the dispatcher's breaker registry after each run.
+    accesses_dispatched: int = 0
+    accesses_deduped: int = 0
+    cache_hits: int = 0  # dispatches short-circuited by the access cache
+    rows_out: int = 0
+    retries: int = 0
+    faults: int = 0
     breaker_trips: int = 0
+
+    derived = ("source_invocations",)
 
     def command(
         self,
@@ -84,66 +85,25 @@ class ExecStats:
         self.commands.append(stats)
         return stats
 
+    def count(self, record: CommandStats) -> None:
+        """Add one ended command's counters to the totals."""
+        self.accesses_dispatched += record.dispatched
+        self.accesses_deduped += record.deduped
+        self.cache_hits += record.cache_hits
+        self.rows_out += record.rows_out
+        self.retries += record.retries
+        self.faults += record.faults
+        self.breaker_trips += record.breaker_trips
+
     def note_resident(self, rows: int) -> None:
         """Record the currently resident row total; keeps the maximum."""
         if rows > self.peak_resident_rows:
             self.peak_resident_rows = rows
 
-    def merge(self, other: "ExecStats") -> None:
-        """Fold another run's stats into this one (service aggregation).
-
-        Additive counters (runs, wall time, per-command records) sum;
-        ``peak_resident_rows`` takes the maximum -- the peaks of two
-        requests do not stack unless they were resident simultaneously,
-        which per-request tracking cannot see;
-        ``breaker_trips`` also takes the maximum because each request
-        snapshots the *same* monotone registry-wide total.  The service
-        serializes merges under its own lock; this method itself is not
-        thread-safe.
-        """
-        self.commands.extend(other.commands)
-        self.wall_time += other.wall_time
-        self.runs += other.runs
-        if other.peak_resident_rows > self.peak_resident_rows:
-            self.peak_resident_rows = other.peak_resident_rows
-        if other.breaker_trips > self.breaker_trips:
-            self.breaker_trips = other.breaker_trips
-
-    # ------------------------------------------------------------ totals
-    @property
-    def accesses_dispatched(self) -> int:
-        """Distinct input tuples dispatched across all access commands."""
-        return sum(c.dispatched for c in self.commands)
-
-    @property
-    def accesses_deduped(self) -> int:
-        """Duplicate input tuples collapsed before dispatch."""
-        return sum(c.deduped for c in self.commands)
-
-    @property
-    def cache_hits(self) -> int:
-        """Dispatches short-circuited by the access cache."""
-        return sum(c.cache_hits for c in self.commands)
-
     @property
     def source_invocations(self) -> int:
         """Dispatches that actually reached the source."""
         return self.accesses_dispatched - self.cache_hits
-
-    @property
-    def rows_out(self) -> int:
-        """Total rows produced across all commands."""
-        return sum(c.rows_out for c in self.commands)
-
-    @property
-    def retries(self) -> int:
-        """Dispatches re-attempted after transient faults, across commands."""
-        return sum(c.retries for c in self.commands)
-
-    @property
-    def faults(self) -> int:
-        """Transient faults seen across commands (retried or not)."""
-        return sum(c.faults for c in self.commands)
 
     def summary(self) -> str:
         """A one-line human-readable digest."""
@@ -164,35 +124,13 @@ class ExecStats:
             + resilience
         )
 
-    def as_dict(self) -> Dict:
-        """A JSON-able representation (used by the benchmarks)."""
-        return {
-            "runs": self.runs,
-            "wall_time": self.wall_time,
-            "peak_resident_rows": self.peak_resident_rows,
-            "accesses_dispatched": self.accesses_dispatched,
-            "accesses_deduped": self.accesses_deduped,
-            "cache_hits": self.cache_hits,
-            "source_invocations": self.source_invocations,
-            "retries": self.retries,
-            "faults": self.faults,
-            "breaker_trips": self.breaker_trips,
-            "commands": [c.as_dict() for c in self.commands],
-        }
-
     @classmethod
     def from_dict(cls, data: Dict) -> "ExecStats":
-        """Inverse of :meth:`as_dict`.
-
-        Worker processes serialize their per-request stats with
-        ``as_dict()`` (plain JSON survives any executor transport); the
-        parent rebuilds them here and folds them into the service totals
-        with the existing :meth:`merge`.  The derived totals
-        (dispatched, cache hits, ...) are recomputed from the command
-        records rather than trusted from the payload.
-        """
-        own = {k: data[k] for k in cls.__dataclass_fields__ if k in data}
-        own["commands"] = [
-            CommandStats.from_dict(entry) for entry in data.get("commands", ())
-        ]
-        return cls(**own)
+        """A shipped run's record: its command list rebuilt and the
+        totals recounted from it, never read off the payload."""
+        run = ("wall_time", "peak_resident_rows", "runs")
+        stats = cls(**{key: data[key] for key in run if key in data})
+        for entry in data.get("commands", ()):
+            stats.commands.append(CommandStats.from_dict(entry))
+            stats.count(stats.commands[-1])
+        return stats

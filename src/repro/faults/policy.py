@@ -22,6 +22,8 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.obs import Record
+
 # The transient fault kinds, in the order the unit interval is carved up.
 KIND_UNAVAILABLE = "unavailable"
 KIND_TIMEOUT = "timeout"
@@ -168,7 +170,7 @@ class FaultPolicy:
 
 
 @dataclass
-class FaultStats:
+class FaultStats(Record):
     """What a :class:`~repro.faults.source.FaultInjectingSource` did."""
 
     calls: int = 0
@@ -178,6 +180,8 @@ class FaultStats:
     )
     outage_refusals: int = 0
     injected_latency: float = 0.0
+
+    derived = ("injected_total",)
 
     @property
     def injected_total(self) -> int:
@@ -198,14 +202,3 @@ class FaultStats:
             + f", {self.outage_refusals} outage refusals, "
             f"{self.injected_latency:.2f}s injected latency"
         )
-
-    def as_dict(self) -> Dict:
-        """A JSON-able representation (used by the benchmarks)."""
-        return {
-            "calls": self.calls,
-            "delivered": self.delivered,
-            "injected": dict(self.injected),
-            "injected_total": self.injected_total,
-            "outage_refusals": self.outage_refusals,
-            "injected_latency": self.injected_latency,
-        }

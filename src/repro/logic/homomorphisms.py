@@ -42,10 +42,11 @@ from typing import (
 
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.terms import Constant, Null, Term, Variable
+from repro.obs import Record
 
 
 @dataclass
-class HomStats:
+class HomStats(Record):
     """Instrumentation counters for backtracking-join search.
 
     ``candidates_scanned`` counts facts examined as potential images of a
@@ -55,11 +56,6 @@ class HomStats:
 
     candidates_scanned: int = 0
     backtracks: int = 0
-
-    def absorb(self, other: "HomStats") -> None:
-        """Accumulate another run's counters into this one."""
-        self.candidates_scanned += other.candidates_scanned
-        self.backtracks += other.backtracks
 
 
 class FactIndex:

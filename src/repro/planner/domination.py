@@ -81,6 +81,7 @@ from repro.chase.configuration import ChaseConfiguration
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.terms import Constant, Null, Term
+from repro.obs import Record
 from repro.schema.accessible import is_accessed_name
 
 _EPS = 1e-12
@@ -131,7 +132,7 @@ def signature_of(
 
 
 @dataclass
-class DominationStats:
+class DominationStats(Record):
     """Instrumentation of the domination check across one search run.
 
     * ``checks`` -- how many nodes were tested for domination;
@@ -157,23 +158,12 @@ class DominationStats:
     full_searches: int = 0
     time_seconds: float = 0.0
 
+    derived = ("hom_calls_avoided",)
+
     @property
     def hom_calls_avoided(self) -> int:
         """Homomorphism checks the index saved over a linear scan."""
         return self.registry_scanned - self.hom_calls
-
-    def as_dict(self) -> dict:
-        """A JSON-ready flat rendering (used by benchmark reports)."""
-        return {
-            "checks": self.checks,
-            "registry_scanned": self.registry_scanned,
-            "candidates": self.candidates,
-            "hom_calls": self.hom_calls,
-            "hom_calls_avoided": self.hom_calls_avoided,
-            "seeded_hits": self.seeded_hits,
-            "full_searches": self.full_searches,
-            "time_seconds": self.time_seconds,
-        }
 
 
 @dataclass

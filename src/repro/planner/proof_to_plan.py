@@ -27,7 +27,7 @@ domination before paying for the chase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
@@ -70,25 +70,16 @@ class ChaseProof:
         return f"ChaseProof({self.query.name}: {steps})"
 
 
-@dataclass
-class SaturationLog:
-    """Aggregated completeness and cost of every saturation in a run.
-
-    Complete saturations everywhere mean the explored proof space is the
-    *whole* bounded proof space: a failed search is then a certified
-    negative for the given access budget.  ``stats`` accumulates the
-    chase instrumentation of all per-node saturations, which is what the
-    CLI and benchmarks report for one planning run.
-    """
-
-    complete: bool = True
-    stats: ChaseStats = field(default_factory=ChaseStats)
-
-    def absorb(self, result) -> None:
-        """Merge one chase result's completeness and stats into the log."""
-        if not result.is_complete:
-            self.complete = False
-        self.stats.absorb(result.stats)
+def absorb_saturation(
+    stats: Optional[ChaseStats], result: ChaseResult
+) -> None:
+    """Absorb one saturation into a planning run's ``stats`` (if any),
+    counting it in ``stats.incomplete`` unless it reached a complete
+    fixpoint.  While none is incomplete, the explored proof space is the
+    *whole* bounded one: a failed search is a certified negative."""
+    if stats is not None:
+        stats.absorb(result.stats)
+        stats.incomplete += not result.is_complete
 
 
 @dataclass
@@ -107,7 +98,7 @@ def initial_configuration(
     query: ConjunctiveQuery,
     nulls: NullFactory,
     policy: Optional[ChasePolicy] = None,
-    log: Optional["SaturationLog"] = None,
+    stats: Optional[ChaseStats] = None,
 ) -> Tuple[ChaseConfiguration, Dict[Variable, Null]]:
     """Canonical database + schema-constant seeds, free rules saturated."""
     facts, frozen = query.canonical_database()
@@ -120,8 +111,7 @@ def initial_configuration(
         nulls,
         policy,
     )
-    if log is not None:
-        log.absorb(result)
+    absorb_saturation(stats, result)
     return config, frozen
 
 
@@ -240,7 +230,7 @@ def saturate_exposed(
     acc_schema: AccessibleSchema,
     nulls: NullFactory,
     policy: Optional[ChasePolicy] = None,
-    log: Optional["SaturationLog"] = None,
+    stats: Optional[ChaseStats] = None,
 ) -> ChaseResult:
     """The cost-free half: saturate what :func:`expose_access` left.
 
@@ -257,8 +247,7 @@ def saturate_exposed(
         since_generation=exposed.since_generation,
     )
     result.depth_truncated += exposed.depth_truncated
-    if log is not None:
-        log.absorb(result)
+    absorb_saturation(stats, result)
     return result
 
 
@@ -270,7 +259,7 @@ def fire_access(
     acc_schema: AccessibleSchema,
     nulls: NullFactory,
     policy: Optional[ChasePolicy] = None,
-    log: Optional["SaturationLog"] = None,
+    stats: Optional[ChaseStats] = None,
 ) -> Tuple[PlanState, Tuple[Atom, ...]]:
     """Fire one accessibility axiom in place; returns (state, exposed).
 
@@ -280,7 +269,7 @@ def fire_access(
     saturates the cost-free rules.
     """
     exposed = expose_access(config, state, fact, method, acc_schema, policy)
-    saturate_exposed(config, exposed, acc_schema, nulls, policy, log)
+    saturate_exposed(config, exposed, acc_schema, nulls, policy, stats)
     return exposed.state, exposed.facts
 
 

@@ -72,13 +72,13 @@ from repro.logic.atoms import Atom, Substitution
 from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.queries import ConjunctiveQuery
 from repro.logic.terms import Null, NullFactory, Variable
+from repro.obs import Record
 from repro.planner.domination import DominationStats, FingerprintRegistry
 from repro.planner.plan_state import PlanState, PlanningError
 from repro.planner.proof_to_plan import (
     ChaseProof,
     Exposed,
     Exposure,
-    SaturationLog,
     initial_configuration,
     read_exposure,
     saturate_exposed,
@@ -136,7 +136,7 @@ class SearchOptions:
 
 
 @dataclass
-class SearchStats:
+class SearchStats(Record):
     """Counters reported by one search run."""
 
     nodes_created: int = 0
@@ -194,23 +194,6 @@ class SearchStats:
                 f"cost={self.time_cost:.4f}s",
             ]
         )
-
-    def as_dict(self) -> dict:
-        """JSON-ready rendering (used by ``benchmarks/bench_search.py``)."""
-        return {
-            "nodes_created": self.nodes_created,
-            "nodes_expanded": self.nodes_expanded,
-            "successes": self.successes,
-            "pruned_by_cost": self.pruned_by_cost,
-            "pruned_by_bound": self.pruned_by_bound,
-            "pruned_by_domination": self.pruned_by_domination,
-            "pruned_by_depth": self.pruned_by_depth,
-            "configs_copied": self.configs_copied,
-            "domination": self.domination.as_dict(),
-            "time_copy": self.time_copy,
-            "time_candidates": self.time_candidates,
-            "time_cost": self.time_cost,
-        }
 
 
 @dataclass
@@ -389,7 +372,6 @@ class _Searcher:
         # Domination registry over every non-pruned node explored so far;
         # built in _make_root once the frozen head nulls are known.
         self._registry: Optional[FingerprintRegistry] = None
-        self.saturation_log = SaturationLog()
         self._drained = False
         self._ids = itertools.count()
         self.head_nulls: Dict[Variable, Null] = {}
@@ -421,7 +403,7 @@ class _Searcher:
             self.query,
             self.nulls,
             self.options.chase_policy,
-            log=self.saturation_log,
+            self.stats.chase,
         )
         self.head_nulls = frozen
         self._success_atoms, self._success_seed = success_pattern(
@@ -433,6 +415,7 @@ class _Searcher:
         self._registry = FingerprintRegistry(
             Substitution({null: null for null in rigid}), rigid
         )
+        self._registry.stats = self.stats.domination
         root = SearchNode(
             node_id=next(self._ids),
             parent_id=None,
@@ -449,15 +432,13 @@ class _Searcher:
         """Walk the bounded proof space depth-first and package the best
         plan found (if any) with its statistics."""
         self._run_dfs(self._make_root())
-        self.stats.chase = self.saturation_log.stats
-        self.stats.domination = self._registry.stats
         return SearchResult(
             best_plan=self.best_plan,
             best_cost=self.best_cost,
             best_proof=self.best_proof,
             stats=self.stats,
             tree=tuple(self.nodes) if self.options.collect_tree else (),
-            exhausted=self._drained and self.saturation_log.complete,
+            exhausted=self._drained and not self.stats.chase.incomplete,
         )
 
     def _run_dfs(self, root: SearchNode) -> None:
@@ -528,7 +509,7 @@ class _Searcher:
             # chased first; so is a child whose own exposure the depth
             # cap cut short, which puts the cut on the log whatever the
             # verdict.
-            if exposed.depth_truncated or not self.saturation_log.complete:
+            if exposed.depth_truncated or self.stats.chase.incomplete:
                 self._saturate(config, exposed)
                 chased = True
             dominator = self._registry.find_dominator(
@@ -554,7 +535,7 @@ class _Searcher:
             self.acc,
             self.nulls,
             self.options.chase_policy,
-            self.saturation_log,
+            self.stats.chase,
         )
 
     def _finalize_node(

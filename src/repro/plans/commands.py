@@ -214,6 +214,9 @@ class MiddlewareCommand:
 
 Command = Union[AccessCommand, MiddlewareCommand]
 
+#: The dispatcher's counters an access command books as its own deltas.
+_TALLIES = ("retries", "faults", "breaker_trips")
+
 
 def access_keys(
     source,
@@ -233,40 +236,44 @@ def access_keys(
     one access per key, in the order given, exactly the accesses the
     cost function charges.  The dispatch counts (``rows_in``: the raw
     tuples the keys were distilled from) and what the cache and the
-    dispatcher counted meanwhile go into ``context.command_stats``.
+    dispatcher counted meanwhile go into ``context.command_stats`` --
+    also when an access raises, so a failed request keeps what it did
+    (the record is then marked ``raised``).
     """
     if context is None:
         context = ExecutionContext()
     cache, resilience = context.cache, context.resilience
     stats = context.command_stats
     if stats is not None:
-        cache_hits_before = cache.hits if cache is not None else 0
-        retries_before = resilience.retries if resilience is not None else 0
-        faults_before = resilience.faults if resilience is not None else 0
+        hits_before = getattr(cache, "hits", 0)
+        tallies = [getattr(resilience, name, 0) for name in _TALLIES]
     batch = getattr(source, "access_batch", None) if cache is None else None
-    answers: List[Iterable[Row]]
-    if callable(batch) and len(keys) > 1:
-        keyed = list(keys)
-        if resilience is not None:
-            by_key = resilience.call(
-                lambda: batch(method, keyed), method, inputs=keyed[0]
-            )
+    answers: Optional[List[Iterable[Row]]] = None
+    try:
+        if callable(batch) and len(keys) > 1:
+            keyed = list(keys)
+            if resilience is not None:
+                by_key = resilience.call(
+                    lambda: batch(method, keyed), method, inputs=keyed[0]
+                )
+            else:
+                by_key = batch(method, keyed)
+            answers = list(map(by_key.__getitem__, keyed))
         else:
-            by_key = batch(method, keyed)
-        answers = list(map(by_key.__getitem__, keyed))
-    else:
-        access = bound_access(source, method, cache, resilience)
-        answers = list(map(access, keys))
-    if stats is not None:
-        stats.rows_in = rows_in
-        stats.dispatched = len(keys)
-        stats.deduped = rows_in - len(keys)
-        stats.rows_fetched = sum(map(len, answers))
-        if cache is not None:
-            stats.cache_hits = cache.hits - cache_hits_before
-        if resilience is not None:
-            stats.retries = resilience.retries - retries_before
-            stats.faults = resilience.faults - faults_before
+            access = bound_access(source, method, cache, resilience)
+            answers = list(map(access, keys))
+    finally:
+        if stats is not None:
+            stats.rows_in = rows_in
+            stats.dispatched = len(keys)
+            stats.deduped = rows_in - len(keys)
+            if answers is None:
+                stats.raised = 1
+            else:
+                stats.rows_fetched = sum(map(len, answers))
+            stats.cache_hits = getattr(cache, "hits", 0) - hits_before
+            for name, before in zip(_TALLIES, tallies):
+                setattr(stats, name, getattr(resilience, name, 0) - before)
     return answers
 
 

@@ -257,7 +257,9 @@ def run_commands(
     its tables' rows and, if they are not :class:`NamedTable`, how to
     ``decode`` the output.  Before each command the context's stop check
     runs; after it the resident rows are noted and checked against the
-    budget and every table whose last reader has run is dropped.
+    budget and every table whose last reader has run is dropped.  A
+    command's record is added to the run's totals when the command ends,
+    whether it returned or raised.
     """
     stats, budget = context.stats, context.budget
     record = None
@@ -272,10 +274,14 @@ def run_commands(
                 method=getattr(command, "method", None),
             )
         command_started = perf_counter()
-        command.execute(env, source, context)
-        if record is not None:
-            record.wall_time = perf_counter() - command_started
-            record.rows_out = row_count(env[command.target])
+        try:
+            command.execute(env, source, context)
+            if record is not None:
+                record.rows_out = row_count(env[command.target])
+        finally:
+            if record is not None:
+                record.wall_time = perf_counter() - command_started
+                stats.count(record)
         if stats is not None or budget is not None:
             resident = sum(map(row_count, env.values()))
             if stats is not None:
@@ -300,8 +306,4 @@ def run_commands(
     if stats is not None:
         stats.wall_time += perf_counter() - started
         stats.runs += 1
-        if context.resilience is not None:
-            # The registry total is monotone, so assignment is safe
-            # even when one dispatcher spans many plan runs.
-            stats.breaker_trips = context.resilience.breaker_trips
     return output

@@ -32,7 +32,8 @@ correct and responsive no matter the offered load:
   structures; every request gets its own
   :class:`~repro.exec.resilience.ResilientDispatcher` (built over the
   shared breakers) and its own :class:`~repro.exec.stats.ExecStats`,
-  merged into the service aggregate under the service lock.
+  absorbed into the service's totals (``stats``, no command transcript)
+  under the service lock, failed requests included.
 * **degraded planning** -- the dead-method set is the breakers'
   forced-open set: an outage force-opens its method's breaker, and
   :meth:`plan_for` plans over the schema minus those methods.
@@ -832,7 +833,6 @@ class QueryService:
         request = ticket.request
         queue_wait = max(0.0, self.clock() - request.submitted_at)
         deadline: Optional[Deadline] = ticket.deadline
-        stats = ExecStats()
         if deadline is not None and deadline.expired:
             return QueryResponse(
                 request.request_id,
@@ -841,12 +841,12 @@ class QueryService:
                     f"before execution, after {queue_wait:.3f}s in the "
                     f"admission queue"
                 ),
-                stats=stats,
+                stats=ExecStats(),
                 queue_wait=queue_wait,
             )
         context = ExecutionContext(
             cache=self.cache,
-            stats=stats,
+            stats=ExecStats(),
             resilience=ResilientDispatcher(
                 retry=self.retry,
                 breakers=self.breakers,
@@ -879,7 +879,7 @@ class QueryService:
             complete=failure is None and truncated == 0,
             partial=truncated > 0,
             truncated_rows=truncated,
-            stats=stats,
+            stats=context.stats,
             queue_wait=queue_wait,
             wall_time=perf_counter() - started,
         )
@@ -889,9 +889,10 @@ class QueryService:
 
         It crosses as data -- plan IR, term-IR bindings, the context's
         wire form -- and the answer comes back as sorted rows plus a
-        stats dict, folded into ``context.stats`` and ``context.budget``
-        here.  The deadline is enforced twice: by the worker on its own
-        clock (an expired request frees its slot) and here as the wait
+        stats dict (also on failure), which becomes ``context.stats``,
+        and a truncation count for ``context.budget``.  The deadline is
+        enforced twice: by the worker on its own clock (an expired
+        request frees its slot) and here as the wait
         timeout.  A tier-level failure (killed worker, timeout) or the
         typed error a worker reported is raised, on this request only.
         """
@@ -907,7 +908,7 @@ class QueryService:
             payload, timeout=payload["deadline"]
         )
         if result.get("stats"):
-            context.stats.merge(ExecStats.from_dict(result["stats"]))
+            context.stats = ExecStats.from_dict(result["stats"])
         if not result.get("ok"):
             raise rebuild_error(result)
         if context.budget is not None:
@@ -953,7 +954,7 @@ class QueryService:
             else:
                 self._failed += 1
             if response.stats is not None:
-                self.stats.merge(response.stats)
+                self.stats.absorb(response.stats)
             self._idle.notify_all()
 
     def _resolve_shed(self, ticket: Ticket, error: ReproError) -> None:

@@ -16,9 +16,10 @@ service's externally observable behaviour bit-identical:
   :class:`~repro.exec.context.ExecutionContext` (budget, retry policy,
   the seconds the deadline has left); answers
   come back as sorted row lists (:func:`~repro.plans.ir.table_to_ir`)
-  plus an ``ExecStats.as_dict()`` payload the parent rebuilds and
-  merges.  No pickled closures, no live sources -- which is also what
-  makes the tier ``spawn``-safe (the default start method here).
+  plus an ``ExecStats.as_dict()`` payload (on failure too) the parent
+  rebuilds as the response's record.  No pickled closures, no live
+  sources -- which is also what makes the tier ``spawn``-safe (the
+  default start method here).
 
 * **What does NOT cross the boundary** -- the parent's
   :class:`~repro.exec.cache.AccessCache`, circuit breakers and fault
@@ -216,7 +217,8 @@ def execute_payload(
     :func:`~repro.exec.batch.run_request`, as in the service.
     Errors come back as ``{"ok": False, "error_type", "error"}`` so the
     parent can re-raise the matching typed :mod:`repro.errors` class --
-    exception *instances* never cross the boundary.
+    exception *instances* never cross the boundary -- with the ``stats``
+    of what the run did before it failed.
 
     ``cancel`` (thread tier only) is a :class:`threading.Event` the
     command loop polls between commands: a hedge duplicate whose twin
@@ -224,8 +226,9 @@ def execute_payload(
     A successful result carries the source's epoch token (``"epoch"``)
     so callers can tell which backend snapshot answered.
     """
+    context = ExecutionContext.from_payload(payload, cancel=cancel)
+    stats = context.stats
     try:
-        context = ExecutionContext.from_payload(payload, cancel=cancel)
         table = run_request(
             source,
             ir_to_plan(payload["plan"]),
@@ -233,7 +236,6 @@ def execute_payload(
             context,
             executor=payload.get("executor", "interpreter"),
         )
-        stats = context.stats
         return {
             "ok": True,
             "table": table_to_ir(table),
@@ -246,6 +248,7 @@ def execute_payload(
             "ok": False,
             "error_type": type(error).__name__,
             "error": str(error),
+            "stats": stats.as_dict() if stats is not None else None,
         }
         # Access-layer context crosses the boundary too: the service
         # must know *which* method died to force-open its breaker, and

@@ -91,6 +91,14 @@ class TestObserveStats:
         assert store.observe_stats(stats) == 1
         assert store.fan_out("mt_a") == pytest.approx(2.0)
 
+    def test_a_command_that_raised_is_not_evidence(self):
+        # A failed access books what it dispatched, not what it fetched.
+        stats = stats_from([("mt_a", 2, 0, 0), ("mt_b", 1, 3, 3)])
+        stats.commands[0].raised = 1
+        store = CalibrationStore()
+        assert store.observe_stats(stats) == 1
+        assert store.method_calibration("mt_a") is None
+
     def test_relation_mapping_is_recorded(self):
         store = CalibrationStore()
         store.observe_stats(stats_from([("mt_a", 1, 2, 2)]), {"mt_a": "R"})

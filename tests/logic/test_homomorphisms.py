@@ -324,12 +324,6 @@ class TestHomStats:
         assert stats.candidates_scanned == 2
         assert stats.backtracks == 2
 
-    def test_absorb_accumulates(self):
-        left = HomStats(candidates_scanned=3, backtracks=1)
-        left.absorb(HomStats(candidates_scanned=2, backtracks=2))
-        assert left.candidates_scanned == 5
-        assert left.backtracks == 3
-
 
 class TestFactIndexFork:
     def test_fork_shares_prefix_but_not_writes(self):
