@@ -24,9 +24,7 @@ from repro.chaos.invariants import (
 )
 from repro.errors import ReproError, ServiceOverloaded, ServiceStopped
 from repro.service.request import Ticket
-
-#: The service counters every submission lands in exactly one of.
-_BOOKS = ("served", "shed", "rejected")
+from repro.service.service import ServiceBooks
 
 
 @dataclass
@@ -127,7 +125,7 @@ class ScenarioHarness:
         self.violations: List[InvariantViolation] = []
         self.responses: List = []
         self._tickets: List[Ticket] = []
-        self._carried: Counter = Counter()
+        self._carried = ServiceBooks()
 
     def remaining(self) -> float:
         """Seconds left in the scenario's wall-clock budget."""
@@ -215,17 +213,21 @@ class ScenarioHarness:
 
         Restart scenarios (disk corruption) span two service
         generations; the accounting identity is over the whole run, so
-        the retired generation's served/shed/rejected counters carry
-        forward into :meth:`finish`'s check against the final
-        generation.
+        the retired generation's books carry forward into
+        :meth:`finish`'s check against the final generation.
         """
         try:
             service.wait_idle(timeout=10.0)
         except Exception:  # pragma: no cover -- stopped services are idle
             pass
-        health = service.health().as_dict()
-        for book in _BOOKS:
-            self._carried[book] += health.get(book, 0) or 0
+        self._carried.absorb(service.health())
+
+    def books(self, service) -> ServiceBooks:
+        """The run's books: every retired generation's and ``service``'s."""
+        books = ServiceBooks()
+        books.absorb(self._carried)
+        books.absorb(service.health())
+        return books
 
     # -------------------------------------------------------- reporting
     def finish(
@@ -246,11 +248,10 @@ class ScenarioHarness:
             # With hangs the per-ticket books are knowingly short; the
             # termination violations already tell that story louder
             # than a second accounting mismatch would.
-            checked = dict(health)
-            for book in _BOOKS:
-                checked[book] = (health.get(book, 0) or 0) + self._carried[book]
             self.violations.extend(
-                verify_accounting(self.submitted, accounted, checked)
+                verify_accounting(
+                    self.submitted, accounted, self.books(service)
+                )
             )
         if elapsed > self.deadline_seconds:
             self.violations.append(

@@ -10,9 +10,9 @@ Three checks, applied to every request of every scenario:
   (typed, marked), it may never *change* them.
 * **accounting** (:func:`verify_accounting`): submitted ==
   complete + partial + failed + shed + rejected, and the service's own
-  ``served``/``shed`` counters agree with the per-ticket outcomes the
-  harness observed -- no request is lost, double-counted, or silently
-  dropped.
+  books (``served``, ``shed``, ``rejected``) agree with the per-ticket
+  outcomes the harness observed -- no request is lost, double-counted,
+  or silently dropped.
 * **termination**: enforced by the harness itself
   (:meth:`~repro.chaos.runner.ScenarioHarness.collect` waits on every
   ticket with the scenario deadline); a ticket still unresolved when
@@ -115,19 +115,20 @@ def verify_response(
 def verify_accounting(
     submitted: int,
     outcomes: Mapping[str, int],
-    health: Mapping,
+    books,
 ) -> List[InvariantViolation]:
-    """Check the accounting identity against the service's counters.
+    """Check the accounting identity against the service's books.
 
     ``outcomes`` is the harness's own bucketing of every submission
-    (keys from :data:`OUTCOMES`); ``health`` is the
-    :meth:`QueryService.health` snapshot as a dict.  Three identities:
+    (keys from :data:`OUTCOMES`); ``books`` is a
+    :class:`~repro.service.service.ServiceBooks` (a ``health()``
+    snapshot is one).  Three identities:
 
     * nothing lost: submitted == sum of all outcome buckets;
-    * served books balance: ``health.served`` == complete + partial
+    * served books balance: ``books.served`` == complete + partial
       + failed (exactly the tickets the service resolved and
       accounted);
-    * refusal books balance: ``health.shed + health.rejected`` == shed
+    * refusal books balance: ``books.shed + books.rejected`` == shed
       + rejected (every request the service refused, at the door or
       from the queue, was typed and counted once).
     """
@@ -146,16 +147,16 @@ def verify_accounting(
         + outcomes.get("partial", 0)
         + outcomes.get("failed", 0)
     )
-    if health.get("served") != served:
+    if books.served != served:
         violations.append(
             InvariantViolation(
                 "accounting",
-                f"service served={health.get('served')} but the harness "
+                f"service served={books.served} but the harness "
                 f"observed {served} served outcomes",
             )
         )
     refused = outcomes.get("shed", 0) + outcomes.get("rejected", 0)
-    shed, rejected = health.get("shed", 0), health.get("rejected", 0)
+    shed, rejected = books.shed, books.rejected
     if shed + rejected != refused:
         violations.append(
             InvariantViolation(

@@ -291,7 +291,7 @@ def permanent_outage(seed: int = 0, quick: bool = True) -> ChaosReport:
         for _ in range(requests):
             harness.submit(service.submit_query, query)
         harness.collect()
-        mid_health = service.health().as_dict()
+        mid_health = service.health()
         # Recovery: the backend outage ends (a clean schedule replaces
         # the dead one) and an operator/probe declares the method back.
         source.policy = FaultPolicy(seed=seed)
@@ -302,7 +302,13 @@ def permanent_outage(seed: int = 0, quick: bool = True) -> ChaosReport:
     return harness.finish(
         service,
         details={
-            "during_outage": mid_health["method_health"],
+            "during_outage": {
+                name: getattr(mid_health, name)
+                for name in (
+                    "dead_methods", "outages_observed", "recoveries",
+                    "replans", "degraded_served",
+                )
+            },
             "degraded_responses": sum(
                 1 for r in harness.responses if r.degraded
             ),
@@ -425,7 +431,7 @@ def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
                 harness.submit(warm.submit_query, query)
             harness.collect()
         harness.carry_over(warm)
-        warm_health = warm.health().as_dict()
+        warm_health = warm.health()
         # The corruption: flip a byte mid-entry, truncate the
         # calibration store mid-file, leave a torn temp file behind.
         for name in os.listdir(cache_dir):
@@ -462,8 +468,8 @@ def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
             service,
             details={
                 "generation1": {
-                    "served": warm_health["served"],
-                    "planned": warm_health["planned"],
+                    "served": warm_health.served,
+                    "planned": warm_health.planned,
                 },
                 "plan_cache": plan_cache.counters(),
                 "calibration": calibration.counters(),

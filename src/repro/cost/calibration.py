@@ -51,6 +51,7 @@ from typing import Dict, Mapping, Optional
 
 from repro import checked_json
 from repro.errors import CostModelError
+from repro.obs import Record
 
 #: Format marker + version stamped into the on-disk store.
 #: Version 2 added the content checksum (stores without one are
@@ -76,10 +77,14 @@ def _fanout_bucket(fan_out: float) -> str:
 
 
 @dataclass
-class MethodCalibration:
-    """Accumulated true row flow for one (relation, access method)."""
+class MethodCalibration(Record):
+    """Accumulated true row flow for one (relation, access method).
 
-    method: str
+    A :class:`~repro.obs.Record`: its dict form is what the disk tier
+    holds, and ``absorb`` pools methods into one total.
+    """
+
+    method: str = ""
     relation: str = ""
     commands: int = 0  # access-command executions observed
     dispatched: int = 0  # distinct input tuples sent to the source
@@ -112,37 +117,6 @@ class MethodCalibration:
         if self.fetched <= 0:
             return None
         return min(1.0, max(EPSILON, self.emitted / self.fetched))
-
-    def as_dict(self) -> Dict:
-        """A JSON-able representation (key-sorted histogram)."""
-        return {
-            "method": self.method,
-            "relation": self.relation,
-            "commands": self.commands,
-            "dispatched": self.dispatched,
-            "fetched": self.fetched,
-            "emitted": self.emitted,
-            "fanout_histogram": {
-                bucket: self.fanout_histogram[bucket]
-                for bucket in sorted(self.fanout_histogram)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MethodCalibration":
-        """Inverse of :meth:`as_dict` (disk-tier rehydration)."""
-        return cls(
-            method=str(data["method"]),
-            relation=str(data.get("relation", "")),
-            commands=int(data.get("commands", 0)),
-            dispatched=int(data.get("dispatched", 0)),
-            fetched=int(data.get("fetched", 0)),
-            emitted=int(data.get("emitted", 0)),
-            fanout_histogram={
-                str(k): int(v)
-                for k, v in dict(data.get("fanout_histogram", {})).items()
-            },
-        )
 
 
 class CalibrationStore:
@@ -293,6 +267,13 @@ class CalibrationStore:
             self.hits += 1
             return entry.selectivity
 
+    def _pooled(self) -> MethodCalibration:
+        """Every method's counters absorbed into one; caller holds the lock."""
+        pooled = MethodCalibration()
+        for entry in self._methods.values():
+            pooled.absorb(entry)
+        return pooled
+
     def select_selectivity(self) -> Optional[float]:
         """The observed global selectivity, pooled over every method.
 
@@ -301,13 +282,12 @@ class CalibrationStore:
         rows, clamped into (0, 1].  None until anything was fetched.
         """
         with self._lock:
-            fetched = sum(m.fetched for m in self._methods.values())
-            emitted = sum(m.emitted for m in self._methods.values())
-            if fetched <= 0:
+            pooled = self._pooled().selectivity
+            if pooled is None:
                 self.fallbacks += 1
                 return None
             self.hits += 1
-            return min(1.0, max(EPSILON, emitted / fetched))
+            return pooled
 
     # ---------------------------------------------------------- identity
     def identity(self) -> Dict[str, object]:
@@ -340,7 +320,7 @@ class CalibrationStore:
     def observations(self) -> int:
         """Total access commands observed across all methods."""
         with self._lock:
-            return sum(m.commands for m in self._methods.values())
+            return self._pooled().commands
 
     def method_calibration(
         self, method: str
@@ -352,16 +332,13 @@ class CalibrationStore:
     def counters(self) -> Dict[str, object]:
         """A JSON-able snapshot (surfaced by ``QueryService.health()``)."""
         with self._lock:
+            pooled = self._pooled()
             return {
                 "version": self.version,
                 "methods": len(self._methods),
-                "observations": sum(
-                    m.commands for m in self._methods.values()
-                ),
-                "dispatched": sum(
-                    m.dispatched for m in self._methods.values()
-                ),
-                "emitted": sum(m.emitted for m in self._methods.values()),
+                "observations": pooled.commands,
+                "dispatched": pooled.dispatched,
+                "emitted": pooled.emitted,
                 "hits": self.hits,
                 "fallbacks": self.fallbacks,
                 "quarantined": self.quarantined,

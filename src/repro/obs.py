@@ -1,7 +1,9 @@
 """One stats record: the merge and the dict form every counter class shares.
 
 Each stats class (``HomStats``, ``ChaseStats``, ``DominationStats``,
-``SearchStats``, ``CommandStats``, ``ExecStats``, ``FaultStats``) is a
+``SearchStats``, ``CommandStats``, ``ExecStats``, ``FaultStats``) and
+each of the serving layer's books (``ServiceBooks`` with its
+``ServiceHealth`` snapshot, ``TierBooks``, ``MethodCalibration``) is a
 dataclass of fields over :class:`Record`.  ``absorb`` folds a record of
 the same class in by a rule read off each field's default: a number
 adds, a nested record absorbs, a list extends, a dict adds per key, a
@@ -28,12 +30,14 @@ _RULES = ("add", "record", "first", "max", "extend", "keys", "per_run")
 @cache
 def _plan(cls: type) -> Tuple:
     """``cls``'s fields as ``(name, rule, type of the default)`` in
-    declaration order, and their names by rule; worked out once."""
+    declaration order, their names by rule, and the names of those whose
+    value may need :func:`_plain` (any default but a number or a string);
+    worked out once."""
     kinds = (
         ("record", Record), ("first", (str, type(None))),
         ("add", (int, float)), ("extend", list), ("keys", dict),
     )
-    entries, by_rule = [], {rule: [] for rule in _RULES}
+    entries, by_rule, nested = [], {rule: [] for rule in _RULES}, []
     for spec in fields(cls):
         default = spec.default
         if spec.default_factory is not MISSING:
@@ -43,7 +47,9 @@ def _plan(cls: type) -> Tuple:
         )
         entries.append((spec.name, rule, type(default)))
         by_rule[rule].append(spec.name)
-    return tuple(entries), by_rule
+        if not isinstance(default, (int, float, str)):
+            nested.append(spec.name)
+    return tuple(entries), by_rule, tuple(nested)
 
 
 def _plain(value: Any) -> Any:
@@ -66,7 +72,8 @@ class Record:
     derived: ClassVar[Tuple[str, ...]] = ()
 
     def absorb(self, other: "Record") -> None:
-        """Fold ``other``, a record of the same class, into this one."""
+        """Fold ``other``, a record of this class or a subclass, into
+        this one (a subclass's own fields are not read)."""
         by_rule = _plan(type(self))[1]
         mine, theirs = self.__dict__, other.__dict__
         for name in by_rule["add"]:
@@ -88,8 +95,11 @@ class Record:
 
     def as_dict(self) -> Dict[str, Any]:
         """The fields in declaration order, then the derived names."""
-        entries = _plan(type(self))[0]
-        out = {name: _plain(getattr(self, name)) for name, _, _ in entries}
+        entries, _, nested = _plan(type(self))
+        values = self.__dict__
+        out = {name: values[name] for name, _, _ in entries}
+        for name in nested:
+            out[name] = _plain(out[name])
         for name in self.derived:
             out[name] = getattr(self, name)
         return out

@@ -4,6 +4,9 @@ Public surface of :mod:`repro.service`:
 
 * :class:`~repro.service.service.QueryService` -- the bounded worker
   pool serving plan runs over one shared, lock-protected runtime.
+  Its books are one :class:`~repro.obs.Record`,
+  :class:`~repro.service.service.ServiceBooks`; ``health()`` returns
+  them with the gauges as a :class:`~repro.service.service.ServiceHealth`.
 * :class:`~repro.service.request.QueryRequest` /
   :class:`~repro.service.request.QueryResponse` /
   :class:`~repro.service.request.Ticket` -- one serving's input,
@@ -38,7 +41,7 @@ from repro.service.request import (
     QueryResponse,
     Ticket,
 )
-from repro.service.service import QueryService, ServiceHealth
+from repro.service.service import QueryService, ServiceBooks, ServiceHealth
 from repro.service.workers import (
     LatencyTracker,
     ProcessWorkerPool,
@@ -61,6 +64,7 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "QueryService",
+    "ServiceBooks",
     "ServiceHealth",
     "SourceSpecError",
     "ThreadWorkerPool",

@@ -10,7 +10,8 @@ lower-priority queued request (the newest one, which has waited least):
 the evicted request is shed with the same typed error (``shed=True``),
 so every submitted request is always accounted for -- served, rejected
 at the door, or shed with an explicit error.  Nothing is silently
-dropped.
+dropped.  The queue keeps no books: a refusal is the raised error, a
+preemption the returned ticket, and the service counts both.
 
 Dequeue order is strict priority, FIFO within a class.  All state lives
 behind one lock + condition; :meth:`take` is the blocking worker side.
@@ -39,9 +40,6 @@ class AdmissionQueue:
             priority: deque() for priority in PRIORITY_CLASSES
         }
         self._closed = False
-        self.admitted = 0
-        self.rejected = 0
-        self.preempted = 0
 
     # -------------------------------------------------------- inspection
     def depth(self) -> int:
@@ -51,12 +49,6 @@ class AdmissionQueue:
 
     def _depth_locked(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
-
-    @property
-    def closed(self) -> bool:
-        """Whether the queue has stopped accepting work."""
-        with self._lock:
-            return self._closed
 
     # --------------------------------------------------------- admission
     def offer(
@@ -87,10 +79,8 @@ class AdmissionQueue:
                         break
                     if self._queues[victim_class]:
                         evicted = self._queues[victim_class].pop()
-                        self.preempted += 1
                         break
                 if evicted is None:
-                    self.rejected += 1
                     raise ServiceOverloaded(
                         f"admission queue full ({depth}/{self.capacity}) "
                         f"and no lower-priority request to preempt "
@@ -99,7 +89,6 @@ class AdmissionQueue:
                         retry_after=retry_after,
                     )
             self._queues[priority].append(ticket)
-            self.admitted += 1
             self._not_empty.notify()
             return evicted
 
@@ -142,8 +131,4 @@ class AdmissionQueue:
             return evicted
 
     def __repr__(self) -> str:
-        return (
-            f"AdmissionQueue({self.depth()}/{self.capacity} queued, "
-            f"{self.admitted} admitted, {self.rejected} rejected, "
-            f"{self.preempted} preempted)"
-        )
+        return f"AdmissionQueue({self.depth()}/{self.capacity} queued)"

@@ -53,9 +53,9 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
@@ -84,6 +84,7 @@ from repro.exec.resilience import (
 from repro.exec.stats import ExecStats
 from repro.logic.atoms import Atom
 from repro.logic.queries import ConjunctiveQuery
+from repro.obs import PER_RUN, Record
 from repro.planner.plan_cache import PlanCache, canonical_query_text, plan_cache_key
 from repro.planner.search import (
     SearchOptions,
@@ -138,48 +139,72 @@ def _outage_method(error: Optional[Exception]) -> Optional[str]:
 
 
 @dataclass
-class ServiceHealth:
-    """A point-in-time operational snapshot of a :class:`QueryService`."""
+class ServiceBooks(Record):
+    """What a :class:`QueryService` has done: its counters, one record.
 
-    running: bool
-    accepting: bool
-    workers: int
-    queue_depth: int
-    queue_capacity: int
-    in_flight: int
-    served: int
-    completed: int
-    partial: int
-    failed: int
+    The service updates them under its lock.  Every submission lands in
+    exactly one of ``served`` (derived: ``completed + partial +
+    failed``), ``shed`` and ``rejected``.
+    """
+
+    completed: int = 0
+    partial: int = 0
+    failed: int = 0
     #: Admitted requests resolved shed: preempted from the queue by a
     #: higher-priority arrival, or evicted by a non-draining stop.
-    shed: int
+    shed: int = 0
     #: Submissions refused at the door with a typed error (overload,
     #: stopped service, inadmissible plan); they never got a ticket.
-    rejected: int
-    preempted: int
-    mean_service_time: float
-    breakers: Dict[str, str]
-    cache: Optional[Dict]
-    stats: Optional[Dict]
-    #: Execution-tier liveness (None when running in the worker threads).
-    worker_tier: Optional[Dict] = None
-    #: Plan-cache counters (None when no plan cache is configured).
-    plan_cache: Optional[Dict] = None
-    #: How many times Algorithm 1 search actually ran for submit_query.
-    planned: int = 0
-    #: Cost-calibration counters (None when no store is configured):
-    #: observation totals, store version, estimate hit/fallback counts.
-    calibration: Optional[Dict] = None
-    #: Requests rejected at admission because their static result-size
-    #: bound already exceeded the budget's row ceiling.
+    rejected: int = 0
+    #: Of those, plans whose static result-size bound already exceeded
+    #: the budget's hard row ceiling.
     rejected_inadmissible: int = 0
-    #: Degraded-planning counters: the current dead-method set (the
-    #: breakers' forced-open set), outage observations, recoveries,
-    #: how often planning re-ran over a degraded schema (``replans``)
-    #: and how many responses were served under a nonempty dead set
-    #: (``degraded_served``).
-    method_health: Optional[Dict] = None
+    #: Of the shed, queued requests a higher-priority arrival evicted.
+    preempted: int = 0
+    #: How many times Algorithm 1 search actually ran for a query.
+    planned: int = 0
+    #: Of those, searches over a degraded schema (a nonempty dead set).
+    replans: int = 0
+    outages_observed: int = 0
+    recoveries: int = 0
+    #: Responses served while some method was dead.
+    degraded_served: int = 0
+
+    derived = ("served",)
+
+    @property
+    def served(self) -> int:
+        """Requests the service resolved and accounted, in any outcome."""
+        return self.completed + self.partial + self.failed
+
+
+def _gauge(**kwargs):
+    """A point-in-time reading, not a count: ``absorb`` leaves it alone."""
+    return field(metadata=PER_RUN, **kwargs)
+
+
+@dataclass
+class ServiceHealth(ServiceBooks):
+    """A point-in-time snapshot of a :class:`QueryService`: its books,
+    then the gauges and the components' own snapshots."""
+
+    running: bool = _gauge(default=False)
+    accepting: bool = _gauge(default=False)
+    workers: int = _gauge(default=0)
+    queue_depth: int = _gauge(default=0)
+    queue_capacity: int = _gauge(default=0)
+    in_flight: int = _gauge(default=0)
+    mean_service_time: float = _gauge(default=0.0)
+    breakers: Dict[str, str] = _gauge(default_factory=dict)
+    #: The methods planning avoids now: the breakers' forced-open set.
+    dead_methods: List[str] = _gauge(default_factory=list)
+    #: The components' snapshots, None where there is no such component
+    #: (no ``worker_tier``: plans run in the service's own threads).
+    cache: Optional[Dict[str, Any]] = _gauge(default=None)
+    stats: Optional[Dict[str, Any]] = _gauge(default=None)
+    worker_tier: Optional[Dict[str, Any]] = _gauge(default=None)
+    plan_cache: Optional[Dict[str, Any]] = _gauge(default=None)
+    calibration: Optional[Dict[str, Any]] = _gauge(default=None)
 
     def summary(self) -> str:
         """A one-line human-readable digest."""
@@ -203,10 +228,6 @@ class ServiceHealth:
                 else ""
             )
         )
-
-    def as_dict(self) -> Dict:
-        """A JSON-able representation: every field, in declaration order."""
-        return dict(vars(self))
 
 
 class QueryService:
@@ -258,7 +279,6 @@ class QueryService:
             if schema is not None
             else {}
         )
-        self._rejected_inadmissible = 0
         # The execution tier: None keeps plan runs in this process's
         # worker threads; a WorkerPool ships them (plan IR + bindings +
         # budget, never pickles) to the tier -- typically a
@@ -267,17 +287,6 @@ class QueryService:
         # Cross-request plan cache consulted by submit_query before
         # invoking Algorithm 1 search.
         self.plan_cache = plan_cache
-        self._planned = 0
-        # Health-aware degraded planning: an outage observed while
-        # serving force-opens its method's breaker, and plan_for plans
-        # over the schema minus the forced-open set -- one re-plan per
-        # outage, not one failure per request.  When no full plan
-        # survives, submit_query answers from the accessible part,
-        # marked partial.
-        self._outages_observed = 0
-        self._recoveries = 0
-        self._replans = 0
-        self._degraded_served = 0
         self.retry = retry
         self.breakers = BreakerRegistry(clock=clock)
         self.default_deadline = default_deadline
@@ -293,16 +302,13 @@ class QueryService:
         self._running = False
         self._accepting = False
         self._ids = itertools.count(1)
+        self._books = ServiceBooks()
         # Admitted requests a thread holds: being planned in the
         # submitting thread or executed by a worker.  The rest of the
         # admitted, unresolved requests are the queue's depth.
         self._in_flight = 0
-        self._served = 0
-        self._completed = 0
-        self._partial = 0
-        self._failed = 0
-        self._shed = 0
-        self._rejected = 0
+        # Of those, the requests handed to the execution tier.
+        self._on_tier = 0
         # Service times of served requests; its mean feeds the
         # retry-after hint.
         self._service_time = LatencyTracker()
@@ -446,7 +452,7 @@ class QueryService:
         )
         with self._lock:
             if not (self._running and self._accepting):
-                self._rejected += 1
+                self._books.rejected += 1
                 raise ServiceStopped(
                     f"service {self.name!r} is not accepting requests"
                 )
@@ -468,7 +474,7 @@ class QueryService:
         """
         request = ticket.request
         retry_after = self._retry_after_hint()
-        refused = True
+        refused, evicted = True, None
         try:
             self._check_admissible(request.plan, request.budget)
             request.submitted_at = self.clock()
@@ -478,7 +484,9 @@ class QueryService:
             with self._lock:  # the ticket is queued now, or refused
                 self._in_flight -= 1
                 if refused:
-                    self._rejected += 1
+                    self._books.rejected += 1
+                elif evicted is not None:
+                    self._books.preempted += 1
                 self._idle.notify_all()
         if evicted is not None:
             self._resolve_shed(
@@ -516,7 +524,7 @@ class QueryService:
         if math.isinf(bound) or bound <= budget.max_result_rows:
             return
         with self._lock:
-            self._rejected_inadmissible += 1
+            self._books.rejected_inadmissible += 1
         raise PlanInadmissible(
             f"plan {plan.name!r} statically bounded to "
             f"{bound:.0f} result rows, over the hard budget ceiling of "
@@ -562,7 +570,7 @@ class QueryService:
         self.breakers.reset_method(method)
         if dead:
             with self._lock:
-                self._recoveries += 1
+                self._books.recoveries += 1
         return dead
 
     def plan_for(
@@ -609,9 +617,9 @@ class QueryService:
             if hit is not None:
                 return hit.plan
         with self._lock:
-            self._planned += 1
+            self._books.planned += 1
             if dead:
-                self._replans += 1
+                self._books.replans += 1
         try:
             result = find_plan_avoiding(schema, query, dead, options)
         except NoViablePlan as error:
@@ -904,9 +912,15 @@ class QueryService:
             "executor": self.executor,
             **context.to_payload(),
         }
-        result = self.worker_pool.run_request(
-            payload, timeout=payload["deadline"]
-        )
+        with self._lock:
+            self._on_tier += 1
+        try:
+            result = self.worker_pool.run_request(
+                payload, timeout=payload["deadline"]
+            )
+        finally:
+            with self._lock:
+                self._on_tier -= 1
         if result.get("stats"):
             context.stats = ExecStats.from_dict(result["stats"])
         if not result.get("ok"):
@@ -924,7 +938,7 @@ class QueryService:
         """
         self.breakers.for_method(method).record_failure(permanent=True)
         with self._lock:
-            self._outages_observed += 1
+            self._books.outages_observed += 1
 
     def _account(self, response: QueryResponse) -> None:
         # Fold the request's observed row flow into the calibration
@@ -942,17 +956,17 @@ class QueryService:
                 pass
         if response.wall_time:
             self._service_time.observe(response.wall_time)
+        books = self._books
         with self._lock:
             self._in_flight -= 1
-            self._served += 1
             if response.degraded:
-                self._degraded_served += 1
+                books.degraded_served += 1
             if response.complete:
-                self._completed += 1
+                books.completed += 1
             elif response.partial:
-                self._partial += 1
+                books.partial += 1
             else:
-                self._failed += 1
+                books.failed += 1
             if response.stats is not None:
                 self.stats.absorb(response.stats)
             self._idle.notify_all()
@@ -962,7 +976,7 @@ class QueryService:
             QueryResponse(ticket.request.request_id, error=error)
         )
         with self._lock:
-            self._shed += 1
+            self._books.shed += 1
 
     def _retry_after_hint(self) -> float:
         """Expected seconds until capacity frees up (a hint, not a vow).
@@ -972,10 +986,11 @@ class QueryService:
         effective width is the *narrower* of the service thread pool
         and the tier's worker count -- a 2-process tier behind 8
         service threads drains 2 requests at a time, not 8 -- and the
-        tier's own backlog beyond this service's in-flight requests
-        (other clients of a shared pool) counts as waiting work too.
-        The backlog counts each request once: hedge duplicates are not
-        in it.
+        tier's own backlog beyond the requests this service handed to
+        it (other clients of a shared pool) counts as waiting work too.
+        A request still planning in its submitting thread is in flight
+        but not on the tier.  The backlog counts each request once:
+        hedge duplicates are not in it.
         """
         mean = self._service_time.mean or _DEFAULT_SERVICE_TIME
         with self._lock:
@@ -985,7 +1000,7 @@ class QueryService:
             width = min(width, self.worker_pool.workers)
             backlog = self.worker_pool.backlog()
             with self._lock:
-                waiting += max(0, backlog - self._in_flight)
+                waiting += max(0, backlog - self._on_tier)
         return max(mean, waiting * mean / width)
 
     # ---------------------------------------------------------- inspection
@@ -1007,7 +1022,8 @@ class QueryService:
         return True
 
     def health(self) -> ServiceHealth:
-        """A point-in-time snapshot of queue, tiers, breakers and caches.
+        """The service's books (:class:`ServiceBooks`) with a
+        point-in-time reading of queue, tiers, breakers and caches.
 
         ``worker_tier`` reports the execution tier's liveness (its
         ``alive`` flag goes false when a broken process pool could not
@@ -1029,37 +1045,22 @@ class QueryService:
         )
         dead = self.current_dead_methods()
         with self._lock:
-            method_health = {
-                "dead_methods": list(dead),
-                "outages_observed": self._outages_observed,
-                "recoveries": self._recoveries,
-                "replans": self._replans,
-                "degraded_served": self._degraded_served,
-            }
             return ServiceHealth(
+                **vars(self._books),
                 running=self._running,
                 accepting=self._accepting,
                 workers=self.workers,
                 queue_depth=self._queue.depth(),
                 queue_capacity=self._queue.capacity,
                 in_flight=self._in_flight,
-                served=self._served,
-                completed=self._completed,
-                partial=self._partial,
-                failed=self._failed,
-                shed=self._shed,
-                rejected=self._rejected,
-                preempted=self._queue.preempted,
                 mean_service_time=self._service_time.mean,
                 breakers=self.breakers.states(),
+                dead_methods=list(dead),
                 cache=self.cache.as_dict() if self.cache is not None else None,
                 stats=self.stats.as_dict(),
                 worker_tier=worker_tier,
                 plan_cache=plan_cache,
-                planned=self._planned,
                 calibration=calibration,
-                rejected_inadmissible=self._rejected_inadmissible,
-                method_health=method_health,
             )
 
     def __repr__(self) -> str:

@@ -21,15 +21,15 @@ service's externally observable behaviour bit-identical:
   sources -- which is also what makes the tier ``spawn``-safe (the
   default start method here).
 
-* **What does NOT cross the boundary** -- the parent's
-  :class:`~repro.exec.cache.AccessCache`, circuit breakers and fault
-  wrapper attempt counters -- is per-process state in the workers.
-  That is still sound: caches and breakers are *monotone observations*
-  of a deterministic source (docs/theory.md, "Concurrent serving"), so
-  partitioning observations among processes can change efficiency,
-  never answers; the seeded fault schedule is keyed by
-  ``(seed, method, inputs)`` (not by call order), so a faulty access
-  fails the same way in any process.
+* **A tier request shares no cache and no breakers.**  On either
+  tier, ``ExecutionContext.from_payload`` gives each request no access
+  cache and a fresh ``BreakerRegistry``: a breaker its transient
+  faults open dies with it (a hard outage comes back as its error, and
+  the service force-opens its own breaker).  Sound: caches and
+  breakers are *monotone observations* of a deterministic source
+  (docs/theory.md, "Concurrent serving"), so observing less changes
+  efficiency, never answers; the fault schedule is keyed by ``(seed,
+  method, inputs)``, so a faulty access fails alike in any process.
 
 * **Crashes are typed, not hung.**  A killed worker breaks the whole
   ``ProcessPoolExecutor``; :class:`ProcessWorkerPool` maps that to a
@@ -37,11 +37,11 @@ service's externally observable behaviour bit-identical:
   recreates the pool, and counts the restart -- surfaced through
   ``QueryService.health()``.
 
-:class:`ThreadWorkerPool` keeps the old in-process behaviour behind the
-same interface (useful on small data, where serialization dominates,
-and as the degraded fallback when processes are unavailable).  Both
-tiers share one request path (:class:`WorkerPool`); a tier is only an
-executor, a submit and a reclaim rule.
+:class:`ThreadWorkerPool` runs the same payload in this process's
+threads over the live source: no spec, no processes, but the plan IR
+is still decoded (and rewritten) and the answer rows encoded per
+request.  Both tiers share one request path (:class:`WorkerPool`); a
+tier is only an executor, a submit and a reclaim rule.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from concurrent.futures import (
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as futures_wait
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -79,6 +80,7 @@ from repro.exec.batch import run_request
 from repro.exec.context import ExecutionContext
 from repro.faults.source import FaultInjectingSource
 from repro.logic.terms import Constant
+from repro.obs import Record
 from repro.plans.ir import (
     ir_to_plan,
     plan_to_ir,
@@ -336,6 +338,24 @@ class LatencyTracker:
 
 
 # ------------------------------------------------------------------- pools
+@dataclass
+class TierBooks(Record):
+    """What a :class:`WorkerPool` has done: its counters, one record."""
+
+    tasks: int = 0
+    crashes: int = 0
+    restarts: int = 0
+    #: Requests that outlived the watchdog bound, and the kills it made.
+    stalls: int = 0
+    watchdog_kills: int = 0
+    #: Duplicates issued, those that answered first, those their
+    #: primary outran, and running losers asked to stop.
+    hedges: int = 0
+    hedge_wins: int = 0
+    hedge_waste: int = 0
+    hedge_cancelled: int = 0
+
+
 class WorkerPool:
     """The execution tier ``QueryService`` dispatches through.
 
@@ -384,15 +404,7 @@ class WorkerPool:
         self._executor: Optional[Executor] = None
         self._started = False
         self._pending = 0
-        self.tasks = 0
-        self.crashes = 0
-        self.restarts = 0
-        self.stalls = 0
-        self.watchdog_kills = 0
-        self.hedges = 0
-        self.hedge_wins = 0
-        self.hedge_waste = 0
-        self.hedge_cancelled = 0
+        self._books = TierBooks()
 
     # ------------------------------------------------------- a tier's hooks
     def _new_executor(self) -> Executor:
@@ -445,9 +457,9 @@ class WorkerPool:
             if self._executor is executor:
                 self._executor = None
                 if self._started:
-                    self.restarts += 1
+                    self._books.restarts += 1
                     self._current_executor()
-            restarts = self.restarts
+            restarts = self._books.restarts
         executor.shutdown(wait=False, cancel_futures=True)
         return restarts
 
@@ -473,10 +485,10 @@ class WorkerPool:
             if not self._started:
                 raise WorkerCrashed(
                     f"{self.kind} worker pool is not running",
-                    restarts=self.restarts,
+                    restarts=self._books.restarts,
                 )
             executor = self._current_executor()
-            self.tasks += 1
+            self._books.tasks += 1
             self._pending += 1
         bounds = [b for b in (timeout, self.watchdog_seconds) if b is not None]
         future: Optional[Future] = None
@@ -489,7 +501,7 @@ class WorkerPool:
             raise self._timed_out(executor, future, timeout) from None
         except BrokenExecutor as broken:
             with self._lock:
-                self.crashes += 1
+                self._books.crashes += 1
             raise WorkerCrashed(
                 f"a worker died executing this request: {broken}",
                 restarts=self._replace(executor),
@@ -515,7 +527,7 @@ class WorkerPool:
         """The error of a copy whose executor was replaced under it."""
         return WorkerCrashed(
             f"the executor this request was sent to was replaced: {cause!r}",
-            restarts=self.restarts,
+            restarts=self._books.restarts,
         )
 
     def _wait_hedged(
@@ -530,9 +542,6 @@ class WorkerPool:
         Returns the winner's result dict; raises ``FutureTimeoutError``
         when no copy answered within ``bound`` (the duplicate is
         reclaimed first) and whatever the winner raised otherwise.
-        Counter protocol: ``hedges`` counts duplicates issued,
-        ``hedge_wins`` duplicates that answered first, ``hedge_waste``
-        duplicates outrun by their primary.
         """
         delay = self.hedge_delay
         if delay is None or (bound is not None and delay >= bound):
@@ -544,7 +553,7 @@ class WorkerPool:
             pass
         hedge = self._submit_copy(executor, payload)
         with self._lock:
-            self.hedges += 1
+            self._books.hedges += 1
         remaining = (
             None
             if bound is None
@@ -563,9 +572,9 @@ class WorkerPool:
         loser = hedge if winner is primary else primary
         with self._lock:
             if winner is hedge:
-                self.hedge_wins += 1
+                self._books.hedge_wins += 1
             else:
-                self.hedge_waste += 1
+                self._books.hedge_waste += 1
         self._cancel_loser(executor, loser)
         return winner.result()
 
@@ -579,7 +588,7 @@ class WorkerPool:
             return
         if self._reclaim(executor, future, False) is False:
             with self._lock:
-                self.hedge_cancelled += 1
+                self._books.hedge_cancelled += 1
 
     def _timed_out(
         self, executor: Executor, future: Future, timeout: Optional[float]
@@ -603,8 +612,8 @@ class WorkerPool:
                 f"worker did not answer within {timeout:.3f}s"
             )
         with self._lock:
-            self.stalls += 1
-            stalls = self.stalls
+            self._books.stalls += 1
+            stalls = self._books.stalls
         detail = (
             "all workers busy" if queued
             else "its worker was killed and replaced" if killed
@@ -618,24 +627,16 @@ class WorkerPool:
         )
 
     def health(self) -> Dict[str, Any]:
-        """A JSON-able liveness/counters snapshot of the tier."""
+        """The tier's gauges, then its books (:class:`TierBooks`)."""
         with self._lock:
             return {
                 "tier": self.kind,
                 "alive": self._started and self._executor is not None,
                 "workers": self.workers,
-                "tasks": self.tasks,
-                "crashes": self.crashes,
-                "restarts": self.restarts,
                 "pending": self._pending,
                 "watchdog_seconds": self.watchdog_seconds,
-                "stalls": self.stalls,
-                "watchdog_kills": self.watchdog_kills,
                 "hedge_delay": self.hedge_delay,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
-                "hedge_waste": self.hedge_waste,
-                "hedge_cancelled": self.hedge_cancelled,
+                **self._books.as_dict(),
             }
 
     def __enter__(self) -> "WorkerPool":
@@ -696,7 +697,7 @@ class ProcessWorkerPool(WorkerPool):
             return None
         processes = list((executor._processes or {}).values())
         with self._lock:
-            self.watchdog_kills += 1
+            self._books.watchdog_kills += 1
         self._replace(executor)
         for process in processes:
             try:
@@ -713,11 +714,11 @@ class ProcessWorkerPool(WorkerPool):
 class ThreadWorkerPool(WorkerPool):
     """The same payload protocol, executed in-process over a shared source.
 
-    The fallback tier: no serialization, no processes, no GIL escape.
-    Useful on small data (where shipping rows costs more than computing
-    them) and in environments where spawning processes is not allowed.
-    Answers are byte-identical to the process tier by construction --
-    both run :func:`execute_payload`.
+    The fallback tier: no processes, no source spec, no GIL escape,
+    but the same payload: :func:`execute_payload` decodes the plan IR
+    into a fresh plan (re-running its rewrite), encodes the answer rows
+    and runs with no access cache and breakers of its own.  Answers are
+    byte-identical to the process tier by construction.
 
     Python threads cannot be killed: a running copy's slot comes back
     when the copy stops at its next between-commands check, after its

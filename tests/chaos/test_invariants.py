@@ -4,6 +4,7 @@ from repro.chaos.invariants import verify_accounting, verify_response
 from repro.errors import DeadlineExceeded
 from repro.plans.expressions import NamedTable
 from repro.service.request import QueryResponse
+from repro.service.service import ServiceBooks
 
 ORACLE = frozenset({("a", "c1"), ("a", "c2")})
 
@@ -57,7 +58,7 @@ class TestVerifyResponse:
 
 
 class TestVerifyAccounting:
-    HEALTH = {"served": 5, "shed": 2}
+    HEALTH = ServiceBooks(completed=4, partial=1, shed=2)
 
     def test_balanced_books_are_clean(self):
         outcomes = {

@@ -110,7 +110,7 @@ class TestPermanentOutage:
         # ...the degraded regime was visibly flagged on responses...
         assert report.details["degraded_responses"] >= 1
         # ...and recovery emptied the dead set without a new search.
-        final = report.health["method_health"]
+        final = report.health
         assert final["dead_methods"] == []
         assert final["recoveries"] == 1
         assert final["replans"] == 1

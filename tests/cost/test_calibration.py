@@ -16,6 +16,7 @@ the planner:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,25 @@ observations = st.tuples(
     )
 )
 streams = st.lists(observations, min_size=0, max_size=25)
+
+#: A store written by the hand-written codec ``MethodCalibration`` had
+#: before it became a ``repro.obs.Record``, from :data:`BATCHES`.  The
+#: file pins the disk format: never regenerate it.
+GOLDEN = Path(__file__).parent / "golden" / "calibration_store.json"
+#: (rows, relation map) per ``observe_stats`` batch, then one ``observe``.
+BATCHES = (
+    ([("mt_b", 4, 40, 30), ("mt_a", 1, 9, 9)], {"mt_a": "R", "mt_b": "S"}),
+    ([("mt_a", 2, 6, 4), ("mt_c", 3, 0, 0)], {"mt_a": "R"}),
+    ([("mt_b", 1, 1, 1)], None),
+)
+
+
+def write_golden_observations(path):
+    store = CalibrationStore(path=path)
+    for rows, relations in BATCHES:
+        store.observe_stats(stats_from(rows), relations)
+    store.observe("mt_d", relation="T", dispatched=5, fetched=2, emitted=2)
+    return store
 
 
 class TestMethodCalibration:
@@ -271,3 +291,26 @@ class TestCrashMidAtomicWrite:
         assert store.counters()["persist_errors"] == 1
         # The in-memory estimates are intact despite the failed write.
         assert store.fan_out("mt_a") == pytest.approx(1.0)
+
+
+class TestDiskFormat:
+    """The store on disk keeps the format of the hand-written codec."""
+
+    def test_a_store_in_the_committed_format_loads(self, tmp_path):
+        path = tmp_path / "calib.json"
+        path.write_bytes(GOLDEN.read_bytes())
+        store = CalibrationStore(path=str(path))
+        assert store.counters()["quarantined"] == 0
+        # The identity feeds plan-cache keys: it must not move either.
+        assert store.identity() == {"version": 4, "digest": "f71784fc5ccb98af"}
+        assert store.method_calibration("mt_a") == MethodCalibration(
+            method="mt_a", relation="R", commands=2, dispatched=3,
+            fetched=15, emitted=13,
+            fanout_histogram={"<=2^4": 1, "<=2^1": 1},
+        )
+        assert store.observations == 6
+
+    def test_the_same_observations_write_the_same_bytes(self, tmp_path):
+        path = tmp_path / "calib.json"
+        write_golden_observations(str(path))
+        assert path.read_bytes() == GOLDEN.read_bytes()

@@ -68,8 +68,8 @@ class TestFailover:
             assert "complete" in response.describe()
             assert "failover" not in response.describe()
             health = assert_balanced(service, 1)
-            assert health.method_health["dead_methods"] == []
-            assert health.method_health["replans"] == 0
+            assert health.dead_methods == []
+            assert health.replans == 0
 
     def test_outage_fails_over_to_next_cheapest_plan(self):
         scenario = example5()
@@ -84,8 +84,8 @@ class TestFailover:
             # its re-submission completed.
             health = assert_balanced(service, 2)
             assert (health.completed, health.partial, health.failed) == (1, 0, 1)
-            assert health.method_health["dead_methods"] == ["mt_udirect1"]
-            assert health.method_health["replans"] == 1
+            assert health.dead_methods == ["mt_udirect1"]
+            assert health.replans == 1
 
     def test_submit_query_leaves_the_outage_to_the_next_request(self):
         scenario = example5()
@@ -109,8 +109,8 @@ class TestFailover:
             assert response.stats.retries > 0
             assert response.table.rows == reference_rows(scenario)
             health = assert_balanced(service, 1)
-            assert health.method_health["dead_methods"] == []
-            assert health.method_health["replans"] == 0
+            assert health.dead_methods == []
+            assert health.replans == 0
 
     def test_exhausted_retries_do_not_declare_the_method_dead(self):
         scenario = example5()
@@ -121,8 +121,8 @@ class TestFailover:
             assert isinstance(response.error, TransientAccessError)
             assert response.failovers == 0
             health = assert_balanced(service, 1)
-            assert health.method_health["dead_methods"] == []
-            assert health.method_health["replans"] == 0
+            assert health.dead_methods == []
+            assert health.replans == 0
 
     def test_dead_method_stays_dead_across_queries(self):
         scenario = example5()
@@ -136,8 +136,8 @@ class TestFailover:
             assert second.failovers == 0
             assert second.table.rows == first.table.rows
             health = assert_balanced(service, 3)
-            assert health.method_health["dead_methods"] == ["mt_udirect1"]
-            assert health.method_health["replans"] == 1
+            assert health.dead_methods == ["mt_udirect1"]
+            assert health.replans == 1
             assert health.failed == 1
 
     def test_cascading_outages_keep_failing_over(self):
@@ -151,7 +151,7 @@ class TestFailover:
             assert response.failovers == 2
             assert response.table.rows == reference_rows(scenario)
             health = assert_balanced(service, 3)
-            assert set(health.method_health["dead_methods"]) == {
+            assert set(health.dead_methods) == {
                 "mt_udirect1",
                 "mt_udirect2",
             }

@@ -65,7 +65,9 @@ class TestOverflow:
             queue.offer(ticket(), retry_after=1.5)
         assert info.value.queue_depth == 2
         assert info.value.retry_after == pytest.approx(1.5)
-        assert queue.rejected == 1
+        # Refused at the door, not shed: the queue keeps no books, the
+        # error is the whole record of the refusal.
+        assert info.value.shed is False
         assert queue.depth() == 2
 
     def test_high_priority_preempts_newest_lower(self):
@@ -73,10 +75,11 @@ class TestOverflow:
         queue.offer(ticket(PRIORITY_BEST_EFFORT, "be1"))
         queue.offer(ticket(PRIORITY_BEST_EFFORT, "be2"))
         evicted = queue.offer(ticket(PRIORITY_HIGH, "h"))
-        assert evicted is not None
-        # The *newest* queued best-effort request was evicted.
+        # The *newest* queued best-effort request was evicted and handed
+        # back, unresolved, for the caller to resolve shed and count.
+        assert isinstance(evicted, Ticket)
         assert evicted.request.request_id == "be2"
-        assert queue.preempted == 1
+        assert not evicted.done()
         assert [queue.take(0).request.request_id for _ in range(2)] == [
             "h", "be1",
         ]

@@ -101,10 +101,10 @@ class TestDegradedPlanning:
                 assert response.degraded is True
                 service.wait_idle(timeout=10.0)
             health = service.health()
-            assert health.method_health["dead_methods"] == ["primary_R"]
+            assert health.dead_methods == ["primary_R"]
             # One transition, one search against the degraded schema --
             # requests two and three hit the degraded cache entry.
-            assert health.method_health["replans"] == 1
+            assert health.replans == 1
 
     def test_recovery_closes_the_loop_without_a_new_search(self):
         source, service = outage_service(redundant_schema(), "primary_R")
@@ -121,8 +121,8 @@ class TestDegradedPlanning:
             assert response.degraded is False
             service.wait_idle(timeout=10.0)
             health = service.health()
-            assert health.method_health["dead_methods"] == []
-            assert health.method_health["recoveries"] == 1
+            assert health.dead_methods == []
+            assert health.recoveries == 1
             # The healthy-schema plan was still cached under its own
             # key: recovery costs zero additional searches.
             assert health.planned == planned_before
@@ -145,7 +145,7 @@ class TestDegradedPlanning:
             assert response.degraded is True
             assert frozenset(response.table.rows) <= oracle
             health = service.health()
-            assert health.method_health["degraded_served"] >= 1
+            assert health.degraded_served >= 1
             assert health.served == health.completed + health.partial + health.failed
 
     def test_plan_for_raises_typed_no_viable_plan(self):
@@ -287,8 +287,17 @@ class TestRetryAfterHint:
 
     def test_tier_backlog_beyond_in_flight_counts_as_waiting(self):
         # Another client of a shared pool (never a hedge duplicate) shows up
-        # as tier backlog without any in-flight request of ours.
+        # as tier backlog beyond the one request we handed to the tier.
+        service = self._service(_StubTier(backlog=3))
+        service._in_flight = service._on_tier = 1
+        # waiting = queue(0) + in_flight(1) + max(0, 3 - on_tier(1)) = 3
+        assert service._retry_after_hint() == pytest.approx(3.0)
+
+    def test_a_request_still_planning_is_not_on_the_tier(self):
+        # Our one request is planning in its submitting thread: in
+        # flight, but not part of the tier's backlog of 3, all of which
+        # is other clients' work.
         service = self._service(_StubTier(backlog=3))
         service._in_flight = 1
-        # waiting = queue(0) + in_flight(1) + max(0, 3 - 1) = 3
-        assert service._retry_after_hint() == pytest.approx(3.0)
+        # waiting = queue(0) + in_flight(1) + max(0, 3 - on_tier(0)) = 4
+        assert service._retry_after_hint() == pytest.approx(4.0)

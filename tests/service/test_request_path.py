@@ -181,13 +181,13 @@ def test_an_outage_opens_the_services_breaker_on_every_tier(tier):
             instance.evaluate(query)
         )
         health = assert_books(service, 2)
-        assert health.method_health["dead_methods"] == ["primary_R"]
-        assert health.method_health["outages_observed"] == 1
-        assert health.method_health["replans"] == 1
+        assert health.dead_methods == ["primary_R"]
+        assert health.outages_observed == 1
+        assert health.replans == 1
         assert service.mark_method_recovered("primary_R") is True
         assert service.mark_method_recovered("primary_R") is False
         assert service.current_dead_methods() == ()
-        assert service.health().method_health["recoveries"] == 1
+        assert service.health().recoveries == 1
 
 
 def test_racing_query_clients_and_a_drain_keep_the_books_exact():

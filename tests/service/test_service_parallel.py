@@ -14,8 +14,10 @@ import pytest
 
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.errors import WorkerCrashed
+from repro.errors import SourceUnavailable, WorkerCrashed
+from repro.exec import AccessCache, RetryPolicy
 from repro.exec.budget import ResourceBudget
+from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.queries import parse_cq
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.schema.core import SchemaBuilder
@@ -121,6 +123,44 @@ class TestTierEquivalence:
             == response.stats.accesses_dispatched
             > 0
         )
+
+
+class TestWhatATierRequestDoesNotShare:
+    """A tier request runs with no access cache and breakers of its own."""
+
+    def test_the_service_cache_is_never_consulted(self, parts):
+        schema, instance, plan = parts
+        source = InMemorySource(schema, instance)
+        cache = AccessCache()
+        pool = ThreadWorkerPool(source, workers=1)
+        with QueryService(
+            source, workers=1, cache=cache, worker_pool=pool
+        ) as service:
+            responses = [service.serve(plan, timeout=60) for _ in range(3)]
+        assert all(response.complete for response in responses)
+        assert responses[-1].stats.accesses_dispatched > 0
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_a_breaker_opened_in_the_tier_stays_there(self, parts):
+        schema, instance, plan = parts
+        # Every key fails its first 10 attempts; three are allowed, and
+        # the third failure opens the method's breaker.
+        source = FaultInjectingSource(
+            InMemorySource(schema, instance),
+            FaultPolicy(unavailable_rate=1.0, burst=10),
+        )
+        pool = ThreadWorkerPool(source, workers=1)
+        with QueryService(
+            source,
+            workers=1,
+            retry=RetryPolicy(max_attempts=3),
+            worker_pool=pool,
+        ) as service:
+            response = service.serve(plan, timeout=60)
+            health = service.health()
+        assert isinstance(response.error, SourceUnavailable)
+        assert response.stats.breaker_trips == 1
+        assert health.breakers == {}
 
 
 class TestHealthReporting:

@@ -1,4 +1,4 @@
-"""One stats record: every ``*Stats`` class is a ``repro.obs.Record``.
+"""One stats record: every counter class is a ``repro.obs.Record``.
 
 Parametrised over every subclass of :class:`~repro.obs.Record` in the
 package, with instances drawn from each class's own field types:
@@ -28,9 +28,11 @@ import repro.obs
 from repro.exec.stats import ExecStats
 from repro.obs import Record
 
-SEVEN = {
+#: The seven stats classes, then the serving layer's books.
+RECORD_CLASSES = {
     "HomStats", "ChaseStats", "DominationStats", "SearchStats",
     "CommandStats", "ExecStats", "FaultStats",
+    "ServiceBooks", "ServiceHealth", "TierBooks", "MethodCalibration",
 }
 
 
@@ -52,14 +54,16 @@ def values(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if is_record(hint):
         return records(hint)
+    if hint is bool:
+        return st.booleans()
     if hint is int:
         return st.integers(0, 10**6)
     if hint is float:
         return st.floats(0, 1e6, allow_nan=False)
     if hint is str:
         return st.text(max_size=4)
-    if origin is typing.Union:  # Optional[str]
-        return st.none() | st.text(min_size=1, max_size=4)
+    if origin is typing.Union:  # Optional[X]
+        return st.none() | values(args[0])
     if origin is list:
         return st.lists(values(args[0]), max_size=3)
     if origin is dict:
@@ -137,8 +141,8 @@ def without_derived(cls, data):
     }
 
 
-def test_the_seven_stats_classes_are_records():
-    assert {cls.__name__ for cls in RECORDS} == SEVEN
+def test_the_record_classes_are_named():
+    assert {cls.__name__ for cls in RECORDS} == RECORD_CLASSES
     for cls in RECORDS:
         for name in ("absorb", "as_dict"):
             assert name not in vars(cls), (cls.__name__, name)
