@@ -35,15 +35,18 @@ STRATEGIES = ("naive", "semi-naive")
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("length", [1, 2, 4, 6, 8])
-def test_accessible_schema_saturation(benchmark, length, strategy):
+def test_accessible_schema_saturation(
+    benchmark, monkeypatch, length, strategy
+):
     scenario = referential_chain(length)
-    acc = AccessibleSchema(scenario.schema, Variant.FORWARD)
+    # The search chases under the schema's own policy; the strategy is
+    # set on this schema instance alone.
     policy = ChasePolicy(strategy=strategy)
+    monkeypatch.setattr(scenario.schema, "chase_policy", lambda: policy)
+    acc = AccessibleSchema(scenario.schema, Variant.FORWARD)
 
     def saturate_initial():
-        return initial_configuration(
-            acc, scenario.query, NullFactory("b"), policy
-        )
+        return initial_configuration(acc, scenario.query, NullFactory("b"))
 
     config, _ = benchmark(saturate_initial)
     record(

@@ -37,7 +37,6 @@ from repro.exec import (
 )
 from repro.faults import FaultInjectingSource, FaultPolicy, VirtualClock
 from repro.logic.queries import parse_cq
-from repro.planner.answerability import default_policy_for
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.plans.tools import to_sql
 from repro.scenarios import (
@@ -345,10 +344,7 @@ def _demo(args) -> int:
     scenario = SCENARIOS[args.scenario]()
     print(scenario.schema.describe())
     print(f"\nquery: {scenario.query}\n")
-    options = SearchOptions(
-        max_accesses=args.max_accesses,
-        chase_policy=default_policy_for(scenario.schema),
-    )
+    options = SearchOptions(max_accesses=args.max_accesses)
     result = find_best_plan(scenario.schema, scenario.query, options)
     _print_chase_stats(args, result)
     _print_search_stats(args, result)
@@ -479,11 +475,7 @@ def _demo_calibrated(args, scenario, instance, exec_stats) -> None:
     calibrated = find_best_plan(
         scenario.schema,
         scenario.query,
-        SearchOptions(
-            max_accesses=args.max_accesses,
-            cost=cost,
-            chase_policy=default_policy_for(scenario.schema),
-        ),
+        SearchOptions(max_accesses=args.max_accesses, cost=cost),
     )
     print(f"\ncalibration [{store.summary()}]")
     if not calibrated.found:
@@ -514,10 +506,7 @@ def _serve_demo(args) -> int:
     if args.chaos_scenario is not None:
         return _chaos_scenario(args)
     scenario = SCENARIOS[args.scenario]()
-    search_options = SearchOptions(
-        max_accesses=args.max_accesses,
-        chase_policy=default_policy_for(scenario.schema),
-    )
+    search_options = SearchOptions(max_accesses=args.max_accesses)
     use_plan_cache = args.plan_cache or args.plan_cache_dir is not None
     plan_cache = (
         PlanCache(directory=args.plan_cache_dir) if use_plan_cache else None
@@ -671,12 +660,7 @@ def _plan(args, check_only: bool) -> int:
         schema = schema_from_dict(json.load(handle))
     query = parse_cq(args.query)
     result = find_best_plan(
-        schema,
-        query,
-        SearchOptions(
-            max_accesses=args.max_accesses,
-            chase_policy=default_policy_for(schema),
-        ),
+        schema, query, SearchOptions(max_accesses=args.max_accesses)
     )
     _print_chase_stats(args, result)
     _print_search_stats(args, result)

@@ -15,28 +15,30 @@ sets have a polynomially-bounded chase, so the planner can saturate
 without blocking or budgets.
 
 ``analyze_constraints`` bundles this with the guardedness / inclusion-
-dependency classification used by the paper (§5), and
-``repro.planner.answerability.default_policy_for`` consults it.
+dependency classification used by the paper (§5);
+:meth:`repro.schema.core.Schema.chase_policy` reads the same two
+properties to pick the chase policy every search of the schema runs.
+The strongly connected components come from an iterative Tarjan walk
+over the edge map, so the package needs nothing outside the standard
+library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Sequence, Tuple
 
 from repro.logic.dependencies import TGD
 from repro.logic.terms import Variable
 
 Position = Tuple[str, int]
+Edges = Dict[Tuple[Position, Position], bool]
 
 
-def position_dependency_graph(
-    constraints: Sequence[TGD],
-) -> "nx.DiGraph":
-    """The FKMP position graph; edges carry ``special`` booleans."""
-    graph = nx.DiGraph()
+def position_dependency_graph(constraints: Sequence[TGD]) -> Edges:
+    """The FKMP position graph as ``{(source, target): special}``; an
+    edge that is both normal and special is special."""
+    edges: Edges = {}
     for tgd in constraints:
         body_positions: List[Tuple[Variable, Position]] = []
         for atom in tgd.body:
@@ -59,37 +61,64 @@ def position_dependency_graph(
                 continue
             for head_variable, target in head_var_positions:
                 if head_variable == variable:
-                    _add_edge(graph, source, target, special=False)
+                    edges.setdefault((source, target), False)
             for target in head_exist_positions:
-                _add_edge(graph, source, target, special=True)
-    return graph
+                edges[source, target] = True
+    return edges
 
 
-def _add_edge(
-    graph: "nx.DiGraph", source: Position, target: Position, special: bool
-) -> None:
-    if graph.has_edge(source, target):
-        if special:
-            graph[source][target]["special"] = True
-    else:
-        graph.add_edge(source, target, special=special)
+def _component_roots(edges: Edges) -> Dict[Position, Position]:
+    """Each node of the edge map mapped to the root of its strongly
+    connected component (Tarjan's algorithm with an explicit stack)."""
+    successors: Dict[Position, List[Position]] = {}
+    for source, target in edges:
+        successors.setdefault(source, []).append(target)
+        successors.setdefault(target, [])
+    index: Dict[Position, int] = {}
+    low: Dict[Position, int] = {}
+    component: Dict[Position, Position] = {}
+    open_nodes: List[Position] = []
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        open_nodes.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    open_nodes.append(child)
+                    work.append((child, iter(successors[child])))
+                    break
+                if child not in component:
+                    # Visited and not yet assigned: still on the stack.
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        member = open_nodes.pop()
+                        component[member] = node
+                        if member == node:
+                            break
+    return component
 
 
 def is_weakly_acyclic(constraints: Sequence[TGD]) -> bool:
-    """True when no cycle of the position graph uses a special edge."""
-    graph = position_dependency_graph(constraints)
-    for component in nx.strongly_connected_components(graph):
-        if len(component) == 1:
-            node = next(iter(component))
-            if not graph.has_edge(node, node):
-                continue
-        subgraph = graph.subgraph(component)
-        if any(
-            data.get("special", False)
-            for _u, _v, data in subgraph.edges(data=True)
-        ):
-            return False
-    return True
+    """True when no cycle of the position graph uses a special edge:
+    no special edge joins two positions of one component."""
+    edges = position_dependency_graph(constraints)
+    component = _component_roots(edges)
+    return not any(
+        component[source] == component[target]
+        for (source, target), special in edges.items()
+        if special
+    )
 
 
 @dataclass(frozen=True)

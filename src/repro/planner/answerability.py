@@ -3,7 +3,8 @@
 Theorem 1 reduces existence of a (U)SPJ plan to entailment of
 ``InferredAccQ`` from ``Q`` over ``AcSch(S0)``; for TGD constraints the
 chase is the proof system.  For Guarded TGDs the question is decidable
-(2EXPTIME-complete, Section 3), and the guarded-bag blocking policy makes
+(2EXPTIME-complete, Section 3), and the guarded-bag blocking the schema
+chooses for them (:meth:`~repro.schema.core.Schema.chase_policy`) makes
 the chase search terminate; for arbitrary TGDs this is a sound
 semi-decision procedure bounded by the access budget.
 """
@@ -11,10 +12,7 @@ semi-decision procedure bounded by the access budget.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
-from repro.chase.blocking import BlockingPolicy
-from repro.chase.engine import ChasePolicy
 from repro.logic.queries import ConjunctiveQuery
 from repro.planner.search import (
     SearchOptions,
@@ -34,57 +32,29 @@ class Answerability(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def default_policy_for(schema: Schema) -> ChasePolicy:
-    """A chase policy fitting the schema's constraint class.
-
-    * weakly acyclic constraints: the chase provably terminates (and the
-      accessible schema preserves weak acyclicity -- its extra axioms are
-      full TGDs over fresh relation copies), so no safety valve is
-      needed beyond a generous firing budget;
-    * guarded constraint sets: guarded-bag blocking (safe termination);
-    * anything else: a conservative depth bound so saturation returns.
-    """
-    from repro.logic.analysis import analyze_constraints
-
-    analysis = analyze_constraints(schema.constraints)
-    if analysis.weakly_acyclic:
-        return ChasePolicy(max_firings=200_000)
-    if analysis.guarded:
-        return ChasePolicy(blocking=BlockingPolicy(enabled=True))
-    return ChasePolicy(max_depth=8, max_firings=20_000)
-
-
 def is_answerable(
     schema: Schema,
     query: ConjunctiveQuery,
     max_accesses: int = 6,
-    chase_policy: Optional[ChasePolicy] = None,
 ) -> bool:
     """True when some complete SPJ plan with at most ``max_accesses``
     access commands answers the query."""
-    return answerability_witness(
-        schema, query, max_accesses, chase_policy
-    ).found
+    return answerability_witness(schema, query, max_accesses).found
 
 
 def answerability_witness(
     schema: Schema,
     query: ConjunctiveQuery,
     max_accesses: int = 6,
-    chase_policy: Optional[ChasePolicy] = None,
 ) -> SearchResult:
     """The full search result (witnessing plan and proof when they exist)."""
-    policy = chase_policy or default_policy_for(schema)
-    return find_any_plan(
-        schema, query, max_accesses=max_accesses, chase_policy=policy
-    )
+    return find_any_plan(schema, query, max_accesses=max_accesses)
 
 
 def decide_answerability(
     schema: Schema,
     query: ConjunctiveQuery,
     max_accesses: int = 6,
-    chase_policy: Optional[ChasePolicy] = None,
 ) -> Answerability:
     """Three-valued decision with certified negatives.
 
@@ -100,14 +70,12 @@ def decide_answerability(
         blocking or a firing budget), so absence of a proof is not a
         proof of absence.
     """
-    policy = chase_policy or default_policy_for(schema)
     result = find_best_plan(
         schema,
         query,
         SearchOptions(
             max_accesses=max_accesses,
             cost=CountingCostFunction(),
-            chase_policy=policy,
             # Full exploration (no early stop) so exhaustion is meaningful;
             # cost/domination pruning never hide proofs' existence.
             stop_on_first=False,

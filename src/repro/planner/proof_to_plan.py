@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
-from repro.chase.engine import ChasePolicy, ChaseResult, saturate
+from repro.chase.engine import ChaseResult, saturate
 from repro.chase.stats import ChaseStats
 from repro.logic.atoms import Atom, Substitution, apply_to_atoms
 from repro.logic.homomorphisms import find_homomorphism
@@ -97,10 +97,10 @@ def initial_configuration(
     acc_schema: AccessibleSchema,
     query: ConjunctiveQuery,
     nulls: NullFactory,
-    policy: Optional[ChasePolicy] = None,
     stats: Optional[ChaseStats] = None,
 ) -> Tuple[ChaseConfiguration, Dict[Variable, Null]]:
-    """Canonical database + schema-constant seeds, free rules saturated."""
+    """Canonical database + schema-constant seeds, free rules saturated
+    under the schema's chase policy."""
     facts, frozen = query.canonical_database()
     config = ChaseConfiguration(facts)
     for fact in acc_schema.initial_accessible_facts():
@@ -109,7 +109,7 @@ def initial_configuration(
         config,
         acc_schema.free_rules,
         nulls,
-        policy,
+        acc_schema.schema.chase_policy(),
     )
     absorb_saturation(stats, result)
     return config, frozen
@@ -123,7 +123,7 @@ class Exposed(NamedTuple):
     # Configuration generation before the first ``Accessed_`` fact went
     # in: the delta the saturation has to join through starts here.
     since_generation: int
-    # Exposure-rule heads withheld by ``ChasePolicy.max_depth``.
+    # Exposure-rule heads withheld by the chase policy's ``max_depth``.
     depth_truncated: int
 
 
@@ -166,13 +166,13 @@ def write_exposure(
     facts: Tuple[Atom, ...],
     method: AccessMethod,
     acc_schema: AccessibleSchema,
-    policy: Optional[ChasePolicy] = None,
 ) -> Exposed:
     """The writing half: what :func:`read_exposure` returned, in place.
 
     Adds ``Accessed_R(t)`` for every exposed fact, then the heads of
     the schema's exposure rules (``def[R]``, ``acc2inf[R]``, ``rev[R]``)
-    for those facts.  The configuration still has to be saturated under
+    for those facts, withholding those past the schema chase policy's
+    ``max_depth``.  The configuration still has to be saturated under
     ``acc_schema.saturation_rules`` (:func:`saturate_exposed`).
     """
     pre_generation = config.generation
@@ -192,7 +192,7 @@ def write_exposure(
         accessed_facts.append(accessed)
     # Rule by rule over all the new facts: the order (and provenance) in
     # which a chase round over the free rules would have added the heads.
-    max_depth = policy.max_depth if policy else None
+    max_depth = acc_schema.schema.chase_policy().max_depth
     depth_truncated = 0
     for rule in acc_schema.exposure_rules(relation):
         tgd = rule.tgd
@@ -216,12 +216,11 @@ def expose_access(
     fact: Atom,
     method: AccessMethod,
     acc_schema: AccessibleSchema,
-    policy: Optional[ChasePolicy] = None,
 ) -> Exposed:
     """The costed half of an accessibility-axiom firing, in place:
     :func:`read_exposure` followed by :func:`write_exposure`."""
     state, facts = read_exposure(config, state, fact, method)
-    return write_exposure(config, state, facts, method, acc_schema, policy)
+    return write_exposure(config, state, facts, method, acc_schema)
 
 
 def saturate_exposed(
@@ -229,7 +228,6 @@ def saturate_exposed(
     exposed: Exposed,
     acc_schema: AccessibleSchema,
     nulls: NullFactory,
-    policy: Optional[ChasePolicy] = None,
     stats: Optional[ChaseStats] = None,
 ) -> ChaseResult:
     """The cost-free half: saturate what :func:`expose_access` left.
@@ -243,7 +241,7 @@ def saturate_exposed(
         config,
         acc_schema.saturation_rules,
         nulls,
-        policy,
+        acc_schema.schema.chase_policy(),
         since_generation=exposed.since_generation,
     )
     result.depth_truncated += exposed.depth_truncated
@@ -258,7 +256,6 @@ def fire_access(
     method: AccessMethod,
     acc_schema: AccessibleSchema,
     nulls: NullFactory,
-    policy: Optional[ChasePolicy] = None,
     stats: Optional[ChaseStats] = None,
 ) -> Tuple[PlanState, Tuple[Atom, ...]]:
     """Fire one accessibility axiom in place; returns (state, exposed).
@@ -268,8 +265,8 @@ def fire_access(
     the chosen fact and the facts induced by the same access, then
     saturates the cost-free rules.
     """
-    exposed = expose_access(config, state, fact, method, acc_schema, policy)
-    saturate_exposed(config, exposed, acc_schema, nulls, policy, stats)
+    exposed = expose_access(config, state, fact, method, acc_schema)
+    saturate_exposed(config, exposed, acc_schema, nulls, stats)
     return exposed.state, exposed.facts
 
 
@@ -344,7 +341,6 @@ def success_match(
 def replay_proof(
     acc_schema: AccessibleSchema,
     proof: ChaseProof,
-    policy: Optional[ChasePolicy] = None,
     name: str = "proof-plan",
 ) -> ReplayResult:
     """Replay a proof's exposures and produce the corresponding plan.
@@ -355,13 +351,13 @@ def replay_proof(
     """
     query = proof.query
     nulls = NullFactory("r")
-    config, frozen = initial_configuration(acc_schema, query, nulls, policy)
+    config, frozen = initial_configuration(acc_schema, query, nulls)
     state = PlanState()
     schema = acc_schema.schema
     for exposure in proof.exposures:
         method = schema.method(exposure.method)
         state, _ = fire_access(
-            config, state, exposure.fact, method, acc_schema, nulls, policy
+            config, state, exposure.fact, method, acc_schema, nulls
         )
     match = success_match(config, query, frozen)
     if match is None:
@@ -383,8 +379,7 @@ def replay_proof(
 def plan_from_proof(
     acc_schema: AccessibleSchema,
     proof: ChaseProof,
-    policy: Optional[ChasePolicy] = None,
     name: str = "proof-plan",
 ) -> Plan:
     """The SPJ plan generated from a chase proof (Theorem 5)."""
-    return replay_proof(acc_schema, proof, policy, name).plan
+    return replay_proof(acc_schema, proof, name).plan

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
-from repro.chase.engine import ChasePolicy, saturate
+from repro.chase.engine import saturate
 from repro.fo.executable import executable_to_plan
 from repro.fo.formulas import (
     And,
@@ -140,7 +140,6 @@ def find_bidirectional_proof(
     query,
     max_steps: int = 6,
     variant: Variant = Variant.BIDIRECTIONAL,
-    chase_policy: Optional[ChasePolicy] = None,
 ) -> Optional[Tuple[BackwardStep, ...]]:
     """Bounded DFS for a chase proof over AcSch<-> (or AcSch-neg).
 
@@ -150,10 +149,8 @@ def find_bidirectional_proof(
     """
     acc = AccessibleSchema(schema, variant)
     nulls = NullFactory("b")
-    config, frozen = initial_configuration(acc, query, nulls, chase_policy)
-    return _dfs(
-        acc, query, frozen, config, (), max_steps, nulls, chase_policy
-    )
+    config, frozen = initial_configuration(acc, query, nulls)
+    return _dfs(acc, query, frozen, config, (), max_steps, nulls)
 
 
 def _dfs(
@@ -164,7 +161,6 @@ def _dfs(
     steps: Tuple[BackwardStep, ...],
     budget: int,
     nulls: NullFactory,
-    policy: Optional[ChasePolicy],
 ) -> Optional[Tuple[BackwardStep, ...]]:
     if success_match(config, query, frozen) is not None:
         return steps
@@ -172,10 +168,9 @@ def _dfs(
         return None
     for step in _candidate_steps(acc, config):
         child = config.copy()
-        _apply_step(acc, child, step, nulls, policy)
+        _apply_step(acc, child, step, nulls)
         found = _dfs(
-            acc, query, frozen, child, steps + (step,),
-            budget - 1, nulls, policy,
+            acc, query, frozen, child, steps + (step,), budget - 1, nulls
         )
         if found is not None:
             return found
@@ -231,7 +226,6 @@ def _apply_step(
     config: ChaseConfiguration,
     step: BackwardStep,
     nulls: NullFactory,
-    policy: Optional[ChasePolicy],
 ) -> None:
     accessed = step.fact.rename_relation(accessed_name(step.fact.relation))
     provenance = Provenance(
@@ -250,6 +244,6 @@ def _apply_step(
         config,
         acc.free_rules,
         nulls,
-        policy,
+        acc.schema.chase_policy(),
         since_generation=pre_generation,
     )

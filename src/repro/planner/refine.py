@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.chase.engine import ChasePolicy
 from repro.cost.functions import CostFunction
 from repro.logic.queries import ConjunctiveQuery
 from repro.planner.plan_state import PlanningError
@@ -35,11 +34,10 @@ from repro.schema.core import Schema
 def proof_is_valid(
     acc: AccessibleSchema,
     proof: ChaseProof,
-    policy: Optional[ChasePolicy] = None,
 ) -> bool:
     """Whether the exposure sequence replays into a successful proof."""
     try:
-        replay_proof(acc, proof, policy)
+        replay_proof(acc, proof)
         return True
     except PlanningError:
         return False
@@ -48,7 +46,6 @@ def proof_is_valid(
 def minimize_proof(
     acc: AccessibleSchema,
     proof: ChaseProof,
-    policy: Optional[ChasePolicy] = None,
 ) -> ChaseProof:
     """Greedily remove exposures while the proof stays successful.
 
@@ -65,7 +62,7 @@ def minimize_proof(
                 proof.query,
                 tuple(exposures[:index] + exposures[index + 1:]),
             )
-            if proof_is_valid(acc, candidate, policy):
+            if proof_is_valid(acc, candidate):
                 del exposures[index]
                 changed = True
     return ChaseProof(proof.query, tuple(exposures))
@@ -76,7 +73,6 @@ def find_best_plan_iterative(
     query: ConjunctiveQuery,
     max_accesses: int = 6,
     cost: Optional[CostFunction] = None,
-    chase_policy: Optional[ChasePolicy] = None,
 ) -> Tuple[SearchResult, int]:
     """Iterative deepening on the access budget.
 
@@ -90,11 +86,7 @@ def find_best_plan_iterative(
         result = find_best_plan(
             schema,
             query,
-            SearchOptions(
-                max_accesses=depth,
-                cost=cost,
-                chase_policy=chase_policy,
-            ),
+            SearchOptions(max_accesses=depth, cost=cost),
         )
         if result.found:
             return result, depth

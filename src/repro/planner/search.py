@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chase.configuration import ChaseConfiguration
-from repro.chase.engine import ChasePolicy
 from repro.chase.stats import ChaseStats
 from repro.cost.functions import (
     CostFunction,
@@ -106,7 +105,8 @@ class SearchOptions:
     """What Algorithm 1 searches: the access budget, the cost function,
     which prunings run and in which order a node's candidates are tried.
     Every field changes the tree explored or when the search stops; none
-    selects an implementation."""
+    selects an implementation.  The chase policy is not an option: it is
+    the schema's (:meth:`~repro.schema.core.Schema.chase_policy`)."""
 
     max_accesses: int = 6
     cost: Optional[CostFunction] = None
@@ -121,7 +121,6 @@ class SearchOptions:
     # derivation depth (paper default), "method" prefers the cheapest
     # method first (the fixed method priority of Example 5 / Figure 1).
     candidate_order: str = "depth"
-    chase_policy: Optional[ChasePolicy] = None
     stop_on_first: bool = False
     collect_tree: bool = False
 
@@ -336,14 +335,12 @@ def find_any_plan(
     schema: Schema,
     query: ConjunctiveQuery,
     max_accesses: int = 6,
-    chase_policy: Optional[ChasePolicy] = None,
 ) -> SearchResult:
     """First-proof search: stop at the first complete plan found."""
     options = SearchOptions(
         max_accesses=max_accesses,
         cost=CountingCostFunction(),
         stop_on_first=True,
-        chase_policy=chase_policy,
     )
     return find_best_plan(schema, query, options)
 
@@ -399,11 +396,7 @@ class _Searcher:
     # ------------------------------------------------------------- setup
     def _make_root(self) -> SearchNode:
         config, frozen = initial_configuration(
-            self.acc,
-            self.query,
-            self.nulls,
-            self.options.chase_policy,
-            self.stats.chase,
+            self.acc, self.query, self.nulls, self.stats.chase
         )
         self.head_nulls = frozen
         self._success_atoms, self._success_seed = success_pattern(
@@ -496,9 +489,7 @@ class _Searcher:
         config = child.config = node.config.copy()
         self.stats.time_copy += time.perf_counter() - tick
         self.stats.configs_copied += 1
-        exposed = write_exposure(
-            config, state, facts, method, self.acc, self.options.chase_policy
-        )
+        exposed = write_exposure(config, state, facts, method, self.acc)
         chased = False
         if self.options.domination:
             # A homomorphism of the exposed child's relevant facts into
@@ -530,12 +521,7 @@ class _Searcher:
     def _saturate(self, config: ChaseConfiguration, exposed: Exposed) -> None:
         """Chase an exposed child's configuration under the free rules."""
         saturate_exposed(
-            config,
-            exposed,
-            self.acc,
-            self.nulls,
-            self.options.chase_policy,
-            self.stats.chase,
+            config, exposed, self.acc, self.nulls, self.stats.chase
         )
 
     def _finalize_node(

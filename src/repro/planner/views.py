@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chase.engine import ChasePolicy
 from repro.logic.atoms import Atom
 from repro.logic.dependencies import TGD
 from repro.logic.queries import ConjunctiveQuery
@@ -117,7 +116,6 @@ def rewrite_over_views(
     schema: Schema,
     query: ConjunctiveQuery,
     max_accesses: int = 8,
-    chase_policy: Optional[ChasePolicy] = None,
 ) -> ViewRewritingResult:
     """Decide CQ rewritability over the views of a view schema.
 
@@ -131,7 +129,6 @@ def rewrite_over_views(
         max_accesses=max_accesses,
         cost=CountingCostFunction(),
         stop_on_first=True,
-        chase_policy=chase_policy or ChasePolicy(max_firings=50_000),
     )
     search = find_best_plan(schema, query, options)
     if not search.found:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -29,6 +30,9 @@ from repro.logic.atoms import Atom
 from repro.logic.dependencies import TGD
 from repro.logic.queries import ConjunctiveQuery
 from repro.logic.terms import Constant, Variable
+
+if TYPE_CHECKING:
+    from repro.chase.engine import ChasePolicy
 
 
 class SchemaError(ValueError):
@@ -109,6 +113,7 @@ class Schema:
         name: str = "S",
     ) -> None:
         self._fingerprint: Optional[str] = None
+        self._chase_policy: Optional[ChasePolicy] = None
         self.name = name
         self._relations: Dict[str, Relation] = {}
         for relation in relations:
@@ -127,10 +132,13 @@ class Schema:
 
     def __setattr__(self, attribute: str, value: object) -> None:
         # What fingerprint() memoises is a digest of these three and the
-        # declarations: assigning one drops the memo.
+        # declarations, and chase_policy() reads the constraints:
+        # assigning one drops the memo.
         object.__setattr__(self, attribute, value)
         if attribute in ("name", "constants", "constraints"):
             object.__setattr__(self, "_fingerprint", None)
+        if attribute == "constraints":
+            object.__setattr__(self, "_chase_policy", None)
 
     def _add_method(self, method: AccessMethod) -> None:
         relation = self._relations.get(method.relation)
@@ -257,6 +265,37 @@ class Schema:
 
             digest = self._fingerprint = schema_fingerprint(self)
         return digest
+
+    def chase_policy(self) -> ChasePolicy:
+        """The chase policy every search of this schema runs under.
+
+        Termination is a property of the constraint class (Section 5):
+
+        * weakly acyclic constraints: the chase terminates (the
+          accessible schema's extra axioms are full TGDs over fresh
+          relation copies, so it stays weakly acyclic) and the default
+          :class:`~repro.chase.engine.ChasePolicy` applies;
+        * guarded constraints: guarded-bag blocking;
+        * anything else: a depth cap, so every saturation returns.
+
+        Computed on the first call and kept, like :meth:`fingerprint`;
+        assigning ``constraints`` drops the memo.  The imports are lazy
+        because the chase imports this module.
+        """
+        policy = self._chase_policy
+        if policy is None:
+            from repro.chase.blocking import BlockingPolicy
+            from repro.chase.engine import ChasePolicy
+            from repro.logic.analysis import is_weakly_acyclic
+
+            if is_weakly_acyclic(self.constraints):
+                policy = ChasePolicy()
+            elif self.has_only_guarded_constraints:
+                policy = ChasePolicy(blocking=BlockingPolicy(enabled=True))
+            else:
+                policy = ChasePolicy(max_depth=8, max_firings=20_000)
+            self._chase_policy = policy
+        return policy
 
     # ------------------------------------------------------- properties
     @property

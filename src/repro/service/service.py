@@ -587,8 +587,9 @@ class QueryService:
         cheapest*.  It covers no search option, so the cache holds
         optima only: a ``stop_on_first`` request asks for any plan,
         neither reads nor writes the cache, and always searches.  (A
-        service whose callers vary ``max_accesses`` or the chase policy
-        caches what the first of them found.)  On a miss the search
+        service whose callers vary ``max_accesses`` caches what the
+        first of them found; the chase policy is the schema's, so the
+        fingerprint in the key determines it.)  On a miss the search
         runs here, in the calling thread -- for :meth:`submit_query`
         the submitting one, after admission, so the request's deadline
         is running -- and the result is stored for every later request.  Concurrent misses on the same key may

@@ -67,14 +67,16 @@ class TestPolicyPlumbing:
         with pytest.raises(ValueError):
             ChasePolicy(max_seconds=-1.0)
 
-    def test_the_planner_saturates_under_the_callers_budgets(self):
+    def test_the_planner_saturates_under_the_callers_budgets(
+        self, monkeypatch
+    ):
+        """A hard budget on the schema's policy reaches the planner's
+        saturations and propagates out of the search."""
         scenario = example5()
+        policy = ChasePolicy(max_steps=1)
+        monkeypatch.setattr(scenario.schema, "chase_policy", lambda: policy)
         with pytest.raises(ChaseBudgetExceeded):
-            find_best_plan(
-                scenario.schema,
-                scenario.query,
-                SearchOptions(chase_policy=ChasePolicy(max_steps=1)),
-            )
+            find_best_plan(scenario.schema, scenario.query, SearchOptions())
 
     def test_budget_error_is_importable_from_chase_package(self):
         from repro.chase import ChaseBudgetExceeded as FromChase

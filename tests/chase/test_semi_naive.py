@@ -116,14 +116,16 @@ class TestScenarioDifferential:
     @pytest.mark.parametrize(
         "name", ["example1", "example5", "redundant3", "chain3"]
     )
-    def test_planner_search_matches_oracle(self, name):
+    def test_planner_search_matches_oracle(self, monkeypatch, name):
         scenario = SCENARIOS[name]()
         results = {}
         for strategy in ("naive", "semi-naive"):
+            policy = ChasePolicy(strategy=strategy)
+            monkeypatch.setattr(
+                scenario.schema, "chase_policy", lambda: policy
+            )
             results[strategy] = find_best_plan(
-                scenario.schema,
-                scenario.query,
-                SearchOptions(chase_policy=ChasePolicy(strategy=strategy)),
+                scenario.schema, scenario.query, SearchOptions()
             )
         naive, semi = results["naive"], results["semi-naive"]
         assert naive.found == semi.found
@@ -371,11 +373,14 @@ class TestDeltaMachinery:
         with pytest.raises(ValueError):
             ChasePolicy(strategy="bogus")
 
-    def test_the_planner_saturates_under_the_callers_strategy(self):
+    def test_the_planner_saturates_under_the_callers_strategy(
+        self, monkeypatch
+    ):
+        """The schema's policy carries the strategy to the planner."""
         scenario = example1()
+        policy = ChasePolicy(strategy="naive")
+        monkeypatch.setattr(scenario.schema, "chase_policy", lambda: policy)
         result = find_best_plan(
-            scenario.schema,
-            scenario.query,
-            SearchOptions(chase_policy=ChasePolicy(strategy="naive")),
+            scenario.schema, scenario.query, SearchOptions()
         )
         assert result.stats.chase.strategy == "naive"

@@ -10,7 +10,6 @@
 
 import pytest
 
-from repro.chase.engine import ChasePolicy
 from repro.fo.determinacy import is_monotonically_determined
 from repro.logic.queries import cq
 from repro.planner.search import SearchOptions, find_best_plan
@@ -23,7 +22,8 @@ def _agree(schema, query, max_accesses=8):
         schema, query, SearchOptions(max_accesses=max_accesses)
     )
     entailment = is_monotonically_determined(
-        schema, query, ChasePolicy(max_firings=50_000)
+        # The entailment chase runs the policy the search ran.
+        schema, query, schema.chase_policy()
     )
     return search.found, entailment
 

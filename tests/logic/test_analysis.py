@@ -1,29 +1,37 @@
 """Tests for constraint analysis: weak acyclicity and classification."""
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.analysis import (
     analyze_constraints,
     is_weakly_acyclic,
     position_dependency_graph,
 )
-from repro.logic.dependencies import parse_tgd
+from repro.logic.atoms import Atom
+from repro.logic.dependencies import TGD, parse_tgd
+from repro.logic.terms import Variable
+from repro.schema.core import SchemaBuilder
 
 
 class TestPositionGraph:
     def test_normal_edge_for_copied_variable(self):
-        graph = position_dependency_graph([parse_tgd("R(x) -> S(x)")])
-        assert graph.has_edge(("R", 0), ("S", 0))
-        assert not graph[("R", 0)][("S", 0)]["special"]
+        edges = position_dependency_graph([parse_tgd("R(x) -> S(x)")])
+        assert edges == {(("R", 0), ("S", 0)): False}
 
     def test_special_edge_for_existential(self):
-        graph = position_dependency_graph([parse_tgd("R(x) -> S(x, y)")])
-        assert graph.has_edge(("R", 0), ("S", 1))
-        assert graph[("R", 0)][("S", 1)]["special"]
+        edges = position_dependency_graph([parse_tgd("R(x) -> S(x, y)")])
+        assert edges[("R", 0), ("S", 1)] is True
+        assert edges[("R", 0), ("S", 0)] is False
 
     def test_non_frontier_body_variable_no_edges(self):
-        graph = position_dependency_graph([parse_tgd("R(x, z) -> S(x)")])
-        assert not graph.has_edge(("R", 1), ("S", 0))
+        edges = position_dependency_graph([parse_tgd("R(x, z) -> S(x)")])
+        assert (("R", 1), ("S", 0)) not in edges
+
+    def test_an_edge_both_normal_and_special_is_special(self):
+        edges = position_dependency_graph(
+            [parse_tgd("R(x) -> S(x)"), parse_tgd("R(x) -> S(y), T(x)")]
+        )
+        assert edges[("R", 0), ("S", 0)] is True
 
 
 class TestWeakAcyclicity:
@@ -47,6 +55,17 @@ class TestWeakAcyclicity:
             [
                 parse_tgd("P(x) -> E(x, y)"),
                 parse_tgd("E(x, y) -> P(y)"),
+            ]
+        )
+
+    def test_special_edge_closing_a_longer_cycle_not_wa(self):
+        # P.0 -special-> E.1 -> F.0 -> P.0: the component has three
+        # positions, and the special edge is inside it.
+        assert not is_weakly_acyclic(
+            [
+                parse_tgd("P(x) -> E(x, y)"),
+                parse_tgd("E(x, y) -> F(y)"),
+                parse_tgd("F(x) -> P(x)"),
             ]
         )
 
@@ -93,24 +112,70 @@ class TestAnalyzeConstraints:
         assert not analysis.chase_terminates
 
 
+VARIABLES = [Variable(name) for name in "xyzw"]
+ARITIES = {"P": 1, "F": 1, "R": 2, "S": 2}
+
+
+@st.composite
+def random_tgd(draw):
+    """A TGD over unary P, F and binary R, S: one or two body atoms over
+    x, y, z and one or two head atoms over x, y, z, w (a head variable
+    missing from the body is existential)."""
+    relations = st.sampled_from(sorted(ARITIES))
+
+    def atoms(pool, count):
+        out = []
+        for _ in range(count):
+            relation = draw(relations)
+            terms = tuple(
+                draw(st.sampled_from(pool)) for _ in range(ARITIES[relation])
+            )
+            out.append(Atom(relation, terms))
+        return tuple(out)
+
+    body = atoms(VARIABLES[:3], draw(st.integers(1, 2)))
+    return TGD(body, atoms(VARIABLES, draw(st.integers(1, 2))))
+
+
+def reachable(edges, start):
+    """Every position some path of ``edges`` reaches from ``start``."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        node = frontier.pop()
+        for source, target in edges:
+            if source == node and target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
+@given(st.lists(random_tgd(), max_size=6))
+@settings(max_examples=600, deadline=None)
+def test_weak_acyclicity_is_the_definition(tgds):
+    """Weakly acyclic exactly when no special edge (u, v) has u
+    reachable from v."""
+    edges = position_dependency_graph(tgds)
+    expected = not any(
+        source in reachable(edges, target)
+        for (source, target), special in edges.items()
+        if special
+    )
+    assert is_weakly_acyclic(tgds) == expected
+
+
 class TestPolicySelection:
     def test_wa_schema_gets_plain_policy(self):
-        from repro.planner.answerability import default_policy_for
         from repro.scenarios import example2
 
-        policy = default_policy_for(example2().schema)
+        policy = example2().schema.chase_policy()
         assert policy.blocking is None
         assert policy.max_depth is None
 
     def test_cyclic_guarded_gets_blocking(self):
-        from repro.planner.answerability import default_policy_for
-        from repro.schema.core import SchemaBuilder
-
         schema = (
             SchemaBuilder("s")
             .relation("R", 2)
             .tgd("R(x, y) -> R(y, z)")
             .build()
         )
-        policy = default_policy_for(schema)
-        assert policy.blocking is not None
+        assert schema.chase_policy().blocking is not None

@@ -1,14 +1,10 @@
-"""Tests for the plan-existence wrapper and its chase policies."""
+"""Tests for the plan-existence wrapper and the chase policy a schema
+chooses for it."""
 
 import pytest
 
-from repro.chase.engine import ChasePolicy
 from repro.logic.queries import cq
-from repro.planner.answerability import (
-    answerability_witness,
-    default_policy_for,
-    is_answerable,
-)
+from repro.planner.answerability import answerability_witness, is_answerable
 from repro.schema.core import SchemaBuilder
 
 
@@ -59,8 +55,7 @@ class TestDefaultPolicy:
             .tgd("R(x, y) -> R(y, z)")
             .build()
         )
-        policy = default_policy_for(schema)
-        assert policy.blocking is not None
+        assert schema.chase_policy().blocking is not None
 
     def test_weakly_acyclic_unguarded_gets_plain_policy(self):
         # Unguarded but weakly acyclic (full TGD): chase terminates, so
@@ -72,7 +67,7 @@ class TestDefaultPolicy:
             .tgd("R(x, y) & S(y, z) -> R(x, z)")
             .build()
         )
-        policy = default_policy_for(schema)
+        policy = schema.chase_policy()
         assert policy.blocking is None
         assert policy.max_depth is None
 
@@ -84,6 +79,6 @@ class TestDefaultPolicy:
             .tgd("E(x, y) -> E(y, x)")            # closes the cycle
             .build()
         )
-        policy = default_policy_for(schema)
+        policy = schema.chase_policy()
         assert policy.blocking is None
         assert policy.max_depth is not None

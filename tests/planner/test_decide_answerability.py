@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.chase.engine import ChasePolicy
 from repro.logic.queries import cq
 from repro.planner.answerability import Answerability, decide_answerability
 from repro.schema.core import SchemaBuilder
@@ -44,7 +43,7 @@ class TestCertifiedNegative:
 
 class TestUnknown:
     def test_truncated_saturation_yields_unknown(self):
-        """A diverging unguarded saturation with a tiny budget: the
+        """A diverging unguarded saturation under a depth cap: the
         negative answer cannot be certified."""
         schema = (
             SchemaBuilder("s")
@@ -58,16 +57,14 @@ class TestUnknown:
             .build()
         )
         query = cq([], [("R", ["?x", "?y"])])
-        policy = ChasePolicy(max_firings=30, max_depth=3)
-        verdict = decide_answerability(
-            schema, query, max_accesses=2, chase_policy=policy
-        )
+        # Neither weakly acyclic nor guarded: the schema caps the depth.
+        assert schema.chase_policy().max_depth is not None
+        verdict = decide_answerability(schema, query, max_accesses=2)
         assert verdict in (
             Answerability.UNKNOWN,
             Answerability.NO_PLAN_WITHIN_BUDGET,
         )
-        # With this truncating policy specifically, depth truncation
-        # happens, so it must NOT claim a certificate.
+        # Depth truncation happens, so it must NOT claim a certificate.
         assert verdict is Answerability.UNKNOWN
 
 

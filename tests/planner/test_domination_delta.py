@@ -17,7 +17,6 @@ checked from the outside, the way ``test_prune_before_chase.py`` does it:
 import pytest
 
 from repro.chase.configuration import ChaseConfiguration
-from repro.chase.engine import ChasePolicy
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.terms import Constant, Null
 from repro.planner import search as search_module
@@ -25,12 +24,12 @@ from repro.planner.domination import FingerprintRegistry, LinearRegistry
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import referential_chain
 from tests.planner.test_prune_before_chase import (
-    BLOCKING,
     DEPTH4,
     PLAN_COLD,
     SCENARIOS,
     cyclic_schema,
     dfs_ids,
+    shadow_policy,
 )
 
 # The 13 planning problems of ``benchmarks/e2e``'s ``plan_cold`` and the
@@ -122,17 +121,18 @@ def test_every_check_equals_a_from_scratch_check(
 
 
 @pytest.mark.parametrize(
-    "policy", [DEPTH4, BLOCKING], ids=["depth4-dfs", "blocking-dfs"]
+    "policy", [DEPTH4, None], ids=["depth4-dfs", "blocking-dfs"]
 )
-def test_chase_first_checks_go_through_the_delta_too(shadowed, policy):
+def test_chase_first_checks_go_through_the_delta_too(
+    shadowed, monkeypatch, policy
+):
     """The root's saturation is cut short, so each child is chased
-    *before* its check and the delta holds its saturation as well."""
+    *before* its check and the delta holds its saturation as well.
+    ``None`` runs the schema's own policy, blocking."""
     schema, query = cyclic_schema()
-    result = find_best_plan(
-        schema,
-        query,
-        SearchOptions(max_accesses=4, chase_policy=policy),
-    )
+    if policy is not None:
+        shadow_policy(monkeypatch, schema, policy)
+    result = find_best_plan(schema, query, SearchOptions(max_accesses=4))
     (registry,) = shadowed
     check_books(registry, result.stats)
     assert not result.exhausted
@@ -143,12 +143,13 @@ def test_chase_first_checks_go_through_the_delta_too(shadowed, policy):
         assert stats.domination.seeded_hits > 0
 
 
-def test_depth_truncated_exposure_is_checked_on_the_delta(shadowed):
+def test_depth_truncated_exposure_is_checked_on_the_delta(
+    shadowed, monkeypatch
+):
     scenario = referential_chain(4)
+    shadow_policy(monkeypatch, scenario.schema, DEPTH4)
     result = find_best_plan(
-        scenario.schema,
-        scenario.query,
-        SearchOptions(max_accesses=6, chase_policy=ChasePolicy(max_depth=4)),
+        scenario.schema, scenario.query, SearchOptions(max_accesses=6)
     )
     (registry,) = shadowed
     check_books(registry, result.stats)

@@ -163,16 +163,17 @@ class TestExposeThenSaturate:
         assert again.firings == 0
 
     def test_depth_cap_withholds_exposure_heads_and_is_reported(
-        self, uni_schema
+        self, uni_schema, monkeypatch
     ):
         acc, config, method = self.start(uni_schema, Variant.FORWARD)
-        policy = ChasePolicy(max_depth=1)  # Accessed_ is depth 1, heads 2
-        exposed = expose_access(
-            config, PlanState(), self.UDIRECT, method, acc, policy
-        )
+        # Accessed_ is depth 1, heads 2; the schema's own policy has no
+        # cap, so this instance's is shadowed.
+        policy = ChasePolicy(max_depth=1)
+        monkeypatch.setattr(uni_schema, "chase_policy", lambda: policy)
+        exposed = expose_access(config, PlanState(), self.UDIRECT, method, acc)
         assert exposed.depth_truncated == 2  # def[Udirect], acc2inf[Udirect]
         assert not config.is_accessible(Null("Q_e"))
-        result = saturate_exposed(config, exposed, acc, NullFactory("f"), policy)
+        result = saturate_exposed(config, exposed, acc, NullFactory("f"))
         assert not result.is_complete
 
 

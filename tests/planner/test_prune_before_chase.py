@@ -16,7 +16,6 @@ claims are checked from the outside:
 
 import pytest
 
-from repro.chase.blocking import BlockingPolicy
 from repro.chase.engine import ChasePolicy, saturate
 from repro.logic.atoms import Substitution
 from repro.logic.homomorphisms import find_homomorphism
@@ -61,6 +60,14 @@ def search(schema, query, **options):
     return find_best_plan(
         schema, query, SearchOptions(collect_tree=True, **options)
     )
+
+
+def shadow_policy(monkeypatch, schema, policy):
+    """Make every search of ``schema`` chase under ``policy``.  A schema
+    derives its policy from its constraints and no option sets another;
+    the tests that need one the schema would not choose shadow the
+    method on that one instance."""
+    monkeypatch.setattr(schema, "chase_policy", lambda: policy)
 
 
 def saturated_copy(node, acc):
@@ -284,7 +291,6 @@ def tree_signature(result):
     return " ".join(tokens)
 
 
-BLOCKING = ChasePolicy(blocking=BlockingPolicy(enabled=True))
 DEPTH4 = ChasePolicy(max_depth=4)
 
 # Tree signatures recorded from the eager order (commit 5b6806f).
@@ -304,10 +310,14 @@ EAGER_TREES = {
 
 
 @pytest.mark.parametrize("label", dfs_ids(["blocking", "depth4"]))
-def test_incomplete_saturations_reproduce_the_eager_tree(label):
+def test_incomplete_saturations_reproduce_the_eager_tree(monkeypatch, label):
     schema, query = cyclic_schema()
-    policy = BLOCKING if label == "blocking" else DEPTH4
-    result = search(schema, query, max_accesses=4, chase_policy=policy)
+    if label == "blocking":
+        # Guarded and not weakly acyclic: the schema's own policy.
+        assert schema.chase_policy().blocking is not None
+    else:
+        shadow_policy(monkeypatch, schema, DEPTH4)
+    result = search(schema, query, max_accesses=4)
     assert tree_signature(result) == EAGER_TREES[label]
     assert result.best_cost == 2.0
     assert not result.exhausted
@@ -320,22 +330,18 @@ def test_incomplete_saturations_reproduce_the_eager_tree(label):
     assert stats.chase.runs < 1 + stats.nodes_expanded
 
 
-def test_depth_capped_exposure_voids_the_certificate():
+def test_depth_capped_exposure_voids_the_certificate(monkeypatch):
     """The root saturates completely, but the depth cap withholds what
     the one possible access would expose: the child is dominated by the
     root for lack of those facts, and that must not read as a certified
     "no plan" -- without the cap there is one."""
     scenario = referential_chain(4)
-    capped = search(
-        scenario.schema,
-        scenario.query,
-        max_accesses=6,
-        chase_policy=ChasePolicy(max_depth=4),
-    )
+    assert search(scenario.schema, scenario.query, max_accesses=6).found
+    shadow_policy(monkeypatch, scenario.schema, DEPTH4)
+    capped = search(scenario.schema, scenario.query, max_accesses=6)
     assert tree_signature(capped) == "root 0>K3/mt_K3@1-d"
     assert not capped.found
     assert not capped.exhausted
-    assert search(scenario.schema, scenario.query, max_accesses=6).found
 
 
 def test_search_stats_summary_names_the_dominators():

@@ -58,10 +58,9 @@ class TestSaturationLog:
 
 class TestExhaustionSemantics:
     def test_blocking_disables_certification(self):
-        """A guarded cyclic schema saturates under blocking: the search
-        still works, but a failed run must NOT claim exhaustion."""
-        from repro.chase.blocking import BlockingPolicy
-        from repro.chase.engine import ChasePolicy
+        """A guarded cyclic schema saturates under blocking (the policy
+        it derives): the search still works, but a failed run must NOT
+        claim exhaustion."""
         from repro.logic.queries import cq
         from repro.planner.search import SearchOptions, find_best_plan
         from repro.schema.core import SchemaBuilder
@@ -74,15 +73,7 @@ class TestExhaustionSemantics:
             .build()
         )
         query = cq([], [("R", ["?x", "?y"])])
-        result = find_best_plan(
-            schema,
-            query,
-            SearchOptions(
-                max_accesses=3,
-                chase_policy=ChasePolicy(
-                    blocking=BlockingPolicy(enabled=True)
-                ),
-            ),
-        )
+        assert schema.chase_policy().blocking is not None
+        result = find_best_plan(schema, query, SearchOptions(max_accesses=3))
         assert not result.found
         assert not result.exhausted  # blocking happened somewhere

@@ -17,7 +17,6 @@ thirteen problems and the eight-scenario sweep:
 import pytest
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
-from repro.chase.engine import ChasePolicy
 from repro.logic.atoms import Atom, Substitution, apply_to_atoms
 from repro.logic.queries import cq
 from repro.logic.terms import Null, NullFactory
@@ -36,9 +35,11 @@ from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import example5
 from repro.schema.accessible import AccessibleSchema, Variant, accessed_name
 from tests.planner.test_prune_before_chase import (
+    DEPTH4,
     PLAN_COLD,
     SCENARIOS,
     cyclic_schema,
+    shadow_policy,
 )
 
 # (label, factory, budget)
@@ -66,9 +67,7 @@ def run(factory, budget, **options):
 
 
 # ------------------------------------------------------ the parent's exposure
-def expose_access_at_parent(
-    config, state, fact, method, acc_schema, policy=None
-):
+def expose_access_at_parent(config, state, fact, method, acc_schema):
     """``expose_access`` of commit f9d9d1d: one pass, reads and writes
     interleaved."""
     _check_inputs_accessible(config, fact, method)
@@ -94,7 +93,7 @@ def expose_access_at_parent(
         accessed_facts.append(accessed)
     if not exposed:
         raise PlanningError(f"{fact!r} is already exposed")
-    max_depth = policy.max_depth if policy else None
+    max_depth = acc_schema.schema.chase_policy().max_depth
     depth_truncated = 0
     for rule in acc_schema.exposure_rules(relation):
         tgd = rule.tgd
@@ -118,12 +117,12 @@ def fact_log(config):
 
 @pytest.fixture
 def check_halves(monkeypatch):
-    """``check_halves(acc, policy)`` makes every ``read_exposure`` of a
+    """``check_halves(acc)`` makes every ``read_exposure`` of a
     search replay itself, on deep copies of the configuration it reads,
     through the parent's one-pass exposure and through the two halves;
     returns the list the compared ``Exposed`` values are appended to."""
 
-    def install(acc, policy=None):
+    def install(acc):
         checked = []
 
         def checking(config, state, fact, method):
@@ -131,7 +130,7 @@ def check_halves(monkeypatch):
             reference_config = config.deep_copy()
             try:
                 reference = expose_access_at_parent(
-                    reference_config, state, fact, method, acc, policy
+                    reference_config, state, fact, method, acc
                 )
             except PlanningError:
                 reference = None
@@ -145,7 +144,7 @@ def check_halves(monkeypatch):
                 assert config.generation == before
             assert reference is not None
             halves = write_exposure(
-                halves_config, new_state, facts, method, acc, policy
+                halves_config, new_state, facts, method, acc
             )
             assert halves == reference
             assert fact_log(halves_config) == fact_log(reference_config)
@@ -168,15 +167,11 @@ def test_two_halves_write_what_the_one_pass_exposure_wrote(
     assert 0 < len(checked) <= result.stats.nodes_expanded
 
 
-def test_two_halves_agree_under_a_depth_cap(check_halves):
+def test_two_halves_agree_under_a_depth_cap(monkeypatch, check_halves):
     schema, query = cyclic_schema()
-    policy = ChasePolicy(max_depth=4)
-    checked = check_halves(AccessibleSchema(schema, Variant.FORWARD), policy)
-    find_best_plan(
-        schema,
-        query,
-        SearchOptions(max_accesses=4, chase_policy=policy),
-    )
+    shadow_policy(monkeypatch, schema, DEPTH4)
+    checked = check_halves(AccessibleSchema(schema, Variant.FORWARD))
+    find_best_plan(schema, query, SearchOptions(max_accesses=4))
     assert any(exposed.depth_truncated for exposed in checked)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.logic.dependencies import parse_tgd
 from repro.logic.terms import Constant
 from repro.scenarios import example1, example2
 from repro.schema.serialize import (
@@ -88,7 +89,8 @@ class TestRoundtrip:
 
 
 class TestFingerprintMemo:
-    """``Schema.fingerprint()`` hashes once; a late assignment drops the memo."""
+    """``Schema.fingerprint()`` hashes once; a late assignment drops the
+    memo.  ``Schema.chase_policy()`` is kept the same way."""
 
     def test_serialised_once_per_schema(self, monkeypatch):
         import repro.schema.serialize as serialize
@@ -131,3 +133,16 @@ class TestFingerprintMemo:
         assert dropped.fingerprint() != whole
         assert dropped.fingerprint() == schema_fingerprint(dropped)
         assert schema.fingerprint() == whole
+
+    def test_chase_policy_is_kept_until_the_constraints_change(self):
+        schema = example1().schema
+        first = schema.chase_policy()
+        assert first.blocking is None and first.max_depth is None
+        assert schema.chase_policy() is first
+        schema.name = "renamed"
+        assert schema.chase_policy() is first
+        # The classic diverging ID: guarded, not weakly acyclic.
+        schema.constraints = (parse_tgd("Udirect(x, y) -> Udirect(y, z)"),)
+        blocked = schema.chase_policy()
+        assert blocked.blocking is not None
+        assert schema.chase_policy() is blocked
