@@ -9,6 +9,7 @@ execution.
 
 from __future__ import annotations
 
+from math import copysign
 from typing import (
     Dict,
     FrozenSet,
@@ -44,7 +45,8 @@ class Instance:
     command builds from one answer find the rows of the next by
     identity, without a Python-level ``__eq__``.  ``Constant(1)``,
     ``Constant(1.0)`` and ``Constant(True)`` stay three objects with
-    their own ``value``; two NaN objects stay two constants.  The table
+    their own ``value``, and so do ``Constant(0.0)`` and
+    ``Constant(-0.0)``; two NaN objects stay two constants.  The table
     holds exactly the cells of stored rows, so it is bounded by the
     instance's own domain.
     """
@@ -71,7 +73,13 @@ class Instance:
         shared = []
         for cell in constants:
             value = cell.value
-            shared.append(cells.setdefault((value.__class__, value), cell))
+            kind = value.__class__
+            if kind is float and not value:
+                # 0.0 == -0.0: the sign is part of a zero's key.
+                key = (kind, value, copysign(1.0, value))
+            else:
+                key = (kind, value)
+            shared.append(cells.setdefault(key, cell))
         bucket.add(tuple(shared))
         self._index = None
         self.version += 1

@@ -34,11 +34,19 @@ defined over the *set* of tuples ``E`` produces:
 * **Indexes are derived from the schema**: one composite index per
   distinct ``(relation, input_positions)`` among the access methods,
   rebuilt with the tables on every (re)load.
-* The **decode memo** maps a cell's text back to its ``Constant``.  It
-  is replaced whenever the tables are (reconnect or mutation), seeded
-  from the snapshot's own cells, so it outlives requests but never the
-  tables it was built with; decoding is a pure function of the text, so
-  a memo entry can be stale in lifetime only, never in value.
+* **Two memos, one per direction of the cell codec, live exactly as
+  long as the tables**: both are replaced whenever the tables are
+  (reconnect or mutation).  The *spelling memo* maps a key
+  ``Constant`` to its tuple of :func:`_key_encodings` spellings, so a
+  key is JSON-encoded once per snapshot however many accesses bind it;
+  Python-equal keys (``1``/``1.0``/``True``, ``0``/``-0.0``) share one
+  slot because they have one spelling set.  The *row memo* maps a
+  fetched row's texts to the snapshot's own row tuple: it is seeded
+  from the rows just loaded, so decoding a row is one dict lookup and
+  allocates nothing.  Both map a pure function of their key, so an
+  entry can be stale in lifetime only, never in value.  The row memo
+  holds at most one snapshot's distinct rows, the spelling memo the
+  distinct keys asked since the tables were loaded.
 
 Connection lifecycle is defensive by construction:
 
@@ -75,6 +83,7 @@ import sqlite3
 import threading
 import time
 from functools import lru_cache
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -129,33 +138,49 @@ def _decode_cell(text: str) -> Constant:
     return _to_constant(json.loads(text))
 
 
-class _DecodeMemo(dict):
-    """Cell text -> ``Constant``; a text it has not seen is parsed once."""
-
-    def __missing__(self, text: str) -> Constant:
-        constant = self[text] = _decode_cell(text)
-        return constant
-
-
 def _key_encodings(value) -> List[str]:
     """Every JSON text a lookup key must match in a WHERE clause.
 
     The oracle compares :class:`~repro.logic.terms.Constant` values by
-    Python equality, under which ``1 == 1.0 == True`` -- but their JSON
-    cell texts differ (``1`` / ``1.0`` / ``true``).  A parameterized
-    lookup must therefore accept *every* spelling of a Python-equal
-    value, or the differential contract breaks on mixed-type columns.
+    Python equality, under which ``1 == 1.0 == True`` and
+    ``0 == -0.0 == 0.0 == False`` -- but their JSON cell texts differ
+    (``1`` / ``1.0`` / ``true``).  A parameterized lookup must therefore
+    accept *every* spelling of a Python-equal value, or the differential
+    contract breaks on mixed-type columns.  Python-equal values get the
+    same list, which is what lets them share a spelling-memo slot.
     """
     encodings = {_encode_cell(value)}
     if isinstance(value, (bool, int, float)):
         try:
-            twins = (bool(value), int(value), float(value))
+            # -float(value) equals value only when value is a zero:
+            # it adds the zero of the other sign.
+            twins = (bool(value), int(value), float(value), -float(value))
         except (ValueError, OverflowError):  # inf/nan have no int twin
             twins = ()
         for twin in twins:
             if twin == value:
                 encodings.add(_encode_cell(twin))
     return sorted(encodings)
+
+
+class _RowMemo(dict):
+    """A fetched row's cell texts -> the snapshot's row of ``Constant``s.
+
+    Seeded with every loaded row; a row it has not seen is decoded
+    cell by cell, once.
+    """
+
+    def __missing__(self, texts: Tuple[str, ...]) -> Tuple[Constant, ...]:
+        row = self[texts] = tuple(map(_decode_cell, texts))
+        return row
+
+
+class _SpellingMemo(dict):
+    """Key ``Constant`` -> its :func:`_key_encodings`, computed once."""
+
+    def __missing__(self, key: Constant) -> Tuple[str, ...]:
+        spellings = self[key] = tuple(_key_encodings(key.value))
+        return spellings
 
 
 @lru_cache(maxsize=256)
@@ -219,7 +244,8 @@ class SQLiteSource(MeteredSourceMixin):
         self._statements = 0
         self._conn: Optional[sqlite3.Connection] = None
         self._loaded_version: Optional[int] = None
-        self._decoded = _DecodeMemo()
+        self._rows = _RowMemo()
+        self._spellings = _SpellingMemo()
         # One lock for connection + log: sqlite3 connections are not
         # concurrency-safe, and the source sits under a multi-threaded
         # QueryService -- statements serialize, waits overlap upstream.
@@ -248,13 +274,13 @@ class SQLiteSource(MeteredSourceMixin):
         Each distinct ``(relation, input_positions)`` among the
         schema's access methods gets one composite index -- the keyed
         lookups are exactly the binding patterns the schema declares.
-        The decode memo is replaced with the tables and seeded from the
-        cells just encoded, so a fetched text maps back to the
-        snapshot's own ``Constant`` without parsing and the memo never
-        holds more than one snapshot's distinct cells.
+        Both memos are replaced with the tables: the row memo is seeded
+        with the rows just encoded, so a fetched row maps back to the
+        snapshot's own row without parsing, and the spelling memo starts
+        empty.
         """
         conn = self._conn
-        decoded = _DecodeMemo()
+        row_memo = _RowMemo()
         for relation in self.schema.relations:
             arity = relation.arity
             columns = ", ".join(f"c{i} TEXT" for i in range(arity))
@@ -263,7 +289,7 @@ class SQLiteSource(MeteredSourceMixin):
             rows = []
             for row in self.instance.tuples(relation.name):
                 texts = tuple(_encode_cell(cell.value) for cell in row)
-                decoded.update(zip(texts, row))
+                row_memo[texts] = row
                 rows.append(texts)
             if rows:
                 marks = ", ".join("?" for _ in range(arity))
@@ -282,7 +308,8 @@ class SQLiteSource(MeteredSourceMixin):
                 f'CREATE INDEX ix{number} ON "{relation_name}" ({columns})'
             )
         conn.commit()
-        self._decoded = decoded
+        self._rows = row_memo
+        self._spellings = _SpellingMemo()
         self._loaded_version = self.instance.version
 
     def sever_connection(self) -> None:
@@ -347,18 +374,17 @@ class SQLiteSource(MeteredSourceMixin):
     ) -> FrozenSet[Tuple[Constant, ...]]:
         clauses = []
         params: List[str] = []
+        spellings = self._spellings
         for position, value in zip(method.input_positions, values):
-            encodings = _key_encodings(value.value)
+            encodings = spellings[value]
             marks = ", ".join("?" for _ in encodings)
             clauses.append(f"c{position} IN ({marks})")
             params.extend(encodings)
         sql = f'SELECT * FROM "{method.relation}"'
         if clauses:
             sql += f" WHERE {' AND '.join(clauses)}"
-        decode = self._decoded.__getitem__
-        return frozenset(
-            tuple(map(decode, row)) for row in self._execute(sql, params)
-        )
+        fetched = self._execute(sql, params)
+        return frozenset(map(self._rows.__getitem__, fetched))
 
     def access(
         self, method_name: str, inputs: Sequence[object] = ()
@@ -418,33 +444,40 @@ class SQLiteSource(MeteredSourceMixin):
         spelling (:func:`_key_encodings`) of every key, each spelling
         once, so a table row joins at most one keys row.  It is bound
         ``_CHUNK_PARAMS`` parameters at a time.  A fetched row finds its
-        bucket through a dict from its input-column *texts*: no
+        bucket through a dict from its input-column *texts* -- for a
+        single-input method, the one cell's text itself: no
         ``Constant`` is compared, and Python-equal keys of different
         types (``1``/``1.0``/``True``) share a bucket as they share a
-        ``results`` entry.
+        ``results`` entry and a spelling-memo slot.
         """
         positions = method.input_positions
+        single = len(positions) == 1
+        # A row's key texts: the bare text for one input, else a tuple.
+        key_of = itemgetter(*positions)
+        spell = self._spellings.__getitem__
         buckets: Dict[Tuple[Constant, ...], List[Tuple[Constant, ...]]] = {}
-        bucket_of: Dict[Tuple[str, ...], List[Tuple[Constant, ...]]] = {}
+        bucket_of: Dict[object, List[Tuple[Constant, ...]]] = {}
         for values in keyed:
-            bucket = buckets.setdefault(values, [])
-            for spelling in itertools.product(
-                *(_key_encodings(constant.value) for constant in values)
-            ):
-                bucket_of[spelling] = bucket
-        spellings = list(bucket_of)
+            if values in buckets:
+                continue
+            bucket = buckets[values] = []
+            if single:
+                spelled = spell(values[0])
+            else:
+                spelled = itertools.product(*map(spell, values))
+            for key in spelled:
+                bucket_of[key] = bucket
+        keys = list(bucket_of)
         per_statement = _CHUNK_PARAMS // len(positions)
-        decode = self._decoded.__getitem__
-        for start in range(0, len(spellings), per_statement):
-            chunk = spellings[start : start + per_statement]
-            rows = self._execute(
+        for start in range(0, len(keys), per_statement):
+            chunk = keys[start : start + per_statement]
+            fetched = self._execute(
                 _keyed_join_sql(method.relation, positions, len(chunk)),
-                [text for spelling in chunk for text in spelling],
+                chunk if single else [text for key in chunk for text in key],
             )
-            for row in rows:
-                bucket_of[tuple([row[p] for p in positions])].append(
-                    tuple(map(decode, row))
-                )
+            decoded = self._rows
+            for texts in fetched:
+                bucket_of[key_of(texts)].append(decoded[texts])
         return {values: frozenset(rows) for values, rows in buckets.items()}
 
     def __repr__(self) -> str:

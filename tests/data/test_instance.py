@@ -105,6 +105,18 @@ class TestSharedCells:
         assert s.value is nan
         assert [c for c in _cells(instance) if c.value is nan] == [s, s]
 
+    def test_signed_zeros_keep_their_sign_through_to_dict(self):
+        instance = Instance({"R": [(-0.0, "a"), (0.0, "b")], "S": [(0.0,)]})
+        dumped = instance.to_dict()
+        assert json.dumps(dumped) == (
+            '{"R": [[-0.0, "a"], [0.0, "b"]], "S": [[0.0]]}'
+        )
+        rebuilt = Instance.from_dict(json.loads(json.dumps(dumped)))
+        assert json.dumps(rebuilt.to_dict()) == json.dumps(dumped)
+        (s,), = instance.tuples("S")
+        (pos,) = [r[0] for r in instance.tuples("R") if r[1].value == "b"]
+        assert pos is s  # zeros of one sign are still one cell
+
     def test_a_refused_row_adds_no_cell(self):
         instance = Instance({"R": [(1,)]})
         assert not instance.add("R", (1.0,))  # equal row: a duplicate

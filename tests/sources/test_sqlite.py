@@ -14,11 +14,17 @@ from repro.errors import (
     SourceUnavailable,
     TransientAccessError,
 )
+from repro.logic.terms import Constant
 from repro.scenarios import example1
 from repro.schema.core import SchemaBuilder
 from repro.source_contract import constant_inputs
 from repro.sources import SQLiteSource
-from repro.sources.sqlite import _CHUNK_PARAMS, _encode_cell, _key_encodings
+from repro.sources.sqlite import (
+    _CHUNK_PARAMS,
+    _decode_cell,
+    _encode_cell,
+    _key_encodings,
+)
 
 _NO_SLEEP = lambda _seconds: None  # noqa: E731
 
@@ -100,6 +106,17 @@ class TestTypedRoundTrip:
             "mt_prof", ("e1",)
         )
 
+    def test_answers_are_the_instances_own_rows(self):
+        """A fetched row is looked up, not rebuilt: no new row tuple."""
+        schema, instance = typed_schema(), typed_instance()
+        sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
+        own = {id(row) for row in instance.tuples("T")}
+        answers = [*sql.access("mt_all"), *sql.access("mt_T", (1,))]
+        for rows in sql.access_batch("mt_T", [(1,), ("1",)]).values():
+            answers.extend(rows)
+        assert len(answers) == 4 + 3 + 3 + 1
+        assert all(id(row) in own for row in answers)
+
     def test_wrong_input_count_is_typed(self):
         sql = SQLiteSource(typed_schema(), typed_instance(), sleep=_NO_SLEEP)
         with pytest.raises(AccessViolation):
@@ -123,10 +140,54 @@ class TestTypedRoundTrip:
         assert _key_encodings(1) == ["1", "1.0", "true"]
         assert _key_encodings(1.0) == ["1", "1.0", "true"]
         assert _key_encodings(True) == ["1", "1.0", "true"]
-        assert _key_encodings(0) == ["0", "0.0", "false"]
+        zeros = ["-0.0", "0", "0.0", "false"]
+        assert _key_encodings(0) == _key_encodings(-0.0) == zeros
+        assert _key_encodings(0.0) == _key_encodings(False) == zeros
         assert _key_encodings(2) == ["2", "2.0"]
         assert _key_encodings(2.5) == ["2.5"]
         assert _key_encodings("1") == ['"1"']
+
+    def test_signed_zero_keys_match_every_zero(self):
+        """``0 == 0.0 == -0.0 == False``: a zero key finds all four rows."""
+        schema = typed_schema()
+        instance = Instance(
+            {"T": [(-0.0, "neg"), (0.0, "pos"), (0, "int"), (False, "bool")]}
+        )
+        mem = InMemorySource(schema, instance)
+        for key in (0, 0.0, -0.0, False):
+            expected = mem.access("mt_T", (key,))
+            assert len(expected) == 4
+            sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
+            assert spelled(sql.access("mt_T", (key,))) == spelled(expected)
+            batched = sql.access_batch("mt_T", [(key,), (1,)])
+            assert spelled(batched[constant_inputs((key,))]) == spelled(
+                expected
+            )
+
+
+def assert_memos_hold_one_snapshot(sql, asked):
+    """Both memos are bounded by the loaded snapshot and exact in value.
+
+    The row memo holds the snapshot's rows and nothing else; the
+    spelling memo holds at most the distinct keys in ``asked``.
+    """
+    snapshot = {
+        row
+        for relation in sql.schema.relations
+        for row in sql.instance.tuples(relation.name)
+    }
+    assert set(sql._rows.values()) == snapshot
+    assert len(sql._rows) == len(snapshot)
+    assert set(sql._spellings) <= set(asked)
+    assert_memos_exact(sql._rows, sql._spellings)
+
+
+def assert_memos_exact(rows, spellings):
+    """Every entry is what the codec computes afresh, type for type."""
+    for texts, row in rows.items():
+        assert spelled([row]) == spelled([tuple(map(_decode_cell, texts))])
+    for key, spelling in spellings.items():
+        assert spelling == tuple(_key_encodings(key.value))
 
 
 class TestReconnectLifecycle:
@@ -134,9 +195,22 @@ class TestReconnectLifecycle:
         schema, instance = typed_schema(), typed_instance()
         sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
         reference = sql.access("mt_all")
+        sql.access("mt_T", (1,))
+        rows, spellings = sql._rows, sql._spellings
+        assert_memos_hold_one_snapshot(sql, asked=[Constant(1)])
         sql.sever_connection()
         assert sql.access("mt_all") == reference
         assert sql.reconnects == 1
+        # The reconnect replaced both memos: the row memo is reseeded
+        # from the same snapshot, the spelling memo starts empty.
+        assert sql._rows is not rows and sql._spellings is not spellings
+        assert sql._rows == rows
+        assert_memos_hold_one_snapshot(sql, asked=[])
+        assert sql.access("mt_T", (True,)) == reference - {
+            (Constant("1"), Constant("str"))
+        }
+        assert_memos_hold_one_snapshot(sql, asked=[Constant(True)])
+        assert list(sql._spellings) == [Constant(True)]
 
     def test_backoff_is_capped_exponential(self):
         sleeps = []
@@ -312,11 +386,28 @@ class TestBatching:
         keys = [(2, 1), (4, 3), (9, 9)]
         first = sql.access_batch("w2", keys)
         assert [len(rows) for rows in first.values()] == [1, 1, 0]
+        asked = [Constant(v) for key in keys for v in key]
+        assert_memos_hold_one_snapshot(sql, asked)
+        rows, spellings = sql._rows, sql._spellings
         # New rows under an old key and a new one, with cell texts
         # ("fresh", 1.0 spelled as a float) no earlier answer decoded.
         instance.add("W", (1.0, "fresh", 2, "b"))
         instance.add("W", (9, "fresh", 9, 0.5))
         second = sql.access_batch("w2", keys)
+        # The mutation replaced both memos, and the new ones hold the
+        # new snapshot only.
+        assert sql._rows is not rows and sql._spellings is not spellings
+        assert len(sql._rows) == len(rows) + 2
+        assert sql.access_batch("w2", keys) == second
+        assert_memos_hold_one_snapshot(sql, asked)
+        assert set(sql._spellings) == set(asked)
+        # The old memos are stale in lifetime only: every entry they
+        # hold is still exact, and a row they never saw decodes exactly.
+        assert_memos_exact(rows, spellings)
+        fresh = rows[tuple(map(_encode_cell, (9, "fresh", 9, 0.5)))]
+        assert spelled([fresh]) == spelled(
+            [tuple(map(Constant, (9, "fresh", 9, 0.5)))]
+        )
         mem = InMemorySource(schema, instance)
         for key in keys:
             constants = constant_inputs(key)
@@ -330,8 +421,11 @@ class TestBatching:
         assert indexes == (3,)
 
 
+# -0.0 and 2**53 / 2.0**53: Python-equal keys whose spellings must agree,
+# since they share one spelling-memo slot.
 VALUES = st.sampled_from(
-    [1, 1.0, True, "1", 0, 0.0, False, "0", 2, 2.5, "a", ""]
+    [1, 1.0, True, "1", 0, 0.0, -0.0, False, "0", 2, 2.5, 2**53, 2.0**53,
+     "a", ""]
 )
 ABSENT = st.sampled_from([7, 7.0, "zz", -1])
 
