@@ -11,12 +11,13 @@ the machine-readable ``BENCH_chaos.json`` (rendered by ``report.py
   the invariant verdict.  The committed claim: zero hangs and zero
   violations -- every run terminates with byte-identical answers or a
   typed error / marked-partial response, asserted per scenario.
-* **hedging sweep** -- the same request sequence served over a
-  deterministic latency storm (every k-th access slow) with hedged
-  dispatch off and on, recording p50/p95/p99 service latency.  The
-  storm hits the same requests either way; the hedge duplicate dodges
-  the slow tick, so the P99 drops while the answers stay byte-identical
-  (asserted row by row).
+* **hedging sweep** -- the same request sequence served in-process
+  over a deterministic latency storm (every k-th access slow), with
+  and without a :class:`~repro.data.decorators.HedgedSource` over it,
+  recording p50/p95/p99 service latency.  The storm hits the same
+  accesses either way; the duplicate of a slow access lands on the
+  next, fast tick, so the P99 drops while the answers stay
+  byte-identical (asserted row by row).
 """
 
 import argparse
@@ -24,13 +25,13 @@ import json
 import sys
 
 from repro.chaos import run_matrix
-from repro.data.decorators import StormyLatencySource
+from repro.data.decorators import HedgedSource, StormyLatencySource
 from repro.data.source import InMemorySource
 from repro.logic.queries import parse_cq
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.schema.core import SchemaBuilder
 from repro.data.instance import Instance
-from repro.service import QueryService, ThreadWorkerPool
+from repro.service import QueryService
 
 
 def percentile(sorted_values, fraction):
@@ -102,8 +103,8 @@ def hedging_sweep(requests, slow_every=5, slow_latency=0.25):
     Requests are served *sequentially*, so the storm schedule (every
     ``slow_every``-th access sleeps ``slow_latency``) hits a
     deterministic subset of requests in the unhedged run; the hedged
-    run duplicates exactly those requests after a fixed 50 ms delay and
-    the duplicate, landing on later storm-counter ticks, answers fast.
+    run re-issues exactly those accesses after a fixed 50 ms delay and
+    the duplicate, landing on the next storm-counter tick, answers fast.
     """
     schema, instance, plan = storm_workload()
     reference = canonical(plan.execute(InMemorySource(schema, instance)))
@@ -116,12 +117,9 @@ def hedging_sweep(requests, slow_every=5, slow_latency=0.25):
             slow_latency=slow_latency,
             slow_every=slow_every,
         )
-        pool = ThreadWorkerPool(
-            source, workers=4, hedge_delay=0.05 if hedged else None
-        )
-        service = QueryService(
-            source, workers=2, max_queue=requests, worker_pool=pool
-        )
+        if hedged:
+            source = HedgedSource(source, delay=0.05)
+        service = QueryService(source, workers=2, max_queue=requests)
         latencies = []
         with service:
             for _ in range(requests):
@@ -129,7 +127,6 @@ def hedging_sweep(requests, slow_every=5, slow_latency=0.25):
                 assert response.complete, response.describe()
                 assert canonical(response.table) == reference
                 latencies.append(response.wall_time)
-        tier = pool.health()
         latencies.sort()
         answers.append(reference)
         rows.append(
@@ -142,9 +139,9 @@ def hedging_sweep(requests, slow_every=5, slow_latency=0.25):
                 "p95_latency": percentile(latencies, 0.95),
                 "p99_latency": percentile(latencies, 0.99),
                 "mean_latency": sum(latencies) / len(latencies),
-                "hedges": tier["hedges"],
-                "hedge_wins": tier["hedge_wins"],
-                "hedge_waste": tier["hedge_waste"],
+                "hedges": getattr(source, "hedges", 0),
+                "hedge_wins": getattr(source, "hedge_wins", 0),
+                "hedge_waste": getattr(source, "hedge_waste", 0),
                 "identical_to_reference": True,
             }
         )
@@ -163,6 +160,7 @@ def run_benchmark(quick):
     # least once, and cut the P99 of an identical-answer sequence.
     assert hedged["hedges"] >= 1
     assert hedged["hedge_wins"] >= 1
+    assert hedged["hedges"] == hedged["hedge_wins"] + hedged["hedge_waste"]
     assert hedged["p99_latency"] < unhedged["p99_latency"], (
         hedged["p99_latency"],
         unhedged["p99_latency"],

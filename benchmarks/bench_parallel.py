@@ -10,7 +10,8 @@ machine-readable ``BENCH_parallel.json`` (rendered by ``report.py
   before the rows are paired and whose interpreter cost is pure Python,
   i.e. the GIL-bound regime where in-process threads cannot help) served at
   increasing :class:`~repro.service.ProcessWorkerPool` worker counts,
-  plus a :class:`~repro.service.ThreadWorkerPool` row for contrast.
+  plus an in-process :class:`~repro.service.QueryService` row of the
+  same width for contrast.
   Every response is asserted byte-identical to the single-process
   sequential reference, so the speedup column is soundness-checked.
   The speedup floor is **CPU-aware**: the report records
@@ -45,7 +46,7 @@ from benchmarks.bench_execution import (  # noqa: E402
 from repro.data.source import InMemorySource
 from repro.logic.queries import parse_cq
 from repro.planner import PlanCache
-from repro.service import ProcessWorkerPool, QueryService, ThreadWorkerPool
+from repro.service import ProcessWorkerPool, QueryService
 
 
 def canonical(table):
@@ -79,7 +80,7 @@ def serve_burst(source, plan, requests, worker_pool=None, workers=1):
 
 # ----------------------------------------------------------- process scaling
 def scaling_sweep(n, requests, workers_list):
-    """The CPU-bound burst at each process-tier width, plus threads."""
+    """The CPU-bound burst at each process-tier width, plus in-process."""
     schema, instance, plan = residual_join_workload(n)
     source = InMemorySource(schema, instance)
     started = perf_counter()
@@ -109,20 +110,19 @@ def scaling_sweep(n, requests, workers_list):
                 "crashes": health.worker_tier["crashes"],
             }
         )
-    # The GIL contrast row: the same width of in-process threads.  On a
-    # CPU-bound workload this cannot scale (the interpreter serializes
-    # it), which is the whole argument for the process tier.
+    # The GIL contrast row: the service's own threads at the same width.
+    # On a CPU-bound workload they cannot scale (the interpreter
+    # serializes them), which is the whole argument for the process tier.
     top = max(workers_list)
-    pool = ThreadWorkerPool(source, workers=top)
     elapsed, responses, _health = serve_burst(
-        source, plan, requests, worker_pool=pool, workers=top
+        source, plan, requests, workers=top
     )
     for response in responses:
         assert response.complete, response.describe()
-        assert canonical(response.table) == reference, "thread tier"
+        assert canonical(response.table) == reference, "in-process"
     rows.append(
         {
-            "tier": "thread",
+            "tier": "in_process",
             "workers": top,
             "wall_time": elapsed,
             "throughput_rps": requests / elapsed,

@@ -458,7 +458,7 @@ def render_chaos(report: Dict) -> str:
         )
     lines += [
         "",
-        "### hedged dispatch vs the latency storm "
+        "### hedged accesses vs the latency storm "
         "(identical answers, asserted row by row)",
         "",
         "| mode | requests | p50 | p95 | p99 | hedges (wins/waste) |",

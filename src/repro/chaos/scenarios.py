@@ -16,9 +16,10 @@ oracle first, then serves the same workload through a live
     killed and recycled, surfacing typed
     :class:`~repro.errors.WorkerStalled` instead of blocked slots.
 ``latency_storm``
-    a storm whose slow tick is merely painful (hundreds of ms);
-    hedged execution duplicates the straggling tail after a fixed
-    delay and every answer still matches the oracle exactly.
+    a storm whose slow tick is merely painful (hundreds of ms), served
+    in-process through a :class:`~repro.data.decorators.HedgedSource`:
+    an access still unanswered after a fixed delay is issued again,
+    and every answer still matches the oracle exactly.
 ``burst_outage``
     a seeded :class:`~repro.faults.FaultPolicy` transient schedule
     (bursty unavailability/timeouts/rate limits) defeated by retries:
@@ -61,7 +62,7 @@ from typing import Dict, Tuple
 
 from repro.chaos.harness import ChaosReport, ScenarioHarness
 from repro.cost.calibration import CalibrationStore
-from repro.data.decorators import StormyLatencySource
+from repro.data.decorators import HedgedSource, StormyLatencySource
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.exec.resilience import RetryPolicy
@@ -71,7 +72,7 @@ from repro.planner.plan_cache import PlanCache
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.schema.core import SchemaBuilder
 from repro.service.service import QueryService
-from repro.service.workers import ProcessWorkerPool, ThreadWorkerPool
+from repro.service.workers import ProcessWorkerPool
 from repro.sources import HTTPSource, SQLiteSource, StubTransport
 
 #: No real reconnect backoff inside chaos runs -- schedules stay
@@ -208,29 +209,32 @@ def worker_stall(seed: int = 0, quick: bool = True) -> ChaosReport:
 
 
 def latency_storm(seed: int = 0, quick: bool = True) -> ChaosReport:
-    """Hedged execution rides out a deterministic tail-latency storm."""
+    """Hedged accesses ride out a deterministic tail-latency storm."""
     schema, instance, _query, plan, oracle = join_workload("chaos_storm")
-    source = StormyLatencySource(
-        InMemorySource(schema, instance),
-        base_latency=0.002,
-        slow_latency=0.25,
-        slow_every=5,
+    source = HedgedSource(
+        StormyLatencySource(
+            InMemorySource(schema, instance),
+            base_latency=0.002,
+            slow_latency=0.25,
+            slow_every=5,
+        ),
+        delay=0.05,
     )
-    pool = ThreadWorkerPool(source, workers=4, hedge_delay=0.05)
     requests = 12 if quick else 24
     harness = ScenarioHarness("latency_storm", seed, 60.0, oracle)
     service = QueryService(
-        source,
-        workers=4,
-        max_queue=64,
-        worker_pool=pool,
-        default_deadline=30.0,
+        source, workers=4, max_queue=64, default_deadline=30.0
     )
     with service:
         for _ in range(requests):
             harness.submit(service.submit, plan)
         harness.collect()
-    return harness.finish(service, details={"tier": pool.health()})
+    hedging = {
+        "hedges": source.hedges,
+        "hedge_wins": source.hedge_wins,
+        "hedge_waste": source.hedge_waste,
+    }
+    return harness.finish(service, details={"hedging": hedging})
 
 
 def burst_outage(seed: int = 0, quick: bool = True) -> ChaosReport:

@@ -234,19 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--worker-tier",
-        choices=["none", "thread", "process"],
+        choices=["none", "process"],
         default="none",
-        help="execution tier: none (in-service threads), thread "
-             "(ThreadWorkerPool behind the WorkerPool interface), or "
-             "process (ProcessPoolExecutor -- ships plan IR to spawned "
-             "workers and scales CPU-bound serving past the GIL)",
+        help="execution tier: none (in-service threads) or process "
+             "(ProcessPoolExecutor -- ships plan IR to spawned workers "
+             "and scales CPU-bound serving past the GIL)",
     )
     serve.add_argument(
         "--tier-workers",
         type=int,
         default=4,
         metavar="N",
-        help="worker count of the process/thread execution tier",
+        help="worker count of the process execution tier",
     )
     serve.add_argument(
         "--plan-cache",
@@ -284,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="hedged dispatch on the execution tier: a request not "
-             "answered after SECONDS is duplicated to a second worker "
-             "and the first answer wins (cuts tail latency; safe "
-             "because execution is deterministic)",
+        help="hedge every access, on any tier: an access not answered "
+             "after SECONDS is issued a second time and the first "
+             "answer wins (cuts tail latency; safe because an access "
+             "is a deterministic read)",
     )
     serve.add_argument(
         "--chaos-scenario",
@@ -491,7 +490,7 @@ def _demo_calibrated(args, scenario, instance, exec_stats) -> None:
 
 
 def _serve_demo(args) -> int:
-    from repro.data.decorators import LatencySource
+    from repro.data.decorators import HedgedSource, LatencySource
     from repro.exec.budget import ResourceBudget
     from repro.errors import ServiceOverloaded
     from repro.planner import PlanCache
@@ -500,7 +499,6 @@ def _serve_demo(args) -> int:
         PRIORITY_NAMES,
         ProcessWorkerPool,
         QueryService,
-        ThreadWorkerPool,
     )
 
     if args.chaos_scenario is not None:
@@ -530,25 +528,21 @@ def _serve_demo(args) -> int:
     source = backend
     if args.latency:
         source = LatencySource(source, args.latency)
-    resilience = {
-        "watchdog_seconds": args.watchdog_seconds,
-        "hedge_delay": args.hedge_delay,
-    }
+    hedged = None
+    if args.hedge_delay is not None:
+        source = hedged = HedgedSource(source, args.hedge_delay)
     if args.worker_tier == "process":
         worker_pool = ProcessWorkerPool(
-            source, workers=args.tier_workers, **resilience
-        )
-    elif args.worker_tier == "thread":
-        worker_pool = ThreadWorkerPool(
-            source, workers=args.tier_workers, **resilience
+            source,
+            workers=args.tier_workers,
+            watchdog_seconds=args.watchdog_seconds,
         )
     else:
         worker_pool = None
-        if args.hedge_delay is not None or args.watchdog_seconds is not None:
+        if args.watchdog_seconds is not None:
             print(
-                "note: --hedge-delay/--watchdog-seconds apply to the "
-                "execution tier; pass --worker-tier thread|process to "
-                "enable them"
+                "note: --watchdog-seconds applies to the process "
+                "execution tier; pass --worker-tier process to enable it"
             )
     budget = (
         ResourceBudget(max_result_rows=args.budget_rows)
@@ -610,6 +604,13 @@ def _serve_demo(args) -> int:
               f"searches run={health.planned}")
     if health.worker_tier is not None:
         print(f"worker tier: {health.worker_tier}")
+    if hedged is not None:
+        counts = (
+            "counted in each worker" if worker_pool is not None
+            else f"{hedged.hedges} hedges ({hedged.hedge_wins} wins, "
+            f"{hedged.hedge_waste} waste)"
+        )
+        print(f"hedging: {hedged.delay}s per access, {counts}")
     if health.calibration is not None:
         print(
             f"calibration: v{health.calibration['version']} "

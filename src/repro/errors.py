@@ -154,16 +154,6 @@ class DeadlineExceeded(ExecutionError):
     """The overall plan deadline expired before execution finished."""
 
 
-class PlanCancelled(ExecutionError):
-    """A cooperative cancellation token stopped the plan between commands.
-
-    Raised by :meth:`Plan.execute <repro.plans.plan.Plan.execute>` when
-    its ``cancel`` event is set -- e.g. a hedged duplicate whose twin
-    already won.  The run produced no answer *by request*, so callers
-    that cancelled simply discard the worker's error result.
-    """
-
-
 class PlanFailed(ExecutionError):
     """A plan run gave up: retries exhausted or a permanent access error.
 
@@ -356,7 +346,6 @@ __all__ = [
     "InvalidCostParameter",
     "MethodOutage",
     "NoViablePlan",
-    "PlanCancelled",
     "PlanFailed",
     "PlanInadmissible",
     "RateLimited",

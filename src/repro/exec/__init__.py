@@ -16,7 +16,7 @@ package makes *running* that plan cheap.  Four cooperating pieces:
   the one request runner (rebind, guard the source, execute) the
   service and the worker tier share,
 * :class:`ExecutionContext` (:mod:`repro.exec.context`) -- the cache,
-  stats, dispatcher, budget and cancel token of one run: what
+  stats, dispatcher and budget of one run: what
   ``Plan.execute`` takes besides the source, and ships to a worker,
 * :class:`ResourceBudget` (:mod:`repro.exec.budget`) -- per-request
   row/access/cost ceilings; result overflow degrades to an explicitly

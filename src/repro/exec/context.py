@@ -17,14 +17,14 @@ source (``docs/theory.md``, "One execution context"), so sharing them
 changes what a request pays, never what it answers.  Everything else
 is one request's own and is written without a lock: ``stats``, the
 ``resilience`` dispatcher (its counters, its deadline), the ``budget``
-(it records truncation), the ``cancel`` token, and ``command_stats``,
+(it records truncation) and ``command_stats``,
 which the command loop points at the record of the command now running.
 
 **Wire form.**  :meth:`ExecutionContext.to_payload` writes the fields
 named in ``wire_fields``, a dataclass among them by its own scalar
 fields; :meth:`ExecutionContext.from_payload` reads them back, every
-key optional.  The cache, the breakers, the sleep callable, the cancel
-token and the stats object are process-local and do not cross.  The
+key optional.  The cache, the breakers, the sleep callable and the
+stats object are process-local and do not cross.  The
 deadline crosses as the seconds *remaining* when the payload was
 written and restarts on the receiver's clock: two processes share no
 clock to read a timestamp on.
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
-from repro.errors import PlanCancelled
 from repro.exec.budget import ResourceBudget
 from repro.exec.resilience import (
     BreakerRegistry,
@@ -62,14 +61,13 @@ def _ship(value: Any) -> Any:
 
 @dataclass(slots=True, eq=False)
 class ExecutionContext:
-    """``cache``, ``stats``, ``resilience``, ``budget``, ``cancel`` of one
-    run: all optional; ``cancel`` is anything with ``is_set()``."""
+    """``cache``, ``stats``, ``resilience``, ``budget`` of one run: all
+    optional."""
 
     cache: Optional[Any] = None
     stats: Optional[ExecStats] = None
     resilience: Optional[ResilientDispatcher] = None
     budget: Optional[ResourceBudget] = None
-    cancel: Optional[Any] = None
     command_stats: Optional[CommandStats] = field(
         default=None, init=False, repr=False
     )
@@ -83,13 +81,8 @@ class ExecutionContext:
         "budget": ResourceBudget, "retry": RetryPolicy,
     }
 
-    def check_stop(self, index: int, total: int) -> None:
-        """The stop check before command ``index``: cancel, then deadline."""
-        if self.cancel is not None and self.cancel.is_set():
-            raise PlanCancelled(
-                f"plan cancelled before command #{index} "
-                f"({total - index} commands unrun)"
-            )
+    def check_stop(self, index: int) -> None:
+        """The stop check before command ``index``: the deadline."""
         if self.resilience is not None:
             self.resilience.check_deadline(f"command #{index}")
 
@@ -120,9 +113,7 @@ class ExecutionContext:
         return {name: _ship(getattr(self, name)) for name in self.wire_fields}
 
     @classmethod
-    def from_payload(
-        cls, payload: Mapping[str, Any], cancel: Optional[Any] = None
-    ) -> "ExecutionContext":
+    def from_payload(cls, payload: Mapping[str, Any]) -> "ExecutionContext":
         """The receiver's context: fresh stats, fresh breakers, own clock.
 
         A dataclass field the payload lacks keeps its default, a key
@@ -145,5 +136,4 @@ class ExecutionContext:
                 deadline=None if left is None else Deadline(max(left, 1e-9)),
             ),
             budget=built.get("budget"),
-            cancel=cancel,
         )

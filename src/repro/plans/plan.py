@@ -127,10 +127,8 @@ class Plan:
             per-method circuit breaker and the run's deadline; its
             ``budget`` caps resident rows (an error) and result rows
             (truncated to a deterministic prefix, or an error, per its
-            overflow policy); its ``cancel`` token stops a run whose
-            answer is no longer wanted.  :func:`run_commands` checks
-            cancellation and the deadline before every command,
-            whichever engine runs it.
+            overflow policy).  :func:`run_commands` checks the
+            deadline before every command, whichever engine runs it.
         ``executor``
             which backend runs the plan.  ``"interpreter"`` (the
             default) evaluates the commands of :meth:`executable` as
@@ -265,7 +263,7 @@ def run_commands(
     record = None
     started = perf_counter()
     for index, command in enumerate(commands):
-        context.check_stop(index, len(commands))
+        context.check_stop(index)
         if stats is not None:
             record = context.command_stats = stats.command(
                 index,

@@ -15,12 +15,11 @@ Public surface of :mod:`repro.service`:
   priority-aware admission with load shedding and preemption.
 * The priority classes ``PRIORITY_HIGH`` / ``PRIORITY_NORMAL`` /
   ``PRIORITY_BEST_EFFORT``.
-* :class:`~repro.service.workers.WorkerPool` and its
-  :class:`~repro.service.workers.ProcessWorkerPool` /
-  :class:`~repro.service.workers.ThreadWorkerPool` implementations --
-  the execution tier that ships plan IR (not pickles) to worker
-  processes to scale CPU-bound serving past the GIL.  Both run one
-  request path; a tier is an executor, a submit and a reclaim rule.
+* :class:`~repro.service.workers.ProcessWorkerPool` -- the execution
+  tier that ships plan IR (not pickles) to worker processes to scale
+  CPU-bound serving past the GIL.  It has no hedging of its own: a
+  slow access is re-issued below the cache by
+  :class:`~repro.data.decorators.HedgedSource`, on any tier.
 * :class:`~repro.service.workers.LatencyTracker` -- the EWMA mean of
   service times behind the service's retry-after hint.
 
@@ -46,8 +45,6 @@ from repro.service.workers import (
     LatencyTracker,
     ProcessWorkerPool,
     SourceSpecError,
-    ThreadWorkerPool,
-    WorkerPool,
     source_to_spec,
     spec_to_source,
 )
@@ -67,9 +64,7 @@ __all__ = [
     "ServiceBooks",
     "ServiceHealth",
     "SourceSpecError",
-    "ThreadWorkerPool",
     "Ticket",
-    "WorkerPool",
     "source_to_spec",
     "spec_to_source",
 ]

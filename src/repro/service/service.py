@@ -96,7 +96,7 @@ from repro.plans.plan import Plan
 from repro.service.admission import AdmissionQueue
 from repro.service.workers import (
     LatencyTracker,
-    WorkerPool,
+    ProcessWorkerPool,
     encode_bindings,
     encoded_plan_ir,
     rebuild_error,
@@ -253,7 +253,7 @@ class QueryService:
         clock=time.monotonic,
         name: str = "service",
         executor: str = "interpreter",
-        worker_pool: Optional[WorkerPool] = None,
+        worker_pool: Optional[ProcessWorkerPool] = None,
         plan_cache: Optional[PlanCache] = None,
         calibration: Optional[CalibrationStore] = None,
         size_bounds: Optional[SizeBounds] = None,
@@ -280,9 +280,9 @@ class QueryService:
             else {}
         )
         # The execution tier: None keeps plan runs in this process's
-        # worker threads; a WorkerPool ships them (plan IR + bindings +
-        # budget, never pickles) to the tier -- typically a
-        # ProcessWorkerPool, which is what escapes the GIL.
+        # worker threads; a ProcessWorkerPool ships them (plan IR +
+        # bindings + budget, never pickles) to worker processes, which
+        # is what escapes the GIL.
         self.worker_pool = worker_pool
         # Cross-request plan cache consulted by submit_query before
         # invoking Algorithm 1 search.
@@ -906,8 +906,7 @@ class QueryService:
         typed error a worker reported is raised, on this request only.
         """
         payload = {
-            # Memoized per plan object: a hot plan (and every hedge
-            # duplicate the tier issues for it) is encoded once.
+            # Memoized per plan object: a hot plan is encoded once.
             "plan": encoded_plan_ir(request.plan),
             "bindings": encode_bindings(request.bindings),
             "executor": self.executor,
@@ -990,8 +989,7 @@ class QueryService:
         tier's own backlog beyond the requests this service handed to
         it (other clients of a shared pool) counts as waiting work too.
         A request still planning in its submitting thread is in flight
-        but not on the tier.  The backlog counts each request once:
-        hedge duplicates are not in it.
+        but not on the tier.
         """
         mean = self._service_time.mean or _DEFAULT_SERVICE_TIME
         with self._lock:

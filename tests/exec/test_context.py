@@ -6,9 +6,10 @@
     file, which is only right for a change that means to alter it;
 (b) it round-trips budgets, retry policies and deadlines without a
     per-class codec;
-(c) the four runners -- in-process service, thread-tier service,
-    ``execute_payload``, a direct ``run_request`` call -- agree on rows,
-    truncation, access log and command stats;
+(c) the four runners -- in-process service, ``execute_payload`` of a
+    bare wire form and of one that ships a retry policy and a deadline,
+    a direct ``run_request`` call -- agree on rows, truncation, access
+    log and command stats;
 (d) the columnar engine takes the interpreter's batch branch;
 (e) the signatures that used to thread eight arguments take the context.
 """
@@ -40,7 +41,7 @@ from repro.planner.search import SearchOptions, find_best_plan
 from repro.plans.commands import AccessCommand, MiddlewareCommand
 from repro.plans.ir import plan_to_ir, table_from_ir
 from repro.plans.plan import Plan
-from repro.service import QueryService, ThreadWorkerPool
+from repro.service import QueryService
 from repro.service.workers import execute_payload
 from repro.sources import SQLiteSource
 from tests.exec.test_access_bind import SCENARIOS
@@ -77,7 +78,6 @@ def full_context():
             max_cost=75.5,
             on_result_overflow="error",
         ),
-        cancel=None,
     )
 
 
@@ -90,14 +90,14 @@ def test_wire_form_is_the_golden_file():
 
 def test_what_is_process_local_stays_behind():
     payload = full_context().to_payload()
-    json.dumps(payload)  # plain data: no cache, breakers, sleep, token
+    json.dumps(payload)  # plain data: no cache, breakers, sleep
     assert set(payload) == {"collect_stats", "budget", "retry", "deadline"}
     assert "retry_on" not in payload["retry"]  # a tuple of classes
     assert ExecutionContext().to_payload() == {
         "collect_stats": False, "budget": None, "retry": None, "deadline": None,
     }
     rebuilt = ExecutionContext.from_payload(payload)
-    assert rebuilt.cache is None and rebuilt.cancel is None
+    assert rebuilt.cache is None
     assert rebuilt.resilience.sleep is None
     assert rebuilt.stats is not full_context().stats
 
@@ -217,32 +217,28 @@ def run_all_four(scenario, plan, executor, budget):
         list(source.log), books(response.stats),
     )
 
-    source = fresh()
-    pool = ThreadWorkerPool(source, workers=1)
-    with QueryService(
-        source, workers=1, executor=executor, worker_pool=pool
-    ) as service:
-        response = service.submit(plan, budget=stamp()).result(30)
-    assert response.ok, response.error
-    seen["thread tier"] = (
-        sorted(response.table.rows), response.truncated_rows,
-        list(source.log), books(response.stats),
-    )
-
-    source = fresh()
-    context = ExecutionContext(stats=ExecStats(), budget=stamp())
-    result = execute_payload(
-        source,
-        json.loads(json.dumps({
-            "plan": plan_to_ir(plan), "executor": executor,
-            **context.to_payload(),
-        })),
-    )
-    assert result["ok"], result
-    seen["execute_payload"] = (
-        sorted(table_from_ir(result["table"]).rows), result["truncated"],
-        list(source.log), books(ExecStats.from_dict(result["stats"])),
-    )
+    for wire, resilience in (
+        ("bare", None),
+        ("retry, deadline", ResilientDispatcher(
+            retry=RetryPolicy(seed=3), deadline=Deadline(30.0)
+        )),
+    ):
+        source = fresh()
+        context = ExecutionContext(
+            stats=ExecStats(), resilience=resilience, budget=stamp()
+        )
+        result = execute_payload(
+            source,
+            json.loads(json.dumps({
+                "plan": plan_to_ir(plan), "executor": executor,
+                **context.to_payload(),
+            })),
+        )
+        assert result["ok"], result
+        seen[f"execute_payload ({wire})"] = (
+            sorted(table_from_ir(result["table"]).rows), result["truncated"],
+            list(source.log), books(ExecStats.from_dict(result["stats"])),
+        )
 
     source = fresh()
     context = ExecutionContext(stats=ExecStats(), budget=stamp())

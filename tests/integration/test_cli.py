@@ -36,22 +36,31 @@ class TestDemo:
 
 
 class TestServeDemoResilience:
-    def test_hedged_thread_tier_serves_clean(self, capsys):
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("tier", ["none", "process"])
+    def test_hedge_delay_hedges_accesses_on_every_tier(self, tier, capsys):
         code = main(
             [
                 "serve-demo",
                 "example1",
-                "--worker-tier", "thread",
+                "--worker-tier", tier,
+                "--tier-workers", "1",
                 "--hedge-delay", "0.05",
-                "--watchdog-seconds", "5",
                 "--requests", "4",
                 "--latency", "0",
             ]
+            + (["--watchdog-seconds", "5"] if tier == "process" else [])
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "'hedge_delay': 0.05" in out
-        assert "'watchdog_seconds': 5.0" in out
+        assert "hedging: 0.05s per access" in out
+        assert "note:" not in out
+        if tier == "process":
+            assert "'watchdog_seconds': 5.0" in out
+            assert "counted in each worker" in out
+        else:
+            # No access outlived 50 ms, so none was hedged.
+            assert "0 hedges (0 wins, 0 waste)" in out
 
     def test_resilience_flags_without_a_tier_print_a_note(self, capsys):
         code = main(
@@ -59,13 +68,17 @@ class TestServeDemoResilience:
                 "serve-demo",
                 "example1",
                 "--hedge-delay", "0.05",
+                "--watchdog-seconds", "5",
                 "--requests", "2",
                 "--latency", "0",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "pass --worker-tier" in out
+        # Only the watchdog needs a tier; the hedge wraps the source.
+        assert "note: --watchdog-seconds applies" in out
+        assert "pass --worker-tier process" in out
+        assert "hedging: 0.05s per access" in out
 
     def test_chaos_scenario_flag_runs_the_matrix_entry(self, capsys):
         code = main(

@@ -18,7 +18,7 @@ from repro.exec.resilience import RetryPolicy
 from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import example1, example5, referential_chain
-from repro.service import ProcessWorkerPool, QueryService, ThreadWorkerPool
+from repro.service import ProcessWorkerPool, QueryService
 
 SCENARIOS = [
     ("example1", example1, 3),
@@ -55,7 +55,6 @@ def test_all_tiers_agree_on_scenarios(name, factory, budget):
     answers = {}
     for tier, make_pool in [
         ("none", lambda s: None),
-        ("thread", lambda s: ThreadWorkerPool(s, workers=2)),
         (
             "spawn",
             lambda s: ProcessWorkerPool(

@@ -9,7 +9,7 @@ response's own ``ExecStats``:
   responses;
 * a failed request keeps what it did: the dispatches, retries and faults
   of the command that raised are on its record and in the ledger, on
-  every tier (in-process, thread, process);
+  every tier (in-process, process);
 * a breaker trip is booked to the request whose failure opened the
   breaker, and to no other request, on every tier.
 """
@@ -27,9 +27,9 @@ from repro.logic.queries import parse_cq
 from repro.planner.search import find_best_plan
 from repro.scenarios import example2
 from repro.schema.core import SchemaBuilder
-from repro.service import ProcessWorkerPool, QueryService, ThreadWorkerPool
+from repro.service import ProcessWorkerPool, QueryService
 
-TIERS = ("in-process", "thread", "process")
+TIERS = ("in-process", "process")
 TOTALS = (
     "runs", "accesses_dispatched", "accesses_deduped", "cache_hits",
     "rows_out", "retries", "faults", "breaker_trips",
@@ -37,8 +37,6 @@ TOTALS = (
 
 
 def tier_pool(tier, source):
-    if tier == "thread":
-        return ThreadWorkerPool(source, workers=1)
     if tier == "process":
         return ProcessWorkerPool(source, workers=1, start_method="fork")
     return None

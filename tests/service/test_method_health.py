@@ -286,7 +286,7 @@ class TestRetryAfterHint:
         assert service._retry_after_hint() == pytest.approx(2.0)
 
     def test_tier_backlog_beyond_in_flight_counts_as_waiting(self):
-        # Another client of a shared pool (never a hedge duplicate) shows up
+        # Another client of a shared pool shows up
         # as tier backlog beyond the one request we handed to the tier.
         service = self._service(_StubTier(backlog=3))
         service._in_flight = service._on_tier = 1

@@ -36,8 +36,8 @@ from repro.service import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_CLASSES,
     PRIORITY_HIGH,
+    ProcessWorkerPool,
     QueryService,
-    ThreadWorkerPool,
 )
 from tests.service.test_service import GateSource, planned
 
@@ -144,7 +144,8 @@ def test_every_refusal_is_one_book_entry():
         service.shutdown(timeout=10)
 
 
-@pytest.mark.parametrize("tier", ["in-process", "thread"])
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("tier", ["in-process", "process"])
 def test_an_outage_opens_the_services_breaker_on_every_tier(tier):
     schema = (
         SchemaBuilder("tier_outage")
@@ -165,7 +166,11 @@ def test_an_outage_opens_the_services_breaker_on_every_tier(tier):
     source = FaultInjectingSource(
         InMemorySource(schema, instance), FaultPolicy.outage("primary_R")
     )
-    pool = ThreadWorkerPool(source, workers=2) if tier == "thread" else None
+    pool = (
+        ProcessWorkerPool(source, workers=2, start_method="fork")
+        if tier == "process"
+        else None
+    )
     with QueryService(
         source, workers=2, worker_pool=pool, plan_cache=PlanCache(capacity=8)
     ) as service:

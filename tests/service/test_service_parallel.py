@@ -1,4 +1,4 @@
-"""QueryService over the process/thread execution tier.
+"""QueryService over the process execution tier.
 
 The contract under test: routing execution through a worker pool is
 *invisible* in the answers (byte-identical tables, identical partial
@@ -21,7 +21,7 @@ from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.queries import parse_cq
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.schema.core import SchemaBuilder
-from repro.service import ProcessWorkerPool, QueryService, ThreadWorkerPool
+from repro.service import ProcessWorkerPool, QueryService
 
 
 def workload():
@@ -58,15 +58,11 @@ def parts():
 
 
 class TestTierEquivalence:
-    @pytest.mark.parametrize("tier", ["thread", "process"])
-    def test_answers_identical_to_in_service_execution(self, parts, tier):
+    def test_answers_identical_to_in_service_execution(self, parts):
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
         reference = canonical(plan.execute(source))
-        if tier == "process":
-            pool = ProcessWorkerPool(source, workers=2)
-        else:
-            pool = ThreadWorkerPool(source, workers=2)
+        pool = ProcessWorkerPool(source, workers=2)
         with QueryService(source, workers=2, worker_pool=pool) as service:
             responses = [
                 ticket.result(timeout=120)
@@ -107,7 +103,7 @@ class TestTierEquivalence:
     def test_stats_merged_from_worker(self, parts):
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
-        pool = ThreadWorkerPool(source, workers=1)
+        pool = ProcessWorkerPool(source, workers=1, start_method="fork")
         with QueryService(source, workers=1, worker_pool=pool) as service:
             response = service.serve(plan, timeout=60)
             health = service.health()
@@ -132,7 +128,7 @@ class TestWhatATierRequestDoesNotShare:
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
         cache = AccessCache()
-        pool = ThreadWorkerPool(source, workers=1)
+        pool = ProcessWorkerPool(source, workers=1, start_method="fork")
         with QueryService(
             source, workers=1, cache=cache, worker_pool=pool
         ) as service:
@@ -149,7 +145,7 @@ class TestWhatATierRequestDoesNotShare:
             InMemorySource(schema, instance),
             FaultPolicy(unavailable_rate=1.0, burst=10),
         )
-        pool = ThreadWorkerPool(source, workers=1)
+        pool = ProcessWorkerPool(source, workers=1, start_method="fork")
         with QueryService(
             source,
             workers=1,
@@ -190,7 +186,7 @@ class TestHealthReporting:
     def test_dead_pool_is_reported_degraded_not_hung(self, parts):
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
-        pool = ThreadWorkerPool(source, workers=1)
+        pool = ProcessWorkerPool(source, workers=1, start_method="fork")
         with QueryService(source, workers=1, worker_pool=pool) as service:
             # Simulate the tier dying out from under the service.
             pool.shutdown()

@@ -22,6 +22,7 @@ import pytest
 
 from repro.data.decorators import (
     BudgetedSource,
+    HedgedSource,
     LatencySource,
     StormyLatencySource,
 )
@@ -83,6 +84,7 @@ CASES = {
     "storm": lambda: StormyLatencySource(
         memory(), base_latency=0.0, slow_latency=0.002, slow_every=5
     ),
+    "hedge": lambda: HedgedSource(memory(), delay=0.05),
     "paced": lambda: PacedSource(
         memory(), rate=100000.0, capacity=64.0, max_wait=0.5
     ),
@@ -101,6 +103,7 @@ WRAPPERS = {
         for name in (
             "latency",
             "storm",
+            "hedge",
             "paced",
             "faults",
         )
@@ -244,7 +247,7 @@ class TestNotSpecable:
             spec.get("wrap") or spec["kind"] for spec in golden().values()
         }
         assert named == set(SPEC_CLASSES)
-        assert len(SPEC_CLASSES) == 7
+        assert len(SPEC_CLASSES) == 8
 
 
 @pytest.mark.parametrize("name", WRAPPERS)

@@ -1,16 +1,16 @@
-"""One request path for both worker tiers: its timeout table and races.
+"""The process tier's request path: its timeout table and races.
 
-``WorkerPool.run_request`` maps a request that answered within neither
-its deadline nor the watchdog to one typed error.  The table below is
-that mapping on both tiers: {thread, process (fork)} x {the request's
-deadline is the nearer bound, the watchdog is} x {the copy is queued
-behind busy workers, the copy is running}.  Every cell sets a watchdog,
-and every cell checks that the slot comes back: the next request
-answers.
+``ProcessWorkerPool.run_request`` maps a request that answered within
+neither its deadline nor the watchdog to one typed error.  The table
+below is that mapping on the process tier (fork): {the request's
+deadline is the nearer bound, the watchdog is} x {the request is
+queued behind busy workers, it is running}.  Every cell sets a
+watchdog, and every cell checks that the slot comes back: the next
+request answers.
 
 The race tests pin what a request meets when another request replaced
 the executor it took (a watchdog kill or a crash recovery in between):
-a refused submit, or a queued copy cancelled by the replace, is the
+a refused submit, or a queued request cancelled by the replace, is the
 typed :class:`~repro.errors.WorkerCrashed` every other request on the
 replaced executor gets -- never a bare ``RuntimeError`` or
 ``CancelledError`` that the service can only call an unexpected
@@ -18,7 +18,6 @@ failure.
 """
 
 import inspect
-import threading
 import time
 
 import pytest
@@ -27,12 +26,7 @@ from repro.data.decorators import StormyLatencySource
 from repro.data.source import InMemorySource
 from repro.errors import DeadlineExceeded, WorkerCrashed, WorkerStalled
 from repro.plans.ir import plan_to_ir
-from repro.service import (
-    LatencyTracker,
-    ProcessWorkerPool,
-    QueryService,
-    ThreadWorkerPool,
-)
+from repro.service import LatencyTracker, ProcessWorkerPool, QueryService
 from tests.service.test_workers import (
     simple_instance,
     simple_plan,
@@ -46,13 +40,9 @@ SLOW = 0.7
 BOUNDS = {"deadline": (0.25, 5.0), "watchdog": (30.0, 0.35)}
 
 #: (tier, nearer bound, copy) -> (error, killed, stalls, watchdog_kills,
-#: restarts).  A process tier with a watchdog kills a running copy's
-#: pool even when the request's own deadline was the nearer bound.
+#: restarts).  A tier with a watchdog kills a running request's pool
+#: even when the request's own deadline was the nearer bound.
 TABLE = {
-    ("thread", "deadline", "queued"): (DeadlineExceeded, None, 0, 0, 0),
-    ("thread", "deadline", "running"): (DeadlineExceeded, None, 0, 0, 0),
-    ("thread", "watchdog", "queued"): (WorkerStalled, False, 1, 0, 0),
-    ("thread", "watchdog", "running"): (WorkerStalled, False, 1, 0, 0),
     ("process", "deadline", "queued"): (DeadlineExceeded, None, 0, 0, 0),
     ("process", "deadline", "running"): (DeadlineExceeded, None, 0, 1, 1),
     ("process", "watchdog", "queued"): (WorkerStalled, False, 1, 0, 0),
@@ -70,9 +60,7 @@ def stormy_source(slow_every):
     )
 
 
-def one_worker_pool(tier, source, **resilience):
-    if tier == "thread":
-        return ThreadWorkerPool(source, workers=1, **resilience)
+def one_worker_pool(source, **resilience):
     return ProcessWorkerPool(
         source, workers=1, start_method="fork", **resilience
     )
@@ -85,7 +73,7 @@ def test_a_timeout_maps_to_one_typed_error(tier, nearer, copy):
     timeout, watchdog = BOUNDS[nearer]
     source = stormy_source(slow_every=3)
     payload = {"plan": plan_to_ir(simple_plan(source.schema))}
-    with one_worker_pool(tier, source, watchdog_seconds=watchdog) as pool:
+    with one_worker_pool(source, watchdog_seconds=watchdog) as pool:
         pool._executor.submit(int).result(timeout=60)  # boot the worker
         blockers = []
         if copy == "running":
@@ -93,13 +81,7 @@ def test_a_timeout_maps_to_one_typed_error(tier, nearer, copy):
             # the slow third.
             assert pool.run_request(payload, timeout=60)["ok"]
         else:
-            # Busy workers ahead of the copy.  A process pool moves up to
-            # workers + 1 calls into its call queue, where they can no
-            # longer be cancelled, so it needs two more in front.
-            ahead = 1 if tier == "thread" else 3
-            blockers = [
-                pool._executor.submit(time.sleep, SLOW) for _ in range(ahead)
-            ]
+            blockers = busy_workers(pool)
         with pytest.raises(error) as excinfo:
             pool.run_request(payload, timeout=timeout)
         if error is WorkerStalled:
@@ -112,52 +94,45 @@ def test_a_timeout_maps_to_one_typed_error(tier, nearer, copy):
             health["watchdog_kills"],
             health["restarts"],
         ) == (stalls, kills, restarts)
-        # The slot comes back: a no-op reaches a worker (on the thread
-        # tier only once the reclaimed copy has stopped), and the next
+        # The slot comes back: a no-op reaches a worker, and the next
         # request answers.
         for blocker in blockers:
             blocker.result(timeout=60)
         pool._executor.submit(int).result(timeout=60)
         assert pool.run_request(payload, timeout=60)["ok"]
         assert pool.backlog() == 0
-    if tier == "thread":
-        # The reclaimed running copy stopped before its second access:
-        # two warm-up accesses, the slow third, two follow-up accesses.
-        # A queued copy made none.
-        assert source.calls == (5 if copy == "running" else 2)
 
 
-def replace_before_submit(pool, nth):
-    """Replace the executor a request holds just before its ``nth`` submit.
+def busy_workers(pool):
+    """Blockers that keep the one worker busy for ``SLOW`` seconds.
 
-    What a concurrent watchdog kill or crash recovery does to a request
-    between taking the executor and submitting to it: the held executor
-    is shut down and is no longer the pool's.
+    A process pool moves up to workers + 1 calls into its call queue,
+    where they can no longer be cancelled, so a request queued behind
+    busy workers needs three in front of it.
     """
-    held = pool._executor
-    real_submit = held.submit
-    calls = []
-
-    def submit(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == nth:
-            with pool._lock:
-                pool._executor = None
-            held.shutdown(wait=False)
-        return real_submit(*args, **kwargs)
-
-    held.submit = submit
+    return [pool._executor.submit(time.sleep, SLOW) for _ in range(3)]
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("tier", ["thread", "process"])
-@pytest.mark.parametrize("copy", ["primary", "hedge"])
-def test_a_submit_refused_by_a_replaced_executor_is_typed(tier, copy):
-    source = stormy_source(slow_every=1)  # every access slow: it hedges
+def test_a_submit_refused_by_a_replaced_executor_is_typed():
+    """What a concurrent watchdog kill or crash recovery does to a
+    request between taking the executor and submitting to it: the held
+    executor is shut down and is no longer the pool's."""
+    source = stormy_source(slow_every=100)
     plan = simple_plan(source.schema)
-    pool = one_worker_pool(tier, source, hedge_delay=0.05)
+    pool = one_worker_pool(source)
     with QueryService(source, workers=1, worker_pool=pool) as service:
-        replace_before_submit(pool, nth=1 if copy == "primary" else 2)
+        held = pool._executor
+        real_submit = held.submit
+
+        def submit(*args, **kwargs):
+            held.submit = real_submit
+            with pool._lock:
+                pool._executor = None
+            held.shutdown(wait=False)
+            return real_submit(*args, **kwargs)
+
+        held.submit = submit
         response = service.serve(plan, timeout=60)
         assert isinstance(response.error, WorkerCrashed), response.error
         # The request that met the replace is the only casualty.
@@ -168,18 +143,17 @@ def test_a_submit_refused_by_a_replaced_executor_is_typed(tier, copy):
 def test_a_queued_copy_cancelled_by_a_replace_is_typed():
     source = stormy_source(slow_every=100)
     payload = {"plan": plan_to_ir(simple_plan(source.schema))}
-    with ThreadWorkerPool(source, workers=1) as pool:
+    with one_worker_pool(source) as pool:
         held = pool._executor
-        gate = threading.Event()
-        held.submit(gate.wait, 30)  # the one worker is busy
+        held.submit(int).result(timeout=60)  # boot the worker
+        busy_workers(pool)
         real_submit = held.submit
 
         def submit(*args, **kwargs):
-            future = real_submit(*args, **kwargs)  # queued behind it
+            future = real_submit(*args, **kwargs)  # queued behind them
             with pool._lock:
                 pool._executor = None
             held.shutdown(wait=False, cancel_futures=True)
-            gate.set()
             return future
 
         held.submit = submit
@@ -189,28 +163,20 @@ def test_a_queued_copy_cancelled_by_a_replace_is_typed():
 
 
 def test_a_tier_is_an_executor_a_submit_and_a_reclaim_rule():
-    """No tier holds timeout, hedge or lifecycle logic of its own, and
-    the settable values are the ones the tiers need (process 6 -> 5,
-    thread 5 -> 4, the latency tracker 6 -> 0)."""
-    hooks = {"_new_executor", "_submit", "_reclaim"}
-    for tier in (ProcessWorkerPool, ThreadWorkerPool):
-        defined = {
-            name
-            for name, value in vars(tier).items()
-            if callable(value) and name != "__init__"
-        }
-        assert defined - {"health"} == hooks, tier
+    """One class, no base and no hooks: the process pool's executor,
+    its submit and its reclaim rule (kill the pool) sit beside the
+    request path, the timeout table and the lifecycle, and the settable
+    values are the ones it needs (5 -> 4: the hedge delay moved to
+    :class:`~repro.data.decorators.HedgedSource`; the latency tracker
+    has none)."""
+    assert ProcessWorkerPool.__mro__ == (ProcessWorkerPool, object)
     settable = {
         tier: list(inspect.signature(tier).parameters)
-        for tier in (ProcessWorkerPool, ThreadWorkerPool, LatencyTracker)
+        for tier in (ProcessWorkerPool, LatencyTracker)
     }
     assert settable == {
         ProcessWorkerPool: [
             "source", "workers", "start_method", "watchdog_seconds",
-            "hedge_delay",
-        ],
-        ThreadWorkerPool: [
-            "source", "workers", "watchdog_seconds", "hedge_delay",
         ],
         LatencyTracker: [],
     }

@@ -21,7 +21,6 @@ from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.errors import (
     MethodOutage,
-    PlanCancelled,
     RowBudgetExceeded,
     WorkerCrashed,
     WorkerStalled,
@@ -33,13 +32,11 @@ from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.terms import Constant
 from repro.plans.ir import plan_to_ir, table_from_ir
 from repro.schema.core import SchemaBuilder
-from repro.source_contract import SourceWrapper
 from repro.service.service import QueryService
 from repro.service.workers import (
     LatencyTracker,
     ProcessWorkerPool,
     SourceSpecError,
-    ThreadWorkerPool,
     decode_bindings,
     encode_bindings,
     encoded_plan_ir,
@@ -241,26 +238,6 @@ class TestPayload:
         assert isinstance(rebuilt, RowBudgetExceeded)
 
 
-# --------------------------------------------------------------- thread tier
-class TestThreadWorkerPool:
-    def test_run_request_and_health(self):
-        schema = simple_schema()
-        source = InMemorySource(schema, simple_instance())
-        plan = simple_plan(schema)
-        reference = canonical(plan.execute(source))
-        with ThreadWorkerPool(source, workers=2) as pool:
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
-            assert canonical(table_from_ir(result["table"])) == reference
-            health = pool.health()
-            assert health["tier"] == "thread"
-            assert health["alive"]
-            assert health["tasks"] == 1
-        assert not pool.health()["alive"]
-        with pytest.raises(WorkerCrashed):
-            pool.run_request({"plan": plan_to_ir(plan)})
-
-
 # -------------------------------------------------------------- process tier
 class TestProcessWorkerPool:
     @pytest.mark.parametrize("start_method", ["spawn", "fork"])
@@ -328,24 +305,6 @@ class TestLatencyTracker:
 
 # ------------------------------------------------------------------ watchdog
 class TestWatchdog:
-    def test_thread_pool_stall_surfaces_typed_worker_stalled(self):
-        schema = simple_schema()
-        source = StormyLatencySource(
-            InMemorySource(schema, simple_instance()),
-            base_latency=0.0,
-            slow_latency=0.4,
-            slow_every=1,  # every access stalls
-        )
-        plan = simple_plan(schema)
-        with ThreadWorkerPool(source, workers=2, watchdog_seconds=0.1) as pool:
-            with pytest.raises(WorkerStalled) as excinfo:
-                pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            # Threads cannot be killed: the slot leaks, and says so.
-            assert not excinfo.value.killed
-            health = pool.health()
-            assert health["stalls"] == 1
-            assert health["watchdog_seconds"] == pytest.approx(0.1)
-
     def test_process_pool_watchdog_kills_and_pool_recovers(self):
         schema = simple_schema()
         source = StormyLatencySource(
@@ -382,138 +341,9 @@ class TestWatchdog:
     def test_watchdog_seconds_must_be_positive(self):
         source = InMemorySource(simple_schema(), simple_instance())
         with pytest.raises(ValueError):
-            ThreadWorkerPool(source, watchdog_seconds=0.0)
+            ProcessWorkerPool(source, watchdog_seconds=0.0)
         with pytest.raises(ValueError):
-            ProcessWorkerPool(source, hedge_delay=-1.0)
-
-
-# ------------------------------------------------------------------- hedging
-class TestHedging:
-    def test_hedge_duplicate_wins_against_a_slow_primary(self):
-        schema = simple_schema()
-        source = StormyLatencySource(
-            InMemorySource(schema, simple_instance()),
-            base_latency=0.0,
-            slow_latency=0.5,
-            slow_every=3,
-        )
-        plan = simple_plan(schema)
-        reference = canonical(plan.execute(InMemorySource(schema, simple_instance())))
-        with ThreadWorkerPool(
-            source, workers=2, hedge_delay=0.05
-        ) as pool:
-            assert pool.hedge_delay == pytest.approx(0.05)
-            # Request 1: accesses 1-2 both fast -- answered before the
-            # hedge delay, so no duplicate is issued.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
-            assert pool.health()["hedges"] == 0
-            # Request 2: access 3 sleeps 0.5s; the duplicate issued at
-            # 0.05s runs accesses 4-5 (fast) and wins.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
-            assert canonical(table_from_ir(result["table"])) == reference
-            health = pool.health()
-            assert health["hedges"] == 1
-            assert health["hedge_wins"] == 1
-            assert health["hedge_waste"] == 0
-
-    def test_outrun_hedge_is_counted_as_waste(self):
-        schema = simple_schema()
-        source = StormyLatencySource(
-            InMemorySource(schema, simple_instance()),
-            base_latency=0.0,
-            slow_latency=0.3,
-            slow_every=1,  # duplicates are just as slow as primaries
-        )
-        plan = simple_plan(schema)
-        with ThreadWorkerPool(
-            source, workers=2, hedge_delay=0.05
-        ) as pool:
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
-            health = pool.health()
-            # The primary had a head start over the equally slow
-            # duplicate, so it finished first: the hedge was waste.
-            assert health["hedges"] == 1
-            assert health["hedge_wins"] == 0
-            assert health["hedge_waste"] == 1
-
-    def test_hedging_disabled_issues_no_duplicates(self):
-        schema = simple_schema()
-        source = InMemorySource(schema, simple_instance())
-        plan = simple_plan(schema)
-        with ThreadWorkerPool(source, workers=2) as pool:
-            pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            health = pool.health()
-            assert health["hedge_delay"] is None
-            assert health["hedges"] == 0
-
-
-# -------------------------------------------------------- hedge cancellation
-class TestHedgeCancellation:
-    """Satellite: a losing duplicate is flagged down, not left running."""
-
-    def test_running_loser_gets_its_token_set_and_is_counted(self):
-        schema = simple_schema()
-        source = StormyLatencySource(
-            InMemorySource(schema, simple_instance()),
-            base_latency=0.0,
-            slow_latency=0.5,
-            slow_every=3,
-        )
-        plan = simple_plan(schema)
-        with ThreadWorkerPool(
-            source, workers=2, hedge_delay=0.05
-        ) as pool:
-            # Request 1 is fast (accesses 1-2): no hedge, nothing to
-            # cancel.  Request 2's primary sleeps 0.5s on access 3;
-            # the duplicate wins, and the still-running primary gets
-            # its cancellation token set instead of a silent leak.
-            pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
-            health = pool.health()
-            assert health["hedge_wins"] == 1
-            assert health["hedge_cancelled"] == 1
-            # The flagged loser frees its slot: both workers answer a
-            # follow-up promptly instead of one being wedged.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
-
-    def test_cancel_token_stops_plan_execution_between_commands(self):
-        """One command loop: either engine polls the token before every
-        command (the columnar one ran to completion before PR 21)."""
-        import threading
-
-        schema = simple_schema()
-        plan = simple_plan(schema)
-        assert len(plan.commands) > 1 and plan.commands[0].kind == "access"
-
-        class CancellingSource(SourceWrapper):
-            """Sets the token while command #0 is being served."""
-
-            def access(self, method, inputs):
-                token.set()
-                return self.inner.access(method, inputs)
-
-        for executor in ("interpreter", "columnar"):
-            token = threading.Event()
-            token.set()
-            source = InMemorySource(schema, simple_instance())
-            with pytest.raises(PlanCancelled, match="before command #0"):
-                plan.execute(
-                    source, ExecutionContext(cancel=token), executor=executor
-                )
-            assert source.total_invocations == 0
-            token = threading.Event()
-            with pytest.raises(PlanCancelled, match="before command #1"):
-                plan.execute(
-                    CancellingSource(source),
-                    ExecutionContext(cancel=token),
-                    executor=executor,
-                )
-            assert source.total_invocations == 1
+            ProcessWorkerPool(source, workers=0)
 
 
 # ------------------------------------------------- the deadline crosses tiers
@@ -559,26 +389,6 @@ class TestDeadlineCrossesTheTier:
             result = execute_payload(source, unbounded)
             assert result["ok"] and len(result["table"]["rows"]) == 12
 
-    def test_thread_tier_slot_is_freed_when_the_deadline_passes(self):
-        source = self.slow_source(0.02)
-        plan = simple_plan(source.schema)
-        pool = ThreadWorkerPool(source, workers=1)
-        with QueryService(source, workers=1, worker_pool=pool) as service:
-            response = service.submit(plan, deadline=0.05).result(10)
-            assert type(response.error).__name__ == "DeadlineExceeded"
-            time.sleep(0.15)
-            assert pool.backlog() == 0
-            calls = source.calls
-            # The abandoned run stopped at its next key: it never asked
-            # for all 13 (it did, over ~260 ms, before the deadline
-            # crossed), and it is not still asking.
-            assert calls < 13
-            time.sleep(0.15)
-            assert source.calls == calls
-            # The one slot serves the next request promptly.
-            assert service.submit(plan, deadline=5.0).result(10).ok
-
-
 # ------------------------------------------------------- encoded-plan memo
 class TestEncodedPlanMemo:
     """Satellite: hot plans are IR-encoded once, not once per dispatch."""
@@ -600,7 +410,7 @@ class TestPartialMarkingsAcrossTier:
     The markings are computed worker-side (the budget lives in the
     payload), cross back as plain JSON, and must land on the
     :class:`QueryResponse` exactly as the in-process path would set
-    them -- on both tiers and both process start methods, and even when
+    them -- under both process start methods, and even when
     a worker crash lands mid-burst.
     """
 
@@ -615,18 +425,6 @@ class TestPartialMarkingsAcrossTier:
         assert response.complete is False
         assert response.truncated_rows == len(reference) - keep
         assert sorted(response.table.rows) == reference[:keep]
-
-    def test_thread_tier_marks_truncation_end_to_end(self):
-        schema = simple_schema()
-        plan, reference = self._expected(schema)
-        source = InMemorySource(schema, simple_instance())
-        pool = ThreadWorkerPool(source, workers=2)
-        service = QueryService(source, workers=2, worker_pool=pool)
-        with service:
-            response = service.serve(
-                plan, budget=ResourceBudget(max_result_rows=3), timeout=30
-            )
-            self._assert_marked(response, reference, 3)
 
     @pytest.mark.parametrize("start_method", ["spawn", "fork"])
     def test_process_tier_marks_truncation_end_to_end(self, start_method):
