@@ -70,6 +70,21 @@ class Trigger:
             tuple(atom.apply(self.homomorphism) for atom in self.tgd.body),
         )
 
+    @classmethod
+    def matched(
+        cls,
+        rule: RuleLike,
+        homomorphism: Substitution,
+        body_image: Tuple[Atom, ...],
+    ) -> "Trigger":
+        """The trigger of a match whose body image the caller built."""
+        trigger = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(trigger, "rule", rule)
+        setattr_(trigger, "homomorphism", homomorphism)
+        setattr_(trigger, "_body_image", body_image)
+        return trigger
+
     @property
     def tgd(self) -> TGD:
         """The underlying dependency of the trigger's rule."""
@@ -78,10 +93,6 @@ class Trigger:
     def body_image(self) -> Tuple[Atom, ...]:
         """The facts the body maps onto."""
         return self._body_image
-
-    def key(self) -> Tuple[str, Tuple[Atom, ...]]:
-        """Identity of the trigger for deduplication."""
-        return (self.tgd.name, self.body_image())
 
     def __repr__(self) -> str:
         return f"Trigger({self.tgd.name}, {self.homomorphism!r})"
@@ -188,8 +199,7 @@ def triggers_through(
                 snapshot=True,
                 stats=hom_stats,
             ):
-                trigger = Trigger(rule, hom)
-                image = trigger.body_image()
+                image = tuple([atom.apply(hom) for atom in body])
                 if image in seen:
                     continue
                 seen.add(image)
@@ -199,7 +209,7 @@ def triggers_through(
                     if stats is not None:
                         stats.triggers_filtered += 1
                     continue
-                yield trigger
+                yield Trigger.matched(rule, hom, image)
 
 
 def find_triggers_delta(

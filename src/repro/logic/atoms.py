@@ -8,24 +8,86 @@ over chase configurations, nulls -- to terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from _collections import _tuplegetter  # namedtuple's C field reader
+from dataclasses import FrozenInstanceError
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.logic.terms import Constant, Null, Term, Variable
 
+_new_tuple = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """A relational atom ``relation(t1, ..., tn)``."""
 
-    relation: str
-    terms: Tuple[Term, ...]
+class Atom(tuple):
+    """A relational atom ``relation(t1, ..., tn)``.
 
-    def __post_init__(self) -> None:
+    An atom is the 2-tuple ``(relation, terms)``, an instance of a
+    ``tuple`` subclass whose ``__hash__`` *is* ``tuple.__hash__``, as a
+    term is the 1-tuple of its payload (:mod:`repro.logic.terms`).  Facts
+    are what the chase, the homomorphism search and the domination
+    registry put into sets, so their hash is computed in C, with no
+    Python frame, and it is ``hash((relation, terms))`` -- the value the
+    frozen dataclass an atom used to be hashed to, so every set of atoms
+    iterates as it always did.  Nothing else of the tuple shows:
+    equality holds between atoms only (never with a plain tuple, in
+    either operand order), and ordering, iterating, measuring, indexing
+    or concatenating an atom raises ``TypeError``.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    __match_args__ = ("relation", "terms")
+
+    relation = _tuplegetter(0, "The relation name.")
+    terms = _tuplegetter(1, "The argument terms, a plain tuple.")
+
+    def __new__(cls, relation: str, terms: Iterable[Term]) -> "Atom":
         # ``type() is``, not ``isinstance``: a term is a tuple subclass,
         # and ``tuple(term)`` raises for it.
-        if type(self.terms) is not tuple:
-            object.__setattr__(self, "terms", tuple(self.terms))
+        if type(terms) is not tuple:
+            terms = tuple(terms)
+        return _new_tuple(cls, (relation, terms))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _tuple_eq(self, other)
+        if isinstance(other, tuple):
+            return False
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _tuple_ne(self, other)
+        if isinstance(other, tuple):
+            return True
+        return NotImplemented
+
+    def _not_a_sequence(self, *args: object) -> None:
+        raise TypeError(f"{type(self).__name__!r} object is not a sequence")
+
+    __iter__ = __len__ = __getitem__ = __contains__ = _not_a_sequence
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
+
+    def _unordered(self, other: object) -> None:
+        raise TypeError(
+            f"atoms are unordered: cannot compare {type(self).__name__!r} "
+            f"with {type(other).__name__!r}"
+        )
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.relation, self.terms))
 
     @property
     def arity(self) -> int:
@@ -63,14 +125,13 @@ class Atom:
 
     def apply(self, substitution: "Substitution") -> "Atom":
         """Apply a substitution, returning a new atom."""
-        return Atom(
-            self.relation,
-            tuple(substitution.get(t, t) for t in self.terms),
-        )
+        terms = self.terms
+        image = map(substitution._mapping.get, terms, terms)
+        return _new_tuple(Atom, (self.relation, tuple(image)))
 
     def rename_relation(self, relation: str) -> "Atom":
         """The same atom over a different relation name."""
-        return Atom(relation, self.terms)
+        return _new_tuple(Atom, (relation, self.terms))
 
     def __repr__(self) -> str:
         args = ", ".join(repr(t) for t in self.terms)

@@ -46,13 +46,20 @@ class TGD:
         if not self.name:
             object.__setattr__(self, "name", self._default_name())
         # The variable sets are read per trigger by the chase; the atoms
-        # are frozen, so they are computed once.  They are plain
-        # attributes, not fields: equality, hash and repr do not see them.
+        # are frozen, so they are computed once, in one pass over the
+        # terms of each side.  They are plain attributes, not fields:
+        # equality, hash and repr do not see them.
         body_variables = frozenset(
-            v for atom in self.body for v in atom.variables()
+            term
+            for atom in self.body
+            for term in atom.terms
+            if isinstance(term, Variable)
         )
         head_variables = frozenset(
-            v for atom in self.head for v in atom.variables()
+            term
+            for atom in self.head
+            for term in atom.terms
+            if isinstance(term, Variable)
         )
         existential = head_variables - body_variables
         object.__setattr__(self, "_body_variables", body_variables)
@@ -134,18 +141,25 @@ class TGD:
         )
 
     def rename_relations(self, renaming: Dict[str, str]) -> "TGD":
-        """Copy of this TGD with relations renamed on both sides."""
-        return TGD(
-            tuple(
+        """Copy of this TGD with relations renamed on both sides.
+
+        Renaming relations moves no variable, so the copy takes this
+        TGD's variable sets as they are instead of deriving them again.
+        """
+        renamed = object.__new__(TGD)
+        renamed.__dict__.update(
+            self.__dict__,
+            body=tuple(
                 a.rename_relation(renaming.get(a.relation, a.relation))
                 for a in self.body
             ),
-            tuple(
+            head=tuple(
                 a.rename_relation(renaming.get(a.relation, a.relation))
                 for a in self.head
             ),
             name=f"{self.name}'",
         )
+        return renamed
 
     def __repr__(self) -> str:
         body = " & ".join(repr(a) for a in self.body)

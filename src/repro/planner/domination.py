@@ -224,15 +224,19 @@ class DominationRegistry:
         cost: float,
         config: ChaseConfiguration,
         parent: Optional[int] = None,
+        added: Iterable[Atom] = (),
     ) -> Optional[int]:
-        """The node id of a dominator of (cost, config), or None.
+        """The node id of a dominator of (cost, config + added), or None.
 
-        Of several dominators both registries name the cheapest, and of
+        ``added`` holds facts the node has that ``config`` lacks, none of
+        them in ``config``: a child judged before it is forked is its
+        parent's configuration plus what its exposure would write.  Of
+        several dominators both registries name the cheapest, and of
         equally cheap ones the first registered.
         """
         tick = time.perf_counter()
         try:
-            return self._find(cost, config, parent)
+            return self._find(cost, config, parent, _relevant(added))
         finally:
             self.stats.time_seconds += time.perf_counter() - tick
 
@@ -241,6 +245,7 @@ class DominationRegistry:
         cost: float,
         config: ChaseConfiguration,
         parent: Optional[int],
+        added: List[Atom],
     ) -> Optional[int]:
         raise NotImplementedError
 
@@ -323,6 +328,7 @@ class FingerprintRegistry(DominationRegistry):
         cost: float,
         config: ChaseConfiguration,
         parent: Optional[int],
+        added: List[Atom],
     ) -> Optional[int]:
         stats = self.stats
         stats.checks += 1
@@ -330,13 +336,13 @@ class FingerprintRegistry(DominationRegistry):
         pattern: Optional[List[Atom]] = None
         if parent is None:
             lineage: Tuple[int, ...] = ()
-            pattern = relevant_facts(config)
+            pattern = relevant_facts(config) + added
             signature = signature_of(pattern, self.rigid)
         else:
             above = self._entries[self._slot_of[parent]]
             lineage = above.lineage
             signature = self._signature_below(
-                above, config.facts_since(above.generation)
+                above, (*config.facts_since(above.generation), *added)
             )
         # One C-level subset test per entry, in registration order.
         survivors = [
@@ -357,7 +363,7 @@ class FingerprintRegistry(DominationRegistry):
             if ancestor is not None:
                 if ancestor not in seeded:
                     seeded[ancestor] = self._seeded_delta(
-                        config, self._entries[ancestor]
+                        config, added, self._entries[ancestor]
                     )
                 delta, seed = seeded[ancestor]
                 if (
@@ -371,17 +377,21 @@ class FingerprintRegistry(DominationRegistry):
             # No lineage to lean on, or the seed was too strict: a
             # dominator may still send a null of the ancestor elsewhere.
             if pattern is None:
-                pattern = relevant_facts(config)
+                pattern = relevant_facts(config) + added
             if self._maps_from_scratch(pattern, entry):
                 return entry.node_id
         return None
 
     def _seeded_delta(
-        self, config: ChaseConfiguration, ancestor: _IndexedEntry
+        self,
+        config: ChaseConfiguration,
+        added: List[Atom],
+        ancestor: _IndexedEntry,
     ) -> Tuple[List[Atom], Substitution]:
-        """What ``config`` added below ``ancestor``, and the seed that
-        pins the ancestor's nulls occurring in it to themselves."""
-        delta = _relevant(config.facts_since(ancestor.generation))
+        """What ``config`` plus ``added`` holds below ``ancestor``, and
+        the seed that pins the ancestor's nulls occurring in it to
+        themselves."""
+        delta = _relevant(config.facts_since(ancestor.generation)) + added
         seed = self.frozen.as_dict()
         known = ancestor.nulls
         for fact in delta:
@@ -433,10 +443,11 @@ class LinearRegistry(DominationRegistry):
         cost: float,
         config: ChaseConfiguration,
         parent: Optional[int],
+        added: List[Atom],
     ) -> Optional[int]:
         self.stats.checks += 1
         self.stats.registry_scanned += len(self._entries)
-        pattern = relevant_facts(config)
+        pattern = relevant_facts(config) + added
         pattern_relations = {atom.relation for atom in pattern}
         for entry in self._entries:
             if entry.cost > cost + _EPS:

@@ -26,7 +26,7 @@ what lets thousands of search-tree nodes share command prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.logic.atoms import Atom
@@ -73,15 +73,16 @@ class PlanState:
     commands: Tuple[Command, ...] = ()
     current: Optional[str] = None
     attributes: FrozenSet[str] = frozenset()
-    access_tables: Tuple[Tuple[AccessKey, str], ...] = ()
+    # The raw table of every access made so far, by access key.  Never
+    # mutated: an exposure that adds a raw table hands its state a copy,
+    # and one that reuses a table hands on this very dict.  It and the
+    # count below are functions of ``commands``, so equality skips them.
+    access_tables: Dict[AccessKey, str] = field(
+        default_factory=dict, compare=False
+    )
     counter: int = 0
-
-    # ------------------------------------------------------------ helpers
-    def _registry(self) -> Dict[AccessKey, str]:
-        return dict(self.access_tables)
-
-    def _fresh(self, prefix: str, counter: int) -> str:
-        return f"{prefix}{counter}"
+    #: Number of access commands so far.
+    access_command_count: int = field(default=0, compare=False)
 
     # ------------------------------------------------------------ exposure
     def expose(self, fact: Atom, method: AccessMethod) -> "PlanState":
@@ -92,36 +93,41 @@ class PlanState:
                 f"not {fact.relation}"
             )
         key, binding = self._access_key(fact, method)
-        registry = self._registry()
-        commands = list(self.commands)
+        registry = self.access_tables
+        commands = self.commands
         counter = self.counter
+        accesses = self.access_command_count
         raw = registry.get(key)
         if raw is None:
-            raw = self._fresh("A", counter)
+            raw = f"A{counter}"
             counter += 1
-            commands.append(
-                self._access_command(raw, method, binding, fact.arity)
+            commands += (
+                self._access_command(raw, method, binding, fact.arity),
             )
-            registry[key] = raw
+            registry = {**registry, key: raw}
+            accesses += 1
         incorporate = self._incorporation_expr(fact, raw)
-        new_attrs = set(self.attributes)
-        new_attrs.update(_attr_of(n) for n in fact.nulls())
-        target = self._fresh("T", counter)
+        attributes = self.attributes
+        names = {_attr_of(n) for n in fact.nulls()}
+        if not names <= attributes:
+            attributes = attributes | names
+        target = f"T{counter}"
         counter += 1
         if self.current is None:
-            commands.append(MiddlewareCommand(target, incorporate))
+            commands += (MiddlewareCommand(target, incorporate),)
         else:
-            commands.append(
+            commands += (
                 MiddlewareCommand(
                     target, Join(Scan(self.current), incorporate)
-                )
+                ),
             )
         return PlanState(
-            commands=tuple(commands),
+            commands=commands,
             current=target,
-            attributes=frozenset(new_attrs),
-            access_tables=tuple(sorted(registry.items())),
+            attributes=attributes,
+            access_tables=registry,
             counter=counter,
+            access_command_count=accesses,
         )
 
     def _access_key(
@@ -240,13 +246,6 @@ class PlanState:
                 )
             )
         return Plan(tuple(commands), "T_fin", name=name)
-
-    @property
-    def access_command_count(self) -> int:
-        """Number of access commands so far."""
-        return sum(
-            1 for c in self.commands if isinstance(c, AccessCommand)
-        )
 
     def __repr__(self) -> str:
         return (

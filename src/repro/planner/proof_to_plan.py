@@ -18,11 +18,12 @@ them costs no extra access command).
 One firing comes in two halves.  :func:`expose_access` is the costed
 one: it extends the plan (:func:`read_exposure`, which writes nothing)
 and adds the ``Accessed_`` facts with the heads of the rules whose whole
-body is such a fact (:func:`write_exposure`).  :func:`saturate_exposed`
-chases the remaining free rules.  :func:`fire_access` is all of it in
-sequence; Algorithm 1 calls the pieces apart, so that it can close a
-child by depth or cost before forking a configuration for it, and by
-domination before paying for the chase.
+body is such a fact (:func:`write_exposure`, which applies what
+:func:`exposure_writes` computes without writing).
+:func:`saturate_exposed` chases the remaining free rules.
+:func:`fire_access` is all of it in sequence; Algorithm 1 calls the
+pieces apart, so that it can close a child by depth, cost or domination
+before forking a configuration for it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.chase.configuration import ChaseConfiguration, Provenance
 from repro.chase.engine import ChaseResult, saturate
 from repro.chase.stats import ChaseStats
-from repro.logic.atoms import Atom, Substitution, apply_to_atoms
+from repro.logic.atoms import Atom, Substitution
 from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.queries import ConjunctiveQuery
 from repro.logic.terms import Null, NullFactory, Variable
@@ -141,8 +142,9 @@ def read_exposure(
     those already accessed.
     Nothing is written to ``config``.  The commands, and so the depth
     and cost of the node, are final in the returned state: Algorithm 1
-    reads its depth and cost verdicts here and hands only a child that
-    survives them to :func:`write_exposure`.  Raises
+    reads its depth and cost verdicts here, its domination verdict off
+    :func:`exposure_writes`, and hands only a child that survives all
+    three to :func:`write_exposure`.  Raises
     :class:`PlanningError` when the firing is impossible or a no-op.
     """
     _check_inputs_accessible(config, fact, method)
@@ -160,54 +162,87 @@ def read_exposure(
     return state, tuple(exposed)
 
 
+class ExposureWrites(NamedTuple):
+    """What :func:`write_exposure` would add, computed without writing."""
+
+    # Every fact it would add, with its provenance, in the order it adds
+    # them: the ``Accessed_`` copies, then the exposure-rule heads rule
+    # by rule; none already in the configuration, none twice.
+    facts: Dict[Atom, Provenance]
+    # Exposure-rule heads withheld by the chase policy's ``max_depth``.
+    depth_truncated: int
+
+
+def exposure_writes(
+    config: ChaseConfiguration,
+    facts: Tuple[Atom, ...],
+    method: AccessMethod,
+    acc_schema: AccessibleSchema,
+) -> ExposureWrites:
+    """The pure half of :func:`write_exposure`: what it would add.
+
+    ``Accessed_R(t)`` for every exposed fact, then the heads of the
+    schema's exposure rules (``def[R]``, ``acc2inf[R]``, ``rev[R]``) for
+    those facts, withholding those past the schema chase policy's
+    ``max_depth``.  Each head is read off the ``Accessed_`` fact by
+    position (:meth:`AccessibleSchema.exposure_heads`).  Nothing is
+    written to ``config``: Algorithm 1 judges domination on the parent's
+    configuration plus these facts, and forks only a child that survives.
+    """
+    relation = accessed_name(method.relation)
+    access_rule = f"access[{method.name}]"
+    writes: Dict[Atom, Provenance] = {}
+    accessed_facts: List[Tuple[Atom, int]] = []
+    for fact in facts:
+        accessed = fact.rename_relation(relation)
+        depth = config.depth(fact) + 1
+        writes[accessed] = Provenance(
+            rule=access_rule, trigger_facts=(fact,), depth=depth
+        )
+        accessed_facts.append((accessed, depth))
+    # Rule by rule over all the new facts: the order (and provenance) in
+    # which a chase round over the free rules would have added the heads.
+    max_depth = acc_schema.schema.chase_policy().max_depth
+    depth_truncated = 0
+    for rule, heads in acc_schema.exposure_heads(relation):
+        for accessed, accessed_depth in accessed_facts:
+            depth = accessed_depth + 1
+            if max_depth is not None and depth > max_depth:
+                depth_truncated += 1
+                continue
+            provenance = Provenance(
+                rule=rule, trigger_facts=(accessed,), depth=depth
+            )
+            terms = accessed.terms
+            for head_relation, positions in heads:
+                head = Atom(head_relation, map(terms.__getitem__, positions))
+                if head not in writes and head not in config:
+                    writes[head] = provenance
+    return ExposureWrites(writes, depth_truncated)
+
+
 def write_exposure(
     config: ChaseConfiguration,
     state: PlanState,
     facts: Tuple[Atom, ...],
     method: AccessMethod,
     acc_schema: AccessibleSchema,
+    writes: Optional[ExposureWrites] = None,
 ) -> Exposed:
     """The writing half: what :func:`read_exposure` returned, in place.
 
-    Adds ``Accessed_R(t)`` for every exposed fact, then the heads of
-    the schema's exposure rules (``def[R]``, ``acc2inf[R]``, ``rev[R]``)
-    for those facts, withholding those past the schema chase policy's
-    ``max_depth``.  The configuration still has to be saturated under
-    ``acc_schema.saturation_rules`` (:func:`saturate_exposed`).
+    Adds what :func:`exposure_writes` computes for the exposed facts
+    (``writes``, when the caller already has it for this configuration
+    or one with the same facts).  The configuration still has to be
+    saturated under ``acc_schema.saturation_rules``
+    (:func:`saturate_exposed`).
     """
+    if writes is None:
+        writes = exposure_writes(config, facts, method, acc_schema)
     pre_generation = config.generation
-    relation = accessed_name(method.relation)
-    access_rule = f"access[{method.name}]"
-    accessed_facts: List[Atom] = []
-    for fact in facts:
-        accessed = fact.rename_relation(relation)
-        config.add(
-            accessed,
-            Provenance(
-                rule=access_rule,
-                trigger_facts=(fact,),
-                depth=config.depth(fact) + 1,
-            ),
-        )
-        accessed_facts.append(accessed)
-    # Rule by rule over all the new facts: the order (and provenance) in
-    # which a chase round over the free rules would have added the heads.
-    max_depth = acc_schema.schema.chase_policy().max_depth
-    depth_truncated = 0
-    for rule in acc_schema.exposure_rules(relation):
-        tgd = rule.tgd
-        variables = tgd.body[0].terms
-        for accessed in accessed_facts:
-            depth = config.depth(accessed) + 1
-            if max_depth is not None and depth > max_depth:
-                depth_truncated += 1
-                continue
-            binding = Substitution(dict(zip(variables, accessed.terms)))
-            provenance = Provenance(
-                rule=tgd.name, trigger_facts=(accessed,), depth=depth
-            )
-            config.add_all(apply_to_atoms(tgd.head, binding), provenance)
-    return Exposed(state, facts, pre_generation, depth_truncated)
+    for fact, provenance in writes.facts.items():
+        config.add(fact, provenance)
+    return Exposed(state, facts, pre_generation, writes.depth_truncated)
 
 
 def expose_access(

@@ -35,9 +35,12 @@ incrementality"), and what it keeps from a parent is what measured as a
 win on ``plan_cold``:
 
 * a child's configuration is a copy-on-write fork that shares its
-  parent's fact log as a prefix, made only for a child that depth and
-  cost let through: both read the commands, which the read-only half of
-  the exposure fixes (``docs/theory.md``, "Pruning before saturation");
+  parent's fact log as a prefix, made only for a child that depth, cost
+  and domination let through: the first two read the commands, which
+  the read-only half of the exposure fixes, and domination reads the
+  parent's configuration plus the facts the exposure would write
+  (``docs/theory.md``, "Pruning before saturation" and "Domination
+  before the fork");
 * the domination registry (:mod:`repro.planner.domination`), told the
   child's parent, builds the child's signature from the parent's and
   maps only what the branch added below the ancestor the child shares
@@ -76,8 +79,8 @@ from repro.planner.domination import DominationStats, FingerprintRegistry
 from repro.planner.plan_state import PlanState, PlanningError
 from repro.planner.proof_to_plan import (
     ChaseProof,
-    Exposed,
     Exposure,
+    exposure_writes,
     initial_configuration,
     read_exposure,
     saturate_exposed,
@@ -145,9 +148,10 @@ class SearchStats(Record):
     pruned_by_bound: int = 0
     pruned_by_domination: int = 0
     pruned_by_depth: int = 0
-    # Configurations forked: one per child that survived the depth and
-    # cost verdicts (pruned_by_domination + nodes_created - 1; the root
-    # is built, not forked).
+    # Configurations forked: one per kept child (nodes_created - 1; the
+    # root is built, not forked), plus one per child closed by
+    # domination after its chase -- only when its exposure was depth-cut
+    # or some saturation incomplete.
     configs_copied: int = 0
     best_cost_history: List[float] = field(default_factory=list)
     # Aggregated instrumentation of every per-node chase saturation.
@@ -201,9 +205,10 @@ class SearchNode:
 
     node_id: int
     parent_id: Optional[int]
-    # The node's own configuration -- except for ``pruned == "cost"``,
-    # where it is the one the verdict was read from: the parent's,
-    # unexposed (a cost-closed child is never given a fork).
+    # The node's own configuration -- except for a child closed before
+    # its fork (``pruned == "cost"``, and ``"domination"`` unless the
+    # exposure was depth-cut or some saturation incomplete), where it is
+    # the one the verdict was read from: the parent's, unexposed.
     config: ChaseConfiguration
     state: PlanState
     exposures: Tuple[Exposure, ...]
@@ -485,44 +490,50 @@ class _Searcher:
             child.pruned = "cost"
             self._record(child)
             return None
+        writes = exposure_writes(node.config, facts, method, self.acc)
+        # A homomorphism of the exposed child's relevant facts into a
+        # registered node extends to the child's saturation only if that
+        # node is closed under the free rules.  Once some kept node's
+        # saturation was cut short (depth cap, blocking, firing budget)
+        # that is no longer known, and the child is forked, written and
+        # chased first; so is a child whose own exposure the depth cap
+        # cut short, which puts the cut on the log whatever the verdict.
+        # Otherwise the child's relevant facts are its parent's plus the
+        # heads its exposure writes, and it is judged on those before it
+        # is forked (``docs/theory.md``, "Domination before the fork").
+        late = bool(writes.depth_truncated or self.stats.chase.incomplete)
+        if self.options.domination and not late:
+            dominator = self._registry.find_dominator(
+                cost, node.config, parent=node.node_id, added=writes.facts
+            )
+            if dominator is not None:
+                return self._dominated(child, dominator)
         tick = time.perf_counter()
         config = child.config = node.config.copy()
         self.stats.time_copy += time.perf_counter() - tick
         self.stats.configs_copied += 1
-        exposed = write_exposure(config, state, facts, method, self.acc)
-        chased = False
-        if self.options.domination:
-            # A homomorphism of the exposed child's relevant facts into
-            # a registered node extends to the child's saturation only
-            # if that node is closed under the free rules.  Once some
-            # kept node's saturation was cut short (depth cap, blocking,
-            # firing budget) that is no longer known, and the child is
-            # chased first; so is a child whose own exposure the depth
-            # cap cut short, which puts the cut on the log whatever the
-            # verdict.
-            if exposed.depth_truncated or self.stats.chase.incomplete:
-                self._saturate(config, exposed)
-                chased = True
+        exposed = write_exposure(
+            config, state, facts, method, self.acc, writes
+        )
+        saturate_exposed(
+            config, exposed, self.acc, self.nulls, self.stats.chase
+        )
+        if self.options.domination and late:
             dominator = self._registry.find_dominator(
                 cost, config, parent=node.node_id
             )
             if dominator is not None:
-                self.stats.pruned_by_domination += 1
-                self.stats.dominators[dominator] += 1
-                child.pruned = "domination"
-                child.dominated_by = dominator
-                self._record(child)
-                return None
-        if not chased:
-            self._saturate(config, exposed)
+                return self._dominated(child, dominator)
         self._finalize_node(child, parent=node.node_id)
         return child
 
-    def _saturate(self, config: ChaseConfiguration, exposed: Exposed) -> None:
-        """Chase an exposed child's configuration under the free rules."""
-        saturate_exposed(
-            config, exposed, self.acc, self.nulls, self.stats.chase
-        )
+    def _dominated(self, child: SearchNode, dominator: int) -> None:
+        """Close a child by domination and record it."""
+        self.stats.pruned_by_domination += 1
+        self.stats.dominators[dominator] += 1
+        child.pruned = "domination"
+        child.dominated_by = dominator
+        self._record(child)
 
     def _finalize_node(
         self, node: SearchNode, parent: Optional[int] = None

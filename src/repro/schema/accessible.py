@@ -32,7 +32,7 @@ plus the reverse inclusion and the negative axioms restricted to require
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.logic.atoms import Atom
@@ -95,6 +95,12 @@ class Variant(enum.Enum):
     NEGATIVE = "AcSch-neg"
 
 
+_ACCESS_KINDS = (
+    AxiomKind.ACCESSIBILITY,
+    AxiomKind.NEGATIVE_ACCESSIBILITY,
+)
+
+
 @dataclass(frozen=True)
 class ChaseRule:
     """A TGD tagged with its role and (for access axioms) its method."""
@@ -102,14 +108,11 @@ class ChaseRule:
     tgd: TGD
     kind: AxiomKind
     method: Optional[AccessMethod] = None
+    #: True for the rules whose firing corresponds to a plan command.
+    is_access: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_access(self) -> bool:
-        """True for the rules whose firing corresponds to a plan command."""
-        return self.kind in (
-            AxiomKind.ACCESSIBILITY,
-            AxiomKind.NEGATIVE_ACCESSIBILITY,
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_access", self.kind in _ACCESS_KINDS)
 
     def __repr__(self) -> str:
         return f"<{self.kind.value}> {self.tgd!r}"
@@ -153,6 +156,20 @@ _EXPOSURE_KINDS = (
     AxiomKind.REVERSE_INCLUSION,
 )
 
+# An exposure rule's name and, per head atom, its relation and the
+# positions of the body atom its terms are read from.
+ExposureHeads = Tuple[str, Tuple[Tuple[str, Tuple[int, ...]], ...]]
+
+
+def _head_positions(tgd: TGD) -> ExposureHeads:
+    """The template of a full TGD whose body is one atom over distinct
+    variables (an exposure rule)."""
+    position = {term: i for i, term in enumerate(tgd.body[0].terms)}
+    return tgd.name, tuple(
+        (atom.relation, tuple(position[term] for term in atom.terms))
+        for atom in tgd.head
+    )
+
 
 class AccessibleSchema:
     """An accessible schema: the base schema plus one axiom system."""
@@ -185,6 +202,9 @@ class AccessibleSchema:
         self._exposure_rules: Dict[str, Tuple[ChaseRule, ...]] = {
             relation: tuple(rules) for relation, rules in by_body.items()
         }
+        # Filled per relation on its first exposure, so a relation that
+        # is never exposed costs nothing.
+        self._exposure_heads: Dict[str, Tuple[ExposureHeads, ...]] = {}
 
     def exposure_rules(self, accessed_relation: str) -> Tuple[ChaseRule, ...]:
         """The free rules whose whole body is one ``Accessed_R`` atom.
@@ -195,6 +215,23 @@ class AccessibleSchema:
         ``Accessed_R`` fact by substitution, with no trigger search.
         """
         return self._exposure_rules.get(accessed_relation, ())
+
+    def exposure_heads(
+        self, accessed_relation: str
+    ) -> Tuple[ExposureHeads, ...]:
+        """:meth:`exposure_rules` as position templates, in rule order.
+
+        Per rule its name and, per head atom, the head relation and the
+        body positions its terms are read from: the head facts of a new
+        ``Accessed_R`` fact, with no substitution built.
+        """
+        heads = self._exposure_heads.get(accessed_relation)
+        if heads is None:
+            heads = self._exposure_heads[accessed_relation] = tuple(
+                _head_positions(rule.tgd)
+                for rule in self.exposure_rules(accessed_relation)
+            )
+        return heads
 
     def access_rule_for(
         self, method_name: str, negative: bool = False

@@ -88,7 +88,9 @@ class TestTriggers:
         config = config_of(Atom("R", (A,)))
         (t1,) = find_triggers(tgd, config)
         (t2,) = find_triggers(tgd, config)
-        assert t1.key() == t2.key()
+        # A trigger is identified by its rule and body image, as the
+        # engine's deduplication keys it (by rule slot, not by name).
+        assert (t1.rule, t1.body_image()) == (t2.rule, t2.body_image())
 
 
 class TestFiring:

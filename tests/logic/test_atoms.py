@@ -1,5 +1,9 @@
 """Unit tests for atoms and substitutions."""
 
+import copy
+import operator
+import pickle
+
 import pytest
 
 from repro.logic.atoms import Atom, Substitution, apply_to_atoms
@@ -45,6 +49,122 @@ class TestAtom:
     def test_terms_coerced_to_tuple(self):
         atom = Atom("R", [X, Y])  # list input
         assert isinstance(atom.terms, tuple)
+
+
+class TestAtomIsATuple:
+    """An atom is the 2-tuple ``(relation, terms)`` hashed by
+    ``tuple.__hash__``, and nothing else of a tuple shows -- as a term
+    is the 1-tuple of its payload (``test_terms.py``)."""
+
+    ATOMS = [
+        Atom("R", (X, A)),
+        Atom("S", (N1, N2, N1)),
+        Atom("T", ()),
+        Atom("_accessible", (Constant(3),)),
+    ]
+
+    @pytest.mark.parametrize("atom", ATOMS, ids=repr)
+    def test_the_hash_is_the_hash_of_relation_and_terms(self, atom):
+        assert Atom.__hash__ is tuple.__hash__
+        assert hash(atom) == hash((atom.relation, atom.terms))
+
+    def test_a_set_of_atoms_iterates_like_the_set_of_pairs(self):
+        pairs = [(f"R{i % 7}", (Constant(i), Null(f"n{i}"))) for i in range(200)]
+        as_atoms = [(a.relation, a.terms) for a in {Atom(*p) for p in pairs}]
+        assert as_atoms == list(set(pairs))
+
+    @pytest.mark.parametrize("atom", ATOMS, ids=repr)
+    def test_never_equal_to_a_plain_tuple_in_either_order(self, atom):
+        pair = (atom.relation, atom.terms)
+        assert atom != pair and pair != atom
+        assert not atom == pair and not pair == atom
+        assert len({atom, pair}) == 2
+        assert len({pair, atom}) == 2
+
+    def test_equal_only_to_an_equal_atom(self):
+        assert Atom("R", (X, A)) == Atom("R", [X, A])
+        assert not Atom("R", (X, A)) != Atom("R", (X, A))
+        assert Atom("R", (X, A)) != Atom("S", (X, A))
+        assert Atom("R", (X, A)) != "R"
+
+    @pytest.mark.parametrize(
+        "use",
+        [iter, len, tuple, list, lambda a: a[0], lambda a: "R" in a,
+         lambda a: a + ("S",), lambda a: ("S",) + a, lambda a: 2 * a],
+        ids=["iter", "len", "tuple", "list", "index", "in", "add", "radd",
+             "mul"],
+    )
+    def test_an_atom_is_not_a_sequence(self, use):
+        with pytest.raises(TypeError):
+            use(Atom("R", (X, A)))
+
+    @pytest.mark.parametrize(
+        "compare",
+        [operator.lt, operator.le, operator.gt, operator.ge],
+        ids=["<", "<=", ">", ">="],
+    )
+    def test_atoms_are_unordered(self, compare):
+        left, right = Atom("R", (A,)), Atom("S", (B,))
+        for a, b in ((left, right), (left, ("S", (B,))), (("S", (B,)), left)):
+            with pytest.raises(TypeError):
+                compare(a, b)
+
+    def test_always_true(self):
+        assert bool(Atom("T", ())) is True
+
+    @pytest.mark.parametrize("atom", ATOMS, ids=repr)
+    def test_copy_and_pickle_round_trip(self, atom):
+        for clone in (
+            copy.copy(atom),
+            copy.deepcopy(atom),
+            pickle.loads(pickle.dumps(atom)),
+            pickle.loads(pickle.dumps(atom, protocol=2)),
+        ):
+            assert clone == atom
+            assert type(clone) is Atom
+            assert type(clone.terms) is tuple
+            assert hash(clone) == hash(atom)
+
+    def test_frozen(self):
+        import dataclasses
+
+        atom = Atom("R", (X,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            atom.relation = "S"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del atom.terms
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            atom.extra = 1
+        assert not hasattr(atom, "__dict__")
+
+    def test_structural_pattern_matching(self):
+        match Atom("R", (X, A)):
+            case Atom(relation, terms):
+                assert (relation, terms) == ("R", (X, A))
+            case _:
+                raise AssertionError("the atom did not match")
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [{}, {X: A}, {X: N1, Y: B}, {N1: A, N2: X}, {X: Y, Y: X}, {A: B}],
+        ids=["empty", "var", "vars", "nulls", "swap", "constant-key"],
+    )
+    def test_apply_equals_the_generator_form(self, mapping):
+        sub = Substitution(mapping)
+        for atom in (
+            Atom("R", (X, Y, Z)),
+            Atom("S", (N1, A, N2, N1)),
+            Atom("T", (A, B, X)),
+            Atom("U", ()),
+        ):
+            applied = atom.apply(sub)
+            expected = Atom(
+                atom.relation, tuple(sub.get(t, t) for t in atom.terms)
+            )
+            assert applied == expected
+            assert type(applied) is Atom
+            assert type(applied.terms) is tuple
+            assert hash(applied) == hash(expected)
 
 
 class TestSubstitution:

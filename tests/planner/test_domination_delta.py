@@ -50,10 +50,14 @@ class ShadowedRegistry(FingerprintRegistry):
         super().register(node_id, cost, config, parent)
         self.shadow.register(node_id, cost, config.deep_copy())
 
-    def find_dominator(self, cost, config, parent=None):
+    def find_dominator(self, cost, config, parent=None, added=()):
         assert parent is not None  # the search always names the parent
-        fast = super().find_dominator(cost, config, parent)
-        slow = self.shadow.find_dominator(cost, config.deep_copy())
+        fast = super().find_dominator(cost, config, parent, added)
+        # From scratch on the whole child: ``added`` written into a copy.
+        whole = config.deep_copy()
+        for fact in added:
+            assert whole.add(fact)
+        slow = self.shadow.find_dominator(cost, whole)
         assert fast == slow, (fast, slow, parent)
         self.compared += 1
         return fast

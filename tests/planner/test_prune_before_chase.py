@@ -1,7 +1,7 @@
 """Algorithm 1 prunes on the exposure and saturates only what it keeps.
 
 ``_Searcher._expand`` decides depth, cost and domination before the
-child's chase.  There is no switch back to the eager order, so the
+child's chase (and, for domination, before its fork).  There is no switch back to the eager order, so the
 claims are checked from the outside:
 
 * every recorded verdict is re-derived on a *saturated* copy of the
@@ -23,7 +23,7 @@ from repro.logic.queries import cq
 from repro.logic.terms import NullFactory
 from repro.planner import search as search_module
 from repro.planner.domination import LinearRegistry, relevant_facts
-from repro.planner.proof_to_plan import replay_proof
+from repro.planner.proof_to_plan import expose_access, replay_proof
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import (
     example1,
@@ -70,11 +70,21 @@ def shadow_policy(monkeypatch, schema, policy):
     monkeypatch.setattr(schema, "chase_policy", lambda: policy)
 
 
-def saturated_copy(node, acc):
+def saturated_copy(node, acc, parent=None):
     """The node's configuration chased to fixpoint under *all* free
     rules from generation 0: independent of the exposure/saturation
-    split the search relies on."""
+    split the search relies on.  A child closed before its fork holds
+    its ``parent``'s configuration; its exposure is replayed first."""
     clone = node.config.copy()
+    if parent is not None and node.config is parent.config:
+        exposure = node.exposures[-1]
+        expose_access(
+            clone,
+            parent.state,
+            exposure.fact,
+            acc.schema.method(exposure.method),
+            acc,
+        )
     saturate(clone, acc.free_rules, NullFactory("t"))
     return clone
 
@@ -125,7 +135,7 @@ def test_every_verdict_holds_after_saturation(
             assert dominator.node_id < node.node_id
             assert dominator.pruned in (None, "bound")
             assert dominator.cost <= node.cost + 1e-12
-            chased = saturated_copy(node, acc)
+            chased = saturated_copy(node, acc, by_id[node.parent_id])
             assert (
                 find_homomorphism(
                     relevant_facts(chased),

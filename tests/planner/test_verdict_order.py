@@ -1,22 +1,31 @@
-"""A child pays after its verdict: no fork, no write before depth and cost.
+"""A child pays after its verdict: no fork, no write before any of them.
 
 ``_Searcher._expand`` reads a child's exposure off its *parent's*
 configuration (:func:`read_exposure`), decides depth and cost on the
-commands that fixes, and only then forks the configuration and writes
-the exposure into the fork (:func:`write_exposure`).  No option selects
-the old order, so it is checked from the outside, over ``plan_cold``'s
-thirteen problems and the eight-scenario sweep:
+commands that fixes, and domination on the parent's configuration plus
+what the exposure would write (:func:`exposure_writes`).  Only then does
+it fork the configuration and write the exposure into the fork
+(:func:`write_exposure`).  A depth-cut exposure, or a search whose
+saturations were not all complete, keeps the older order for domination:
+fork, write, chase, then check.  No option selects another order, so it
+is checked from the outside, over ``plan_cold``'s thirteen problems and
+the eight-scenario sweep:
 
 * a spy on ``ChaseConfiguration.copy`` / ``.add`` counts the forks and
-  sees that a closed child never caused a write;
+  sees that a closed child never caused a write, so the forks are
+  exactly the kept children;
 * ``expose_access`` as it stood before the split is kept *here* as the
   reference: for every expansion of those searches, the two halves leave
-  the same fact log (facts, provenance, order) and the same ``Exposed``.
+  the same fact log (facts, provenance, order) and the same ``Exposed``;
+* the fork-write-then-check domination verdict is kept here too: for
+  every expansion, in both candidate orders, it names the same dominator
+  (or none) as the check made before the fork.
 """
 
 import pytest
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
+from repro.planner.domination import DominationStats
 from repro.logic.atoms import Atom, Substitution, apply_to_atoms
 from repro.logic.queries import cq
 from repro.logic.terms import Null, NullFactory
@@ -196,6 +205,14 @@ def config_spy(monkeypatch):
     return calls
 
 
+def closed_count(stats):
+    return (
+        stats.pruned_by_cost
+        + stats.pruned_by_depth
+        + stats.pruned_by_domination
+    )
+
+
 @searches
 def test_only_a_child_that_survives_its_verdict_is_forked(
     monkeypatch, config_spy, label, factory, budget
@@ -205,11 +222,11 @@ def test_only_a_child_that_survives_its_verdict_is_forked(
 
     def watched(self, node, fact, method):
         stats = self.stats
-        verdicts = stats.pruned_by_cost + stats.pruned_by_depth
+        verdicts = closed_count(stats)
         generation = node.config.generation
         copies, adds = config_spy["copies"], len(config_spy["adds"])
         child = expand(self, node, fact, method)
-        if stats.pruned_by_cost + stats.pruned_by_depth > verdicts:
+        if closed_count(stats) > verdicts:
             assert child is None
             assert node.config.generation == generation
             assert config_spy["copies"] == copies
@@ -224,22 +241,45 @@ def test_only_a_child_that_survives_its_verdict_is_forked(
     monkeypatch.setattr(search_module._Searcher, "_expand", watched)
     result = run(factory, budget)
     stats = result.stats
-    assert len(closed) == stats.pruned_by_cost + stats.pruned_by_depth
+    assert len(closed) == closed_count(stats)
+    # Every fork is a kept node's: none of these searches has a depth-cut
+    # exposure or an incomplete saturation.  (The older identity read
+    # ``pruned_by_domination + nodes_created - 1``: a dominated child was
+    # forked and written before its check.)
+    assert stats.chase.incomplete == 0
+    assert (
+        config_spy["copies"]
+        == stats.configs_copied
+        == stats.nodes_created - 1
+    )
+    assert stats.as_dict()["configs_copied"] == stats.configs_copied
+    assert f"({stats.configs_copied} configs)" in stats.summary()
+    # A child closed by cost or domination is recorded with the
+    # configuration its verdict was read from: its parent's.
+    by_id = {node.node_id: node for node in result.tree}
+    for node in result.tree:
+        if node.pruned in ("cost", "domination"):
+            assert node.config is by_id[node.parent_id].config
+        elif node.parent_id is not None:
+            assert node.config is not by_id[node.parent_id].config
+
+
+def test_an_incomplete_search_forks_a_child_before_its_domination_check(
+    monkeypatch, config_spy
+):
+    # Under a depth cap no saturation is complete, so the registered
+    # nodes are not known to be closed under the free rules: a child is
+    # forked, written and chased before it is judged, as before.
+    schema, query = cyclic_schema()
+    shadow_policy(monkeypatch, schema, DEPTH4)
+    stats = find_best_plan(schema, query, SearchOptions(max_accesses=4)).stats
+    assert stats.chase.incomplete > 0
+    assert stats.pruned_by_domination > 0
     assert (
         config_spy["copies"]
         == stats.configs_copied
         == stats.pruned_by_domination + stats.nodes_created - 1
     )
-    assert stats.as_dict()["configs_copied"] == stats.configs_copied
-    assert f"({stats.configs_copied} configs)" in stats.summary()
-    # A cost-closed child is recorded with the configuration its verdict
-    # was read from: its parent's.
-    by_id = {node.node_id: node for node in result.tree}
-    for node in result.tree:
-        if node.pruned == "cost":
-            assert node.config is by_id[node.parent_id].config
-        elif node.parent_id is not None:
-            assert node.config is not by_id[node.parent_id].config
 
 
 def test_the_sweep_closes_children_by_depth_and_by_cost():
@@ -253,6 +293,67 @@ def test_identity_without_the_cost_verdict():
     stats = result.stats
     assert stats.pruned_by_cost == stats.pruned_by_domination == 0
     assert stats.configs_copied == stats.nodes_created - 1 > 0
+
+
+# ------------------------------------- domination before and after the fork
+def fork_write_then_check(searcher, node, fact, method):
+    """The domination verdict of the order before the check moved ahead
+    of the fork: fork the parent, write the exposure, ask the registry.
+
+    Returns ``"closed"`` for a child that never reaches the check (no-op
+    exposure, depth, cost) and ``"late"`` for one the search still judges
+    after its chase.  The registry's counters are set aside meanwhile, so
+    the search's books are its own.
+    """
+    try:
+        state, facts = read_exposure(node.config, node.state, fact, method)
+    except PlanningError:
+        return "closed"
+    if state.access_command_count > searcher.options.max_accesses:
+        return "closed"
+    cost = searcher.cost.commands_cost(state.commands)
+    if searcher.options.prune_by_cost and cost >= searcher.best_cost:
+        return "closed"
+    fork = node.config.deep_copy()
+    exposed = write_exposure(fork, state, facts, method, searcher.acc)
+    if exposed.depth_truncated or searcher.stats.chase.incomplete:
+        return "late"
+    registry = searcher._registry
+    books, registry.stats = registry.stats, DominationStats()
+    try:
+        return registry.find_dominator(cost, fork, parent=node.node_id)
+    finally:
+        registry.stats = books
+
+
+@pytest.mark.parametrize("order", ["depth", "method"])
+@searches
+def test_the_check_before_the_fork_names_the_fork_first_dominator(
+    monkeypatch, label, factory, budget, order
+):
+    compared = []
+    expand = search_module._Searcher._expand
+
+    def watched(self, node, fact, method):
+        reference = fork_write_then_check(self, node, fact, method)
+        dominated = self.stats.pruned_by_domination
+        child = expand(self, node, fact, method)
+        if reference in ("closed", "late"):
+            assert self.stats.pruned_by_domination == dominated
+            return child
+        if self.stats.pruned_by_domination > dominated:
+            assert child is None
+            verdict = self.nodes[-1].dominated_by
+        else:
+            verdict = None
+        assert verdict == reference, (label, node.node_id, fact)
+        compared.append(verdict)
+        return child
+
+    monkeypatch.setattr(search_module._Searcher, "_expand", watched)
+    stats = run(factory, budget, candidate_order=order).stats
+    assert compared
+    assert sum(v is not None for v in compared) == stats.pruned_by_domination
 
 
 # ----------------------------------------------- errors come before any write
