@@ -64,12 +64,18 @@ _Entry = Tuple[str, _Rows]
 
 
 class _InFlight:
-    """One in-progress fetch other threads can wait on."""
+    """One in-progress fetch other threads can wait on.
 
-    __slots__ = ("event", "failed")
+    The leader holds ``lock`` from creation until its fetch ends; a
+    waiter acquires and releases it.  A raw lock, not an ``Event``: a
+    miss allocates one C object, not a condition variable.
+    """
+
+    __slots__ = ("lock", "failed")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self.lock = threading.Lock()
+        self.lock.acquire()
         self.failed = False
 
 
@@ -153,7 +159,8 @@ class AccessCache:
                         )
                     return rows
                 # Another thread is fetching this key: wait, then re-check.
-                flight.event.wait()
+                with flight.lock:
+                    pass
                 waited = not flight.failed
             try:
                 result = access(method, inputs)
@@ -163,7 +170,7 @@ class AccessCache:
                 with lock:
                     flight.failed = True
                     inflight.pop(key, None)
-                flight.event.set()
+                flight.lock.release()
                 raise
             with lock:
                 # Only install if no epoch change (instance mutation or
@@ -174,7 +181,7 @@ class AccessCache:
                         store.popitem(last=False)
                         self.evictions += 1
                 inflight.pop(key, None)
-            flight.event.set()
+            flight.lock.release()
             return result
 
         return fetch

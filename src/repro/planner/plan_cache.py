@@ -72,7 +72,16 @@ def canonical_query_text(query: ConjunctiveQuery) -> str:
     does not change the planning problem.  Atom order is preserved --
     reordered bodies key differently, which costs at most a cache miss,
     never a wrong plan.
+
+    A query is immutable, so its text is rendered once and kept on the
+    query object (outside its fields, like ``NamedTable.column_map``):
+    a service keys every request that reuses one query object.
     """
+    try:
+        return query._canonical_text  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+
     def render(term: object) -> str:
         """Render one head/body term deterministically."""
         if isinstance(term, Variable):
@@ -86,7 +95,9 @@ def canonical_query_text(query: ConjunctiveQuery) -> str:
         f"{atom.relation}({','.join(render(t) for t in atom.terms)})"
         for atom in query.atoms
     )
-    return f"({head}) :- {body}"
+    text = f"({head}) :- {body}"
+    object.__setattr__(query, "_canonical_text", text)
+    return text
 
 
 def plan_cache_key(

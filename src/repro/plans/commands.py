@@ -15,7 +15,7 @@ access cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import (
     Callable,
@@ -67,12 +67,15 @@ class AccessCommand:
 
     kind = "access"
 
-    @property
+    # The two attribute lists are derived on first use (an execute, or
+    # the rewrite) and kept in the instance dict, outside the fields:
+    # the planner builds a command per search child and reads neither.
+    @cached_property
     def output_attrs(self) -> Tuple[str, ...]:
         """The attribute names of the produced table, in order."""
         return tuple(attr for attr, _ in self.output_map)
 
-    @property
+    @cached_property
     def input_attrs(self) -> Tuple[str, ...]:
         """Distinct attribute names read from the input expression.
 

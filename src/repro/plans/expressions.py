@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
-from itertools import chain
+from functools import partial
+from operator import itemgetter, not_
+from itertools import chain, compress
 from typing import (
     Callable,
     Dict,
@@ -234,41 +235,85 @@ def _check_conditions(conditions, attributes: Sequence[str]) -> None:
     _check_names(chain.from_iterable(map(condition_reads, conditions)), attributes)
 
 
-def _compile_conditions(conditions, colmap: Mapping[str, int]):
-    """Index-based row predicates, one per condition.
+# A compiled condition: the rows of an iterable that pass it, lazily.
+Stage = Callable[[Iterable[Row]], Iterable[Row]]
+
+
+def _const_stage(index: int, value: Constant, negate: bool) -> Stage:
+    """``row[index] == value`` (or ``!=``) as membership in ``{value}``.
+
+    A set compares hashes first, then identity, and calls
+    ``Constant.__eq__`` only on a hash match, so the answer is
+    ``Constant.__eq__``'s (``docs/theory.md`` §What a small request
+    pays) and a cell that cannot match costs no Python call.  The stage
+    reads its rows twice, the cells and then the rows kept, so a stream
+    is listed first; a set or a list is read as it is.
+    """
+    cell = itemgetter(index)
+    member = frozenset((value,)).__contains__
+
+    def stage(rows: Iterable[Row]) -> Iterable[Row]:
+        """The rows whose cell is (or, negated, is not) ``value``."""
+        if not isinstance(rows, (frozenset, list)):
+            rows = list(rows)
+        flags = map(member, map(cell, rows))
+        return compress(rows, map(not_, flags) if negate else flags)
+
+    return stage
+
+
+def _attr_stage(left: int, right: int, negate: bool) -> Stage:
+    """``row[left] == row[right]`` (or ``!=``), one row at a time.
+
+    Two cells that are not the same object are told apart only by
+    ``Constant.__eq__``, so no form of this test saves the Python call
+    per row; filtering the stream as it comes lets a join's pairs die
+    as they are checked, where listing them first would keep them all.
+    """
+    if negate:
+        return partial(filter, lambda row: row[left] != row[right])
+    return partial(filter, lambda row: row[left] == row[right])
+
+
+def _compile_conditions(conditions, colmap: Mapping[str, int]) -> List[Stage]:
+    """One filter stage per condition, for a selection or a join.
 
     ``colmap`` maps attribute names to row indexes (a table's cached
     :meth:`NamedTable.column_map`).  An unknown attribute raises
     :class:`EvaluationError` whether or not any row would reach it.
     """
-    checks = []
+    stages = []
     try:
         for cond in conditions:
-            if isinstance(cond, EqAttr):
-                left, right = colmap[cond.left], colmap[cond.right]
-                checks.append(lambda row, l=left, r=right: row[l] == row[r])
-            elif isinstance(cond, EqConst):
-                index, value = colmap[cond.attribute], cond.value
-                checks.append(lambda row, i=index, v=value: row[i] == v)
-            elif isinstance(cond, NeqAttr):
-                left, right = colmap[cond.left], colmap[cond.right]
-                checks.append(lambda row, l=left, r=right: row[l] != row[r])
-            elif isinstance(cond, NeqConst):
-                index, value = colmap[cond.attribute], cond.value
-                checks.append(lambda row, i=index, v=value: row[i] != v)
+            if isinstance(cond, (EqAttr, NeqAttr)):
+                stages.append(
+                    _attr_stage(
+                        colmap[cond.left],
+                        colmap[cond.right],
+                        isinstance(cond, NeqAttr),
+                    )
+                )
+            elif isinstance(cond, (EqConst, NeqConst)):
+                stages.append(
+                    _const_stage(
+                        colmap[cond.attribute],
+                        cond.value,
+                        isinstance(cond, NeqConst),
+                    )
+                )
             else:
                 raise _not_a_condition(cond)
     except KeyError as missing:
         raise EvaluationError(
             f"no attribute {missing.args[0]!r} in {tuple(colmap)}"
         ) from None
-    return checks
+    return stages
 
 
-def _filtered(rows: Iterable[Row], checks) -> Iterable[Row]:
-    """The rows passing every compiled check (a conjunction, lazily)."""
-    for check in checks:
-        rows = filter(check, rows)
+def _filtered(rows: Iterable[Row], stages: Sequence[Stage]) -> Iterable[Row]:
+    """The rows passing every stage (a conjunction, lazily)."""
+    for stage in stages:
+        rows = stage(rows)
     return rows
 
 
@@ -291,7 +336,7 @@ def _join_tables(
     extra = [a for a in right.attributes if a not in left_attrs]
     out_attrs = left_attrs + tuple(extra)
     out_colmap = {a: i for i, a in enumerate(out_attrs)}
-    checks = _compile_conditions(conditions, out_colmap)
+    stages = _compile_conditions(conditions, out_colmap)
     attributes = out_attrs
     pick_out = None
     if project_to is not None and tuple(project_to) != out_attrs:
@@ -322,7 +367,7 @@ def _join_tables(
             for row in right_rows
             for head in matches(right_key(row), ())
         )
-    joined = _filtered(joined, checks)
+    joined = _filtered(joined, stages)
     if pick_out is not None:
         joined = map(pick_out, joined)
     return NamedTable(attributes, frozenset(joined))
@@ -501,8 +546,8 @@ class Select(Expression):
     def evaluate(self, env: Environment) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         table = self.child.evaluate(env)
-        checks = _compile_conditions(self.conditions, table.column_map())
-        return table.subset(_filtered(table.rows, checks))
+        stages = _compile_conditions(self.conditions, table.column_map())
+        return table.subset(_filtered(table.rows, stages))
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""

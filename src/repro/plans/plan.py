@@ -260,6 +260,7 @@ def run_commands(
     whether it returned or raised.
     """
     stats, budget = context.stats, context.budget
+    frees = _free_schedule(commands, output_table, last_read)
     record = None
     started = perf_counter()
     for index, command in enumerate(commands):
@@ -287,13 +288,10 @@ def run_commands(
             if budget is not None:
                 budget.check_resident(resident)
         freed = 0
-        for table in [
-            t
-            for t, last in last_read.items()
-            if last <= index and t in env and t != output_table
-        ]:
-            del env[table]
-            freed += 1
+        for table in frees.get(index, ()):
+            if table in env:
+                del env[table]
+                freed += 1
         if record is not None:
             record.freed_tables = freed
     output = env[output_table]
@@ -305,3 +303,27 @@ def run_commands(
         stats.wall_time += perf_counter() - started
         stats.runs += 1
     return output
+
+
+def _free_schedule(
+    commands: Sequence, output_table: str, last_read: Dict[str, int]
+) -> Dict[int, List[str]]:
+    """The tables that may be dropped after each command, by index.
+
+    A table (never the output) is dropped after the first command at
+    or after its last reader that finds it in the environment, and
+    again after any later command that writes it anew.  Commands only
+    add their target, so those are the only indexes at which it can be
+    present with its last reader done: :func:`run_commands` checks
+    these candidates, and only these, against the environment.
+    """
+    frees: Dict[int, List[str]] = {}
+    for table, last in last_read.items():
+        if table != output_table:
+            frees.setdefault(max(last, 0), []).append(table)
+    for index, command in enumerate(commands):
+        table = command.target
+        last = last_read.get(table)
+        if last is not None and index > max(last, 0) and table != output_table:
+            frees.setdefault(index, []).append(table)
+    return frees

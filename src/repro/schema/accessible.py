@@ -171,40 +171,66 @@ def _head_positions(tgd: TGD) -> ExposureHeads:
     )
 
 
-class AccessibleSchema:
-    """An accessible schema: the base schema plus one axiom system."""
+class AxiomSystem:
+    """The rule structures of one variant of ``AcSch(S)``.
 
-    def __init__(self, schema: Schema, variant: Variant = Variant.FORWARD):
-        self.schema = schema
-        self.variant = variant
+    They depend on the schema alone, so
+    :meth:`Schema.axioms <repro.schema.core.Schema.axioms>` derives them
+    on first use and keeps them; every :class:`AccessibleSchema` over
+    that schema object shares them.  Nothing here refers back to the
+    schema: the memo holds rules, and the schema is collected as soon
+    as its last user lets go of it.
+    """
+
+    __slots__ = (
+        "rules",
+        "free_rules",
+        "access_rules",
+        "saturation_rules",
+        "exposure_rules",
+        "exposure_heads",
+    )
+
+    def __init__(self, schema: Schema, variant: Variant) -> None:
         self.rules: Tuple[ChaseRule, ...] = tuple(_build_rules(schema, variant))
         # The rule tuple never changes, so every split of it is computed
         # once here and handed around as a tuple.
-        #: Rules fired eagerly at no cost (everything but access axioms).
-        self.free_rules: RuleSet = RuleSet(
-            r for r in self.rules if not r.is_access
-        )
-        #: Rules whose firing represents making an access.
-        self.access_rules: Tuple[ChaseRule, ...] = tuple(
-            r for r in self.rules if r.is_access
-        )
-        #: The free rules that are not exposure rules.  No free rule has an
-        #: ``Accessed_`` relation in its head, so once the exposure rules
-        #: have been applied to the facts of an access, saturating under
-        #: these alone saturates under all free rules.
-        self.saturation_rules: RuleSet = RuleSet(
+        self.free_rules = RuleSet(r for r in self.rules if not r.is_access)
+        self.access_rules = tuple(r for r in self.rules if r.is_access)
+        self.saturation_rules = RuleSet(
             r for r in self.free_rules if r.kind not in _EXPOSURE_KINDS
         )
         by_body: Dict[str, List[ChaseRule]] = {}
         for rule in self.free_rules:
             if rule.kind in _EXPOSURE_KINDS:
                 by_body.setdefault(rule.tgd.body[0].relation, []).append(rule)
-        self._exposure_rules: Dict[str, Tuple[ChaseRule, ...]] = {
+        self.exposure_rules: Dict[str, Tuple[ChaseRule, ...]] = {
             relation: tuple(rules) for relation, rules in by_body.items()
         }
         # Filled per relation on its first exposure, so a relation that
         # is never exposed costs nothing.
-        self._exposure_heads: Dict[str, Tuple[ExposureHeads, ...]] = {}
+        self.exposure_heads: Dict[str, Tuple[ExposureHeads, ...]] = {}
+
+
+class AccessibleSchema:
+    """An accessible schema: the base schema plus one axiom system."""
+
+    def __init__(self, schema: Schema, variant: Variant = Variant.FORWARD):
+        self.schema = schema
+        self.variant = variant
+        axioms = schema.axioms(variant)
+        self.rules: Tuple[ChaseRule, ...] = axioms.rules
+        #: Rules fired eagerly at no cost (everything but access axioms).
+        self.free_rules: RuleSet = axioms.free_rules
+        #: Rules whose firing represents making an access.
+        self.access_rules: Tuple[ChaseRule, ...] = axioms.access_rules
+        #: The free rules that are not exposure rules.  No free rule has an
+        #: ``Accessed_`` relation in its head, so once the exposure rules
+        #: have been applied to the facts of an access, saturating under
+        #: these alone saturates under all free rules.
+        self.saturation_rules: RuleSet = axioms.saturation_rules
+        self._exposure_rules = axioms.exposure_rules
+        self._exposure_heads = axioms.exposure_heads
 
     def exposure_rules(self, accessed_relation: str) -> Tuple[ChaseRule, ...]:
         """The free rules whose whole body is one ``Accessed_R`` atom.

@@ -33,6 +33,7 @@ from repro.logic.terms import Constant, Variable
 
 if TYPE_CHECKING:
     from repro.chase.engine import ChasePolicy
+    from repro.schema.accessible import AxiomSystem, Variant
 
 
 class SchemaError(ValueError):
@@ -114,6 +115,7 @@ class Schema:
     ) -> None:
         self._fingerprint: Optional[str] = None
         self._chase_policy: Optional[ChasePolicy] = None
+        self._axioms: Dict[Variant, AxiomSystem] = {}
         self.name = name
         self._relations: Dict[str, Relation] = {}
         for relation in relations:
@@ -132,11 +134,13 @@ class Schema:
 
     def __setattr__(self, attribute: str, value: object) -> None:
         # What fingerprint() memoises is a digest of these three and the
-        # declarations, and chase_policy() reads the constraints:
-        # assigning one drops the memo.
+        # declarations, axioms() derives from the same, and
+        # chase_policy() reads the constraints: assigning one drops the
+        # memo.
         object.__setattr__(self, attribute, value)
         if attribute in ("name", "constants", "constraints"):
             object.__setattr__(self, "_fingerprint", None)
+            object.__setattr__(self, "_axioms", {})
         if attribute == "constraints":
             object.__setattr__(self, "_chase_policy", None)
 
@@ -157,6 +161,7 @@ class Schema:
         self._methods[method.name] = method
         self._methods_by_relation[method.relation].append(method)
         self._fingerprint = None
+        self._axioms = {}
 
     def _validate_constraints(self) -> None:
         for tgd in self.constraints:
@@ -265,6 +270,26 @@ class Schema:
 
             digest = self._fingerprint = schema_fingerprint(self)
         return digest
+
+    def axioms(self, variant: Variant) -> AxiomSystem:
+        """The chase rules of one variant of ``AcSch(self)``.
+
+        Every :class:`~repro.schema.accessible.AccessibleSchema` over
+        this schema object takes its rules from here, so a service that
+        searches one schema on every plan-cache miss derives them once
+        per variant.  Kept like :meth:`fingerprint`, and dropped with
+        it: assigning ``name``, ``constants`` or ``constraints``, or
+        adding a method, starts a fresh memo.  The memo is keyed by
+        this object, never by content, and no rule refers back to the
+        schema, so it adds no reference cycle.  The import is lazy
+        because :mod:`repro.schema.accessible` imports this module.
+        """
+        system = self._axioms.get(variant)
+        if system is None:
+            from repro.schema.accessible import AxiomSystem
+
+            system = self._axioms[variant] = AxiomSystem(self, variant)
+        return system
 
     def chase_policy(self) -> ChasePolicy:
         """The chase policy every search of this schema runs under.

@@ -307,6 +307,70 @@ class TestConcurrency:
         assert cache.misses == flaky.calls == 2
         assert cache.hits == 3
 
+    def test_leader_base_exception_releases_every_waiter(self, source):
+        import threading
+        import time
+
+        class Abort(BaseException):
+            """Not an ``Exception``: what an interrupt looks like."""
+
+        class AbortingSource:
+            """The first access parks until released, then aborts."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+                self.started = threading.Event()
+                self.release = threading.Event()
+                self._lock = threading.Lock()
+
+            @property
+            def schema(self):
+                return self.inner.schema
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def access(self, method, inputs=()):
+                with self._lock:
+                    self.calls += 1
+                    first = self.calls == 1
+                if first:
+                    self.started.set()
+                    assert self.release.wait(10)
+                    raise Abort()
+                return self.inner.access(method, inputs)
+
+        aborting = AbortingSource(source)
+        cache = AccessCache()
+        key = (Constant("a"),)
+        answers, aborts = [], []
+
+        def fetch():
+            try:
+                answers.append(cache.fetch(aborting, "mt_key", key))
+            except Abort as error:
+                aborts.append(error)
+
+        # Daemons, so a waiter left parked fails the test, not the exit.
+        threads = [
+            threading.Thread(target=fetch, daemon=True) for _ in range(5)
+        ]
+        threads[0].start()
+        assert aborting.started.wait(10)
+        for thread in threads[1:]:
+            thread.start()
+        time.sleep(0.05)  # let the waiters park on the leader's flight
+        aborting.release.set()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(aborts) == 1
+        assert len(answers) == 4
+        assert cache._inflight == {}
+        assert cache.misses == aborting.calls == 2
+        assert cache.hits == 3
+
     def test_many_threads_many_keys_consistent_accounting(self, source):
         import threading
 

@@ -1,6 +1,7 @@
 """Tests for the tuned execution runtime: dedup, freeing, stats."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
@@ -15,7 +16,7 @@ from repro.plans.expressions import (
     EqConst,
     Singleton,
 )
-from repro.plans.plan import Plan
+from repro.plans.plan import Plan, run_commands
 from repro.logic.terms import Constant
 from repro.schema.core import SchemaBuilder
 
@@ -227,6 +228,70 @@ class TestTempFreeing:
             ExecutionContext(stats=freed),
         )
         assert freed.peak_resident_rows <= kept
+
+
+class _Write:
+    """A command that notes the environment it finds, then writes."""
+
+    kind = "middleware"
+
+    def __init__(self, target, seen):
+        self.target = target
+        self.seen = seen
+
+    def execute(self, env, source, context):
+        self.seen.append(frozenset(env))
+        env[self.target] = NamedTable.singleton()
+
+
+def drop_after_each(targets, last_read, output):
+    """The rule by definition: after each command, drop every table
+    whose last reader has run, found in the environment, not the
+    output.  Returns what each command found and how many it dropped."""
+    env, seen, freed = set(), [], []
+    for index, target in enumerate(targets):
+        seen.append(frozenset(env))
+        env.add(target)
+        drop = {
+            table
+            for table, last in last_read.items()
+            if last <= index and table in env and table != output
+        }
+        env -= drop
+        freed.append(len(drop))
+    return seen, freed
+
+
+NAMES = ["a", "b", "c", "d"]
+
+
+class TestFreeSchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(NAMES), min_size=1, max_size=7),
+        st.dictionaries(st.sampled_from(NAMES), st.integers(-1, 7)),
+    )
+    def test_same_tables_freed_after_the_same_command(self, targets, last_read):
+        # Repeated targets, tables never read, tables read before they
+        # are written again: the schedule computed once per run frees
+        # exactly what the per-command scan freed.
+        output = targets[-1]
+        seen = []
+        stats = ExecStats()
+        run_commands(
+            [_Write(target, seen) for target in targets],
+            output,
+            last_read,
+            {},
+            None,
+            ExecutionContext(stats=stats),
+            len,
+        )
+        expected_seen, expected_freed = drop_after_each(
+            targets, last_read, output
+        )
+        assert seen == expected_seen
+        assert [c.freed_tables for c in stats.commands] == expected_freed
 
 
 class TestStats:

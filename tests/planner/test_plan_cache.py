@@ -62,6 +62,12 @@ class TestCacheKey:
             join_query("q"), golden_schema()
         ) == plan_cache_key(join_query("renamed"), golden_schema())
 
+    def test_canonical_text_is_rendered_once_per_query_object(self):
+        query = join_query()
+        text = canonical_query_text(query)
+        assert canonical_query_text(query) is text
+        assert query == join_query() and hash(query) == hash(join_query())
+
     def test_different_query_different_key(self):
         schema = golden_schema()
         other = parse_cq("q(x, y) :- R(x, y)")

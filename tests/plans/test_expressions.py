@@ -273,7 +273,24 @@ class TestSplitConditions:
 
 
 # ------------------------------------ rewritten plans == row-by-row oracle
-CELLS = [A, B, C]
+# Beside three strings, the cells on which a selection's shortcuts could
+# part from ``Constant.__eq__``: payloads equal across types (1, 1.0,
+# True), the two zeros, and NaN -- one object used twice, which equals
+# itself by identity, and a second object, which equals neither.
+NAN = float("nan")
+CELLS = [
+    A,
+    B,
+    C,
+    Constant(1),
+    Constant(1.0),
+    Constant(True),
+    Constant(0.0),
+    Constant(-0.0),
+    Constant(NAN),
+    Constant(NAN),
+    Constant(float("nan")),
+]
 NAMES = ["p", "q", "r", "s", "t"]
 FRESH = ["u", "v"]
 

@@ -1,5 +1,10 @@
 """Unit tests for the AcSch / AcSch<-> / AcSch-neg constructions."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro.logic.atoms import Atom
@@ -18,11 +23,12 @@ from repro.schema.accessible import (
     is_infacc_name,
     original_name,
 )
+from repro.planner.search import find_best_plan
+from repro.schema import accessible as accessible_module
 from repro.schema.core import SchemaBuilder, SchemaError
 
 
-@pytest.fixture
-def schema():
+def build_schema():
     return (
         SchemaBuilder("s")
         .relation("R", 2)
@@ -33,6 +39,11 @@ def schema():
         .constant("c0")
         .build()
     )
+
+
+@pytest.fixture
+def schema():
+    return build_schema()
 
 
 class TestNaming:
@@ -151,3 +162,108 @@ class TestInferredAccessibleQuery:
         query = cq([], [("R", ["?x", "smith"])])
         infacc = inferred_accessible_query(query)
         assert infacc.atoms[0].terms[1] == Constant("smith")
+
+
+class TestRuleMemo:
+    """The chase rules are derived once per schema object and variant."""
+
+    QUERY = cq(["?y"], [("R", ["c0", "?y"])])
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The variants ``_build_rules`` is called for, in order."""
+        calls = []
+        build = accessible_module._build_rules
+
+        def spy(schema, variant):
+            calls.append(variant)
+            return build(schema, variant)
+
+        monkeypatch.setattr(accessible_module, "_build_rules", spy)
+        return calls
+
+    def test_two_searches_build_the_rules_once(self, schema, builds):
+        first = find_best_plan(schema, self.QUERY)
+        second = find_best_plan(schema, self.QUERY)
+        assert first.found and second.found
+        assert first.best_plan == second.best_plan
+        assert builds == [Variant.FORWARD]
+
+    def test_schemas_share_rules_per_variant(self, schema, builds):
+        forward = AccessibleSchema(schema)
+        assert AccessibleSchema(schema).rules is forward.rules
+        assert AccessibleSchema(schema).free_rules is forward.free_rules
+        both = AccessibleSchema(schema, Variant.BIDIRECTIONAL)
+        assert both.rules is not forward.rules
+        assert builds == [Variant.FORWARD, Variant.BIDIRECTIONAL]
+
+    def test_assigning_constraints_gives_fresh_rules(self, schema, builds):
+        before = AccessibleSchema(schema).rules
+        schema.constraints = ()
+        after = AccessibleSchema(schema).rules
+        assert after is not before
+        assert AxiomKind.ORIGINAL not in {rule.kind for rule in after}
+        assert len(builds) == 2
+
+    def test_assigning_constants_gives_fresh_rules(self, schema, builds):
+        before = AccessibleSchema(schema).rules
+        schema.constants = (Constant("c1"),)
+        acc = AccessibleSchema(schema)
+        assert acc.rules is not before
+        assert acc.initial_accessible_facts() == (
+            Atom(ACCESSIBLE, (Constant("c1"),)),
+        )
+        assert len(builds) == 2
+
+    def test_without_methods_gives_fresh_rules(self, schema, builds):
+        AccessibleSchema(schema).access_rule_for("mt_r")
+        dropped = AccessibleSchema(schema.without_methods(["mt_r"]))
+        with pytest.raises(SchemaError):
+            dropped.access_rule_for("mt_r")
+        assert len(builds) == 2
+
+    def test_concurrent_searches_of_one_schema_agree(self):
+        # The memo and its lazily filled exposure templates are shared
+        # by every search of the schema object, on any thread.
+        schema = build_schema()
+        expected = find_best_plan(build_schema(), self.QUERY).best_plan
+        plans, errors = [], []
+
+        def search():
+            try:
+                for _ in range(5):
+                    plans.append(find_best_plan(schema, self.QUERY).best_plan)
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=search, daemon=True) for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert plans == [expected] * 40
+
+    def test_a_searched_schema_dies_at_del(self):
+        # No reference cycle: with the collector off, dropping the last
+        # reference frees the schema and the rules it memoises.
+        schema = build_schema()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert find_best_plan(schema, self.QUERY).found
+            AccessibleSchema(schema, Variant.NEGATIVE)
+            alive = weakref.ref(schema)
+            del schema
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
