@@ -23,31 +23,32 @@ it once per key, bound once per command by
 :func:`repro.plans.commands.bound_access`), so its common case is kept
 short: every check runs on every call -- schema lookup, the input check
 (:func:`~repro.source_contract.checked_inputs`), index staleness, one
-:class:`AccessRecord` -- but an access answered by an index already
-built for the instance's current version takes the source lock once, for
-the lookup and the log append together, and inputs that already are a
-tuple of constants are logged as the object they arrived as.
+record in the :class:`~repro.source_contract.AccessLog` -- but an access
+answered by an index already built for the instance's current version
+takes the source lock once, for the lookup and the log append together,
+and inputs that already are a tuple of constants are logged as the
+object they arrived as.  The append is one ``list.extend`` of the
+record's four fields: an access builds no record object, and leaves no
+new object for the cyclic collector to track.
 """
 
 from __future__ import annotations
 
 import threading
-from functools import partial
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    NamedTuple,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Sequence, Set, Tuple
 
 from repro.data.instance import Instance
 from repro.errors import AccessViolation
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema, SchemaError
-from repro.source_contract import MeteredSourceMixin, checked_inputs
+from repro.source_contract import (
+    AccessLog,
+    AccessRecord,
+    MeteredSourceMixin,
+    checked_inputs,
+)
+
+__all__ = ["AccessLog", "AccessRecord", "AccessViolation", "InMemorySource"]
 
 # Per-method index: input-position value tuple -> matching relation rows.
 _MethodIndex = Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]
@@ -55,24 +56,6 @@ _MethodIndex = Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]
 
 # The answer to a key no tuple matches: one object for every such access.
 _NO_ROWS: FrozenSet[Tuple[Constant, ...]] = frozenset()
-
-
-class AccessRecord(NamedTuple):
-    """One logged invocation of an access method.
-
-    A named tuple: one is built per access, and the access is the
-    runtime's inner loop.
-    """
-
-    method: str
-    relation: str
-    inputs: Tuple[Constant, ...]
-    results: int
-
-
-# An ``AccessRecord`` from a 4-tuple, without the Python frame of the
-# generated ``__new__``.
-_record_of = partial(tuple.__new__, AccessRecord)
 
 
 class InMemorySource(MeteredSourceMixin):
@@ -87,7 +70,7 @@ class InMemorySource(MeteredSourceMixin):
         self.schema = schema
         self.instance = instance
         self.indexed = indexed
-        self.log: List[AccessRecord] = []
+        self.log = AccessLog()
         self._indexes: Dict[str, _MethodIndex] = {}
         self._indexed_version = instance.version
         # Guards the lazy index build (check-version/clear/build) and the
@@ -119,10 +102,8 @@ class InMemorySource(MeteredSourceMixin):
                 matching = self._lookup(method, values)
             else:
                 matching = index.get(values, _NO_ROWS)
-            self.log.append(
-                _record_of(
-                    (method_name, method.relation, values, len(matching))
-                )
+            self.log.record(
+                (method_name, method.relation, values, len(matching))
             )
         return matching
 

@@ -51,9 +51,8 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from repro.data.source import AccessRecord
 from repro.logic.terms import Constant
-from repro.source_contract import epoch_reader
+from repro.source_contract import AccessRecord, epoch_reader
 
 _Inputs = Tuple[Constant, ...]
 _Key = Tuple[str, _Inputs]

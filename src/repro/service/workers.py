@@ -292,14 +292,22 @@ def _init_worker(spec: Mapping[str, Any]) -> None:
 
 
 def _run_payload_task(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """The task the parent submits; referenced by name, so spawn-safe."""
+    """The task the parent submits; referenced by name, so spawn-safe.
+
+    The worker's source lives as long as the process, and nothing reads
+    its access log (the books cross back in the result's ``stats``), so
+    the log is cleared after every task instead of growing for ever.
+    """
     if _WORKER_SOURCE is None:
         return {
             "ok": False,
             "error_type": "ExecutionError",
             "error": "worker process was never initialized with a source spec",
         }
-    return execute_payload(_WORKER_SOURCE, payload)
+    try:
+        return execute_payload(_WORKER_SOURCE, payload)
+    finally:
+        _WORKER_SOURCE.reset_log()
 
 
 # -------------------------------------------------------- latency tracking

@@ -22,17 +22,27 @@ on the inputs (the fault schedule) shares.
 Batching: a backend that can answer several input tuples in one round
 trip adds ``access_batch(method, inputs_list)``; the access-command
 boundary uses it when present, and a wrapper never forwards it.
+
+Metering: every backend logs each access as one :class:`AccessRecord`
+in an :class:`AccessLog`.  The log keeps a record as its four fields in
+one flat list, so an access adds no object the cyclic collector tracks;
+records are built only when someone reads them.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence as SequenceABC
+from functools import partial, reduce
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -64,15 +74,15 @@ class SourceAdapter(Protocol):
         invoke one method with values for all of its input positions;
         returns the matching relation tuples as a frozenset.
     ``log``
-        the per-invocation metering log (a list of
-        :class:`~repro.data.source.AccessRecord`).
+        the per-invocation metering log (an :class:`AccessLog` of
+        :class:`AccessRecord`).
     ``epoch``
         a monotone snapshot token; answers observed under different
         epochs must never be mixed (see :func:`source_epoch`).
     """
 
     schema: Any
-    log: List[Any]
+    log: AccessLog
 
     def access(
         self, method_name: str, inputs: Sequence[object] = ()
@@ -120,6 +130,100 @@ def checked_inputs(method, inputs: Sequence[object]) -> Tuple[Constant, ...]:
             inputs=values,
         )
     return values
+
+
+class AccessRecord(NamedTuple):
+    """One logged invocation of an access method.
+
+    What reading an :class:`AccessLog` yields: the log itself stores
+    the four fields, and builds a record only when one is read.
+    """
+
+    method: str
+    relation: str
+    inputs: Tuple[Constant, ...]
+    results: int
+
+
+# An ``AccessRecord`` from a 4-tuple (or a list of four), without the
+# Python frame of the generated ``__new__``.
+_record_of = partial(tuple.__new__, AccessRecord)
+
+# Fields per record in an ``AccessLog``'s flat list, and the offsets of
+# the two the metering readers need.
+_WIDTH = len(AccessRecord._fields)
+_METHOD = AccessRecord._fields.index("method")
+_INPUTS = AccessRecord._fields.index("inputs")
+
+
+class AccessLog(SequenceABC):
+    """A source's metering log: a read-only sequence of :class:`AccessRecord`.
+
+    The records are kept as their fields, four to a record, in one flat
+    list.  An access logs itself through :attr:`record`, which *is* the
+    list's ``extend``: one C call with a 4-tuple adds a whole record,
+    so no reader ever sees half of one, with or without the source's
+    lock.  The log gains no object the cyclic collector tracks -- the
+    method and relation names and the result count are atoms, and
+    ``inputs`` is the tuple the caller already held -- where a record
+    object (a tuple subclass) would stay tracked for as long as the log
+    lives.  An :class:`AccessRecord` is built only when the log is read
+    by index, slice or iteration; :meth:`fields` is what the metering
+    readers read instead.
+    """
+
+    __slots__ = ("_fields", "record")
+
+    def __init__(self) -> None:
+        self._fields: List[Any] = []
+        #: Log one access: ``record((method, relation, inputs, results))``.
+        self.record: Callable[[Tuple[Any, ...]], None] = self._fields.extend
+
+    def append(self, record: Sequence[Any]) -> None:
+        """Log one access given as an :class:`AccessRecord` (any four fields)."""
+        method, relation, inputs, results = record
+        self.record((method, relation, inputs, results))
+
+    def clear(self) -> None:
+        """Drop every record."""
+        self._fields.clear()
+
+    def fields(self) -> Tuple[Any, ...]:
+        """A point-in-time copy of the flat field list, whole records only.
+
+        One C call: an access logging itself meanwhile lands wholly
+        before or wholly after it.
+        """
+        return tuple(self._fields)
+
+    def __len__(self) -> int:
+        return len(self._fields) // _WIDTH
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        start = position * _WIDTH
+        fields = self._fields[start : start + _WIDTH] if start >= 0 else ()
+        if len(fields) != _WIDTH:
+            raise IndexError("access log index out of range")
+        return _record_of(fields)
+
+    def __iter__(self) -> Iterator[AccessRecord]:
+        fields = iter(self.fields())
+        return map(_record_of, zip(*[fields] * _WIDTH))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, AccessLog):
+            return self._fields == other._fields
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"AccessLog({list(self)!r})"
 
 
 def epoch_reader(source) -> Callable[[], Any]:
@@ -191,10 +295,11 @@ class Specable:
 class MeteredSourceMixin(Specable):
     """What every backend shares: metering, the epoch, the spec's shape.
 
-    Subclasses provide ``self.log`` (a list of
-    :class:`~repro.data.source.AccessRecord`), ``self._lock`` (held
-    around log mutation), ``self.schema`` and ``self.instance``, so
-    benchmarks, the CLI and the worker tier treat every backend alike.
+    Subclasses provide ``self.log`` (an :class:`AccessLog`),
+    ``self._lock`` (held around log mutation), ``self.schema`` and
+    ``self.instance``, so benchmarks, the CLI and the worker tier treat
+    every backend alike.  The metering readers read the log's fields
+    (:meth:`AccessLog.fields`) and build no records.
     """
 
     def epoch(self) -> int:
@@ -216,34 +321,31 @@ class MeteredSourceMixin(Specable):
         """Every logged call, including repeats."""
         return len(self.log)
 
-    def _log_snapshot(self):
-        """A point-in-time copy of the log, safe against appenders."""
-        with self._lock:
-            return tuple(self.log)
-
     def distinct_accesses(self):
         """The set of (method, inputs) pairs -- Theorem 8's access measure."""
+        fields = self.log.fields()
         return frozenset(
-            (rec.method, rec.inputs) for rec in self._log_snapshot()
+            zip(fields[_METHOD::_WIDTH], fields[_INPUTS::_WIDTH])
         )
 
     def invocations_of(self, method_name: str) -> int:
         """Logged invocation count for one method."""
-        return sum(
-            1 for rec in self._log_snapshot() if rec.method == method_name
-        )
+        return self.log.fields()[_METHOD::_WIDTH].count(method_name)
 
     def charged_cost(
         self, per_method: Optional[Dict[str, float]] = None
     ) -> float:
         """Total runtime cost: per-method weight (default: declared cost)."""
-        total = 0.0
-        for record in self._log_snapshot():
-            if per_method is not None and record.method in per_method:
-                total += per_method[record.method]
+        methods = self.log.fields()[_METHOD::_WIDTH]
+        weight = {}
+        for name in dict.fromkeys(methods):
+            if per_method is not None and name in per_method:
+                weight[name] = per_method[name]
             else:
-                total += self.schema.method(record.method).cost
-        return total
+                weight[name] = self.schema.method(name).cost
+        # Added one record at a time in log order, as a loop would: the
+        # same float, which ``sum`` (compensated since 3.12) is not.
+        return reduce(operator.add, map(weight.__getitem__, methods), 0.0)
 
     def _write_spec(self, config: Dict[str, Any]) -> Dict[str, Any]:
         return {

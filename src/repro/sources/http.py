@@ -49,7 +49,6 @@ from typing import (
 )
 
 from repro.data.instance import Instance, _to_constant
-from repro.data.source import AccessRecord
 from repro.errors import (
     AccessTimeout,
     AccessViolation,
@@ -65,6 +64,7 @@ from repro.faults.policy import (
 from repro.logic.terms import Constant
 from repro.schema.core import Schema
 from repro.source_contract import (
+    AccessLog,
     MeteredSourceMixin,
     SourceSpecError,
     checked_inputs,
@@ -313,7 +313,7 @@ class HTTPSource(MeteredSourceMixin):
         self.max_retry_after_waits = max_retry_after_waits
         self.max_snapshot_restarts = max_snapshot_restarts
         self._sleep = sleep
-        self.log: List[AccessRecord] = []
+        self.log = AccessLog()
         self._lock = threading.RLock()
         #: Retry-After waits honoured (client-side politeness).
         self.retry_after_waits = 0
@@ -482,10 +482,8 @@ class HTTPSource(MeteredSourceMixin):
         values = checked_inputs(method, inputs)
         matching = self._paginate(method_name, values)
         with self._lock:
-            self.log.append(
-                AccessRecord(
-                    method_name, method.relation, values, len(matching)
-                )
+            self.log.record(
+                (method_name, method.relation, values, len(matching))
             )
         return matching
 
@@ -526,10 +524,8 @@ class HTTPSource(MeteredSourceMixin):
                     for row in by_key.get(values, ())
                 )
                 results[values] = rows
-                self.log.append(
-                    AccessRecord(
-                        method_name, method.relation, values, len(rows)
-                    )
+                self.log.record(
+                    (method_name, method.relation, values, len(rows))
                 )
         return results
 

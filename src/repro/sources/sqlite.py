@@ -4,7 +4,7 @@
 protocol: every relation becomes a table, every access method a
 parameterized ``SELECT`` over the method's input positions, metered
 exactly like :class:`~repro.data.source.InMemorySource` (one
-:class:`~repro.data.source.AccessRecord` per invocation, identical
+:class:`~repro.source_contract.AccessRecord` per invocation, identical
 charged cost) -- so every existing benchmark, cache, breaker and
 worker-tier component runs over it unchanged.
 
@@ -95,11 +95,10 @@ from typing import (
 )
 
 from repro.data.instance import Instance, _to_constant
-from repro.data.source import AccessRecord
 from repro.errors import AccessError, SourceUnavailable
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema
-from repro.source_contract import MeteredSourceMixin, checked_inputs
+from repro.source_contract import AccessLog, MeteredSourceMixin, checked_inputs
 
 #: Errors that *may* mean "the connection is gone" (the reconnect loop's
 #: catch) -- unless the message is one of ``_STATEMENT_ERRORS``.
@@ -235,7 +234,7 @@ class SQLiteSource(MeteredSourceMixin):
         self.max_backoff = max_backoff
         self.drop_every = drop_every
         self._sleep = sleep
-        self.log: List[AccessRecord] = []
+        self.log = AccessLog()
         #: Reconnects performed over the source's lifetime (surfaced by
         #: the adapter benchmark's resilience accounting).
         self.reconnects = 0
@@ -394,10 +393,8 @@ class SQLiteSource(MeteredSourceMixin):
         values = checked_inputs(method, inputs)
         matching = self._select(method, values)
         with self._lock:
-            self.log.append(
-                AccessRecord(
-                    method_name, method.relation, values, len(matching)
-                )
+            self.log.record(
+                (method_name, method.relation, values, len(matching))
             )
         return matching
 
@@ -424,15 +421,10 @@ class SQLiteSource(MeteredSourceMixin):
                     values: self._select(method, values)
                     for values in dict.fromkeys(keyed)
                 }
+            record = self.log.record
+            relation = method.relation
             for values in keyed:
-                self.log.append(
-                    AccessRecord(
-                        method_name,
-                        method.relation,
-                        values,
-                        len(results[values]),
-                    )
-                )
+                record((method_name, relation, values, len(results[values])))
         return results
 
     def _select_keyed(

@@ -341,7 +341,9 @@ class TestAccessRecord:
     def test_readers_of_the_log(self, source):
         source.access("mt_key", ("a",))
         source.access("mt_scan")
-        assert source._log_snapshot() == tuple(source.log)
+        assert source.log.fields() == tuple(
+            field for record in source.log for field in record
+        )
         assert source.distinct_accesses() == {
             ("mt_key", (Constant("a"),)),
             ("mt_scan", ()),

@@ -32,6 +32,7 @@ from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.terms import Constant
 from repro.plans.ir import plan_to_ir, table_from_ir
 from repro.schema.core import SchemaBuilder
+from repro.service import workers
 from repro.service.service import QueryService
 from repro.service.workers import (
     LatencyTracker,
@@ -192,6 +193,29 @@ class TestPayload:
         )
         assert result["stats"]["commands"]
         json.dumps(result)  # the response is shippable too
+
+    def test_a_worker_task_leaves_the_worker_source_log_empty(
+        self, monkeypatch
+    ):
+        schema = simple_schema()
+        instance = simple_instance()
+        plan = simple_plan(schema)
+        reference = canonical(plan.execute(InMemorySource(schema, instance)))
+        payload = {"plan": plan_to_ir(plan), "collect_stats": True}
+        monkeypatch.setattr(workers, "_WORKER_SOURCE", None)
+        workers._init_worker(
+            source_to_spec(InMemorySource(schema, instance))
+        )
+        for _ in range(2):
+            result = workers._run_payload_task(payload)
+            assert result["ok"]
+            assert canonical(table_from_ir(result["table"])) == reference
+            assert result["stats"]["commands"]
+            assert workers._WORKER_SOURCE.total_invocations == 0
+        # In-process callers of execute_payload still read the log.
+        source = InMemorySource(schema, instance)
+        execute_payload(source, payload)
+        assert source.total_invocations > 0
 
     def test_execute_payload_budget_truncation(self):
         schema = simple_schema()
