@@ -68,7 +68,6 @@ from repro.data import (
 )
 from repro.errors import (
     AccessError,
-    ChaseBudgetExceeded,
     DeadlineExceeded,
     MethodOutage,
     ReproError,
@@ -133,7 +132,6 @@ __all__ = [
     "Atom",
     "BreakerRegistry",
     "CardinalityCostFunction",
-    "ChaseBudgetExceeded",
     "ChaseProof",
     "CircuitBreaker",
     "ConjunctiveQuery",

@@ -2,22 +2,19 @@
 
 A chase proof starts from the canonical database of a query and fires
 dependencies until the target query matches.  This subpackage provides the
-fact-store :class:`ChaseConfiguration` with provenance, trigger detection
-and rule firing, a fixpoint engine with pluggable termination policies
-(bounded firing, guarded-bag blocking), eager-proof saturation, and
-chase-based reasoning services (entailment and containment under TGDs).
+fact-store :class:`ChaseConfiguration` with provenance, trigger detection,
+a fixpoint engine with pluggable termination policies (a work budget, a
+depth cap, guarded-bag blocking), eager-proof saturation, and chase-based
+reasoning services (entailment and containment under TGDs).
 """
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
 from repro.chase.firing import (
-    FiringResult,
     Trigger,
     find_triggers,
     find_triggers_delta,
-    fire_trigger,
 )
 from repro.chase.engine import (
-    ChaseBudgetExceeded,
     ChasePolicy,
     ChaseResult,
     chase_to_fixpoint,
@@ -34,12 +31,10 @@ from repro.chase.reasoning import (
 __all__ = [
     "BagTree",
     "BlockingPolicy",
-    "ChaseBudgetExceeded",
     "ChaseConfiguration",
     "ChasePolicy",
     "ChaseResult",
     "ChaseStats",
-    "FiringResult",
     "Provenance",
     "Trigger",
     "certain_answer_holds",
@@ -47,7 +42,6 @@ __all__ = [
     "entails_under_constraints",
     "find_triggers",
     "find_triggers_delta",
-    "fire_trigger",
     "is_contained_under",
     "saturate",
 ]

@@ -5,8 +5,9 @@ restricted chase: a match whose head already holds is not a candidate
 (:func:`repro.chase.firing.head_satisfied`), and no policy field asks
 for the oblivious variant -- with three safety valves:
 
-* a total firing budget (``max_firings``),
-* a cap on fact derivation depth (``max_depth``),
+* a work budget (``max_work``): the join candidates the run scans, for
+  body matches and head checks alike;
+* a cap on fact derivation depth (``max_depth``);
 * guarded-bag blocking for existential rules (:mod:`repro.chase.blocking`).
 
 The result reports whether a genuine fixpoint was reached or the run was
@@ -62,9 +63,8 @@ its rule sets once, any other sequence is wrapped per run.
 Both strategies stream triggers: enumeration and firing interleave, and
 the restricted-chase head filter inside the trigger generators runs when
 each trigger is requested, i.e. immediately before it is fired.  The
-engine therefore needs no second ``head_satisfied`` check (contrast
-:func:`repro.chase.firing.fire_all_once`, which materialises a round up
-front and must re-verify).
+engine therefore needs no second ``head_satisfied`` check, and the
+generators, which see every enumerated match, hold the work budget.
 
 Every run returns a :class:`ChaseStats` on its :class:`ChaseResult`:
 rounds, triggers enumerated/filtered/fired, join effort, and wall time
@@ -84,11 +84,11 @@ from repro.chase.configuration import ChaseConfiguration, Provenance
 from repro.chase.firing import (
     RuleLike,
     Trigger,
+    WorkSpent,
     find_triggers,
     triggers_through,
 )
 from repro.chase.stats import ChaseStats
-from repro.errors import ChaseBudgetExceeded
 from repro.logic.atoms import Atom
 from repro.logic.terms import NullFactory
 from repro.schema.accessible import RuleSet, tgd_of
@@ -102,24 +102,20 @@ _STRATEGIES = (SEMI_NAIVE, NAIVE)
 class ChasePolicy:
     """Termination, blocking, and evaluation controls for one chase run.
 
-    ``max_firings`` is the soft budget: when it trips the run returns a
-    truncated (``reached_fixpoint=False``) result.
-
-    ``max_steps`` / ``max_seconds`` are the *hard* fail-fast budgets for
-    non-terminating TGD sets: ``max_steps`` bounds the total number of
-    triggers the engine processes (fired, filtered or suppressed) and
-    ``max_seconds`` bounds wall-clock time.  Tripping either raises
-    :class:`~repro.errors.ChaseBudgetExceeded` carrying the partial
-    :class:`ChaseStats`, so a hung saturation surfaces as a structured
-    error instead of stalling the planner.
+    ``max_work`` is the run's budget, in join candidates scanned
+    (``ChaseStats.hom.candidates_scanned``): the body joins that
+    enumerate matches, a semi-naive pivot seed counting as one scan, and
+    the head checks that filter them.  The trigger
+    generators compare the count with it once per enumerated match; past
+    it, the run returns a truncated (``reached_fixpoint=False``) result
+    with the stats so far.  Scans, unlike firings, run at a roughly
+    constant rate, so the budget bounds time too.
     """
 
-    max_firings: int = 100_000
+    max_work: int = 2_000_000
     max_depth: Optional[int] = None
     blocking: Optional[BlockingPolicy] = None
     strategy: str = SEMI_NAIVE
-    max_steps: Optional[int] = None
-    max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.strategy not in _STRATEGIES:
@@ -127,10 +123,8 @@ class ChasePolicy:
                 f"unknown chase strategy {self.strategy!r}; "
                 f"expected one of {_STRATEGIES}"
             )
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be positive when given")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive when given")
+        if self.max_work < 1:
+            raise ValueError("max_work must be positive")
 
 
 @dataclass
@@ -184,13 +178,9 @@ def chase_to_fixpoint(
             _semi_naive_rounds(run, rules, since_generation)
         else:
             _naive_rounds(run, rules)
-    except _FiringsSpent:
+    except WorkSpent:
         return run.result(reached_fixpoint=False)
     return run.result(reached_fixpoint=True)
-
-
-class _FiringsSpent(Exception):
-    """``max_firings`` ran out: the run ends with a truncated result."""
 
 
 class _Run:
@@ -209,8 +199,6 @@ class _Run:
         self.policy = policy
         self.bag_tree = bag_tree
         self.stats = ChaseStats(strategy=policy.strategy, runs=1)
-        self.started = time.perf_counter()
-        self.steps = 0
         self.firings = 0
         self.blocked = 0
         self.truncated = 0
@@ -234,7 +222,6 @@ class _Run:
     def drain(self, slot: int, triggers: Iterable[Trigger]) -> bool:
         """Fire the triggers of one visit of the rule at ``slot`` as they
         are enumerated; returns whether any of them added a fact."""
-        policy = self.policy
         stats = self.stats
         fired = False
         iterator = iter(triggers)
@@ -244,27 +231,6 @@ class _Run:
             stats.time_search += time.perf_counter() - tick
             if trigger is None:
                 return fired
-            self.steps += 1
-            if policy.max_steps is not None and self.steps > policy.max_steps:
-                raise ChaseBudgetExceeded(
-                    f"chase exceeded {policy.max_steps} trigger steps "
-                    f"({self.firings} firings, {stats.rounds} rounds)",
-                    stats=stats,
-                    steps=self.steps,
-                    elapsed=time.perf_counter() - self.started,
-                )
-            if policy.max_seconds is not None:
-                elapsed = time.perf_counter() - self.started
-                if elapsed > policy.max_seconds:
-                    raise ChaseBudgetExceeded(
-                        f"chase exceeded {policy.max_seconds}s wall clock "
-                        f"({self.steps} steps, {self.firings} firings)",
-                        stats=stats,
-                        steps=self.steps,
-                        elapsed=elapsed,
-                    )
-            if self.firings >= policy.max_firings:
-                raise _FiringsSpent
             key = (slot, trigger.body_image())
             if key in self.suppressed:
                 continue
@@ -273,7 +239,7 @@ class _Run:
             # and this point.
             tick = time.perf_counter()
             outcome, added = _fire_checked(
-                trigger, self.config, self.nulls, policy, self.bag_tree
+                trigger, self.config, self.nulls, self.policy, self.bag_tree
             )
             stats.time_fire += time.perf_counter() - tick
             if outcome == "fired":
@@ -298,7 +264,11 @@ def _naive_rounds(run: _Run, rules: Sequence[RuleLike]) -> None:
         run.stats.rounds += 1
         for slot, rule in enumerate(rules):
             triggers = find_triggers(
-                rule, run.config, snapshot=True, stats=run.stats
+                rule,
+                run.config,
+                snapshot=True,
+                stats=run.stats,
+                max_work=run.policy.max_work,
             )
             if run.drain(slot, triggers):
                 progress = True
@@ -381,7 +351,11 @@ def _semi_naive_rounds(
             generation = config.generation
             slot, unseen = agenda.visit(generation)
             triggers = triggers_through(
-                rules[slot], config, unseen, stats=stats
+                rules[slot],
+                config,
+                unseen,
+                stats=stats,
+                max_work=run.policy.max_work,
             )
             stats.time_search += time.perf_counter() - tick
             if run.drain(slot, triggers):

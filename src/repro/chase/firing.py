@@ -1,11 +1,11 @@
-"""Trigger detection and rule firing.
+"""Trigger detection.
 
 A *candidate match* (trigger) for a TGD in a configuration is a
 homomorphism of the body whose head is not yet satisfied (the *restricted*
 chase check -- the variant the paper's Section 4 uses: a candidate match
 exists only when "there is no f such that rho(e, f) holds").  Firing a
-trigger adds head facts, inventing fresh labelled nulls for existential
-variables.
+trigger, which adds head facts with fresh labelled nulls for existential
+variables, is the fixpoint engine's (:mod:`repro.chase.engine`).
 
 Two enumeration modes back the fixpoint engine:
 
@@ -22,7 +22,9 @@ Two enumeration modes back the fixpoint engine:
 Both are generators whose restricted-chase head filter runs when a
 trigger is *requested* (i.e., against the configuration as it stands at
 that moment), so a streaming consumer that fires each yielded trigger
-immediately needs no second ``head_satisfied`` check.
+immediately needs no second ``head_satisfied`` check.  Both also hold the
+run's join scans -- body joins and head checks alike -- against its work
+budget once per enumerated match.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -40,16 +41,16 @@ from typing import (
     Tuple,
 )
 
-from repro.chase.configuration import ChaseConfiguration, Provenance
+from repro.chase.configuration import ChaseConfiguration
 from repro.chase.stats import ChaseStats
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.dependencies import TGD
 from repro.logic.homomorphisms import (
+    HomStats,
     find_homomorphism,
     find_homomorphisms,
     find_homomorphisms_through,
 )
-from repro.logic.terms import NullFactory, Variable
 from repro.schema.accessible import RuleLike, tgd_of
 
 
@@ -98,35 +99,52 @@ class Trigger:
         return f"Trigger({self.tgd.name}, {self.homomorphism!r})"
 
 
-@dataclass(frozen=True)
-class FiringResult:
-    """Outcome of firing one trigger."""
-
-    trigger: Trigger
-    new_facts: Tuple[Atom, ...]
-
-    @property
-    def changed(self) -> bool:
-        """Whether the firing added at least one new fact."""
-        return bool(self.new_facts)
-
-
 def head_satisfied(
-    tgd: TGD, homomorphism: Substitution, config: ChaseConfiguration
+    tgd: TGD,
+    homomorphism: Substitution,
+    config: ChaseConfiguration,
+    stats: Optional[HomStats] = None,
 ) -> bool:
     """True when the head already holds under the body match.
 
     Existential head variables may map to *any* value of the configuration
     (this is what makes the chase "restricted"/standard rather than
-    oblivious).  A full TGD has none, so its head is ground under the
-    match and holds exactly when every head fact is present.
+    oblivious), found by a join whose scans ``stats`` counts.  A full TGD
+    has none, so its head is ground under the match and holds exactly
+    when every head fact is present.
     """
     if tgd.is_full:
         return all(atom.apply(homomorphism) in config for atom in tgd.head)
     binding = homomorphism.restrict(tgd.frontier())
     return (
-        find_homomorphism(list(tgd.head), config.index, binding) is not None
+        find_homomorphism(list(tgd.head), config.index, binding, stats=stats)
+        is not None
     )
+
+
+class WorkSpent(Exception):
+    """A trigger search passed its ``max_work``: the run ends truncated."""
+
+
+def _is_candidate(
+    tgd: TGD,
+    homomorphism: Substitution,
+    config: ChaseConfiguration,
+    stats: Optional[ChaseStats],
+    max_work: Optional[int],
+) -> bool:
+    """Whether an enumerated match's head does not hold yet, booked on
+    ``stats``.  Raises :class:`WorkSpent` when the join scans so far,
+    this head check's included, are past ``max_work``."""
+    if stats is None:
+        return not head_satisfied(tgd, homomorphism, config)
+    stats.triggers_enumerated += 1
+    satisfied = head_satisfied(tgd, homomorphism, config, stats.hom)
+    if satisfied:
+        stats.triggers_filtered += 1
+    if max_work is not None and stats.hom.candidates_scanned > max_work:
+        raise WorkSpent
+    return not satisfied
 
 
 def find_triggers(
@@ -135,13 +153,16 @@ def find_triggers(
     *,
     snapshot: bool = False,
     stats: Optional[ChaseStats] = None,
+    max_work: Optional[int] = None,
 ) -> Iterator[Trigger]:
     """All candidate matches of the rule in the configuration.
 
     With ``snapshot=True`` candidate scans run over immutable copies, so
     the consumer may fire each yielded trigger (adding facts) without
     corrupting the enumeration; facts added mid-stream are picked up by
-    the next round.
+    the next round.  With ``stats``, each enumerated match is booked and,
+    after its head check, its scans are held against ``max_work``
+    (:class:`WorkSpent`).
     """
     tgd = tgd_of(rule)
     hom_stats = stats.hom if stats is not None else None
@@ -151,13 +172,8 @@ def find_triggers(
     for hom in find_homomorphisms(
         list(tgd.body), config.index, snapshot=snapshot, stats=hom_stats
     ):
-        if stats is not None:
-            stats.triggers_enumerated += 1
-        if head_satisfied(tgd, hom, config):
-            if stats is not None:
-                stats.triggers_filtered += 1
-            continue
-        yield Trigger(rule, hom)
+        if _is_candidate(tgd, hom, config, stats, max_work):
+            yield Trigger(rule, hom)
 
 
 def triggers_through(
@@ -166,6 +182,7 @@ def triggers_through(
     delta: Mapping[str, Sequence[Atom]],
     *,
     stats: Optional[ChaseStats] = None,
+    max_work: Optional[int] = None,
 ) -> Iterator[Trigger]:
     """Candidate matches whose body image touches the delta.
 
@@ -203,13 +220,8 @@ def triggers_through(
                 if image in seen:
                     continue
                 seen.add(image)
-                if stats is not None:
-                    stats.triggers_enumerated += 1
-                if head_satisfied(tgd, hom, config):
-                    if stats is not None:
-                        stats.triggers_filtered += 1
-                    continue
-                yield Trigger.matched(rule, hom, image)
+                if _is_candidate(tgd, hom, config, stats, max_work):
+                    yield Trigger.matched(rule, hom, image)
 
 
 def find_triggers_delta(
@@ -218,62 +230,13 @@ def find_triggers_delta(
     since_generation: int,
     *,
     stats: Optional[ChaseStats] = None,
+    max_work: Optional[int] = None,
 ) -> Iterator[Trigger]:
     """:func:`triggers_through` every fact the configuration acquired
     after ``since_generation`` (read when this is called)."""
     delta: Dict[str, List[Atom]] = {}
     for fact in config.facts_since(since_generation):
         delta.setdefault(fact.relation, []).append(fact)
-    return triggers_through(rule, config, delta, stats=stats)
-
-
-def fire_trigger(
-    trigger: Trigger,
-    config: ChaseConfiguration,
-    nulls: NullFactory,
-) -> FiringResult:
-    """Fire a trigger in place, returning the facts that were added."""
-    tgd = trigger.tgd
-    binding = trigger.homomorphism
-    for variable in tgd.existential_order():
-        binding = binding.extended(variable, nulls(hint=variable.name))
-    trigger_facts = trigger.body_image()
-    depth = 1 + max(
-        (config.depth(fact) for fact in trigger_facts if fact in config),
-        default=0,
+    return triggers_through(
+        rule, config, delta, stats=stats, max_work=max_work
     )
-    provenance = Provenance(
-        rule=tgd.name, trigger_facts=trigger_facts, depth=depth
-    )
-    new_facts = []
-    for head_atom in tgd.head:
-        fact = head_atom.apply(binding)
-        if config.add(fact, provenance):
-            new_facts.append(fact)
-    return FiringResult(trigger, tuple(new_facts))
-
-
-def fire_all_once(
-    rules: Iterable[RuleLike],
-    config: ChaseConfiguration,
-    nulls: NullFactory,
-) -> Tuple[FiringResult, ...]:
-    """One parallel round: fire every current trigger of every rule.
-
-    Triggers are computed against the configuration as it was at the start
-    of the round semantics-wise; because firing only ever adds facts, new
-    triggers created mid-round are simply picked up next round.
-    """
-    results = []
-    for rule in rules:
-        # Materialise before firing: this is round-at-once ("parallel")
-        # semantics, so the head filter inside find_triggers ran against
-        # the round's *initial* configuration.  A firing earlier in the
-        # materialised list can satisfy a later trigger's head, hence the
-        # re-verify below is NOT redundant here (unlike the streaming
-        # fixpoint engine, where the filter runs at fire time).
-        for trigger in list(find_triggers(rule, config)):
-            if head_satisfied(trigger.tgd, trigger.homomorphism, config):
-                continue
-            results.append(fire_trigger(trigger, config, nulls))
-    return tuple(results)

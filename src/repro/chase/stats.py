@@ -30,12 +30,15 @@ class ChaseStats(Record):
     * ``triggers_filtered`` -- enumerated matches discarded because their
       head was already satisfied;
     * ``triggers_fired`` -- firings that added at least one fact;
-    * ``hom`` -- backtracking-join effort (candidate scans, dead ends);
+    * ``hom`` -- backtracking-join effort (candidate scans, dead ends) of
+      the body joins, their pivot seeds and the head checks alike: the
+      unit of ``ChasePolicy.max_work``;
     * ``time_search`` / ``time_fire`` -- wall seconds spent enumerating
       triggers vs. firing them (depth check, blocking check, insertion);
     * ``runs`` -- how many chase runs were absorbed into this record;
     * ``incomplete`` -- saturations the planner booked that did not
-      reach a complete fixpoint (budget hit, trigger blocked or capped).
+      reach a complete fixpoint (work budget spent, trigger blocked or
+      capped).
     """
 
     strategy: str = ""

@@ -305,40 +305,11 @@ class WorkerStalled(ServiceError):
         super().__init__(message)
 
 
-# ------------------------------------------------------------- chase layer
-class ChaseError(ReproError):
-    """A failure inside the chase engine."""
-
-
-class ChaseBudgetExceeded(ChaseError):
-    """A chase step/wall-clock budget tripped before fixpoint.
-
-    Carries the partial :class:`~repro.chase.stats.ChaseStats` (as
-    ``stats``) plus the step count and elapsed seconds at the moment the
-    budget tripped, so the caller can report how far the run got.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        stats=None,
-        steps: int = 0,
-        elapsed: float = 0.0,
-    ) -> None:
-        self.stats = stats
-        self.steps = steps
-        self.elapsed = elapsed
-        super().__init__(message)
-
-
 __all__ = [
     "AccessBudgetExceeded",
     "AccessError",
     "AccessTimeout",
     "AccessViolation",
-    "ChaseBudgetExceeded",
-    "ChaseError",
     "CircuitOpen",
     "CostModelError",
     "DeadlineExceeded",

@@ -62,7 +62,7 @@ def determinacy_counterexample(
         config,
         list(acc.rules),
         NullFactory("cx"),
-        policy or ChasePolicy(max_firings=50_000),
+        policy or ChasePolicy(),
     )
     if not result.is_complete:
         return None  # cannot certify the model is a genuine fixpoint

@@ -40,7 +40,7 @@ def _entails_infacc(
         config,
         list(acc.rules),
         NullFactory("d"),
-        policy or ChasePolicy(max_depth=8, max_firings=50_000),
+        policy or ChasePolicy(max_depth=8),
     )
     return success_match(config, query, frozen) is not None
 

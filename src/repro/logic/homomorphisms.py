@@ -376,9 +376,11 @@ def find_homomorphisms_through(
         ) from None
     start = binding if binding is not None else Substitution()
     seeded = extend_homomorphism(pivot_atom, pivot_fact, start, map_nulls)
+    if stats is not None:
+        # The pivot fact is a scanned candidate too, matched or not.
+        stats.candidates_scanned += 1
     if seeded is None:
         if stats is not None:
-            stats.candidates_scanned += 1
             stats.backtracks += 1
         return
     yield from _search(remaining, index, seeded, map_nulls, snapshot, stats)
@@ -433,9 +435,12 @@ def find_homomorphism(
     index: FactIndex,
     binding: Optional[Substitution] = None,
     map_nulls: bool = False,
+    stats: Optional[HomStats] = None,
 ) -> Optional[Substitution]:
     """The first homomorphism found, or None."""
-    for hom in find_homomorphisms(atoms, index, binding, map_nulls):
+    for hom in find_homomorphisms(
+        atoms, index, binding, map_nulls, stats=stats
+    ):
         return hom
     return None
 

@@ -62,12 +62,12 @@ def decide_answerability(
         a witnessing plan was found (always correct).
     ``NO_PLAN_WITHIN_BUDGET``
         the bounded proof space was *exhausted* with every cost-free
-        saturation reaching a true fixpoint (no blocking, no depth or
-        firing truncation): there is certifiably no complete SPJ plan
+        saturation reaching a true fixpoint (no blocking, no depth cap,
+        no spent work budget): there is certifiably no complete SPJ plan
         with at most ``max_accesses`` access commands.
     ``UNKNOWN``
         the search failed but some saturation was truncated (e.g. by
-        blocking or a firing budget), so absence of a proof is not a
+        blocking or the work budget), so absence of a proof is not a
         proof of absence.
     """
     result = find_best_plan(

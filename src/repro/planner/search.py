@@ -494,7 +494,7 @@ class _Searcher:
         # A homomorphism of the exposed child's relevant facts into a
         # registered node extends to the child's saturation only if that
         # node is closed under the free rules.  Once some kept node's
-        # saturation was cut short (depth cap, blocking, firing budget)
+        # saturation was cut short (depth cap, blocking, work budget)
         # that is no longer known, and the child is forked, written and
         # chased first; so is a child whose own exposure the depth cap
         # cut short, which puts the cut on the log whatever the verdict.

@@ -301,7 +301,8 @@ class Schema:
           relation copies, so it stays weakly acyclic) and the default
           :class:`~repro.chase.engine.ChasePolicy` applies;
         * guarded constraints: guarded-bag blocking;
-        * anything else: a depth cap, so every saturation returns.
+        * anything else: a depth cap and a tight work budget, so every
+          saturation returns.
 
         Computed on the first call and kept, like :meth:`fingerprint`;
         assigning ``constraints`` drops the memo.  The imports are lazy
@@ -318,7 +319,7 @@ class Schema:
             elif self.has_only_guarded_constraints:
                 policy = ChasePolicy(blocking=BlockingPolicy(enabled=True))
             else:
-                policy = ChasePolicy(max_depth=8, max_firings=20_000)
+                policy = ChasePolicy(max_depth=8, max_work=20_000)
             self._chase_policy = policy
         return policy
 

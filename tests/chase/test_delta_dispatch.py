@@ -6,8 +6,8 @@ selects the old loop, so it is kept *here*, as the reference: every rule,
 every round, each bucketing the whole delta past its own watermark
 (:func:`find_triggers_delta`).  The engine must attempt the same firings
 in the same order with the same outcomes, and report the same result and
-the same counters -- under depth caps, blocking, firing and step budgets,
-and when resuming from a generation.
+the same counters -- under depth caps, blocking and work budgets, and
+when resuming from a generation.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from repro.chase import engine
 from repro.chase.blocking import BlockingPolicy
 from repro.chase.configuration import ChaseConfiguration
 from repro.chase.engine import ChasePolicy, ChaseResult, chase_to_fixpoint
-from repro.chase.firing import find_triggers_delta
+from repro.chase.firing import WorkSpent, find_triggers_delta
 from repro.chase.stats import ChaseStats
-from repro.errors import ChaseBudgetExceeded
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.dependencies import TGD, parse_tgd
 from repro.logic.homomorphisms import extend_homomorphism
@@ -31,13 +30,10 @@ from repro.schema.accessible import RuleSet
 A, B, C, D = (Constant(name) for name in "abcd")
 
 
-class _OutOfFirings(Exception):
-    pass
-
-
 def all_rules_every_round(config, rules, nulls, policy, since_generation=0):
     """The loop the engine ran before it dispatched: returns the
-    attempted firings and the result (or the budget error raised)."""
+    attempted firings and the result.  Its trigger search holds the same
+    work budget, in the same unit, as the engine's."""
     bag_tree = (
         policy.blocking.fresh_tree(list(config))
         if policy.blocking is not None
@@ -45,7 +41,7 @@ def all_rules_every_round(config, rules, nulls, policy, since_generation=0):
     )
     stats = ChaseStats(strategy=policy.strategy, runs=1)
     attempts = []
-    steps = firings = blocked = truncated = 0
+    firings = blocked = truncated = 0
     new_facts = []
     suppressed = set()
     marks = [since_generation] * len(rules)
@@ -70,20 +66,14 @@ def all_rules_every_round(config, rules, nulls, policy, since_generation=0):
                 if marks[slot] >= generation:
                     continue
                 triggers = find_triggers_delta(
-                    rule, config, marks[slot], stats=stats
+                    rule,
+                    config,
+                    marks[slot],
+                    stats=stats,
+                    max_work=policy.max_work,
                 )
                 marks[slot] = generation
                 for trigger in triggers:
-                    steps += 1
-                    if (
-                        policy.max_steps is not None
-                        and steps > policy.max_steps
-                    ):
-                        raise ChaseBudgetExceeded(
-                            "steps", stats=stats, steps=steps, elapsed=0.0
-                        )
-                    if firings >= policy.max_firings:
-                        raise _OutOfFirings
                     key = (slot, trigger.body_image())
                     if key in suppressed:
                         continue
@@ -102,10 +92,8 @@ def all_rules_every_round(config, rules, nulls, policy, since_generation=0):
                     elif outcome == "depth":
                         truncated += 1
                         suppressed.add(key)
-    except _OutOfFirings:
+    except WorkSpent:
         return attempts, result(False)
-    except ChaseBudgetExceeded as error:
-        return attempts, error
     return attempts, result(True)
 
 
@@ -123,16 +111,13 @@ def dispatched(monkeypatch, config, rules, nulls, policy, since_generation=0):
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_fire_checked", spy)
-        try:
-            outcome = chase_to_fixpoint(
-                config,
-                rules,
-                nulls,
-                policy,
-                since_generation=since_generation,
-            )
-        except ChaseBudgetExceeded as error:
-            outcome = error
+        outcome = chase_to_fixpoint(
+            config,
+            rules,
+            nulls,
+            policy,
+            since_generation=since_generation,
+        )
     return attempts, outcome
 
 
@@ -156,7 +141,7 @@ def assert_same_run(monkeypatch, rules, facts, policy, grow=None):
     our_nulls, their_nulls = NullFactory("n"), NullFactory("n")
     since = 0
     if grow is not None:
-        calm = ChasePolicy(max_firings=60)
+        calm = ChasePolicy(max_work=300)
         chase_to_fixpoint(ours, rules, our_nulls, calm)
         all_rules_every_round(theirs, rules, their_nulls, calm)
         assert ours.facts_since(0) == theirs.facts_since(0)
@@ -176,26 +161,20 @@ def assert_same_run(monkeypatch, rules, facts, policy, grow=None):
     assert [ours.provenance(f) for f in ours.facts_since(0)] == [
         theirs.provenance(f) for f in theirs.facts_since(0)
     ]
-    if isinstance(reference, ChaseBudgetExceeded):
-        assert isinstance(outcome, ChaseBudgetExceeded)
-        assert outcome.steps == reference.steps
-        stats, reference_stats = outcome.stats, reference.stats
-    else:
-        assert isinstance(outcome, ChaseResult)
-        assert (
-            outcome.reached_fixpoint,
-            outcome.firings,
-            outcome.blocked,
-            outcome.depth_truncated,
-            outcome.new_facts,
-        ) == (
-            reference.reached_fixpoint,
-            reference.firings,
-            reference.blocked,
-            reference.depth_truncated,
-            reference.new_facts,
-        )
-        stats, reference_stats = outcome.stats, reference.stats
+    assert (
+        outcome.reached_fixpoint,
+        outcome.firings,
+        outcome.blocked,
+        outcome.depth_truncated,
+        outcome.new_facts,
+    ) == (
+        reference.reached_fixpoint,
+        reference.firings,
+        reference.blocked,
+        reference.depth_truncated,
+        reference.new_facts,
+    )
+    stats, reference_stats = outcome.stats, reference.stats
     for counter in COUNTERS:
         assert getattr(stats, counter) == getattr(reference_stats, counter)
     assert (stats.hom.candidates_scanned, stats.hom.backtracks) == (
@@ -286,18 +265,19 @@ class TestPolicies:
             ChasePolicy(max_depth=0),
             ChasePolicy(max_depth=3),
             ChasePolicy(blocking=BlockingPolicy(enabled=True)),
-            ChasePolicy(max_firings=5),
-            ChasePolicy(max_firings=50, max_steps=7),
+            ChasePolicy(max_work=7),
+            ChasePolicy(max_work=40),
         ],
-        ids=["depth0", "depth3", "blocking", "firings5", "steps7"],
+        ids=["depth0", "depth3", "blocking", "work7", "work40"],
     )
     def test_existential_rules_under_each_valve(self, monkeypatch, policy):
         rules = tgds(*self.EXISTENTIAL)
         outcome = assert_same_run(
             monkeypatch, rules, [fact("R", A, B)], policy
         )
-        if policy.max_steps is not None:
-            assert isinstance(outcome, ChaseBudgetExceeded)
+        if policy.max_depth is None and policy.blocking is None:
+            # These rules never terminate: only the budget stops them.
+            assert not outcome.reached_fixpoint
 
     def test_resuming_from_a_generation(self, monkeypatch):
         rules = tgds(
@@ -410,10 +390,9 @@ ground_facts = st.lists(
 policies = st.builds(
     ChasePolicy,
     # Always finite: generated existential rules need not terminate.
-    max_firings=st.integers(1, 25),
+    max_work=st.integers(1, 80),
     max_depth=st.none() | st.integers(0, 3),
     blocking=st.none() | st.just(BlockingPolicy(enabled=True)),
-    max_steps=st.none() | st.integers(1, 40),
 )
 
 

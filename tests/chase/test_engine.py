@@ -44,11 +44,13 @@ class TestFixpoint:
         result = chase_to_fixpoint(config, rules, NullFactory("t"))
         assert result.firings == 0
 
-    def test_firing_budget_stops(self):
-        # Cyclic existential chase: diverges without a budget.
+    def test_work_budget_stops(self):
+        # Cyclic existential chase: diverges without a budget.  Each
+        # firing costs one scan (the new fact, seeding the body) and its
+        # successor's head check finds nothing to scan.
         rules = [parse_tgd("R(x, y) -> R(y, z)")]
         config = ChaseConfiguration([Atom("R", (A, B))])
-        policy = ChasePolicy(max_firings=25)
+        policy = ChasePolicy(max_work=25)
         result = chase_to_fixpoint(config, rules, NullFactory("t"), policy)
         assert not result.reached_fixpoint
         assert result.firings == 25
@@ -68,12 +70,12 @@ class TestFixpoint:
         rules = [parse_tgd("R(x, y) -> R(y, z)")]
         config = ChaseConfiguration([Atom("R", (A, B))])
         policy = ChasePolicy(
-            max_firings=10_000, blocking=BlockingPolicy(enabled=True)
+            max_work=10_000, blocking=BlockingPolicy(enabled=True)
         )
         result = chase_to_fixpoint(config, rules, NullFactory("t"), policy)
         assert result.reached_fixpoint
         assert result.blocked > 0
-        assert result.firings < 10  # tiny model, not 10k firings
+        assert result.firings < 10  # tiny model, not a spent budget
 
     def test_two_way_cycle_with_blocking(self):
         rules = [

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.chase.configuration import ChaseConfiguration, Provenance
+from repro.chase.engine import chase_to_fixpoint
 from repro.chase.firing import (
     Trigger,
     find_triggers,
-    fire_all_once,
-    fire_trigger,
     head_satisfied,
 )
 from repro.logic.atoms import Atom, Substitution
@@ -94,19 +93,19 @@ class TestTriggers:
 
 
 class TestFiring:
+    """Firing runs through the fixpoint engine, one rule at a time."""
+
     def test_full_tgd_firing(self):
         tgd = parse_tgd("R(x, y) -> S(y, x)")
         config = config_of(Atom("R", (A, B)))
-        (trigger,) = find_triggers(tgd, config)
-        result = fire_trigger(trigger, config, NullFactory("t"))
+        result = chase_to_fixpoint(config, [tgd], NullFactory("t"))
         assert Atom("S", (B, A)) in config
         assert result.new_facts == (Atom("S", (B, A)),)
 
     def test_existential_firing_mints_nulls(self):
         tgd = parse_tgd("R(x) -> S(x, y)")
         config = config_of(Atom("R", (A,)))
-        (trigger,) = find_triggers(tgd, config)
-        result = fire_trigger(trigger, config, NullFactory("t"))
+        result = chase_to_fixpoint(config, [tgd], NullFactory("t"))
         (fact,) = result.new_facts
         assert fact.terms[0] == A
         assert isinstance(fact.terms[1], Null)
@@ -114,22 +113,15 @@ class TestFiring:
     def test_firing_sets_depth(self):
         tgd = parse_tgd("R(x) -> S(x)")
         config = config_of(Atom("R", (A,)))
-        (trigger,) = find_triggers(tgd, config)
-        fire_trigger(trigger, config, NullFactory("t"))
+        chase_to_fixpoint(config, [tgd], NullFactory("t"))
         assert config.depth(Atom("S", (A,))) == 1
+        assert config.provenance(Atom("S", (A,))).trigger_facts == (
+            Atom("R", (A,)),
+        )
 
     def test_multi_head_firing_adds_all_atoms(self):
         tgd = parse_tgd("R(x) -> S(x) & T(x, y)")
         config = config_of(Atom("R", (A,)))
-        (trigger,) = find_triggers(tgd, config)
-        result = fire_trigger(trigger, config, NullFactory("t"))
+        result = chase_to_fixpoint(config, [tgd], NullFactory("t"))
+        assert result.firings == 1
         assert len(result.new_facts) == 2
-
-    def test_fire_all_once_round(self):
-        rules = [parse_tgd("R(x) -> S(x)"), parse_tgd("S(x) -> T(x)")]
-        config = config_of(Atom("R", (A,)))
-        results = fire_all_once(rules, config, NullFactory("t"))
-        # One round fires R->S; S->T may or may not fire depending on
-        # enumeration order, but no crash and S(a) definitely exists.
-        assert Atom("S", (A,)) in config
-        assert any(r.changed for r in results)

@@ -71,7 +71,7 @@ class TestEntailment:
         constraints = [parse_tgd("R(x, y) -> R(y, z)")]
         premise = cq([], [("R", ["?x", "?y"])])
         conclusion = cq([], [("R", ["?y", "?z"]), ("R", ["?x", "?y"])])
-        policy = ChasePolicy(max_firings=50)
+        policy = ChasePolicy(max_work=50)
         assert entails_under_constraints(
             premise, conclusion, constraints, policy
         )

@@ -225,7 +225,7 @@ def test_full_tgd_differential(rules, facts):
 def test_existential_tgd_differential(rules, facts):
     """When both runs terminate untruncated, results are isomorphic."""
     (naive_config, naive_result), (semi_config, semi_result) = run_both(
-        rules, facts, max_firings=300
+        rules, facts, max_work=5_000
     )
     assume(naive_result.is_complete and semi_result.is_complete)
     assert equivalent(naive_config, semi_config)
@@ -282,13 +282,15 @@ class TestSafetyValveDifferential:
         assert nr.is_complete == sr.is_complete
         assert equivalent(nc, sc)
 
-    def test_budget_truncation_firing_counts_match(self):
+    def test_budget_truncation_firings_ordered(self):
+        # A work budget buys the same scans, not the same firings: the
+        # naive loop re-scans old matches every round, so it gets fewer.
         rules = [parse_tgd("R(x, y) -> R(y, z)")]
         (_, nr), (_, sr) = run_both(
-            rules, [Atom("R", (A, B))], max_firings=25
+            rules, [Atom("R", (A, B))], max_work=25
         )
         assert not nr.reached_fixpoint and not sr.reached_fixpoint
-        assert nr.firings == sr.firings == 25
+        assert 0 < nr.firings <= sr.firings
 
 
 # ----------------------------------------------------------- delta plumbing

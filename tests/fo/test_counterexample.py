@@ -87,6 +87,6 @@ class TestCounterexamples:
         )
         query = cq([], [("R", ["?x", "?y"])])
         pair = determinacy_counterexample(
-            schema, query, ChasePolicy(max_firings=50)
+            schema, query, ChasePolicy(max_work=50)
         )
         assert pair is None  # budget-truncated: no certificate

@@ -85,6 +85,6 @@ class TestWeakAcyclicityPredictsTermination:
             ]
         )
         result = chase_to_fixpoint(
-            config, tgds, NullFactory("wa"), ChasePolicy(max_firings=5_000)
+            config, tgds, NullFactory("wa"), ChasePolicy(max_work=50_000)
         )
         assert result.reached_fixpoint, [repr(t) for t in tgds]
