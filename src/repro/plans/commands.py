@@ -107,7 +107,11 @@ class AccessCommand:
         source -- through the context's cache and dispatcher, in one
         batch or key by key -- is :func:`access_keys`; the answers come
         back as one list, in key order, and :meth:`_collect` turns them
-        into the produced rows.
+        into the produced rows.  Under the identity output map the
+        produced table also keeps them by key
+        (:meth:`~repro.plans.expressions.NamedTable.keep_answers`), so
+        a join that reads it back on the key needs no hash table of its
+        own.
         """
         inputs = self.input_expr.evaluate(env)
         projected = inputs.project(self.input_attrs)
@@ -131,38 +135,63 @@ class AccessCommand:
             source, self.method, distinct, context, len(inputs.rows)
         )
         table = NamedTable(self.output_attrs, self._collect(answers))
+        if self._is_identity(answers):
+            table.keep_answers(
+                self._key_attrs(source), dict(zip(distinct, answers))
+            )
         env[self.target] = table
         return table
+
+    def _key_attrs(self, source) -> Tuple[str, ...]:
+        """The attributes fed by the method's input positions, in order.
+
+        Under the identity output map they hold each produced row's key.
+        """
+        positions = source.schema.method(self.method).input_positions
+        return tuple(self.output_attrs[p] for p in positions)
+
+    @cached_property
+    def _picks(self) -> Optional[List[int]]:
+        """The one position feeding each attribute (``None``: a filter)."""
+        if any(len(positions) != 1 for _attr, positions in self.output_map):
+            return None
+        return [positions[0] for _attr, positions in self.output_map]
+
+    def _is_identity(self, answers: Sequence[Iterable[Row]]) -> bool:
+        """Whether ``b_out`` covers the whole accessed tuple, in order.
+
+        One sampled row decides for the command: one relation, one
+        arity.
+        """
+        picks = self._picks
+        if picks is None:
+            return False
+        sample = next(chain.from_iterable(answers), ())
+        return picks == list(range(len(sample)))
 
     def _collect(self, answers: Sequence[Iterable[Row]]) -> FrozenSet[Row]:
         """``b_out`` over every answer of the command: the produced rows.
 
         The answers are taken at once, in dispatch order, so each kind
-        of output map is one C-level pass over them.  The map is the
-        identity when it covers the whole accessed tuple, in order: the
-        source's tuples are then unioned in unchanged, nothing re-tupled
-        or re-hashed (one sampled row decides for the command -- one
-        relation, one arity).  A prefix or a permutation is one ``map``
-        of the row picker over the chained answers.  Only an attribute
-        fed by several positions (the equality filter) goes row by row
-        through :meth:`_map_output`.
+        of output map is one C-level pass over them.  Under the
+        identity (:meth:`_is_identity`) the source's tuples are unioned
+        in unchanged, nothing re-tupled or re-hashed.  A prefix or a
+        permutation is one ``map`` of the row picker over the chained
+        answers.  Only an attribute fed by several positions (the
+        equality filter) goes row by row through :meth:`_map_output`.
         """
         rows: Set[Row] = set()
-        if any(len(positions) != 1 for _attr, positions in self.output_map):
+        picks = self._picks
+        if picks is None:
             map_output = self._map_output
             for accessed in chain.from_iterable(answers):
                 out_row = map_output(accessed)
                 if out_row is not None:
                     rows.add(out_row)
+        elif self._is_identity(answers):
+            rows.update(*answers)
         else:
-            picks = [positions[0] for _attr, positions in self.output_map]
-            sample = next(chain.from_iterable(answers), ())
-            if picks == list(range(len(sample))):
-                rows.update(*answers)
-            else:
-                rows.update(
-                    map(row_picker(picks), chain.from_iterable(answers))
-                )
+            rows.update(map(row_picker(picks), chain.from_iterable(answers)))
         return frozenset(rows)
 
     def _map_output(self, accessed: Row) -> Optional[Row]:

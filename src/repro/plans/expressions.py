@@ -92,10 +92,7 @@ class NamedTable:
         Their width was checked when this table was built, so it is not
         checked again.
         """
-        table = object.__new__(NamedTable)
-        object.__setattr__(table, "attributes", self.attributes)
-        object.__setattr__(table, "rows", frozenset(rows))
-        return table
+        return _unchecked(self.attributes, frozenset(rows))
 
     @classmethod
     def singleton(cls) -> "NamedTable":
@@ -143,15 +140,66 @@ class NamedTable:
         if attributes == self.attributes:
             return self
         pick = row_picker([self.column(a) for a in attributes])
-        return NamedTable(attributes, frozenset(map(pick, self.rows)))
+        return _unchecked(_distinct(attributes), frozenset(map(pick, self.rows)))
 
     def rename(self, mapping: Mapping[str, str]) -> "NamedTable":
-        """A copy with attributes renamed."""
+        """A copy with attributes renamed, and its answers by key with them.
+
+        A rename cannot change a row's width, so the rows are not
+        checked again; two attributes renamed to one name still raise.
+        """
         new_attrs = tuple(mapping.get(a, a) for a in self.attributes)
-        return NamedTable(new_attrs, self.rows)
+        table = _unchecked(_distinct(new_attrs), self.rows)
+        keyed = self.answers_by_key()
+        if keyed is not None:
+            key_attrs, answers = keyed
+            table.keep_answers(
+                tuple(mapping.get(a, a) for a in key_attrs), answers
+            )
+        return table
+
+    def keep_answers(
+        self, key_attrs: Tuple[str, ...], answers: Mapping[Row, Sequence[Row]]
+    ) -> None:
+        """Remember this access table's rows grouped by the key they answer.
+
+        ``answers`` maps each key an access command dispatched -- the
+        values of ``key_attrs``, in order -- to the rows it fetched;
+        every row of the table is under its own key, and no other row
+        has that key.  Like the column map it lives outside the
+        dataclass fields: equality and hashing ignore it, no IR or
+        payload carries it, :meth:`rename` passes it on and every other
+        operator builds a table without it.
+        """
+        object.__setattr__(self, "_answers", (key_attrs, answers))
+
+    def answers_by_key(
+        self,
+    ) -> Optional[Tuple[Tuple[str, ...], Mapping[Row, Sequence[Row]]]]:
+        """``(key attributes, key -> rows)`` kept by :meth:`keep_answers`."""
+        return self.__dict__.get("_answers")
 
     def __repr__(self) -> str:
         return f"NamedTable({list(self.attributes)}, {len(self.rows)} rows)"
+
+
+def _distinct(attributes: Tuple[str, ...]) -> Tuple[str, ...]:
+    """``attributes``, unless a name occurs twice (:class:`EvaluationError`)."""
+    if len(set(attributes)) != len(attributes):
+        raise EvaluationError(f"duplicate attribute in {attributes}")
+    return attributes
+
+
+def _unchecked(attributes: Tuple[str, ...], rows: FrozenSet[Row]) -> NamedTable:
+    """A table whose rows are known to be ``len(attributes)`` wide.
+
+    Built the way ``__post_init__`` would leave it, without its pass
+    over the rows: for tables derived from checked ones.
+    """
+    table = object.__new__(NamedTable)
+    object.__setattr__(table, "attributes", attributes)
+    object.__setattr__(table, "rows", rows)
+    return table
 
 
 Environment = Mapping[str, NamedTable]
@@ -317,6 +365,40 @@ def _filtered(rows: Iterable[Row], stages: Sequence[Stage]) -> Iterable[Row]:
     return rows
 
 
+def _join_key(table: NamedTable, attrs: Sequence[str], bare: bool):
+    """The cells of ``attrs`` in a row of ``table``: a join's key.
+
+    One attribute is keyed by the bare cell when ``bare``; a ready map
+    of answers (:meth:`NamedTable.answers_by_key`) is keyed by tuples.
+    """
+    columns = [table.column(a) for a in attrs]
+    if bare and len(columns) == 1:
+        return itemgetter(columns[0])
+    return row_picker(columns)
+
+
+def _ready_answers(
+    table: NamedTable, shared: Sequence[str]
+) -> Optional[Tuple[Tuple[str, ...], Mapping[Row, Sequence[Row]]]]:
+    """The table's answers by key, when they are a join's hash table.
+
+    Only when the key attributes are exactly the shared ones, and there
+    is at least one: the answers to a key are then exactly the table's
+    rows that join a row carrying that key.  A key that is a strict
+    subset of the shared attributes would pair rows the other shared
+    attributes reject.  The empty key of an input-free access holds
+    every row under one key, so it selects nothing: it is left to the
+    hash path even where no attribute is shared.
+    """
+    keyed = table.answers_by_key()
+    if keyed is None:
+        return None
+    key_attrs = keyed[0]
+    if not key_attrs or set(key_attrs) != set(shared):
+        return None
+    return keyed
+
+
 def _join_tables(
     left: NamedTable,
     right: NamedTable,
@@ -325,52 +407,69 @@ def _join_tables(
 ) -> NamedTable:
     """``π[project_to](σ[conditions](left ⋈ right))``, set-at-a-time.
 
-    The hash table is built on the *smaller* input; the conditions see
-    joined rows, which are narrowed to the output columns as they enter
-    the result set, so the full join result is never materialized.  A
-    condition that reads one input only belongs below the join: the
-    rewrite puts it there, so no pair is formed that it would discard.
+    The hash table is the answers an access command already grouped by
+    the key they were fetched by, when one input carries them keyed on
+    exactly the shared attributes (:func:`_ready_answers`, the right
+    input first); otherwise it is built on the *smaller* input.  The
+    other input probes it.  A pair is the two rows side by side; the
+    conditions see it, and it is narrowed to the output columns -- the
+    right input's copy of each shared attribute dropped, and anything
+    the projection leaves out -- as it enters the result set, so the
+    full join result is never materialized.  A condition that reads one
+    input only belongs below the join: the rewrite puts it there, so no
+    pair is formed that it would discard.
     """
     left_attrs = left.attributes
-    shared = [a for a in right.attributes if a in left_attrs]
     extra = [a for a in right.attributes if a not in left_attrs]
+    shared = [a for a in right.attributes if a in left_attrs]
     out_attrs = left_attrs + tuple(extra)
-    out_colmap = {a: i for i, a in enumerate(out_attrs)}
-    stages = _compile_conditions(conditions, out_colmap)
+    # Where each output attribute sits in a pair: a shared one on the left.
+    pair_colmap = {a: i for i, a in enumerate(left_attrs)}
+    for a in extra:
+        pair_colmap[a] = len(left_attrs) + right.column(a)
+    stages = _compile_conditions(conditions, pair_colmap)
     attributes = out_attrs
-    pick_out = None
     if project_to is not None and tuple(project_to) != out_attrs:
-        attributes = tuple(project_to)
+        attributes = _distinct(tuple(project_to))
         _check_names(attributes, out_attrs)
-        pick_out = row_picker([out_colmap[a] for a in attributes])
-    left_rows, right_rows = left.rows, right.rows
-    left_key = row_picker([left.column(a) for a in shared])
-    right_key = row_picker([right.column(a) for a in shared])
-    suffix = row_picker([right.column(a) for a in extra])
-    buckets: Dict[Row, List[Row]] = defaultdict(list)
-    matches = buckets.get
-    if len(right_rows) <= len(left_rows):
+    pick_out = None
+    if shared or attributes != out_attrs:
+        pick_out = row_picker([pair_colmap[a] for a in attributes])
+    buckets: Optional[Mapping[Row, Sequence[Row]]] = None
+    key_attrs: Sequence[str] = shared
+    ready = _ready_answers(right, shared)
+    build_right = ready is not None
+    if not build_right:
+        ready = _ready_answers(left, shared)
+        build_right = ready is None and len(right.rows) <= len(left.rows)
+    if ready is not None:
+        key_attrs, buckets = ready
+    left_key = _join_key(left, key_attrs, ready is None)
+    right_key = _join_key(right, key_attrs, ready is None)
+    if build_right:
         # Build on the right, probe with the left (the classic shape).
-        for row in right_rows:
-            buckets[right_key(row)].append(suffix(row))
+        if buckets is None:
+            buckets = defaultdict(list)
+            for row in right.rows:
+                buckets[right_key(row)].append(row)
+        matches = buckets.get
         joined = (
-            row + tail
-            for row in left_rows
-            for tail in matches(left_key(row), ())
+            row + tail for row in left.rows for tail in matches(left_key(row), ())
         )
     else:
-        # Left side is smaller: build on it, probe with the right.
-        for row in left_rows:
-            buckets[left_key(row)].append(row)
+        # Build on the left, probe with the right.
+        if buckets is None:
+            buckets = defaultdict(list)
+            for row in left.rows:
+                buckets[left_key(row)].append(row)
+        matches = buckets.get
         joined = (
-            head + suffix(row)
-            for row in right_rows
-            for head in matches(right_key(row), ())
+            head + row for row in right.rows for head in matches(right_key(row), ())
         )
     joined = _filtered(joined, stages)
     if pick_out is not None:
         joined = map(pick_out, joined)
-    return NamedTable(attributes, frozenset(joined))
+    return _unchecked(attributes, frozenset(joined))
 
 
 # -------------------------------------------------------------- expressions

@@ -75,7 +75,8 @@ class Plan:
 
         :func:`repro.plans.rewrite.rewrite`: attributes resolved
         statically (an unknown name raises here, before any access),
-        selections pushed below joins, σ/π over a join fused into it.
+        selections pushed below joins, σ/π over a join fused into it,
+        each read intermediate cut to the columns later commands read.
         Every way to run the plan runs this form.
         """
         try:
@@ -175,7 +176,13 @@ class Plan:
         )
 
     def run_with_env(self, source) -> Tuple[NamedTable, Dict[str, NamedTable]]:
-        """Execute and also return the full temporary-table environment."""
+        """Execute and also return the full temporary-table environment.
+
+        The tables are the executable form's: the output, every access
+        table and every table no command reads hold the plan's declared
+        attributes; a read intermediate holds its projection onto the
+        attributes later commands read (:mod:`repro.plans.rewrite`).
+        """
         env: Dict[str, NamedTable] = {}
         for command in self.executable().commands:
             command.execute(env, source)

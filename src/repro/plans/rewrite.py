@@ -24,6 +24,19 @@ Per expression, bottom-up:
   ``π(σ(⋈))`` in one pass;
 * an empty selection and an identity projection disappear.
 
+Then, backward over the commands, each read intermediate keeps only its
+*live* columns: a middleware target defined once, not the output and
+read by a later command is projected onto the attributes its readers
+take from it (:func:`_live_columns`; the projection folds into a top
+join's ``project_to``).  A reader takes what it outputs plus what its
+conditions read and, at a join, every shared attribute, so π passes
+through σ, ⋈ and ρ without changing a row that survives; a union or
+difference takes every column, since π does not distribute over −.
+Access targets, the output and unread tables keep the attributes the
+plan gave them.  A pruned table may have fewer rows (its projection
+drops duplicates), so an access command reading it dispatches the same
+set of keys, possibly in another order.
+
 The form is memoised per plan object (:meth:`Plan.executable
 <repro.plans.plan.Plan.executable>`) and never serialized: the IR
 refuses a fused join, so plan IR, fingerprints and plan-cache keys still
@@ -32,7 +45,18 @@ describe the plan as built.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from collections import Counter
+from itertools import chain
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
 from repro.plans.expressions import (
@@ -40,6 +64,8 @@ from repro.plans.expressions import (
     Expression,
     Join,
     Project,
+    Rename,
+    Scan,
     Select,
     condition_reads,
 )
@@ -152,11 +178,94 @@ def _rewrite(expr: Expression, schema: Schema) -> Expression:
     return node if rewritten == node else rewritten
 
 
+def _require(
+    expr: Expression,
+    needed: Set[str],
+    schema: Schema,
+    live: Dict[str, Set[str]],
+) -> None:
+    """Record in ``live`` what ``expr`` reads of each table to yield ``needed``.
+
+    ``needed`` is a set of ``expr``'s output attributes; the walk
+    takes it down to the scans, each adding what it receives to its
+    table's entry.  π, σ, ⋈ and ρ let a narrower input through -- a
+    join keeps its conditions' and all its shared attributes, so no
+    pair changes -- and anything else (∪, −) reads every attribute of
+    its inputs: π does not distribute over −, and a union's two sides
+    must keep equal attribute sets.
+    """
+    if isinstance(expr, Scan):
+        live.setdefault(expr.table, set()).update(needed)
+    elif isinstance(expr, Project):
+        _require(expr.child, set(expr.attrs), schema, live)
+    elif isinstance(expr, Select):
+        read = chain.from_iterable(map(condition_reads, expr.conditions))
+        _require(expr.child, needed.union(read), schema, live)
+    elif isinstance(expr, Join):
+        left = expr.left.attributes(schema)
+        right = expr.right.attributes(schema)
+        wanted = set(needed if expr.project_to is None else expr.project_to)
+        wanted.update(chain.from_iterable(map(condition_reads, expr.conditions)))
+        wanted.update(a for a in right if a in left)
+        _require(expr.left, wanted.intersection(left), schema, live)
+        _require(expr.right, wanted.intersection(right), schema, live)
+    elif isinstance(expr, Rename):
+        renames = dict(expr.mapping)
+        back = {renames.get(a, a): a for a in expr.child.attributes(schema)}
+        _require(expr.child, {back[a] for a in needed}, schema, live)
+    else:
+        for child in expr.children():
+            _require(child, set(child.attributes(schema)), schema, live)
+
+
+def _live_columns(
+    commands: Sequence[Command],
+    schemas: Sequence[Schema],
+    output_table: str,
+) -> List[Command]:
+    """``commands`` with each read intermediate cut to the columns read.
+
+    Backward over the commands: a middleware target defined once, not
+    the output and read by a later command is projected onto the
+    attributes its readers take from it (the projection folds into a
+    top join's ``project_to``), and then its expression says what it
+    reads in turn.  ``schemas[i]`` holds the attributes, as built, of
+    each table command ``i`` reads.  Access targets keep their
+    attributes, and so do unread tables and the output.
+    """
+    definitions = Counter(command.target for command in commands)
+    live: Dict[str, Set[str]] = {}
+    pruned = list(commands)
+    for index in reversed(range(len(commands))):
+        command, schema = commands[index], schemas[index]
+        if isinstance(command, AccessCommand):
+            _require(
+                command.input_expr, set(command.input_attrs), schema, live
+            )
+            continue
+        target, expr = command.target, command.expr
+        attrs = expr.attributes(schema)
+        needed = live.get(target)
+        if (
+            needed is not None
+            and definitions[target] == 1
+            and target != output_table
+        ):
+            attrs = tuple(a for a in attrs if a in needed)
+            expr = _project(expr, attrs, schema)
+            if expr is not command.expr:
+                pruned[index] = MiddlewareCommand(target, expr)
+        _require(expr, set(attrs), schema, live)
+    return pruned
+
+
 def rewrite(plan) -> Executable:
     """The executable form of ``plan`` (see the module docstring)."""
     schema: Dict[str, Tuple[str, ...]] = {}
+    schemas: List[Schema] = []
     commands: List[Command] = []
     for command in plan.commands:
+        schemas.append({table: schema[table] for table in command.tables_read()})
         if isinstance(command, AccessCommand):
             expr = rewrite_expression(command.input_expr, schema)
             available = expr.attributes(schema)
@@ -182,4 +291,5 @@ def rewrite(plan) -> Executable:
                 command = MiddlewareCommand(command.target, expr)
             schema[command.target] = expr.attributes(schema)
         commands.append(command)
+    commands = _live_columns(commands, schemas, plan.output_table)
     return Executable(tuple(commands), plan.output_table, last_readers(commands))

@@ -96,6 +96,13 @@ class TestNamedTable:
         t = table(["x"], [(A,)]).rename({"x": "u"})
         assert t.attributes == ("u",)
 
+    def test_rename_onto_one_name_raises(self):
+        t = table(["x", "y"], [(A, B)])
+        with pytest.raises(EvaluationError, match="duplicate attribute"):
+            t.rename({"x": "y"})
+        with pytest.raises(EvaluationError, match="duplicate attribute"):
+            t.rename({"x": "u", "y": "u"})
+
 
 class TestRowPicker:
     @pytest.mark.parametrize(
