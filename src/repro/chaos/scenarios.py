@@ -42,10 +42,10 @@ oracle first, then serves the same workload through a live
     (epoch unchanged), so answers are byte-identical and only the
     ``reconnects`` counter knows.
 ``disk_corruption``
-    the plan-cache entry and the calibration store are corrupted on
-    disk between service generations (plus a torn temp file from a
-    simulated crash mid atomic write); the restarted service
-    quarantines both, re-plans once, and serves the oracle answers.
+    the plan-cache entry is corrupted on disk between service
+    generations (plus a torn temp file from a simulated crash mid
+    atomic write); the restarted service quarantines it, re-plans
+    once, and serves the oracle answers.
 
 Each scenario returns a :class:`~repro.chaos.harness.ChaosReport`;
 ``quick=True`` shrinks request counts for CI smoke runs without
@@ -61,7 +61,6 @@ import time
 from typing import Dict, Tuple
 
 from repro.chaos.harness import ChaosReport, ScenarioHarness
-from repro.cost.calibration import CalibrationStore
 from repro.data.decorators import HedgedSource, StormyLatencySource
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
@@ -407,27 +406,25 @@ def sqlite_disconnect(seed: int = 0, quick: bool = True) -> ChaosReport:
 
 
 def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
-    """Rot the plan cache + calibration store between service generations.
+    """Rot the plan cache's disk tier between service generations.
 
     Also plants a torn temp file (a crash mid atomic write leaves
     ``<key>.json.tmp.<pid>`` behind, never a half-written entry --
-    that is the point of the write-then-rename protocol) and truncates
-    the calibration store as a torn rename would.  The next generation
-    must quarantine both, re-plan once, and serve oracle answers.
+    that is the point of the write-then-rename protocol).  The next
+    generation must quarantine the entry, re-plan once, and serve
+    oracle answers.
     """
     schema, instance, query, _plan, oracle = join_workload("chaos_disk")
     workdir = tempfile.mkdtemp(prefix="repro-chaos-disk-")
     cache_dir = os.path.join(workdir, "plans")
-    calib_path = os.path.join(workdir, "calibration.json")
     requests = 2 if quick else 4
     harness = ScenarioHarness("disk_corruption", seed, 60.0, oracle)
     try:
-        # Generation 1: warm both disk tiers through real serving.
+        # Generation 1: warm the disk tier through real serving.
         warm = QueryService(
             InMemorySource(schema, instance),
             workers=2,
             plan_cache=PlanCache(capacity=8, directory=cache_dir),
-            calibration=CalibrationStore(path=calib_path),
             default_deadline=30.0,
         )
         with warm:
@@ -436,8 +433,8 @@ def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
             harness.collect()
         harness.carry_over(warm)
         warm_health = warm.health()
-        # The corruption: flip a byte mid-entry, truncate the
-        # calibration store mid-file, leave a torn temp file behind.
+        # The corruption: flip a byte mid-entry, leave a torn temp
+        # file behind.
         for name in os.listdir(cache_dir):
             if not name.endswith(".json"):
                 continue
@@ -450,18 +447,12 @@ def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
                 handle.write(data[:mid] + flip + data[mid + 1 :])
             with open(f"{path}.tmp.9999", "w", encoding="utf-8") as torn:
                 torn.write('{"format": "repro.plan-cache", "ver')
-        with open(calib_path, "rb") as handle:
-            calib_bytes = handle.read()
-        with open(calib_path, "wb") as handle:
-            handle.write(calib_bytes[: len(calib_bytes) // 2])
-        # Generation 2: fresh tiers over the rotten files.
+        # Generation 2: a fresh tier over the rotten files.
         plan_cache = PlanCache(capacity=8, directory=cache_dir)
-        calibration = CalibrationStore(path=calib_path)
         service = QueryService(
             InMemorySource(schema, instance),
             workers=2,
             plan_cache=plan_cache,
-            calibration=calibration,
             default_deadline=30.0,
         )
         with service:
@@ -476,7 +467,6 @@ def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
                     "planned": warm_health.planned,
                 },
                 "plan_cache": plan_cache.counters(),
-                "calibration": calibration.counters(),
             },
         )
     finally:

@@ -1,9 +1,9 @@
-"""One checksummed JSON file: the disk protocol of the persistent tiers.
+"""One checksummed JSON file: the disk protocol of the plan cache.
 
-The plan cache's entries and the calibration store are each one JSON
-document on disk, and both need the same guarantees: a reader never
-trusts a torn or bit-flipped file, a writer never leaves a half-written
-one in place, and neither ever raises into serving.  The protocol:
+Each plan-cache entry is one JSON document on disk, and needs three
+guarantees: a reader never trusts a torn or bit-flipped file, a writer
+never leaves a half-written one in place, and neither ever raises into
+serving.  The protocol:
 
 * the document carries ``format`` and ``version`` markers and a
   ``checksum``: BLAKE2b (16 bytes) over the canonical JSON of every
@@ -18,8 +18,8 @@ one in place, and neither ever raises into serving.  The protocol:
 * :func:`quarantine` moves a corrupt file aside to ``*.quarantined``
   for inspection.
 
-Callers count quarantines and failed writes (``persist_errors``) in
-their own counters.
+The caller counts quarantines and failed writes (``persist_errors``)
+in its own counters.
 """
 
 from __future__ import annotations

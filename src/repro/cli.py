@@ -177,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="interpreter",
         help="execution backend: the tuple-at-a-time interpreter "
              "(default), the vectorized columnar backend over the plan "
-             "IR, or differential (run both, assert identical answers)",
+             "IR, or differential (run both, assert identical answers); "
+             "--failover serves through QueryService, which runs the "
+             "interpreter only",
     )
     demo.add_argument(
         "--calibrated",
@@ -227,12 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--worker-tier process",
     )
     serve.add_argument(
-        "--executor",
-        choices=["interpreter", "columnar", "differential"],
-        default="interpreter",
-        help="execution backend used by the worker pool",
-    )
-    serve.add_argument(
         "--worker-tier",
         choices=["none", "process"],
         default="none",
@@ -259,15 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="persist cached plans as JSON files under DIR (implies "
              "--plan-cache); a restarted service re-reads them from disk",
-    )
-    serve.add_argument(
-        "--calibration-file",
-        default=None,
-        metavar="PATH",
-        help="maintain a persistent cost-calibration store at PATH: "
-             "every served request's observed per-method row flow is "
-             "folded in (atomic rewrite), and a restarted service "
-             "resumes planning from the accumulated estimates",
     )
     serve.add_argument(
         "--watchdog-seconds",
@@ -327,7 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (
+        args.command == "demo"
+        and args.failover
+        and args.executor != "interpreter"
+    ):
+        parser.error(
+            f"demo --failover runs the interpreter; --executor "
+            f"{args.executor} applies to a plain demo run only"
+        )
     if args.command == "demo":
         return _demo(args)
     if args.command == "serve-demo":
@@ -397,7 +394,6 @@ def _demo(args) -> int:
             cache=cache,
             retry=retry,
             clock=clock,
-            executor=args.executor,
         ) as service:
             response = service.serve_query(
                 scenario.query, search_options=options, deadline=args.deadline
@@ -509,11 +505,6 @@ def _serve_demo(args) -> int:
     plan_cache = (
         PlanCache(directory=args.plan_cache_dir) if use_plan_cache else None
     )
-    calibration = None
-    if args.calibration_file is not None:
-        from repro.cost import CalibrationStore
-
-        calibration = CalibrationStore(path=args.calibration_file)
     plan = None
     if not use_plan_cache:
         result = find_best_plan(scenario.schema, scenario.query,
@@ -557,10 +548,8 @@ def _serve_demo(args) -> int:
         retry=RetryPolicy(),
         default_deadline=args.deadline,
         default_budget=budget,
-        executor=args.executor,
         worker_pool=worker_pool,
         plan_cache=plan_cache,
-        calibration=calibration,
     )
     tier = args.worker_tier if worker_pool is not None else "in-service"
     print(
@@ -611,13 +600,6 @@ def _serve_demo(args) -> int:
             f"{hedged.hedge_waste} waste)"
         )
         print(f"hedging: {hedged.delay}s per access, {counts}")
-    if health.calibration is not None:
-        print(
-            f"calibration: v{health.calibration['version']} "
-            f"({health.calibration['observations']} commands over "
-            f"{health.calibration['methods']} methods, "
-            f"persisted={health.calibration['persistent']})"
-        )
     adapter = _adapter_summary(backend)
     if adapter:
         print(f"adapter: {adapter}")

@@ -12,11 +12,16 @@ rows survived the output mapping.  This module closes the loop:
   (relation, access method), with a log2 fan-out histogram for
   operators inspecting the distribution;
 * :class:`CalibrationStore` aggregates observations across runs
-  (thread-safe, deterministic -- plain integer sums), answers
+  (thread-safe, deterministic -- plain integer sums) and answers
   ``fan_out(method)`` / ``selectivity(method)`` queries with
-  hit/fallback accounting, and persists itself as one versioned,
-  checksummed, atomically-written JSON file (:mod:`repro.checked_json`,
-  the plan cache's disk protocol too) so estimates survive restarts.
+  hit/fallback accounting.
+
+The loop closes at the caller: whoever executes a plan hands its
+``ExecStats`` to :meth:`CalibrationStore.observe_stats` and plans the
+next query with a cost function over the store (``demo --calibrated``
+and ``benchmarks/bench_cost.py`` do exactly that).  The query service
+runs the plan it is given and keeps no store of its own: the cost
+function is an input of Algorithm 1, not a product of serving.
 
 Two derived statistics feed the estimator:
 
@@ -44,20 +49,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from repro import checked_json
-from repro.errors import CostModelError
 from repro.obs import Record
-
-#: Format marker + version stamped into the on-disk store.
-#: Version 2 added the content checksum (stores without one are
-#: treated as alien -- an empty store, re-filled by observation).
-CALIBRATION_KIND = "repro.cost-calibration"
-CALIBRATION_VERSION = 2
 
 #: Selectivities are clamped into (EPSILON, 1.0]: zero would make
 #: downstream size estimates vanish (and divide costs to nothing).
@@ -80,8 +76,8 @@ def _fanout_bucket(fan_out: float) -> str:
 class MethodCalibration(Record):
     """Accumulated true row flow for one (relation, access method).
 
-    A :class:`~repro.obs.Record`: its dict form is what the disk tier
-    holds, and ``absorb`` pools methods into one total.
+    A :class:`~repro.obs.Record`: its dict form feeds the store's
+    identity digest, and ``absorb`` pools methods into one total.
     """
 
     method: str = ""
@@ -120,12 +116,12 @@ class MethodCalibration(Record):
 
 
 class CalibrationStore:
-    """Thread-safe per-method calibration with an optional disk tier.
+    """Thread-safe per-method calibration, held in memory.
 
-    ``min_observations`` is the evidence floor: estimate queries fall
-    back to the caller's default (and count a fallback) until a method
-    has been seen in at least that many access commands, so one noisy
-    run cannot swing the planner.
+    One observed access command is evidence enough: estimate queries
+    fall back to the caller's default (and count a fallback) only for
+    a method never observed, or observed without the row flow the
+    statistic divides by.
 
     Determinism: aggregation is pure integer summation, so feeding the
     same :class:`~repro.exec.stats.ExecStats` stream in the same order
@@ -134,31 +130,13 @@ class CalibrationStore:
     ``tests/cost/test_calibration.py`` pin both).
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        min_observations: int = 1,
-    ) -> None:
-        if min_observations < 1:
-            raise CostModelError(
-                f"min_observations must be >= 1, got {min_observations}"
-            )
-        self.path = path
-        self.min_observations = min_observations
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        # Serializes disk writes: _persist runs outside the main lock
-        # (so estimate readers never wait on IO), but two persists must
-        # not interleave on the temp-then-rename protocol.
-        self._io_lock = threading.Lock()
         self._methods: Dict[str, MethodCalibration] = {}
         self.version = 0
-        # Estimate-query accounting (exposed in QueryService.health()).
+        # Estimate-query accounting (reported by counters()).
         self.hits = 0
         self.fallbacks = 0
-        self.quarantined = 0
-        self.persist_errors = 0
-        if path is not None and os.path.exists(path):
-            self._load(path)
 
     # ----------------------------------------------------------- observe
     def observe(
@@ -176,7 +154,6 @@ class CalibrationStore:
                 method, relation, dispatched, fetched, emitted
             )
             self.version += 1
-        self._persist()
 
     def observe_stats(
         self,
@@ -214,8 +191,6 @@ class CalibrationStore:
                 observed += 1
             if observed:
                 self.version += 1
-        if observed:
-            self._persist()
         return observed
 
     def _observe_locked(
@@ -238,34 +213,28 @@ class CalibrationStore:
     def fan_out(self, method: str) -> Optional[float]:
         """Calibrated mean output rows per dispatched input tuple.
 
-        Returns None (and counts a fallback) when the method has fewer
-        than ``min_observations`` observed commands.
+        Returns None (and counts a fallback) for a method never observed
+        dispatching a tuple.
         """
         with self._lock:
             entry = self._methods.get(method)
-            if (
-                entry is None
-                or entry.commands < self.min_observations
-                or entry.fan_out is None
-            ):
-                self.fallbacks += 1
-                return None
-            self.hits += 1
-            return entry.fan_out
+            return self._counted(None if entry is None else entry.fan_out)
 
     def selectivity(self, method: str) -> Optional[float]:
         """Calibrated emitted/fetched selectivity in (0, 1], or None."""
         with self._lock:
             entry = self._methods.get(method)
-            if (
-                entry is None
-                or entry.commands < self.min_observations
-                or entry.selectivity is None
-            ):
-                self.fallbacks += 1
-                return None
+            return self._counted(
+                None if entry is None else entry.selectivity
+            )
+
+    def _counted(self, estimate: Optional[float]) -> Optional[float]:
+        """Book ``estimate`` as a hit or a fallback; caller holds the lock."""
+        if estimate is None:
+            self.fallbacks += 1
+        else:
             self.hits += 1
-            return entry.selectivity
+        return estimate
 
     def _pooled(self) -> MethodCalibration:
         """Every method's counters absorbed into one; caller holds the lock."""
@@ -282,12 +251,7 @@ class CalibrationStore:
         rows, clamped into (0, 1].  None until anything was fetched.
         """
         with self._lock:
-            pooled = self._pooled().selectivity
-            if pooled is None:
-                self.fallbacks += 1
-                return None
-            self.hits += 1
-            return pooled
+            return self._counted(self._pooled().selectivity)
 
     # ---------------------------------------------------------- identity
     def identity(self) -> Dict[str, object]:
@@ -330,7 +294,7 @@ class CalibrationStore:
             return self._methods.get(method)
 
     def counters(self) -> Dict[str, object]:
-        """A JSON-able snapshot (surfaced by ``QueryService.health()``)."""
+        """A JSON-able snapshot of the store's totals and accounting."""
         with self._lock:
             pooled = self._pooled()
             return {
@@ -341,10 +305,6 @@ class CalibrationStore:
                 "emitted": pooled.emitted,
                 "hits": self.hits,
                 "fallbacks": self.fallbacks,
-                "quarantined": self.quarantined,
-                "persist_errors": self.persist_errors,
-                "persistent": bool(self.path),
-                "min_observations": self.min_observations,
             }
 
     def summary(self) -> str:
@@ -356,67 +316,6 @@ class CalibrationStore:
             f"{counters['methods']} methods "
             f"({counters['hits']} hits / {counters['fallbacks']} fallbacks)"
         )
-
-    # --------------------------------------------------------- disk tier
-    def as_dict(self) -> Dict:
-        """The full JSON-able store state (what the disk tier holds)."""
-        with self._lock:
-            return {
-                "format": CALIBRATION_KIND,
-                "version": CALIBRATION_VERSION,
-                "store_version": self.version,
-                "methods": [
-                    self._methods[name].as_dict()
-                    for name in sorted(self._methods)
-                ],
-            }
-
-    def _persist(self) -> None:
-        """Atomically rewrite the disk tier (never raises into serving).
-
-        Serialized under a dedicated IO lock -- two worker threads
-        persisting concurrently must not race on the temp file -- and
-        the temp name is thread-unique besides, so even an unexpected
-        interleaving cannot tear the rename.  A failed persist (disk
-        full, permissions) is counted, not raised: losing one disk
-        snapshot costs nothing (the store re-persists on the next
-        observation), whereas an exception here would detonate inside
-        request accounting.
-        """
-        if self.path is None:
-            return
-        try:
-            with self._io_lock:
-                checked_json.write(self.path, self.as_dict())
-        except OSError:
-            with self._lock:
-                self.persist_errors += 1
-
-    def _load(self, path: str) -> None:
-        """Rehydrate from disk; corrupt stores are quarantined, alien
-        ones ignored -- either way this store starts empty and serves.
-
-        The store re-fills from live observations (every served request
-        feeds it), so quarantine-and-continue converges back to
-        calibrated estimates; meanwhile the estimator's documented
-        fallback defaults apply.  The rotten file is kept as
-        ``<path>.quarantined`` for inspection and the event counted.
-        """
-        try:
-            entry = checked_json.read(path, CALIBRATION_KIND, CALIBRATION_VERSION)
-            if entry is None:
-                return
-            methods = [
-                MethodCalibration.from_dict(item)
-                for item in entry.get("methods", ())
-            ]
-            store_version = int(entry.get("store_version", 0))
-        except (checked_json.CorruptFile, KeyError, TypeError, ValueError):
-            checked_json.quarantine(path)
-            self.quarantined += 1
-            return
-        self._methods = {m.method: m for m in methods}
-        self.version = store_version
 
     def __repr__(self) -> str:
         return f"CalibrationStore({self.summary()})"

@@ -154,20 +154,6 @@ class DeadlineExceeded(ExecutionError):
     """The overall plan deadline expired before execution finished."""
 
 
-class PlanFailed(ExecutionError):
-    """A plan run gave up: retries exhausted or a permanent access error.
-
-    ``cause`` is the final :class:`AccessError`; ``plan`` names the plan.
-    """
-
-    def __init__(
-        self, message: str, *, plan: Optional[str] = None, cause=None
-    ) -> None:
-        self.plan = plan
-        self.cause = cause
-        super().__init__(message)
-
-
 class NoViablePlan(ExecutionError):
     """Failover ran out of alternatives: no plan avoids the dead methods.
 
@@ -287,14 +273,14 @@ class WorkerCrashed(ServiceError):
 class WorkerStalled(ServiceError):
     """A worker accepted a request and then stopped making progress.
 
-    Raised by the worker tier's watchdog when a request exceeds its
+    Raised by the process tier's watchdog when a request exceeds its
     stall bound while its worker is *alive but stuck* (a hung source,
     a lost lock, a runaway loop) -- the failure mode a crash detector
-    cannot see, because nothing died.  The process tier reclaims the
-    slot by killing and recreating the pool (``killed`` is True);
-    the thread tier cannot kill a thread, so it surfaces the stall
-    typed and leaks the slot until the task finishes (``killed`` is
-    False).  ``stalls`` counts stalls observed by the tier so far.
+    cannot see, because nothing died.  A request that was running is
+    reclaimed by killing and recreating the pool (``killed`` is True);
+    one still queued behind busy workers is cancelled instead
+    (``killed`` is False).  ``stalls`` counts stalls observed by the
+    tier so far.
     """
 
     def __init__(
@@ -317,7 +303,6 @@ __all__ = [
     "InvalidCostParameter",
     "MethodOutage",
     "NoViablePlan",
-    "PlanFailed",
     "PlanInadmissible",
     "RateLimited",
     "ReproError",

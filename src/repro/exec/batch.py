@@ -131,12 +131,12 @@ def run_request(
     plan: Plan,
     bindings: Optional[Mapping[object, object]],
     context: ExecutionContext,
-    *,
-    executor: str = "interpreter",
 ) -> NamedTable:
     """One request, start to finish: rebind, guard the source, execute.
 
-    The runner the service and the worker tier share.  The answer is
+    The runner the service and the worker tier share; it runs the
+    interpreter (the columnar engine is reached only through
+    :meth:`Plan.execute <repro.plans.plan.Plan.execute>`).  The answer is
     the output table, truncated per the budget
     (``context.truncated_rows`` says by how much); every failure is a
     typed :class:`~repro.errors.ReproError`.
@@ -151,6 +151,4 @@ def run_request(
             form._replace(commands=tuple(map(substitute, form.commands))),
             plan.name,
         )
-    return plan.execute(
-        budgeted(source, context.budget), context, executor=executor
-    )
+    return plan.execute(budgeted(source, context.budget), context)

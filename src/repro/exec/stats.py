@@ -28,9 +28,9 @@ class CommandStats(Record):
     target: str = ""
     kind: str = ""  # "access" | "middleware"
     # The access method invoked (None for middleware commands).  This is
-    # what lets downstream consumers -- notably the feedback-driven cost
-    # calibration (repro.cost.calibration) -- aggregate observed row
-    # flow per (relation, method) without re-deriving it from the plan.
+    # what lets the caller of a run fold its observed row flow into a
+    # CalibrationStore (repro.cost.calibration) per (relation, method)
+    # without re-deriving it from the plan.
     method: Optional[str] = None
     wall_time: float = 0.0
     rows_in: int = 0

@@ -58,14 +58,12 @@ from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.cost.bounds import SizeBounds
-from repro.cost.calibration import CalibrationStore
 from repro.data.instance import _to_constant
 from repro.errors import (
     DeadlineExceeded,
     ExecutionError,
     MethodOutage,
     NoViablePlan,
-    PlanFailed,
     PlanInadmissible,
     ReproError,
     ServiceOverloaded,
@@ -127,12 +125,9 @@ def _typed(error: Exception, doing: str) -> ReproError:
 def _outage_method(error: Optional[Exception]) -> Optional[str]:
     """The method a hard :class:`MethodOutage` names, else ``None``.
 
-    The outage may come direct from in-process execution, rebuilt with
-    its method context from a worker-tier failure dict, or wrapped in a
-    :class:`PlanFailed`.
+    The outage may come direct from in-process execution or rebuilt
+    with its method context from a worker-tier failure dict.
     """
-    if isinstance(error, PlanFailed) and error.cause is not None:
-        error = error.cause
     if isinstance(error, MethodOutage):
         return getattr(error, "method", None) or None
     return None
@@ -204,7 +199,6 @@ class ServiceHealth(ServiceBooks):
     stats: Optional[Dict[str, Any]] = _gauge(default=None)
     worker_tier: Optional[Dict[str, Any]] = _gauge(default=None)
     plan_cache: Optional[Dict[str, Any]] = _gauge(default=None)
-    calibration: Optional[Dict[str, Any]] = _gauge(default=None)
 
     def summary(self) -> str:
         """A one-line human-readable digest."""
@@ -252,10 +246,8 @@ class QueryService:
         default_budget: Optional[ResourceBudget] = None,
         clock=time.monotonic,
         name: str = "service",
-        executor: str = "interpreter",
         worker_pool: Optional[ProcessWorkerPool] = None,
         plan_cache: Optional[PlanCache] = None,
-        calibration: Optional[CalibrationStore] = None,
         size_bounds: Optional[SizeBounds] = None,
     ) -> None:
         if workers < 1:
@@ -263,22 +255,11 @@ class QueryService:
         self.source = source
         self.workers = workers
         self.cache = cache
-        self.executor = executor
-        # Feedback loop: every served request's ExecStats are folded
-        # into the calibration store (per-method fan-out/selectivity),
-        # which cost functions holding the store read on the next plan.
-        self.calibration = calibration
         # Static size bounds backing admission-time inadmissibility
         # checks: a plan whose provable result-size floor already
         # exceeds the request's hard row ceiling is rejected typed,
         # before a single access is dispatched.
         self.size_bounds = size_bounds
-        schema = getattr(source, "schema", None)
-        self._method_relations: Dict[str, str] = (
-            {m.name: m.relation for m in schema.methods}
-            if schema is not None
-            else {}
-        )
         # The execution tier: None keeps plan runs in this process's
         # worker threads; a ProcessWorkerPool ships them (plan IR +
         # bindings + budget, never pickles) to worker processes, which
@@ -872,11 +853,7 @@ class QueryService:
                 table = self._run_on_pool(request, context)
             else:
                 table = run_request(
-                    self.source,
-                    request.plan,
-                    request.bindings,
-                    context,
-                    executor=self.executor,
+                    self.source, request.plan, request.bindings, context
                 )
             truncated = context.truncated_rows
         except ReproError as error:
@@ -909,7 +886,6 @@ class QueryService:
             # Memoized per plan object: a hot plan is encoded once.
             "plan": encoded_plan_ir(request.plan),
             "bindings": encode_bindings(request.bindings),
-            "executor": self.executor,
             **context.to_payload(),
         }
         with self._lock:
@@ -941,19 +917,6 @@ class QueryService:
             self._books.outages_observed += 1
 
     def _account(self, response: QueryResponse) -> None:
-        # Fold the request's observed row flow into the calibration
-        # store *outside* the service lock -- the store has its own --
-        # so planning threads reading estimates never wait on accounting.
-        if self.calibration is not None and response.stats is not None:
-            try:
-                self.calibration.observe_stats(
-                    response.stats, relation_of=self._method_relations
-                )
-            except Exception:  # pragma: no cover -- feedback is advisory
-                # The calibration fold must never stop the books from
-                # balancing: the ticket is already resolved, and an
-                # unaccounted request breaks served-counter invariants.
-                pass
         if response.wall_time:
             self._service_time.observe(response.wall_time)
         books = self._books
@@ -1037,11 +1000,6 @@ class QueryService:
         plan_cache = (
             self.plan_cache.counters() if self.plan_cache is not None else None
         )
-        calibration = (
-            self.calibration.counters()
-            if self.calibration is not None
-            else None
-        )
         dead = self.current_dead_methods()
         with self._lock:
             return ServiceHealth(
@@ -1059,7 +1017,6 @@ class QueryService:
                 stats=self.stats.as_dict(),
                 worker_tier=worker_tier,
                 plan_cache=plan_cache,
-                calibration=calibration,
             )
 
     def __repr__(self) -> str:

@@ -208,16 +208,17 @@ def execute_payload(source, payload: Mapping[str, Any]) -> Dict[str, Any]:
 
     The process tier calls it in the worker against the rehydrated
     source; any caller may call it in-process.  The payload is ``plan``
-    (IR), ``bindings``, ``executor`` and the wire form of an
+    (IR), ``bindings`` and the wire form of an
     :class:`~repro.exec.context.ExecutionContext` (``collect_stats``,
     ``budget``, ``retry``, ``deadline``), every key but ``plan``
-    optional; the run itself is :func:`~repro.exec.batch.run_request`,
-    as in the service.  Errors come back as ``{"ok": False,
-    "error_type", "error"}`` so the parent can re-raise the matching
-    typed :mod:`repro.errors` class -- exception *instances* never
-    cross the boundary -- with the ``stats`` of what the run did before
-    it failed.  A successful result carries the source's epoch token
-    (``"epoch"``) so callers can tell which backend snapshot answered.
+    optional, and any other key ignored; the run itself is
+    :func:`~repro.exec.batch.run_request`, as in the service.  Errors
+    come back as ``{"ok": False, "error_type", "error"}`` so the parent
+    can re-raise the matching typed :mod:`repro.errors` class --
+    exception *instances* never cross the boundary -- with the
+    ``stats`` of what the run did before it failed.  A successful
+    result carries the source's epoch token (``"epoch"``) so callers
+    can tell which backend snapshot answered.
     """
     context = ExecutionContext.from_payload(payload)
     stats = context.stats
@@ -227,7 +228,6 @@ def execute_payload(source, payload: Mapping[str, Any]) -> Dict[str, Any]:
             ir_to_plan(payload["plan"]),
             decode_bindings(payload.get("bindings")),
             context,
-            executor=payload.get("executor", "interpreter"),
         )
         return {
             "ok": True,

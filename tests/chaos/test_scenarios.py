@@ -147,6 +147,5 @@ class TestDiskCorruption:
         assert_clean(report)
         assert report.outcomes["complete"] == report.submitted
         assert report.details["plan_cache"]["quarantined"] >= 1
-        assert report.details["calibration"]["quarantined"] >= 1
         # Generation 2 re-planned exactly once after the quarantine.
         assert report.health["planned"] == 1

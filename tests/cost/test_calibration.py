@@ -1,4 +1,4 @@
-"""Feedback-driven cost calibration: determinism, monotonicity, disk.
+"""Feedback-driven cost calibration: determinism, monotonicity, identity.
 
 The properties pinned here are what makes calibration safe to wire into
 the planner:
@@ -9,24 +9,14 @@ the planner:
   the store version only moves forward;
 * derived selectivities never leave (0, 1], the sound range for the
   estimator's ``select_selectivity`` knob;
-* the disk tier round-trips through its atomic JSON file, and corrupt
-  or alien files degrade to an empty store instead of raising;
 * the identity (version + digest) moves on every observation batch --
   the hook plan-cache invalidation hangs off.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cost.calibration import (
-    CALIBRATION_KIND,
-    CalibrationStore,
-    MethodCalibration,
-)
-from repro.errors import CostModelError
+from repro.cost.calibration import CalibrationStore, MethodCalibration
 from repro.exec.stats import ExecStats
 
 
@@ -54,24 +44,12 @@ observations = st.tuples(
 )
 streams = st.lists(observations, min_size=0, max_size=25)
 
-#: A store written by the hand-written codec ``MethodCalibration`` had
-#: before it became a ``repro.obs.Record``, from :data:`BATCHES`.  The
-#: file pins the disk format: never regenerate it.
-GOLDEN = Path(__file__).parent / "golden" / "calibration_store.json"
 #: (rows, relation map) per ``observe_stats`` batch, then one ``observe``.
 BATCHES = (
     ([("mt_b", 4, 40, 30), ("mt_a", 1, 9, 9)], {"mt_a": "R", "mt_b": "S"}),
     ([("mt_a", 2, 6, 4), ("mt_c", 3, 0, 0)], {"mt_a": "R"}),
     ([("mt_b", 1, 1, 1)], None),
 )
-
-
-def write_golden_observations(path):
-    store = CalibrationStore(path=path)
-    for rows, relations in BATCHES:
-        store.observe_stats(stats_from(rows), relations)
-    store.observe("mt_d", relation="T", dispatched=5, fetched=2, emitted=2)
-    return store
 
 
 class TestMethodCalibration:
@@ -136,18 +114,13 @@ class TestObserveStats:
         assert store.observe_stats(stats_from([])) == 0
         assert store.version == 0
 
-    def test_min_observations_gates_estimates(self):
-        store = CalibrationStore(min_observations=2)
-        store.observe_stats(stats_from([("mt_a", 2, 4, 4)]))
+    def test_one_observation_is_evidence(self):
+        store = CalibrationStore()
         assert store.fan_out("mt_a") is None
         assert store.fallbacks == 1
         store.observe_stats(stats_from([("mt_a", 2, 4, 4)]))
         assert store.fan_out("mt_a") == pytest.approx(2.0)
         assert store.hits == 1
-
-    def test_min_observations_validated(self):
-        with pytest.raises(CostModelError):
-            CalibrationStore(min_observations=0)
 
     def test_global_select_selectivity_pools_methods(self):
         store = CalibrationStore()
@@ -201,107 +174,13 @@ class TestProperties:
         store.observe_stats(stats_from(stream))
         assert store.identity() != before
 
-
-class TestDiskTier:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "calib.json")
-        store = CalibrationStore(path=path)
-        store.observe_stats(
-            stats_from([("mt_a", 2, 8, 4), ("mt_b", 1, 3, 3)]),
-            {"mt_a": "R", "mt_b": "S"},
-        )
-        reloaded = CalibrationStore(path=path)
-        assert reloaded.identity() == store.identity()
-        assert reloaded.fan_out("mt_a") == pytest.approx(2.0)
-        assert reloaded.version == store.version
-
-    def test_corrupt_file_degrades_to_empty(self, tmp_path):
-        path = tmp_path / "calib.json"
-        path.write_text("{not json")
-        store = CalibrationStore(path=str(path))
-        assert store.observations == 0
-
-    def test_alien_format_degrades_to_empty(self, tmp_path):
-        path = tmp_path / "calib.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        assert CalibrationStore(path=str(path)).observations == 0
-
-    def test_persisted_file_carries_format_markers(self, tmp_path):
-        path = tmp_path / "calib.json"
-        store = CalibrationStore(path=str(path))
-        store.observe(
-            "mt_a", relation="R", dispatched=1, fetched=1, emitted=1
-        )
-        payload = json.loads(path.read_text())
-        assert payload["format"] == CALIBRATION_KIND
-
-
-class TestCrashMidAtomicWrite:
-    """A writer dying inside the temp-then-rename protocol is harmless."""
-
-    def _persisted(self, tmp_path):
-        path = tmp_path / "calib.json"
-        store = CalibrationStore(path=str(path))
-        store.observe(
-            "mt_a", relation="R", dispatched=2, fetched=8, emitted=4
-        )
-        return path
-
-    def test_abandoned_temp_file_is_ignored(self, tmp_path):
-        path = self._persisted(tmp_path)
-        (tmp_path / "calib.json.tmp.9999").write_text(
-            '{"format": "repro.cost-calibration", "ver'
-        )
-        reloaded = CalibrationStore(path=str(path))
-        assert reloaded.fan_out("mt_a") == pytest.approx(2.0)
-        assert reloaded.counters()["quarantined"] == 0
-
-    def test_torn_rename_is_quarantined_and_survivable(self, tmp_path):
-        path = self._persisted(tmp_path)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        reloaded = CalibrationStore(path=str(path))
-        # The store starts empty (documented fallbacks apply), the
-        # rotten file is kept aside, and the event is counted.
-        assert reloaded.observations == 0
-        assert reloaded.counters()["quarantined"] == 1
-        assert (tmp_path / "calib.json.quarantined").exists()
-        # Live observations re-fill and re-persist a valid store.
-        reloaded.observe(
-            "mt_a", relation="R", dispatched=1, fetched=2, emitted=2
-        )
-        assert CalibrationStore(path=str(path)).observations == 1
-
-    def test_single_byte_flip_is_quarantined(self, tmp_path):
-        path = self._persisted(tmp_path)
-        data = bytearray(path.read_bytes())
-        mid = len(data) // 2
-        data[mid] = ord("Y") if data[mid] == ord("X") else ord("X")
-        path.write_bytes(bytes(data))
-        reloaded = CalibrationStore(path=str(path))
-        assert reloaded.observations == 0
-        assert reloaded.counters()["quarantined"] == 1
-
-    def test_failed_persist_is_counted_not_raised(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file where the store dir should be")
-        store = CalibrationStore(path=str(blocker / "nested" / "calib.json"))
-        store.observe(
-            "mt_a", relation="R", dispatched=1, fetched=1, emitted=1
-        )
-        assert store.counters()["persist_errors"] == 1
-        # The in-memory estimates are intact despite the failed write.
-        assert store.fan_out("mt_a") == pytest.approx(1.0)
-
-
-class TestDiskFormat:
-    """The store on disk keeps the format of the hand-written codec."""
-
-    def test_a_store_in_the_committed_format_loads(self, tmp_path):
-        path = tmp_path / "calib.json"
-        path.write_bytes(GOLDEN.read_bytes())
-        store = CalibrationStore(path=str(path))
-        assert store.counters()["quarantined"] == 0
-        # The identity feeds plan-cache keys: it must not move either.
+    def test_the_identity_of_known_observations_is_pinned(self):
+        """The identity feeds plan-cache keys, which a plan cache keeps
+        on disk: the same observations must keep the same key."""
+        store = CalibrationStore()
+        for rows, relations in BATCHES:
+            store.observe_stats(stats_from(rows), relations)
+        store.observe("mt_d", relation="T", dispatched=5, fetched=2, emitted=2)
         assert store.identity() == {"version": 4, "digest": "f71784fc5ccb98af"}
         assert store.method_calibration("mt_a") == MethodCalibration(
             method="mt_a", relation="R", commands=2, dispatched=3,
@@ -309,8 +188,3 @@ class TestDiskFormat:
             fanout_histogram={"<=2^4": 1, "<=2^1": 1},
         )
         assert store.observations == 6
-
-    def test_the_same_observations_write_the_same_bytes(self, tmp_path):
-        path = tmp_path / "calib.json"
-        write_golden_observations(str(path))
-        assert path.read_bytes() == GOLDEN.read_bytes()

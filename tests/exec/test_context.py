@@ -8,10 +8,14 @@
     per-class codec;
 (c) the four runners -- in-process service, ``execute_payload`` of a
     bare wire form and of one that ships a retry policy and a deadline,
-    a direct ``run_request`` call -- agree on rows, truncation, access
-    log and command stats;
+    a direct ``run_request`` call, all on the interpreter -- agree on
+    rows, truncation, access log and command stats, and so does
+    ``Plan.execute`` on either engine (the columnar one dispatches the
+    same accesses in its own order);
 (d) the columnar engine takes the interpreter's batch branch;
-(e) the signatures that used to thread eight arguments take the context.
+(e) the signatures that used to thread eight arguments take the
+    context, and the service and the calibration store keep the
+    settable values they have.
 """
 
 import inspect
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cost.calibration import CalibrationStore
 from repro.data.source import InMemorySource
 from repro.exec import (
     AccessCache,
@@ -201,15 +206,20 @@ def books(stats):
     ]
 
 
-def run_all_four(scenario, plan, executor, budget):
-    """name -> (sorted rows, truncated rows, access log, command stats)."""
+def run_the_runners(scenario, plan, engine, budget):
+    """name -> (sorted rows, truncated rows, access log, command stats).
+
+    The four runners serve through the interpreter; the fifth entry,
+    ``"Plan.execute"``, runs ``engine`` -- the one way to reach the
+    columnar engine.
+    """
     instance = scenario.instance(0)
     fresh = lambda: InMemorySource(scenario.schema, instance)
     stamp = lambda: budget.fresh() if budget is not None else None
     seen = {}
 
     source = fresh()
-    with QueryService(source, workers=1, executor=executor) as service:
+    with QueryService(source, workers=1) as service:
         response = service.submit(plan, budget=stamp()).result(30)
     assert response.ok, response.error
     seen["service"] = (
@@ -230,8 +240,7 @@ def run_all_four(scenario, plan, executor, budget):
         result = execute_payload(
             source,
             json.loads(json.dumps({
-                "plan": plan_to_ir(plan), "executor": executor,
-                **context.to_payload(),
+                "plan": plan_to_ir(plan), **context.to_payload(),
             })),
         )
         assert result["ok"], result
@@ -242,34 +251,51 @@ def run_all_four(scenario, plan, executor, budget):
 
     source = fresh()
     context = ExecutionContext(stats=ExecStats(), budget=stamp())
-    table = run_request(source, plan, None, context, executor=executor)
+    table = run_request(source, plan, None, context)
     seen["direct"] = (
+        sorted(table.rows), context.truncated_rows,
+        list(source.log), books(context.stats),
+    )
+
+    source = fresh()
+    context = ExecutionContext(stats=ExecStats(), budget=stamp())
+    table = plan.execute(source, context, executor=engine)
+    seen["Plan.execute"] = (
         sorted(table.rows), context.truncated_rows,
         list(source.log), books(context.stats),
     )
     return seen
 
 
+def unordered(outcome):
+    """``outcome`` with its access log as a multiset: the columnar engine
+    dispatches the interpreter's accesses in an order of its own."""
+    rows, truncated, log, stats = outcome
+    return rows, truncated, sorted(map(repr, log)), stats
+
+
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("engine", EXECUTORS)
 @pytest.mark.parametrize(
     "name,factory,accesses", SCENARIOS, ids=[s[0] for s in SCENARIOS]
 )
-def test_the_four_runners_agree(name, factory, accesses, executor):
+def test_the_four_runners_agree(name, factory, accesses, engine):
     scenario, plan = planned(factory, accesses)
-    full = run_all_four(scenario, plan, executor, None)
+    full = run_the_runners(scenario, plan, engine, None)
     reference = full["direct"]
     assert reference[2], "the plan made no access"
+    assert unordered(full.pop("Plan.execute")) == unordered(reference)
     for runner, outcome in full.items():
-        assert outcome == reference, (runner, executor)
+        assert outcome == reference, runner
     rows = len(reference[0])
     if rows < 2:
         return
-    cut = run_all_four(
-        scenario, plan, executor, ResourceBudget(max_result_rows=rows // 2)
+    cut = run_the_runners(
+        scenario, plan, engine, ResourceBudget(max_result_rows=rows // 2)
     )
+    assert unordered(cut.pop("Plan.execute")) == unordered(cut["direct"])
     for runner, outcome in cut.items():
-        assert outcome == cut["direct"], (runner, executor)
+        assert outcome == cut["direct"], runner
     assert cut["direct"][0] == reference[0][: rows // 2]
     assert cut["direct"][1] == rows - rows // 2
 
@@ -309,9 +335,32 @@ def test_the_signatures_take_the_context():
         assert parameters(command.execute) == ["env", "source", "context"]
     with pytest.raises(TypeError):
         Plan.execute(None, None, cache=AccessCache())
-    # 19 -> 16 -> 14 settable values: the source and thirteen keywords
-    # (the breakers and the backoff sleep derive from ``clock``).
-    assert len(parameters(QueryService.__init__)) == 14
+    # 19 -> 16 -> 14 -> 12 settable values: the source and eleven
+    # keywords (the breakers and the backoff sleep derive from
+    # ``clock``; the service runs the interpreter and feeds no cost
+    # model).
+    assert parameters(QueryService.__init__) == [
+        "source", "workers", "max_queue", "cache", "retry",
+        "default_deadline", "default_budget", "clock", "name",
+        "worker_pool", "plan_cache", "size_bounds",
+    ]
+    # In memory, one observation of evidence: nothing to set.
+    assert parameters(CalibrationStore.__init__) == []
+
+
+def test_a_payload_naming_the_interpreter_still_runs():
+    """A sender that still ships ``"executor": "interpreter"`` is served:
+    the key is ignored, like any key the wire form does not know."""
+    scenario, plan = planned(SCENARIOS[0][1], SCENARIOS[0][2])
+    instance = scenario.instance(0)
+    reference = plan.execute(InMemorySource(scenario.schema, instance))
+    result = execute_payload(
+        InMemorySource(scenario.schema, instance),
+        {"plan": plan_to_ir(plan), "executor": "interpreter",
+         "collect_stats": True},
+    )
+    assert result["ok"], result
+    assert table_from_ir(result["table"]).rows == reference.rows
 
 
 if __name__ == "__main__":

@@ -35,6 +35,39 @@ class TestDemo:
             main(["demo", "not-a-scenario"])
 
 
+class TestEngineAndCalibrationEntryPoints:
+    """A plain ``demo`` run is where the columnar engine and the
+    calibrated re-plan are reached from the command line; serving runs
+    the interpreter and feeds no cost model."""
+
+    def test_calibrated_demo_prints_a_calibrated_replan(self, capsys):
+        assert main(["demo", "example5", "--calibrated"]) == 0
+        out = capsys.readouterr().out
+        assert "calibration [calibration v1: " in out
+        assert "calibrated re-plan: cost " in out
+        assert "complete: yes" in out
+
+    def test_columnar_demo_succeeds(self, capsys):
+        assert main(["demo", "example1", "--executor", "columnar"]) == 0
+        assert "complete: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("executor", ["columnar", "differential"])
+    def test_failover_refuses_another_engine(self, executor, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["demo", "example5", "--failover", "--executor", executor])
+        assert refused.value.code == 2
+        assert "demo --failover runs the interpreter" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "flag", [["--executor", "columnar"], ["--calibration-file", "c.json"]]
+    )
+    def test_serving_takes_no_engine_or_calibration_flag(self, flag):
+        with pytest.raises(SystemExit):
+            main(["serve-demo", "example1", *flag])
+
+
 class TestServeDemoResilience:
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("tier", ["none", "process"])

@@ -235,16 +235,14 @@ class TestMemoisedPerPlan:
         plan = keyed_plan()
         context = ExecutionContext()
         answers = [
-            run_request(keyed_source, plan, bindings, context, executor=executor)
+            run_request(keyed_source, plan, bindings, context)
             for bindings in ({"a": "b"}, {"a": "a"}, {"a": "b"})
-            for executor in ("interpreter", "columnar")
         ]
         assert calls == [plan]
         b = Constant("b")
         assert answers[0].rows == frozenset({(b, Constant("3")), (b, Constant("4"))})
-        assert [a.rows for a in answers] == [answers[0].rows] * 2 + [
-            answers[2].rows
-        ] * 2 + [answers[0].rows] * 2
+        assert answers[1].rows != answers[0].rows
+        assert answers[2].rows == answers[0].rows
 
     def test_substitution_reaches_the_fused_join(self):
         plan = Plan(

@@ -1,10 +1,10 @@
-"""The service's cost feedback loop and admission-time size checks.
+"""The caller's cost feedback loop and admission-time size checks.
 
 Three contracts:
 
-* every served request's observed row flow lands in the configured
-  :class:`~repro.cost.calibration.CalibrationStore`, surfaced through
-  ``QueryService.health()``;
+* a served response's observed row flow folds into the caller's
+  :class:`~repro.cost.calibration.CalibrationStore` -- the service
+  runs the plan it is given and keeps no store of its own;
 * a calibration bump moves the cost model's identity and therefore the
   plan-cache key -- the cached best plan is invalidated and Algorithm 1
   re-runs (regression for the cache-soundness requirement);
@@ -49,45 +49,34 @@ def source(scenario):
     return InMemorySource(scenario.schema, scenario.instance(0))
 
 
+def relations(scenario):
+    """Method name -> relation, what the caller folds observations under."""
+    return {m.name: m.relation for m in scenario.schema.methods}
+
+
+def served_into_a_store(scenario, source, plan):
+    """Serve ``plan`` once and fold its stats into a fresh store."""
+    store = CalibrationStore()
+    with QueryService(source) as service:
+        response = service.serve(plan, timeout=10)
+    assert response.ok
+    assert store.observe_stats(response.stats, relations(scenario)) > 0
+    return store
+
+
 class TestFeedbackLoop:
     def test_served_requests_feed_the_calibration_store(
-        self, source, planned
+        self, scenario, source, planned
     ):
-        store = CalibrationStore()
-        with QueryService(source, calibration=store) as service:
-            assert service.serve(planned, timeout=10).ok
-            service.wait_idle(timeout=10)
-        assert store.observations > 0
-        assert store.version >= 1
+        store = served_into_a_store(scenario, source, planned)
+        assert store.version == 1
         for method in planned.methods_used():
             assert store.method_calibration(method) is not None
-
-    def test_health_exposes_calibration_counters(self, source, planned):
-        store = CalibrationStore()
-        with QueryService(source, calibration=store) as service:
-            service.serve(planned, timeout=10)
-            service.wait_idle(timeout=10)
-            health = service.health()
-        assert health.calibration is not None
-        assert health.calibration["observations"] == store.observations
-        assert health.calibration["version"] == store.version
-        assert "hits" in health.calibration
-        assert "fallbacks" in health.calibration
-        assert health.as_dict()["calibration"] == health.calibration
-
-    def test_no_store_means_no_calibration_in_health(self, source, planned):
-        with QueryService(source) as service:
-            service.serve(planned, timeout=10)
-            health = service.health()
-        assert health.calibration is None
 
     def test_observed_relation_names_come_from_the_schema(
         self, scenario, source, planned
     ):
-        store = CalibrationStore()
-        with QueryService(source, calibration=store) as service:
-            service.serve(planned, timeout=10)
-            service.wait_idle(timeout=10)
+        store = served_into_a_store(scenario, source, planned)
         method = planned.methods_used()[0]
         expected = scenario.schema.method(method).relation
         assert store.method_calibration(method).relation == expected
@@ -104,22 +93,20 @@ class TestCacheInvalidation:
                 relation_cardinality={}, calibration=store
             ),
         )
-        # Only the cost function holds the store: the service is given
-        # none to feed, so the test drives the bump explicitly.
+        # Only the cost function holds the store; the caller feeds it
+        # what a served request observed.
         with QueryService(source, plan_cache=PlanCache()) as service:
-            service.submit_query(
+            response = service.submit_query(
                 scenario.query, search_options=options
             ).result(10)
+            assert response.ok
             assert service.health().planned == 1
             service.submit_query(
                 scenario.query, search_options=options
             ).result(10)
             # Unchanged calibration: the cached plan is reused.
             assert service.health().planned == 1
-            method = scenario.schema.methods[0].name
-            store.observe(
-                method, dispatched=5, fetched=25, emitted=20
-            )
+            assert store.observe_stats(response.stats, relations(scenario))
             service.submit_query(
                 scenario.query, search_options=options
             ).result(10)

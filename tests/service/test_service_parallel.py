@@ -87,19 +87,6 @@ class TestTierEquivalence:
         assert response.truncated_rows == len(reference) - 5
         assert sorted(response.table.rows) == reference[:5]
 
-    def test_columnar_executor_through_pool(self, parts):
-        schema, instance, plan = parts
-        source = InMemorySource(schema, instance)
-        reference = canonical(plan.execute(source))
-        pool = ProcessWorkerPool(source, workers=1)
-        service = QueryService(
-            source, workers=1, worker_pool=pool, executor="columnar"
-        )
-        with service:
-            response = service.serve(plan, timeout=120)
-        assert response.complete
-        assert canonical(response.table) == reference
-
     def test_stats_merged_from_worker(self, parts):
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
