@@ -547,7 +547,6 @@ def _serve_demo(args) -> int:
         cache=AccessCache(),
         retry=RetryPolicy(),
         default_deadline=args.deadline,
-        default_budget=budget,
         worker_pool=worker_pool,
         plan_cache=plan_cache,
     )
@@ -567,9 +566,12 @@ def _serve_demo(args) -> int:
                         scenario.query,
                         search_options=search_options,
                         priority=priority,
+                        budget=budget,
                     )
                 else:
-                    ticket = service.submit(plan, priority=priority)
+                    ticket = service.submit(
+                        plan, priority=priority, budget=budget
+                    )
                 tickets.append((priority, ticket))
             except ServiceOverloaded as error:
                 print(

@@ -198,8 +198,7 @@ class SizeBounds:
         """Coarse bound on peak resident temporary rows.
 
         Sums every target's bound -- ignores the runtime's temp-table
-        freeing, so it over-approximates the true peak (which is all we
-        need for admission checks against ``max_resident_rows``).
+        freeing, so it over-approximates the true peak.
         """
         return sum(self.plan_bounds(plan).values())
 

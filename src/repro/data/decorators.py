@@ -1,4 +1,4 @@
-"""Source decorators: budgets and latency.
+"""Source decorators: latency and hedging.
 
 Real restricted interfaces are metered and slow.  These wrappers
 compose around any source exposing ``access(method, inputs)``; their
@@ -6,10 +6,6 @@ base -- shared with :mod:`repro.sources.base` and
 :mod:`repro.faults.source` -- is
 :class:`repro.source_contract.SourceWrapper`.
 
-* :class:`BudgetedSource` -- a hard invocation or cost budget, raising
-  :class:`AccessBudgetExceeded`; :func:`budgeted` puts one around a
-  request's source when its :class:`~repro.exec.budget.ResourceBudget`
-  asks for it.
 * :class:`LatencySource` -- a fixed real-time delay per access,
   modelling remote-call latency; this is what makes worker threads in a
   :class:`~repro.service.QueryService` overlap usefully (the sleep
@@ -26,68 +22,10 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from repro.errors import AccessBudgetExceeded, SourceUnavailable  # noqa: F401
+from repro.errors import SourceUnavailable  # noqa: F401
 from repro.source_contract import SourceWrapper
-
-
-class BudgetedSource(SourceWrapper):
-    """Refuse accesses beyond an invocation-count or cost budget.
-
-    Names no ``spec_kind``: what it has spent depends on global call
-    order, so budgets ship per request instead (:func:`budgeted`).
-    """
-
-    def __init__(
-        self,
-        inner,
-        max_invocations: Optional[int] = None,
-        max_cost: Optional[float] = None,
-    ) -> None:
-        super().__init__(inner)
-        self.max_invocations = max_invocations
-        self.max_cost = max_cost
-        self.invocations = 0
-        self.spent = 0.0
-
-    def access(self, method_name: str, inputs: Sequence[object] = ()):
-        """Invoke an access method (see the class docstring)."""
-        cost = self.schema.method(method_name).cost
-        if (
-            self.max_invocations is not None
-            and self.invocations + 1 > self.max_invocations
-        ):
-            raise AccessBudgetExceeded(
-                f"invocation budget {self.max_invocations} exhausted",
-                method=method_name,
-                relation=self.schema.method(method_name).relation,
-                inputs=tuple(inputs),
-            )
-        if self.max_cost is not None and self.spent + cost > self.max_cost:
-            raise AccessBudgetExceeded(
-                f"cost budget {self.max_cost} exhausted "
-                f"(spent {self.spent}, next access costs {cost})",
-                method=method_name,
-                relation=self.schema.method(method_name).relation,
-                inputs=tuple(inputs),
-            )
-        self.invocations += 1
-        self.spent += cost
-        return self.inner.access(method_name, inputs)
-
-
-def budgeted(source, budget):
-    """``source`` under ``budget``'s access and cost ceilings, if it sets any.
-
-    The one place a :class:`~repro.exec.budget.ResourceBudget` becomes
-    a :class:`BudgetedSource`, in the service and in a worker alike.
-    """
-    if budget is None or (
-        budget.max_accesses is None and budget.max_cost is None
-    ):
-        return source
-    return BudgetedSource(source, budget.max_accesses, budget.max_cost)
 
 
 class LatencySource(SourceWrapper):

@@ -78,10 +78,6 @@ class AccessViolation(AccessError):
     """Data was requested in a way the schema forbids (caller bug)."""
 
 
-class AccessBudgetExceeded(AccessError):
-    """A budgeted source refused an access beyond its allowance."""
-
-
 class MethodOutage(AccessError):
     """A hard, permanent outage of one access method.  Not retryable."""
 
@@ -168,15 +164,15 @@ class NoViablePlan(ExecutionError):
 
 
 class RowBudgetExceeded(ExecutionError):
-    """A per-request row budget tripped during plan execution.
+    """A per-request result-row ceiling tripped during plan execution.
 
-    ``kind`` says which budget ("result" or "resident"); ``rows`` is the
-    observed row count and ``budget`` the configured ceiling.  Raised by
+    ``kind`` names the ceiling ("result"); ``rows`` is the observed row
+    count and ``budget`` the configured ceiling.  Raised by
     :meth:`Plan.execute <repro.plans.plan.Plan.execute>` when a
-    :class:`~repro.exec.budget.ResourceBudget` forbids the overflow
-    (resident-row overflows are always errors; result-row overflows only
-    with ``on_result_overflow="error"`` -- the default degrades to a
-    deterministically truncated, explicitly marked partial answer).
+    :class:`~repro.exec.budget.ResourceBudget` with
+    ``on_result_overflow="error"`` forbids the overflow -- the default
+    degrades to a deterministically truncated, explicitly marked
+    partial answer.
     """
 
     def __init__(
@@ -229,16 +225,16 @@ class PlanInadmissible(ServiceError):
     Raised by :meth:`QueryService.submit
     <repro.service.service.QueryService.submit>` *before any execution*
     when a :class:`~repro.cost.bounds.SizeBounds` analyzer proves a
-    finite worst-case ceiling on the plan's result (or resident) rows
-    and that ceiling already exceeds the request's strict
+    finite worst-case ceiling on the plan's result rows and that
+    ceiling already exceeds the request's strict
     :class:`~repro.exec.budget.ResourceBudget` row ceiling.  The
     rejection is conservative: the *bound* is proven, the overflow is
     worst-case -- but under an error-mode budget the run could not be
     guaranteed to complete, and rejecting at the door costs zero source
     invocations instead of a mid-plan :class:`RowBudgetExceeded`.
 
-    ``kind`` says which ceiling ("result" or "resident"), ``bound`` the
-    proven worst-case row count and ``ceiling`` the budget's limit.
+    ``kind`` names the ceiling ("result"), ``bound`` the proven
+    worst-case row count and ``ceiling`` the budget's limit.
     """
 
     def __init__(
@@ -292,7 +288,6 @@ class WorkerStalled(ServiceError):
 
 
 __all__ = [
-    "AccessBudgetExceeded",
     "AccessError",
     "AccessTimeout",
     "AccessViolation",

@@ -13,14 +13,14 @@ package makes *running* that plan cheap.  Four cooperating pieces:
   dispatch, smaller-side hash joins, selection/projection fusion,
   temp-table freeing) driven by :meth:`repro.plans.plan.Plan.execute`,
 * :class:`ExecStats` and :func:`run_request` -- the observability and
-  the one request runner (rebind, guard the source, execute) the
-  service and the worker tier share,
+  the one request runner (rebind, execute) the service and the worker
+  tier share,
 * :class:`ExecutionContext` (:mod:`repro.exec.context`) -- the cache,
-  stats, dispatcher and budget of one run: what
+  stats, dispatcher, budget and truncation count of one run: what
   ``Plan.execute`` takes besides the source, and ships to a worker,
-* :class:`ResourceBudget` (:mod:`repro.exec.budget`) -- per-request
-  row/access/cost ceilings; result overflow degrades to an explicitly
-  marked partial answer,
+* :class:`ResourceBudget` (:mod:`repro.exec.budget`) -- a frozen
+  result-row ceiling; overflow degrades to an explicitly marked
+  partial answer,
 * the fault-tolerance stack (:mod:`repro.exec.resilience`):
   :class:`RetryPolicy` (exponential backoff, deterministic jitter),
   :class:`Deadline`, per-method :class:`CircuitBreaker`\\ s, all driven

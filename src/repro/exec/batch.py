@@ -1,4 +1,4 @@
-"""One request, start to finish: rebind the plan, guard, execute.
+"""One request, start to finish: rebind the plan, execute.
 
 A deployed mediator does not run a plan once: it serves the same plan
 for many parameter values, or several alternative plans over the same
@@ -23,9 +23,8 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, Mapping, Optional
 
-from repro.data.decorators import budgeted
 from repro.exec.context import ExecutionContext
-from repro.logic.terms import Constant
+from repro.logic.terms import Constant, _to_constant
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
 from repro.plans.expressions import (
     EqConst,
@@ -39,15 +38,6 @@ from repro.plans.expressions import (
 from repro.plans.plan import Plan
 
 
-def _to_constant_map(mapping: Mapping[object, object]) -> Dict[Constant, Constant]:
-    coerced: Dict[Constant, Constant] = {}
-    for old, new in mapping.items():
-        old_c = old if isinstance(old, Constant) else Constant(old)
-        new_c = new if isinstance(new, Constant) else Constant(new)
-        coerced[old_c] = new_c
-    return coerced
-
-
 def substitute_constants(
     plan: Plan, mapping: Mapping[object, object]
 ) -> Plan:
@@ -59,19 +49,24 @@ def substitute_constants(
     attribute names are untouched.  A mapping that touches nothing
     returns the plan itself.
     """
-    substitute = _substitution(_to_constant_map(mapping))
+    substitute = _substitution(mapping)
     commands = tuple(map(substitute, plan.commands))
     if all(map(operator.is_, commands, plan.commands)):
         return plan
     return Plan(commands, plan.output_table, name=plan.name)
 
 
-def _substitution(subst: Dict[Constant, Constant]) -> Callable[[Command], Command]:
-    """Constants replaced per ``subst`` in one command.
+def _substitution(
+    mapping: Mapping[object, object]
+) -> Callable[[Command], Command]:
+    """Constants replaced per ``mapping`` (raw values coerced) in one command.
 
     Every untouched subtree, condition tuple and binding is shared, so a
     command that mentions none of the constants comes back as itself.
     """
+    subst: Dict[Constant, Constant] = {
+        _to_constant(old): _to_constant(new) for old, new in mapping.items()
+    }
 
     def _cells(cells):
         if not any(isinstance(c, Constant) and c in subst for c in cells):
@@ -132,23 +127,28 @@ def run_request(
     bindings: Optional[Mapping[object, object]],
     context: ExecutionContext,
 ) -> NamedTable:
-    """One request, start to finish: rebind, guard the source, execute.
+    """One request, start to finish: rebind, execute.
 
     The runner the service and the worker tier share; it runs the
     interpreter (the columnar engine is reached only through
     :meth:`Plan.execute <repro.plans.plan.Plan.execute>`).  The answer is
     the output table, truncated per the budget
     (``context.truncated_rows`` says by how much); every failure is a
-    typed :class:`~repro.errors.ReproError`.
+    typed :class:`~repro.errors.ReproError`.  Whether the rebound plan
+    answers the rebound query is the caller's to know (``docs/theory.md``,
+    "Rebinding a plan"): :meth:`QueryService.submit_query
+    <repro.service.service.QueryService.submit_query>` checks it,
+    :meth:`QueryService.submit <repro.service.service.QueryService.submit>`
+    and this runner do not.
     """
     if bindings:
         # Bind the plan's memoised executable form, not the plan: the
         # substitution commutes with the rewrite (it changes constants,
         # never attributes), so the rewrite is not run again.
         form = plan.executable()
-        substitute = _substitution(_to_constant_map(bindings))
+        substitute = _substitution(bindings)
         plan = Plan.from_executable(
             form._replace(commands=tuple(map(substitute, form.commands))),
             plan.name,
         )
-    return plan.execute(budgeted(source, context.budget), context)
+    return plan.execute(source, context)

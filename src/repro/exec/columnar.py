@@ -35,8 +35,8 @@ deduplicated exactly where the interpreter's ``frozenset`` semantics
 deduplicate), so every intermediate table has the same cardinality the
 interpreter sees -- which is what makes the shared
 :class:`~repro.exec.stats.ExecStats` accounting, the
-:class:`~repro.exec.budget.ResourceBudget` resident/result checks and
-the deterministic truncation prefix *identical* across backends.
+:class:`~repro.exec.budget.ResourceBudget` result check and the
+deterministic truncation prefix *identical* across backends.
 
 Access commands are columnar on the input side only: the input
 expression is evaluated columnar, the distinct binding tuples are
@@ -707,28 +707,23 @@ def execute_differential(
 ) -> NamedTable:
     """Run columnar AND interpreter, assert identical sorted answers.
 
-    The columnar backend is the measured run (it gets the context's
-    ``stats`` and ``budget``); the interpreter replays as the oracle
-    with a fresh copy of the budget and the *same* access cache -- when
-    the context has none a private one is created for the pair of runs,
-    so the oracle's accesses are answered from memory instead of
-    re-invoking (and re-charging) the source.  Answers are compared as
+    The columnar backend is the measured run (its ``stats`` and
+    ``truncated_rows`` are the context's); the interpreter replays as
+    the oracle under a context of its own with the same budget and the
+    *same* access cache -- when the context has none a private one is
+    created for the pair of runs, so the oracle's accesses are answered
+    from memory instead of re-invoking (and re-charging) the source.  Answers are compared as
     sorted row lists plus attribute tuples -- byte-identical output --
     and budget truncation must have dropped the same row count.  A
     mismatch raises :class:`DifferentialMismatch`; this mode is for
     verification, not performance.
     """
     context = context if context is not None else ExecutionContext()
-    budget = context.budget
     measured = replace(
         context,
         cache=context.cache if context.cache is not None else AccessCache(),
     )
-    oracle = replace(
-        measured,
-        stats=None,
-        budget=budget.fresh() if budget is not None else None,
-    )
+    oracle = replace(measured, stats=None)
     columnar_output = compile_columnar(plan).execute(source, measured)
     oracle_output = plan.execute(source, oracle)
     if columnar_output.attributes != oracle_output.attributes:
@@ -743,10 +738,11 @@ def execute_differential(
             f"rows) differs from the interpreter oracle "
             f"({len(oracle_output.rows)} rows)"
         )
-    if budget is not None and budget.truncated_rows != oracle.truncated_rows:
+    if measured.truncated_rows != oracle.truncated_rows:
         raise DifferentialMismatch(
             f"plan {plan.name}: columnar truncated "
-            f"{budget.truncated_rows} rows, interpreter "
+            f"{measured.truncated_rows} rows, interpreter "
             f"{oracle.truncated_rows}"
         )
+    context.truncated_rows = measured.truncated_rows
     return columnar_output

@@ -16,18 +16,20 @@ are locked, and both are monotone observations of a deterministic
 source (``docs/theory.md``, "One execution context"), so sharing them
 changes what a request pays, never what it answers.  Everything else
 is one request's own and is written without a lock: ``stats``, the
-``resilience`` dispatcher (its counters, its deadline), the ``budget``
-(it records truncation) and ``command_stats``,
-which the command loop points at the record of the command now running.
+``resilience`` dispatcher (its counters, its deadline),
+``truncated_rows`` (the result rows the budget dropped) and
+``command_stats``, which the command loop points at the record of the
+command now running.  The ``budget`` is frozen configuration: any
+number of runs may share one.
 
 **Wire form.**  :meth:`ExecutionContext.to_payload` writes the fields
 named in ``wire_fields``, a dataclass among them by its own scalar
 fields; :meth:`ExecutionContext.from_payload` reads them back, every
-key optional.  The cache, the breakers, the sleep callable and the
-stats object are process-local and do not cross.  The
-deadline crosses as the seconds *remaining* when the payload was
-written and restarts on the receiver's clock: two processes share no
-clock to read a timestamp on.
+key optional.  The cache, the breakers, the sleep callable, the
+stats object and the run's outcomes are process-local and do not
+cross.  The deadline crosses as the seconds *remaining* when the
+payload was written and restarts on the receiver's clock: two
+processes share no clock to read a timestamp on.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ class ExecutionContext:
     command_stats: Optional[CommandStats] = field(
         default=None, init=False, repr=False
     )
+    #: Result rows the budget dropped from this run's answer.
+    truncated_rows: int = field(default=0, init=False)
 
     #: The keys :meth:`to_payload` writes, in order.
     wire_fields: ClassVar[Tuple[str, ...]] = (
@@ -85,11 +89,6 @@ class ExecutionContext:
         """The stop check before command ``index``: the deadline."""
         if self.resilience is not None:
             self.resilience.check_deadline(f"command #{index}")
-
-    @property
-    def truncated_rows(self) -> int:
-        """Result rows the budget dropped (0 without a budget)."""
-        return self.budget.truncated_rows if self.budget is not None else 0
 
     @property
     def collect_stats(self) -> bool:

@@ -126,10 +126,12 @@ class Plan:
             flow and the dispatch breakdown; its ``resilience``
             dispatcher puts every access under retry/backoff, a
             per-method circuit breaker and the run's deadline; its
-            ``budget`` caps resident rows (an error) and result rows
-            (truncated to a deterministic prefix, or an error, per its
-            overflow policy).  :func:`run_commands` checks the
-            deadline before every command, whichever engine runs it.
+            ``budget`` caps result rows (truncated to a deterministic
+            prefix, or an error, per its overflow policy), and the
+            rows dropped are written to the context's
+            ``truncated_rows``.
+            :func:`run_commands` checks the deadline before every
+            command, whichever engine runs it.
         ``executor``
             which backend runs the plan.  ``"interpreter"`` (the
             default) evaluates the commands of :meth:`executable` as
@@ -261,12 +263,13 @@ def run_commands(
     their ``last_read`` map, the ``env`` they fill, how to count one of
     its tables' rows and, if they are not :class:`NamedTable`, how to
     ``decode`` the output.  Before each command the context's stop check
-    runs; after it the resident rows are noted and checked against the
-    budget and every table whose last reader has run is dropped.  A
-    command's record is added to the run's totals when the command ends,
-    whether it returned or raised.
+    runs; after it the resident rows are noted and every table whose
+    last reader has run is dropped.  A command's record is added to the
+    run's totals when the command ends, whether it returned or raised.
+    The output passes the context's budget, and the rows it dropped are
+    the context's ``truncated_rows``.
     """
-    stats, budget = context.stats, context.budget
+    stats = context.stats
     frees = _free_schedule(commands, output_table, last_read)
     record = None
     started = perf_counter()
@@ -288,12 +291,8 @@ def run_commands(
             if record is not None:
                 record.wall_time = perf_counter() - command_started
                 stats.count(record)
-        if stats is not None or budget is not None:
-            resident = sum(map(row_count, env.values()))
-            if stats is not None:
-                stats.note_resident(resident)
-            if budget is not None:
-                budget.check_resident(resident)
+        if stats is not None:
+            stats.note_resident(sum(map(row_count, env.values())))
         freed = 0
         for table in frees.get(index, ()):
             if table in env:
@@ -304,8 +303,8 @@ def run_commands(
     output = env[output_table]
     if decode is not None:
         output = decode(output)
-    if budget is not None:
-        output = budget.admit_result(output)
+    if context.budget is not None:
+        output, context.truncated_rows = context.budget.admit_result(output)
     if stats is not None:
         stats.wall_time += perf_counter() - started
         stats.runs += 1

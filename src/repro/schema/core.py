@@ -115,6 +115,7 @@ class Schema:
     ) -> None:
         self._fingerprint: Optional[str] = None
         self._chase_policy: Optional[ChasePolicy] = None
+        self._constraint_constants: Optional[FrozenSet[Constant]] = None
         self._axioms: Dict[Variant, AxiomSystem] = {}
         self.name = name
         self._relations: Dict[str, Relation] = {}
@@ -135,14 +136,15 @@ class Schema:
     def __setattr__(self, attribute: str, value: object) -> None:
         # What fingerprint() memoises is a digest of these three and the
         # declarations, axioms() derives from the same, and
-        # chase_policy() reads the constraints: assigning one drops the
-        # memo.
+        # chase_policy() and constraint_constants() read the
+        # constraints: assigning one drops the memo.
         object.__setattr__(self, attribute, value)
         if attribute in ("name", "constants", "constraints"):
             object.__setattr__(self, "_fingerprint", None)
             object.__setattr__(self, "_axioms", {})
         if attribute == "constraints":
             object.__setattr__(self, "_chase_policy", None)
+            object.__setattr__(self, "_constraint_constants", None)
 
     def _add_method(self, method: AccessMethod) -> None:
         relation = self._relations.get(method.relation)
@@ -322,6 +324,25 @@ class Schema:
                 policy = ChasePolicy(max_depth=8, max_work=20_000)
             self._chase_policy = policy
         return policy
+
+    def constraint_constants(self) -> FrozenSet[Constant]:
+        """The constants the constraints mention, kept like
+        :meth:`chase_policy`.
+
+        Renaming a constant in a plan gives a plan for the query with
+        that constant renamed only when no constraint mentions it
+        (``docs/theory.md``, "Rebinding a plan"); the service asks for
+        this set on every bound query request.
+        """
+        found = self._constraint_constants
+        if found is None:
+            found = self._constraint_constants = frozenset(
+                constant
+                for tgd in self.constraints
+                for atom in tgd.body + tgd.head
+                for constant in atom.constants()
+            )
+        return found
 
     # ------------------------------------------------------- properties
     @property

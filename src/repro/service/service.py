@@ -22,12 +22,11 @@ correct and responsive no matter the offered load:
   arrivals may preempt queued best-effort work.
 * **per-request governance** -- each request runs under its own
   deadline (measured from *admission*, so planning and time spent
-  queued count) and :class:`~repro.exec.budget.ResourceBudget` (row
-  budgets inside :meth:`Plan.execute <repro.plans.plan.Plan.execute>`,
-  access/cost budgets via
-  :class:`~repro.data.decorators.BudgetedSource`), so one pathological
-  request degrades to a typed error or an explicitly marked partial
-  answer instead of starving the pool.
+  queued count) and :class:`~repro.exec.budget.ResourceBudget` (a
+  result-row ceiling inside
+  :meth:`Plan.execute <repro.plans.plan.Plan.execute>`), so one
+  pathological request degrades to a typed error or an explicitly
+  marked partial answer instead of starving the pool.
 * **isolation of mutable state** -- workers share only lock-protected
   structures; every request gets its own
   :class:`~repro.exec.resilience.ResilientDispatcher` (built over the
@@ -55,10 +54,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.cost.bounds import SizeBounds
-from repro.data.instance import _to_constant
 from repro.errors import (
     DeadlineExceeded,
     ExecutionError,
@@ -82,6 +80,7 @@ from repro.exec.resilience import (
 from repro.exec.stats import ExecStats
 from repro.logic.atoms import Atom
 from repro.logic.queries import ConjunctiveQuery
+from repro.logic.terms import _to_constant
 from repro.obs import PER_RUN, Record
 from repro.planner.plan_cache import PlanCache, canonical_query_text, plan_cache_key
 from repro.planner.search import (
@@ -91,6 +90,7 @@ from repro.planner.search import (
 )
 from repro.plans.ir import table_from_ir
 from repro.plans.plan import Plan
+from repro.schema.core import Schema
 from repro.service.admission import AdmissionQueue
 from repro.service.workers import (
     LatencyTracker,
@@ -243,7 +243,6 @@ class QueryService:
         cache: Optional[AccessCache] = None,
         retry: Optional[RetryPolicy] = None,
         default_deadline: Optional[float] = None,
-        default_budget: Optional[ResourceBudget] = None,
         clock=time.monotonic,
         name: str = "service",
         worker_pool: Optional[ProcessWorkerPool] = None,
@@ -271,7 +270,6 @@ class QueryService:
         self.retry = retry
         self.breakers = BreakerRegistry(clock=clock)
         self.default_deadline = default_deadline
-        self.default_budget = default_budget
         self.clock = clock
         self._sleep = getattr(clock, "sleep", None)
         self.name = name
@@ -390,6 +388,9 @@ class QueryService:
         ``rejected``.  A lower-priority ticket preempted by this
         admission is resolved with the same typed overload error and
         counts as ``shed`` -- every submitted request is accounted for.
+        Whether ``plan`` with ``bindings`` applied answers the query the
+        caller means is the caller's to know (``docs/theory.md``,
+        "Rebinding a plan"); :meth:`submit_query` checks it.
         """
         ticket = self._admit(
             bindings=bindings,
@@ -413,17 +414,14 @@ class QueryService:
     ) -> Ticket:
         """The door every submission passes, before any planning.
 
-        Mints the request's id, gives it a fresh copy of the default
-        budget and starts its deadline on the service clock; the
-        request's ``plan`` is ``None`` until planned.  The returned
-        ticket is held by the calling thread (it counts as in flight)
-        until :meth:`_enqueue` or :meth:`_finish` takes it.  Raises
+        Mints the request's id and starts its deadline on the service
+        clock; the request's ``plan`` is ``None`` until planned.  The
+        returned ticket is held by the calling thread (it counts as in
+        flight) until :meth:`_enqueue` or :meth:`_finish` takes it.  Raises
         :class:`~repro.errors.ServiceStopped`, counted as rejected,
         when the service is not accepting.
         """
         seconds = deadline if deadline is not None else self.default_deadline
-        if budget is None and self.default_budget is not None:
-            budget = self.default_budget.fresh()
         request = QueryRequest(
             plan=None,
             bindings=bindings,
@@ -586,9 +584,18 @@ class QueryService:
         :class:`~repro.errors.NoViablePlan` when no plan avoids the
         dead methods.
         """
+        return self._plan(query, search_options, self.source.schema)
+
+    def _plan(
+        self,
+        query: ConjunctiveQuery,
+        search_options: Optional[SearchOptions],
+        schema: Schema,
+    ) -> Plan:
+        """:meth:`plan_for` over ``schema``: the source's, or it with a
+        request's bound values added as constants."""
         options = search_options if search_options is not None else SearchOptions()
         dead = self.current_dead_methods()
-        schema = self.source.schema
         key = None
         if self.plan_cache is not None and not options.stop_on_first:
             # The key is asked for before any search, so the degraded
@@ -636,7 +643,11 @@ class QueryService:
         then planned by :meth:`plan_for` in the submitting thread (so
         back-to-back calls search serially), then queued exactly as
         :meth:`submit` queues a plan.  With a warm :class:`PlanCache`
-        the search step disappears and only execution remains.
+        the search step disappears and only execution remains.  Bindings
+        rewrite the plan of ``query`` where that is sound; where a
+        binding renames a constant a constraint mentions, or merges two
+        of the query's constants, the bound query is planned instead
+        (:meth:`_rebound`).
 
         A request that cannot be queued is resolved on the spot, typed
         and accounted like any served request: the search found no plan
@@ -652,13 +663,16 @@ class QueryService:
         """
         ticket = self._admit(**kwargs)
         try:
-            ticket.request.plan = self.plan_for(
-                query, search_options=search_options
+            query, schema = self._rebound(query, ticket.request)
+            ticket.request.plan = (
+                self.plan_for(query, search_options=search_options)
+                if schema is self.source.schema
+                else self._plan(query, search_options, schema)
             )
             if ticket.deadline is not None:
                 ticket.deadline.check("planning")
         except NoViablePlan:
-            response = self._accessible_part(ticket, query)
+            response = self._accessible_part(ticket, query, schema)
         except Exception as error:  # resolved typed, never raised
             response = QueryResponse(
                 ticket.request.request_id,
@@ -713,8 +727,48 @@ class QueryService:
                 return response
             failovers += 1
 
+    def _rebound(
+        self, query: ConjunctiveQuery, request: QueryRequest
+    ) -> Tuple[ConjunctiveQuery, Schema]:
+        """The query to plan for a bound request, and the schema to plan
+        it over.
+
+        The request's bindings are coerced to constants once, here.  The
+        plan cached for ``query`` answers the bound query once its
+        constants are rewritten (``docs/theory.md``, "Rebinding a plan")
+        unless a binding renames a constant some constraint mentions, or
+        merges two constants of the query.  Then the bound query itself
+        is planned, over the schema with the bound values added as
+        constants (the request supplies them), and the request keeps no
+        bindings.
+        """
+        schema = self.source.schema
+        if not request.bindings:
+            return query, schema
+        mapping = request.bindings = {
+            _to_constant(key): _to_constant(value)
+            for key, value in request.bindings.items()
+        }
+        constants = query.constants()
+        if mapping.keys().isdisjoint(schema.constraint_constants()) and len(
+            {mapping.get(c, c) for c in constants}
+        ) == len(constants):
+            return query, schema
+        request.bindings = None
+        supplied = [
+            value for value in dict.fromkeys(mapping.values())
+            if value not in schema.constants
+        ]
+        return self._bind_query(query, mapping), Schema(
+            schema.relations,
+            schema.methods,
+            schema.constants + tuple(supplied),
+            schema.constraints,
+            name=schema.name,
+        )
+
     def _accessible_part(
-        self, ticket: Ticket, query: ConjunctiveQuery
+        self, ticket: Ticket, query: ConjunctiveQuery, schema: Schema
     ) -> QueryResponse:
         """Answer a no-viable-plan query from the accessible part, marked.
 
@@ -727,20 +781,20 @@ class QueryService:
         deadline is a typed :class:`~repro.errors.DeadlineExceeded`.
         """
         request = ticket.request
-        budget = request.budget
         table = failure = None
+        truncated = 0
         started = perf_counter()
         try:
             table = accessible_answer(
-                self.source.schema,
+                schema,
                 self.source.instance,
                 self._bind_query(query, request.bindings),
                 self.current_dead_methods(),
             )
             if ticket.deadline is not None:
                 ticket.deadline.check("the accessible-part fallback")
-            if budget is not None:
-                table = budget.admit_result(table)
+            if request.budget is not None:
+                table, truncated = request.budget.admit_result(table)
         except Exception as error:  # resolved typed, never raised
             table = None
             failure = _typed(error, "unexpected accessible-part failure")
@@ -749,7 +803,7 @@ class QueryService:
             table=table,
             error=failure,
             partial=failure is None,
-            truncated_rows=budget.truncated_rows if budget is not None else 0,
+            truncated_rows=truncated,
             degraded=True,
             wall_time=perf_counter() - started,
         )
@@ -876,9 +930,9 @@ class QueryService:
         It crosses as data -- plan IR, term-IR bindings, the context's
         wire form -- and the answer comes back as sorted rows plus a
         stats dict (also on failure), which becomes ``context.stats``,
-        and a truncation count for ``context.budget``.  The deadline is
-        enforced twice: by the worker on its own clock (an expired
-        request frees its slot) and here as the wait
+        and a truncation count, which becomes ``context.truncated_rows``.
+        The deadline is enforced twice: by the worker on its own clock
+        (an expired request frees its slot) and here as the wait
         timeout.  A tier-level failure (killed worker, timeout) or the
         typed error a worker reported is raised, on this request only.
         """
@@ -901,8 +955,7 @@ class QueryService:
             context.stats = ExecStats.from_dict(result["stats"])
         if not result.get("ok"):
             raise rebuild_error(result)
-        if context.budget is not None:
-            context.budget.truncated_rows = int(result.get("truncated", 0))
+        context.truncated_rows = int(result.get("truncated", 0))
         return table_from_ir(result["table"])
 
     def _observe_outage(self, method: str) -> None:

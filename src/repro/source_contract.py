@@ -363,7 +363,7 @@ class SourceWrapper(Specable):
 
     #: Never delegate the batch endpoint: a wrapper that intercepts
     #: ``access`` but silently forwarded ``access_batch`` would let the
-    #: batch path route around its pacing/budgeting/fault logic.
+    #: batch path route around its pacing/fault logic.
     #: Wrappers that can batch safely override this with a real method.
     access_batch = None
 

@@ -1,4 +1,7 @@
-"""Resource budgets: row ceilings, marked truncation, Plan.execute wiring."""
+"""Resource budgets: the result-row ceiling, marked truncation,
+Plan.execute wiring."""
+
+import dataclasses
 
 import pytest
 
@@ -47,26 +50,23 @@ def scan_plan():
 
 
 class TestBudgetUnit:
-    def test_resident_overflow_is_typed(self):
-        budget = ResourceBudget(max_resident_rows=5)
-        budget.check_resident(5)  # at the ceiling is fine
-        with pytest.raises(RowBudgetExceeded) as info:
-            budget.check_resident(6)
-        assert info.value.kind == "resident"
-        assert info.value.rows == 6
-        assert info.value.budget == 5
+    def test_a_budget_is_two_frozen_fields(self):
+        assert [f.name for f in dataclasses.fields(ResourceBudget)] == [
+            "max_result_rows", "on_result_overflow",
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ResourceBudget().max_result_rows = 1
 
     def test_truncation_is_a_deterministic_prefix(self):
         table = NamedTable.from_rows(
             ("x",), [(Constant(c),) for c in "fbdace"]
         )
         budget = ResourceBudget(max_result_rows=3)
-        kept = budget.admit_result(table)
+        kept, dropped = budget.admit_result(table)
         assert kept.rows == frozenset(sorted(table.rows)[:3])
-        assert budget.truncated_rows == 3
-        assert budget.truncated
+        assert dropped == 3
         # Re-admitting the same table truncates identically.
-        assert budget.fresh().admit_result(table).rows == kept.rows
+        assert budget.admit_result(table) == (kept, 3)
 
     def test_error_policy_raises_instead(self):
         table = NamedTable.from_rows(
@@ -76,18 +76,14 @@ class TestBudgetUnit:
         with pytest.raises(RowBudgetExceeded) as info:
             budget.admit_result(table)
         assert info.value.kind == "result"
+        assert (info.value.rows, info.value.budget) == (2, 1)
 
     def test_within_budget_is_untouched(self):
         table = NamedTable.from_rows(("x",), [(Constant("a"),)])
         budget = ResourceBudget(max_result_rows=5)
-        assert budget.admit_result(table) is table
-        assert not budget.truncated
-
-    def test_fresh_resets_outcome_not_ceilings(self):
-        budget = ResourceBudget(max_result_rows=1, truncated_rows=9)
-        clean = budget.fresh()
-        assert clean.truncated_rows == 0
-        assert clean.max_result_rows == 1
+        kept, dropped = budget.admit_result(table)
+        assert kept is table
+        assert dropped == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,36 +91,39 @@ class TestBudgetUnit:
         with pytest.raises(ValueError):
             ResourceBudget(on_result_overflow="explode")
         shipped = ExecutionContext(budget=ResourceBudget()).to_payload()
-        assert "max_result_rows" in shipped["budget"]
+        assert set(shipped["budget"]) == {
+            "max_result_rows", "on_result_overflow",
+        }
 
 
 class TestPlanExecuteWiring:
     def test_result_budget_truncates_plan_output(self, source):
-        budget = ResourceBudget(max_result_rows=2)
-        out = scan_plan().execute(source, ExecutionContext(budget=budget))
+        context = ExecutionContext(budget=ResourceBudget(max_result_rows=2))
+        out = scan_plan().execute(source, context)
         assert len(out.rows) == 2
-        assert budget.truncated_rows == 4
+        assert context.truncated_rows == 4
         # The kept rows are the deterministic sorted prefix.
         full = scan_plan().execute(source)
         assert out.rows == frozenset(sorted(full.rows)[:2])
 
-    def test_resident_budget_aborts_plan(self, source):
-        with pytest.raises(RowBudgetExceeded):
-            scan_plan().execute(
-                source,
-                ExecutionContext(budget=ResourceBudget(max_resident_rows=2)),
-            )
+    def test_one_budget_under_two_contexts_records_each_run(self, source):
+        budget = ResourceBudget(max_result_rows=5)
+        first = ExecutionContext(budget=budget)
+        second = ExecutionContext(budget=budget)
+        scan_plan().execute(source, first)
+        scan_plan().execute(source, second)
+        assert first.truncated_rows == second.truncated_rows == 1
+        assert budget == ResourceBudget(max_result_rows=5)
 
     def test_budget_and_stats_compose(self, source):
         stats = ExecStats()
-        budget = ResourceBudget(max_result_rows=100)
-        out = scan_plan().execute(
-            source,
-            ExecutionContext(stats=stats, budget=budget),
+        context = ExecutionContext(
+            stats=stats, budget=ResourceBudget(max_result_rows=100)
         )
+        out = scan_plan().execute(source, context)
         assert len(out.rows) == 6
         assert stats.peak_resident_rows == 6
-        assert not budget.truncated
+        assert context.truncated_rows == 0
 
     def test_no_budget_is_the_fast_path(self, source):
         assert len(scan_plan().execute(source).rows) == 6
@@ -136,36 +135,24 @@ class TestColumnarBudgetParity:
     output through the identical ``admit_result`` path."""
 
     def test_same_prefix_and_truncated_count(self, source):
-        interp_budget = ResourceBudget(max_result_rows=2)
-        columnar_budget = ResourceBudget(max_result_rows=2)
-        interp = scan_plan().execute(
-            source,
-            ExecutionContext(budget=interp_budget),
-        )
+        budget = ResourceBudget(max_result_rows=2)
+        interp_context = ExecutionContext(budget=budget)
+        columnar_context = ExecutionContext(budget=budget)
+        interp = scan_plan().execute(source, interp_context)
         columnar = scan_plan().execute(
-            source,
-            ExecutionContext(budget=columnar_budget),
-            executor="columnar",
+            source, columnar_context, executor="columnar"
         )
         assert columnar.rows == interp.rows
-        assert columnar_budget.truncated_rows == interp_budget.truncated_rows == 4
+        assert (
+            columnar_context.truncated_rows
+            == interp_context.truncated_rows
+            == 4
+        )
         full = scan_plan().execute(source)
         assert columnar.rows == frozenset(sorted(full.rows)[:2])
 
     def test_differential_checks_truncation_too(self, source):
-        budget = ResourceBudget(max_result_rows=2)
-        out = scan_plan().execute(
-            source,
-            ExecutionContext(budget=budget),
-            executor="differential",
-        )
+        context = ExecutionContext(budget=ResourceBudget(max_result_rows=2))
+        out = scan_plan().execute(source, context, executor="differential")
         assert len(out.rows) == 2
-        assert budget.truncated_rows == 4
-
-    def test_resident_budget_aborts_columnar_too(self, source):
-        with pytest.raises(RowBudgetExceeded):
-            scan_plan().execute(
-                source,
-                ExecutionContext(budget=ResourceBudget(max_resident_rows=2)),
-                executor="columnar",
-            )
+        assert context.truncated_rows == 4

@@ -368,18 +368,12 @@ class TestRuntimeContract:
 
     def test_budget_truncation_parity(self, source):
         plan = Plan((scan_r(),), "T_R")
-        bi, bc = (
-            ResourceBudget(max_result_rows=5),
-            ResourceBudget(max_result_rows=5),
-        )
-        interp = plan.execute(source, ExecutionContext(budget=bi))
-        columnar = plan.execute(
-            source,
-            ExecutionContext(budget=bc),
-            executor="columnar",
-        )
+        budget = ResourceBudget(max_result_rows=5)
+        ci, cc = ExecutionContext(budget=budget), ExecutionContext(budget=budget)
+        interp = plan.execute(source, ci)
+        columnar = plan.execute(source, cc, executor="columnar")
         assert columnar.rows == interp.rows
-        assert bc.truncated_rows == bi.truncated_rows > 0
+        assert cc.truncated_rows == ci.truncated_rows > 0
 
     def test_differential_mode_passes_and_returns_answer(self, source):
         plan = Plan((scan_r(),), "T_R")

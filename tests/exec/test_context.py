@@ -76,13 +76,7 @@ def full_context():
             deadline=Deadline(2.5, clock=lambda: 100.0),
             sleep=lambda seconds: None,
         ),
-        budget=ResourceBudget(
-            max_result_rows=10,
-            max_resident_rows=1000,
-            max_accesses=50,
-            max_cost=75.5,
-            on_result_overflow="error",
-        ),
+        budget=ResourceBudget(max_result_rows=10, on_result_overflow="error"),
     )
 
 
@@ -94,7 +88,9 @@ def test_wire_form_is_the_golden_file():
 
 
 def test_what_is_process_local_stays_behind():
-    payload = full_context().to_payload()
+    context = full_context()
+    context.truncated_rows = 3  # one run's outcome, not configuration
+    payload = context.to_payload()
     json.dumps(payload)  # plain data: no cache, breakers, sleep
     assert set(payload) == {"collect_stats", "budget", "retry", "deadline"}
     assert "retry_on" not in payload["retry"]  # a tuple of classes
@@ -104,6 +100,7 @@ def test_what_is_process_local_stays_behind():
     rebuilt = ExecutionContext.from_payload(payload)
     assert rebuilt.cache is None
     assert rebuilt.resilience.sleep is None
+    assert rebuilt.truncated_rows == 0
     assert rebuilt.stats is not full_context().stats
 
 
@@ -113,9 +110,6 @@ budgets = st.one_of(
     st.builds(
         ResourceBudget,
         max_result_rows=st.none() | st.integers(0, 10**6),
-        max_resident_rows=st.none() | st.integers(0, 10**6),
-        max_accesses=st.none() | st.integers(0, 10**6),
-        max_cost=st.none() | st.floats(0, 1e9),
         on_result_overflow=st.sampled_from(["truncate", "error"]),
     ),
 )
@@ -151,7 +145,7 @@ def test_payload_round_trip(budget, retry, seconds):
     )
     got = ExecutionContext.from_payload(json.loads(json.dumps(sent.to_payload())))
     assert got.stats is not None and got.stats is not sent.stats
-    assert got.budget == budget  # ceilings, overflow policy, truncation
+    assert got.budget == budget  # the ceiling and the overflow policy
     assert got.budget is None or got.budget is not budget
     assert got.retry == retry
     if retry is not None:
@@ -215,12 +209,11 @@ def run_the_runners(scenario, plan, engine, budget):
     """
     instance = scenario.instance(0)
     fresh = lambda: InMemorySource(scenario.schema, instance)
-    stamp = lambda: budget.fresh() if budget is not None else None
     seen = {}
 
     source = fresh()
     with QueryService(source, workers=1) as service:
-        response = service.submit(plan, budget=stamp()).result(30)
+        response = service.submit(plan, budget=budget).result(30)
     assert response.ok, response.error
     seen["service"] = (
         sorted(response.table.rows), response.truncated_rows,
@@ -235,7 +228,7 @@ def run_the_runners(scenario, plan, engine, budget):
     ):
         source = fresh()
         context = ExecutionContext(
-            stats=ExecStats(), resilience=resilience, budget=stamp()
+            stats=ExecStats(), resilience=resilience, budget=budget
         )
         result = execute_payload(
             source,
@@ -250,7 +243,7 @@ def run_the_runners(scenario, plan, engine, budget):
         )
 
     source = fresh()
-    context = ExecutionContext(stats=ExecStats(), budget=stamp())
+    context = ExecutionContext(stats=ExecStats(), budget=budget)
     table = run_request(source, plan, None, context)
     seen["direct"] = (
         sorted(table.rows), context.truncated_rows,
@@ -258,7 +251,7 @@ def run_the_runners(scenario, plan, engine, budget):
     )
 
     source = fresh()
-    context = ExecutionContext(stats=ExecStats(), budget=stamp())
+    context = ExecutionContext(stats=ExecStats(), budget=budget)
     table = plan.execute(source, context, executor=engine)
     seen["Plan.execute"] = (
         sorted(table.rows), context.truncated_rows,
@@ -335,13 +328,13 @@ def test_the_signatures_take_the_context():
         assert parameters(command.execute) == ["env", "source", "context"]
     with pytest.raises(TypeError):
         Plan.execute(None, None, cache=AccessCache())
-    # 19 -> 16 -> 14 -> 12 settable values: the source and eleven
+    # 19 -> 16 -> 14 -> 12 -> 11 settable values: the source and ten
     # keywords (the breakers and the backoff sleep derive from
-    # ``clock``; the service runs the interpreter and feeds no cost
-    # model).
+    # ``clock``; the service runs the interpreter, feeds no cost model
+    # and shares a frozen budget as it is passed).
     assert parameters(QueryService.__init__) == [
         "source", "workers", "max_queue", "cache", "retry",
-        "default_deadline", "default_budget", "clock", "name",
+        "default_deadline", "clock", "name",
         "worker_pool", "plan_cache", "size_bounds",
     ]
     # In memory, one observation of evidence: nothing to set.

@@ -227,15 +227,18 @@ class TestDegradedAnswersAreGoverned:
             health = service.health()
             assert health.served == 3 and health.failed == 2
 
-    def test_the_default_budget_applies_as_in_submit(self):
-        template = ResourceBudget(max_result_rows=2)
-        with self.degraded_service(default_budget=template) as service:
+    def test_a_shared_budget_applies_as_in_submit(self):
+        budget = ResourceBudget(max_result_rows=2)
+        with self.degraded_service() as service:
             service.serve_query(LOOKUP_QUERY)
-            response = service.submit_query(LOOKUP_QUERY).result(10)
-            assert len(response.table.rows) == 2
-            assert response.truncated_rows == 4
-            # A fresh copy per request: the template is never written.
-            assert template.truncated_rows == 0
+            for _ in range(2):
+                response = service.submit_query(
+                    LOOKUP_QUERY, budget=budget
+                ).result(10)
+                # Each answer reports its own truncation: the budget
+                # is configuration and records nothing.
+                assert len(response.table.rows) == 2
+                assert response.truncated_rows == 4
 
     def test_an_expired_deadline_is_a_typed_error(self):
         with self.degraded_service() as service:

@@ -18,13 +18,13 @@ import pytest
 from repro.data.decorators import LatencySource
 from repro.data.source import InMemorySource
 from repro.errors import (
-    AccessBudgetExceeded,
     DeadlineExceeded,
     RowBudgetExceeded,
     ServiceOverloaded,
     ServiceStopped,
 )
 from repro.exec import AccessCache, ResourceBudget, RetryPolicy
+from repro.exec.budget import ERROR
 from repro.faults import FaultInjectingSource, FaultPolicy, VirtualClock
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import (
@@ -163,36 +163,17 @@ def test_result_budget_degrades_to_marked_partial(served):
     assert again.table.rows == response.table.rows
 
 
-def test_default_budget_template_is_per_request(served):
+def test_error_budget_fails_typed(served):
     service, plan, reference = served
-    service.default_budget = ResourceBudget(max_result_rows=1)
-    try:
-        first = service.serve(plan, timeout=10)
-        second = service.serve(plan, timeout=10)
-    finally:
-        service.default_budget = None
-    assert first.partial and second.partial
-    # Each request got a fresh copy: counts do not accumulate.
-    assert first.truncated_rows == second.truncated_rows
-
-
-def test_resident_budget_fails_typed(served):
-    service, plan, _ = served
     response = service.serve(
-        plan, budget=ResourceBudget(max_resident_rows=0), timeout=10
+        plan,
+        budget=ResourceBudget(max_result_rows=0, on_result_overflow=ERROR),
+        timeout=10,
     )
     assert not response.ok
     assert isinstance(response.error, RowBudgetExceeded)
-    assert response.error.kind == "resident"
-
-
-def test_access_budget_fails_typed(served):
-    service, plan, _ = served
-    response = service.serve(
-        plan, budget=ResourceBudget(max_accesses=0), timeout=10
-    )
-    assert not response.ok
-    assert isinstance(response.error, AccessBudgetExceeded)
+    assert response.error.kind == "result"
+    assert response.error.rows == len(reference.rows)
 
 
 def test_deadline_covers_queue_time():

@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.data.decorators import (
-    BudgetedSource,
     HedgedSource,
     LatencySource,
     StormyLatencySource,
@@ -32,6 +31,7 @@ from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.scenarios import example1
 from repro.service import SourceSpecError, source_to_spec, spec_to_source
 from repro.service.workers import SPEC_CLASSES
+from repro.source_contract import SourceWrapper
 from repro.sources import (
     HTTPSource,
     PacedSource,
@@ -95,9 +95,13 @@ CASES = {
     ),
 }
 
+class Undeclared(SourceWrapper):
+    """Intercepts nothing and names no ``spec_kind``."""
+
+
 #: Every wrapper class, spec-able or not, over an in-memory source.
 WRAPPERS = {
-    "budgeted": lambda: BudgetedSource(memory(), max_invocations=5),
+    "undeclared": lambda: Undeclared(memory()),
     **{
         name: CASES[name]
         for name in (
@@ -200,17 +204,12 @@ def test_a_process_importing_only_the_worker_module_rehydrates_every_spec():
 
 class TestNotSpecable:
     def test_a_wrapper_that_declares_no_kind_is_refused_by_the_base(self):
-        from repro.source_contract import SourceWrapper
-
-        class Undeclared(SourceWrapper):
-            """Intercepts nothing and names no ``spec_kind``."""
-
         # Refused, not quietly described as the source it wraps.
-        for wrapper in (Undeclared(memory()), WRAPPERS["budgeted"]()):
-            with pytest.raises(SourceSpecError, match="spec_kind"):
-                source_to_spec(wrapper)
-            with pytest.raises(SourceSpecError, match="spec_kind"):
-                source_to_spec(LatencySource(wrapper, 0.0))
+        wrapper = Undeclared(memory())
+        with pytest.raises(SourceSpecError, match="spec_kind"):
+            source_to_spec(wrapper)
+        with pytest.raises(SourceSpecError, match="spec_kind"):
+            source_to_spec(LatencySource(wrapper, 0.0))
 
     def test_a_transport_without_spec_config_is_refused(self):
         class OpaqueTransport:

@@ -12,11 +12,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.data.decorators import (
-    BudgetedSource,
-    LatencySource,
-    StormyLatencySource,
-)
+from repro.data.decorators import LatencySource, StormyLatencySource
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.errors import (
@@ -46,6 +42,7 @@ from repro.service.workers import (
     source_to_spec,
     spec_to_source,
 )
+from repro.source_contract import SourceWrapper
 from repro.sources import PacedSource
 
 
@@ -127,13 +124,16 @@ class TestSourceSpec:
         assert isinstance(rebuilt.inner, InMemorySource)
 
     def test_call_order_dependent_wrappers_rejected(self):
+        class Counting(SourceWrapper):
+            """Names no ``spec_kind``: its state is call-order dependent."""
+
         inner = InMemorySource(simple_schema(), simple_instance())
-        budget = BudgetedSource(inner, max_invocations=5)
+        counting = Counting(inner)
         with pytest.raises(SourceSpecError):
-            source_to_spec(budget)
+            source_to_spec(counting)
         # ... wherever in the stack it sits.
         with pytest.raises(SourceSpecError):
-            source_to_spec(LatencySource(budget, 0.0))
+            source_to_spec(LatencySource(counting, 0.0))
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(SourceSpecError):

@@ -27,7 +27,6 @@ class TestHierarchy:
             errors.MethodOutage,
             errors.AccessViolation,
             errors.CircuitOpen,
-            errors.AccessBudgetExceeded,
         ):
             assert issubclass(cls, errors.AccessError)
             assert not issubclass(cls, errors.TransientAccessError)
@@ -86,15 +85,11 @@ class TestContext:
 
 class TestAliases:
     def test_old_import_locations_still_work(self):
-        from repro.data.decorators import (
-            AccessBudgetExceeded,
-            SourceUnavailable,
-        )
+        from repro.data.decorators import SourceUnavailable
         from repro.data.source import AccessViolation
 
         assert AccessViolation is errors.AccessViolation
         assert SourceUnavailable is errors.SourceUnavailable
-        assert AccessBudgetExceeded is errors.AccessBudgetExceeded
 
     def test_rebased_layer_errors(self):
         from repro.planner.plan_state import PlanningError
