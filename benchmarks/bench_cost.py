@@ -26,9 +26,10 @@ Two surfaces:
     changes (the admissible-margin differential) and reporting the
     node-expansion reduction.  The smoke floor is >= 1.3x on the
     headline (minimum) reduction.
-  - ``admission``: a provably budget-doomed plan submitted to a
-    :class:`QueryService` with static ``SizeBounds`` is rejected with
-    a typed ``PlanInadmissible`` *before* any source invocation.
+  - ``admission``: example1's best plan (10 answer rows) served under
+    error-mode row ceilings.  Nothing refuses it ahead of the run: a
+    ceiling of 10 is served with 10 rows, and a ceiling of 9 fails at
+    run time with a typed ``RowBudgetExceeded`` carrying both counts.
 """
 
 import argparse
@@ -38,12 +39,10 @@ import sys
 import pytest
 
 from benchmarks.conftest import record
-from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
 from repro.cost.functions import CardinalityCostFunction, SimpleCostFunction
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
-from repro.errors import PlanInadmissible
 from repro.exec.budget import ERROR, ResourceBudget
 from repro.exec.context import ExecutionContext
 from repro.exec.stats import ExecStats
@@ -221,33 +220,34 @@ def run_pruning_point(k):
 
 
 def run_admission_check():
-    """A provably doomed plan is turned away before any dispatch."""
+    """An error-mode ceiling is decided by the run, never refused ahead."""
     scenario = example1()
     result = find_best_plan(
         scenario.schema, scenario.query, SearchOptions(max_accesses=5)
     )
     assert result.found
-    instance = scenario.instance(0)
-    bounds = SizeBounds.from_instance(scenario.schema, instance)
-    bound = bounds.result_bound(result.best_plan)
-    source = InMemorySource(scenario.schema, instance)
-    budget = ResourceBudget(
-        max_result_rows=max(0, int(bound) - 1), on_result_overflow=ERROR
-    )
-    rejected = False
-    with QueryService(source, size_bounds=bounds) as service:
-        try:
-            service.submit(result.best_plan, budget=budget)
-        except PlanInadmissible as error:
-            rejected = True
-            detail = {"bound": error.bound, "ceiling": error.ceiling}
-        invocations = source.total_invocations
-    assert rejected, "doomed plan was admitted"
-    assert invocations == 0, "admission check dispatched to the source"
+    source = InMemorySource(scenario.schema, scenario.instance(0))
+    with QueryService(source) as service:
+        fits, over = [
+            service.serve(
+                result.best_plan,
+                budget=ResourceBudget(
+                    max_result_rows=ceiling, on_result_overflow=ERROR
+                ),
+                timeout=30,
+            )
+            for ceiling in (10, 9)
+        ]
+        health = service.health()
+    error = over.error
     return {
-        "rejected": rejected,
-        "source_invocations": invocations,
-        **detail,
+        "served": fits.complete,
+        "served_rows": len(fits.table.rows) if fits.ok else None,
+        "overflow_error": type(error).__name__ if error else None,
+        "overflow_rows": getattr(error, "rows", None),
+        "overflow_budget": getattr(error, "budget", None),
+        "rejected": health.rejected,
+        "books_exact": health.served + health.shed + health.rejected == 2,
     }
 
 
@@ -364,9 +364,10 @@ def main(argv=None):
         )
     admission = report["admission"]
     print(
-        f"admission: doomed plan rejected with "
-        f"{admission['source_invocations']} source invocations "
-        f"(bound {admission['bound']:.0f} > ceiling {admission['ceiling']})"
+        f"admission: ceiling 10 served {admission['served_rows']} rows; "
+        f"ceiling 9 failed {admission['overflow_error']} "
+        f"(rows {admission['overflow_rows']}, "
+        f"budget {admission['overflow_budget']})"
     )
     print(f"wrote {args.output}")
     return 0

@@ -232,10 +232,11 @@ def render_cost(report: Dict) -> str:
     admission = report["admission"]
     lines += [
         "",
-        f"Admission: doomed plan rejected typed "
-        f"(bound {admission['bound']:.0f} > ceiling "
-        f"{admission['ceiling']}) after "
-        f"{admission['source_invocations']} source invocations; "
+        f"Admission: error-mode ceiling 10 served "
+        f"{admission['served_rows']} rows, ceiling 9 failed at run time "
+        f"as {admission['overflow_error']} (rows "
+        f"{admission['overflow_rows']}, budget "
+        f"{admission['overflow_budget']}); "
         f"headline node reduction {report['node_reduction']:.2f}x, "
         "calibrated pick never measured worse: "
         f"{'yes' if report['calibrated_never_worse'] else 'NO'}.",

@@ -186,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="after executing, fold the run's observed row flow into a "
              "cost-calibration store, re-plan with the calibrated "
-             "cardinality estimator under static size-bound "
-             "branch-and-bound pruning, and report both plans",
+             "cardinality estimator, and report both plans",
     )
     demo.add_argument(
         "--failover",
@@ -444,29 +443,26 @@ def _demo(args) -> int:
     if adapter:
         print(adapter)
     if args.calibrated and exec_stats is not None:
-        _demo_calibrated(args, scenario, instance, exec_stats)
+        _demo_calibrated(args, scenario, exec_stats)
     print(f"complete: {'yes' if complete else 'NO'}")
     return 0 if complete else 1
 
 
-def _demo_calibrated(args, scenario, instance, exec_stats) -> None:
-    """Re-plan with feedback-calibrated costs and size-bound pruning."""
-    from repro.cost import (
-        CalibrationStore,
-        CardinalityCostFunction,
-        SizeBounds,
-    )
+def _demo_calibrated(args, scenario, exec_stats) -> None:
+    """Re-plan with costs calibrated on the observed run.
+
+    No static size bound caps the estimates or refuses the plan: a
+    bound computed ahead of a run is an upper bound, which proves no
+    overflow.
+    """
+    from repro.cost import CalibrationStore, CardinalityCostFunction
 
     store = CalibrationStore()
-    observed = store.observe_stats(
+    store.observe_stats(
         exec_stats,
         {m.name: m.relation for m in scenario.schema.methods},
     )
-    cost = CardinalityCostFunction(
-        relation_cardinality={},
-        calibration=store,
-        bounds=SizeBounds.from_instance(scenario.schema, instance),
-    )
+    cost = CardinalityCostFunction(relation_cardinality={}, calibration=store)
     calibrated = find_best_plan(
         scenario.schema,
         scenario.query,

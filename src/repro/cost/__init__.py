@@ -9,7 +9,6 @@ stated for simple cost functions; the cardinality-aware estimator here is
 the kind of "generic" monotone cost the search also accepts.
 """
 
-from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore, MethodCalibration
 from repro.cost.functions import (
     CardinalityCostFunction,
@@ -26,6 +25,5 @@ __all__ = [
     "CountingCostFunction",
     "MethodCalibration",
     "SimpleCostFunction",
-    "SizeBounds",
     "is_monotone_on",
 ]

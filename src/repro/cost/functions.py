@@ -13,11 +13,9 @@ programmatic spot-check used by the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
-from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
 from repro.errors import InvalidCostParameter
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
@@ -170,12 +168,6 @@ class CardinalityCostFunction(CostFunction):
         store's identity folds into :meth:`identity`, so plan-cache
         entries keyed on this cost model invalidate whenever new
         observations move the estimates.
-    ``bounds``
-        a :class:`~repro.cost.bounds.SizeBounds`: every table estimate
-        is capped at its static size bound.  A cap can only *lower*
-        estimates (floored at 1.0), and fan-in only scales the
-        per-tuple charge, so costs stay monotone and the
-        :meth:`min_access_charge` lower bound stays sound.
     """
 
     relation_cardinality: Mapping[str, int]
@@ -186,7 +178,6 @@ class CardinalityCostFunction(CostFunction):
     default_cardinality: int = 100
     per_method_access: Mapping[str, float] = field(default_factory=dict)
     calibration: Optional[CalibrationStore] = None
-    bounds: Optional[SizeBounds] = None
 
     def __post_init__(self) -> None:
         for knob in ("select_selectivity", "join_selectivity"):
@@ -224,17 +215,16 @@ class CardinalityCostFunction(CostFunction):
     def commands_cost(self, commands: Sequence[Command]) -> float:
         """Monotone cost of a command prefix."""
         estimates: Dict[str, float] = {}
-        static_bounds: Dict[str, float] = {}
         total = 0.0
         for command in commands:
-            total += self._advance(estimates, static_bounds, command)
+            total += self._advance(estimates, command)
         return total
 
     def identity(self) -> Dict[str, object]:
         """Kind plus every estimator knob, key-sorted.
 
-        When a calibration store or static bounds are attached, their
-        identities are included -- a calibration version bump therefore
+        When a calibration store is attached, its identity is
+        included -- a calibration version bump therefore
         changes this cost model's identity, which is exactly what makes
         :func:`repro.planner.plan_cache.plan_cache_key` land on a new
         key and forces a re-plan under the updated estimates.
@@ -258,8 +248,6 @@ class CardinalityCostFunction(CostFunction):
             }
         if self.calibration is not None:
             identity["calibration"] = self.calibration.identity()
-        if self.bounds is not None:
-            identity["bounds"] = self.bounds.identity()
         return identity
 
     def min_access_charge(self) -> float:
@@ -280,10 +268,7 @@ class CardinalityCostFunction(CostFunction):
         return weight + self.per_tuple * fan_in
 
     def _advance(
-        self,
-        estimates: Dict[str, float],
-        static_bounds: Dict[str, float],
-        command: Command,
+        self, estimates: Dict[str, float], command: Command
     ) -> float:
         """Record the command's output estimate; return its charge."""
         if isinstance(command, AccessCommand):
@@ -304,45 +289,12 @@ class CardinalityCostFunction(CostFunction):
                         relation, self.default_cardinality
                     )
                 )
-            estimates[command.target] = self._capped(
-                out, command, static_bounds
-            )
+            estimates[command.target] = max(1.0, out)
             return self.access_charge(command.method, fan_in)
-        estimates[command.target] = self._capped(
-            self._estimate(command.expr, estimates),
-            command,
-            static_bounds,
+        estimates[command.target] = max(
+            1.0, self._estimate(command.expr, estimates)
         )
         return 0.0
-
-    def _capped(
-        self,
-        estimate: float,
-        command: Command,
-        static_bounds: Dict[str, float],
-    ) -> float:
-        """Cap an output estimate at its static size bound (floor 1.0).
-
-        The bound itself is floored at 1.0 before capping so the
-        invariant "every table estimate is at least one row" -- which
-        :meth:`min_access_charge` relies on -- survives empty-relation
-        bounds.
-        """
-        if self.bounds is None:
-            return max(1.0, estimate)
-        if isinstance(command, AccessCommand):
-            fan_in_bound = self.bounds.expression_bound(
-                command.input_expr, static_bounds
-            )
-            bound = self.bounds.access_bound(command.method, fan_in_bound)
-        else:
-            bound = self.bounds.expression_bound(
-                command.expr, static_bounds
-            )
-        static_bounds[command.target] = bound
-        if math.isinf(bound):
-            return max(1.0, estimate)
-        return max(1.0, min(estimate, bound))
 
     def _effective_select_selectivity(self) -> float:
         """The observed global selectivity when calibrated, else the knob.

@@ -166,8 +166,8 @@ class NoViablePlan(ExecutionError):
 class RowBudgetExceeded(ExecutionError):
     """A per-request result-row ceiling tripped during plan execution.
 
-    ``kind`` names the ceiling ("result"); ``rows`` is the observed row
-    count and ``budget`` the configured ceiling.  Raised by
+    ``rows`` is the observed row count and ``budget`` the configured
+    ceiling.  Raised by
     :meth:`Plan.execute <repro.plans.plan.Plan.execute>` when a
     :class:`~repro.exec.budget.ResourceBudget` with
     ``on_result_overflow="error"`` forbids the overflow -- the default
@@ -176,10 +176,8 @@ class RowBudgetExceeded(ExecutionError):
     """
 
     def __init__(
-        self, message: str, *, kind: str = "result", rows: int = 0,
-        budget: int = 0,
+        self, message: str, *, rows: int = 0, budget: int = 0
     ) -> None:
-        self.kind = kind
         self.rows = rows
         self.budget = budget
         super().__init__(message)
@@ -217,38 +215,6 @@ class ServiceOverloaded(ServiceError):
 
 class ServiceStopped(ServiceError):
     """A request was submitted to a draining or stopped service."""
-
-
-class PlanInadmissible(ServiceError):
-    """Admission control rejected a plan its static size bounds doom.
-
-    Raised by :meth:`QueryService.submit
-    <repro.service.service.QueryService.submit>` *before any execution*
-    when a :class:`~repro.cost.bounds.SizeBounds` analyzer proves a
-    finite worst-case ceiling on the plan's result rows and that
-    ceiling already exceeds the request's strict
-    :class:`~repro.exec.budget.ResourceBudget` row ceiling.  The
-    rejection is conservative: the *bound* is proven, the overflow is
-    worst-case -- but under an error-mode budget the run could not be
-    guaranteed to complete, and rejecting at the door costs zero source
-    invocations instead of a mid-plan :class:`RowBudgetExceeded`.
-
-    ``kind`` names the ceiling ("result"), ``bound`` the proven
-    worst-case row count and ``ceiling`` the budget's limit.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        kind: str = "result",
-        bound: float = 0.0,
-        ceiling: int = 0,
-    ) -> None:
-        self.kind = kind
-        self.bound = bound
-        self.ceiling = ceiling
-        super().__init__(message)
 
 
 class WorkerCrashed(ServiceError):
@@ -298,7 +264,6 @@ __all__ = [
     "InvalidCostParameter",
     "MethodOutage",
     "NoViablePlan",
-    "PlanInadmissible",
     "RateLimited",
     "ReproError",
     "ResultTruncated",

@@ -15,8 +15,11 @@ truncate identically) and the dropped count is returned, which the
 caller surfaces as an explicitly marked partial answer -- the same
 "marked, never silent" contract as the accessible-part fallback of
 :meth:`QueryService.submit_query <repro.service.service.QueryService.submit_query>`.
-A plan whose result size is bounded ahead of the run is refused before
-it runs (``QueryService(size_bounds=)``).
+This check, at run time, is the only one: nothing refuses a request
+ahead of its run on a static size bound.  A bound computed before a run
+is an *upper* bound, and an upper bound over the ceiling proves no
+overflow -- only a lower bound could.  A plan built from a proof returns
+the certain answers, so a request whose answer fits is served.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ class ResourceBudget:
             raise RowBudgetExceeded(
                 f"result-row budget exceeded: {len(table.rows)} rows, "
                 f"budget {self.max_result_rows}",
-                kind="result",
                 rows=len(table.rows),
                 budget=self.max_result_rows,
             )

@@ -49,26 +49,23 @@ request's answer -- the differential test suite asserts exactly that.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 import time
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.cost.bounds import SizeBounds
 from repro.errors import (
     DeadlineExceeded,
     ExecutionError,
     MethodOutage,
     NoViablePlan,
-    PlanInadmissible,
     ReproError,
     ServiceOverloaded,
     ServiceStopped,
 )
 from repro.exec.batch import run_request
-from repro.exec.budget import ERROR, ResourceBudget
+from repro.exec.budget import ResourceBudget
 from repro.exec.cache import AccessCache
 from repro.exec.context import ExecutionContext
 from repro.exec.resilience import (
@@ -148,12 +145,12 @@ class ServiceBooks(Record):
     #: Admitted requests resolved shed: preempted from the queue by a
     #: higher-priority arrival, or evicted by a non-draining stop.
     shed: int = 0
-    #: Submissions refused at the door with a typed error (overload,
-    #: stopped service, inadmissible plan); they never got a ticket.
+    #: Submissions refused at the door with a typed error (overload or
+    #: stopped service); they never got a ticket.  Nothing is refused
+    #: on a static size bound: an upper bound over a row ceiling proves
+    #: no overflow, so the run-time row check decides every admitted
+    #: request.
     rejected: int = 0
-    #: Of those, plans whose static result-size bound already exceeded
-    #: the budget's hard row ceiling.
-    rejected_inadmissible: int = 0
     #: Of the shed, queued requests a higher-priority arrival evicted.
     preempted: int = 0
     #: How many times Algorithm 1 search actually ran for a query.
@@ -247,18 +244,12 @@ class QueryService:
         name: str = "service",
         worker_pool: Optional[ProcessWorkerPool] = None,
         plan_cache: Optional[PlanCache] = None,
-        size_bounds: Optional[SizeBounds] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("worker count must be positive")
         self.source = source
         self.workers = workers
         self.cache = cache
-        # Static size bounds backing admission-time inadmissibility
-        # checks: a plan whose provable result-size floor already
-        # exceeds the request's hard row ceiling is rejected typed,
-        # before a single access is dispatched.
-        self.size_bounds = size_bounds
         # The execution tier: None keeps plan runs in this process's
         # worker threads; a ProcessWorkerPool ships them (plan IR +
         # bindings + budget, never pickles) to worker processes, which
@@ -381,13 +372,12 @@ class QueryService:
 
         Raises :class:`~repro.errors.ServiceOverloaded` (fast, typed,
         with queue depth and retry-after hint) when admission control
-        refuses the request at the door,
+        refuses the request at the door, and
         :class:`~repro.errors.ServiceStopped` when the service is not
-        accepting, and :class:`~repro.errors.PlanInadmissible` when the
-        plan's static result bound dooms its budget; each counts as
-        ``rejected``.  A lower-priority ticket preempted by this
-        admission is resolved with the same typed overload error and
-        counts as ``shed`` -- every submitted request is accounted for.
+        accepting; each counts as ``rejected``.  A lower-priority ticket
+        preempted by this admission is resolved with the same typed
+        overload error and counts as ``shed`` -- every submitted request
+        is accounted for.
         Whether ``plan`` with ``bindings`` applied answers the query the
         caller means is the caller's to know (``docs/theory.md``,
         "Rebinding a plan"); :meth:`submit_query` checks it.
@@ -446,16 +436,14 @@ class QueryService:
     def _enqueue(self, ticket: Ticket) -> None:
         """Hand an admitted, planned request to the admission queue.
 
-        A typed refusal at the door (an inadmissible plan, a full
-        queue, a stopping service) is counted as rejected and raised
-        to the submitter; a queued request this one preempted is
-        resolved shed.
+        A typed refusal at the door (a full queue, a stopping service)
+        is counted as rejected and raised to the submitter; a queued
+        request this one preempted is resolved shed.
         """
         request = ticket.request
         retry_after = self._retry_after_hint()
         refused, evicted = True, None
         try:
-            self._check_admissible(request.plan, request.budget)
             request.submitted_at = self.clock()
             evicted = self._queue.offer(ticket, retry_after=retry_after)
             refused = False
@@ -478,40 +466,6 @@ class QueryService:
                     shed=True,
                 ),
             )
-
-    def _check_admissible(
-        self, plan: Plan, budget: Optional[ResourceBudget]
-    ) -> None:
-        """Reject plans whose static result bound dooms the budget.
-
-        Only fires when static size bounds are configured, the budget's
-        result ceiling is a hard error (``on_result_overflow="error"``
-        -- truncate-mode requests succeed partially, so they are never
-        doomed), and the bound is *finite*: an unknown (infinite) bound
-        proves nothing, and admission stays permissive on no-proof.
-        Conversely a finite bound at or under the ceiling proves the
-        admitted request can never trip the result check.
-        """
-        if (
-            self.size_bounds is None
-            or budget is None
-            or budget.max_result_rows is None
-            or budget.on_result_overflow != ERROR
-        ):
-            return
-        bound = self.size_bounds.result_bound(plan)
-        if math.isinf(bound) or bound <= budget.max_result_rows:
-            return
-        with self._lock:
-            self._books.rejected_inadmissible += 1
-        raise PlanInadmissible(
-            f"plan {plan.name!r} statically bounded to "
-            f"{bound:.0f} result rows, over the hard budget ceiling of "
-            f"{budget.max_result_rows}; rejected before execution",
-            kind="result",
-            bound=bound,
-            ceiling=budget.max_result_rows,
-        )
 
     def serve(
         self,

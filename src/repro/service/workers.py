@@ -67,7 +67,6 @@ from repro.data.decorators import (
 from repro.data.instance import Instance, _to_constant
 from repro.data.source import InMemorySource
 from repro.errors import (
-    AccessError,
     DeadlineExceeded,
     ExecutionError,
     ReproError,
@@ -203,6 +202,16 @@ def encoded_plan_ir(plan) -> Dict[str, Any]:
     return encoded
 
 
+#: The context attributes a typed error keeps across the worker
+#: boundary, each with the type its value must have to be sent.
+_ERROR_CONTEXT = (
+    ("method", str),
+    ("relation", str),
+    ("rows", int),
+    ("budget", int),
+)
+
+
 def execute_payload(source, payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one shipped request against a source; return a plain dict.
 
@@ -243,12 +252,13 @@ def execute_payload(source, payload: Mapping[str, Any]) -> Dict[str, Any]:
             "error": str(error),
             "stats": stats.as_dict() if stats is not None else None,
         }
-        # Access-layer context crosses the boundary too: the service
-        # must know *which* method died to force-open its breaker, and
-        # a string message is not a protocol.
-        for attribute in ("method", "relation"):
+        # The error's context crosses the boundary too: the service
+        # must know *which* method died to force-open its breaker, a
+        # row-budget failure reports its counts, and a string message
+        # is not a protocol.
+        for attribute, kind in _ERROR_CONTEXT:
             value = getattr(error, attribute, None)
-            if isinstance(value, str):
+            if isinstance(value, kind):
                 failure[attribute] = value
         return failure
 
@@ -256,9 +266,10 @@ def execute_payload(source, payload: Mapping[str, Any]) -> Dict[str, Any]:
 def rebuild_error(result: Mapping[str, Any]) -> ReproError:
     """Rebuild the typed error a worker reported for one request.
 
-    Access errors are rebuilt *with* their method/relation context when
-    the worker shipped it, so parent-side consumers (the service's
-    outage observation) see the same typed error they would have seen
+    Errors are rebuilt *with* the context the worker shipped (an access
+    error's method/relation, a row-budget error's rows/budget), so
+    parent-side consumers (the service's outage observation, a caller
+    reading the counts) see the same typed error they would have seen
     executing in-process.
     """
     error_type = result.get("error_type", "ExecutionError")
@@ -269,11 +280,10 @@ def rebuild_error(result: Mapping[str, Any]) -> ReproError:
         error_class = ExecutionError
     message = str(result.get("error", "worker failure"))
     kwargs: Dict[str, Any] = {}
-    if issubclass(error_class, AccessError):
-        for attribute in ("method", "relation"):
-            value = result.get(attribute)
-            if isinstance(value, str):
-                kwargs[attribute] = value
+    for attribute, kind in _ERROR_CONTEXT:
+        value = result.get(attribute)
+        if isinstance(value, kind):
+            kwargs[attribute] = value
     try:
         return error_class(message, **kwargs)
     except TypeError:

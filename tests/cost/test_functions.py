@@ -305,30 +305,6 @@ class TestCalibratedEstimates:
         cmds = [access("A", "cheap"), access("B", "pricey")]
         assert cost.commands_cost(cmds) == pytest.approx(11.0)
 
-    def test_bounds_cap_estimates(self):
-        from repro.cost.bounds import SizeBounds
-        from repro.schema.core import SchemaBuilder as SB
-
-        schema = (
-            SB("s")
-            .relation("R", 2)
-            .access("cheap", "R", inputs=[])
-            .build()
-        )
-        chained = [
-            access("A", "cheap"),
-            access("B", "probe", Project(Scan("A"), ("A_p0",)), ("A_p0",)),
-        ]
-        capped = CardinalityCostFunction(
-            relation_cardinality={},
-            per_tuple=0.1,
-            default_cardinality=100,
-            bounds=SizeBounds(schema, {"R": 4}),
-        )
-        # A's estimate is capped at |R| = 4, so B's fan-in charge drops
-        # from 100 * 0.1 to 4 * 0.1.
-        assert capped.commands_cost(chained) == pytest.approx(2.0 + 0.1 + 0.4)
-
     def test_calibration_moves_the_identity(self):
         store = self.make_calibration(fan_out=2)
         cost = CardinalityCostFunction(
@@ -338,16 +314,9 @@ class TestCalibratedEstimates:
         store.observe("cheap", dispatched=1, fetched=5, emitted=5)
         assert cost.identity() != before
 
-    def test_monotone_with_calibration_and_bounds(self, commands):
-        from repro.cost.bounds import SizeBounds
-        from repro.schema.core import SchemaBuilder as SB
-
-        schema = (
-            SB("s").relation("R", 2).access("cheap", "R", inputs=[]).build()
-        )
+    def test_monotone_with_calibration(self, commands):
         cost = CardinalityCostFunction(
             relation_cardinality={},
             calibration=self.make_calibration(fan_out=5),
-            bounds=SizeBounds(schema, {"R": 3}),
         )
         assert is_monotone_on(cost, commands)

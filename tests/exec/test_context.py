@@ -328,14 +328,15 @@ def test_the_signatures_take_the_context():
         assert parameters(command.execute) == ["env", "source", "context"]
     with pytest.raises(TypeError):
         Plan.execute(None, None, cache=AccessCache())
-    # 19 -> 16 -> 14 -> 12 -> 11 settable values: the source and ten
-    # keywords (the breakers and the backoff sleep derive from
-    # ``clock``; the service runs the interpreter, feeds no cost model
-    # and shares a frozen budget as it is passed).
+    # 19 -> 16 -> 14 -> 12 -> 11 -> 10 settable values: the source and
+    # nine keywords (the breakers and the backoff sleep derive from
+    # ``clock``; the service runs the interpreter, feeds no cost model,
+    # shares a frozen budget as it is passed and refuses nothing on a
+    # static size bound).
     assert parameters(QueryService.__init__) == [
         "source", "workers", "max_queue", "cache", "retry",
         "default_deadline", "clock", "name",
-        "worker_pool", "plan_cache", "size_bounds",
+        "worker_pool", "plan_cache",
     ]
     # In memory, one observation of evidence: nothing to set.
     assert parameters(CalibrationStore.__init__) == []

@@ -1,29 +1,23 @@
-"""The caller's cost feedback loop and admission-time size checks.
+"""The caller's cost feedback loop.
 
-Three contracts:
+Two contracts:
 
 * a served response's observed row flow folds into the caller's
   :class:`~repro.cost.calibration.CalibrationStore` -- the service
   runs the plan it is given and keeps no store of its own;
 * a calibration bump moves the cost model's identity and therefore the
   plan-cache key -- the cached best plan is invalidated and Algorithm 1
-  re-runs (regression for the cache-soundness requirement);
-* plans whose static result-size bound exceeds a hard (error-mode)
-  result ceiling are rejected at admission with a typed
-  :class:`~repro.errors.PlanInadmissible` -- and the check stays
-  permissive for truncate-mode budgets and unknown (infinite) bounds.
-"""
+  re-runs (regression for the cache-soundness requirement).
 
-import math
+No request is refused on a static size bound: an error-mode row ceiling
+is decided by the run (``test_request_path``).
+"""
 
 import pytest
 
-from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
 from repro.cost.functions import CardinalityCostFunction, SimpleCostFunction
 from repro.data.source import InMemorySource
-from repro.errors import PlanInadmissible
-from repro.exec.budget import ERROR, TRUNCATE, ResourceBudget
 from repro.planner.plan_cache import PlanCache
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import example1, example5
@@ -135,80 +129,3 @@ class TestCacheInvalidation:
             assert cost.plan_cost(again) == 9.0
             assert service.health().planned == 3
             assert service.plan_for(scenario.query) is best
-
-
-class TestAdmissionBounds:
-    def bounds(self, scenario):
-        return SizeBounds.from_instance(
-            scenario.schema, scenario.instance(0)
-        )
-
-    def doomed_budget(self, bound):
-        assert not math.isinf(bound) and bound >= 1
-        return ResourceBudget(
-            max_result_rows=int(bound) - 1 or 1,
-            on_result_overflow=ERROR,
-        )
-
-    def test_doomed_error_mode_plan_rejected_typed(
-        self, scenario, source, planned
-    ):
-        size_bounds = self.bounds(scenario)
-        bound = size_bounds.result_bound(planned)
-        budget = ResourceBudget(
-            max_result_rows=max(0, int(bound) - 1),
-            on_result_overflow=ERROR,
-        )
-        with QueryService(source, size_bounds=size_bounds) as service:
-            with pytest.raises(PlanInadmissible) as info:
-                service.submit(planned, budget=budget)
-            assert info.value.kind == "result"
-            assert info.value.bound == pytest.approx(bound)
-            assert info.value.ceiling == budget.max_result_rows
-            health = service.health()
-        assert health.rejected_inadmissible == 1
-        assert health.as_dict()["rejected_inadmissible"] == 1
-
-    def test_truncate_mode_is_always_admitted(
-        self, scenario, source, planned
-    ):
-        size_bounds = self.bounds(scenario)
-        bound = size_bounds.result_bound(planned)
-        budget = ResourceBudget(
-            max_result_rows=max(0, int(bound) - 1),
-            on_result_overflow=TRUNCATE,
-        )
-        with QueryService(source, size_bounds=size_bounds) as service:
-            response = service.serve(planned, budget=budget, timeout=10)
-        assert response.error is None
-
-    def test_generous_ceiling_is_admitted(self, scenario, source, planned):
-        size_bounds = self.bounds(scenario)
-        bound = size_bounds.result_bound(planned)
-        budget = ResourceBudget(
-            max_result_rows=int(bound) + 10, on_result_overflow=ERROR
-        )
-        with QueryService(source, size_bounds=size_bounds) as service:
-            response = service.serve(planned, budget=budget, timeout=10)
-        # Admitted finite-bound plans provably never trip the ceiling.
-        assert response.ok
-
-    def test_unknown_bound_stays_permissive(self, scenario, source, planned):
-        # No relation sizes declared: every bound is inf, nothing can be
-        # proven doomed, everything is admitted.
-        size_bounds = SizeBounds(scenario.schema, {})
-        budget = ResourceBudget(
-            max_result_rows=0, on_result_overflow=ERROR
-        )
-        with QueryService(source, size_bounds=size_bounds) as service:
-            ticket = service.submit(planned, budget=budget)
-            ticket.result(10)
-
-    def test_without_size_bounds_no_admission_check(
-        self, scenario, source, planned
-    ):
-        budget = ResourceBudget(
-            max_result_rows=0, on_result_overflow=ERROR
-        )
-        with QueryService(source) as service:
-            service.submit(planned, budget=budget).result(10)

@@ -13,14 +13,13 @@ import threading
 
 import pytest
 
-from repro.cost.bounds import SizeBounds
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.errors import (
     DeadlineExceeded,
     ExecutionError,
     MethodOutage,
-    PlanInadmissible,
+    RowBudgetExceeded,
     ServiceError,
     ServiceOverloaded,
     ServiceStopped,
@@ -29,7 +28,7 @@ from repro.exec.budget import ERROR, ResourceBudget
 from repro.faults import FaultInjectingSource, FaultPolicy, VirtualClock
 from repro.logic.queries import parse_cq
 from repro.planner.plan_cache import PlanCache
-from repro.planner.search import SearchOptions
+from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import example1, example5
 from repro.schema.core import SchemaBuilder
 from repro.service import (
@@ -113,14 +112,9 @@ def test_a_stopped_service_refuses_before_planning():
 
 def test_every_refusal_is_one_book_entry():
     scenario, plan = planned(example1, 3)
-    instance = scenario.instance(0)
-    source = GateSource(InMemorySource(scenario.schema, instance))
-    bounds = SizeBounds.from_instance(scenario.schema, instance)
-    doomed = ResourceBudget(max_result_rows=0, on_result_overflow=ERROR)
-    assert bounds.result_bound(plan) > 0
-    service = QueryService(
-        source, workers=1, max_queue=1, size_bounds=bounds
-    ).start()
+    source = GateSource(InMemorySource(scenario.schema, scenario.instance(0)))
+    tight = ResourceBudget(max_result_rows=0, on_result_overflow=ERROR)
+    service = QueryService(source, workers=1, max_queue=1).start()
     try:
         running = service.submit(plan)
         assert source.entered.wait(10)
@@ -130,18 +124,52 @@ def test_every_refusal_is_one_book_entry():
         winner = service.submit(plan, priority=PRIORITY_HIGH)
         with pytest.raises(ServiceOverloaded):
             service.submit_query(scenario.query)
-        with pytest.raises(PlanInadmissible):
-            service.submit(plan, budget=doomed)
         assert victim.result(10).error.shed
         source.gate.set()
         assert running.result(10).complete
         assert winner.result(10).complete
-        health = assert_books(service, 5)
-        assert (health.served, health.shed, health.rejected) == (2, 1, 2)
-        assert health.rejected_inadmissible == 1
+        # An error-mode budget is no refusal: the request is admitted
+        # and its overflow fails it at run time.
+        overflow = service.submit(plan, budget=tight).result(10)
+        assert isinstance(overflow.error, RowBudgetExceeded)
     finally:
         source.gate.set()
         service.shutdown(timeout=10)
+    with pytest.raises(ServiceStopped):
+        service.submit(plan)
+    health = assert_books(service, 6)
+    assert (health.served, health.shed, health.rejected) == (3, 1, 2)
+    assert (health.completed, health.failed) == (2, 1)
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("tier", ["in-process", "process"])
+def test_an_error_budget_is_decided_by_the_run_on_every_tier(tier):
+    """example1's best plan returns 10 rows: a 10-row error-mode ceiling
+    is served, a 9-row one fails typed with the same counts on every
+    tier."""
+    scenario = example1()
+    result = find_best_plan(
+        scenario.schema, scenario.query, SearchOptions(max_accesses=5)
+    )
+    source = InMemorySource(scenario.schema, scenario.instance(0))
+    pool = ProcessWorkerPool(source, workers=1) if tier == "process" else None
+    with QueryService(source, workers=1, worker_pool=pool) as service:
+        fits, over = [
+            service.serve(
+                result.best_plan,
+                budget=ResourceBudget(
+                    max_result_rows=ceiling, on_result_overflow=ERROR
+                ),
+                timeout=30,
+            )
+            for ceiling in (10, 9)
+        ]
+        assert fits.complete and len(fits.table.rows) == 10
+        assert isinstance(over.error, RowBudgetExceeded)
+        assert (over.error.rows, over.error.budget) == (10, 9)
+        health = assert_books(service, 2)
+        assert (health.completed, health.failed, health.rejected) == (1, 1, 0)
 
 
 @pytest.mark.timeout(120)

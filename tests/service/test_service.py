@@ -172,8 +172,8 @@ def test_error_budget_fails_typed(served):
     )
     assert not response.ok
     assert isinstance(response.error, RowBudgetExceeded)
-    assert response.error.kind == "result"
     assert response.error.rows == len(reference.rows)
+    assert response.error.budget == 0
 
 
 def test_deadline_covers_queue_time():

@@ -257,9 +257,15 @@ class TestPayload:
 
     def test_rebuild_budget_error(self):
         rebuilt = rebuild_error(
-            {"error_type": "RowBudgetExceeded", "error": "over"}
+            {
+                "error_type": "RowBudgetExceeded",
+                "error": "over",
+                "rows": 10,
+                "budget": 9,
+            }
         )
         assert isinstance(rebuilt, RowBudgetExceeded)
+        assert (rebuilt.rows, rebuilt.budget) == (10, 9)
 
 
 # -------------------------------------------------------------- process tier

@@ -119,7 +119,7 @@ class TestAliases:
 
 
 class TestCostAndAdmissionErrors:
-    """The cost-model and admission additions slot into the hierarchy."""
+    """The cost-model errors slot into the hierarchy."""
 
     def test_cost_model_errors_are_repro_errors(self):
         assert issubclass(errors.CostModelError, errors.ReproError)
@@ -131,19 +131,6 @@ class TestCostAndAdmissionErrors:
         )
         assert error.parameter == "select_selectivity"
         assert error.value == 1.5
-
-    def test_plan_inadmissible_is_a_service_error(self):
-        assert issubclass(errors.PlanInadmissible, errors.ServiceError)
-
-    def test_plan_inadmissible_carries_bound_and_ceiling(self):
-        error = errors.PlanInadmissible(
-            "doomed", kind="result", bound=120.0, ceiling=100
-        )
-        assert error.kind == "result"
-        assert error.bound == 120.0
-        assert error.ceiling == 100
-        with pytest.raises(errors.ServiceError):
-            raise error
 
 
 class TestWorkerTierErrors:
