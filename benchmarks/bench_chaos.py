@@ -6,7 +6,7 @@ the machine-readable ``BENCH_chaos.json`` (rendered by ``report.py
 
 * **scenario matrix** -- every deterministic chaos scenario from
   :mod:`repro.chaos` (worker kills, stalls, latency storms, bursty and
-  permanent source outages, disk-tier corruption) run end to end
+  permanent source outages) run end to end
   against a live service, recording outcomes, elapsed-vs-deadline, and
   the invariant verdict.  The committed claim: zero hangs and zero
   violations -- every run terminates with byte-identical answers or a

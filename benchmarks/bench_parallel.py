@@ -23,15 +23,13 @@ machine-readable ``BENCH_parallel.json`` (rendered by ``report.py
   query pays the proof search, every repeat is a fingerprint hit.  The
   report records the fraction of search invocations eliminated
   (asserted >= 95%, hardware-independent), the cold-vs-warm planning
-  latency, and a restart trial where a fresh process re-reads the
-  plans from the on-disk cache tier without re-searching.
+  latency.
 """
 
 import argparse
 import json
 import os
 import sys
-import tempfile
 from time import perf_counter
 
 sys.path.insert(
@@ -182,12 +180,12 @@ CACHE_QUERIES = [
 ]
 
 
-def plan_cache_workload(n, repeats, distinct, directory):
+def plan_cache_workload(n, repeats, distinct):
     """Repeated queries through submit_query: search runs once each."""
     schema, instance, _plan = row_heavy_workload(n)
     source = InMemorySource(schema, instance)
     queries = [parse_cq(text) for text in CACHE_QUERIES[:distinct]]
-    cache = PlanCache(directory=directory)
+    cache = PlanCache()
     service = QueryService(
         source,
         workers=2,
@@ -220,23 +218,6 @@ def plan_cache_workload(n, repeats, distinct, directory):
     eliminated = 1.0 - searches / plan_requests
     cold = sum(cold_times) / len(cold_times)
     warm = sum(warm_times) / len(warm_times)
-
-    # Restart trial: a fresh cache object over the same directory must
-    # serve every plan from the disk tier without a single search.
-    restart = {"enabled": directory is not None}
-    if directory is not None:
-        fresh = PlanCache(directory=directory)
-        restarted = QueryService(
-            source, workers=2, max_queue=64, plan_cache=fresh
-        )
-        with restarted:
-            for query in queries:
-                restarted.plan_for(query)
-            after = restarted.health()
-        restart.update(
-            searches_after_restart=after.planned,
-            disk_hits=after.plan_cache["disk_hits"],
-        )
     return {
         "distinct_queries": len(queries),
         "submissions": submissions,
@@ -247,7 +228,6 @@ def plan_cache_workload(n, repeats, distinct, directory):
         "warm_plan_ms": warm * 1e3,
         "warm_over_cold": warm / cold if cold else 0.0,
         "counters": counters,
-        "restart": restart,
     }
 
 
@@ -262,19 +242,16 @@ def run_benchmark(quick):
         scaling = scaling_sweep(n=5000, requests=12, workers_list=workers_list)
     floor = scaling_floor(scaling, cpu_count)
     assert floor["held"], floor
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = plan_cache_workload(
-            n=400,
-            repeats=20 if quick else 40,
-            distinct=2 if quick else 3,
-            directory=tmp,
-        )
+    cache = plan_cache_workload(
+        n=400,
+        repeats=20 if quick else 40,
+        distinct=2 if quick else 3,
+    )
     # The hardware-independent acceptance bar: a warm cache eliminates
     # at least 95% of search invocations, and a warm plan costs a small
     # fraction of a cold one.
     assert cache["search_eliminated"] >= 0.95, cache
     assert cache["warm_over_cold"] < 0.5, cache
-    assert cache["restart"]["searches_after_restart"] == 0, cache
     return {
         "benchmark": "bench_parallel",
         "mode": "quick" if quick else "full",
@@ -318,8 +295,7 @@ def main(argv=None):
         f"{cache['submissions']} submissions "
         f"({cache['search_eliminated']:.1%} eliminated), "
         f"cold {cache['cold_plan_ms']:.2f} ms -> "
-        f"warm {cache['warm_plan_ms']:.4f} ms, "
-        f"restart searches {cache['restart']['searches_after_restart']}"
+        f"warm {cache['warm_plan_ms']:.4f} ms"
     )
     print(f"wrote {args.output}")
     return 0

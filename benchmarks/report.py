@@ -536,9 +536,8 @@ def render_parallel(report: Dict) -> str:
         "search",
         "",
         "| distinct queries | submissions | searches run"
-        " | search eliminated | cold plan | warm plan"
-        " | restart searches (disk tier) |",
-        "|---|---|---|---|---|---|---|",
+        " | search eliminated | cold plan | warm plan |",
+        "|---|---|---|---|---|---|",
         "| "
         + " | ".join(
             [
@@ -548,7 +547,6 @@ def render_parallel(report: Dict) -> str:
                 f"{cache['search_eliminated']:.1%}",
                 f"{cache['cold_plan_ms']:.2f} ms",
                 f"{cache['warm_plan_ms']:.4f} ms",
-                str(cache["restart"].get("searches_after_restart", "-")),
             ]
         )
         + " |",

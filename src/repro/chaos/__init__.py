@@ -4,8 +4,8 @@ The paper's guarantee is *static*: every proof-derived plan computes
 the certain answers on any execution of the accessible schema.  This
 package tests the *dynamic* counterpart the serving stack added on top:
 under injected chaos -- killed workers, stalled workers, latency
-storms, bursty and permanent source outages, disk-tier corruption --
-a live :class:`~repro.service.QueryService` must
+storms, bursty and permanent source outages -- a live
+:class:`~repro.service.QueryService` must
 
 * **terminate**: every submitted request reaches a terminal outcome
   within its deadline (zero hangs),

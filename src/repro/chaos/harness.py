@@ -211,10 +211,10 @@ class ScenarioHarness:
     def carry_over(self, service) -> None:
         """Fold a finished service generation's books into the run's.
 
-        Restart scenarios (disk corruption) span two service
-        generations; the accounting identity is over the whole run, so
-        the retired generation's books carry forward into
-        :meth:`finish`'s check against the final generation.
+        A run that spans two service generations keeps one accounting
+        identity over the whole run, so the retired generation's books
+        carry forward into :meth:`finish`'s check against the final
+        generation.
         """
         try:
             service.wait_idle(timeout=10.0)

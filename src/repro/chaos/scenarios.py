@@ -1,4 +1,4 @@
-"""The eight-scenario chaos matrix, each seeded and deterministic.
+"""The seven-scenario chaos matrix, each seeded and deterministic.
 
 Every scenario builds its own workload (schema + instance + query,
 sized so a clean run answers in milliseconds), computes the clean
@@ -41,11 +41,6 @@ oracle first, then serves the same workload through a live
     accesses); reconnect-with-backoff reloads the same read snapshot
     (epoch unchanged), so answers are byte-identical and only the
     ``reconnects`` counter knows.
-``disk_corruption``
-    the plan-cache entry is corrupted on disk between service
-    generations (plus a torn temp file from a simulated crash mid
-    atomic write); the restarted service quarantines it, re-plans
-    once, and serves the oracle answers.
 
 Each scenario returns a :class:`~repro.chaos.harness.ChaosReport`;
 ``quick=True`` shrinks request counts for CI smoke runs without
@@ -55,8 +50,6 @@ changing any failure mode.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from typing import Dict, Tuple
 
@@ -405,74 +398,6 @@ def sqlite_disconnect(seed: int = 0, quick: bool = True) -> ChaosReport:
     return report
 
 
-def disk_corruption(seed: int = 0, quick: bool = True) -> ChaosReport:
-    """Rot the plan cache's disk tier between service generations.
-
-    Also plants a torn temp file (a crash mid atomic write leaves
-    ``<key>.json.tmp.<pid>`` behind, never a half-written entry --
-    that is the point of the write-then-rename protocol).  The next
-    generation must quarantine the entry, re-plan once, and serve
-    oracle answers.
-    """
-    schema, instance, query, _plan, oracle = join_workload("chaos_disk")
-    workdir = tempfile.mkdtemp(prefix="repro-chaos-disk-")
-    cache_dir = os.path.join(workdir, "plans")
-    requests = 2 if quick else 4
-    harness = ScenarioHarness("disk_corruption", seed, 60.0, oracle)
-    try:
-        # Generation 1: warm the disk tier through real serving.
-        warm = QueryService(
-            InMemorySource(schema, instance),
-            workers=2,
-            plan_cache=PlanCache(capacity=8, directory=cache_dir),
-            default_deadline=30.0,
-        )
-        with warm:
-            for _ in range(requests):
-                harness.submit(warm.submit_query, query)
-            harness.collect()
-        harness.carry_over(warm)
-        warm_health = warm.health()
-        # The corruption: flip a byte mid-entry, leave a torn temp
-        # file behind.
-        for name in os.listdir(cache_dir):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(cache_dir, name)
-            with open(path, "rb") as handle:
-                data = handle.read()
-            mid = len(data) // 2
-            flip = b"Y" if data[mid : mid + 1] == b"X" else b"X"
-            with open(path, "wb") as handle:
-                handle.write(data[:mid] + flip + data[mid + 1 :])
-            with open(f"{path}.tmp.9999", "w", encoding="utf-8") as torn:
-                torn.write('{"format": "repro.plan-cache", "ver')
-        # Generation 2: a fresh tier over the rotten files.
-        plan_cache = PlanCache(capacity=8, directory=cache_dir)
-        service = QueryService(
-            InMemorySource(schema, instance),
-            workers=2,
-            plan_cache=plan_cache,
-            default_deadline=30.0,
-        )
-        with service:
-            for _ in range(requests):
-                harness.submit(service.submit_query, query)
-            harness.collect()
-        return harness.finish(
-            service,
-            details={
-                "generation1": {
-                    "served": warm_health.served,
-                    "planned": warm_health.planned,
-                },
-                "plan_cache": plan_cache.counters(),
-            },
-        )
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
 #: The scenario matrix: name -> builder(seed, quick) -> ChaosReport.
 SCENARIO_BUILDERS: Dict[str, object] = {
     "worker_kill": worker_kill,
@@ -482,7 +407,6 @@ SCENARIO_BUILDERS: Dict[str, object] = {
     "permanent_outage": permanent_outage,
     "http_rate_limit_storm": http_rate_limit_storm,
     "sqlite_disconnect": sqlite_disconnect,
-    "disk_corruption": disk_corruption,
 }
 
 SCENARIOS: Tuple[str, ...] = tuple(SCENARIO_BUILDERS)

@@ -249,13 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(repeated queries skip the proof search entirely)",
     )
     serve.add_argument(
-        "--plan-cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist cached plans as JSON files under DIR (implies "
-             "--plan-cache); a restarted service re-reads them from disk",
-    )
-    serve.add_argument(
         "--watchdog-seconds",
         type=float,
         default=None,
@@ -497,12 +490,9 @@ def _serve_demo(args) -> int:
         return _chaos_scenario(args)
     scenario = SCENARIOS[args.scenario]()
     search_options = SearchOptions(max_accesses=args.max_accesses)
-    use_plan_cache = args.plan_cache or args.plan_cache_dir is not None
-    plan_cache = (
-        PlanCache(directory=args.plan_cache_dir) if use_plan_cache else None
-    )
+    plan_cache = PlanCache() if args.plan_cache else None
     plan = None
-    if not use_plan_cache:
+    if plan_cache is None:
         result = find_best_plan(scenario.schema, scenario.query,
                                 search_options)
         if not result.found:
@@ -557,7 +547,7 @@ def _serve_demo(args) -> int:
         for index in range(args.requests):
             priority = PRIORITY_CLASSES[index % len(PRIORITY_CLASSES)]
             try:
-                if use_plan_cache:
+                if plan_cache is not None:
                     ticket = service.submit_query(
                         scenario.query,
                         search_options=search_options,
@@ -587,7 +577,6 @@ def _serve_demo(args) -> int:
     if health.plan_cache is not None:
         print(f"plan cache: hits={health.plan_cache['hits']} "
               f"misses={health.plan_cache['misses']} "
-              f"disk hits={health.plan_cache['disk_hits']} "
               f"searches run={health.planned}")
     if health.worker_tier is not None:
         print(f"worker tier: {health.worker_tier}")

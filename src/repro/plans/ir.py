@@ -2,14 +2,13 @@
 
 ``Plan`` objects are Python dataclass trees; that is fine inside one
 process but useless the moment a plan must cross a boundary -- be
-shipped to a worker process, cached on disk keyed by query fingerprint,
-or handed to a non-interpreter backend.  This module makes the plan
-representation *explicit*: :func:`plan_to_ir` lowers a plan to a plain
-JSON-able dict (lists, strings, numbers only), :func:`ir_to_plan`
-reconstructs an **equal** plan (dataclass equality, asserted by the
-round-trip tests), and :class:`PlanIR` wraps the dict with the
-``to_json`` / ``from_json`` / ``fingerprint`` conveniences the
-executor backends and the plan-cache roadmap item consume.
+shipped to a worker process or handed to a non-interpreter backend.
+This module makes the plan representation *explicit*:
+:func:`plan_to_ir` lowers a plan to a plain JSON-able dict (lists,
+strings, numbers only), :func:`ir_to_plan` reconstructs an **equal**
+plan (dataclass equality, asserted by the round-trip tests), and
+:class:`PlanIR` wraps the dict with the ``to_json`` / ``from_json`` /
+``fingerprint`` conveniences the executor backends consume.
 
 The encoding is canonical: literal-table rows are emitted in sorted
 order and ``fingerprint`` hashes the key-sorted JSON, so the same plan
@@ -17,8 +16,8 @@ always serializes to the same bytes -- two processes can agree on "the
 same plan" without exchanging pickles.
 
 Consumers today: the worker tier (a plan crosses the process boundary
-as IR), the plan cache's disk tier, and the golden files under
-``tests/plans/golden``, which pin the format.  The IR describes a plan
+as IR) and the golden files under ``tests/plans/golden``, which pin
+the format.  The IR describes a plan
 as built; its executable form (:mod:`repro.plans.rewrite`, with fused
 joins) is never lowered -- :func:`expr_to_ir` refuses a fused join.
 

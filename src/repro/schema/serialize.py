@@ -93,9 +93,9 @@ def schema_fingerprint(schema: Schema) -> str:
     :func:`schema_to_dict`.  Two schemas fingerprint equal iff they
     serialize equal, independent of construction order or process --
     which is what makes the fingerprint usable as a component of
-    cross-process plan-cache keys.  The value is golden-pinned in the
-    test suite: changing the serialization format (or this encoding)
-    must be a deliberate, visible act that invalidates old caches.
+    plan-cache keys.  The value is golden-pinned in the test suite:
+    changing the serialization format (or this encoding) must be a
+    deliberate, visible act.
     """
     payload = json.dumps(
         schema_to_dict(schema),

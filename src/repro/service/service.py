@@ -573,13 +573,7 @@ class QueryService:
                 f"{canonical_query_text(query)}"
             ) from error
         if key is not None:
-            meta = {
-                "query": canonical_query_text(query),
-                "schema": surviving.fingerprint(),
-            }
-            if dead:
-                meta["dead_methods"] = list(dead)
-            self.plan_cache.put(key, result.best_plan, result.best_cost, meta=meta)
+            self.plan_cache.put(key, result.best_plan, result.best_cost)
         return result.best_plan
 
     def submit_query(
@@ -998,7 +992,7 @@ class QueryService:
         ``alive`` flag goes false when a broken process pool could not
         be replaced -- the degradation is visible here, and requests
         fail with typed :class:`~repro.errors.WorkerCrashed`, never
-        hang); ``plan_cache`` carries the hit/miss/invalidation
+        hang); ``plan_cache`` carries the hit/miss/store
         counters and ``planned`` how often search actually ran.
         """
         worker_tier = (

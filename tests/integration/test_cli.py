@@ -127,6 +127,20 @@ class TestServeDemoResilience:
             main(["serve-demo", "example1", "--chaos-scenario", "meteor"])
 
 
+class TestServeDemoPlanCache:
+    def test_plan_cache_searches_once_and_writes_no_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["serve-demo", "example1", "--plan-cache", "--requests", "8"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "plan cache: hits=7 misses=1 searches run=1" in out
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPlan:
     def test_plan_query_over_schema_file(self, schema_file, capsys):
         code = main(
