@@ -24,7 +24,6 @@ from repro.chaos.invariants import (
 )
 from repro.errors import ReproError, ServiceOverloaded, ServiceStopped
 from repro.service.request import Ticket
-from repro.service.service import ServiceBooks
 
 
 @dataclass
@@ -125,7 +124,6 @@ class ScenarioHarness:
         self.violations: List[InvariantViolation] = []
         self.responses: List = []
         self._tickets: List[Ticket] = []
-        self._carried = ServiceBooks()
 
     def remaining(self) -> float:
         """Seconds left in the scenario's wall-clock budget."""
@@ -208,27 +206,6 @@ class ScenarioHarness:
             # still needs a bucket so the accounting identity stands.
             self.outcomes["failed"] += 1
 
-    def carry_over(self, service) -> None:
-        """Fold a finished service generation's books into the run's.
-
-        A run that spans two service generations keeps one accounting
-        identity over the whole run, so the retired generation's books
-        carry forward into :meth:`finish`'s check against the final
-        generation.
-        """
-        try:
-            service.wait_idle(timeout=10.0)
-        except Exception:  # pragma: no cover -- stopped services are idle
-            pass
-        self._carried.absorb(service.health())
-
-    def books(self, service) -> ServiceBooks:
-        """The run's books: every retired generation's and ``service``'s."""
-        books = ServiceBooks()
-        books.absorb(self._carried)
-        books.absorb(service.health())
-        return books
-
     # -------------------------------------------------------- reporting
     def finish(
         self, service, details: Optional[Dict[str, Any]] = None
@@ -242,16 +219,14 @@ class ScenarioHarness:
         except Exception:  # pragma: no cover -- stopped services are idle
             pass
         elapsed = time.monotonic() - self.started
-        health = service.health().as_dict()
+        books = service.health()
         accounted = dict(self.outcomes)
         if self.hangs == 0:
             # With hangs the per-ticket books are knowingly short; the
             # termination violations already tell that story louder
             # than a second accounting mismatch would.
             self.violations.extend(
-                verify_accounting(
-                    self.submitted, accounted, self.books(service)
-                )
+                verify_accounting(self.submitted, accounted, books)
             )
         if elapsed > self.deadline_seconds:
             self.violations.append(
@@ -271,6 +246,6 @@ class ScenarioHarness:
             elapsed=elapsed,
             deadline=self.deadline_seconds,
             violations=list(self.violations),
-            health=health,
+            health=books.as_dict(),
             details=details or {},
         )

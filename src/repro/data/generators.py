@@ -17,7 +17,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.data.instance import Instance
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.dependencies import TGD
-from repro.logic.homomorphisms import find_homomorphism, find_homomorphisms
+from repro.logic.homomorphisms import (
+    FactIndex,
+    find_homomorphism,
+    find_homomorphisms,
+)
 from repro.logic.terms import Constant
 from repro.schema.core import Schema
 
@@ -80,8 +84,13 @@ def repair_instance(
 
 
 def _violations(instance: Instance, tgd: TGD) -> List[Substitution]:
-    """Body matches with no head extension (a snapshot, for safe mutation)."""
-    index = instance.fact_index()
+    """Body matches with no head extension (a snapshot, for safe mutation).
+
+    The matches are enumerated in the homomorphism search's order over a
+    fact index of the instance; that order names the repair's fresh
+    constants.
+    """
+    index = FactIndex(instance.facts())
     out = []
     for hom in find_homomorphisms(list(tgd.body), index):
         binding = hom.restrict(tgd.frontier())

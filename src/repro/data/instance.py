@@ -5,16 +5,27 @@ constants.  Instances can be queried directly (for computing the *true*
 answer of a query when checking that a plan is complete) and are wrapped
 by :class:`~repro.data.source.InMemorySource` for access-restricted
 execution.
+
+The direct answer is the oracle every plan is checked against, so it is
+computed here, over the stored tuples, by code that shares nothing with
+the plans, executors and sources it checks: a set-at-a-time join that
+takes the atoms greedily (most bound positions first, then the smaller
+relation), probes each through a hash index of the relation's rows on
+the bound positions, and keeps after each join only the variables the
+head or a later atom reads.
 """
 
 from __future__ import annotations
 
 from math import copysign
+from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -24,20 +35,33 @@ from typing import (
 
 from repro.logic.atoms import Atom
 from repro.logic.dependencies import TGD
-from repro.logic.homomorphisms import FactIndex, find_homomorphism
 from repro.logic.queries import ConjunctiveQuery
-from repro.logic.terms import Constant, InstanceError, Term, _to_constant
+from repro.logic.terms import (
+    Constant,
+    InstanceError,
+    Term,
+    Variable,
+    _to_constant,
+)
+
+Row = Tuple[Constant, ...]
+#: An index's shape: the arity of the rows it holds, the positions its
+#: keys read, and the position pairs a row must hold equal cells at.
+Shape = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
 
 class Instance:
     """A finite database instance (relation name -> set of tuples).
 
     ``version`` is a monotone mutation counter: it bumps on every
-    successful insert.  Derived structures (the fact index, per-method
-    access indexes in :class:`~repro.data.source.InMemorySource`) use it
-    to detect staleness cheaply instead of re-hashing the data.  It is a
-    plain attribute because every access reads it; only :meth:`add`
-    writes it.
+    successful insert.  Derived structures outside the instance (the
+    per-method access indexes of
+    :class:`~repro.data.source.InMemorySource`) use it to detect
+    staleness cheaply instead of re-hashing the data.  It is a plain
+    attribute because every access reads it; only :meth:`add` writes it.
+    The instance's own join indexes, which :meth:`evaluate` and
+    :meth:`satisfies` build on first use, are kept per relation, and an
+    insert drops only those of the relation it grows.
 
     Equal cells are shared: a stored row holds one :class:`Constant`
     object per ``(type(value), value)`` across every row and relation of
@@ -56,7 +80,8 @@ class Instance:
     ) -> None:
         self._data: Dict[str, Set[Tuple[Constant, ...]]] = {}
         self._cells: Dict[Tuple[type, object], Constant] = {}
-        self._index: Optional[FactIndex] = None
+        # relation -> shape -> key -> rows; see ``_rows_by``.
+        self._indexes: Dict[str, Dict[Shape, Dict[Row, List[Row]]]] = {}
         self.version = 0
         if data:
             for relation, tuples in data.items():
@@ -81,7 +106,7 @@ class Instance:
                 key = (kind, value)
             shared.append(cells.setdefault(key, cell))
         bucket.add(tuple(shared))
-        self._index = None
+        self._indexes.pop(relation, None)
         self.version += 1
         return True
 
@@ -119,27 +144,20 @@ class Instance:
                 values.update(row)
         return frozenset(values)
 
-    def fact_index(self) -> FactIndex:
-        """A (cached) fact index for homomorphism-based evaluation."""
-        if self._index is None:
-            self._index = FactIndex(self.facts())
-        return self._index
-
     # -------------------------------------------------------- semantics
     def evaluate(self, query: ConjunctiveQuery) -> Set[Tuple[Term, ...]]:
         """The exact answer of a CQ over this instance."""
-        return query.evaluate(self.fact_index())
+        return self._join(query.atoms, query.head)
 
     def satisfies(self, tgd: TGD) -> bool:
-        """Integrity check: every body match extends to a head match."""
-        index = self.fact_index()
-        from repro.logic.homomorphisms import find_homomorphisms
+        """Integrity check: every body match extends to a head match.
 
-        for hom in find_homomorphisms(list(tgd.body), index):
-            binding = hom.restrict(tgd.frontier())
-            if find_homomorphism(list(tgd.head), index, binding) is None:
-                return False
-        return True
+        That is, the body's matches projected onto the frontier are
+        among the head's matches projected onto it.
+        """
+        frontier = tuple(tgd.frontier())
+        body = self._join(tgd.body, frontier)
+        return not body or body <= self._join(tgd.head, frontier)
 
     def satisfies_all(self, constraints: Iterable[TGD]) -> bool:
         """Whether every constraint holds on this data."""
@@ -150,6 +168,99 @@ class Instance:
         return tuple(
             tgd for tgd in constraints if not self.satisfies(tgd)
         )
+
+    def _join(
+        self, atoms: Sequence[Atom], output: Sequence[Variable]
+    ) -> Set[Tuple[Term, ...]]:
+        """The matches of ``atoms`` in the stored rows, projected on ``output``.
+
+        Intermediate results are sets of tuples over ``columns``.  Each
+        step joins the pending atom with the most positions bound (by a
+        constant or an earlier atom; ties to the smaller relation) and
+        keeps only the columns that ``output`` or a later atom reads.
+        """
+        pending = list(atoms)
+        columns: Tuple[Variable, ...] = ()
+        rows: Set[tuple] = {()}
+        while pending and rows:
+            atom = pending.pop(self._next_atom(pending, columns))
+            live = set(output)
+            for later in pending:
+                live.update(later.variables())
+            key_at: List[int] = []
+            probe: List[int] = []
+            constants: List[Term] = []
+            first: Dict[Variable, int] = {}
+            equal: List[Tuple[int, int]] = []
+            for position, term in enumerate(atom.terms):
+                if not isinstance(term, Variable):
+                    key_at.append(position)
+                    probe.append(len(columns) + len(constants))
+                    constants.append(term)
+                elif term in columns:
+                    key_at.append(position)
+                    probe.append(columns.index(term))
+                elif term in first:
+                    equal.append((first[term], position))
+                else:
+                    first[term] = position
+            index = self._rows_by(
+                atom.relation, (len(atom.terms), tuple(key_at), tuple(equal))
+            )
+            kept = [i for i, v in enumerate(columns) if v in live]
+            fresh = [(v, p) for v, p in first.items() if v in live]
+            left = _reader(kept)
+            right = _reader([p for _, p in fresh])
+            key_of = _reader(probe)
+            extra = tuple(constants)
+            rows = {
+                left(row) + right(match)
+                for row in rows
+                for match in index.get(key_of(row + extra), ())
+            }
+            columns = tuple(columns[i] for i in kept) + tuple(
+                v for v, _ in fresh
+            )
+        if not rows:
+            return set()
+        reorder = _reader([columns.index(v) for v in output])
+        return {reorder(row) for row in rows}
+
+    def _next_atom(
+        self, pending: Sequence[Atom], columns: Sequence[Variable]
+    ) -> int:
+        """The position in ``pending`` of the atom to join next."""
+        best, best_rank = 0, None
+        for i, atom in enumerate(pending):
+            bound = sum(
+                1
+                for term in atom.terms
+                if not isinstance(term, Variable) or term in columns
+            )
+            rank = (-bound, self.size(atom.relation))
+            if best_rank is None or rank < best_rank:
+                best, best_rank = i, rank
+        return best
+
+    def _rows_by(self, relation: str, shape: Shape) -> Dict[Row, List[Row]]:
+        """The rows of ``relation`` fitting ``shape``, by their key cells.
+
+        Built on first use and kept until :meth:`add` grows the
+        relation.  A row fits when it has the shape's arity and equal
+        cells at each of its position pairs (a variable repeated within
+        an atom); its key is its cells at the shape's positions.
+        """
+        by_shape = self._indexes.setdefault(relation, {})
+        index = by_shape.get(shape)
+        if index is None:
+            arity, positions, equal = shape
+            key_of = _reader(positions)
+            index = {}
+            for row in self._data.get(relation, ()):
+                if len(row) == arity and all(row[p] == row[q] for p, q in equal):
+                    index.setdefault(key_of(row), []).append(row)
+            by_shape[shape] = index
+        return index
 
     def copy(self) -> "Instance":
         """An independent deep copy of the stored data."""
@@ -194,3 +305,13 @@ class Instance:
             f"{r}:{len(b)}" for r, b in sorted(self._data.items())
         )
         return f"Instance({parts})"
+
+
+def _reader(slots: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A function taking a tuple to the tuple of its cells at ``slots``."""
+    if not slots:
+        return lambda row: ()
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda row: (row[slot],)
+    return itemgetter(*slots)
