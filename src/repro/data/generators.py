@@ -86,16 +86,21 @@ def repair_instance(
 def _violations(instance: Instance, tgd: TGD) -> List[Substitution]:
     """Body matches with no head extension (a snapshot, for safe mutation).
 
-    The matches are enumerated in the homomorphism search's order over a
-    fact index of the instance; that order names the repair's fresh
-    constants.
+    The matches come back in a canonical order -- by the printed form of
+    their values at the body variables taken by name -- since that order
+    names the repair's fresh constants: the homomorphism search's own
+    order follows set iteration, which the per-process string-hash salt
+    moves.  A constant's printed form tells ``1``, ``1.0``, ``True`` and
+    ``'1'`` apart, where its equality does not.
     """
     index = FactIndex(instance.facts())
+    variables = sorted(tgd.body_variables(), key=lambda v: v.name)
     out = []
     for hom in find_homomorphisms(list(tgd.body), index):
         binding = hom.restrict(tgd.frontier())
         if find_homomorphism(list(tgd.head), index, binding) is None:
-            out.append(hom.restrict(tgd.body_variables()))
+            out.append(hom.restrict(variables))
+    out.sort(key=lambda match: [repr(match[v]) for v in variables])
     return out
 
 

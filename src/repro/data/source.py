@@ -21,7 +21,8 @@ Metering is identical either way: the index changes how an access is
 ``access`` is the inner loop of plan execution (an access command calls
 it once per key, bound once per command by
 :func:`repro.plans.commands.bound_access`), so its common case is kept
-short: every check runs on every call -- schema lookup, the input check
+short: every check runs on every call -- the method lookup (one probe of
+a name -> method table built at construction), the input check
 (:func:`~repro.source_contract.checked_inputs`), index staleness, one
 record in the :class:`~repro.source_contract.AccessLog` -- but an access
 answered by an index already built for the instance's current version
@@ -71,6 +72,11 @@ class InMemorySource(MeteredSourceMixin):
         self.instance = instance
         self.indexed = indexed
         self.log = AccessLog()
+        # Name -> method, probed once per access; a name it lacks is
+        # left to Schema.method, which raises SchemaError.
+        self._methods: Dict[str, AccessMethod] = {
+            method.name: method for method in schema.methods
+        }
         self._indexes: Dict[str, _MethodIndex] = {}
         self._indexed_version = instance.version
         # Guards the lazy index build (check-version/clear/build) and the
@@ -87,7 +93,9 @@ class InMemorySource(MeteredSourceMixin):
         ``inputs`` must supply exactly one value per input position of the
         method, in the order the method declares them.
         """
-        method = self.schema.method(method_name)
+        method = self._methods.get(method_name)
+        if method is None:
+            method = self.schema.method(method_name)
         values = checked_inputs(method, inputs)
         # One acquisition covers the lookup and the metering.  An index
         # built for the instance's current version answers right here;

@@ -175,10 +175,16 @@ class AccessCommand:
         The answers are taken at once, in dispatch order, so each kind
         of output map is one C-level pass over them.  Under the
         identity (:meth:`_is_identity`) the source's tuples are unioned
-        in unchanged, nothing re-tupled or re-hashed.  A prefix or a
-        permutation is one ``map`` of the row picker over the chained
-        answers.  Only an attribute fed by several positions (the
-        equality filter) goes row by row through :meth:`_map_output`.
+        in unchanged, nothing re-tupled or re-hashed; a single answer
+        is unioned straight into the produced frozenset, one copy where
+        a set and its copy made two, and laid out alike.  Several keep
+        the set and its copy: the merges can leave the set's table
+        fuller than a fresh copy's, and the copy's layout -- the next
+        command's dispatch order -- is the one the rows have always had.
+        A prefix or a permutation is one ``map`` of the row picker over
+        the chained answers.  Only an attribute fed by several positions
+        (the equality filter) goes row by row through
+        :meth:`_map_output`.
         """
         rows: Set[Row] = set()
         picks = self._picks
@@ -189,6 +195,8 @@ class AccessCommand:
                 if out_row is not None:
                     rows.add(out_row)
         elif self._is_identity(answers):
+            if len(answers) == 1:
+                return frozenset().union(answers[0])
             rows.update(*answers)
         else:
             rows.update(map(row_picker(picks), chain.from_iterable(answers)))

@@ -15,9 +15,13 @@ table in :mod:`repro.service.workers`.
 
 Inputs: an access supplies one constant per input position of its
 method.  :func:`checked_inputs` is that check, the only copy of it --
-every backend's ``access`` and ``access_batch`` start there -- over
-:func:`constant_inputs`, the coercion of raw values that a wrapper keying
-on the inputs (the fault schedule) shares.
+every backend's ``access`` and ``access_batch`` start there.  Its common
+case, an exact tuple of :class:`Constant` objects of the method's input
+arity (what an access command dispatches), is decided in its own frame
+and returns the caller's tuple itself; any other input goes through
+:func:`constant_inputs`, the coercion of raw values that a wrapper
+keying on the inputs (the fault schedule) shares, and is arity-checked
+after it.
 
 Batching: a backend that can answer several input tuples in one round
 trip adds ``access_batch(method, inputs_list)``; the access-command
@@ -118,12 +122,23 @@ def checked_inputs(method, inputs: Sequence[object]) -> Tuple[Constant, ...]:
 
     ``method`` is the :class:`~repro.schema.core.AccessMethod`; the
     access must supply exactly one value per input position, in the
-    order the method declares them.
+    order the method declares them.  The common case -- an exact tuple
+    of :class:`Constant` objects of the method's input arity, what an
+    access command dispatches -- is decided in this frame and comes
+    back as the same object; anything else is coerced
+    (:func:`constant_inputs`) and then arity-checked.
     """
+    arity = len(method.input_positions)
+    if type(inputs) is tuple and len(inputs) == arity:
+        for value in inputs:
+            if type(value) is not Constant:
+                break
+        else:
+            return inputs
     values = constant_inputs(inputs)
-    if len(values) != len(method.input_positions):
+    if len(values) != arity:
         raise AccessViolation(
-            f"method {method.name} needs {len(method.input_positions)} "
+            f"method {method.name} needs {arity} "
             f"inputs, got {len(values)}",
             method=method.name,
             relation=method.relation,
