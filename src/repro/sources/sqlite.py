@@ -34,19 +34,28 @@ defined over the *set* of tuples ``E`` produces:
 * **Indexes are derived from the schema**: one composite index per
   distinct ``(relation, input_positions)`` among the access methods,
   rebuilt with the tables on every (re)load.
-* **Two memos, one per direction of the cell codec, live exactly as
-  long as the tables**: both are replaced whenever the tables are
-  (reconnect or mutation).  The *spelling memo* maps a key
-  ``Constant`` to its tuple of :func:`_key_encodings` spellings, so a
-  key is JSON-encoded once per snapshot however many accesses bind it;
-  Python-equal keys (``1``/``1.0``/``True``, ``0``/``-0.0``) share one
-  slot because they have one spelling set.  The *row memo* maps a
-  fetched row's texts to the snapshot's own row tuple: it is seeded
-  from the rows just loaded, so decoding a row is one dict lookup and
-  allocates nothing.  Both map a pure function of their key, so an
-  entry can be stale in lifetime only, never in value.  The row memo
-  holds at most one snapshot's distinct rows, the spelling memo the
-  distinct keys asked since the tables were loaded.
+* **Rows come back as row ids into the snapshot the tables were
+  loaded from.**  ``_load_tables`` keeps each relation's rows as a
+  list, the *snapshot*, and stores row *i* under ``rowid`` *i*; a
+  statement fetches ``rowid`` only (and a keyed join the ordinal of
+  the keys row it matched), so SQLite builds no cell text and a
+  fetched id becomes the instance's own row by one list index.  The
+  ``(relation, input_positions)`` index answers a keyed join alone (a
+  covering index: ``rowid`` is in every index).  Ids are mapped under
+  the same lock hold as the statement that returned them, so a reload
+  can never map them onto another snapshot; the snapshot is replaced
+  with the tables (reconnect or mutation).
+* **The spelling memo** maps a key ``Constant`` to its tuple of
+  :func:`_key_encodings` spellings, so a key is JSON-encoded once per
+  snapshot however many accesses bind it; Python-equal keys
+  (``1``/``1.0``/``True``, ``0``/``-0.0``) share one slot because they
+  have one spelling set.  It maps a pure function of its key, so an
+  entry can be stale in lifetime only, never in value, and it is
+  replaced with the tables.
+* **A NaN key matches by identity**, as in the in-memory index: the
+  spelling ``NaN`` matches every stored NaN, so a key spelled ``NaN``
+  keeps only the rows whose cell ``==`` the key ``Constant`` (two NaN
+  objects are two constants).
 
 Connection lifecycle is defensive by construction:
 
@@ -83,7 +92,6 @@ import sqlite3
 import threading
 import time
 from functools import lru_cache
-from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -94,7 +102,7 @@ from typing import (
     Tuple,
 )
 
-from repro.data.instance import Instance, _to_constant
+from repro.data.instance import Instance
 from repro.errors import AccessError, SourceUnavailable
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema
@@ -132,11 +140,6 @@ _CHUNK_PARAMS = 250
 _encode_cell = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
-def _decode_cell(text: str) -> Constant:
-    """Inverse of :func:`_encode_cell`."""
-    return _to_constant(json.loads(text))
-
-
 def _key_encodings(value) -> List[str]:
     """Every JSON text a lookup key must match in a WHERE clause.
 
@@ -162,16 +165,9 @@ def _key_encodings(value) -> List[str]:
     return sorted(encodings)
 
 
-class _RowMemo(dict):
-    """A fetched row's cell texts -> the snapshot's row of ``Constant``s.
-
-    Seeded with every loaded row; a row it has not seen is decoded
-    cell by cell, once.
-    """
-
-    def __missing__(self, texts: Tuple[str, ...]) -> Tuple[Constant, ...]:
-        row = self[texts] = tuple(map(_decode_cell, texts))
-        return row
+#: The spellings of every NaN key: such a key matches by identity
+#: (:func:`_same_cells`).
+_NAN_SPELLINGS = ("NaN",)
 
 
 class _SpellingMemo(dict):
@@ -182,6 +178,23 @@ class _SpellingMemo(dict):
         return spellings
 
 
+def _same_cells(
+    rows: List[Tuple[Constant, ...]],
+    positions: Tuple[int, ...],
+    values: Tuple[Constant, ...],
+) -> List[Tuple[Constant, ...]]:
+    """The rows whose input cells ``==`` the key's constants.
+
+    Applied to a key spelled ``NaN`` somewhere: the spelling matched
+    every stored NaN, and ``==`` keeps the one the key is (a NaN
+    ``Constant`` equals only a constant over the same payload object).
+    """
+    return [
+        row for row in rows
+        if all(row[p] == value for p, value in zip(positions, values))
+    ]
+
+
 @lru_cache(maxsize=256)
 def _keyed_join_sql(
     relation: str, positions: Tuple[int, ...], key_rows: int
@@ -189,15 +202,18 @@ def _keyed_join_sql(
     """The keyed join of ``key_rows`` bound keys rows to ``relation``.
 
     ``CROSS JOIN`` pins the keys as the outer loop, so every keys row
-    is one probe of the ``(relation, positions)`` index.
+    is one probe of the ``(relation, positions)`` index.  Each keys row
+    carries its ordinal ``n`` as a literal and the join returns
+    ``(n, rowid)`` pairs: ``rowid`` is in every index, so the table
+    itself is never read.
     """
     names = ", ".join(f"k{i}" for i in range(len(positions)))
     marks = ", ".join("?" * len(positions))
-    rows = ", ".join([f"({marks})"] * key_rows)
+    rows = ", ".join(f"({n}, {marks})" for n in range(key_rows))
     joined = " AND ".join(f"t.c{p} = k.k{i}" for i, p in enumerate(positions))
     return (
-        f"WITH k({names}) AS (VALUES {rows}) "
-        f'SELECT t.* FROM k CROSS JOIN "{relation}" AS t ON {joined}'
+        f"WITH k(n, {names}) AS (VALUES {rows}) "
+        f'SELECT k.n, t.rowid FROM k CROSS JOIN "{relation}" AS t ON {joined}'
     )
 
 
@@ -243,7 +259,8 @@ class SQLiteSource(MeteredSourceMixin):
         self._statements = 0
         self._conn: Optional[sqlite3.Connection] = None
         self._loaded_version: Optional[int] = None
-        self._rows = _RowMemo()
+        #: Relation name -> its rows; row ``i`` is stored as rowid ``i``.
+        self._snapshot: Dict[str, List[Tuple[Constant, ...]]] = {}
         self._spellings = _SpellingMemo()
         # One lock for connection + log: sqlite3 connections are not
         # concurrency-safe, and the source sits under a multi-threaded
@@ -273,28 +290,30 @@ class SQLiteSource(MeteredSourceMixin):
         Each distinct ``(relation, input_positions)`` among the
         schema's access methods gets one composite index -- the keyed
         lookups are exactly the binding patterns the schema declares.
-        Both memos are replaced with the tables: the row memo is seeded
-        with the rows just encoded, so a fetched row maps back to the
-        snapshot's own row without parsing, and the spelling memo starts
-        empty.
+        The snapshot and the spelling memo are replaced with the tables:
+        row ``i`` of a relation's snapshot list is stored as rowid
+        ``i``.  The version is read first, so a mutation that lands
+        while the rows are read makes the next access reload again.
         """
         conn = self._conn
-        row_memo = _RowMemo()
+        version = self.instance.version
+        snapshot = {}
         for relation in self.schema.relations:
-            arity = relation.arity
-            columns = ", ".join(f"c{i} TEXT" for i in range(arity))
-            conn.execute(f'DROP TABLE IF EXISTS "{relation.name}"')
-            conn.execute(f'CREATE TABLE "{relation.name}" ({columns})')
-            rows = []
-            for row in self.instance.tuples(relation.name):
-                texts = tuple(_encode_cell(cell.value) for cell in row)
-                row_memo[texts] = row
-                rows.append(texts)
+            name, arity = relation.name, relation.arity
+            typed = ", ".join(f"c{i} TEXT" for i in range(arity))
+            columns = ", ".join(f"c{i}" for i in range(arity))
+            conn.execute(f'DROP TABLE IF EXISTS "{name}"')
+            conn.execute(f'CREATE TABLE "{name}" ({typed})')
+            rows = snapshot[name] = list(self.instance.tuples(name))
             if rows:
-                marks = ", ".join("?" for _ in range(arity))
+                marks = ", ".join("?" * (arity + 1))
                 conn.executemany(
-                    f'INSERT INTO "{relation.name}" VALUES ({marks})',
-                    rows,
+                    f'INSERT INTO "{name}" (rowid, {columns}) '
+                    f"VALUES ({marks})",
+                    [
+                        (i, *[_encode_cell(cell.value) for cell in row])
+                        for i, row in enumerate(rows)
+                    ],
                 )
         indexed = {
             (method.relation, method.input_positions)
@@ -307,9 +326,9 @@ class SQLiteSource(MeteredSourceMixin):
                 f'CREATE INDEX ix{number} ON "{relation_name}" ({columns})'
             )
         conn.commit()
-        self._rows = row_memo
+        self._snapshot = snapshot
         self._spellings = _SpellingMemo()
-        self._loaded_version = self.instance.version
+        self._loaded_version = version
 
     def sever_connection(self) -> None:
         """Chaos hook: kill the live connection (next statement reconnects)."""
@@ -320,20 +339,19 @@ class SQLiteSource(MeteredSourceMixin):
     def _execute(self, sql: str, params: Sequence[str]) -> List[Tuple]:
         """Run one statement with reconnect-on-error backoff.
 
-        The whole check-snapshot / maybe-drop / execute sequence runs
-        under the source lock.  A connection-level failure reconnects
-        (reloading the retained snapshot) with capped exponential
-        backoff; after ``max_reconnects`` consecutive failures the
-        access surfaces as typed :class:`SourceUnavailable`.  A
-        statement SQLite rejects (``_STATEMENT_ERRORS``) is not a lost
-        connection: it raises :class:`AccessError` at once, with no
-        reconnect and nothing for the retry layer to retry.
+        The caller holds the source lock across this call and maps the
+        fetched row ids onto ``self._snapshot`` before letting it go: a
+        reconnect in here reloads the tables *and* the snapshot, so the
+        ids and the snapshot always come from one load.  A
+        connection-level failure reconnects (reloading the retained
+        instance) with capped exponential backoff; after
+        ``max_reconnects`` consecutive failures the access surfaces as
+        typed :class:`SourceUnavailable`.  A statement SQLite rejects
+        (``_STATEMENT_ERRORS``) is not a lost connection: it raises
+        :class:`AccessError` at once, with no reconnect and nothing for
+        the retry layer to retry.
         """
         with self._lock:
-            if self.instance.version != self._loaded_version:
-                # Backend mutation: reload so this epoch's accesses
-                # answer from the new snapshot, never a mix.
-                self._connect()
             self._statements += 1
             if (
                 self.drop_every is not None
@@ -363,6 +381,16 @@ class SQLiteSource(MeteredSourceMixin):
                 f"{self.max_reconnects} reconnect attempts: {last_error}",
             )
 
+    def _reload_if_mutated(self) -> None:
+        """Reload after a backend mutation; caller holds the lock.
+
+        Checked once per logical call, not per statement, so the chunks
+        of one batch answer from one snapshot (only a reconnect inside
+        the batch reloads the instance as it then stands).
+        """
+        if self.instance.version != self._loaded_version:
+            self._connect()
+
     def close(self) -> None:
         """Release the connection (the source can reconnect on demand)."""
         self.sever_connection()
@@ -371,19 +399,26 @@ class SQLiteSource(MeteredSourceMixin):
     def _select(
         self, method: AccessMethod, values: Tuple[Constant, ...]
     ) -> FrozenSet[Tuple[Constant, ...]]:
+        """One access's rows; caller holds the lock."""
         clauses = []
         params: List[str] = []
         spellings = self._spellings
+        by_identity = False
         for position, value in zip(method.input_positions, values):
             encodings = spellings[value]
+            by_identity |= encodings == _NAN_SPELLINGS
             marks = ", ".join("?" for _ in encodings)
             clauses.append(f"c{position} IN ({marks})")
             params.extend(encodings)
-        sql = f'SELECT * FROM "{method.relation}"'
+        sql = f'SELECT rowid FROM "{method.relation}"'
         if clauses:
             sql += f" WHERE {' AND '.join(clauses)}"
         fetched = self._execute(sql, params)
-        return frozenset(map(self._rows.__getitem__, fetched))
+        snapshot = self._snapshot[method.relation]
+        rows = [snapshot[i] for (i,) in fetched]
+        if by_identity:
+            rows = _same_cells(rows, method.input_positions, values)
+        return frozenset(rows)
 
     def access(
         self, method_name: str, inputs: Sequence[object] = ()
@@ -391,8 +426,9 @@ class SQLiteSource(MeteredSourceMixin):
         """Invoke a method: a parameterized SELECT over its relation."""
         method = self.schema.method(method_name)
         values = checked_inputs(method, inputs)
-        matching = self._select(method, values)
         with self._lock:
+            self._reload_if_mutated()
+            matching = self._select(method, values)
             self.log.record(
                 (method_name, method.relation, values, len(matching))
             )
@@ -401,18 +437,19 @@ class SQLiteSource(MeteredSourceMixin):
     def access_batch(
         self, method_name: str, inputs_list: Sequence[Sequence[object]]
     ) -> Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]:
-        """Answer several input tuples set-at-a-time.
+        """Answer several input tuples set-at-a-time, from one snapshot.
 
         A method of any input arity >= 1 is answered by one keyed join
-        per chunk of the batch (:meth:`_select_keyed`); a free method
-        has nothing to key on and keeps :meth:`_select`.  Metering is
-        per *logical access* either way -- one record per input tuple,
-        identical to the per-key loop -- so batching changes round
-        trips, never the books.
+        per chunk of the batch (:meth:`_select_keyed`), which returns
+        row ids; a free method has nothing to key on and keeps
+        :meth:`_select`.  Metering is per *logical access* either way --
+        one record per input tuple, identical to the per-key loop -- so
+        batching changes round trips, never the books.
         """
         method = self.schema.method(method_name)
         keyed = [checked_inputs(method, v) for v in inputs_list]
         with self._lock:
+            self._reload_if_mutated()
             self.batched_calls += 1
             if method.input_positions:
                 results = self._select_keyed(method, keyed)
@@ -430,46 +467,54 @@ class SQLiteSource(MeteredSourceMixin):
     def _select_keyed(
         self, method: AccessMethod, keyed: Sequence[Tuple[Constant, ...]]
     ) -> Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]:
-        """Join the batch's keys to the relation; bucket rows in one pass.
+        """Join the batch's keys to the relation; caller holds the lock.
 
-        The keys relation is a ``VALUES`` CTE holding every JSON
-        spelling (:func:`_key_encodings`) of every key, each spelling
-        once, so a table row joins at most one keys row.  It is bound
-        ``_CHUNK_PARAMS`` parameters at a time.  A fetched row finds its
-        bucket through a dict from its input-column *texts* -- for a
-        single-input method, the one cell's text itself: no
-        ``Constant`` is compared, and Python-equal keys of different
-        types (``1``/``1.0``/``True``) share a bucket as they share a
-        ``results`` entry and a spelling-memo slot.
+        The keys relation is a ``VALUES`` CTE with one row per JSON
+        spelling (:func:`_key_encodings`) of every distinct key, bound
+        ``_CHUNK_PARAMS`` parameters at a time; Python-equal keys of
+        different types (``1``/``1.0``/``True``) are one key, as they
+        are one ``results`` entry and one spelling-memo slot.  Keys row
+        ``n`` of the batch belongs to bucket ``targets[n]``: a fetched
+        ``(ordinal, rowid)`` pair is two list indexes, the ordinal into
+        the chunk's targets and the rowid into the snapshot.  No cell
+        text is built or hashed.
         """
         positions = method.input_positions
-        single = len(positions) == 1
-        # A row's key texts: the bare text for one input, else a tuple.
-        key_of = itemgetter(*positions)
+        width = len(positions)
         spell = self._spellings.__getitem__
         buckets: Dict[Tuple[Constant, ...], List[Tuple[Constant, ...]]] = {}
-        bucket_of: Dict[object, List[Tuple[Constant, ...]]] = {}
+        targets: List[List[Tuple[Constant, ...]]] = []
+        params: List[str] = []
+        by_identity = []
         for values in keyed:
             if values in buckets:
                 continue
             bucket = buckets[values] = []
-            if single:
+            if width == 1:
                 spelled = spell(values[0])
+                params.extend(spelled)
+                targets.extend([bucket] * len(spelled))
+                nan = spelled == _NAN_SPELLINGS
             else:
-                spelled = itertools.product(*map(spell, values))
-            for key in spelled:
-                bucket_of[key] = bucket
-        keys = list(bucket_of)
-        per_statement = _CHUNK_PARAMS // len(positions)
-        for start in range(0, len(keys), per_statement):
-            chunk = keys[start : start + per_statement]
+                spellings = list(map(spell, values))
+                for key in itertools.product(*spellings):
+                    params.extend(key)
+                    targets.append(bucket)
+                nan = _NAN_SPELLINGS in spellings
+            if nan:
+                by_identity.append(values)
+        per_statement = _CHUNK_PARAMS // width
+        for start in range(0, len(targets), per_statement):
+            chunk = targets[start : start + per_statement]
             fetched = self._execute(
                 _keyed_join_sql(method.relation, positions, len(chunk)),
-                chunk if single else [text for key in chunk for text in key],
+                params[start * width : (start + len(chunk)) * width],
             )
-            decoded = self._rows
-            for texts in fetched:
-                bucket_of[key_of(texts)].append(decoded[texts])
+            snapshot = self._snapshot[method.relation]
+            for n, i in fetched:
+                chunk[n].append(snapshot[i])
+        for values in by_identity:
+            buckets[values] = _same_cells(buckets[values], positions, values)
         return {values: frozenset(rows) for values, rows in buckets.items()}
 
     def __repr__(self) -> str:

@@ -19,12 +19,7 @@ from repro.scenarios import example1
 from repro.schema.core import SchemaBuilder
 from repro.source_contract import constant_inputs
 from repro.sources import SQLiteSource
-from repro.sources.sqlite import (
-    _CHUNK_PARAMS,
-    _decode_cell,
-    _encode_cell,
-    _key_encodings,
-)
+from repro.sources.sqlite import _CHUNK_PARAMS, _encode_cell, _key_encodings
 
 _NO_SLEEP = lambda _seconds: None  # noqa: E731
 
@@ -165,27 +160,32 @@ class TestTypedRoundTrip:
             )
 
 
-def assert_memos_hold_one_snapshot(sql, asked):
-    """Both memos are bounded by the loaded snapshot and exact in value.
+def assert_snapshot_is_the_instance(sql, asked):
+    """The snapshot is the instance's rows, stored row ``i`` at rowid ``i``.
 
-    The row memo holds the snapshot's rows and nothing else; the
-    spelling memo holds at most the distinct keys in ``asked``.
+    Every snapshot row is the instance's own tuple object, each table
+    holds exactly the snapshot's rows under their list positions, and
+    the spelling memo holds at most the distinct keys in ``asked``,
+    each entry what the codec computes afresh.
     """
-    snapshot = {
-        row
-        for relation in sql.schema.relations
-        for row in sql.instance.tuples(relation.name)
-    }
-    assert set(sql._rows.values()) == snapshot
-    assert len(sql._rows) == len(snapshot)
+    for relation in sql.schema.relations:
+        rows = sql._snapshot[relation.name]
+        own = {id(row): row for row in sql.instance.tuples(relation.name)}
+        assert len(rows) == len(own)
+        assert all(own.get(id(row)) is row for row in rows)
+        stored = sql._conn.execute(
+            f'SELECT rowid, * FROM "{relation.name}" ORDER BY rowid'
+        ).fetchall()
+        assert stored == [
+            (i, *[_encode_cell(cell.value) for cell in row])
+            for i, row in enumerate(rows)
+        ]
     assert set(sql._spellings) <= set(asked)
-    assert_memos_exact(sql._rows, sql._spellings)
+    assert_spellings_exact(sql._spellings)
 
 
-def assert_memos_exact(rows, spellings):
-    """Every entry is what the codec computes afresh, type for type."""
-    for texts, row in rows.items():
-        assert spelled([row]) == spelled([tuple(map(_decode_cell, texts))])
+def assert_spellings_exact(spellings):
+    """Every spelling-memo entry is what the codec computes afresh."""
     for key, spelling in spellings.items():
         assert spelling == tuple(_key_encodings(key.value))
 
@@ -196,20 +196,23 @@ class TestReconnectLifecycle:
         sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
         reference = sql.access("mt_all")
         sql.access("mt_T", (1,))
-        rows, spellings = sql._rows, sql._spellings
-        assert_memos_hold_one_snapshot(sql, asked=[Constant(1)])
+        snapshot, spellings = sql._snapshot, sql._spellings
+        assert_snapshot_is_the_instance(sql, asked=[Constant(1)])
         sql.sever_connection()
         assert sql.access("mt_all") == reference
         assert sql.reconnects == 1
-        # The reconnect replaced both memos: the row memo is reseeded
-        # from the same snapshot, the spelling memo starts empty.
-        assert sql._rows is not rows and sql._spellings is not spellings
-        assert sql._rows == rows
-        assert_memos_hold_one_snapshot(sql, asked=[])
+        # The reconnect replaced the snapshot with the tables, reloaded
+        # from the same instance, and the spelling memo starts empty.
+        assert sql._snapshot is not snapshot
+        assert sql._spellings is not spellings
+        assert {name: set(rows) for name, rows in sql._snapshot.items()} == {
+            name: set(rows) for name, rows in snapshot.items()
+        }
+        assert_snapshot_is_the_instance(sql, asked=[])
         assert sql.access("mt_T", (True,)) == reference - {
             (Constant("1"), Constant("str"))
         }
-        assert_memos_hold_one_snapshot(sql, asked=[Constant(True)])
+        assert_snapshot_is_the_instance(sql, asked=[Constant(True)])
         assert list(sql._spellings) == [Constant(True)]
 
     def test_backoff_is_capped_exponential(self):
@@ -387,26 +390,29 @@ class TestBatching:
         first = sql.access_batch("w2", keys)
         assert [len(rows) for rows in first.values()] == [1, 1, 0]
         asked = [Constant(v) for key in keys for v in key]
-        assert_memos_hold_one_snapshot(sql, asked)
-        rows, spellings = sql._rows, sql._spellings
-        # New rows under an old key and a new one, with cell texts
-        # ("fresh", 1.0 spelled as a float) no earlier answer decoded.
+        assert_snapshot_is_the_instance(sql, asked)
+        snapshot, spellings = sql._snapshot, sql._spellings
+        old_rows = list(snapshot["W"])
+        # New rows under an old key and a new one ("fresh", 1.0 stored
+        # as a float) that no earlier snapshot held.
         instance.add("W", (1.0, "fresh", 2, "b"))
         instance.add("W", (9, "fresh", 9, 0.5))
         second = sql.access_batch("w2", keys)
-        # The mutation replaced both memos, and the new ones hold the
-        # new snapshot only.
-        assert sql._rows is not rows and sql._spellings is not spellings
-        assert len(sql._rows) == len(rows) + 2
+        # The mutation replaced the snapshot and the spelling memo with
+        # the tables; the new snapshot is the new instance's rows.
+        assert sql._snapshot is not snapshot
+        assert sql._spellings is not spellings
+        assert len(sql._snapshot["W"]) == len(old_rows) + 2
         assert sql.access_batch("w2", keys) == second
-        assert_memos_hold_one_snapshot(sql, asked)
+        assert_snapshot_is_the_instance(sql, asked)
         assert set(sql._spellings) == set(asked)
-        # The old memos are stale in lifetime only: every entry they
-        # hold is still exact, and a row they never saw decodes exactly.
-        assert_memos_exact(rows, spellings)
-        fresh = rows[tuple(map(_encode_cell, (9, "fresh", 9, 0.5)))]
-        assert spelled([fresh]) == spelled(
-            [tuple(map(Constant, (9, "fresh", 9, 0.5)))]
+        # The old snapshot is stale in lifetime only: it still holds the
+        # old version's rows, and its spellings are still exact.
+        assert snapshot["W"] == old_rows
+        assert_spellings_exact(spellings)
+        fresh = (9, "fresh", 9, 0.5)
+        assert spelled(second[constant_inputs((9, 9))]) == spelled(
+            [tuple(map(Constant, fresh))]
         )
         mem = InMemorySource(schema, instance)
         for key in keys:
