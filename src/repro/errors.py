@@ -151,7 +151,7 @@ class DeadlineExceeded(ExecutionError):
 
 
 class NoViablePlan(ExecutionError):
-    """Failover ran out of alternatives: no plan avoids the dead methods.
+    """No plan avoids the dead methods: ``QueryService.plan_for``'s verdict.
 
     ``dead_methods`` names the methods planning had to avoid.
     """

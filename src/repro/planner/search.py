@@ -68,8 +68,6 @@ from repro.cost.functions import (
     CountingCostFunction,
     SimpleCostFunction,
 )
-from repro.data.accessible_part import accessible_part
-from repro.errors import NoViablePlan
 from repro.logic.atoms import Atom, Substitution
 from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.queries import ConjunctiveQuery
@@ -87,7 +85,6 @@ from repro.planner.proof_to_plan import (
     success_pattern,
     write_exposure,
 )
-from repro.plans.expressions import NamedTable
 from repro.plans.plan import Plan
 from repro.schema.accessible import (
     AccessibleSchema,
@@ -297,42 +294,6 @@ def find_best_plan(
     schema.validate_query(query)
     return plan_search(
         AccessibleSchema(schema, Variant.FORWARD), query, options
-    )
-
-
-def find_plan_avoiding(
-    schema: Schema,
-    query: ConjunctiveQuery,
-    dead_methods,
-    options: Optional[SearchOptions] = None,
-) -> SearchResult:
-    """The best plan over ``schema`` minus ``dead_methods``.
-
-    Degraded planning: the data is unchanged, only the access to it.
-    Raises :class:`~repro.errors.NoViablePlan` (carrying the dead set)
-    when no plan survives.
-    """
-    dead = tuple(dead_methods)
-    surviving = schema.without_methods(dead) if dead else schema
-    result = find_best_plan(surviving, query, options)
-    if not result.found:
-        raise NoViablePlan(
-            f"no plan for {query.name} avoids the dead methods",
-            dead_methods=dead,
-        )
-    return result
-
-
-def accessible_answer(
-    schema: Schema, instance, query: ConjunctiveQuery, dead_methods
-) -> NamedTable:
-    """``query`` over ``AccPart`` of what the surviving methods reveal:
-    a sound under-approximation of the certain answers, served (marked
-    partial) when :func:`find_plan_avoiding` finds nothing."""
-    part = accessible_part(schema.without_methods(dead_methods), instance)
-    return NamedTable(
-        tuple(variable.name for variable in query.head),
-        frozenset(part.as_instance().evaluate(query)),
     )
 
 

@@ -331,8 +331,8 @@ class Schema:
 
         Renaming a constant in a plan gives a plan for the query with
         that constant renamed only when no constraint mentions it
-        (``docs/theory.md``, "Rebinding a plan"); the service asks for
-        this set on every bound query request.
+        (``docs/theory.md``, "Rebinding a plan"); the planning front
+        asks for this set on every bound query request.
         """
         found = self._constraint_constants
         if found is None:

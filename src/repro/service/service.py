@@ -1,12 +1,11 @@
 """The concurrent query service: a bounded worker pool over one runtime.
 
-:class:`QueryService` is the serving loop the ROADMAP's "heavy traffic"
-north star needs: many clients submit plan runs concurrently, a fixed
-pool of worker threads executes them over *shared* runtime state (one
-:class:`~repro.data.source.InMemorySource` with its per-method indexes,
-one :class:`~repro.exec.cache.AccessCache`, one
+Many clients submit plan runs concurrently to :class:`QueryService`; a
+fixed pool of worker threads executes them over *shared* runtime state
+(one source with its per-method indexes, one
+:class:`~repro.exec.cache.AccessCache`, one
 :class:`~repro.exec.resilience.BreakerRegistry`), and the service stays
-correct and responsive no matter the offered load:
+correct and responsive at any offered load:
 
 * **one request path** -- :meth:`submit` (a plan) and
   :meth:`submit_query` (a query, planned in the submitting thread)
@@ -35,7 +34,8 @@ correct and responsive no matter the offered load:
   under the service lock, failed requests included.
 * **degraded planning** -- the dead-method set is the breakers'
   forced-open set: an outage force-opens its method's breaker, and
-  :meth:`plan_for` plans over the schema minus those methods.
+  planning (:func:`repro.planner.front.plan_request`, booked here)
+  avoids those methods.
 * **lifecycle** -- :meth:`start` / :meth:`drain` / :meth:`shutdown`
   with the drain guarantee (in-flight and queued requests finish, new
   ones are rejected) and a :meth:`health` snapshot for operators.
@@ -53,7 +53,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.errors import (
     DeadlineExceeded,
@@ -75,19 +75,13 @@ from repro.exec.resilience import (
     RetryPolicy,
 )
 from repro.exec.stats import ExecStats
-from repro.logic.atoms import Atom
 from repro.logic.queries import ConjunctiveQuery
-from repro.logic.terms import _to_constant
 from repro.obs import PER_RUN, Record
-from repro.planner.plan_cache import PlanCache, canonical_query_text, plan_cache_key
-from repro.planner.search import (
-    SearchOptions,
-    accessible_answer,
-    find_plan_avoiding,
-)
+from repro.planner.front import NoPlan, Planned, accessible_answer, plan_request
+from repro.planner.plan_cache import PlanCache, canonical_query_text
+from repro.planner.search import SearchOptions
 from repro.plans.ir import table_from_ir
 from repro.plans.plan import Plan
-from repro.schema.core import Schema
 from repro.service.admission import AdmissionQueue
 from repro.service.workers import (
     LatencyTracker,
@@ -255,8 +249,7 @@ class QueryService:
         # bindings + budget, never pickles) to worker processes, which
         # is what escapes the GIL.
         self.worker_pool = worker_pool
-        # Cross-request plan cache consulted by submit_query before
-        # invoking Algorithm 1 search.
+        # Cross-request plan cache, read and written by the planning front.
         self.plan_cache = plan_cache
         self.retry = retry
         self.breakers = BreakerRegistry(clock=clock)
@@ -514,67 +507,49 @@ class QueryService:
     ) -> Plan:
         """The best plan for a query, via the plan cache when configured.
 
-        The cache key covers the canonical query text, the schema
-        fingerprint and the cost-model identity (see
-        :mod:`repro.planner.plan_cache`): what decides *which plan is
-        cheapest*.  It covers no search option, so the cache holds
-        optima only: a ``stop_on_first`` request asks for any plan,
-        neither reads nor writes the cache, and always searches.  (A
-        service whose callers vary ``max_accesses`` caches what the
-        first of them found; the chase policy is the schema's, so the
-        fingerprint in the key determines it.)  On a miss the search
-        runs here, in the calling thread -- for :meth:`submit_query`
-        the submitting one, after admission, so the request's deadline
-        is running -- and the result is stored for every later request.  Concurrent misses on the same key may
-        both search; both store the same answer, so this is wasted work
-        at worst, never a wrong plan.
-
-        Under a nonempty dead-method set, planning runs over
-        ``schema.without_methods(dead)``: the degraded schema has a
-        *different fingerprint*, so the dead set is part of the cache
-        key by construction -- an outage costs one re-plan (a cache
-        miss on the degraded key), then every request hits the degraded
-        entry until recovery swings the key back.  Raises typed
-        :class:`~repro.errors.NoViablePlan` when no plan avoids the
-        dead methods.
+        :func:`~repro.planner.front.plan_request` plans over the source's
+        schema minus the dead-method set, in the calling thread.  The
+        degraded schema keys its own cache entry, so an outage costs one
+        re-plan until recovery swings the key back.  Concurrent misses on
+        one key may both search and store the same plan: wasted work at
+        worst, never a wrong plan.  Raises typed
+        :class:`~repro.errors.NoViablePlan` when no plan avoids the dead
+        methods, and :class:`~repro.errors.ExecutionError` when no method
+        is dead and the search found no plan.
         """
-        return self._plan(query, search_options, self.source.schema)
+        outcome = self._plan_request(query, search_options)
+        if isinstance(outcome, NoPlan):
+            raise NoViablePlan(
+                f"no plan for {query.name} avoids the dead methods",
+                dead_methods=outcome.dead,
+            )
+        return outcome.plan
 
-    def _plan(
+    def _plan_request(
         self,
         query: ConjunctiveQuery,
         search_options: Optional[SearchOptions],
-        schema: Schema,
-    ) -> Plan:
-        """:meth:`plan_for` over ``schema``: the source's, or it with a
-        request's bound values added as constants."""
-        options = search_options if search_options is not None else SearchOptions()
+        bindings: Optional[Mapping[object, object]] = None,
+    ) -> Union[Planned, NoPlan]:
+        """The front under the current dead set, booked: a search counts
+        in ``planned`` (and in ``replans`` under an outage), and finding
+        nothing with no method dead is an :class:`ExecutionError`."""
         dead = self.current_dead_methods()
-        key = None
-        if self.plan_cache is not None and not options.stop_on_first:
-            # The key is asked for before any search, so the degraded
-            # schema is built here as well as inside find_plan_avoiding.
-            surviving = schema.without_methods(dead) if dead else schema
-            key = plan_cache_key(query, surviving, options.cost)
-            hit = self.plan_cache.get(key)
-            if hit is not None:
-                return hit.plan
-        with self._lock:
-            self._books.planned += 1
-            if dead:
-                self._books.replans += 1
-        try:
-            result = find_plan_avoiding(schema, query, dead, options)
-        except NoViablePlan as error:
-            if dead:
-                raise
+        outcome = plan_request(
+            self.source.schema, query, bindings=bindings, dead=dead,
+            options=search_options, cache=self.plan_cache,
+        )
+        if outcome.searched:
+            with self._lock:
+                self._books.planned += 1
+                if dead:
+                    self._books.replans += 1
+        if isinstance(outcome, NoPlan) and not dead:
             raise ExecutionError(
                 f"no plan within the search budget for query "
-                f"{canonical_query_text(query)}"
-            ) from error
-        if key is not None:
-            self.plan_cache.put(key, result.best_plan, result.best_cost)
-        return result.best_plan
+                f"{canonical_query_text(outcome.query)}"
+            )
+        return outcome
 
     def submit_query(
         self,
@@ -585,50 +560,42 @@ class QueryService:
     ) -> Ticket:
         """Admit a query, plan it (cache-first), and queue the plan run.
 
-        ``kwargs`` are those of :meth:`submit` (bindings, priority,
-        deadline, budget, request id).  The request is admitted first
-        -- its id, budget and deadline exist before the search runs --
-        then planned by :meth:`plan_for` in the submitting thread (so
-        back-to-back calls search serially), then queued exactly as
-        :meth:`submit` queues a plan.  With a warm :class:`PlanCache`
-        the search step disappears and only execution remains.  Bindings
-        rewrite the plan of ``query`` where that is sound; where a
-        binding renames a constant a constraint mentions, or merges two
-        of the query's constants, the bound query is planned instead
-        (:meth:`_rebound`).
+        ``kwargs`` are those of :meth:`submit`.  The request is admitted
+        first -- its id, budget and deadline exist before the search
+        runs -- then planned as :meth:`plan_for` plans, with its bindings
+        (``docs/theory.md``, "Rebinding a plan"), then queued exactly as
+        :meth:`submit` queues a plan.
 
         A request that cannot be queued is resolved on the spot, typed
         and accounted like any served request: the search found no plan
         (:class:`~repro.errors.ExecutionError`), or the deadline ran
         out while planning (:class:`~repro.errors.DeadlineExceeded`).
         When the dead-method set leaves *no* viable plan the request is
-        served anyway: the query is evaluated over the accessible part
-        of the surviving schema and the response comes back explicitly
-        marked ``partial`` and ``degraded`` -- a sound under-approximation
-        of the certain answers, never a silent wrong answer and never a
-        per-request error storm.  Door refusals raise as in
-        :meth:`submit`.
+        served anyway, from the accessible part of the surviving schema,
+        marked ``partial`` and ``degraded``: a sound under-approximation
+        of the certain answers, never a silent wrong one.  Door refusals
+        raise as in :meth:`submit`.
         """
         ticket = self._admit(**kwargs)
+        request = ticket.request
         try:
-            query, schema = self._rebound(query, ticket.request)
-            ticket.request.plan = (
-                self.plan_for(query, search_options=search_options)
-                if schema is self.source.schema
-                else self._plan(query, search_options, schema)
+            outcome = self._plan_request(
+                query, search_options, request.bindings
             )
-            if ticket.deadline is not None:
-                ticket.deadline.check("planning")
-        except NoViablePlan:
-            response = self._accessible_part(ticket, query, schema)
+            if isinstance(outcome, Planned):
+                request.plan, request.bindings = outcome.plan, outcome.bindings
+                if ticket.deadline is not None:
+                    ticket.deadline.check("planning")
         except Exception as error:  # resolved typed, never raised
             response = QueryResponse(
-                ticket.request.request_id,
+                request.request_id,
                 error=_typed(error, "unexpected planning failure"),
             )
         else:
-            self._enqueue(ticket)
-            return ticket
+            if isinstance(outcome, Planned):
+                self._enqueue(ticket)
+                return ticket
+            response = self._accessible_part(ticket, outcome)
         self._finish(ticket, response)
         return ticket
 
@@ -644,15 +611,12 @@ class QueryService:
 
         The request that observes an outage is answered too: while an
         attempt fails and the dead-method set grew because of it, the
-        query is submitted again -- :meth:`plan_for` then plans over
-        the schema minus the dead methods, or :meth:`submit_query`
-        degrades to the accessible part.  Every round grows the dead
-        set, so there are at most as many rounds as methods, and each
-        attempt is an ordinarily admitted and accounted request.  A
-        ``deadline`` covers the whole call: it is measured from the
-        first submission and a later attempt gets what is left of it.
-        The response of the last attempt is returned, with
-        ``failovers`` = attempts - 1.
+        query is submitted again, and planned around the dead methods or
+        answered from the accessible part.  Every round grows the dead
+        set, so there are at most as many rounds as methods; each attempt
+        is an ordinarily admitted and accounted request.  A ``deadline``
+        covers the whole call: a later attempt gets what is left of it.
+        The last attempt's response is returned, ``failovers`` = attempts - 1.
         """
         seconds = kwargs.get("deadline")
         if seconds is None:
@@ -675,58 +639,17 @@ class QueryService:
                 return response
             failovers += 1
 
-    def _rebound(
-        self, query: ConjunctiveQuery, request: QueryRequest
-    ) -> Tuple[ConjunctiveQuery, Schema]:
-        """The query to plan for a bound request, and the schema to plan
-        it over.
-
-        The request's bindings are coerced to constants once, here.  The
-        plan cached for ``query`` answers the bound query once its
-        constants are rewritten (``docs/theory.md``, "Rebinding a plan")
-        unless a binding renames a constant some constraint mentions, or
-        merges two constants of the query.  Then the bound query itself
-        is planned, over the schema with the bound values added as
-        constants (the request supplies them), and the request keeps no
-        bindings.
-        """
-        schema = self.source.schema
-        if not request.bindings:
-            return query, schema
-        mapping = request.bindings = {
-            _to_constant(key): _to_constant(value)
-            for key, value in request.bindings.items()
-        }
-        constants = query.constants()
-        if mapping.keys().isdisjoint(schema.constraint_constants()) and len(
-            {mapping.get(c, c) for c in constants}
-        ) == len(constants):
-            return query, schema
-        request.bindings = None
-        supplied = [
-            value for value in dict.fromkeys(mapping.values())
-            if value not in schema.constants
-        ]
-        return self._bind_query(query, mapping), Schema(
-            schema.relations,
-            schema.methods,
-            schema.constants + tuple(supplied),
-            schema.constraints,
-            name=schema.name,
-        )
-
     def _accessible_part(
-        self, ticket: Ticket, query: ConjunctiveQuery, schema: Schema
+        self, ticket: Ticket, no_plan: NoPlan
     ) -> QueryResponse:
         """Answer a no-viable-plan query from the accessible part, marked.
 
-        The answer is computed in the submitting thread
-        (:func:`~repro.planner.search.accessible_answer`, read off the
-        wrapped instance) and comes back ``partial`` + ``degraded``.
-        The request's governance is the healthy path's: the table goes
-        through the budget's result-row check (a marked truncation, or
-        the typed budget error), and an answer finished past the
-        deadline is a typed :class:`~repro.errors.DeadlineExceeded`.
+        :func:`~repro.planner.front.accessible_answer` of the bound query
+        over the schema the search ran over comes back ``partial`` +
+        ``degraded``.  The request's governance is the healthy path's:
+        the table goes through the budget's result-row check (a marked
+        truncation, or the typed budget error), and an answer finished
+        past the deadline is a typed :class:`~repro.errors.DeadlineExceeded`.
         """
         request = ticket.request
         table = failure = None
@@ -734,10 +657,7 @@ class QueryService:
         started = perf_counter()
         try:
             table = accessible_answer(
-                schema,
-                self.source.instance,
-                self._bind_query(query, request.bindings),
-                self.current_dead_methods(),
+                no_plan.schema, self.source.instance, no_plan.query
             )
             if ticket.deadline is not None:
                 ticket.deadline.check("the accessible-part fallback")
@@ -755,27 +675,6 @@ class QueryService:
             degraded=True,
             wall_time=perf_counter() - started,
         )
-
-    @staticmethod
-    def _bind_query(
-        query: ConjunctiveQuery,
-        bindings: Optional[Mapping[object, object]],
-    ) -> ConjunctiveQuery:
-        """Substitute parameter constants into a query's body atoms."""
-        if not bindings:
-            return query
-        mapping = {
-            _to_constant(key): _to_constant(value)
-            for key, value in bindings.items()
-        }
-        atoms = tuple(
-            Atom(
-                atom.relation,
-                tuple(mapping.get(term, term) for term in atom.terms),
-            )
-            for atom in query.atoms
-        )
-        return ConjunctiveQuery(query.head, atoms, name=query.name)
 
     # ------------------------------------------------------------- workers
     def _worker_loop(self) -> None:

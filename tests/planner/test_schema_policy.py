@@ -17,12 +17,11 @@ from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.errors import ReproError
 from repro.logic.queries import parse_cq
-from repro.planner import proof_to_plan
+from repro.planner import front, proof_to_plan
 from repro.planner.answerability import Answerability, decide_answerability
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.schema.core import SchemaBuilder
 from repro.service import QueryService
-from repro.service import service as service_module
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -68,13 +67,13 @@ def test_find_best_plan_blocks(max_accesses):
 @pytest.mark.parametrize("max_accesses", BUDGETS)
 def test_the_service_plans_under_blocking(monkeypatch, max_accesses):
     searches = []
-    search = service_module.find_plan_avoiding
+    search = front.find_best_plan
 
     def recording(*args):
         searches.append(search(*args))
         return searches[-1]
 
-    monkeypatch.setattr(service_module, "find_plan_avoiding", recording)
+    monkeypatch.setattr(front, "find_best_plan", recording)
     schema = diverging_schema()
     instance = Instance({"S": [("a",)], "R": [("a", "b"), ("b", "a")]})
     with QueryService(InMemorySource(schema, instance), workers=1) as service:

@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.exec.budget import ERROR, ResourceBudget
 from repro.faults import FaultInjectingSource, FaultPolicy, VirtualClock
 from repro.logic.queries import parse_cq
+from repro.planner import front
 from repro.planner.plan_cache import PlanCache
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import example1, example5
@@ -70,20 +71,22 @@ def test_a_query_with_no_plan_resolves_a_typed_failure():
     assert source.total_invocations == 0
 
 
-def test_a_search_that_overruns_the_deadline_never_reaches_the_source():
+def test_a_search_that_overruns_the_deadline_never_reaches_the_source(
+    monkeypatch,
+):
     scenario = example5()
     clock = VirtualClock()
     source = InMemorySource(scenario.schema, scenario.instance(0))
+    search = front.find_best_plan
+
+    def slow_search(*args):
+        """The real search, then ten simulated seconds."""
+        result = search(*args)
+        clock.advance(10.0)
+        return result
+
+    monkeypatch.setattr(front, "find_best_plan", slow_search)
     with QueryService(source, workers=1, clock=clock) as service:
-        plan_for = service.plan_for
-
-        def slow_plan_for(query, **kwargs):
-            """The real search, then ten simulated seconds."""
-            plan = plan_for(query, **kwargs)
-            clock.advance(10.0)
-            return plan
-
-        service.plan_for = slow_plan_for
         ticket = service.submit_query(scenario.query, deadline=5.0)
         response = ticket.result(10)
         assert isinstance(response.error, DeadlineExceeded)

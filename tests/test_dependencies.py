@@ -4,6 +4,7 @@
 true is this walk: every top-level import in ``src/repro`` names a
 standard-library module or ``repro`` itself.  The one exception is
 numpy, and only in the columnar executor, which is imported on demand.
+The same walk keeps the planner below the layers that run its plans.
 """
 
 import ast
@@ -18,15 +19,22 @@ PACKAGE = Path(repro.__file__).parent
 ALLOWED = {("exec/columnar.py", "numpy")}
 
 
-def top_level_imports(path):
-    """The first dotted component of every module ``path`` imports."""
+def imports(path):
+    """The dotted name of everything ``path`` imports, absolutely: a
+    module, or a module's member (``from a.b import c`` is ``a.b.c``)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield alias.name.split(".")[0]
+                yield alias.name
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.split(".")[0]
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+def top_level_imports(path):
+    """The first dotted component of every module ``path`` imports."""
+    return {name.split(".")[0] for name in imports(path)}
 
 
 def test_every_import_is_stdlib_or_repro():
@@ -39,3 +47,16 @@ def test_every_import_is_stdlib_or_repro():
         and (str(path.relative_to(PACKAGE)), module) not in ALLOWED
     )
     assert outside == []
+
+
+def test_the_planner_imports_neither_serving_nor_execution():
+    """A plan or a verdict comes from the planner alone: it takes no
+    lock and sees no ticket, so no service, executor or thread."""
+    reached = sorted(
+        (str(path.relative_to(PACKAGE)), name)
+        for path in (PACKAGE / "planner").rglob("*.py")
+        for name in imports(path)
+        if name.split(".")[:2] in (["repro", "service"], ["repro", "exec"])
+    )
+    assert reached == []
+    assert "threading" not in top_level_imports(PACKAGE / "planner" / "front.py")
