@@ -4,8 +4,9 @@ A standalone runner (``python benchmarks/bench_adapters.py``) that
 writes ``BENCH_adapters.json`` (rendered by ``report.py
 --adapters-json``):
 
-* **differential matrix** -- every scenario in the library is planned
-  once, then the plan is executed against the in-memory oracle and
+* **differential matrix** -- every scenario in the library (the
+  paper's, and ``mixed``: Python-equal keys of different types) is
+  planned once, then the plan is executed against the in-memory oracle and
   against both real backends (:class:`~repro.sources.SQLiteSource`,
   :class:`~repro.sources.HTTPSource` over the paginated stub
   transport) under several conditions: clean, under a seeded transient
@@ -29,6 +30,7 @@ import argparse
 import json
 import time
 
+from repro.data.instance import Instance
 from repro.data.source import InMemorySource
 from repro.exec.cache import AccessCache
 from repro.exec.context import ExecutionContext
@@ -38,8 +40,10 @@ from repro.exec.resilience import (
     RetryPolicy,
 )
 from repro.faults import FaultInjectingSource, FaultPolicy
+from repro.logic.queries import cq
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import (
+    Scenario,
     example1,
     example2,
     path_views,
@@ -47,6 +51,7 @@ from repro.scenarios import (
     view_stack_scenario,
     webservices,
 )
+from repro.schema.core import SchemaBuilder
 from repro.sources import (
     HTTPSource,
     PacedSource,
@@ -56,6 +61,47 @@ from repro.sources import (
 
 _NO_SLEEP = lambda _seconds: None  # noqa: E731
 
+#: The key column of the ``mixed`` scenario: cells that are one key
+#: under Python equality though their types differ, a str spelled like
+#: one of them, and one NaN object (a key equal only to itself).
+_MIXED_KEYS = [1, 1.0, True, 0, -0.0, False, "1", float("nan")]
+
+
+def mixed():
+    """A keyed method whose key column mixes Python-equal cells.
+
+    ``Item`` is read freely and every key it holds is looked up in
+    ``Tag`` through ``mt_tag``: ``1``, ``1.0`` and ``True`` are one key
+    and match all three of their rows, as do the three zeros, while
+    ``"1"`` and the NaN object match only themselves (a second NaN in
+    ``Tag`` matches nothing).  The key set reaches a backend as one
+    batch or, through the access cache, key by key.
+    """
+    schema = (
+        SchemaBuilder("mixed")
+        .relation("Item", 2, ["id", "key"])
+        .relation("Tag", 2, ["key", "tag"])
+        .access("mt_item", "Item", inputs=[], cost=1.0)
+        .access("mt_tag", "Tag", inputs=[0], cost=2.0)
+        .build()
+    )
+    query = cq(
+        ["?id", "?tag"],
+        [("Item", ["?id", "?key"]), ("Tag", ["?key", "?tag"])],
+        name="Qmixed",
+    )
+
+    def make_instance(seed):
+        return Instance(
+            {
+                "Item": [(f"i{n}", key) for n, key in enumerate(_MIXED_KEYS)],
+                "Tag": [(key, f"t{n}") for n, key in enumerate(_MIXED_KEYS)]
+                + [(float("nan"), "another nan")],
+            }
+        )
+
+    return Scenario("mixed", schema, query, make_instance)
+
 #: (name, factory, max_accesses) -- the library both modes draw from.
 _LIBRARY = [
     ("example1", example1, 6),
@@ -64,9 +110,10 @@ _LIBRARY = [
     ("views", view_stack_scenario, 6),
     ("webservices", webservices, 6),
     ("pathviews3", lambda: path_views(3), 6),
+    ("mixed", mixed, 4),
 ]
 
-_QUICK_LIBRARY = ["example1", "chain3", "pathviews3"]
+_QUICK_LIBRARY = ["example1", "chain3", "pathviews3", "mixed"]
 
 
 def canonical(table):

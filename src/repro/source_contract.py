@@ -38,11 +38,13 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence as SequenceABC
 from functools import partial, reduce
+from itertools import chain, repeat
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -198,6 +200,28 @@ class AccessLog(SequenceABC):
         """Log one access given as an :class:`AccessRecord` (any four fields)."""
         method, relation, inputs, results = record
         self.record((method, relation, inputs, results))
+
+    def record_batch(
+        self,
+        method: str,
+        relation: str,
+        inputs: Sequence[Tuple[Any, ...]],
+        results: Iterable[int],
+    ) -> None:
+        """Log one access per tuple of ``inputs``, in order, as one append.
+
+        ``results`` gives each access's result count.  The records'
+        fields are built into a list first and then added by one
+        ``extend`` of it, so a reader (:meth:`fields`) sees all of a
+        batch or none of it.
+        """
+        self._fields.extend(
+            list(
+                chain.from_iterable(
+                    zip(repeat(method), repeat(relation), inputs, results)
+                )
+            )
+        )
 
     def clear(self) -> None:
         """Drop every record."""

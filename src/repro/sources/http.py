@@ -512,21 +512,24 @@ class HTTPSource(MeteredSourceMixin):
             return {
                 values: self.access(method_name, values) for values in keyed
             }
-        results: Dict[Tuple[Constant, ...], FrozenSet] = {}
         by_key = {
             tuple(_to_constant(v) for v in entry["inputs"]): entry["rows"]
             for entry in response.payload.get("results", ())
         }
+        results: Dict[Tuple[Constant, ...], FrozenSet] = {
+            values: frozenset(
+                tuple(_to_constant(cell) for cell in row)
+                for row in by_key.get(values, ())
+            )
+            for values in dict.fromkeys(keyed)
+        }
         with self._lock:
-            for values in keyed:
-                rows = frozenset(
-                    tuple(_to_constant(cell) for cell in row)
-                    for row in by_key.get(values, ())
-                )
-                results[values] = rows
-                self.log.record(
-                    (method_name, method.relation, values, len(rows))
-                )
+            self.log.record_batch(
+                method_name,
+                method.relation,
+                keyed,
+                map(len, map(results.__getitem__, keyed)),
+            )
         return results
 
     def __repr__(self) -> str:

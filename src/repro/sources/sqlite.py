@@ -8,29 +8,29 @@ exactly like :class:`~repro.data.source.InMemorySource` (one
 charged cost) -- so every existing benchmark, cache, breaker and
 worker-tier component runs over it unchanged.
 
-Cells are stored as canonical JSON text, not native SQLite types:
-``Constant`` values span str/int/float/bool and SQLite's affinity
-rules would silently collapse ``1`` and ``1.0`` (and ``True`` and
-``1``), breaking the byte-identical differential contract against the
-in-memory oracle.  JSON-encoding each cell keeps the round trip exact.
+Cells are stored as text, one text per Python-equality class
+(:func:`_cell_text`), not as native SQLite types: ``Constant`` values
+span str/int/float/bool, and SQLite's affinity rules would compare
+``1`` and ``"1"`` alike.  A stored cell is only ever matched, never
+decoded -- the answered rows come from the snapshot by ``rowid`` -- so
+its text need only tell apart the values the in-memory oracle tells
+apart: ``1``, ``1.0`` and ``True`` are one text, as they are one key.
 
 The batch contract (:meth:`SQLiteSource.access_batch`) is
 set-at-a-time, as the paper's access command ``T <= mt <= E`` is
 defined over the *set* of tuples ``E`` produces:
 
 * A method of **any input arity >= 1** is answered by a keyed join: the
-  batch's keys (every JSON spelling of each, so ``1``/``1.0``/``True``
-  match as they do in the oracle) are bound as a ``VALUES`` relation
-  and joined to the table on the method's input columns, then the rows
-  are bucketed by key in one pass.  A free method has no key and is one
-  plain ``SELECT``.
+  batch's distinct keys, one text per cell, are bound as a ``VALUES``
+  relation, one row per key, and joined to the table on the method's
+  input columns.  A free method has no key and is one plain ``SELECT``.
 * Keys are bound a **fixed** ``_CHUNK_PARAMS`` parameters per
   statement, so no batch size can reach a build's
   ``SQLITE_LIMIT_VARIABLE_NUMBER``; each chunk is a single statement,
   so a reconnect between or inside chunks cannot lose keys.
 * **Metering is per logical access**: one ``AccessRecord`` per input
-  tuple with that tuple's own result count -- statements are round
-  trips, never the books.
+  tuple with that tuple's own result count, logged by one append per
+  batch -- statements are round trips, never the books.
 * **Indexes are derived from the schema**: one composite index per
   distinct ``(relation, input_positions)`` among the access methods,
   rebuilt with the tables on every (re)load.
@@ -45,16 +45,9 @@ defined over the *set* of tuples ``E`` produces:
   the same lock hold as the statement that returned them, so a reload
   can never map them onto another snapshot; the snapshot is replaced
   with the tables (reconnect or mutation).
-* **The spelling memo** maps a key ``Constant`` to its tuple of
-  :func:`_key_encodings` spellings, so a key is JSON-encoded once per
-  snapshot however many accesses bind it; Python-equal keys
-  (``1``/``1.0``/``True``, ``0``/``-0.0``) share one slot because they
-  have one spelling set.  It maps a pure function of its key, so an
-  entry can be stale in lifetime only, never in value, and it is
-  replaced with the tables.
-* **A NaN key matches by identity**, as in the in-memory index: the
-  spelling ``NaN`` matches every stored NaN, so a key spelled ``NaN``
-  keeps only the rows whose cell ``==`` the key ``Constant`` (two NaN
+* **A NaN key matches by identity**, as in the in-memory index: every
+  NaN has the text ``NaN``, so the rows a NaN key's statement matched
+  are kept only where the cell ``==`` the key ``Constant`` (two NaN
   objects are two constants).
 
 Connection lifecycle is defensive by construction:
@@ -92,10 +85,12 @@ import sqlite3
 import threading
 import time
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -133,66 +128,89 @@ _STATEMENT_ERRORS = (
 _CHUNK_PARAMS = 250
 
 
-#: One typed cell as canonical JSON text (exact round trip):
-#: ``json.dumps(value, separators=(",", ":"), sort_keys=True)`` through
-#: one encoder -- ``json.dumps`` with non-default arguments builds a
-#: ``JSONEncoder`` per call, and a keyed access encodes every key cell.
-_encode_cell = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+#: The answer of every key no row matched.
+_NO_ROWS: FrozenSet[Tuple[Constant, ...]] = frozenset()
+
+#: The text every NaN has: such a key matches by identity
+#: (:func:`_same_cells`).
+_NAN_TEXT = "NaN"
+
+# The JSON text of one str, without a JSONEncoder frame (keys are
+# mostly strings, and every key cell is spelled once per batch).
+_json_str = json.encoder.encode_basestring_ascii
+
+# Fetched (ordinal, rowid) pairs and (rowid,) rows, taken apart in C,
+# and a Constant's payload.
+_first, _second = itemgetter(0), itemgetter(1)
+_value = attrgetter("value")
 
 
-def _key_encodings(value) -> List[str]:
-    """Every JSON text a lookup key must match in a WHERE clause.
+def _cell_text(value) -> str:
+    """The text of ``value``'s Python-equality class: a cell, or a key's.
 
     The oracle compares :class:`~repro.logic.terms.Constant` values by
     Python equality, under which ``1 == 1.0 == True`` and
-    ``0 == -0.0 == 0.0 == False`` -- but their JSON cell texts differ
-    (``1`` / ``1.0`` / ``true``).  A parameterized lookup must therefore
-    accept *every* spelling of a Python-equal value, or the differential
-    contract breaks on mixed-type columns.  Python-equal values get the
-    same list, which is what lets them share a spelling-memo slot.
+    ``0 == -0.0 == False``, and no str equals a number.  So:
+
+    * a str is its JSON text (``"1"``, quotes included);
+    * a bool, an int or an integral float is the decimal text of the
+      int it equals (``1``, ``0``, ``9007199254740992``);
+    * any other float is its JSON text (``0.5``, ``Infinity``,
+      ``NaN``), which for a finite one is its ``repr``.
+
+    Two non-NaN values get one text exactly when they are equal: a str
+    text starts with a quote and no number's does; an int text is
+    digits, and a non-integral finite float's has a point or an
+    exponent; ``repr`` round-trips.  Every NaN gets ``NaN``, though two
+    NaN objects are two constants -- :func:`_same_cells` tells them
+    apart.
     """
-    encodings = {_encode_cell(value)}
-    if isinstance(value, (bool, int, float)):
-        try:
-            # -float(value) equals value only when value is a zero:
-            # it adds the zero of the other sign.
-            twins = (bool(value), int(value), float(value), -float(value))
-        except (ValueError, OverflowError):  # inf/nan have no int twin
-            twins = ()
-        for twin in twins:
-            if twin == value:
-                encodings.add(_encode_cell(twin))
-    return sorted(encodings)
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, float) and not value.is_integer():
+        return json.dumps(value)
+    return str(int(value))
 
 
-#: The spellings of every NaN key: such a key matches by identity
-#: (:func:`_same_cells`).
-_NAN_SPELLINGS = ("NaN",)
+def _texts(cells: Iterable[Constant]) -> List[str]:
+    """The :func:`_cell_text` of each constant, in order.
 
-
-class _SpellingMemo(dict):
-    """Key ``Constant`` -> its :func:`_key_encodings`, computed once."""
-
-    def __missing__(self, key: Constant) -> Tuple[str, ...]:
-        spellings = self[key] = tuple(_key_encodings(key.value))
-        return spellings
+    When every payload is a str, the texts are built in one C pass;
+    the JSON encoder refuses any other payload, and then each cell
+    takes :func:`_cell_text`.
+    """
+    values = list(map(_value, cells))
+    try:
+        return list(map(_json_str, values))
+    except TypeError:
+        return list(map(_cell_text, values))
 
 
 def _same_cells(
-    rows: List[Tuple[Constant, ...]],
+    rows: FrozenSet[Tuple[Constant, ...]],
     positions: Tuple[int, ...],
     values: Tuple[Constant, ...],
-) -> List[Tuple[Constant, ...]]:
+) -> FrozenSet[Tuple[Constant, ...]]:
     """The rows whose input cells ``==`` the key's constants.
 
-    Applied to a key spelled ``NaN`` somewhere: the spelling matched
-    every stored NaN, and ``==`` keeps the one the key is (a NaN
-    ``Constant`` equals only a constant over the same payload object).
+    Applied where a key has a NaN cell: its text matched every stored
+    NaN, and ``==`` keeps the one the key is (a NaN ``Constant`` equals
+    only a constant over the same payload object).  On any other key
+    it keeps every row its texts matched.
     """
-    return [
+    return frozenset(
         row for row in rows
         if all(row[p] == value for p, value in zip(positions, values))
-    ]
+    )
+
+
+@lru_cache(maxsize=256)
+def _select_sql(relation: str, positions: Tuple[int, ...]) -> str:
+    """One access: the row ids whose input cells are the key's texts."""
+    sql = f'SELECT rowid FROM "{relation}"'
+    if positions:
+        sql += " WHERE " + " AND ".join(f"c{p} = ?" for p in positions)
+    return sql
 
 
 @lru_cache(maxsize=256)
@@ -261,7 +279,6 @@ class SQLiteSource(MeteredSourceMixin):
         self._loaded_version: Optional[int] = None
         #: Relation name -> its rows; row ``i`` is stored as rowid ``i``.
         self._snapshot: Dict[str, List[Tuple[Constant, ...]]] = {}
-        self._spellings = _SpellingMemo()
         # One lock for connection + log: sqlite3 connections are not
         # concurrency-safe, and the source sits under a multi-threaded
         # QueryService -- statements serialize, waits overlap upstream.
@@ -290,10 +307,11 @@ class SQLiteSource(MeteredSourceMixin):
         Each distinct ``(relation, input_positions)`` among the
         schema's access methods gets one composite index -- the keyed
         lookups are exactly the binding patterns the schema declares.
-        The snapshot and the spelling memo are replaced with the tables:
-        row ``i`` of a relation's snapshot list is stored as rowid
-        ``i``.  The version is read first, so a mutation that lands
-        while the rows are read makes the next access reload again.
+        The snapshot is replaced with the tables: row ``i`` of a
+        relation's snapshot list is stored as rowid ``i``, each cell as
+        its :func:`_cell_text`.  The version is read first, so a
+        mutation that lands while the rows are read makes the next
+        access reload again.
         """
         conn = self._conn
         version = self.instance.version
@@ -307,13 +325,12 @@ class SQLiteSource(MeteredSourceMixin):
             rows = snapshot[name] = list(self.instance.tuples(name))
             if rows:
                 marks = ", ".join("?" * (arity + 1))
+                texts = _texts(itertools.chain.from_iterable(rows))
+                by_column = [texts[c::arity] for c in range(arity)]
                 conn.executemany(
                     f'INSERT INTO "{name}" (rowid, {columns}) '
                     f"VALUES ({marks})",
-                    [
-                        (i, *[_encode_cell(cell.value) for cell in row])
-                        for i, row in enumerate(rows)
-                    ],
+                    zip(range(len(rows)), *by_column),
                 )
         indexed = {
             (method.relation, method.input_positions)
@@ -327,7 +344,6 @@ class SQLiteSource(MeteredSourceMixin):
             )
         conn.commit()
         self._snapshot = snapshot
-        self._spellings = _SpellingMemo()
         self._loaded_version = version
 
     def sever_connection(self) -> None:
@@ -400,25 +416,15 @@ class SQLiteSource(MeteredSourceMixin):
         self, method: AccessMethod, values: Tuple[Constant, ...]
     ) -> FrozenSet[Tuple[Constant, ...]]:
         """One access's rows; caller holds the lock."""
-        clauses = []
-        params: List[str] = []
-        spellings = self._spellings
-        by_identity = False
-        for position, value in zip(method.input_positions, values):
-            encodings = spellings[value]
-            by_identity |= encodings == _NAN_SPELLINGS
-            marks = ", ".join("?" for _ in encodings)
-            clauses.append(f"c{position} IN ({marks})")
-            params.extend(encodings)
-        sql = f'SELECT rowid FROM "{method.relation}"'
-        if clauses:
-            sql += f" WHERE {' AND '.join(clauses)}"
-        fetched = self._execute(sql, params)
+        params = _texts(values)
+        fetched = self._execute(
+            _select_sql(method.relation, method.input_positions), params
+        )
         snapshot = self._snapshot[method.relation]
-        rows = [snapshot[i] for (i,) in fetched]
-        if by_identity:
+        rows = frozenset(map(snapshot.__getitem__, map(_first, fetched)))
+        if _NAN_TEXT in params:
             rows = _same_cells(rows, method.input_positions, values)
-        return frozenset(rows)
+        return rows
 
     def access(
         self, method_name: str, inputs: Sequence[object] = ()
@@ -443,8 +449,9 @@ class SQLiteSource(MeteredSourceMixin):
         per chunk of the batch (:meth:`_select_keyed`), which returns
         row ids; a free method has nothing to key on and keeps
         :meth:`_select`.  Metering is per *logical access* either way --
-        one record per input tuple, identical to the per-key loop -- so
-        batching changes round trips, never the books.
+        one record per input tuple, identical to the per-key loop,
+        logged by one append -- so batching changes round trips, never
+        the books.
         """
         method = self.schema.method(method_name)
         keyed = [checked_inputs(method, v) for v in inputs_list]
@@ -458,10 +465,12 @@ class SQLiteSource(MeteredSourceMixin):
                     values: self._select(method, values)
                     for values in dict.fromkeys(keyed)
                 }
-            record = self.log.record
-            relation = method.relation
-            for values in keyed:
-                record((method_name, relation, values, len(results[values])))
+            self.log.record_batch(
+                method_name,
+                method.relation,
+                keyed,
+                map(len, map(results.__getitem__, keyed)),
+            )
         return results
 
     def _select_keyed(
@@ -469,53 +478,39 @@ class SQLiteSource(MeteredSourceMixin):
     ) -> Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]:
         """Join the batch's keys to the relation; caller holds the lock.
 
-        The keys relation is a ``VALUES`` CTE with one row per JSON
-        spelling (:func:`_key_encodings`) of every distinct key, bound
-        ``_CHUNK_PARAMS`` parameters at a time; Python-equal keys of
-        different types (``1``/``1.0``/``True``) are one key, as they
-        are one ``results`` entry and one spelling-memo slot.  Keys row
-        ``n`` of the batch belongs to bucket ``targets[n]``: a fetched
-        ``(ordinal, rowid)`` pair is two list indexes, the ordinal into
-        the chunk's targets and the rowid into the snapshot.  No cell
-        text is built or hashed.
+        The keys relation is a ``VALUES`` CTE with one row per distinct
+        key, each cell its :func:`_cell_text`, bound ``_CHUNK_PARAMS``
+        parameters at a time; Python-equal keys of different types
+        (``1``/``1.0``/``True``) are one key, as they are one
+        ``results`` entry.  Keys row ``n`` of the chunk starting at key
+        ``start`` is key ``start + n``, so a run of fetched
+        ``(n, rowid)`` pairs becomes that key's rows by list indexes
+        into the snapshot (the join returns a keys row's matches in one
+        run; a key's runs are unioned all the same).  Every key no row
+        matched shares one empty answer.
         """
         positions = method.input_positions
         width = len(positions)
-        spell = self._spellings.__getitem__
-        buckets: Dict[Tuple[Constant, ...], List[Tuple[Constant, ...]]] = {}
-        targets: List[List[Tuple[Constant, ...]]] = []
-        params: List[str] = []
-        by_identity = []
-        for values in keyed:
-            if values in buckets:
-                continue
-            bucket = buckets[values] = []
-            if width == 1:
-                spelled = spell(values[0])
-                params.extend(spelled)
-                targets.extend([bucket] * len(spelled))
-                nan = spelled == _NAN_SPELLINGS
-            else:
-                spellings = list(map(spell, values))
-                for key in itertools.product(*spellings):
-                    params.extend(key)
-                    targets.append(bucket)
-                nan = _NAN_SPELLINGS in spellings
-            if nan:
-                by_identity.append(values)
+        results = dict.fromkeys(keyed, _NO_ROWS)
+        distinct = list(results)
+        params = _texts(itertools.chain.from_iterable(distinct))
         per_statement = _CHUNK_PARAMS // width
-        for start in range(0, len(targets), per_statement):
-            chunk = targets[start : start + per_statement]
+        for start in range(0, len(distinct), per_statement):
+            count = min(per_statement, len(distinct) - start)
             fetched = self._execute(
-                _keyed_join_sql(method.relation, positions, len(chunk)),
-                params[start * width : (start + len(chunk)) * width],
+                _keyed_join_sql(method.relation, positions, count),
+                params[start * width : (start + count) * width],
             )
-            snapshot = self._snapshot[method.relation]
-            for n, i in fetched:
-                chunk[n].append(snapshot[i])
-        for values in by_identity:
-            buckets[values] = _same_cells(buckets[values], positions, values)
-        return {values: frozenset(rows) for values, rows in buckets.items()}
+            row = self._snapshot[method.relation].__getitem__
+            for n, pairs in itertools.groupby(fetched, _first):
+                key = distinct[start + n]
+                rows = map(row, map(_second, pairs))
+                results[key] = results[key].union(rows)
+        if _NAN_TEXT in params:
+            for key, rows in results.items():
+                if rows:
+                    results[key] = _same_cells(rows, positions, key)
+        return results
 
     def __repr__(self) -> str:
         return (

@@ -256,3 +256,73 @@ def test_records_stay_whole_under_threads(backend):
         assert len(record.inputs) == len(method.input_positions)
         assert all(type(value) is Constant for value in record.inputs)
         assert record.results == len(oracle.access(record.method, record.inputs))
+
+
+# ------------------------------------------------------------ a whole batch
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(_keys("mt_key"), max_size=12),
+    counts=st.data(),
+    before=st.integers(0, 3),
+)
+def test_a_batch_append_is_the_per_key_loop(keys, counts, before):
+    inputs = [constant_inputs(key) for key in keys]
+    results = counts.draw(
+        st.lists(st.integers(0, 9), min_size=len(keys), max_size=len(keys))
+    )
+    earlier = AccessRecord("mt_s", "S", (Constant("a"),), 1)
+    batched, looped = AccessLog(), AccessLog()
+    for log in (batched, looped):
+        for _ in range(before):
+            log.append(earlier)
+    batched.record_batch("mt_key", "R", inputs, iter(results))
+    for values, count in zip(inputs, results):
+        looped.record(("mt_key", "R", values, count))
+    assert batched == looped
+    assert list(batched) == [earlier] * before + [
+        AccessRecord("mt_key", "R", values, count)
+        for values, count in zip(inputs, results)
+    ]
+
+
+@pytest.mark.timeout(120)
+def test_a_reader_sees_all_of_a_batch_or_none_of_it():
+    """The writer empties the log and appends one batch, over and over;
+    two readers copy it meanwhile and must find nothing or the batch."""
+    log = AccessLog()
+    size = 256
+    inputs = [(Constant(f"k{i}"),) for i in range(size)]
+    barrier = threading.Barrier(3)
+    done = threading.Event()
+    reads, torn = [], []
+
+    def writer():
+        barrier.wait()
+        for _ in range(2000):
+            log.clear()
+            log.record_batch("mt_key", "R", inputs, [1] * size)
+        done.set()
+
+    def reader():
+        barrier.wait()
+        while not done.is_set():
+            fields = log.fields()
+            reads.append(len(fields))
+            if len(fields) not in (0, 4 * size):
+                torn.append(len(fields))
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader) for _ in range(2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reads and torn == []
+    assert log == [AccessRecord("mt_key", "R", key, 1) for key in inputs]

@@ -19,7 +19,7 @@ from repro.scenarios import example1
 from repro.schema.core import SchemaBuilder
 from repro.source_contract import constant_inputs
 from repro.sources import SQLiteSource
-from repro.sources.sqlite import _CHUNK_PARAMS, _encode_cell, _key_encodings
+from repro.sources.sqlite import _CHUNK_PARAMS, _cell_text
 
 _NO_SLEEP = lambda _seconds: None  # noqa: E731
 
@@ -124,23 +124,22 @@ class TestTypedRoundTrip:
         ids=repr,
     )
     def test_cell_text_is_what_json_dumps_wrote(self, value):
-        """The shared encoder writes the bytes the per-call one did."""
+        """A str or a non-integral float is spelled as ``json.dumps``
+        writes it; any other number as it writes the int it equals."""
         import json
 
-        assert _encode_cell(value) == json.dumps(
-            value, separators=(",", ":"), sort_keys=True
-        )
+        if not isinstance(value, str) and float(value).is_integer():
+            value = int(value)
+        assert _cell_text(value) == json.dumps(value)
 
     def test_key_spellings_of_python_equal_values(self):
-        assert _key_encodings(1) == ["1", "1.0", "true"]
-        assert _key_encodings(1.0) == ["1", "1.0", "true"]
-        assert _key_encodings(True) == ["1", "1.0", "true"]
-        zeros = ["-0.0", "0", "0.0", "false"]
-        assert _key_encodings(0) == _key_encodings(-0.0) == zeros
-        assert _key_encodings(0.0) == _key_encodings(False) == zeros
-        assert _key_encodings(2) == ["2", "2.0"]
-        assert _key_encodings(2.5) == ["2.5"]
-        assert _key_encodings("1") == ['"1"']
+        assert _cell_text(1) == _cell_text(1.0) == _cell_text(True) == "1"
+        assert _cell_text(0) == _cell_text(-0.0) == "0"
+        assert _cell_text(0.0) == _cell_text(False) == "0"
+        assert _cell_text(2) == _cell_text(2.0) == "2"
+        assert _cell_text(2.5) == "2.5"
+        assert _cell_text("1") == '"1"'
+        assert _cell_text(float("nan")) == "NaN"
 
     def test_signed_zero_keys_match_every_zero(self):
         """``0 == 0.0 == -0.0 == False``: a zero key finds all four rows."""
@@ -160,13 +159,50 @@ class TestTypedRoundTrip:
             )
 
 
-def assert_snapshot_is_the_instance(sql, asked):
+# Payloads whose Python equality crosses types, sits at the edge of a
+# float's exact integers, or is spelled like a number.
+EDGES = st.sampled_from(
+    [0, 0.0, -0.0, False, 1, 1.0, True, "1", "0", "1.0", "true",
+     2**53, 2**53 + 1, float(2**53), 1e300, int(1e300), float("inf"),
+     float("-inf"), "Infinity", "NaN", 0.5, -7]
+)
+PAYLOADS = st.one_of(
+    EDGES,
+    st.text(max_size=4),
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+)
+
+
+class TestCanonicalText:
+    """One cell text per Python-equality class of constants."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=PAYLOADS, b=PAYLOADS)
+    def test_same_text_iff_equal_constants(self, a, b):
+        same_text = _cell_text(a) == _cell_text(b)
+        assert same_text == (Constant(a) == Constant(b))
+
+    def test_two_nan_objects_stay_two_keys(self):
+        nan_a, nan_b = float("nan"), float("nan")
+        assert _cell_text(nan_a) == _cell_text(nan_b) == "NaN"
+        assert Constant(nan_a) != Constant(nan_b)
+        instance = Instance({"T": [(nan_a, "a"), (nan_b, "b")]})
+        sql = SQLiteSource(typed_schema(), instance, sleep=_NO_SLEEP)
+        answers = sql.access_batch("mt_T", [(nan_a,), (nan_b,), (nan_a,)])
+        assert list(answers) == [(Constant(nan_a),), (Constant(nan_b),)]
+        cells = [[row[1].value for row in rows] for rows in answers.values()]
+        assert cells == [["a"], ["b"]]
+        assert sql._statements == 1
+
+
+def assert_snapshot_is_the_instance(sql):
     """The snapshot is the instance's rows, stored row ``i`` at rowid ``i``.
 
-    Every snapshot row is the instance's own tuple object, each table
-    holds exactly the snapshot's rows under their list positions, and
-    the spelling memo holds at most the distinct keys in ``asked``,
-    each entry what the codec computes afresh.
+    Every snapshot row is the instance's own tuple object, and each
+    table holds exactly the snapshot's rows under their list positions,
+    every cell as its canonical text.
     """
     for relation in sql.schema.relations:
         rows = sql._snapshot[relation.name]
@@ -177,17 +213,9 @@ def assert_snapshot_is_the_instance(sql, asked):
             f'SELECT rowid, * FROM "{relation.name}" ORDER BY rowid'
         ).fetchall()
         assert stored == [
-            (i, *[_encode_cell(cell.value) for cell in row])
+            (i, *[_cell_text(cell.value) for cell in row])
             for i, row in enumerate(rows)
         ]
-    assert set(sql._spellings) <= set(asked)
-    assert_spellings_exact(sql._spellings)
-
-
-def assert_spellings_exact(spellings):
-    """Every spelling-memo entry is what the codec computes afresh."""
-    for key, spelling in spellings.items():
-        assert spelling == tuple(_key_encodings(key.value))
 
 
 class TestReconnectLifecycle:
@@ -196,24 +224,21 @@ class TestReconnectLifecycle:
         sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
         reference = sql.access("mt_all")
         sql.access("mt_T", (1,))
-        snapshot, spellings = sql._snapshot, sql._spellings
-        assert_snapshot_is_the_instance(sql, asked=[Constant(1)])
+        snapshot = sql._snapshot
+        assert_snapshot_is_the_instance(sql)
         sql.sever_connection()
         assert sql.access("mt_all") == reference
         assert sql.reconnects == 1
         # The reconnect replaced the snapshot with the tables, reloaded
-        # from the same instance, and the spelling memo starts empty.
+        # from the same instance.
         assert sql._snapshot is not snapshot
-        assert sql._spellings is not spellings
         assert {name: set(rows) for name, rows in sql._snapshot.items()} == {
             name: set(rows) for name, rows in snapshot.items()
         }
-        assert_snapshot_is_the_instance(sql, asked=[])
+        assert_snapshot_is_the_instance(sql)
         assert sql.access("mt_T", (True,)) == reference - {
             (Constant("1"), Constant("str"))
         }
-        assert_snapshot_is_the_instance(sql, asked=[Constant(True)])
-        assert list(sql._spellings) == [Constant(True)]
 
     def test_backoff_is_capped_exponential(self):
         sleeps = []
@@ -382,34 +407,30 @@ class TestBatching:
         }
         assert records(dropping) == records(severed) == records(clean)
 
-    def test_mutation_between_batches_reloads_tables_indexes_and_memo(self):
+    def test_mutation_between_batches_reloads_tables_and_indexes(self):
         schema = wide_schema()
         instance = Instance({"W": [(1, "a", 2, "b"), (3, "c", 4, "d")]})
         sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
         keys = [(2, 1), (4, 3), (9, 9)]
         first = sql.access_batch("w2", keys)
         assert [len(rows) for rows in first.values()] == [1, 1, 0]
-        asked = [Constant(v) for key in keys for v in key]
-        assert_snapshot_is_the_instance(sql, asked)
-        snapshot, spellings = sql._snapshot, sql._spellings
+        assert_snapshot_is_the_instance(sql)
+        snapshot = sql._snapshot
         old_rows = list(snapshot["W"])
         # New rows under an old key and a new one ("fresh", 1.0 stored
         # as a float) that no earlier snapshot held.
         instance.add("W", (1.0, "fresh", 2, "b"))
         instance.add("W", (9, "fresh", 9, 0.5))
         second = sql.access_batch("w2", keys)
-        # The mutation replaced the snapshot and the spelling memo with
-        # the tables; the new snapshot is the new instance's rows.
+        # The mutation replaced the snapshot with the tables; the new
+        # snapshot is the new instance's rows.
         assert sql._snapshot is not snapshot
-        assert sql._spellings is not spellings
         assert len(sql._snapshot["W"]) == len(old_rows) + 2
         assert sql.access_batch("w2", keys) == second
-        assert_snapshot_is_the_instance(sql, asked)
-        assert set(sql._spellings) == set(asked)
+        assert_snapshot_is_the_instance(sql)
         # The old snapshot is stale in lifetime only: it still holds the
-        # old version's rows, and its spellings are still exact.
+        # old version's rows.
         assert snapshot["W"] == old_rows
-        assert_spellings_exact(spellings)
         fresh = (9, "fresh", 9, 0.5)
         assert spelled(second[constant_inputs((9, 9))]) == spelled(
             [tuple(map(Constant, fresh))]
@@ -427,8 +448,8 @@ class TestBatching:
         assert indexes == (3,)
 
 
-# -0.0 and 2**53 / 2.0**53: Python-equal keys whose spellings must agree,
-# since they share one spelling-memo slot.
+# -0.0 and 2**53 / 2.0**53: Python-equal keys of different types, which
+# must have one text.
 VALUES = st.sampled_from(
     [1, 1.0, True, "1", 0, 0.0, -0.0, False, "0", 2, 2.5, 2**53, 2.0**53,
      "a", ""]

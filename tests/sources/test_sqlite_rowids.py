@@ -127,9 +127,11 @@ class TestNaNKeys:
 
 # Python-equal cells of different types, and their neighbours.
 MIXED = st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, "1", 2, 2.0])
-# Distinct keys enough to cross the chunk boundary: 300 single keys of
-# two spellings each bind 600 parameters, over two chunks of 250.
-FILLER = st.integers(min_value=10, max_value=310)
+# Up to this many filler keys: every key is one keys row of its width, so
+# a chunk holds _CHUNK_PARAMS // width keys, and the most filler keys of
+# any width cross a chunk boundary.
+MOST_FILL = _CHUNK_PARAMS + 50
+FILLER = st.integers(min_value=10, max_value=10 + MOST_FILL)
 CELLS = st.one_of(MIXED, FILLER)
 
 
@@ -140,18 +142,19 @@ class TestDifferential:
     @given(
         rows=st.lists(st.tuples(CELLS, MIXED, CELLS), max_size=40),
         method=st.sampled_from(["w1", "w2", "w3"]),
-        fill=st.integers(min_value=0, max_value=300),
         data=st.data(),
     )
-    def test_answers_and_books_agree(self, rows, method, fill, data):
+    def test_answers_and_books_agree(self, rows, method, data):
         schema = wide_schema()
         arity = len(schema.method(method).input_positions)
+        per_chunk = _CHUNK_PARAMS // arity
         drawn = data.draw(
             st.lists(st.tuples(*[CELLS] * arity), max_size=12)
         )
-        # Filler keys take the batch over the chunk boundary.
+        # Filler keys, all distinct, take the batch over a chunk boundary.
+        fill = data.draw(st.integers(0, per_chunk + 50), label="fill")
         keys = drawn + [
-            tuple(10 + (i + j) % 301 for j in range(arity))
+            tuple(10 + (i + j) % (MOST_FILL + 1) for j in range(arity))
             for i in range(fill)
         ]
         instance = Instance({"W": rows})
@@ -169,9 +172,9 @@ class TestDifferential:
         assert_own_rows(instance, answers.values())
         assert records(batched) == records(per_key) == records(mem)
         assert batched.charged_cost() == mem.charged_cost()
-        if fill > _CHUNK_PARAMS // 2:
-            # Every filler key binds at least two parameters.
-            assert batched._statements > 1
+        # One keys row per distinct key: Python-equal keys are one.
+        distinct = len(set(map(constant_inputs, keys)))
+        assert batched._statements == -(-distinct // per_chunk)
 
 
 class _ReloadOnRelease:
