@@ -181,34 +181,8 @@ def render_search(report: Dict) -> str:
 def render_cost(report: Dict) -> str:
     """Markdown tables for a ``bench_cost.py`` comparison report."""
     lines = [
-        "### cost model: feedback calibration on misleading fan-outs "
+        "### Algorithm 1: incumbent branch-and-bound pruning "
         f"({report['mode']})",
-        "",
-        "| scenario | true fan-out | uncalibrated pick | measured"
-        " | calibrated pick | measured | improvement | flipped |",
-        "|---|---|---|---|---|---|---|---|",
-    ]
-    for row in report["calibration"]:
-        uncal, cal = row["uncalibrated"], row["calibrated"]
-        lines.append(
-            "| "
-            + " | ".join(
-                [
-                    row["scenario"],
-                    str(row["fan_out"]),
-                    "+".join(uncal["methods"]),
-                    f"{uncal['measured_cost']:.2f}",
-                    "+".join(cal["methods"]),
-                    f"{cal['measured_cost']:.2f}",
-                    f"{row['improvement']:.2f}x",
-                    "yes" if row["flipped"] else "no",
-                ]
-            )
-            + " |"
-        )
-    lines += [
-        "",
-        "### Algorithm 1: incumbent branch-and-bound pruning",
         "",
         "| scenario | expanded (off) | expanded (on) | reduction"
         " | bound-pruned | best plan |",
@@ -237,9 +211,7 @@ def render_cost(report: Dict) -> str:
         f"as {admission['overflow_error']} (rows "
         f"{admission['overflow_rows']}, budget "
         f"{admission['overflow_budget']}); "
-        f"headline node reduction {report['node_reduction']:.2f}x, "
-        "calibrated pick never measured worse: "
-        f"{'yes' if report['calibrated_never_worse'] else 'NO'}.",
+        f"headline node reduction {report['node_reduction']:.2f}x.",
         "",
     ]
     return "\n".join(lines)
@@ -655,7 +627,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--cost-json", metavar="PATH",
-        help="render a bench_cost.py calibration/pruning report instead",
+        help="render a bench_cost.py pruning/admission report instead",
     )
     parser.add_argument(
         "--faults-json", metavar="PATH",

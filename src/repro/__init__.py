@@ -105,11 +105,7 @@ from repro.faults import (
     VirtualClock,
 )
 from repro.plans import Plan, PlanKind
-from repro.cost import (
-    CardinalityCostFunction,
-    CountingCostFunction,
-    SimpleCostFunction,
-)
+from repro.cost import CountingCostFunction, SimpleCostFunction
 from repro.planner import (
     ChaseProof,
     Exposure,
@@ -131,7 +127,6 @@ __all__ = [
     "AccessibleSchema",
     "Atom",
     "BreakerRegistry",
-    "CardinalityCostFunction",
     "ChaseProof",
     "CircuitBreaker",
     "ConjunctiveQuery",

@@ -182,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
              "interpreter only",
     )
     demo.add_argument(
-        "--calibrated",
-        action="store_true",
-        help="after executing, fold the run's observed row flow into a "
-             "cost-calibration store, re-plan with the calibrated "
-             "cardinality estimator, and report both plans",
-    )
-    demo.add_argument(
         "--failover",
         action="store_true",
         help="serve the query through QueryService.serve_query: when a "
@@ -373,9 +366,7 @@ def _demo(args) -> int:
             sleep=clock.sleep,
         )
     cache = AccessCache() if args.access_cache else None
-    exec_stats = (
-        ExecStats() if (args.exec_stats or args.calibrated) else None
-    )
+    exec_stats = ExecStats() if args.exec_stats else None
     truth = instance.evaluate(scenario.query)
     if args.failover:
         from repro.service import QueryService
@@ -435,43 +426,8 @@ def _demo(args) -> int:
     adapter = _adapter_summary(inner)
     if adapter:
         print(adapter)
-    if args.calibrated and exec_stats is not None:
-        _demo_calibrated(args, scenario, exec_stats)
     print(f"complete: {'yes' if complete else 'NO'}")
     return 0 if complete else 1
-
-
-def _demo_calibrated(args, scenario, exec_stats) -> None:
-    """Re-plan with costs calibrated on the observed run.
-
-    No static size bound caps the estimates or refuses the plan: a
-    bound computed ahead of a run is an upper bound, which proves no
-    overflow.
-    """
-    from repro.cost import CalibrationStore, CardinalityCostFunction
-
-    store = CalibrationStore()
-    store.observe_stats(
-        exec_stats,
-        {m.name: m.relation for m in scenario.schema.methods},
-    )
-    cost = CardinalityCostFunction(relation_cardinality={}, calibration=store)
-    calibrated = find_best_plan(
-        scenario.schema,
-        scenario.query,
-        SearchOptions(max_accesses=args.max_accesses, cost=cost),
-    )
-    print(f"\ncalibration [{store.summary()}]")
-    if not calibrated.found:
-        print("calibrated re-plan: no complete plan within the budget")
-        return
-    stats = calibrated.stats
-    print(
-        f"calibrated re-plan: cost {calibrated.best_cost:.2f} over "
-        f"{len(calibrated.best_plan.access_commands)} accesses "
-        f"({stats.nodes_expanded} nodes expanded, "
-        f"{stats.pruned_by_bound} closed by branch-and-bound)"
-    )
 
 
 def _serve_demo(args) -> int:

@@ -5,13 +5,11 @@ access commands never lowers a plan's cost.  The paper's default is the
 *simple cost function* -- each method has a positive weight; a plan costs
 the sum of the weights of its access commands (the same method invoked by
 two commands is charged twice).  Theorem 9's optimality guarantee is
-stated for simple cost functions; the cardinality-aware estimator here is
-the kind of "generic" monotone cost the search also accepts.
+stated for simple cost functions; the search accepts any other monotone
+:class:`CostFunction` as well.
 """
 
-from repro.cost.calibration import CalibrationStore, MethodCalibration
 from repro.cost.functions import (
-    CardinalityCostFunction,
     CostFunction,
     CountingCostFunction,
     SimpleCostFunction,
@@ -19,11 +17,8 @@ from repro.cost.functions import (
 )
 
 __all__ = [
-    "CalibrationStore",
-    "CardinalityCostFunction",
     "CostFunction",
     "CountingCostFunction",
-    "MethodCalibration",
     "SimpleCostFunction",
     "is_monotone_on",
 ]

@@ -119,28 +119,6 @@ class ResultTruncated(TransientAccessError):
         self.rows = rows
 
 
-# -------------------------------------------------------------- cost layer
-class CostModelError(ReproError):
-    """A failure inside a cost model or its calibration machinery."""
-
-
-class InvalidCostParameter(CostModelError):
-    """A cost-model knob was given a value outside its sound range.
-
-    Raised at *construction* time (e.g. a selectivity outside ``(0, 1]``
-    would silently produce non-monotone or negative costs), so a
-    misconfigured estimator can never reach the planner.  ``parameter``
-    names the knob and ``value`` carries the offending value.
-    """
-
-    def __init__(
-        self, message: str, *, parameter: str = "", value: object = None
-    ) -> None:
-        self.parameter = parameter
-        self.value = value
-        super().__init__(message)
-
-
 # -------------------------------------------------------------- exec layer
 class ExecutionError(ReproError):
     """A failure while evaluating a plan or relational expression."""
@@ -258,10 +236,8 @@ __all__ = [
     "AccessTimeout",
     "AccessViolation",
     "CircuitOpen",
-    "CostModelError",
     "DeadlineExceeded",
     "ExecutionError",
-    "InvalidCostParameter",
     "MethodOutage",
     "NoViablePlan",
     "RateLimited",

@@ -27,10 +27,9 @@ class CommandStats(Record):
     index: int = 0
     target: str = ""
     kind: str = ""  # "access" | "middleware"
-    # The access method invoked (None for middleware commands).  This is
-    # what lets the caller of a run fold its observed row flow into a
-    # CalibrationStore (repro.cost.calibration) per (relation, method)
-    # without re-deriving it from the plan.
+    # The access method invoked (None for middleware commands), so a
+    # run's row flow can be read per method without re-deriving it from
+    # the plan.
     method: Optional[str] = None
     wall_time: float = 0.0
     rows_in: int = 0

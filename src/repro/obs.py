@@ -3,8 +3,8 @@
 Each stats class (``HomStats``, ``ChaseStats``, ``DominationStats``,
 ``SearchStats``, ``CommandStats``, ``ExecStats``, ``FaultStats``) and
 each of the serving layer's books (``ServiceBooks`` with its
-``ServiceHealth`` snapshot, ``TierBooks``, ``MethodCalibration``) is a
-dataclass of fields over :class:`Record`.  ``absorb`` folds a record of
+``ServiceHealth`` snapshot, ``TierBooks``) is a dataclass of fields over
+:class:`Record`.  ``absorb`` folds a record of
 the same class in by a rule read off each field's default: a number
 adds, a nested record absorbs, a list extends, a dict adds per key, a
 string (or ``None``) keeps the first non-empty value.  A field declared

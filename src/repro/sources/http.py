@@ -95,6 +95,11 @@ class StubResponse:
         self.headers = dict(headers or {})
 
 
+def _row_order(row: Tuple[Any, ...]) -> Tuple[Tuple[str, Any], ...]:
+    """A total sort key for a row of raw cells of any mix of types."""
+    return tuple((type(value).__name__, value) for value in row)
+
+
 class StubTransport:
     """A deterministic in-process web service over an instance.
 
@@ -241,14 +246,22 @@ class StubTransport:
     def _rows_for(
         self, method, values: Tuple[Constant, ...]
     ) -> List[List[Any]]:
-        """Matching rows as raw JSON values, deterministically sorted."""
+        """Matching rows as raw JSON values, deterministically sorted.
+
+        The order is a total one over mixed cell types: each cell sorts
+        by its type's name first, then by its value, so ``1`` and
+        ``"1"`` in one column never meet under ``<``.
+        """
         rows = sorted(
-            tuple(cell.value for cell in row)
-            for row in self.instance.tuples(method.relation)
-            if all(
-                row[position] == value
-                for position, value in zip(method.input_positions, values)
-            )
+            (
+                tuple(cell.value for cell in row)
+                for row in self.instance.tuples(method.relation)
+                if all(
+                    row[position] == value
+                    for position, value in zip(method.input_positions, values)
+                )
+            ),
+            key=_row_order,
         )
         return [list(row) for row in rows]
 

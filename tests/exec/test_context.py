@@ -14,8 +14,7 @@
     same accesses in its own order);
 (d) the columnar engine takes the interpreter's batch branch;
 (e) the signatures that used to thread eight arguments take the
-    context, and the service and the calibration store keep the
-    settable values they have.
+    context, and the service keeps the settable values it has.
 """
 
 import inspect
@@ -27,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost.calibration import CalibrationStore
 from repro.data.source import InMemorySource
 from repro.exec import (
     AccessCache,
@@ -338,8 +336,6 @@ def test_the_signatures_take_the_context():
         "default_deadline", "clock", "name",
         "worker_pool", "plan_cache",
     ]
-    # In memory, one observation of evidence: nothing to set.
-    assert parameters(CalibrationStore.__init__) == []
 
 
 def test_a_payload_naming_the_interpreter_still_runs():

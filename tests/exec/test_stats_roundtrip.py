@@ -68,7 +68,7 @@ class TestExecStats:
 
 
 class TestCalibrationFields:
-    """The feedback-calibration fields survive the trip and default sanely."""
+    """The per-method row-flow fields survive the trip and default sanely."""
 
     def test_method_and_rows_fetched_recorded(self):
         stats = executed_stats()

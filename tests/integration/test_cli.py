@@ -36,16 +36,9 @@ class TestDemo:
 
 
 class TestEngineAndCalibrationEntryPoints:
-    """A plain ``demo`` run is where the columnar engine and the
-    calibrated re-plan are reached from the command line; serving runs
-    the interpreter and feeds no cost model."""
-
-    def test_calibrated_demo_prints_a_calibrated_replan(self, capsys):
-        assert main(["demo", "example5", "--calibrated"]) == 0
-        out = capsys.readouterr().out
-        assert "calibration [calibration v1: " in out
-        assert "calibrated re-plan: cost " in out
-        assert "complete: yes" in out
+    """A plain ``demo`` run is where the columnar engine is reached from
+    the command line; serving runs the interpreter and takes no
+    calibration file."""
 
     def test_columnar_demo_succeeds(self, capsys):
         assert main(["demo", "example1", "--executor", "columnar"]) == 0

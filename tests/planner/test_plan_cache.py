@@ -9,11 +9,7 @@ planning problem -- fails loudly here instead.
 
 import pytest
 
-from repro.cost.functions import (
-    CardinalityCostFunction,
-    CostFunction,
-    SimpleCostFunction,
-)
+from repro.cost.functions import CostFunction, SimpleCostFunction
 from repro.logic.queries import parse_cq
 from repro.planner import (
     CachedPlan,
@@ -145,9 +141,13 @@ class TestGoldenPins:
             "per_method": {"mt_R": 1.0},
             "default": 3.0,
         }
-        identity = CardinalityCostFunction({"R": 10}).identity()
-        assert identity["kind"] == "CardinalityCostFunction"
-        assert identity["relation_cardinality"] == {"R": 10}
+        # A weight change moves the identity, and with it the key.
+        reweighed = SimpleCostFunction({"mt_R": 2.0}, default=3.0)
+        assert reweighed.identity()["per_method"] == {"mt_R": 2.0}
+        assert (
+            plan_cache_key(join_query(), golden_schema(), reweighed)
+            != "1034e68c8ffce4ff162182f4aeb2dcf5"
+        )
         base = CostFunction()
         assert base.identity() == {"kind": "CostFunction"}
 

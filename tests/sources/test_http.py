@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.faults.policy import KIND_UNAVAILABLE, FaultPolicy
 from repro.schema.core import SchemaBuilder
-from repro.sources import HTTPSource, StubTransport
+from repro.sources import HTTPSource, SQLiteSource, StubTransport
 
 
 def web_schema():
@@ -89,6 +89,32 @@ class TestPagination:
             "mt_T", ("a",)
         )
         assert any(row[1].value == "late" for row in answer)
+
+
+class TestMixedTypeRows:
+    def test_rows_of_mixed_cell_types_are_all_returned(self):
+        """``1`` and ``"1"`` under one key: the stub orders them without
+        comparing an int with a str, on every page and in a batch, and
+        the client answers what the other two backends answer."""
+        schema = (
+            SchemaBuilder("mixed")
+            .relation("T", 2)
+            .access("mt_T", "T", inputs=[1], cost=1.0)
+            .build()
+        )
+        instance = Instance({"T": [(1, "a"), ("1", "a"), (1.5, "a")]})
+        expected = InMemorySource(schema, instance).access("mt_T", ("a",))
+        assert len(expected) == 3
+        assert SQLiteSource(schema, instance).access("mt_T", ("a",)) == expected
+        for page_size in (None, 1):
+            client = HTTPSource(
+                StubTransport(schema, instance, page_size=page_size)
+            )
+            assert client.access("mt_T", ("a",)) == expected
+        batched = HTTPSource(StubTransport(schema, instance)).access_batch(
+            "mt_T", [("a",)]
+        )
+        assert batched[(_to_constant("a"),)] == expected
 
 
 class TestRetryAfter:

@@ -118,21 +118,6 @@ class TestAliases:
         assert excinfo.value.relation == "R"
 
 
-class TestCostAndAdmissionErrors:
-    """The cost-model errors slot into the hierarchy."""
-
-    def test_cost_model_errors_are_repro_errors(self):
-        assert issubclass(errors.CostModelError, errors.ReproError)
-        assert issubclass(errors.InvalidCostParameter, errors.CostModelError)
-
-    def test_invalid_cost_parameter_carries_context(self):
-        error = errors.InvalidCostParameter(
-            "bad knob", parameter="select_selectivity", value=1.5
-        )
-        assert error.parameter == "select_selectivity"
-        assert error.value == 1.5
-
-
 class TestWorkerTierErrors:
     def test_worker_stalled_is_a_service_error_with_context(self):
         error = errors.WorkerStalled("stuck", stalls=3, killed=True)

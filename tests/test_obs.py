@@ -32,7 +32,7 @@ from repro.obs import Record
 RECORD_CLASSES = {
     "HomStats", "ChaseStats", "DominationStats", "SearchStats",
     "CommandStats", "ExecStats", "FaultStats",
-    "ServiceBooks", "ServiceHealth", "TierBooks", "MethodCalibration",
+    "ServiceBooks", "ServiceHealth", "TierBooks",
 }
 
 
