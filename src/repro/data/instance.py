@@ -54,14 +54,20 @@ class Instance:
     """A finite database instance (relation name -> set of tuples).
 
     ``version`` is a monotone mutation counter: it bumps on every
-    successful insert.  Derived structures outside the instance (the
-    per-method access indexes of
-    :class:`~repro.data.source.InMemorySource`) use it to detect
-    staleness cheaply instead of re-hashing the data.  It is a plain
-    attribute because every access reads it; only :meth:`add` writes it.
-    The instance's own join indexes, which :meth:`evaluate` and
-    :meth:`satisfies` build on first use, are kept per relation, and an
-    insert drops only those of the relation it grows.
+    successful insert, and :meth:`version_of` answers the value it took
+    when one relation last grew (0 for a relation never written).  A
+    duplicate insert moves neither.  Derived structures outside the
+    instance use the two to detect staleness cheaply instead of
+    re-hashing the data: the per-method access indexes of
+    :class:`~repro.data.source.InMemorySource` and the entries of the
+    :class:`~repro.exec.cache.AccessCache` compare ``version`` first and
+    read a relation's version only when ``version`` has moved, so an
+    insert into one relation leaves what was derived from the others
+    standing.  ``version`` is a plain attribute because every access
+    reads it; only :meth:`add` writes it.  The instance's own join
+    indexes, which :meth:`evaluate` and :meth:`satisfies` build on
+    first use, are kept per relation, and an insert drops only those
+    of the relation it grows.
 
     Equal cells are shared: a stored row holds one :class:`Constant`
     object per ``(type(value), value)`` across every row and relation of
@@ -82,6 +88,8 @@ class Instance:
         self._cells: Dict[Tuple[type, object], Constant] = {}
         # relation -> shape -> key -> rows; see ``_rows_by``.
         self._indexes: Dict[str, Dict[Shape, Dict[Row, List[Row]]]] = {}
+        # relation -> the ``version`` its last insert took.
+        self._versions: Dict[str, int] = {}
         self.version = 0
         if data:
             for relation, tuples in data.items():
@@ -107,8 +115,16 @@ class Instance:
             shared.append(cells.setdefault(key, cell))
         bucket.add(tuple(shared))
         self._indexes.pop(relation, None)
-        self.version += 1
+        # The relation's version first: whoever sees ``version`` move
+        # must find the relation that moved it already stamped.
+        version = self.version + 1
+        self._versions[relation] = version
+        self.version = version
         return True
+
+    def version_of(self, relation: str) -> int:
+        """The :attr:`version` at which ``relation`` last grew (0: never)."""
+        return self._versions.get(relation, 0)
 
     def add_fact(self, fact: Atom) -> bool:
         """Insert a ground atom; returns False on duplicates."""
@@ -119,6 +135,16 @@ class Instance:
     def tuples(self, relation: str) -> FrozenSet[Tuple[Constant, ...]]:
         """The stored tuples of one relation (empty when unknown)."""
         return frozenset(self._data.get(relation, ()))
+
+    def rows(self, relation: str) -> List[Tuple[Constant, ...]]:
+        """The stored tuples of one relation, as a list.
+
+        A point-in-time copy, safe to read while another thread
+        inserts.  Neither copy hashes a row again, but a list is cheaper
+        than :meth:`tuples`' frozenset both to make and to walk, which
+        is what a one-pass index build does with it.
+        """
+        return list(self._data.get(relation, ()))
 
     def relations(self) -> Tuple[str, ...]:
         """Names of relations with at least one stored tuple."""
@@ -267,6 +293,7 @@ class Instance:
         clone = Instance()
         clone._data = {r: set(b) for r, b in self._data.items()}
         clone._cells = dict(self._cells)
+        clone._versions = dict(self._versions)
         clone.version = self.version
         return clone
 

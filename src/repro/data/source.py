@@ -9,12 +9,20 @@ touched) and the money/latency cost a cost function assigns.
 
 By default the source answers accesses through a lazily built
 *per-method hash index*: the first invocation of a method buckets the
-relation's tuples by their values at the method's input positions, and
+relation's tuples by their values at the method's input positions (one
+pass, keys taken by :func:`~repro.plans.expressions.row_picker`), and
 every later invocation is a dictionary lookup instead of a full
-relation scan.  The index is invalidated automatically when the
-underlying :class:`~repro.data.instance.Instance` mutates (tracked via
-``Instance.version``).  Construct with ``indexed=False`` for the
-original scan-per-access behaviour -- the benchmarks' naive reference.
+relation scan.  Each index is stamped with its relation's version
+(``Instance.version_of``) and rebuilt only once that relation has
+grown: an insert into ``R`` leaves the indexes of every other relation
+standing.  While ``Instance.version`` has not moved no stamp is read;
+when it has, the next access that needs an index re-checks every
+stamp once, drops the stale indexes and remembers the new version.
+:meth:`~repro.source_contract.MeteredSourceMixin.relation_epoch` is
+that per-relation version, the token the
+:class:`~repro.exec.cache.AccessCache` keeps its entries under.
+Construct with ``indexed=False`` for the original scan-per-access
+behaviour -- the benchmarks' naive reference.
 Metering is identical either way: the index changes how an access is
 *answered*, never whether it is logged or charged.
 
@@ -25,7 +33,7 @@ short: every check runs on every call -- the method lookup (one probe of
 a name -> method table built at construction), the input check
 (:func:`~repro.source_contract.checked_inputs`), index staleness, one
 record in the :class:`~repro.source_contract.AccessLog` -- but an access
-answered by an index already built for the instance's current version
+answered by an index already checked at the instance's current version
 takes the source lock once, for the lookup and the log append together,
 and inputs that already are a tuple of constants are logged as the
 object they arrived as.  The append is one ``list.extend`` of the
@@ -36,7 +44,7 @@ new object for the cyclic collector to track.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.data.instance import Instance
 from repro.errors import AccessViolation
@@ -78,8 +86,13 @@ class InMemorySource(MeteredSourceMixin):
             method.name: method for method in schema.methods
         }
         self._indexes: Dict[str, _MethodIndex] = {}
+        # Method name -> its relation and that relation's version when
+        # its index was built.
+        self._stamps: Dict[str, Tuple[str, int]] = {}
+        # The instance version at which every index held was last found
+        # current.
         self._indexed_version = instance.version
-        # Guards the lazy index build (check-version/clear/build) and the
+        # Guards the lazy index build (check-stamps/drop/build) and the
         # metering log, so one source can serve many worker threads; the
         # single-threaded path just pays one uncontended acquisition.
         self._lock = threading.RLock()
@@ -98,7 +111,7 @@ class InMemorySource(MeteredSourceMixin):
             method = self.schema.method(method_name)
         values = checked_inputs(method, inputs)
         # One acquisition covers the lookup and the metering.  An index
-        # built for the instance's current version answers right here;
+        # checked at the instance's current version answers right here;
         # anything else (first use, a mutation since, an unindexed
         # source) goes through _lookup, re-entering the lock.
         with self._lock:
@@ -143,29 +156,42 @@ class InMemorySource(MeteredSourceMixin):
     def _method_index(self, method: AccessMethod) -> _MethodIndex:
         """The (lazily built, staleness-checked) index of one method.
 
-        The whole check-version / clear / build / install sequence runs
+        The whole check-stamps / drop / build / install sequence runs
         under the source lock, so concurrent first accesses to a method
-        build its index exactly once and never observe a half-cleared
-        index map.
+        build its index exactly once and never observe a half-checked
+        index map.  Each version is read before what it vouches for:
+        an insert that lands meanwhile leaves a stamp behind the data,
+        and the next check rebuilds.
         """
         with self._lock:
-            if self.instance.version != self._indexed_version:
-                self._indexes.clear()
-                self._indexed_version = self.instance.version
+            instance = self.instance
+            version = instance.version
+            if version != self._indexed_version:
+                for name, (relation, stamp) in list(self._stamps.items()):
+                    if instance.version_of(relation) != stamp:
+                        del self._indexes[name], self._stamps[name]
+                self._indexed_version = version
             index = self._indexes.get(method.name)
             if index is None:
+                # Here, not at module level: importing repro.plans from
+                # repro.data would run the plans package first.
+                from repro.plans.expressions import row_picker
+
+                stamp = instance.version_of(method.relation)
+                pick = row_picker(method.input_positions)
                 buckets: Dict[
-                    Tuple[Constant, ...], Set[Tuple[Constant, ...]]
+                    Tuple[Constant, ...], List[Tuple[Constant, ...]]
                 ] = {}
-                positions = method.input_positions
-                for row in self.instance.tuples(method.relation):
-                    buckets.setdefault(
-                        tuple(row[p] for p in positions), set()
-                    ).add(row)
-                index = {
-                    key: frozenset(rows) for key, rows in buckets.items()
-                }
+                for row in instance.rows(method.relation):
+                    key = pick(row)
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        buckets[key] = [row]
+                    else:
+                        bucket.append(row)
+                index = dict(zip(buckets, map(frozenset, buckets.values())))
                 self._indexes[method.name] = index
+                self._stamps[method.name] = (method.relation, stamp)
             return index
 
     def __repr__(self) -> str:

@@ -5,7 +5,8 @@ In the paper a source *is* its access methods: a plan can only call
 runtime asks of a source is all here, in a module that imports nothing
 from :mod:`repro.data` or :mod:`repro.sources` and so sits below both:
 the duck-typed protocol (:class:`SourceAdapter`) with its epoch token,
-read through any wrapper stack (:func:`epoch_reader`,
+whole-source and per relation, read through any wrapper stack
+(:func:`epoch_reader`, :func:`relation_epoch_reader`,
 :func:`source_epoch`); what every backend inherits
 (:class:`MeteredSourceMixin`); the one delegation base
 (:class:`SourceWrapper`); and the spec a source writes about itself to
@@ -85,6 +86,13 @@ class SourceAdapter(Protocol):
     ``epoch``
         a monotone snapshot token; answers observed under different
         epochs must never be mixed (see :func:`source_epoch`).
+
+    A source may also offer ``relation_epoch(relation)``: the token of
+    one relation, which moves only when that relation changes (and
+    then ``epoch`` moves too).  An answer of a method over ``R`` reads
+    ``R`` alone, so it stays good while ``R``'s token holds.  A source
+    without the method is read as answering its ``epoch`` for every
+    relation (:func:`relation_epoch_reader`).
     """
 
     schema: Any
@@ -287,6 +295,21 @@ def epoch_reader(source) -> Callable[[], Any]:
     return lambda: 0
 
 
+def relation_epoch_reader(source) -> Callable[[str], Any]:
+    """How to read one relation's snapshot token, resolved once.
+
+    A callable ``relation_epoch(relation)`` when the source offers one
+    (every :class:`MeteredSourceMixin` backend does; wrappers delegate
+    it via ``__getattr__``); otherwise the whole-source token of
+    :func:`epoch_reader`, answered for every relation.
+    """
+    relation_epoch = getattr(source, "relation_epoch", None)
+    if callable(relation_epoch):
+        return relation_epoch
+    read_epoch = epoch_reader(source)
+    return lambda relation: read_epoch()
+
+
 def source_epoch(source) -> int:
     """The source's current snapshot token, through any wrapper stack.
 
@@ -349,6 +372,16 @@ class MeteredSourceMixin(Specable):
         :class:`~repro.exec.cache.AccessCache` invalidates on.
         """
         return self.instance.version
+
+    def relation_epoch(self, relation: str) -> int:
+        """One relation's snapshot token: ``Instance.version_of(relation)``.
+
+        It moves only when that relation grows, and :meth:`epoch` moves
+        with it; the :class:`~repro.exec.cache.AccessCache` keeps each
+        entry under it.  A backend whose only token covers the whole
+        source answers that token here for every relation.
+        """
+        return self.instance.version_of(relation)
 
     def reset_log(self) -> None:
         """Clear the access log and counters."""

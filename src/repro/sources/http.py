@@ -9,7 +9,9 @@ reference transport -- a deterministic simulation of a web service:
 
 * ``GET /access/{method}`` -- one lookup; paginated (``page`` /
   ``next_page``), every response stamped with an ``X-Source-Epoch``
-  header (the backend's snapshot token);
+  header (the backend's snapshot token); the sorted matches of a paged
+  lookup are computed once and sliced for each of its pages while the
+  relation's version holds;
 * ``POST /batch/{method}`` -- several distinct lookups in one round
   trip (what the access-boundary batching dispatches into);
 * a server-side token bucket: an over-budget request is answered
@@ -73,6 +75,9 @@ from repro.sources.base import TokenBucket
 
 #: The epoch header every stub response carries.
 EPOCH_HEADER = "X-Source-Epoch"
+
+#: Paged lookups whose sorted matches a stub keeps between pages.
+_PAGED_KEPT = 64
 
 
 class TransportTimeout(Exception):
@@ -142,6 +147,9 @@ class StubTransport:
         )
         self._lock = threading.Lock()
         self._attempts: Dict[Tuple[str, Tuple], int] = {}
+        # (method, key) -> (the relation's version, its sorted matches)
+        # for each paged lookup whose last page is not yet served.
+        self._paged: Dict[Tuple[str, Tuple], Tuple[int, List[List[Any]]]] = {}
         self.requests = 0
         #: Requests that arrived while the server bucket was dry (the
         #: 429s).  A well-paced client keeps this at zero.
@@ -272,20 +280,49 @@ class StubTransport:
         if fault is not None:
             return fault
         epoch = self.epoch()
-        rows = self._rows_for(method, values)
         page = int(params.get("page", 0))
         next_page: Optional[int] = None
-        if self.page_size is not None:
+        if self.page_size is None:
+            rows = self._rows_for(method, values)
+        else:
+            rows = self._paged_rows(method, values)
             start = page * self.page_size
-            window = rows[start : start + self.page_size]
             if start + self.page_size < len(rows):
                 next_page = page + 1
-            rows = window
+            else:
+                with self._lock:
+                    self._paged.pop((method.name, values), None)
+            rows = rows[start : start + self.page_size]
         return StubResponse(
             200,
             {"rows": rows, "next_page": next_page},
             {EPOCH_HEADER: str(epoch)},
         )
+
+    def _paged_rows(
+        self, method, values: Tuple[Constant, ...]
+    ) -> List[List[Any]]:
+        """The sorted matches one page of a lookup is sliced from.
+
+        Scanned and sorted at the first page, then kept under the
+        relation's version (read before the scan) until the last page
+        is served, so a lookup of ``n`` pages scans once, not ``n``
+        times; a write to the relation meanwhile moves the version and
+        the next page scans again.  At most ``_PAGED_KEPT`` sequences
+        are kept, the oldest dropped first.
+        """
+        key = (method.name, values)
+        version = self.instance.version_of(method.relation)
+        with self._lock:
+            held = self._paged.get(key)
+        if held is not None and held[0] == version:
+            return held[1]
+        rows = self._rows_for(method, values)
+        with self._lock:
+            self._paged[key] = (version, rows)
+            if len(self._paged) > _PAGED_KEPT:
+                del self._paged[next(iter(self._paged))]
+        return rows
 
     def _serve_batch(self, method, params: Mapping[str, Any]) -> StubResponse:
         """Several lookups, one round trip, no pagination (bounded)."""
@@ -375,6 +412,10 @@ class HTTPSource(MeteredSourceMixin):
             if self._last_epoch is not None:
                 return self._last_epoch
         return int(self.transport.epoch())
+
+    def relation_epoch(self, relation: str) -> int:
+        """The whole-backend :meth:`epoch`: the header names no relation."""
+        return self.epoch()
 
     def _note_epoch(self, response: StubResponse) -> Optional[int]:
         header = response.headers.get(EPOCH_HEADER)

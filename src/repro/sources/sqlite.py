@@ -64,12 +64,14 @@ Connection lifecycle is defensive by construction:
   non-retryable :class:`~repro.errors.AccessError` at once, without
   reconnecting.
 * **Read-snapshot epochs**: :meth:`epoch` is ``instance.version``; a
-  backend mutation bumps it, the next access reloads the tables, and
-  everything derived from older answers (the
-  :class:`~repro.exec.cache.AccessCache`) is invalidated by the epoch
-  change.  A *reconnect without mutation* keeps the epoch -- the
-  reloaded tables are provably the same snapshot, which is what makes
-  answers byte-identical across mid-plan connection loss.
+  backend mutation bumps it and the next access reloads every table.
+  Its ``relation_epoch`` is ``instance.version_of(relation)``, so what
+  the :class:`~repro.exec.cache.AccessCache` derived from older answers
+  is invalidated only for the relation the mutation grew: the reload
+  puts the other relations' rows back as they were.  A *reconnect
+  without mutation* keeps the epoch -- the reloaded tables are provably
+  the same snapshot, which is what makes answers byte-identical across
+  mid-plan connection loss.
 
 Chaos hooks: :meth:`sever_connection` kills the live connection (the
 next statement walks the reconnect path) and ``drop_every=N`` severs

@@ -204,8 +204,14 @@ class TestMethodIndex:
 
     def test_index_invalidated_on_instance_mutation(self, source):
         assert len(source.access("mt_key", ("a",))) == 2
+        index = source._indexes["mt_key"]
+        # A write to a relation no method reads keeps the index.
+        source.instance.add("S", ("z",))
+        assert len(source.access("mt_key", ("a",))) == 2
+        assert source._indexes["mt_key"] is index
         source.instance.add("R", ("a", "99"))
         assert len(source.access("mt_key", ("a",))) == 3
+        assert source._indexes["mt_key"] is not index
         assert len(source.access("mt_scan")) == 4
 
     def test_metering_identical_under_index(self, source):

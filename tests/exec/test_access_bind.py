@@ -427,11 +427,14 @@ class TestMutationBetweenKeys:
         access = bound_access(source, METHOD, cache, dispatcher)
         assert access(B) is stale  # one hit, answered from the store
         assert len(access(A)) == 2
+        # A write to a relation the method does not read keeps both.
+        source.instance.add("S", ("x",))
+        assert access(B) is stale and len(cache) == 2
         source.instance.add("R", ("k1", "new"))
         fresh = access(B)
         assert (Constant("k1"), Constant("new")) in fresh and len(fresh) == 3
-        assert (cache.hits, cache.misses) == (1, 3)
-        # The mutation cleared the store: only the post-mutation entry.
+        assert (cache.hits, cache.misses) == (2, 3)
+        # The write to R dropped R's entries: only the post-write entry.
         assert len(cache) == 1
         assert access(B) is fresh
 

@@ -84,6 +84,10 @@ class TestEvictionAndInvalidation:
         cache = AccessCache()
         before = cache.fetch(source, "mt_key", (Constant("a"),))
         assert len(before) == 2
+        # A write to a relation the method does not read keeps the entry.
+        source.instance.add("S", ("z",))
+        assert cache.fetch(source, "mt_key", (Constant("a"),)) is before
+        assert (cache.hits, cache.misses) == (1, 1)
         source.instance.add("R", ("a", "99"))
         after = cache.fetch(source, "mt_key", (Constant("a"),))
         assert len(after) == 3

@@ -13,6 +13,7 @@ from repro.errors import (
 from repro.faults.policy import KIND_UNAVAILABLE, FaultPolicy
 from repro.schema.core import SchemaBuilder
 from repro.sources import HTTPSource, SQLiteSource, StubTransport
+from repro.sources.http import EPOCH_HEADER
 
 
 def web_schema():
@@ -242,3 +243,64 @@ class TestBatching:
         for key in keys:
             values = tuple(_to_constant(v) for v in key)
             assert batched[values] == reference.access("mt_T", key)
+
+
+class TestPagedLookupScansOnce:
+    """A paged lookup's sorted matches are kept between its pages."""
+
+    def big(self):
+        return Instance({"T": [("k", f"r{i:04d}") for i in range(4000)]})
+
+    def spy_scans(self, instance, monkeypatch):
+        scans = []
+        real = instance.tuples
+
+        def tuples(relation):
+            scans.append(relation)
+            return real(relation)
+
+        monkeypatch.setattr(instance, "tuples", tuples)
+        return scans
+
+    def test_a_4000_row_lookup_at_40_a_page_scans_once(self, monkeypatch):
+        instance = self.big()
+        unpaged = HTTPSource(StubTransport(web_schema(), instance)).access(
+            "mt_T", ("k",)
+        )
+        transport = StubTransport(web_schema(), instance, page_size=40)
+        scans = self.spy_scans(instance, monkeypatch)
+        paged = HTTPSource(transport).access("mt_T", ("k",))
+        assert transport.counters()["requests"] == 100
+        assert scans == ["T"]
+        assert paged == unpaged and len(paged) == 4000
+        # The pages, in order, are the unpaged answer's sorted rows.
+        pages = [
+            transport.request(
+                "GET", "/access/mt_T", {"inputs": ["k"], "page": page}
+            ).payload["rows"]
+            for page in range(100)
+        ]
+        assert [row for page in pages for row in page] == sorted(
+            [row[0].value, row[1].value] for row in unpaged
+        )
+        assert scans == ["T", "T"] and not transport._paged
+
+    def test_a_write_to_the_relation_between_pages_rescans(self, monkeypatch):
+        instance = self.big()
+        transport = StubTransport(web_schema(), instance, page_size=40)
+        scans = self.spy_scans(instance, monkeypatch)
+
+        def page(number):
+            return transport.request(
+                "GET", "/access/mt_T", {"inputs": ["k"], "page": number}
+            )
+
+        first = page(0)
+        page(1)
+        instance.add("Other", ("x",))
+        assert page(2).payload["next_page"] == 3 and scans == ["T"]
+        instance.add("T", ("k", "a0000"))
+        moved = page(0)
+        assert scans == ["T", "T"]
+        assert moved.payload["rows"][0] == ["k", "a0000"]
+        assert moved.headers[EPOCH_HEADER] != first.headers[EPOCH_HEADER]

@@ -317,6 +317,57 @@ class TestEpochs:
         ).access("mt_T", ("fresh",))
 
 
+def outcome(call):
+    """What a call answered, or the type and text of what it raised."""
+    try:
+        return ("answered", call())
+    except Exception as error:  # compared, not swallowed
+        return ("raised", type(error), str(error))
+
+
+class TestBatchInputCheck:
+    """A batch answers, or raises the error, its keys do one by one."""
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [(Constant("k1"),), (Constant("k2"), Constant("x"))],
+            [(Constant("k1"),), ("k2",), [Constant("k3")]],
+            [(Constant("k1"),), (object(),)],
+            ["k", "1", "k2"],
+            [],
+        ],
+        ids=["wrong-arity", "non-constant", "uncoercible", "raw-strings", "empty"],
+    )
+    def test_a_batch_answers_or_raises_as_its_keys_do(self, batch):
+        instance, _ = many_keys(4)
+        sql = SQLiteSource(typed_schema(), instance, sleep=_NO_SLEEP)
+        per_key = SQLiteSource(typed_schema(), instance, sleep=_NO_SLEEP)
+        made = outcome(lambda: sql.access_batch("mt_T", batch))
+        expected = outcome(
+            lambda: {
+                constant_inputs(key): per_key.access("mt_T", key)
+                for key in batch
+            }
+        )
+        assert made == expected
+        if made[0] == "raised":
+            assert sql.total_invocations == 0
+        else:
+            assert records(sql) == records(per_key)
+
+    def test_exact_keys_pass_whole_and_are_logged_as_themselves(self):
+        instance, _ = many_keys(4)
+        sql = SQLiteSource(typed_schema(), instance, sleep=_NO_SLEEP)
+        keys = [(Constant(f"k{i}"),) for i in range(6)]
+        sql.access_batch("mt_T", keys)
+        assert all(
+            logged is key for logged, key in zip(
+                (rec.inputs for rec in sql.log), keys
+            )
+        )
+
+
 class TestBatching:
     def test_batch_matches_per_key_answers_and_metering(self):
         scenario = example1(professors=8, directory_extra=0)
