@@ -1,4 +1,4 @@
-"""One request, start to finish: rebind the plan, execute.
+"""One request, start to finish: run the plan under its bindings.
 
 A deployed mediator does not run a plan once: it serves the same plan
 for many parameter values, or several alternative plans over the same
@@ -9,13 +9,23 @@ the runs have in common: one :class:`~repro.exec.cache.AccessCache` (so
 identical accesses are paid once *across* runs) and one aggregated
 :class:`~repro.exec.stats.ExecStats`.
 
-Parameter bindings are plan rewrites: :func:`substitute_constants`
-replaces schema constants wherever a plan mentions them (access input
-bindings, selection conditions, literal tables), which is how "the same
-plan for last name 'smith'" becomes "... for last name 'jones'" without
-re-planning.  :func:`run_request` applies the same substitution to the
-plan's memoised executable form (:mod:`repro.plans.rewrite`) instead, so
-a bound request neither re-plans nor re-runs the rewrite.
+Parameter bindings rename schema constants: "the same plan for last
+name 'smith'" becomes "... for last name 'jones'" without re-planning.
+:func:`substitute_constants` is the definition, as a plan rewrite: it
+replaces the constants wherever a plan mentions them (access input
+bindings, selection conditions, literal tables).  :func:`run_request`
+rewrites nothing.  It runs the plan's memoised executable form
+(:mod:`repro.plans.rewrite`) as it stands and hands the bindings to the
+command loop, which reads them at exactly those three places: a
+constant condition's stage, an access command's constant input cell,
+a literal table's rows.  The two agree -- for every plan, source and
+mapping, ``run_request(source, plan, b, ctx)`` returns the rows, makes
+the accesses in the order and books the per-command dispatch counts
+that ``substitute_constants(plan, b).execute(source, ctx)`` does
+(``tests/exec/test_runtime_binding.py``) -- because the substitution
+changes constants and never an attribute, so it commutes with the
+rewrite and the run sees the same values either way.  A bound request
+thus builds no plan, form or schedule of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from repro.exec.context import ExecutionContext
 from repro.logic.terms import Constant, _to_constant
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
 from repro.plans.expressions import (
+    NO_BINDINGS,
     EqConst,
     Expression,
     Join,
@@ -35,7 +46,7 @@ from repro.plans.expressions import (
     NeqConst,
     Select,
 )
-from repro.plans.plan import Plan
+from repro.plans.plan import Plan, run_commands
 
 
 def substitute_constants(
@@ -56,6 +67,11 @@ def substitute_constants(
     return Plan(commands, plan.output_table, name=plan.name)
 
 
+def _constants(mapping: Mapping[object, object]) -> Dict[Constant, Constant]:
+    """``mapping`` with raw keys and values coerced to :class:`Constant`."""
+    return {_to_constant(old): _to_constant(new) for old, new in mapping.items()}
+
+
 def _substitution(
     mapping: Mapping[object, object]
 ) -> Callable[[Command], Command]:
@@ -64,9 +80,7 @@ def _substitution(
     Every untouched subtree, condition tuple and binding is shared, so a
     command that mentions none of the constants comes back as itself.
     """
-    subst: Dict[Constant, Constant] = {
-        _to_constant(old): _to_constant(new) for old, new in mapping.items()
-    }
+    subst = _constants(mapping)
 
     def _cells(cells):
         if not any(isinstance(c, Constant) and c in subst for c in cells):
@@ -127,12 +141,14 @@ def run_request(
     bindings: Optional[Mapping[object, object]],
     context: ExecutionContext,
 ) -> NamedTable:
-    """One request, start to finish: rebind, execute.
+    """One request, start to finish: the plan run under ``bindings``.
 
     The runner the service and the worker tier share; it runs the
     interpreter (the columnar engine is reached only through
-    :meth:`Plan.execute <repro.plans.plan.Plan.execute>`).  The answer is
-    the output table, truncated per the budget
+    :meth:`Plan.execute <repro.plans.plan.Plan.execute>`).  The bindings
+    (raw values coerced to :class:`Constant`) are read where the run
+    reads a constant, so the plan's memoised executable form runs as it
+    stands.  The answer is the output table, truncated per the budget
     (``context.truncated_rows`` says by how much); every failure is a
     typed :class:`~repro.errors.ReproError`.  Whether the rebound plan
     answers the rebound query is the caller's to know (``docs/theory.md``,
@@ -141,14 +157,14 @@ def run_request(
     :meth:`QueryService.submit <repro.service.service.QueryService.submit>`
     and this runner do not.
     """
-    if bindings:
-        # Bind the plan's memoised executable form, not the plan: the
-        # substitution commutes with the rewrite (it changes constants,
-        # never attributes), so the rewrite is not run again.
-        form = plan.executable()
-        substitute = _substitution(bindings)
-        plan = Plan.from_executable(
-            form._replace(commands=tuple(map(substitute, form.commands))),
-            plan.name,
-        )
-    return plan.execute(source, context)
+    form = plan.executable()
+    return run_commands(
+        form.commands,
+        form.output_table,
+        form.frees,
+        {},
+        source,
+        context,
+        len,
+        bindings=_constants(bindings) if bindings else NO_BINDINGS,
+    )

@@ -526,8 +526,12 @@ class _CAccess:
         self.output_map = command.output_map
         self.input_attrs = command.input_attrs
 
-    def execute(self, env, source, context=None):
-        """Run this compiled command, writing its table into ``env``."""
+    def execute(self, env, source, context=None, bindings=None):
+        """Run this compiled command, writing its table into ``env``.
+
+        ``bindings`` is the command loop's and always empty here: only
+        the interpreter serves a bound request.
+        """
         codec = env.codec
         inputs = self.input_expr.eval(env, codec)
         columns = [inputs.column(a) for a in self.input_attrs]
@@ -607,8 +611,9 @@ class _CMiddleware:
         self.target = target
         self.expr = expr
 
-    def execute(self, env, source, context=None):
-        """Run this compiled command, writing its table into ``env``."""
+    def execute(self, env, source, context=None, bindings=None):
+        """Run this compiled command, writing its table into ``env``
+        (``bindings``: as :meth:`_CAccess.execute`)."""
         env[self.target] = self.expr.eval(env, env.codec)
 
 
@@ -658,7 +663,7 @@ class ColumnarPlan:
         self.name = name
         self.output_table = form.output_table
         self.commands = tuple(_compile_command(c) for c in form.commands)
-        self._last_readers = form.last_read
+        self._frees = form.frees
 
     def execute(
         self, source, context: Optional[ExecutionContext] = None
@@ -676,7 +681,7 @@ class ColumnarPlan:
         return run_commands(
             self.commands,
             self.output_table,
-            self._last_readers,
+            self._frees,
             env,
             source,
             context if context is not None else ExecutionContext(),

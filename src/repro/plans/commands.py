@@ -10,6 +10,10 @@ paper's plan semantics are implemented.
 
 A middleware command ``T := E`` runs relational algebra locally, at no
 access cost.
+
+Both take a request's bindings (:data:`~repro.plans.expressions.Bindings`)
+when they run: the expression is evaluated under them, and an access
+command feeds each constant cell of its input binding as they rename it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from typing import (
 
 from repro.exec.context import ExecutionContext
 from repro.plans.expressions import (
+    NO_BINDINGS,
+    Bindings,
     Expression,
     NamedTable,
     Row,
@@ -97,9 +103,13 @@ class AccessCommand:
         env: Dict[str, NamedTable],
         source,
         context: Optional[ExecutionContext] = None,
+        bindings: Bindings = NO_BINDINGS,
     ) -> NamedTable:
         """Run the command against a source; returns the produced table.
 
+        ``bindings`` rename the constants the command reads: those of
+        its input expression, and each constant cell of its input
+        binding, which is renamed once per run, before any key is made.
         Dispatch is *deduplicated*: the distinct input-value tuples are
         collected before any access is made, so an input expression that
         yields the same binding several times (or binds only constants)
@@ -113,10 +123,13 @@ class AccessCommand:
         a join that reads it back on the key needs no hash table of its
         own.
         """
-        inputs = self.input_expr.evaluate(env)
+        inputs = self.input_expr.evaluate(env, bindings)
         projected = inputs.project(self.input_attrs)
+        input_binding = (
+            self._bound_input(bindings) if bindings else self.input_binding
+        )
         distinct: Iterable[Row]
-        if self.input_binding == projected.attributes:
+        if input_binding == projected.attributes:
             # Every position reads its own attribute: the projected rows
             # already are the distinct binding set.
             distinct = projected.rows
@@ -127,7 +140,7 @@ class AccessCommand:
                     entry
                     if isinstance(entry, Constant)
                     else input_row[columns[entry]]
-                    for entry in self.input_binding
+                    for entry in input_binding
                 )
                 for input_row in projected.rows
             )
@@ -142,13 +155,27 @@ class AccessCommand:
         env[self.target] = table
         return table
 
+    def _bound_input(self, bindings: Bindings) -> InputBinding:
+        """The input binding with each constant cell renamed per ``bindings``."""
+        return tuple(
+            bindings.get(entry, entry) if isinstance(entry, Constant) else entry
+            for entry in self.input_binding
+        )
+
     def _key_attrs(self, source) -> Tuple[str, ...]:
         """The attributes fed by the method's input positions, in order.
 
         Under the identity output map they hold each produced row's key.
+        Looked up once per command and schema: the last answer is kept
+        with the schema it was read from, outside the fields.
         """
-        positions = source.schema.method(self.method).input_positions
-        return tuple(self.output_attrs[p] for p in positions)
+        schema = source.schema
+        known = self.__dict__.get("_keys_in")
+        if known is None or known[0] is not schema:
+            positions = schema.method(self.method).input_positions
+            known = (schema, tuple(self.output_attrs[p] for p in positions))
+            self.__dict__["_keys_in"] = known
+        return known[1]
 
     @cached_property
     def _picks(self) -> Optional[List[int]]:
@@ -237,14 +264,15 @@ class MiddlewareCommand:
         env: Dict[str, NamedTable],
         source,
         context: Optional[ExecutionContext] = None,
+        bindings: Bindings = NO_BINDINGS,
     ) -> NamedTable:
         """Run the command, writing its target table into the env.
 
         A middleware command never touches the source and reads nothing
         of the context; it takes both so the command loop calls every
-        command alike.
+        command alike.  Its expression is evaluated under ``bindings``.
         """
-        table = self.expr.evaluate(env)
+        table = self.expr.evaluate(env, bindings)
         env[self.target] = table
         return table
 

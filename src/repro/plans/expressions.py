@@ -11,6 +11,14 @@ to encode exactly the intended join conditions.
 The engines run a plan's rewritten form instead
 (:mod:`repro.plans.rewrite`): selections pushed below joins and the
 σ/π directly above a join folded into the :class:`Join` node itself.
+
+``evaluate`` also takes a request's *bindings*: a mapping from schema
+constants to the constants that stand for them in this run
+(``docs/theory.md``, "Rebinding a plan").  An expression reads a
+constant in two places -- an ``EqConst``/``NeqConst`` condition of a
+selection or a fused join, and a literal table's cells -- and reads
+each through the mapping there, so a bound run evaluates the plan's
+expressions as they stand.  An unbound run passes :data:`NO_BINDINGS`.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 from operator import itemgetter, not_
 from itertools import chain, compress
 from typing import (
@@ -41,6 +50,12 @@ class EvaluationError(ExecutionError):
 
 
 Row = Tuple[Term, ...]
+
+#: A request's bindings: each renamed schema constant to its stand-in.
+Bindings = Mapping[Constant, Constant]
+
+#: The bindings of an unbound run: no constant is renamed.
+NO_BINDINGS: Bindings = MappingProxyType({})
 
 
 def row_picker(columns: Sequence[int]) -> Callable[[Row], Row]:
@@ -323,12 +338,16 @@ def _attr_stage(left: int, right: int, negate: bool) -> Stage:
     return partial(filter, lambda row: row[left] == row[right])
 
 
-def _compile_conditions(conditions, colmap: Mapping[str, int]) -> List[Stage]:
+def _compile_conditions(
+    conditions, colmap: Mapping[str, int], bindings: Bindings = NO_BINDINGS
+) -> List[Stage]:
     """One filter stage per condition, for a selection or a join.
 
     ``colmap`` maps attribute names to row indexes (a table's cached
-    :meth:`NamedTable.column_map`).  An unknown attribute raises
-    :class:`EvaluationError` whether or not any row would reach it.
+    :meth:`NamedTable.column_map`).  A constant is compared as
+    ``bindings`` renames it, once per stage, never per row.  An unknown
+    attribute raises :class:`EvaluationError` whether or not any row
+    would reach it.
     """
     stages = []
     try:
@@ -345,7 +364,7 @@ def _compile_conditions(conditions, colmap: Mapping[str, int]) -> List[Stage]:
                 stages.append(
                     _const_stage(
                         colmap[cond.attribute],
-                        cond.value,
+                        bindings.get(cond.value, cond.value),
                         isinstance(cond, NeqConst),
                     )
                 )
@@ -404,6 +423,7 @@ def _join_tables(
     right: NamedTable,
     conditions: Tuple[object, ...],
     project_to: Optional[Tuple[str, ...]],
+    bindings: Bindings = NO_BINDINGS,
 ) -> NamedTable:
     """``π[project_to](σ[conditions](left ⋈ right))``, set-at-a-time.
 
@@ -427,7 +447,7 @@ def _join_tables(
     pair_colmap = {a: i for i, a in enumerate(left_attrs)}
     for a in extra:
         pair_colmap[a] = len(left_attrs) + right.column(a)
-    stages = _compile_conditions(conditions, pair_colmap)
+    stages = _compile_conditions(conditions, pair_colmap, bindings)
     attributes = out_attrs
     if project_to is not None and tuple(project_to) != out_attrs:
         attributes = _distinct(tuple(project_to))
@@ -477,7 +497,8 @@ class Expression:
     """Base class for RA expressions.
 
     Subclasses implement :meth:`attributes` (static schema, checked:
-    every name an operator reads must exist) and :meth:`evaluate`.
+    every name an operator reads must exist) and :meth:`evaluate`,
+    which hands its ``bindings`` to every child it evaluates.
     ``uses_union``/``uses_difference``/``uses_inequality`` drive
     plan-language classification.  :meth:`map_children` is the one
     structural walk: a rewrite of the tree rebuilds each node over its
@@ -488,8 +509,9 @@ class Expression:
         """Static output attributes (see :class:`Expression`)."""
         raise NotImplementedError
 
-    def evaluate(self, env: Environment) -> NamedTable:
-        """Evaluate against the environment (see :class:`Expression`)."""
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
+        """Evaluate against the environment, constants renamed per
+        ``bindings`` (see :class:`Expression`)."""
         raise NotImplementedError
 
     def children(self) -> Tuple["Expression", ...]:
@@ -546,7 +568,7 @@ class Singleton(Expression):
         """Static output attributes (see :class:`Expression`)."""
         return ()
 
-    def evaluate(self, env: Environment) -> NamedTable:
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         return NamedTable.singleton()
 
@@ -564,9 +586,16 @@ class Literal(Expression):
         """Static output attributes (see :class:`Expression`)."""
         return self.table.attributes
 
-    def evaluate(self, env: Environment) -> NamedTable:
-        """Evaluate against the environment (see :class:`Expression`)."""
-        return self.table
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
+        """The table, each cell renamed per ``bindings`` (see
+        :class:`Expression`); unbound, the table itself."""
+        if not bindings:
+            return self.table
+        get = bindings.get
+        return _unchecked(
+            self.table.attributes,
+            frozenset(tuple(map(get, row, row)) for row in self.table.rows),
+        )
 
     def __repr__(self) -> str:
         return f"lit[{','.join(self.table.attributes)};{len(self.table)}]"
@@ -585,7 +614,7 @@ class Scan(Expression):
         except KeyError:
             raise EvaluationError(f"unknown table {self.table!r}") from None
 
-    def evaluate(self, env: Environment) -> NamedTable:
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         try:
             return env[self.table]
@@ -612,9 +641,9 @@ class Project(Expression):
         _check_names(self.attrs, self.child.attributes(env_schema))
         return self.attrs
 
-    def evaluate(self, env: Environment) -> NamedTable:
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        return self.child.evaluate(env).project(self.attrs)
+        return self.child.evaluate(env, bindings).project(self.attrs)
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
@@ -642,10 +671,10 @@ class Select(Expression):
         _check_conditions(self.conditions, attributes)
         return attributes
 
-    def evaluate(self, env: Environment) -> NamedTable:
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        table = self.child.evaluate(env)
-        stages = _compile_conditions(self.conditions, table.column_map())
+        table = self.child.evaluate(env, bindings)
+        stages = _compile_conditions(self.conditions, table.column_map(), bindings)
         return table.subset(_filtered(table.rows, stages))
 
     def children(self) -> Tuple[Expression, ...]:
@@ -699,13 +728,14 @@ class Join(Expression):
         _check_names(self.project_to, joined)
         return self.project_to
 
-    def evaluate(self, env: Environment) -> NamedTable:
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         return _join_tables(
-            self.left.evaluate(env),
-            self.right.evaluate(env),
+            self.left.evaluate(env, bindings),
+            self.right.evaluate(env, bindings),
             self.conditions,
             self.project_to,
+            bindings,
         )
 
     def children(self) -> Tuple[Expression, ...]:
@@ -753,10 +783,10 @@ class _SetOperation(Expression):
             )
         return left
 
-    def evaluate(self, env: Environment) -> NamedTable:
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        left = self.left.evaluate(env)
-        right = self.right.evaluate(env).project(left.attributes)
+        left = self.left.evaluate(env, bindings)
+        right = self.right.evaluate(env, bindings).project(left.attributes)
         return NamedTable(left.attributes, self._combine(left.rows, right.rows))
 
     def children(self) -> Tuple[Expression, ...]:
@@ -822,9 +852,9 @@ class Rename(Expression):
             raise EvaluationError(f"duplicate attribute in {attributes}")
         return attributes
 
-    def evaluate(self, env: Environment) -> NamedTable:
+    def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        return self.child.evaluate(env).rename(self._renames)
+        return self.child.evaluate(env, bindings).rename(self._renames)
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""

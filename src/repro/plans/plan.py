@@ -12,6 +12,13 @@ expressions use:
 
 ``E``-variants (with inequalities) are reported through
 :attr:`Plan.uses_inequality`.
+
+A plan runs as its executable form (:meth:`Plan.executable`, derived
+once per plan object), through :func:`run_commands`, the command loop
+both engines share.  The loop takes a request's bindings and hands them
+to every command, so a bound request runs the cached plan's form as it
+stands (:func:`repro.exec.batch.run_request`); nothing of the plan is
+rebuilt, revalidated or rescheduled per request.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.context import ExecutionContext
 from repro.plans.commands import AccessCommand, Command, MiddlewareCommand
-from repro.plans.expressions import Expression, NamedTable
+from repro.plans.expressions import NO_BINDINGS, Bindings, Expression, NamedTable
 from repro.plans.rewrite import Executable, rewrite
 
 
@@ -85,19 +92,6 @@ class Plan:
             form = rewrite(self)
             object.__setattr__(self, "_executable", form)
             return form
-
-    @classmethod
-    def from_executable(cls, form: Executable, name: str = "plan") -> "Plan":
-        """A plan that runs ``form`` as it stands.
-
-        Its commands are the form's, which may hold fused joins, so it
-        does not lower to IR (lower the plan the form came from).  For a
-        form derived from another plan's -- a bound request's -- so the
-        rewrite is not run again.
-        """
-        plan = cls(form.commands, form.output_table, name)
-        object.__setattr__(plan, "_executable", form)
-        return plan
 
     def run(self, source) -> NamedTable:
         """Execute every command in sequence; returns the output table.
@@ -170,7 +164,7 @@ class Plan:
         return run_commands(
             form.commands,
             form.output_table,
-            form.last_read,
+            form.frees,
             {},
             source,
             context,
@@ -249,28 +243,30 @@ class Plan:
 def run_commands(
     commands: Sequence,
     output_table: str,
-    last_read: Dict[str, int],
+    frees: Dict[int, List[str]],
     env: Dict,
     source,
     context: ExecutionContext,
     row_count: Callable[[object], int],
     decode: Optional[Callable[[object], NamedTable]] = None,
+    bindings: Bindings = NO_BINDINGS,
 ) -> NamedTable:
     """The command loop: the paper's plan semantics plus the runtime's books.
 
     Both engines run it.  An engine supplies its compiled ``commands``
-    (each with ``target``, ``kind``, ``execute(env, source, context)``),
-    their ``last_read`` map, the ``env`` they fill, how to count one of
-    its tables' rows and, if they are not :class:`NamedTable`, how to
-    ``decode`` the output.  Before each command the context's stop check
-    runs; after it the resident rows are noted and every table whose
-    last reader has run is dropped.  A command's record is added to the
-    run's totals when the command ends, whether it returned or raised.
-    The output passes the context's budget, and the rows it dropped are
-    the context's ``truncated_rows``.
+    (each with ``target``, ``kind``, ``execute(env, source, context,
+    bindings)``), their free schedule (:attr:`Executable.frees
+    <repro.plans.rewrite.Executable.frees>`), the ``env`` they fill,
+    how to count one of its tables' rows and, if they are not
+    :class:`NamedTable`, how to ``decode`` the output; ``bindings``
+    reach every command as they are.  Before each command the context's
+    stop check runs; after it the resident rows are noted and every
+    table the schedule names for it is dropped if present.  A command's
+    record is added to the run's totals when the command ends, whether
+    it returned or raised.  The output passes the context's budget, and
+    the rows it dropped are the context's ``truncated_rows``.
     """
     stats = context.stats
-    frees = _free_schedule(commands, output_table, last_read)
     record = None
     started = perf_counter()
     for index, command in enumerate(commands):
@@ -284,7 +280,7 @@ def run_commands(
             )
         command_started = perf_counter()
         try:
-            command.execute(env, source, context)
+            command.execute(env, source, context, bindings)
             if record is not None:
                 record.rows_out = row_count(env[command.target])
         finally:
@@ -309,27 +305,3 @@ def run_commands(
         stats.wall_time += perf_counter() - started
         stats.runs += 1
     return output
-
-
-def _free_schedule(
-    commands: Sequence, output_table: str, last_read: Dict[str, int]
-) -> Dict[int, List[str]]:
-    """The tables that may be dropped after each command, by index.
-
-    A table (never the output) is dropped after the first command at
-    or after its last reader that finds it in the environment, and
-    again after any later command that writes it anew.  Commands only
-    add their target, so those are the only indexes at which it can be
-    present with its last reader done: :func:`run_commands` checks
-    these candidates, and only these, against the environment.
-    """
-    frees: Dict[int, List[str]] = {}
-    for table, last in last_read.items():
-        if table != output_table:
-            frees.setdefault(max(last, 0), []).append(table)
-    for index, command in enumerate(commands):
-        table = command.target
-        last = last_read.get(table)
-        if last is not None and index > max(last, 0) and table != output_table:
-            frees.setdefault(index, []).append(table)
-    return frees

@@ -40,7 +40,11 @@ set of keys, possibly in another order.
 The form is memoised per plan object (:meth:`Plan.executable
 <repro.plans.plan.Plan.executable>`) and never serialized: the IR
 refuses a fused join, so plan IR, fingerprints and plan-cache keys still
-describe the plan as built.
+describe the plan as built.  It carries what every run of it would
+otherwise derive again: for each table its last reader, and from those
+the command loop's free schedule (:func:`free_schedule`).  A bound
+request runs the same form, the bindings read where a constant is
+(:mod:`repro.plans.expressions`), so no request builds a form of its own.
 """
 
 from __future__ import annotations
@@ -80,6 +84,8 @@ class Executable(NamedTuple):
     output_table: str
     #: For each table, the index of the last command reading it.
     last_read: Dict[str, int]
+    #: The tables the command loop may drop after each command, by index.
+    frees: Dict[int, List[str]]
 
 
 def last_readers(commands: Sequence) -> Dict[str, int]:
@@ -93,6 +99,30 @@ def last_readers(commands: Sequence) -> Dict[str, int]:
         for table in command.tables_read():
             last[table] = index
     return last
+
+
+def free_schedule(
+    commands: Sequence, output_table: str, last_read: Dict[str, int]
+) -> Dict[int, List[str]]:
+    """The tables that may be dropped after each command, by index.
+
+    A table (never the output) is dropped after the first command at
+    or after its last reader that finds it in the environment, and
+    again after any later command that writes it anew.  Commands only
+    add their target, so those are the only indexes at which it can be
+    present with its last reader done: :func:`repro.plans.plan.run_commands`
+    checks these candidates, and only these, against the environment.
+    """
+    frees: Dict[int, List[str]] = {}
+    for table, last in last_read.items():
+        if table != output_table:
+            frees.setdefault(max(last, 0), []).append(table)
+    for index, command in enumerate(commands):
+        table = command.target
+        last = last_read.get(table)
+        if last is not None and index > max(last, 0) and table != output_table:
+            frees.setdefault(index, []).append(table)
+    return frees
 
 
 def split_conditions(
@@ -292,4 +322,10 @@ def rewrite(plan) -> Executable:
             schema[command.target] = expr.attributes(schema)
         commands.append(command)
     commands = _live_columns(commands, schemas, plan.output_table)
-    return Executable(tuple(commands), plan.output_table, last_readers(commands))
+    last_read = last_readers(commands)
+    return Executable(
+        tuple(commands),
+        plan.output_table,
+        last_read,
+        free_schedule(commands, plan.output_table, last_read),
+    )

@@ -13,7 +13,9 @@ reference transport -- a deterministic simulation of a web service:
   lookup are computed once and sliced for each of its pages while the
   relation's version holds;
 * ``POST /batch/{method}`` -- several distinct lookups in one round
-  trip (what the access-boundary batching dispatches into);
+  trip (what the access-boundary batching dispatches into), answered
+  from one scan of the relation after the fault schedule is drawn per
+  key;
 * a server-side token bucket: an over-budget request is answered
   ``429`` with a ``Retry-After`` header (and counted -- the adapter
   benchmark's rate-limit-compliance metric is "the server saw zero of
@@ -64,6 +66,7 @@ from repro.faults.policy import (
     FaultPolicy,
 )
 from repro.logic.terms import Constant
+from repro.plans.expressions import row_picker
 from repro.schema.core import Schema
 from repro.source_contract import (
     AccessLog,
@@ -325,9 +328,15 @@ class StubTransport:
         return rows
 
     def _serve_batch(self, method, params: Mapping[str, Any]) -> StubResponse:
-        """Several lookups, one round trip, no pagination (bounded)."""
+        """Several lookups, one round trip, no pagination (bounded).
+
+        The fault schedule is drawn per key, in key order, before any
+        row is read; then one scan of the relation answers every key
+        (:meth:`_rows_by_key`), each key's rows sorted as
+        :meth:`_rows_for` sorts them.
+        """
         epoch = self.epoch()
-        results = []
+        keyed = []
         for raw_inputs in params.get("inputs_list", ()):
             values = tuple(_to_constant(v) for v in raw_inputs)
             fault = self._maybe_fault(method.name, values)
@@ -336,12 +345,41 @@ class StubTransport:
                 # a real bulk endpoint does, and the client falls back
                 # to per-key requests where the burst drains per key.
                 return fault
-            results.append(
-                {"inputs": list(raw_inputs), "rows": self._rows_for(method, values)}
-            )
+            keyed.append((raw_inputs, values))
+        rows = self._rows_by_key(method, [values for _raw, values in keyed])
+        results = [
+            {"inputs": list(raw_inputs), "rows": [list(row) for row in rows[values]]}
+            for raw_inputs, values in keyed
+        ]
         return StubResponse(
             200, {"results": results}, {EPOCH_HEADER: str(epoch)}
         )
+
+    def _rows_by_key(
+        self, method, keys: Sequence[Tuple[Constant, ...]]
+    ) -> Dict[Tuple[Constant, ...], List[Tuple[Any, ...]]]:
+        """Each key's matching rows as raw tuples, from one scan.
+
+        The relation is bucketed once by the method's input positions.
+        A bucket is found by hash and then ``==``, which agrees with the
+        per-row test of :meth:`_rows_for` (a term's hash agrees with its
+        equality, NaN included), and is sorted by :func:`_row_order`.
+        """
+        buckets: Dict[Tuple[Constant, ...], List[Tuple[Constant, ...]]] = {
+            key: [] for key in keys
+        }
+        pick = row_picker(method.input_positions)
+        for row in self.instance.tuples(method.relation):
+            bucket = buckets.get(pick(row))
+            if bucket is not None:
+                bucket.append(row)
+        return {
+            key: sorted(
+                (tuple(cell.value for cell in row) for row in bucket),
+                key=_row_order,
+            )
+            for key, bucket in buckets.items()
+        }
 
 
 class HTTPSource(MeteredSourceMixin):

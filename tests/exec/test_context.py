@@ -323,7 +323,10 @@ def test_the_signatures_take_the_context():
     assert parameters(execute_differential) == ["plan", "source", "context"]
     compiled = compile_columnar(planned(SCENARIOS[0][1], SCENARIOS[0][2])[1])
     for command in (AccessCommand, MiddlewareCommand, *map(type, compiled.commands)):
-        assert parameters(command.execute) == ["env", "source", "context"]
+        # The command loop hands every command the request's bindings.
+        assert parameters(command.execute) == [
+            "env", "source", "context", "bindings",
+        ]
     with pytest.raises(TypeError):
         Plan.execute(None, None, cache=AccessCache())
     # 19 -> 16 -> 14 -> 12 -> 11 -> 10 settable values: the source and

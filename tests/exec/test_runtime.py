@@ -17,6 +17,7 @@ from repro.plans.expressions import (
     Singleton,
 )
 from repro.plans.plan import Plan, run_commands
+from repro.plans.rewrite import free_schedule
 from repro.logic.terms import Constant
 from repro.schema.core import SchemaBuilder
 
@@ -239,7 +240,7 @@ class _Write:
         self.target = target
         self.seen = seen
 
-    def execute(self, env, source, context):
+    def execute(self, env, source, context, bindings):
         self.seen.append(frozenset(env))
         env[self.target] = NamedTable.singleton()
 
@@ -273,15 +274,16 @@ class TestFreeSchedule:
     )
     def test_same_tables_freed_after_the_same_command(self, targets, last_read):
         # Repeated targets, tables never read, tables read before they
-        # are written again: the schedule computed once per run frees
+        # are written again: the schedule computed once per form frees
         # exactly what the per-command scan freed.
         output = targets[-1]
         seen = []
         stats = ExecStats()
+        commands = [_Write(target, seen) for target in targets]
         run_commands(
-            [_Write(target, seen) for target in targets],
+            commands,
             output,
-            last_read,
+            free_schedule(commands, output, last_read),
             {},
             None,
             ExecutionContext(stats=stats),

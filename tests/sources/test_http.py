@@ -304,3 +304,103 @@ class TestPagedLookupScansOnce:
         assert scans == ["T", "T"]
         assert moved.payload["rows"][0] == ["k", "a0000"]
         assert moved.headers[EPOCH_HEADER] != first.headers[EPOCH_HEADER]
+
+
+class TestBatchScansOnce:
+    """A batch request reads the relation once, however many keys."""
+
+    def big(self):
+        return Instance(
+            {"T": [(f"k{i % 100:03d}", f"r{i:04d}") for i in range(4000)]}
+        )
+
+    def spy_reads(self, instance, monkeypatch):
+        reads = []
+        for name in ("tuples", "rows"):
+            real = getattr(instance, name)
+
+            def read(relation, real=real, name=name):
+                reads.append((name, relation))
+                return real(relation)
+
+            monkeypatch.setattr(instance, name, read)
+        return reads
+
+    def batch(self, transport, keys):
+        return transport.request(
+            "GET", "/batch/mt_T", {"inputs_list": [list(key) for key in keys]}
+        ).payload["results"]
+
+    def per_key(self, transport, method, keys):
+        return [
+            {
+                "inputs": list(key),
+                "rows": transport._rows_for(
+                    method, tuple(map(_to_constant, key))
+                ),
+            }
+            for key in keys
+        ]
+
+    def test_a_100_key_batch_over_4000_rows_scans_once(self, monkeypatch):
+        instance = self.big()
+        transport = StubTransport(web_schema(), instance)
+        keys = [(f"k{i:03d}",) for i in reversed(range(100))] + [("absent",)]
+        reads = self.spy_reads(instance, monkeypatch)
+        results = self.batch(transport, keys)
+        assert reads == [("tuples", "T")]
+        expected = self.per_key(transport, web_schema().method("mt_T"), keys)
+        assert results == expected
+        assert all(len(result["rows"]) == 40 for result in results[:-1])
+        assert results[-1]["rows"] == []
+
+    def test_free_access_repeated_keys_and_mixed_types(self):
+        schema = (
+            SchemaBuilder("mixed")
+            .relation("T", 2)
+            .access("mt_T", "T", inputs=[1], cost=1.0)
+            .access("mt_all", "T", inputs=[], cost=1.0)
+            .build()
+        )
+        instance = Instance(
+            {"T": [(1, "a"), ("1", "a"), (1.5, "a"), (2, 1), (3, 1.0), (4, True)]}
+        )
+        transport = StubTransport(schema, instance)
+        for method, keys in (
+            ("mt_T", [("a",), (1,), ("a",), (True,), ("1",)]),
+            ("mt_all", [(), ()]),
+        ):
+            results = transport.request(
+                "GET", f"/batch/{method}", {"inputs_list": [list(k) for k in keys]}
+            ).payload["results"]
+            assert results == self.per_key(transport, schema.method(method), keys)
+
+    def test_nan_keys_are_answered_as_per_key(self):
+        # A NaN cell equals only itself: the stored object matches, a
+        # fresh NaN matches nothing, on either path.
+        instance = Instance({"T": [(float("nan"), "x"), ("k", "y")]})
+        transport = StubTransport(web_schema(), instance)
+        (stored,) = [row[0].value for row in instance.tuples("T") if row[1].value == "x"]
+        keys = [(stored,), (float("nan"),), ("k",)]
+        results = self.batch(transport, keys)
+        assert results == self.per_key(transport, web_schema().method("mt_T"), keys)
+        assert [len(result["rows"]) for result in results] == [1, 0, 1]
+
+    def test_fault_draws_stay_per_key_in_key_order(self):
+        policy = FaultPolicy(seed=3, unavailable_rate=0.5, burst=1)
+        keys = [(f"k{i}",) for i in range(20)]
+        first_faulty = next(
+            i
+            for i, key in enumerate(keys)
+            if policy.kind_for("mt_T", tuple(map(_to_constant, key)))
+            == KIND_UNAVAILABLE
+        )
+        instance = Instance({"T": [(key[0], "row") for key in keys]})
+        transport = StubTransport(web_schema(), instance, fault_policy=policy)
+        response = transport.request(
+            "GET", "/batch/mt_T", {"inputs_list": [list(key) for key in keys]}
+        )
+        assert response.status == 500
+        # The keys up to the faulty one drew their attempt; none after.
+        drawn = {key[1][0].value for key in transport._attempts}
+        assert drawn == {key[0] for key in keys[: first_faulty + 1]}
