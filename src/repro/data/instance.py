@@ -17,6 +17,8 @@ head or a later atom reads.
 
 from __future__ import annotations
 
+import threading
+from collections import defaultdict
 from math import copysign
 from operator import itemgetter
 from typing import (
@@ -45,6 +47,8 @@ from repro.logic.terms import (
 )
 
 Row = Tuple[Constant, ...]
+#: An access index: the rows by their cells at some input positions.
+AccessIndex = Dict[Row, FrozenSet[Row]]
 #: An index's shape: the arity of the rows it holds, the positions its
 #: keys read, and the position pairs a row must hold equal cells at.
 Shape = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int], ...]]
@@ -56,18 +60,17 @@ class Instance:
     ``version`` is a monotone mutation counter: it bumps on every
     successful insert, and :meth:`version_of` answers the value it took
     when one relation last grew (0 for a relation never written).  A
-    duplicate insert moves neither.  Derived structures outside the
-    instance use the two to detect staleness cheaply instead of
-    re-hashing the data: the per-method access indexes of
-    :class:`~repro.data.source.InMemorySource` and the entries of the
-    :class:`~repro.exec.cache.AccessCache` compare ``version`` first and
-    read a relation's version only when ``version`` has moved, so an
-    insert into one relation leaves what was derived from the others
-    standing.  ``version`` is a plain attribute because every access
-    reads it; only :meth:`add` writes it.  The instance's own join
-    indexes, which :meth:`evaluate` and :meth:`satisfies` build on
-    first use, are kept per relation, and an insert drops only those
-    of the relation it grows.
+    duplicate insert moves neither.  ``version`` is a plain attribute
+    because every access reads it; only :meth:`add` writes it, and
+    :meth:`add` takes no lock.  :meth:`access_index` is the one access
+    index every reader of an access method shares
+    (:class:`~repro.data.source.InMemorySource`, the HTTP stub
+    transport); it is stamped with its relation's :meth:`version_of`,
+    so an insert into one relation leaves the indexes of the others
+    standing, and the :class:`~repro.exec.cache.AccessCache` keeps its
+    entries under the same versions.  The oracle's join indexes, which
+    :meth:`evaluate` and :meth:`satisfies` build on first use, are kept
+    apart on purpose; an insert drops those of the relation it grows.
 
     Equal cells are shared: a stored row holds one :class:`Constant`
     object per ``(type(value), value)`` across every row and relation of
@@ -90,6 +93,9 @@ class Instance:
         self._indexes: Dict[str, Dict[Shape, Dict[Row, List[Row]]]] = {}
         # relation -> the ``version`` its last insert took.
         self._versions: Dict[str, int] = {}
+        # (relation, positions) -> (stamp, index); see ``access_index``.
+        self._access_indexes: Dict[tuple, Tuple[int, AccessIndex]] = {}
+        self._build_lock = threading.Lock()
         self.version = 0
         if data:
             for relation, tuples in data.items():
@@ -125,6 +131,35 @@ class Instance:
     def version_of(self, relation: str) -> int:
         """The :attr:`version` at which ``relation`` last grew (0: never)."""
         return self._versions.get(relation, 0)
+
+    def access_index(
+        self, relation: str, positions: Tuple[int, ...]
+    ) -> AccessIndex:
+        """The rows of ``relation`` by their cells at ``positions``.
+
+        One access of a method with these input positions is one lookup
+        here.  Built on first use under the instance's build lock (so
+        concurrent first calls build once) and stamped with
+        :meth:`version_of`, read before the rows are copied: a write
+        landing during a build leaves the stamp behind, and the next
+        call rebuilds.  Callers must not mutate what they get.
+        """
+        key = (relation, positions)
+        held = self._access_indexes.get(key)
+        if held is not None and held[0] == self.version_of(relation):
+            return held[1]
+        with self._build_lock:
+            stamp = self.version_of(relation)
+            held = self._access_indexes.get(key)
+            if held is not None and held[0] == stamp:
+                return held[1]
+            key_of = _reader(positions)
+            buckets: Dict[Row, List[Row]] = defaultdict(list)
+            for row in self.rows(relation):
+                buckets[key_of(row)].append(row)
+            index = dict(zip(buckets, map(frozenset, buckets.values())))
+            self._access_indexes[key] = (stamp, index)
+            return index
 
     def add_fact(self, fact: Atom) -> bool:
         """Insert a ground atom; returns False on duplicates."""

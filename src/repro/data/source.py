@@ -7,22 +7,21 @@ logged, so tests and benchmarks can check both the "fewer accesses"
 runtime order of Theorem 8 (the set of (method, input-tuple) pairs
 touched) and the money/latency cost a cost function assigns.
 
-By default the source answers accesses through a lazily built
-*per-method hash index*: the first invocation of a method buckets the
-relation's tuples by their values at the method's input positions (one
-pass, keys taken by :func:`~repro.plans.expressions.row_picker`), and
-every later invocation is a dictionary lookup instead of a full
-relation scan.  Each index is stamped with its relation's version
-(``Instance.version_of``) and rebuilt only once that relation has
-grown: an insert into ``R`` leaves the indexes of every other relation
-standing.  While ``Instance.version`` has not moved no stamp is read;
-when it has, the next access that needs an index re-checks every
-stamp once, drops the stale indexes and remembers the new version.
+By default the source answers an access from the instance's access
+index (:meth:`~repro.data.instance.Instance.access_index`): the
+relation's rows bucketed by their cells at the method's input
+positions, so an access is a dictionary lookup instead of a full
+relation scan.  The instance builds and stamps that index; the source
+only keeps a method name -> index memo that is valid at one
+``Instance.version`` and cleared whole when the version moves, so
+while nothing is written an access reads no relation version, and
+after a write the next access of each method asks the instance again,
+which rebuilds only the indexes of the relation that grew.
 :meth:`~repro.source_contract.MeteredSourceMixin.relation_epoch` is
-that per-relation version, the token the
+that relation's version, the token the
 :class:`~repro.exec.cache.AccessCache` keeps its entries under.
 Construct with ``indexed=False`` for the original scan-per-access
-behaviour -- the benchmarks' naive reference.
+behaviour -- the benchmarks' and tests' naive reference.
 Metering is identical either way: the index changes how an access is
 *answered*, never whether it is logged or charged.
 
@@ -31,10 +30,10 @@ it once per key, bound once per command by
 :func:`repro.plans.commands.bound_access`), so its common case is kept
 short: every check runs on every call -- the method lookup (one probe of
 a name -> method table built at construction), the input check
-(:func:`~repro.source_contract.checked_inputs`), index staleness, one
+(:func:`~repro.source_contract.checked_inputs`), the memo's version, one
 record in the :class:`~repro.source_contract.AccessLog` -- but an access
-answered by an index already checked at the instance's current version
-takes the source lock once, for the lookup and the log append together,
+answered by an index memoised at the instance's current version takes
+the source lock once, for the lookup and the log append together,
 and inputs that already are a tuple of constants are logged as the
 object they arrived as.  The append is one ``list.extend`` of the
 record's four fields: an access builds no record object, and leaves no
@@ -44,9 +43,9 @@ new object for the cyclic collector to track.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
-from repro.data.instance import Instance
+from repro.data.instance import AccessIndex, Instance
 from repro.errors import AccessViolation
 from repro.logic.terms import Constant
 from repro.schema.core import AccessMethod, Schema, SchemaError
@@ -58,10 +57,6 @@ from repro.source_contract import (
 )
 
 __all__ = ["AccessLog", "AccessRecord", "AccessViolation", "InMemorySource"]
-
-# Per-method index: input-position value tuple -> matching relation rows.
-_MethodIndex = Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]
-
 
 # The answer to a key no tuple matches: one object for every such access.
 _NO_ROWS: FrozenSet[Tuple[Constant, ...]] = frozenset()
@@ -85,16 +80,13 @@ class InMemorySource(MeteredSourceMixin):
         self._methods: Dict[str, AccessMethod] = {
             method.name: method for method in schema.methods
         }
-        self._indexes: Dict[str, _MethodIndex] = {}
-        # Method name -> its relation and that relation's version when
-        # its index was built.
-        self._stamps: Dict[str, Tuple[str, int]] = {}
-        # The instance version at which every index held was last found
-        # current.
+        # Method name -> the instance's access index for it, all found
+        # current at ``_indexed_version``.
+        self._indexes: Dict[str, AccessIndex] = {}
         self._indexed_version = instance.version
-        # Guards the lazy index build (check-stamps/drop/build) and the
-        # metering log, so one source can serve many worker threads; the
-        # single-threaded path just pays one uncontended acquisition.
+        # Guards the memo and the metering log, so one source can serve
+        # many worker threads; the single-threaded path just pays one
+        # uncontended acquisition.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------ access
@@ -111,9 +103,9 @@ class InMemorySource(MeteredSourceMixin):
             method = self.schema.method(method_name)
         values = checked_inputs(method, inputs)
         # One acquisition covers the lookup and the metering.  An index
-        # checked at the instance's current version answers right here;
-        # anything else (first use, a mutation since, an unindexed
-        # source) goes through _lookup, re-entering the lock.
+        # memoised at the instance's current version answers right here;
+        # anything else (first use, a write since, an unindexed source)
+        # goes through _lookup, re-entering the lock.
         with self._lock:
             index = self._indexes.get(method_name)
             if (
@@ -153,45 +145,23 @@ class InMemorySource(MeteredSourceMixin):
             )
         )
 
-    def _method_index(self, method: AccessMethod) -> _MethodIndex:
-        """The (lazily built, staleness-checked) index of one method.
+    def _method_index(self, method: AccessMethod) -> AccessIndex:
+        """The instance's access index for ``method``, through the memo.
 
-        The whole check-stamps / drop / build / install sequence runs
-        under the source lock, so concurrent first accesses to a method
-        build its index exactly once and never observe a half-checked
-        index map.  Each version is read before what it vouches for:
-        an insert that lands meanwhile leaves a stamp behind the data,
-        and the next check rebuilds.
+        The instance's version is read before the index is asked for:
+        a write that lands meanwhile moves the version past the memo's,
+        and the next access asks the instance again.
         """
         with self._lock:
-            instance = self.instance
-            version = instance.version
+            version = self.instance.version
             if version != self._indexed_version:
-                for name, (relation, stamp) in list(self._stamps.items()):
-                    if instance.version_of(relation) != stamp:
-                        del self._indexes[name], self._stamps[name]
+                self._indexes.clear()
                 self._indexed_version = version
             index = self._indexes.get(method.name)
             if index is None:
-                # Here, not at module level: importing repro.plans from
-                # repro.data would run the plans package first.
-                from repro.plans.expressions import row_picker
-
-                stamp = instance.version_of(method.relation)
-                pick = row_picker(method.input_positions)
-                buckets: Dict[
-                    Tuple[Constant, ...], List[Tuple[Constant, ...]]
-                ] = {}
-                for row in instance.rows(method.relation):
-                    key = pick(row)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = [row]
-                    else:
-                        bucket.append(row)
-                index = dict(zip(buckets, map(frozenset, buckets.values())))
-                self._indexes[method.name] = index
-                self._stamps[method.name] = (method.relation, stamp)
+                index = self._indexes[method.name] = self.instance.access_index(
+                    method.relation, method.input_positions
+                )
             return index
 
     def __repr__(self) -> str:

@@ -3,9 +3,10 @@
 The planner's job ends with a complete, low-static-cost plan; this
 package makes *running* that plan cheap.  Four cooperating pieces:
 
-* per-method hash indexes inside
-  :class:`~repro.data.source.InMemorySource` (each access is a bucket
-  lookup instead of a relation scan),
+* the instance's access indexes
+  (:meth:`~repro.data.instance.Instance.access_index`), which
+  :class:`~repro.data.source.InMemorySource` answers from (each access
+  is a bucket lookup instead of a relation scan),
 * :class:`AccessCache` -- a bounded LRU memoizing ``(method, inputs)``
   results across commands, plans and batch runs, with an explicit
   metering policy (``charge_hits``),

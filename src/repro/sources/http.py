@@ -9,13 +9,14 @@ reference transport -- a deterministic simulation of a web service:
 
 * ``GET /access/{method}`` -- one lookup; paginated (``page`` /
   ``next_page``), every response stamped with an ``X-Source-Epoch``
-  header (the backend's snapshot token); the sorted matches of a paged
-  lookup are computed once and sliced for each of its pages while the
-  relation's version holds;
+  header (the backend's snapshot token); a lookup's matches are one
+  bucket of the instance's access index
+  (:meth:`~repro.data.instance.Instance.access_index`), sorted once
+  per bucket and sliced for each page while the instance hands back
+  the same bucket;
 * ``POST /batch/{method}`` -- several distinct lookups in one round
   trip (what the access-boundary batching dispatches into), answered
-  from one scan of the relation after the fault schedule is drawn per
-  key;
+  from that index after the fault schedule is drawn per key;
 * a server-side token bucket: an over-budget request is answered
   ``429`` with a ``Retry-After`` header (and counted -- the adapter
   benchmark's rate-limit-compliance metric is "the server saw zero of
@@ -66,7 +67,6 @@ from repro.faults.policy import (
     FaultPolicy,
 )
 from repro.logic.terms import Constant
-from repro.plans.expressions import row_picker
 from repro.schema.core import Schema
 from repro.source_contract import (
     AccessLog,
@@ -106,6 +106,19 @@ class StubResponse:
 def _row_order(row: Tuple[Any, ...]) -> Tuple[Tuple[str, Any], ...]:
     """A total sort key for a row of raw cells of any mix of types."""
     return tuple((type(value).__name__, value) for value in row)
+
+
+def _sorted_rows(bucket: FrozenSet[Tuple[Constant, ...]]) -> List[List[Any]]:
+    """A bucket's rows as raw JSON values, in one deterministic order.
+
+    The order is a total one over mixed cell types: each cell sorts by
+    its type's name first, then by its value, so ``1`` and ``"1"`` in
+    one column never meet under ``<``.
+    """
+    rows = sorted(
+        (tuple(cell.value for cell in row) for row in bucket), key=_row_order
+    )
+    return [list(row) for row in rows]
 
 
 class StubTransport:
@@ -150,9 +163,9 @@ class StubTransport:
         )
         self._lock = threading.Lock()
         self._attempts: Dict[Tuple[str, Tuple], int] = {}
-        # (method, key) -> (the relation's version, its sorted matches)
-        # for each paged lookup whose last page is not yet served.
-        self._paged: Dict[Tuple[str, Tuple], Tuple[int, List[List[Any]]]] = {}
+        # (method, key) -> (the index bucket, its sorted matches) for
+        # each paged lookup whose last page is not yet served.
+        self._paged: Dict[Tuple[str, Tuple], Tuple[FrozenSet, List[List[Any]]]] = {}
         self.requests = 0
         #: Requests that arrived while the server bucket was dry (the
         #: 429s).  A well-paced client keeps this at zero.
@@ -254,27 +267,18 @@ class StubTransport:
             )
         return None  # truncation is not modelled at the transport
 
+    def _matches(
+        self, method, values: Tuple[Constant, ...]
+    ) -> FrozenSet[Tuple[Constant, ...]]:
+        """The rows matching one lookup: a bucket of the instance's index."""
+        index = self.instance.access_index(method.relation, method.input_positions)
+        return index.get(values, frozenset())
+
     def _rows_for(
         self, method, values: Tuple[Constant, ...]
     ) -> List[List[Any]]:
-        """Matching rows as raw JSON values, deterministically sorted.
-
-        The order is a total one over mixed cell types: each cell sorts
-        by its type's name first, then by its value, so ``1`` and
-        ``"1"`` in one column never meet under ``<``.
-        """
-        rows = sorted(
-            (
-                tuple(cell.value for cell in row)
-                for row in self.instance.tuples(method.relation)
-                if all(
-                    row[position] == value
-                    for position, value in zip(method.input_positions, values)
-                )
-            ),
-            key=_row_order,
-        )
-        return [list(row) for row in rows]
+        """Matching rows as raw JSON values, deterministically sorted."""
+        return _sorted_rows(self._matches(method, values))
 
     def _serve_access(self, method, params: Mapping[str, Any]) -> StubResponse:
         raw_inputs = tuple(params.get("inputs", ()))
@@ -307,22 +311,24 @@ class StubTransport:
     ) -> List[List[Any]]:
         """The sorted matches one page of a lookup is sliced from.
 
-        Scanned and sorted at the first page, then kept under the
-        relation's version (read before the scan) until the last page
-        is served, so a lookup of ``n`` pages scans once, not ``n``
-        times; a write to the relation meanwhile moves the version and
-        the next page scans again.  At most ``_PAGED_KEPT`` sequences
-        are kept, the oldest dropped first.
+        Sorted at the first page, then kept with the index bucket they
+        were sorted from until the last page is served, so a lookup of
+        ``n`` pages sorts once, not ``n`` times.  They are reused only
+        while the instance hands back that same bucket object (the held
+        reference keeps its id from being reused): a write to the
+        relation meanwhile rebuilds the index, and the next page sorts
+        the new bucket.  At most ``_PAGED_KEPT`` sequences are kept,
+        the oldest dropped first.
         """
         key = (method.name, values)
-        version = self.instance.version_of(method.relation)
+        bucket = self._matches(method, values)
         with self._lock:
             held = self._paged.get(key)
-        if held is not None and held[0] == version:
+        if held is not None and held[0] is bucket:
             return held[1]
-        rows = self._rows_for(method, values)
+        rows = _sorted_rows(bucket)
         with self._lock:
-            self._paged[key] = (version, rows)
+            self._paged[key] = (bucket, rows)
             if len(self._paged) > _PAGED_KEPT:
                 del self._paged[next(iter(self._paged))]
         return rows
@@ -331,9 +337,8 @@ class StubTransport:
         """Several lookups, one round trip, no pagination (bounded).
 
         The fault schedule is drawn per key, in key order, before any
-        row is read; then one scan of the relation answers every key
-        (:meth:`_rows_by_key`), each key's rows sorted as
-        :meth:`_rows_for` sorts them.
+        row is read; then every key is answered from the instance's
+        index, each key's rows sorted as :meth:`_rows_for` sorts them.
         """
         epoch = self.epoch()
         keyed = []
@@ -346,40 +351,13 @@ class StubTransport:
                 # to per-key requests where the burst drains per key.
                 return fault
             keyed.append((raw_inputs, values))
-        rows = self._rows_by_key(method, [values for _raw, values in keyed])
         results = [
-            {"inputs": list(raw_inputs), "rows": [list(row) for row in rows[values]]}
+            {"inputs": list(raw_inputs), "rows": self._rows_for(method, values)}
             for raw_inputs, values in keyed
         ]
         return StubResponse(
             200, {"results": results}, {EPOCH_HEADER: str(epoch)}
         )
-
-    def _rows_by_key(
-        self, method, keys: Sequence[Tuple[Constant, ...]]
-    ) -> Dict[Tuple[Constant, ...], List[Tuple[Any, ...]]]:
-        """Each key's matching rows as raw tuples, from one scan.
-
-        The relation is bucketed once by the method's input positions.
-        A bucket is found by hash and then ``==``, which agrees with the
-        per-row test of :meth:`_rows_for` (a term's hash agrees with its
-        equality, NaN included), and is sorted by :func:`_row_order`.
-        """
-        buckets: Dict[Tuple[Constant, ...], List[Tuple[Constant, ...]]] = {
-            key: [] for key in keys
-        }
-        pick = row_picker(method.input_positions)
-        for row in self.instance.tuples(method.relation):
-            bucket = buckets.get(pick(row))
-            if bucket is not None:
-                bucket.append(row)
-        return {
-            key: sorted(
-                (tuple(cell.value for cell in row) for row in bucket),
-                key=_row_order,
-            )
-            for key, bucket in buckets.items()
-        }
 
 
 class HTTPSource(MeteredSourceMixin):

@@ -166,6 +166,108 @@ class TestEvaluation:
         assert instance.evaluate(cq([], [("S", ["?x"])]))
 
 
+class TestAccessIndex:
+    """``access_index``: the rows by their cells at input positions."""
+
+    def data(self):
+        return Instance(
+            {"R": [("a", "1"), ("a", "2"), ("b", "3")], "S": [("a",)]}
+        )
+
+    def spy_builds(self, instance, monkeypatch, write=None):
+        """Record each index build; ``write`` runs once, mid-build."""
+        builds = []
+        real = instance.rows
+
+        def rows(relation):
+            builds.append(relation)
+            snapshot = real(relation)
+            if write is not None and len(builds) == 1:
+                instance.add(*write)
+            return snapshot
+
+        monkeypatch.setattr(instance, "rows", rows)
+        return builds
+
+    def test_buckets_by_the_cells_at_the_positions(self):
+        instance = self.data()
+        a, one = Constant("a"), Constant("1")
+        by_first = instance.access_index("R", (0,))
+        assert by_first[(a,)] == {(a, one), (a, Constant("2"))}
+        assert isinstance(by_first[(a,)], frozenset)
+        assert instance.access_index("R", (1, 0))[(one, a)] == {(a, one)}
+        assert instance.access_index("R", ())[()] == instance.tuples("R")
+        assert instance.access_index("nothing", (0,)) == {}
+
+    def test_a_write_between_the_stamp_read_and_the_install_is_seen_next(
+        self, monkeypatch
+    ):
+        instance = self.data()
+        builds = self.spy_builds(instance, monkeypatch, ("R", ("a", "late")))
+        key = (Constant("a"),)
+        # The write landed after the snapshot: this build lacks it ...
+        assert len(instance.access_index("R", (0,))[key]) == 2
+        # ... and its stamp predates it, so the next call rebuilds.
+        assert len(instance.access_index("R", (0,))[key]) == 3
+        assert builds == ["R", "R"]
+        instance.access_index("R", (0,))
+        assert builds == ["R", "R"]
+
+    def test_a_write_to_another_relation_keeps_the_index(self, monkeypatch):
+        instance = self.data()
+        index = instance.access_index("R", (0,))
+        builds = self.spy_builds(instance, monkeypatch)
+        instance.add("S", ("b",))
+        assert instance.access_index("R", (0,)) is index
+        instance.add("R", ("c", "4"))
+        assert instance.access_index("R", (0,)) is not index
+        assert builds == ["R"]
+
+    def test_concurrent_first_calls_build_one_index(self, monkeypatch):
+        import sys
+        import threading
+
+        instance = Instance({"R": [(f"k{i}", f"v{i}") for i in range(2000)]})
+        builds = self.spy_builds(instance, monkeypatch)
+        barrier = threading.Barrier(8)
+        got, errors = [], []
+
+        def first_call():
+            try:
+                barrier.wait(timeout=30)
+                got.append(instance.access_index("R", (0,)))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=first_call) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert builds == ["R"]
+        assert len(got) == 8 and all(index is got[0] for index in got)
+
+    def test_add_takes_no_lock(self):
+        class Untouchable:
+            def __enter__(self):
+                raise AssertionError("add took the build lock")
+
+            acquire = __enter__
+
+        instance = self.data()
+        instance.access_index("R", (0,))
+        instance._build_lock = Untouchable()
+        assert instance.add("R", ("d", "5"))
+        assert not instance.add("R", ("d", "5"))
+
+
 class TestConstraints:
     def test_satisfies_full_tgd(self):
         tgd = parse_tgd("R(x) -> S(x)")

@@ -204,14 +204,15 @@ class TestMethodIndex:
 
     def test_index_invalidated_on_instance_mutation(self, source):
         assert len(source.access("mt_key", ("a",))) == 2
-        index = source._indexes["mt_key"]
-        # A write to a relation no method reads keeps the index.
+        index = source.instance.access_index("R", (0,))
+        # A write to a relation no method reads keeps the index, and
+        # the source answers with its bucket.
         source.instance.add("S", ("z",))
-        assert len(source.access("mt_key", ("a",))) == 2
-        assert source._indexes["mt_key"] is index
+        assert source.access("mt_key", ("a",)) is index[(Constant("a"),)]
+        assert source.instance.access_index("R", (0,)) is index
         source.instance.add("R", ("a", "99"))
         assert len(source.access("mt_key", ("a",))) == 3
-        assert source._indexes["mt_key"] is not index
+        assert source.instance.access_index("R", (0,)) is not index
         assert len(source.access("mt_scan")) == 4
 
     def test_metering_identical_under_index(self, source):

@@ -470,19 +470,18 @@ class TestInMemorySourcePaths:
         import sys
 
         builds = []
-
-        class CountingBuilds(InMemorySource):
-            def _method_index(self, method):
-                with self._lock:
-                    before = len(self._indexes)
-                    index = super()._method_index(method)
-                    builds.append(len(self._indexes) - before)
-                    return index
-
         instance = Instance(
             {"R": [(f"k{i}", f"v{i}") for i in range(2000)]}
         )
-        source = CountingBuilds(keyed_schema(), instance)
+        rows = instance.rows
+
+        def counting_rows(relation):
+            builds.append(relation)
+            return rows(relation)
+
+        # The instance reads a relation's rows once per index build.
+        instance.rows = counting_rows
+        source = InMemorySource(keyed_schema(), instance)
         barrier = threading.Barrier(8)
         errors = []
 
@@ -510,7 +509,7 @@ class TestInMemorySourcePaths:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert sum(builds) == 1
+        assert builds == ["R"]
         assert source.total_invocations == 8 * 50
 
     def test_index_hit_does_not_reenter_the_index_build(self):

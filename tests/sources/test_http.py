@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.faults.policy import KIND_UNAVAILABLE, FaultPolicy
 from repro.schema.core import SchemaBuilder
-from repro.sources import HTTPSource, SQLiteSource, StubTransport
+from repro.sources import HTTPSource, SQLiteSource, StubTransport, http
 from repro.sources.http import EPOCH_HEADER
 
 
@@ -251,27 +251,41 @@ class TestPagedLookupScansOnce:
     def big(self):
         return Instance({"T": [("k", f"r{i:04d}") for i in range(4000)]})
 
-    def spy_scans(self, instance, monkeypatch):
-        scans = []
-        real = instance.tuples
+    def spy_builds(self, instance, monkeypatch):
+        """The relations ``Instance.access_index`` builds an index of."""
+        builds = []
+        real = instance.rows
 
-        def tuples(relation):
-            scans.append(relation)
+        def rows(relation):
+            builds.append(relation)
             return real(relation)
 
-        monkeypatch.setattr(instance, "tuples", tuples)
-        return scans
+        monkeypatch.setattr(instance, "rows", rows)
+        return builds
+
+    def spy_sorts(self, monkeypatch):
+        """How many buckets the stub sorts."""
+        sorts = []
+        real = http._sorted_rows
+
+        def sorted_rows(bucket):
+            sorts.append(len(bucket))
+            return real(bucket)
+
+        monkeypatch.setattr(http, "_sorted_rows", sorted_rows)
+        return sorts
 
     def test_a_4000_row_lookup_at_40_a_page_scans_once(self, monkeypatch):
         instance = self.big()
+        builds = self.spy_builds(instance, monkeypatch)
+        sorts = self.spy_sorts(monkeypatch)
+        transport = StubTransport(web_schema(), instance, page_size=40)
+        paged = HTTPSource(transport).access("mt_T", ("k",))
+        assert transport.counters()["requests"] == 100
+        assert builds == ["T"] and sorts == [4000]
         unpaged = HTTPSource(StubTransport(web_schema(), instance)).access(
             "mt_T", ("k",)
         )
-        transport = StubTransport(web_schema(), instance, page_size=40)
-        scans = self.spy_scans(instance, monkeypatch)
-        paged = HTTPSource(transport).access("mt_T", ("k",))
-        assert transport.counters()["requests"] == 100
-        assert scans == ["T"]
         assert paged == unpaged and len(paged) == 4000
         # The pages, in order, are the unpaged answer's sorted rows.
         pages = [
@@ -283,12 +297,15 @@ class TestPagedLookupScansOnce:
         assert [row for page in pages for row in page] == sorted(
             [row[0].value, row[1].value] for row in unpaged
         )
-        assert scans == ["T", "T"] and not transport._paged
+        # One index for all three lookups; one sort for each.
+        assert builds == ["T"] and sorts == [4000] * 3
+        assert not transport._paged
 
     def test_a_write_to_the_relation_between_pages_rescans(self, monkeypatch):
         instance = self.big()
         transport = StubTransport(web_schema(), instance, page_size=40)
-        scans = self.spy_scans(instance, monkeypatch)
+        builds = self.spy_builds(instance, monkeypatch)
+        sorts = self.spy_sorts(monkeypatch)
 
         def page(number):
             return transport.request(
@@ -298,10 +315,11 @@ class TestPagedLookupScansOnce:
         first = page(0)
         page(1)
         instance.add("Other", ("x",))
-        assert page(2).payload["next_page"] == 3 and scans == ["T"]
+        assert page(2).payload["next_page"] == 3
+        assert builds == ["T"] and sorts == [4000]
         instance.add("T", ("k", "a0000"))
         moved = page(0)
-        assert scans == ["T", "T"]
+        assert builds == ["T", "T"] and sorts == [4000, 4001]
         assert moved.payload["rows"][0] == ["k", "a0000"]
         assert moved.headers[EPOCH_HEADER] != first.headers[EPOCH_HEADER]
 
@@ -348,9 +366,10 @@ class TestBatchScansOnce:
         keys = [(f"k{i:03d}",) for i in reversed(range(100))] + [("absent",)]
         reads = self.spy_reads(instance, monkeypatch)
         results = self.batch(transport, keys)
-        assert reads == [("tuples", "T")]
+        # One index build, no scan per key.
+        assert reads == [("rows", "T")]
         expected = self.per_key(transport, web_schema().method("mt_T"), keys)
-        assert results == expected
+        assert results == expected and reads == [("rows", "T")]
         assert all(len(result["rows"]) == 40 for result in results[:-1])
         assert results[-1]["rows"] == []
 
