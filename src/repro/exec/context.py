@@ -86,9 +86,15 @@ class ExecutionContext:
     }
 
     def check_stop(self, index: int) -> None:
-        """The stop check before command ``index``: the deadline."""
+        """The stop check before command ``index``: the deadline.
+
+        The text naming the command is built only when the deadline
+        has run out and raises.
+        """
         if self.resilience is not None:
-            self.resilience.check_deadline(f"command #{index}")
+            deadline = self.resilience.deadline
+            if deadline is not None and deadline.expired:
+                deadline.check(f"command #{index}")
 
     @property
     def collect_stats(self) -> bool:

@@ -365,11 +365,6 @@ class ResilientDispatcher:
     breaker_trips: int = 0
     backoff_waited: float = 0.0
 
-    def check_deadline(self, doing: str = "execution") -> None:
-        """Deadline check usable between commands, not just per access."""
-        if self.deadline is not None:
-            self.deadline.check(doing)
-
     def bind(
         self, fetch: Callable[[Tuple], object], method: str
     ) -> Callable[[Tuple], object]:

@@ -64,7 +64,7 @@ def canonical_query_text(query: ConjunctiveQuery) -> str:
     never a wrong plan.
 
     A query is immutable, so its text is rendered once and kept on the
-    query object (outside its fields, like ``NamedTable.column_map``):
+    query object (outside its fields, like ``Rename._renames``):
     a service keys every request that reuses one query object.
     """
     try:

@@ -41,6 +41,7 @@ from repro.plans.expressions import (
     Expression,
     NamedTable,
     Row,
+    _Projection,
     row_picker,
 )
 from repro.logic.terms import Constant, Term
@@ -73,6 +74,9 @@ class AccessCommand:
 
     kind = "access"
 
+    #: The input projection :meth:`laid_out` fixed; outside the fields.
+    _layout = None
+
     # The two attribute lists are derived on first use (an execute, or
     # the rewrite) and kept in the instance dict, outside the fields:
     # the planner builds a command per search child and reads neither.
@@ -97,6 +101,28 @@ class AccessCommand:
     def tables_read(self) -> FrozenSet[str]:
         """Names of the temporary tables the input expression scans."""
         return self.input_expr.tables_read()
+
+    def layout(self, inputs: Tuple[str, ...]) -> _Projection:
+        """The projection of input rows laid out as ``inputs`` onto
+        :attr:`input_attrs`."""
+        return _Projection(inputs, self.input_attrs)
+
+    def laid_out(self, env_schema) -> Tuple["AccessCommand", Tuple[str, ...]]:
+        """This command as an executable form runs it, and its target's
+        attributes: a new command over the laid-out input expression
+        (:meth:`Expression.laid_out
+        <repro.plans.expressions.Expression.laid_out>`), keeping its
+        input projection."""
+        expr, inputs = self.input_expr.laid_out(env_schema)
+        # A copy of this command's fields and of what it derived from
+        # them (none of which reads the input expression), over the new
+        # expression.
+        command = object.__new__(AccessCommand)
+        state = command.__dict__
+        state.update(self.__dict__)
+        state["input_expr"] = expr
+        state["_layout"] = command.layout(inputs)
+        return command, command.output_attrs
 
     def execute(
         self,
@@ -124,7 +150,7 @@ class AccessCommand:
         own.
         """
         inputs = self.input_expr.evaluate(env, bindings)
-        projected = inputs.project(self.input_attrs)
+        projected = (self._layout or self.layout(inputs.attributes)).run(inputs)
         input_binding = (
             self._bound_input(bindings) if bindings else self.input_binding
         )
@@ -134,7 +160,7 @@ class AccessCommand:
             # already are the distinct binding set.
             distinct = projected.rows
         else:
-            columns = projected.column_map()
+            columns = self._input_columns
             distinct = dict.fromkeys(
                 tuple(
                     entry
@@ -147,8 +173,9 @@ class AccessCommand:
         answers = access_keys(
             source, self.method, distinct, context, len(inputs.rows)
         )
-        table = NamedTable(self.output_attrs, self._collect(answers))
-        if self._is_identity(answers):
+        identity = self._is_identity(answers)
+        table = NamedTable(self.output_attrs, self._collect(answers, identity))
+        if identity:
             table.keep_answers(
                 self._key_attrs(source), dict(zip(distinct, answers))
             )
@@ -178,11 +205,21 @@ class AccessCommand:
         return known[1]
 
     @cached_property
+    def _input_columns(self) -> Dict[str, int]:
+        """Each input attribute's column in the projected input rows."""
+        return {a: i for i, a in enumerate(self.input_attrs)}
+
+    @cached_property
     def _picks(self) -> Optional[List[int]]:
         """The one position feeding each attribute (``None``: a filter)."""
         if any(len(positions) != 1 for _attr, positions in self.output_map):
             return None
         return [positions[0] for _attr, positions in self.output_map]
+
+    @cached_property
+    def _pick_output(self) -> Callable[[Row], Row]:
+        """``b_out`` as one row picker, when it is a prefix or a permutation."""
+        return row_picker(self._picks)
 
     def _is_identity(self, answers: Sequence[Iterable[Row]]) -> bool:
         """Whether ``b_out`` covers the whole accessed tuple, in order.
@@ -196,7 +233,9 @@ class AccessCommand:
         sample = next(chain.from_iterable(answers), ())
         return picks == list(range(len(sample)))
 
-    def _collect(self, answers: Sequence[Iterable[Row]]) -> FrozenSet[Row]:
+    def _collect(
+        self, answers: Sequence[Iterable[Row]], identity: Optional[bool] = None
+    ) -> FrozenSet[Row]:
         """``b_out`` over every answer of the command: the produced rows.
 
         The answers are taken at once, in dispatch order, so each kind
@@ -211,22 +250,25 @@ class AccessCommand:
         A prefix or a permutation is one ``map`` of the row picker over
         the chained answers.  Only an attribute fed by several positions
         (the equality filter) goes row by row through
-        :meth:`_map_output`.
+        :meth:`_map_output`.  ``identity`` is :meth:`_is_identity` of
+        these answers when the caller has already decided it.
         """
         rows: Set[Row] = set()
         picks = self._picks
+        if identity is None:
+            identity = self._is_identity(answers)
         if picks is None:
             map_output = self._map_output
             for accessed in chain.from_iterable(answers):
                 out_row = map_output(accessed)
                 if out_row is not None:
                     rows.add(out_row)
-        elif self._is_identity(answers):
+        elif identity:
             if len(answers) == 1:
                 return frozenset().union(answers[0])
             rows.update(*answers)
         else:
-            rows.update(map(row_picker(picks), chain.from_iterable(answers)))
+            rows.update(map(self._pick_output, chain.from_iterable(answers)))
         return frozenset(rows)
 
     def _map_output(self, accessed: Row) -> Optional[Row]:
@@ -258,6 +300,12 @@ class MiddlewareCommand:
     def tables_read(self) -> FrozenSet[str]:
         """Names of the temporary tables the expression scans."""
         return self.expr.tables_read()
+
+    def laid_out(self, env_schema) -> Tuple["MiddlewareCommand", Tuple[str, ...]]:
+        """This command over its laid-out expression, and its target's
+        attributes (see :meth:`AccessCommand.laid_out`)."""
+        expr, attributes = self.expr.laid_out(env_schema)
+        return MiddlewareCommand(self.target, expr), attributes
 
     def execute(
         self,

@@ -12,6 +12,17 @@ The engines run a plan's rewritten form instead
 (:mod:`repro.plans.rewrite`): selections pushed below joins and the
 σ/π directly above a join folded into the :class:`Join` node itself.
 
+Each operator runs through its *layout*: what its run needs that its
+inputs' attributes fix -- a join's key attributes, where each output
+attribute sits in a joined pair, its condition stages, its output and
+key pickers; a projection's row picker; a selection's stages; a
+rename's new attributes -- with every name checked.  The rewrite builds
+one per operator of the executable form, on nodes that form owns
+(:meth:`Expression.laid_out`), so a run of the form reads only what a
+run decides: the stages' bound values, the build side and the answers
+an input carries by key.  An operator evaluated outside a form lays
+itself out for the tables it is handed.
+
 ``evaluate`` also takes a request's *bindings*: a mapping from schema
 constants to the constants that stand for them in this run
 (``docs/theory.md``, "Rebinding a plan").  An expression reads a
@@ -122,56 +133,14 @@ class NamedTable:
         """True when the table has no rows."""
         return not self.rows
 
-    def column_map(self) -> Dict[str, int]:
-        """Attribute -> index map, computed once per table and cached.
-
-        The cache lives outside the dataclass fields (set via
-        ``object.__setattr__`` on the frozen instance), so equality and
-        hashing still consider only ``attributes`` and ``rows``.
-        """
-        try:
-            return self._colmap  # type: ignore[attr-defined]
-        except AttributeError:
-            colmap = {a: i for i, a in enumerate(self.attributes)}
-            object.__setattr__(self, "_colmap", colmap)
-            return colmap
-
     def column(self, attribute: str) -> int:
         """Index of an attribute (raises on unknown names)."""
         try:
-            return self.column_map()[attribute]
-        except KeyError:
+            return self.attributes.index(attribute)
+        except ValueError:
             raise EvaluationError(
                 f"no attribute {attribute!r} in {self.attributes}"
             ) from None
-
-    def project(self, attributes: Sequence[str]) -> "NamedTable":
-        """Duplicate-eliminating projection.
-
-        Projecting onto exactly the table's own attributes returns the
-        table itself: tables are immutable, so the alias is unobservable.
-        """
-        attributes = tuple(attributes)
-        if attributes == self.attributes:
-            return self
-        pick = row_picker([self.column(a) for a in attributes])
-        return _unchecked(_distinct(attributes), frozenset(map(pick, self.rows)))
-
-    def rename(self, mapping: Mapping[str, str]) -> "NamedTable":
-        """A copy with attributes renamed, and its answers by key with them.
-
-        A rename cannot change a row's width, so the rows are not
-        checked again; two attributes renamed to one name still raise.
-        """
-        new_attrs = tuple(mapping.get(a, a) for a in self.attributes)
-        table = _unchecked(_distinct(new_attrs), self.rows)
-        keyed = self.answers_by_key()
-        if keyed is not None:
-            key_attrs, answers = keyed
-            table.keep_answers(
-                tuple(mapping.get(a, a) for a in key_attrs), answers
-            )
-        return table
 
     def keep_answers(
         self, key_attrs: Tuple[str, ...], answers: Mapping[Row, Sequence[Row]]
@@ -181,10 +150,10 @@ class NamedTable:
         ``answers`` maps each key an access command dispatched -- the
         values of ``key_attrs``, in order -- to the rows it fetched;
         every row of the table is under its own key, and no other row
-        has that key.  Like the column map it lives outside the
-        dataclass fields: equality and hashing ignore it, no IR or
-        payload carries it, :meth:`rename` passes it on and every other
-        operator builds a table without it.
+        has that key.  It lives outside the dataclass fields: equality
+        and hashing ignore it, no IR or payload carries it, a
+        :class:`Rename` passes it on and every other operator builds a
+        table without it.
         """
         object.__setattr__(self, "_answers", (key_attrs, answers))
 
@@ -343,8 +312,8 @@ def _compile_conditions(
 ) -> List[Stage]:
     """One filter stage per condition, for a selection or a join.
 
-    ``colmap`` maps attribute names to row indexes (a table's cached
-    :meth:`NamedTable.column_map`).  A constant is compared as
+    ``colmap`` maps attribute names to row indexes (a layout's
+    columns).  A constant is compared as
     ``bindings`` renames it, once per stage, never per row.  An unknown
     attribute raises :class:`EvaluationError` whether or not any row
     would reach it.
@@ -384,20 +353,8 @@ def _filtered(rows: Iterable[Row], stages: Sequence[Stage]) -> Iterable[Row]:
     return rows
 
 
-def _join_key(table: NamedTable, attrs: Sequence[str], bare: bool):
-    """The cells of ``attrs`` in a row of ``table``: a join's key.
-
-    One attribute is keyed by the bare cell when ``bare``; a ready map
-    of answers (:meth:`NamedTable.answers_by_key`) is keyed by tuples.
-    """
-    columns = [table.column(a) for a in attrs]
-    if bare and len(columns) == 1:
-        return itemgetter(columns[0])
-    return row_picker(columns)
-
-
 def _ready_answers(
-    table: NamedTable, shared: Sequence[str]
+    table: NamedTable, shared: Tuple[str, ...]
 ) -> Optional[Tuple[Tuple[str, ...], Mapping[Row, Sequence[Row]]]]:
     """The table's answers by key, when they are a join's hash table.
 
@@ -413,83 +370,245 @@ def _ready_answers(
     if keyed is None:
         return None
     key_attrs = keyed[0]
-    if not key_attrs or set(key_attrs) != set(shared):
+    if not key_attrs or (key_attrs != shared and set(key_attrs) != set(shared)):
         return None
     return keyed
 
 
-def _join_tables(
-    left: NamedTable,
-    right: NamedTable,
-    conditions: Tuple[object, ...],
-    project_to: Optional[Tuple[str, ...]],
-    bindings: Bindings = NO_BINDINGS,
-) -> NamedTable:
-    """``π[project_to](σ[conditions](left ⋈ right))``, set-at-a-time.
+# ------------------------------------------------------------------ layouts
+# What an operator's run needs that depends only on its inputs'
+# attributes -- column positions, row pickers, compiled stages, checked
+# output names -- decided once.  The rewrite fixes one per operator of an
+# executable form (:meth:`Expression.laid_out`), so a run of the form
+# derives none; an operator evaluated outside a form lays itself out for
+# the tables it is handed.
 
-    The hash table is the answers an access command already grouped by
-    the key they were fetched by, when one input carries them keyed on
-    exactly the shared attributes (:func:`_ready_answers`, the right
-    input first); otherwise it is built on the *smaller* input.  The
-    other input probes it.  A pair is the two rows side by side; the
-    conditions see it, and it is narrowed to the output columns -- the
-    right input's copy of each shared attribute dropped, and anything
-    the projection leaves out -- as it enters the result set, so the
-    full join result is never materialized.  A condition that reads one
-    input only belongs below the join: the rewrite puts it there, so no
-    pair is formed that it would discard.
+
+def _columns(attributes: Sequence[str]) -> Dict[str, int]:
+    return {a: i for i, a in enumerate(attributes)}
+
+
+class _Projection:
+    """π onto ``attributes`` of rows laid out as ``inputs``.
+
+    The identity has no picker and hands its table back: tables are
+    immutable, so the alias is unobservable.
     """
-    left_attrs = left.attributes
-    extra = [a for a in right.attributes if a not in left_attrs]
-    shared = [a for a in right.attributes if a in left_attrs]
-    out_attrs = left_attrs + tuple(extra)
-    # Where each output attribute sits in a pair: a shared one on the left.
-    pair_colmap = {a: i for i, a in enumerate(left_attrs)}
-    for a in extra:
-        pair_colmap[a] = len(left_attrs) + right.column(a)
-    stages = _compile_conditions(conditions, pair_colmap, bindings)
-    attributes = out_attrs
-    if project_to is not None and tuple(project_to) != out_attrs:
-        attributes = _distinct(tuple(project_to))
-        _check_names(attributes, out_attrs)
-    pick_out = None
-    if shared or attributes != out_attrs:
-        pick_out = row_picker([pair_colmap[a] for a in attributes])
-    buckets: Optional[Mapping[Row, Sequence[Row]]] = None
-    key_attrs: Sequence[str] = shared
-    ready = _ready_answers(right, shared)
-    build_right = ready is not None
-    if not build_right:
-        ready = _ready_answers(left, shared)
-        build_right = ready is None and len(right.rows) <= len(left.rows)
-    if ready is not None:
-        key_attrs, buckets = ready
-    left_key = _join_key(left, key_attrs, ready is None)
-    right_key = _join_key(right, key_attrs, ready is None)
-    if build_right:
-        # Build on the right, probe with the left (the classic shape).
-        if buckets is None:
-            buckets = defaultdict(list)
-            for row in right.rows:
-                buckets[right_key(row)].append(row)
-        matches = buckets.get
-        joined = (
-            row + tail for row in left.rows for tail in matches(left_key(row), ())
-        )
-    else:
-        # Build on the left, probe with the right.
-        if buckets is None:
-            buckets = defaultdict(list)
-            for row in left.rows:
-                buckets[left_key(row)].append(row)
-        matches = buckets.get
-        joined = (
-            head + row for row in right.rows for head in matches(right_key(row), ())
-        )
-    joined = _filtered(joined, stages)
-    if pick_out is not None:
-        joined = map(pick_out, joined)
-    return _unchecked(attributes, frozenset(joined))
+
+    __slots__ = ("attributes", "pick")
+
+    def __init__(self, inputs: Tuple[str, ...], attributes: Sequence[str]) -> None:
+        attributes = tuple(attributes)
+        self.attributes = attributes
+        self.pick = None
+        if attributes != inputs:
+            _check_names(attributes, inputs)
+            columns = _columns(inputs)
+            self.pick = row_picker([columns[a] for a in _distinct(attributes)])
+
+    def run(self, table: NamedTable) -> NamedTable:
+        """The projected table, duplicates eliminated."""
+        if self.pick is None:
+            return table
+        return _unchecked(self.attributes, frozenset(map(self.pick, table.rows)))
+
+
+class _Filter:
+    """A conjunction's stages over rows laid out as ``columns``.
+
+    Compiled once with the plan's own constants.  Under bindings, a
+    conjunction that compares a constant is compiled again, so each
+    stage reads its bound value once (:func:`_compile_conditions`); only
+    such a conjunction keeps its columns to do so.
+    """
+
+    __slots__ = ("conditions", "columns", "stages")
+
+    def __init__(self, conditions, columns: Dict[str, int]) -> None:
+        self.conditions = conditions
+        self.stages = _compile_conditions(conditions, columns)
+        self.columns = None
+        if any(isinstance(c, (EqConst, NeqConst)) for c in conditions):
+            self.columns = columns
+
+    def bound(self, bindings: Bindings) -> Sequence[Stage]:
+        """The stages of a run under ``bindings``."""
+        if bindings and self.columns is not None:
+            return _compile_conditions(self.conditions, self.columns, bindings)
+        return self.stages
+
+
+#: The filter of a join without conditions.
+_NO_FILTER = _Filter((), {})
+
+
+class _Selection:
+    """σ[conditions] over rows laid out as ``inputs``."""
+
+    __slots__ = ("attributes", "filter")
+
+    def __init__(self, inputs: Tuple[str, ...], conditions) -> None:
+        self.attributes = inputs
+        self.filter = _Filter(conditions, _columns(inputs))
+
+    def run(self, table: NamedTable, bindings: Bindings) -> NamedTable:
+        """The rows of ``table`` passing every condition."""
+        return table.subset(_filtered(table.rows, self.filter.bound(bindings)))
+
+
+def _renamed(inputs: Tuple[str, ...], renames: Mapping[str, str]) -> Tuple[str, ...]:
+    """``inputs`` renamed, unless two land on one name (:func:`_distinct`)."""
+    return _distinct(tuple(renames.get(a, a) for a in inputs))
+
+
+class _Renaming:
+    """ρ over inputs ``inputs``: the renamed attributes, checked distinct."""
+
+    __slots__ = ("attributes", "renames")
+
+    def __init__(self, inputs: Tuple[str, ...], renames: Mapping[str, str]) -> None:
+        self.attributes = _renamed(inputs, renames)
+        self.renames = renames
+
+    def run(self, table: NamedTable) -> NamedTable:
+        """The table under the new names, its answers by key with them.
+
+        A rename cannot change a row's width, so the rows are not
+        checked again.
+        """
+        renamed = _unchecked(self.attributes, table.rows)
+        keyed = table.answers_by_key()
+        if keyed is not None:
+            key_attrs, answers = keyed
+            renamed_keys = tuple(map(self.renames.get, key_attrs, key_attrs))
+            renamed.keep_answers(renamed_keys, answers)
+        return renamed
+
+
+def _key_picker(inputs: Tuple[str, ...], attrs: Sequence[str], bare: bool):
+    """The cells of ``attrs`` in a row laid out as ``inputs``: a join key.
+
+    One attribute is keyed by the bare cell when ``bare``; a ready map
+    of answers (:meth:`NamedTable.answers_by_key`) is keyed by tuples.
+    """
+    if bare and len(attrs) == 1:
+        return itemgetter(inputs.index(attrs[0]))
+    return row_picker(list(map(inputs.index, attrs)))
+
+
+class _JoinLayout:
+    """``π[project_to](σ[conditions](left ⋈ right))`` for inputs laid out
+    as ``left`` and ``right``.
+
+    A pair is the two rows side by side.  The layout holds the key (the
+    shared attributes), where each output attribute sits in a pair (a
+    shared one on the left), the stages over pairs, the picker that
+    narrows a pair to the output -- the right input's copy of each
+    shared attribute dropped, and anything the projection leaves out --
+    and both inputs' key pickers: bare cells for a hash table built by
+    the run, tuples for a ready map of answers (:meth:`keys_in`).
+    """
+
+    __slots__ = (
+        "attributes", "shared", "filter", "pick_out",
+        "left_key", "right_key", "ready_keys", "left", "right",
+    )
+
+    def __init__(
+        self,
+        left: Tuple[str, ...],
+        right: Tuple[str, ...],
+        conditions: Tuple[object, ...],
+        project_to: Optional[Tuple[str, ...]],
+    ) -> None:
+        extra = tuple(a for a in right if a not in left)
+        shared = tuple(a for a in right if a in left)
+        out_attrs = left + extra
+        pair_columns = _columns(left)
+        for a in extra:
+            pair_columns[a] = len(left) + right.index(a)
+        self.filter = _Filter(conditions, pair_columns) if conditions else _NO_FILTER
+        attributes = out_attrs
+        if project_to is not None and tuple(project_to) != out_attrs:
+            attributes = _distinct(tuple(project_to))
+            _check_names(attributes, out_attrs)
+        self.attributes = attributes
+        self.pick_out = None
+        if shared or attributes != out_attrs:
+            self.pick_out = row_picker([pair_columns[a] for a in attributes])
+        self.shared, self.left, self.right = shared, left, right
+        self.left_key = _key_picker(left, shared, True)
+        self.right_key = _key_picker(right, shared, True)
+        self.ready_keys = {}
+        self.keys_in(shared)
+
+    def keys_in(self, key_attrs: Tuple[str, ...]):
+        """The inputs' tuple key pickers for a ready map keyed by ``key_attrs``.
+
+        Built with the layout for the shared attributes in the right
+        input's order.  A map is keyed in its access method's input
+        order; another order of the same attributes adds its pickers
+        here, once.
+        """
+        pickers = self.ready_keys.get(key_attrs)
+        if pickers is None:
+            pickers = self.ready_keys[key_attrs] = (
+                _key_picker(self.left, key_attrs, False),
+                _key_picker(self.right, key_attrs, False),
+            )
+        return pickers
+
+    def run(
+        self, left: NamedTable, right: NamedTable, bindings: Bindings
+    ) -> NamedTable:
+        """The join, set-at-a-time.
+
+        The hash table is the answers an access command already grouped
+        by the key they were fetched by, when one input carries them
+        keyed on exactly the shared attributes (:func:`_ready_answers`,
+        the right input first); otherwise it is built on the *smaller*
+        input.  The other input probes it.  The conditions see each
+        pair, and it is narrowed to the output columns as it enters the
+        result set, so the full join result is never materialized.  A
+        condition that reads one input only belongs below the join: the
+        rewrite puts it there, so no pair is formed that it would
+        discard.
+        """
+        stages = self.filter.bound(bindings)
+        left_key, right_key = self.left_key, self.right_key
+        buckets: Optional[Mapping[Row, Sequence[Row]]] = None
+        ready = _ready_answers(right, self.shared)
+        build_right = ready is not None
+        if not build_right:
+            ready = _ready_answers(left, self.shared)
+            build_right = ready is None and len(right.rows) <= len(left.rows)
+        if ready is not None:
+            key_attrs, buckets = ready
+            left_key, right_key = self.keys_in(key_attrs)
+        if build_right:
+            # Build on the right, probe with the left (the classic shape).
+            if buckets is None:
+                buckets = defaultdict(list)
+                for row in right.rows:
+                    buckets[right_key(row)].append(row)
+            matches = buckets.get
+            joined = (
+                row + tail for row in left.rows for tail in matches(left_key(row), ())
+            )
+        else:
+            # Build on the left, probe with the right.
+            if buckets is None:
+                buckets = defaultdict(list)
+                for row in left.rows:
+                    buckets[left_key(row)].append(row)
+            matches = buckets.get
+            joined = (
+                head + row for row in right.rows for head in matches(right_key(row), ())
+            )
+        joined = _filtered(joined, stages)
+        if self.pick_out is not None:
+            joined = map(self.pick_out, joined)
+        return _unchecked(self.attributes, frozenset(joined))
 
 
 # -------------------------------------------------------------- expressions
@@ -503,11 +622,54 @@ class Expression:
     plan-language classification.  :meth:`map_children` is the one
     structural walk: a rewrite of the tree rebuilds each node over its
     rewritten children and touches only the node kinds it cares about.
+
+    An operator runs through its *layout* (:meth:`layout`): what its
+    run needs that its inputs' attributes fix.  :meth:`laid_out` gives
+    every operator of a tree its layout once, on a copy the caller
+    owns -- the rewrite does so for each executable form -- and an
+    operator without one lays itself out for the tables it is handed.
     """
+
+    #: The layout :meth:`laid_out` fixed; outside the dataclass fields.
+    _layout = None
+    #: The fields that hold the children, in :meth:`children` order.
+    _child_fields: Tuple[str, ...] = ()
 
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
         raise NotImplementedError
+
+    def layout(self, *inputs: Tuple[str, ...]):
+        """This operator's layout for inputs with the attributes
+        ``inputs``, one tuple per child; its ``attributes`` are the
+        output's.  Every name is checked here
+        (:class:`EvaluationError`)."""
+        raise NotImplementedError
+
+    def laid_out(
+        self, env_schema: Mapping[str, Tuple[str, ...]]
+    ) -> Tuple["Expression", Tuple[str, ...]]:
+        """A copy of this tree whose every operator keeps its layout,
+        and the copy's output attributes.
+
+        Each operator is a new node, so a layout is fixed for the one
+        place the copy is run and never reaches a tree that someone
+        else holds and may run over other tables.  Equality and hashing
+        ignore the layout; a leaf has none and is shared.
+        """
+        if not self._child_fields:
+            return self, self.attributes(env_schema)
+        # Built like _unchecked builds a table: the fields (and whatever
+        # else this node derived from them) copied, the children swapped.
+        node = object.__new__(type(self))
+        state = node.__dict__
+        state.update(self.__dict__)
+        inputs = []
+        for name in self._child_fields:
+            state[name], attributes = state[name].laid_out(env_schema)
+            inputs.append(attributes)
+        state["_layout"] = layout = node.layout(*inputs)
+        return node, layout.attributes
 
     def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment, constants renamed per
@@ -636,14 +798,21 @@ class Project(Expression):
     child: Expression
     attrs: Tuple[str, ...]
 
+    _child_fields = ("child",)
+
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
         _check_names(self.attrs, self.child.attributes(env_schema))
         return self.attrs
 
+    def layout(self, inputs: Tuple[str, ...]) -> _Projection:
+        """The row picker (see :meth:`Expression.layout`)."""
+        return _Projection(inputs, self.attrs)
+
     def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        return self.child.evaluate(env, bindings).project(self.attrs)
+        table = self.child.evaluate(env, bindings)
+        return (self._layout or self.layout(table.attributes)).run(table)
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
@@ -665,17 +834,22 @@ class Select(Expression):
     child: Expression
     conditions: Tuple[object, ...]
 
+    _child_fields = ("child",)
+
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
         attributes = self.child.attributes(env_schema)
         _check_conditions(self.conditions, attributes)
         return attributes
 
+    def layout(self, inputs: Tuple[str, ...]) -> _Selection:
+        """The compiled stages (see :meth:`Expression.layout`)."""
+        return _Selection(inputs, self.conditions)
+
     def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         table = self.child.evaluate(env, bindings)
-        stages = _compile_conditions(self.conditions, table.column_map(), bindings)
-        return table.subset(_filtered(table.rows, stages))
+        return (self._layout or self.layout(table.attributes)).run(table, bindings)
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
@@ -701,7 +875,7 @@ class Join(Expression):
     """Natural join on shared attribute names, with its fused σ/π.
 
     ``Join(l, r, conditions, project_to)`` is ``π[project_to](σ[conditions]
-    (l ⋈ r))`` evaluated in one pass (:func:`_join_tables`).  Only the
+    (l ⋈ r))`` evaluated in one pass (:meth:`_JoinLayout.run`).  Only the
     rewrite (:mod:`repro.plans.rewrite`) sets the two fused fields; a
     plan as built, serialized and cached has plain joins (``()`` and
     ``None``), and the plan IR refuses to lower a fused one.
@@ -711,6 +885,8 @@ class Join(Expression):
     right: Expression
     conditions: Tuple[object, ...] = ()
     project_to: Optional[Tuple[str, ...]] = None
+
+    _child_fields = ("left", "right")
 
     @property
     def is_fused(self) -> bool:
@@ -728,15 +904,17 @@ class Join(Expression):
         _check_names(self.project_to, joined)
         return self.project_to
 
+    def layout(self, left: Tuple[str, ...], right: Tuple[str, ...]) -> _JoinLayout:
+        """The pair's columns, stages and pickers (see
+        :meth:`Expression.layout`)."""
+        return _JoinLayout(left, right, self.conditions, self.project_to)
+
     def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        return _join_tables(
-            self.left.evaluate(env, bindings),
-            self.right.evaluate(env, bindings),
-            self.conditions,
-            self.project_to,
-            bindings,
-        )
+        left = self.left.evaluate(env, bindings)
+        right = self.right.evaluate(env, bindings)
+        layout = self._layout or self.layout(left.attributes, right.attributes)
+        return layout.run(left, right, bindings)
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
@@ -772,10 +950,15 @@ class _SetOperation(Expression):
     left: Expression
     right: Expression
 
+    _child_fields = ("left", "right")
+
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
-        left = self.left.attributes(env_schema)
-        right = self.right.attributes(env_schema)
+        return self._aligned(
+            self.left.attributes(env_schema), self.right.attributes(env_schema)
+        )
+
+    def _aligned(self, left: Tuple[str, ...], right: Tuple[str, ...]) -> Tuple[str, ...]:
         if set(left) != set(right):
             raise EvaluationError(
                 f"{type(self).__name__.lower()} attribute mismatch: "
@@ -783,11 +966,19 @@ class _SetOperation(Expression):
             )
         return left
 
+    def layout(self, left: Tuple[str, ...], right: Tuple[str, ...]) -> _Projection:
+        """The right input reordered to the left's attributes (see
+        :meth:`Expression.layout`)."""
+        return _Projection(right, self._aligned(left, right))
+
     def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
         left = self.left.evaluate(env, bindings)
-        right = self.right.evaluate(env, bindings).project(left.attributes)
-        return NamedTable(left.attributes, self._combine(left.rows, right.rows))
+        right = self.right.evaluate(env, bindings)
+        layout = self._layout or self.layout(left.attributes, right.attributes)
+        return _unchecked(
+            layout.attributes, self._combine(left.rows, layout.run(right).rows)
+        )
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""
@@ -837,24 +1028,25 @@ class Rename(Expression):
     child: Expression
     mapping: Tuple[Tuple[str, str], ...]
 
+    _child_fields = ("child",)
+
     def __post_init__(self) -> None:
-        # Outside the dataclass fields, like NamedTable._colmap: built
+        # Outside the dataclass fields, like the node's _layout: built
         # once per instance, invisible to equality and hashing.
         object.__setattr__(self, "_renames", dict(self.mapping))
 
     def attributes(self, env_schema: Mapping[str, Tuple[str, ...]]) -> Tuple[str, ...]:
         """Static output attributes (see :class:`Expression`)."""
-        renames = self._renames
-        attributes = tuple(
-            renames.get(a, a) for a in self.child.attributes(env_schema)
-        )
-        if len(set(attributes)) != len(attributes):
-            raise EvaluationError(f"duplicate attribute in {attributes}")
-        return attributes
+        return _renamed(self.child.attributes(env_schema), self._renames)
+
+    def layout(self, inputs: Tuple[str, ...]) -> _Renaming:
+        """The renamed attributes (see :meth:`Expression.layout`)."""
+        return _Renaming(inputs, self._renames)
 
     def evaluate(self, env: Environment, bindings: Bindings = NO_BINDINGS) -> NamedTable:
         """Evaluate against the environment (see :class:`Expression`)."""
-        return self.child.evaluate(env, bindings).rename(self._renames)
+        table = self.child.evaluate(env, bindings)
+        return (self._layout or self.layout(table.attributes)).run(table)
 
     def children(self) -> Tuple[Expression, ...]:
         """Immediate subexpressions."""

@@ -76,6 +76,14 @@ class Plan:
                 f"output table {self.output_table!r} never assigned"
             )
 
+    def __getstate__(self) -> Dict[str, object]:
+        """The plan as built, for ``pickle`` and ``copy``: the memoised
+        executable form stays behind and is rebuilt on demand (its
+        layouts hold compiled stages, which do not pickle)."""
+        state = dict(self.__dict__)
+        state.pop("_executable", None)
+        return state
+
     # -------------------------------------------------------- execution
     def executable(self) -> Executable:
         """The plan's executable form, computed once per plan object.

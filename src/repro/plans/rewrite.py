@@ -42,9 +42,15 @@ The form is memoised per plan object (:meth:`Plan.executable
 refuses a fused join, so plan IR, fingerprints and plan-cache keys still
 describe the plan as built.  It carries what every run of it would
 otherwise derive again: for each table its last reader, and from those
-the command loop's free schedule (:func:`free_schedule`).  A bound
-request runs the same form, the bindings read where a constant is
-(:mod:`repro.plans.expressions`), so no request builds a form of its own.
+the command loop's free schedule (:func:`free_schedule`); and, forward
+over the commands once more, each operator's layout (:func:`_laid_out`)
+-- a join's key, pair columns, stages and pickers, a projection's
+picker, a selection's stages, a rename's attributes -- on new nodes the
+form alone holds, so the plan as built carries none.  A name the static
+pass let through (a projection onto one name twice) raises there, still
+before any access.  A bound request runs the same form, the bindings
+read where a constant is (:mod:`repro.plans.expressions`), so no
+request builds a form, a schedule or a layout of its own.
 """
 
 from __future__ import annotations
@@ -289,6 +295,24 @@ def _live_columns(
     return pruned
 
 
+def _laid_out(commands: Sequence[Command]) -> List[Command]:
+    """``commands`` as the form runs them, every operator laid out.
+
+    Forward over the commands, each table's attributes as the commands
+    before it left them: every command and operator is a new object
+    holding its layout (:meth:`Expression.laid_out
+    <repro.plans.expressions.Expression.laid_out>`), which is where a
+    name still unchecked -- a projection onto a name twice -- raises.
+    """
+    schema: Dict[str, Tuple[str, ...]] = {}
+    laid = []
+    for command in commands:
+        command, attributes = command.laid_out(schema)
+        schema[command.target] = attributes
+        laid.append(command)
+    return laid
+
+
 def rewrite(plan) -> Executable:
     """The executable form of ``plan`` (see the module docstring)."""
     schema: Dict[str, Tuple[str, ...]] = {}
@@ -321,7 +345,9 @@ def rewrite(plan) -> Executable:
                 command = MiddlewareCommand(command.target, expr)
             schema[command.target] = expr.attributes(schema)
         commands.append(command)
-    commands = _live_columns(commands, schemas, plan.output_table)
+    commands = _laid_out(
+        _live_columns(commands, schemas, plan.output_table)
+    )
     last_read = last_readers(commands)
     return Executable(
         tuple(commands),

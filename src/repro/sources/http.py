@@ -423,7 +423,14 @@ class HTTPSource(MeteredSourceMixin):
         return self.transport.instance
 
     def epoch(self) -> int:
-        """The last epoch token observed from the backend."""
+        """The last epoch token observed from the backend.
+
+        The header of the last response this client read (the
+        backend's own token before the first), never a fresh probe: an
+        :class:`~repro.exec.cache.AccessCache` over this source serves
+        answers current as of the client's last response, and a remote
+        write retires them only once some response carries its epoch.
+        """
         with self._lock:
             if self._last_epoch is not None:
                 return self._last_epoch

@@ -14,11 +14,14 @@
     same accesses in its own order);
 (d) the columnar engine takes the interpreter's batch branch;
 (e) the signatures that used to thread eight arguments take the
-    context, and the service keeps the settable values it has.
+    context, and the service keeps the settable values it has;
+(f) the stop check before each command names that command when the
+    deadline has run out.
 """
 
 import inspect
 import json
+from itertools import chain, repeat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.source import InMemorySource
+from repro.errors import DeadlineExceeded
 from repro.exec import (
     AccessCache,
     BreakerRegistry,
@@ -42,6 +46,7 @@ from repro.exec.columnar import ColumnarPlan, compile_columnar, execute_differen
 from repro.logic.terms import Constant
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.plans.commands import AccessCommand, MiddlewareCommand
+from repro.plans.expressions import Literal, NamedTable, Scan
 from repro.plans.ir import plan_to_ir, table_from_ir
 from repro.plans.plan import Plan
 from repro.service import QueryService
@@ -354,6 +359,37 @@ def test_a_payload_naming_the_interpreter_still_runs():
     )
     assert result["ok"], result
     assert table_from_ir(result["table"]).rows == reference.rows
+
+
+# ------------------------------------------------------ (f) the stop check
+def test_an_expired_deadline_names_the_command_it_stops():
+    """Middleware only, so the stop check is the one deadline reader:
+    the clock reads 0 at the start and before commands #0 and #1, then
+    5 s, past the 1 s budget."""
+    clock = chain([0.0, 0.0, 0.0], repeat(5.0)).__next__
+    context = ExecutionContext(
+        resilience=ResilientDispatcher(deadline=Deadline(1.0, clock=clock))
+    )
+    plan = Plan(
+        (
+            MiddlewareCommand("T0", Literal(NamedTable.singleton())),
+            MiddlewareCommand("T1", Scan("T0")),
+            MiddlewareCommand("T2", Scan("T1")),
+        ),
+        "T2",
+    )
+    with pytest.raises(DeadlineExceeded, match=r"during command #2 \(4\.000s over\)"):
+        plan.execute(None, context)
+
+
+def test_a_live_deadline_stops_nothing():
+    context = ExecutionContext(
+        resilience=ResilientDispatcher(deadline=Deadline(1.0, clock=lambda: 0.0))
+    )
+    for index in range(3):
+        context.check_stop(index)
+    ExecutionContext().check_stop(0)
+    ExecutionContext(resilience=ResilientDispatcher()).check_stop(0)
 
 
 if __name__ == "__main__":

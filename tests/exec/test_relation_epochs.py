@@ -231,6 +231,28 @@ def test_a_whole_source_token_drops_every_entry(kind):
     assert (cache.hits, cache.misses) == (0, 2)
 
 
+def test_cached_http_answers_are_current_as_of_the_last_response():
+    """The bound, not a defect to hide: ``HTTPSource.epoch()`` is the
+    header of the last response the client read, so a write the client
+    has not yet heard of leaves its cached answers standing.  The first
+    response read after the write -- of any method -- retires them."""
+    data = instance()
+    source = HTTPSource(StubTransport(schema(), data))
+    cache = AccessCache()
+    r_key = cache.bind(source, "r_key")
+    assert len(r_key(A)) == 2
+    data.add("R", ("a", "new"))
+    assert len(source.access("r_key", A)) == 3  # uncached: the backend has it
+    assert len(r_key(A)) == 3
+    data.add("R", ("a", "newer"))
+    # No response since the write: the entry is current as of the last one.
+    assert len(r_key(A)) == 3
+    assert (cache.hits, cache.misses) == (1, 2)
+    source.access("s_key", A)
+    assert len(r_key(A)) == 4
+    assert (cache.hits, cache.misses) == (1, 3)
+
+
 def test_a_write_between_the_miss_and_its_install_is_not_cached():
     """A fetch whose relation moved in flight is returned, not kept."""
 

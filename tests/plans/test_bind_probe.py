@@ -185,14 +185,15 @@ class TestWhoCarriesTheAnswers:
 
     def test_rename_carries_them_under_the_new_names(self):
         table = self.table()
-        key_attrs, answers = table.rename({"f0": "x"}).answers_by_key()
+        renamed = Rename(Scan("F"), (("f0", "x"),)).evaluate({"F": table})
+        key_attrs, answers = renamed.answers_by_key()
         assert key_attrs == ("x",)
         assert answers is table.answers_by_key()[1]
 
     def test_every_other_operator_drops_them(self):
         table = self.table()
         env = {"F": table}
-        assert table.project(("f1", "f0")).answers_by_key() is None
+        assert Project(Scan("F"), ("f1", "f0")).evaluate(env).answers_by_key() is None
         assert Select(Scan("F"), (EqConst("f1", B),)).evaluate(env).answers_by_key() is None
         assert Join(Scan("F"), Scan("F")).evaluate(env).answers_by_key() is None
 

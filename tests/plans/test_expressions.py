@@ -37,6 +37,16 @@ def table(attrs, rows):
     return NamedTable.from_rows(attrs, rows)
 
 
+def project(t, attrs):
+    """``π[attrs]`` of one table, evaluated as an operator."""
+    return Project(Literal(t), tuple(attrs)).evaluate({})
+
+
+def rename(t, mapping):
+    """``ρ[mapping]`` of one table, evaluated as an operator."""
+    return Rename(Literal(t), tuple(mapping.items())).evaluate({})
+
+
 @pytest.fixture
 def env():
     return {
@@ -63,17 +73,17 @@ class TestNamedTable:
 
     def test_identity_projection_is_the_table_itself(self):
         t = table(["x", "y"], [(A, B), (A, C)])
-        assert t.project(["x", "y"]) is t
-        assert t.project(("x", "y")) is t
+        assert project(t, ["x", "y"]) is t
+        assert project(t, ("x", "y")) is t
 
     def test_permuted_or_narrower_projection_is_a_new_table(self):
         t = table(["x", "y"], [(A, B), (A, C)])
-        swapped = t.project(["y", "x"])
+        swapped = project(t, ["y", "x"])
         assert swapped is not t
         assert swapped.attributes == ("y", "x")
         assert swapped.rows == frozenset({(B, A), (C, A)})
-        assert t.project(["x"]).rows == frozenset({(A,)})
-        assert t.project([]).rows == frozenset({()})
+        assert project(t, ["x"]).rows == frozenset({(A,)})
+        assert project(t, []).rows == frozenset({()})
 
     def test_singleton(self):
         t = NamedTable.singleton()
@@ -82,26 +92,26 @@ class TestNamedTable:
 
     def test_project_deduplicates(self):
         t = table(["x", "y"], [(A, B), (A, C)])
-        assert len(t.project(["x"])) == 1
+        assert len(project(t, ["x"])) == 1
 
     def test_project_reorders(self):
         t = table(["x", "y"], [(A, B)])
-        assert t.project(["y", "x"]).rows == frozenset({(B, A)})
+        assert project(t, ["y", "x"]).rows == frozenset({(B, A)})
 
     def test_unknown_column(self):
         with pytest.raises(EvaluationError):
             table(["x"], []).column("zz")
 
     def test_rename(self):
-        t = table(["x"], [(A,)]).rename({"x": "u"})
+        t = rename(table(["x"], [(A,)]), {"x": "u"})
         assert t.attributes == ("u",)
 
     def test_rename_onto_one_name_raises(self):
         t = table(["x", "y"], [(A, B)])
         with pytest.raises(EvaluationError, match="duplicate attribute"):
-            t.rename({"x": "y"})
+            rename(t, {"x": "y"})
         with pytest.raises(EvaluationError, match="duplicate attribute"):
-            t.rename({"x": "u", "y": "u"})
+            rename(t, {"x": "u", "y": "u"})
 
 
 class TestRowPicker:
